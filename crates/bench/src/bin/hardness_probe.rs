@@ -7,17 +7,14 @@ use std::time::Instant;
 
 use satroute_core::Strategy;
 use satroute_fpga::{Architecture, GlobalRouter, Netlist, RoutingProblem};
-use satroute_solver::SolverConfig;
+use satroute_solver::RunBudget;
 
 fn main() {
     let budget: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(5_000_000);
-    let config = SolverConfig {
-        max_conflicts: Some(budget),
-        ..SolverConfig::default()
-    };
+    let budget = RunBudget::new().with_max_conflicts(budget);
     // (grid, nets, seed, expected clique)
     let candidates: &[(u16, usize, u64, usize)] = &[
         (5, 24, 0x5EED_0000, 7),
@@ -50,16 +47,10 @@ fn main() {
         print!("{side}x{side}/{nets} clique={clique} W={w}: ");
         std::io::stdout().flush().ok();
         let t = Instant::now();
-        let r = Strategy::paper_baseline()
-            .solve(&g, w)
-            .config(config.clone())
-            .run();
+        let r = Strategy::paper_baseline().solve(&g, w).budget(budget).run();
         let base = t.elapsed();
         let t = Instant::now();
-        let r2 = Strategy::paper_best()
-            .solve(&g, w)
-            .config(config.clone())
-            .run();
+        let r2 = Strategy::paper_best().solve(&g, w).budget(budget).run();
         let best = t.elapsed();
         println!(
             "base {:.2}s{} ({} conf), best {:.2}s{} ({} conf)",

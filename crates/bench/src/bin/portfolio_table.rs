@@ -21,12 +21,12 @@ use std::time::{Duration, Instant};
 
 use satroute_bench::{exit_on_cli_error, fmt_secs, fmt_speedup, metrics_json, tracer_from_args};
 use satroute_core::{
-    run_portfolio_opts, simulate_portfolio, EncodingId, PortfolioOptions, PortfolioResult,
+    run_portfolio, simulate_portfolio, EncodingId, PortfolioOptions, PortfolioResult,
     SimulatedPortfolio, Strategy, SymmetryHeuristic,
 };
 use satroute_fpga::benchmarks;
 use satroute_obs::json::Value;
-use satroute_solver::{RunBudget, SharingConfig, SolverConfig};
+use satroute_solver::{RunContext, SharingConfig};
 
 /// Members racing concurrently in the sharing experiment. Oversubscribed
 /// on a single-core container — OS time-slicing still interleaves the
@@ -37,26 +37,16 @@ fn sharing_run(
     graph: &satroute_coloring::CspGraph,
     width: u32,
     members: &[Strategy],
-    config: &SolverConfig,
+    ctx: &RunContext,
     share: bool,
-    tracer: &satroute_obs::Tracer,
 ) -> PortfolioResult {
     let mut opts = PortfolioOptions::new()
         .with_max_threads(SHARING_THREADS)
-        .with_diversified_configs(true)
-        .with_tracer(tracer.clone());
+        .with_diversified_configs(true);
     if share {
         opts = opts.with_sharing(SharingConfig::default());
     }
-    run_portfolio_opts(
-        graph,
-        width,
-        members,
-        config,
-        RunBudget::default(),
-        None,
-        &opts,
-    )
+    run_portfolio(graph, width, members, ctx, &opts)
 }
 
 fn members_json(sim: &SimulatedPortfolio) -> Value {
@@ -73,13 +63,17 @@ fn members_json(sim: &SimulatedPortfolio) -> Value {
 fn main() {
     let tiny = std::env::args().any(|a| a == "--tiny");
     let json = std::env::args().any(|a| a == "--json");
-    let tracer = exit_on_cli_error(tracer_from_args());
+    // Only the threaded sharing experiment is traced.
+    let traced = RunContext {
+        tracer: exit_on_cli_error(tracer_from_args()),
+        ..RunContext::default()
+    };
     let suite = if tiny {
         benchmarks::suite_tiny()
     } else {
         benchmarks::suite_paper()
     };
-    let config = SolverConfig::default();
+    let plain = RunContext::default();
 
     let single = Strategy::paper_best();
     let p2 = Strategy::paper_portfolio_2();
@@ -111,8 +105,8 @@ fn main() {
         let d_single = start.elapsed();
         assert!(!r.outcome.is_colorable());
 
-        let s2 = simulate_portfolio(g, width, &p2, &config);
-        let s3 = simulate_portfolio(g, width, &p3, &config);
+        let s2 = simulate_portfolio(g, width, &p2, &plain);
+        let s3 = simulate_portfolio(g, width, &p3, &plain);
         let winner3 = s3.strategy().expect("portfolio decides");
 
         t_single += d_single;
@@ -173,8 +167,8 @@ fn main() {
     for instance in &suite {
         let width = instance.routable_width;
         let g = &instance.conflict_graph;
-        let solo = sharing_run(g, width, &members, &config, false, &tracer);
-        let shared = sharing_run(g, width, &members, &config, true, &tracer);
+        let solo = sharing_run(g, width, &members, &traced, false);
+        let shared = sharing_run(g, width, &members, &traced, true);
         assert!(solo.is_decided() && shared.is_decided());
         conflicts_solo += solo.total_conflicts();
         conflicts_shared += shared.total_conflicts();

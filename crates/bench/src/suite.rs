@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 
 use satroute_core::{ExplainOutcome, RoutingPipeline, Strategy, WidthSearch};
 use satroute_fpga::benchmarks::{self, BenchmarkInstance};
-use satroute_obs::{FlightRecorder, MetricsRegistry, MetricsSnapshot, Tracer};
-use satroute_solver::{InprocessConfig, RunBudget, SolverConfig};
+use satroute_obs::{MetricsRegistry, MetricsSnapshot};
+use satroute_solver::{InprocessConfig, RunBudget, RunContext, SolverConfig};
 
 use crate::artifact::{BenchArtifact, BenchCell, EnvFingerprint, HistogramSummary, WallTime};
 use crate::fmt_secs;
@@ -102,17 +102,15 @@ impl std::str::FromStr for SuiteId {
 pub struct SuiteOptions {
     /// Repeat runs per cell; the artifact records the median wall time.
     pub runs: usize,
-    /// Per-solve budget. The default caps each solve at 60 s wall so a
-    /// pathological regression fails the gate as `unknown:wall` instead
-    /// of hanging CI.
-    pub budget: RunBudget,
-    /// Optional tracer: each cell opens a `cell` span with the run's
-    /// encode/solve/decode spans beneath it.
-    pub tracer: Tracer,
-    /// Optional flight recorder: every cell's solves deposit search-state
-    /// samples into the ring. Sampling only reads solver state, so the
-    /// deterministic columns are identical with recording on or off.
-    pub flight: FlightRecorder,
+    /// Run control every cell's solves inherit. The default budget caps
+    /// each solve at 60 s wall so a pathological regression fails the
+    /// gate as `unknown:wall` instead of hanging CI. A tracer gets one
+    /// `cell` span per cell with the run's encode/solve/decode spans
+    /// beneath it. A flight recorder receives every solve's search-state
+    /// samples; sampling only reads solver state, so the deterministic
+    /// columns are identical with recording on or off. Each run replaces
+    /// the metrics registry with a fresh one of its own.
+    pub ctx: RunContext,
     /// Case-sensitive substring filter on cell ids
     /// (`benchmark/encoding/symmetry/wN`); only matching cells run.
     /// `None` runs the whole suite.
@@ -123,9 +121,10 @@ impl Default for SuiteOptions {
     fn default() -> SuiteOptions {
         SuiteOptions {
             runs: 3,
-            budget: RunBudget::new().with_wall(Duration::from_secs(60)),
-            tracer: Tracer::disabled(),
-            flight: FlightRecorder::disabled(),
+            ctx: RunContext {
+                budget: RunBudget::new().with_wall(Duration::from_secs(60)),
+                ..RunContext::default()
+            },
             filter: None,
         }
     }
@@ -418,6 +417,15 @@ fn cell_id(cell: &SuiteCell) -> String {
     }
 }
 
+/// The suite's run control for one run of a cell, recording into that
+/// run's own `registry`.
+fn cell_context(opts: &SuiteOptions, registry: &MetricsRegistry) -> RunContext {
+    RunContext {
+        metrics: registry.clone(),
+        ..opts.ctx.clone()
+    }
+}
+
 /// Measures one cell: `runs` repeats, each with a fresh metrics
 /// registry; deterministic columns and histograms come from the run with
 /// the median wall time.
@@ -435,7 +443,7 @@ fn run_cell(cell: &SuiteCell, runs: usize, opts: &SuiteOptions) -> BenchCell {
             return run_inprocess_cell(cell, width, on, runs, opts)
         }
     };
-    let span = opts.tracer.span_with(
+    let span = opts.ctx.tracer.span_with(
         "cell",
         [
             (
@@ -455,10 +463,7 @@ fn run_cell(cell: &SuiteCell, runs: usize, opts: &SuiteOptions) -> BenchCell {
         let report = cell
             .strategy
             .solve(&cell.instance.conflict_graph, width)
-            .budget(opts.budget)
-            .trace(opts.tracer.clone())
-            .metrics(registry.clone())
-            .flight(opts.flight.clone())
+            .context(cell_context(opts, &registry))
             .run();
         samples.push((report, registry.snapshot()));
     }
@@ -533,7 +538,7 @@ fn run_inprocess_cell(
     runs: usize,
     opts: &SuiteOptions,
 ) -> BenchCell {
-    let span = opts.tracer.span_with(
+    let span = opts.ctx.tracer.span_with(
         "cell",
         [
             (
@@ -558,11 +563,8 @@ fn run_inprocess_cell(
         let report = cell
             .strategy
             .solve(&cell.instance.conflict_graph, width)
+            .context(cell_context(opts, &registry))
             .config(config.clone())
-            .budget(opts.budget)
-            .trace(opts.tracer.clone())
-            .metrics(registry.clone())
-            .flight(opts.flight.clone())
             .run();
         samples.push((report, registry.snapshot()));
     }
@@ -668,7 +670,7 @@ fn run_conquer_cell(
         snapshot: MetricsSnapshot,
     }
 
-    let span = opts.tracer.span_with(
+    let span = opts.ctx.tracer.span_with(
         "cell",
         [
             (
@@ -694,10 +696,7 @@ fn run_conquer_cell(
             .cube_and_conquer(&cell.instance.conflict_graph, width)
             .cube_vars(cube_vars)
             .threads(1)
-            .budget(opts.budget)
-            .trace(opts.tracer.clone())
-            .metrics(registry.clone())
-            .flight(opts.flight.clone())
+            .context(cell_context(opts, &registry))
             .run();
         let outcome = match &result.outcome {
             satroute_core::ColoringOutcome::Colorable(_) => "sat".to_string(),
@@ -790,7 +789,7 @@ fn run_explain_cell(cell: &SuiteCell, width: u32, runs: usize, opts: &SuiteOptio
         snapshot: MetricsSnapshot,
     }
 
-    let span = opts.tracer.span_with(
+    let span = opts.ctx.tracer.span_with(
         "cell",
         [
             (
@@ -812,10 +811,7 @@ fn run_explain_cell(cell: &SuiteCell, width: u32, runs: usize, opts: &SuiteOptio
         let report = cell
             .strategy
             .explain(&cell.instance.conflict_graph, &groups, width)
-            .budget(opts.budget)
-            .trace(opts.tracer.clone())
-            .metrics(registry.clone())
-            .flight(opts.flight.clone())
+            .context(cell_context(opts, &registry))
             .run();
         let wall = start.elapsed();
         let outcome = match &report.outcome {
@@ -908,7 +904,7 @@ fn run_ladder_cell(cell: &SuiteCell, warm: bool, runs: usize, opts: &SuiteOption
         snapshot: MetricsSnapshot,
     }
 
-    let span = opts.tracer.span_with(
+    let span = opts.ctx.tracer.span_with(
         "cell",
         [
             (
@@ -925,11 +921,7 @@ fn run_ladder_cell(cell: &SuiteCell, warm: bool, runs: usize, opts: &SuiteOption
     let mut samples = Vec::with_capacity(runs);
     for _ in 0..runs {
         let registry = MetricsRegistry::new();
-        let pipeline = RoutingPipeline::new(cell.strategy)
-            .with_budget(opts.budget)
-            .with_tracer(opts.tracer.clone())
-            .with_metrics(registry.clone())
-            .with_flight(opts.flight.clone());
+        let pipeline = RoutingPipeline::new(cell.strategy).context(cell_context(opts, &registry));
         let start = Instant::now();
         let result = if warm {
             pipeline.find_min_width_incremental(&cell.instance.problem)

@@ -16,7 +16,7 @@
 //!   assumption machinery (PR 6), and a cube's UNSAT answer is exactly
 //!   "no solution extends this prefix";
 //! * the first cube that reports SAT **cancels the siblings** via the
-//!   shared [`CancellationToken`] (they report
+//!   shared [`CancellationToken`](crate::CancellationToken) (they report
 //!   [`StopReason::Cancelled`]); if *every* cube reports UNSAT the
 //!   instance is UNSAT, because the cubes plus the splitter's
 //!   propagation-refuted sign patterns cover all `2^k` assignments of
@@ -30,9 +30,9 @@
 //!
 //! Observability mirrors the portfolio: a `conquer` root span with one
 //! `cube` child per conquered cube (solver events bridged via
-//! [`TraceObserver`]), and `conquer.cubes` / `conquer.refuted` /
-//! `conquer.stolen` counters plus a `conquer.cube_conflicts` histogram
-//! in the metrics registry.
+//! [`TraceObserver`](crate::TraceObserver)), and `conquer.cubes` /
+//! `conquer.refuted` / `conquer.stolen` counters plus a
+//! `conquer.cube_conflicts` histogram in the metrics registry.
 //!
 //! Determinism note for benchmarking: with sharing disabled, per-cube
 //! conflict counts are bit-reproducible even under parallel execution —
@@ -50,17 +50,14 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use satroute_cnf::{FormulaStats, Lit, Var};
 use satroute_coloring::CspGraph;
-use satroute_obs::{FieldValue, FlightRecorder, MetricsRegistry, Tracer};
+use satroute_obs::FieldValue;
 use satroute_solver::cubes::{split_cubes, CubeOptions};
-use satroute_solver::{
-    CancellationToken, FanoutObserver, RunBudget, RunObserver, SharingConfig, SolverConfig,
-    StopReason, TraceObserver,
-};
+use satroute_solver::{RunContext, SharingConfig, StopReason};
 
 use crate::encode::encode_coloring_instrumented;
 use crate::portfolio::SharingBus;
@@ -221,6 +218,18 @@ fn lpt_makespan(jobs: &[Duration], workers: usize) -> Duration {
 
 /// A configured-but-not-yet-started cube-and-conquer run, built by
 /// [`Strategy::cube_and_conquer`].
+///
+/// Run control comes from the request's [`RunContext`], which every cube's
+/// solve inherits. A relative wall budget is resolved once, at launch,
+/// into one absolute deadline raced by all cubes. The cancellation token
+/// also stops sibling cubes once a winner is known. A tracer records a
+/// `conquer` root span with a `split` child and one `cube` span per
+/// conquered cube. A metrics registry receives every cube solver's
+/// `solver.*` instruments plus `conquer.{cubes,refuted,stolen}` counters
+/// and a `conquer.cube_conflicts` histogram. A flight recorder receives
+/// samples stamped with the cube's index, and a cube stopped by the
+/// shared budget (or cancelled after a winner) carries a
+/// [`Postmortem`](satroute_obs::Postmortem) in its report.
 #[derive(Clone)]
 pub struct ConquerRequest<'a> {
     strategy: Strategy,
@@ -229,15 +238,11 @@ pub struct ConquerRequest<'a> {
     cube_vars: u32,
     candidates: usize,
     threads: Option<usize>,
-    config: SolverConfig,
-    budget: RunBudget,
-    cancel: Option<CancellationToken>,
-    observer: Option<Arc<dyn RunObserver>>,
     sharing: Option<SharingConfig>,
-    tracer: Tracer,
-    metrics: MetricsRegistry,
-    flight: FlightRecorder,
+    ctx: RunContext,
 }
+
+run_context_setters!(ConquerRequest<'_>);
 
 impl<'a> ConquerRequest<'a> {
     /// Sets the number of split variables `k` (up to `2^k` cubes;
@@ -261,33 +266,6 @@ impl<'a> ConquerRequest<'a> {
         self
     }
 
-    /// Sets the solver configuration every cube's solver starts from.
-    pub fn config(mut self, config: SolverConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the shared resource budget. A relative wall limit is resolved
-    /// once, at launch, into one absolute deadline raced by all cubes.
-    pub fn budget(mut self, budget: RunBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Attaches an external cancellation token; the same token also stops
-    /// sibling cubes once a winner is known.
-    pub fn cancel(mut self, token: CancellationToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Attaches an observer receiving every cube's
-    /// [`SolverEvent`](satroute_solver::SolverEvent) stream.
-    pub fn observe(mut self, observer: Arc<dyn RunObserver>) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
     /// Enables learnt-clause exchange between workers over a
     /// [`SharingBus`], filtered by `sharing`. Sound here by construction:
     /// every worker solves the identical CNF (see the module docs) — but
@@ -298,36 +276,11 @@ impl<'a> ConquerRequest<'a> {
         self
     }
 
-    /// Attaches a [`Tracer`]: the run records a `conquer` root span with
-    /// a `split` child and one `cube` span per conquered cube.
-    pub fn trace(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Attaches a [`MetricsRegistry`]: every cube's solver feeds the
-    /// shared `solver.*` instruments, and the executor adds
-    /// `conquer.{cubes,refuted,stolen}` counters plus a
-    /// `conquer.cube_conflicts` histogram.
-    pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = registry;
-        self
-    }
-
-    /// Attaches a [`FlightRecorder`]: every cube's solver deposits
-    /// search-state samples stamped with the cube's index, and a cube
-    /// stopped by the shared budget (or cancelled after a winner) carries
-    /// a [`Postmortem`](satroute_obs::Postmortem) in its report.
-    pub fn flight(mut self, recorder: FlightRecorder) -> Self {
-        self.flight = recorder;
-        self
-    }
-
     /// Splits, conquers and aggregates, consuming the request.
     pub fn run(self) -> ConquerResult {
         let start = Instant::now();
-        let tracer = self.tracer.clone();
-        let metrics = self.metrics.clone();
+        let ctx = &self.ctx;
+        let (tracer, metrics) = (&ctx.tracer, &ctx.metrics);
         let root = tracer.span_with(
             "conquer",
             [
@@ -340,12 +293,12 @@ impl<'a> ConquerRequest<'a> {
 
         // One shared absolute deadline, like the portfolio: cubes claimed
         // late still race the same instant.
-        let mut budget = self.budget;
+        let mut budget = ctx.budget;
         if let Some(deadline) = budget.deadline(start) {
             budget.deadline_at = Some(deadline);
             budget.wall = None;
         }
-        let stop = self.cancel.unwrap_or_default();
+        let stop = ctx.cancel.clone().unwrap_or_default();
 
         // Encode once for the splitter. Every cube's SolveRequest
         // re-encodes internally; the encoding is a pure function of
@@ -357,8 +310,8 @@ impl<'a> ConquerRequest<'a> {
             self.k,
             &self.strategy.encoding.encoding(),
             self.strategy.symmetry,
-            &tracer,
-            &metrics,
+            tracer,
+            metrics,
         );
         let formula_stats = encoded.formula.stats();
         let plan = split_cubes(
@@ -419,13 +372,8 @@ impl<'a> ConquerRequest<'a> {
         let strategy = self.strategy;
         let graph = self.graph;
         let k = self.k;
-        let config = &self.config;
-        let user_observer = &self.observer;
         let sharing = self.sharing;
-        let flight = &self.flight;
         let plan_cubes = &plan.cubes;
-        let tracer_ref = &tracer;
-        let metrics_ref = &metrics;
         let (tx, rx) = mpsc::channel::<(usize, usize, bool, ColoringReport, Duration)>();
 
         let (winner, first_answer, slots) = std::thread::scope(|scope| {
@@ -441,7 +389,13 @@ impl<'a> ConquerRequest<'a> {
                     // claimed, and every claimed cube sends exactly one
                     // report — even post-cancellation, where the solve
                     // returns immediately with `Cancelled`.
-                    let (cube_idx, stolen) = match lock_unpoisoned(&deques[worker]).pop_front() {
+                    //
+                    // Pop into a local first: a guard in the match
+                    // scrutinee would stay locked through `steal`, which
+                    // locks every peer deque, so two workers running dry
+                    // together would deadlock each other.
+                    let own = lock_unpoisoned(&deques[worker]).pop_front();
+                    let (cube_idx, stolen) = match own {
                         Some(idx) => (idx, false),
                         None => match steal(deques, worker) {
                             Some(idx) => (idx, true),
@@ -450,14 +404,14 @@ impl<'a> ConquerRequest<'a> {
                     };
                     if stolen {
                         stolen_total.fetch_add(1, Ordering::Relaxed);
-                        if metrics_ref.is_enabled() {
-                            metrics_ref.counter("conquer.stolen").inc();
+                        if metrics.is_enabled() {
+                            metrics.counter("conquer.stolen").inc();
                         }
                     }
                     let cube = &plan_cubes[cube_idx];
                     // Explicit parent: the worker thread's span stack is
                     // empty, so implicit parenting would make cubes roots.
-                    let cube_span = tracer_ref.span_under(
+                    let cube_span = tracer.span_under(
                         root_id,
                         "cube",
                         [
@@ -467,35 +421,14 @@ impl<'a> ConquerRequest<'a> {
                             ("assumptions", FieldValue::from(dimacs_cube(cube))),
                         ],
                     );
-                    let mut request = strategy
-                        .solve(graph, k)
-                        .config(config.clone())
-                        .budget(budget)
-                        .cancel(stop.clone())
-                        .assume(cube)
-                        .trace(tracer_ref.clone())
-                        .metrics(metrics_ref.clone())
-                        .flight(flight.labelled(cube_idx as u64));
-                    let mut observers: Vec<Arc<dyn RunObserver>> = Vec::new();
-                    if tracer_ref.is_enabled() {
-                        observers.push(Arc::new(TraceObserver::new(
-                            tracer_ref.clone(),
-                            cube_span.id(),
-                        )));
-                    }
-                    if let Some(user) = user_observer {
-                        observers.push(user.clone());
-                    }
-                    request = match observers.len() {
-                        0 => request,
-                        1 => request.observe(observers.pop().expect("len checked")),
-                        _ => {
-                            let fanout = observers
-                                .drain(..)
-                                .fold(FanoutObserver::new(), FanoutObserver::with);
-                            request.observe(Arc::new(fanout))
-                        }
+                    let cube_ctx = RunContext {
+                        budget,
+                        cancel: Some(stop.clone()),
+                        observer: Some(ctx.observer_on(cube_span.id(), [])),
+                        flight: ctx.flight.labelled(cube_idx as u64),
+                        ..ctx.clone()
                     };
+                    let mut request = strategy.solve(graph, k).context(cube_ctx).assume(cube);
                     if let (Some(sharing), Some(bus)) = (sharing, bus) {
                         if let Some(exchange) = bus.exchange(worker) {
                             request = request.share(exchange, sharing);
@@ -507,8 +440,8 @@ impl<'a> ConquerRequest<'a> {
                         // bail at their next conflict boundary.
                         stop.cancel();
                     }
-                    if metrics_ref.is_enabled() {
-                        metrics_ref
+                    if metrics.is_enabled() {
+                        metrics
                             .histogram("conquer.cube_conflicts")
                             .record(report.solver_stats.conflicts);
                     }
@@ -644,14 +577,8 @@ impl Strategy {
             cube_vars: 3,
             candidates: 32,
             threads: None,
-            config: SolverConfig::default(),
-            budget: RunBudget::default(),
-            cancel: None,
-            observer: None,
             sharing: None,
-            tracer: Tracer::disabled(),
-            metrics: MetricsRegistry::disabled(),
-            flight: FlightRecorder::disabled(),
+            ctx: RunContext::default(),
         }
     }
 }
@@ -660,6 +587,8 @@ impl Strategy {
 mod tests {
     use super::*;
     use satroute_coloring::{exact, random_graph};
+    use satroute_obs::{MetricsRegistry, Tracer};
+    use satroute_solver::CancellationToken;
 
     #[test]
     fn lpt_makespan_schedules_longest_jobs_first() {

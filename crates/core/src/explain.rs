@@ -23,22 +23,19 @@
 //! stays critical against the final core.
 //!
 //! The loop is budgetable: [`ExplainRequest::shrink_budget`] caps the
-//! number of deletion probes, and a [`RunBudget`] caps the solver's
+//! number of deletion probes, and a
+//! [`RunBudget`](satroute_solver::RunBudget) caps the solver's
 //! cumulative work. Either stop leaves the not-yet-tested groups in the
 //! core (sound, possibly non-minimal) and reports it via
 //! [`ShrinkStatus`].
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::Duration;
 
 use satroute_cnf::FormulaStats;
 use satroute_coloring::{Coloring, CspGraph};
-use satroute_obs::{FieldValue, FlightRecorder, MetricsRegistry, Postmortem, Tracer};
-use satroute_solver::{
-    CancellationToken, CdclSolver, FanoutObserver, RunBudget, RunObserver, SolveOutcome,
-    SolverConfig, SolverStats, StopReason, TraceObserver,
-};
+use satroute_obs::{FieldValue, Postmortem};
+use satroute_solver::{CdclSolver, RunContext, SolveOutcome, SolverStats, StopReason};
 
 use crate::decode::decode_coloring;
 use crate::encode::{encode_coloring_grouped_traced, GroupedEncoding};
@@ -56,8 +53,9 @@ pub enum ShrinkStatus {
         /// Number of core groups never probed for removal.
         untested: u32,
     },
-    /// A solver [`RunBudget`] or cancellation stopped a probe; `untested`
-    /// groups remain in the core without a criticality proof.
+    /// A solver [`RunBudget`](satroute_solver::RunBudget) or cancellation
+    /// stopped a probe; `untested` groups remain in the core without a
+    /// criticality proof.
     SolverStopped {
         /// Why the probe stopped.
         reason: StopReason,
@@ -146,7 +144,7 @@ pub struct ExplainReport {
     pub sat_solving: Duration,
     /// Flight-recorder postmortem of the probe that stopped early, when a
     /// budget or cancellation interrupted the run and an enabled
-    /// [`FlightRecorder`] was attached.
+    /// [`FlightRecorder`](satroute_obs::FlightRecorder) was attached.
     pub postmortem: Option<Postmortem>,
 }
 
@@ -171,18 +169,25 @@ impl ExplainReport {
 
 /// A configured-but-not-yet-started explanation run, built by
 /// [`Strategy::explain`]. Mirrors the [`crate::SolveRequest`] idiom.
+///
+/// Run control comes from the request's [`RunContext`] and covers every
+/// probe. Integer budget caps apply to the solver's *cumulative* counters
+/// across all probes; a stopped probe ends the shrink pass with
+/// [`ShrinkStatus::SolverStopped`]. A tracer records an `explain` root
+/// span with the `encode_grouped` span, an `initial_core` probe span and
+/// one `shrink_step` span per deletion probe (fields: the candidate
+/// group, active-set size; mark: the verdict) as children. A metrics
+/// registry receives the `solver.*` family plus `explain.probes`,
+/// `explain.kept`, `explain.dropped` and `explain.core_nets` counters and
+/// an `explain.shrink_conflicts` histogram of per-deletion-probe conflict
+/// costs. A budget-stopped run's postmortem names the active assumption
+/// core at the stop.
 pub struct ExplainRequest<'a> {
     strategy: Strategy,
     graph: &'a CspGraph,
     groups: &'a [u32],
     width: u32,
-    config: SolverConfig,
-    budget: RunBudget,
-    cancel: Option<CancellationToken>,
-    observer: Option<Arc<dyn RunObserver>>,
-    tracer: Tracer,
-    metrics: MetricsRegistry,
-    flight: FlightRecorder,
+    ctx: RunContext,
     shrink_budget: Option<u64>,
 }
 
@@ -191,11 +196,13 @@ impl std::fmt::Debug for ExplainRequest<'_> {
         f.debug_struct("ExplainRequest")
             .field("strategy", &self.strategy)
             .field("width", &self.width)
-            .field("budget", &self.budget)
+            .field("ctx", &self.ctx)
             .field("shrink_budget", &self.shrink_budget)
             .finish_non_exhaustive()
     }
 }
+
+run_context_setters!(ExplainRequest<'_>);
 
 impl<'a> ExplainRequest<'a> {
     pub(crate) fn new(
@@ -209,32 +216,9 @@ impl<'a> ExplainRequest<'a> {
             graph,
             groups,
             width,
-            config: SolverConfig::default(),
-            budget: RunBudget::default(),
-            cancel: None,
-            observer: None,
-            tracer: Tracer::disabled(),
-            metrics: MetricsRegistry::disabled(),
-            flight: FlightRecorder::disabled(),
+            ctx: RunContext::default(),
             shrink_budget: None,
         }
-    }
-
-    /// Sets the solver configuration (defaults to
-    /// [`SolverConfig::default`]).
-    #[must_use]
-    pub fn config(mut self, config: SolverConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Imposes a [`RunBudget`] on the run. Integer caps apply to the
-    /// solver's *cumulative* counters across all probes; a stopped probe
-    /// ends the shrink pass with [`ShrinkStatus::SolverStopped`].
-    #[must_use]
-    pub fn budget(mut self, budget: RunBudget) -> Self {
-        self.budget = budget;
-        self
     }
 
     /// Caps the number of deletion probes; a capped pass reports
@@ -246,60 +230,14 @@ impl<'a> ExplainRequest<'a> {
         self
     }
 
-    /// Attaches a cooperative cancellation token; cancelling any clone of
-    /// it stops the current and all subsequent probes.
-    #[must_use]
-    pub fn cancel(mut self, token: CancellationToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Attaches an observer receiving every probe's event stream.
-    #[must_use]
-    pub fn observe(mut self, observer: Arc<dyn RunObserver>) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Attaches a [`Tracer`]: the run records an `explain` root span with
-    /// the `encode_grouped` span, an `initial_core` probe span and one
-    /// `shrink_step` span per deletion probe (fields: the candidate
-    /// group, active-set size; mark: the verdict) as children. A disabled
-    /// tracer records nothing.
-    #[must_use]
-    pub fn trace(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Attaches a [`MetricsRegistry`]: the solver feeds the `solver.*`
-    /// family and the run counts `explain.probes`, `explain.kept`,
-    /// `explain.dropped` and `explain.core_nets`, plus an
-    /// `explain.shrink_conflicts` histogram of per-deletion-probe
-    /// conflict costs.
-    #[must_use]
-    pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = registry;
-        self
-    }
-
-    /// Attaches a [`FlightRecorder`]: every probe deposits search-state
-    /// samples into the ring, and a budget-stopped run carries a
-    /// [`Postmortem`] naming the active assumption core at the stop.
-    #[must_use]
-    pub fn flight(mut self, recorder: FlightRecorder) -> Self {
-        self.flight = recorder;
-        self
-    }
-
     /// Encodes, probes and shrinks, consuming the request.
     ///
     /// # Panics
     ///
     /// Panics if `groups.len() != graph.num_vertices()`.
     pub fn run(self) -> ExplainReport {
-        let tracer = self.tracer.clone();
-        let metrics = self.metrics.clone();
+        let ctx = &self.ctx;
+        let (tracer, metrics) = (&ctx.tracer, &ctx.metrics);
         let span = tracer.span_with(
             "explain",
             [
@@ -317,16 +255,10 @@ impl<'a> ExplainRequest<'a> {
             self.width,
             self.groups,
             &self.strategy.encoding.encoding(),
-            &tracer,
+            tracer,
         );
         let formula_stats = encoding.formula.stats();
-        let mut solver = CdclSolver::with_config(self.config);
-        solver.set_metrics(&metrics);
-        solver.set_flight(&self.flight);
-        solver.set_budget(self.budget);
-        if let Some(token) = self.cancel.clone() {
-            solver.set_cancellation(token);
-        }
+        let mut solver = ctx.solver();
         solver.add_formula(&encoding.formula);
         // Deletion probes assume shrinking selector subsets, so the
         // solver's per-call assumption freezing never covers dropped
@@ -352,8 +284,7 @@ impl<'a> ExplainRequest<'a> {
         let (outcome, wall) = probe_groups(
             &mut solver,
             &encoding,
-            &tracer,
-            &self.observer,
+            ctx,
             "initial_core",
             None,
             &populated,
@@ -384,8 +315,8 @@ impl<'a> ExplainRequest<'a> {
                 };
             }
             SolveOutcome::Unknown(reason) => {
-                if self.flight.is_enabled() {
-                    let mut pm = Postmortem::from_recorder(&self.flight, reason.to_string());
+                if ctx.flight.is_enabled() {
+                    let mut pm = Postmortem::from_recorder(&ctx.flight, reason.to_string());
                     pm.hottest_phase = Some("sat_solving".to_string());
                     pm.failed_assumptions =
                         postmortem_core(&encoding.assumptions_for(populated.iter().copied()));
@@ -437,8 +368,7 @@ impl<'a> ExplainRequest<'a> {
             let (outcome, wall) = probe_groups(
                 &mut solver,
                 &encoding,
-                &tracer,
-                &self.observer,
+                ctx,
                 "shrink_step",
                 Some(candidate),
                 &active,
@@ -463,8 +393,8 @@ impl<'a> ExplainRequest<'a> {
                         reason,
                         untested: untested.len() as u32,
                     };
-                    if self.flight.is_enabled() {
-                        let mut pm = Postmortem::from_recorder(&self.flight, reason.to_string());
+                    if ctx.flight.is_enabled() {
+                        let mut pm = Postmortem::from_recorder(&ctx.flight, reason.to_string());
                         pm.hottest_phase = Some("sat_solving".to_string());
                         pm.failed_assumptions =
                             postmortem_core(&encoding.assumptions_for(active.iter().copied()));
@@ -525,8 +455,7 @@ fn close_run_span(
 fn probe_groups(
     solver: &mut CdclSolver,
     encoding: &GroupedEncoding,
-    tracer: &Tracer,
-    observer: &Option<Arc<dyn RunObserver>>,
+    ctx: &RunContext,
     span_name: &'static str,
     candidate: Option<u32>,
     active: &[u32],
@@ -535,15 +464,8 @@ fn probe_groups(
     if let Some(group) = candidate {
         fields.push(("candidate", FieldValue::from(group)));
     }
-    let span = tracer.span_with(span_name, fields);
-    let mut fanout = FanoutObserver::new();
-    if let Some(user) = observer {
-        fanout = fanout.with(user.clone());
-    }
-    if tracer.is_enabled() {
-        fanout = fanout.with(Arc::new(TraceObserver::new(tracer.clone(), span.id())));
-    }
-    solver.set_observer(Arc::new(fanout));
+    let span = ctx.tracer.span_with(span_name, fields);
+    solver.set_observer(ctx.observer_on(span.id(), []));
     let assumptions = encoding.assumptions_for(active.iter().copied());
     let outcome = solver.solve_with_assumptions(&assumptions);
     span.mark(
@@ -578,6 +500,8 @@ fn failed_groups(solver: &CdclSolver, encoding: &GroupedEncoding) -> Option<Vec<
 mod tests {
     use super::*;
     use satroute_coloring::{exact, random_graph};
+    use satroute_obs::MetricsRegistry;
+    use satroute_solver::CancellationToken;
 
     /// Explains `graph` at `width` with one single-vertex group per
     /// vertex.

@@ -26,11 +26,8 @@ use std::sync::Arc;
 
 use satroute_cnf::FormulaStats;
 use satroute_coloring::{Coloring, CspGraph};
-use satroute_obs::{FieldValue, FlightRecorder, MetricsRegistry, Postmortem, Tracer};
-use satroute_solver::{
-    CancellationToken, CdclSolver, FanoutObserver, MetricsRecorder, RunBudget, RunObserver,
-    SolveOutcome, SolverConfig, TraceObserver,
-};
+use satroute_obs::{FieldValue, Postmortem};
+use satroute_solver::{CdclSolver, MetricsRecorder, RunContext, RunObserver, SolveOutcome};
 
 use crate::decode::decode_coloring;
 use crate::encode::{encode_coloring_incremental_traced, IncrementalEncoding};
@@ -39,17 +36,22 @@ use crate::strategy::{hottest_phase, ColoringOutcome, ColoringReport, Strategy, 
 /// Builder for an [`IncrementalSession`], returned by
 /// [`Strategy::incremental`]. Mirrors the [`crate::SolveRequest`] idiom:
 /// chain configuration calls, then [`IncrementalSessionBuilder::build`].
+///
+/// Run control comes from the builder's [`RunContext`] and covers every
+/// probe of the session. Integer budget caps apply to the solver's
+/// *cumulative* counters (conflicts accumulate across probes); a shared
+/// `deadline_at` or wall budget bounds the whole ladder. A tracer records
+/// an `encode_incremental` span for the encode and a `width_probe` span
+/// (field `width`) carrying each probe's solver events. A metrics
+/// registry receives the `solver.*` family plus the session's
+/// `incremental.probes` and `incremental.reused_conflicts` counters
+/// (conflicts carried into each probe from earlier ones — the state a
+/// cold ladder would have thrown away).
 pub struct IncrementalSessionBuilder<'a> {
     strategy: Strategy,
     graph: &'a CspGraph,
     upper: u32,
-    config: SolverConfig,
-    budget: RunBudget,
-    cancel: Option<CancellationToken>,
-    observer: Option<Arc<dyn RunObserver>>,
-    tracer: Tracer,
-    metrics: MetricsRegistry,
-    flight: FlightRecorder,
+    ctx: RunContext,
 }
 
 impl std::fmt::Debug for IncrementalSessionBuilder<'_> {
@@ -57,11 +59,12 @@ impl std::fmt::Debug for IncrementalSessionBuilder<'_> {
         f.debug_struct("IncrementalSessionBuilder")
             .field("strategy", &self.strategy)
             .field("upper", &self.upper)
-            .field("budget", &self.budget)
-            .field("observed", &self.observer.is_some())
+            .field("ctx", &self.ctx)
             .finish_non_exhaustive()
     }
 }
+
+run_context_setters!(IncrementalSessionBuilder<'_>);
 
 impl<'a> IncrementalSessionBuilder<'a> {
     pub(crate) fn new(strategy: Strategy, graph: &'a CspGraph, upper: u32) -> Self {
@@ -69,76 +72,8 @@ impl<'a> IncrementalSessionBuilder<'a> {
             strategy,
             graph,
             upper,
-            config: SolverConfig::default(),
-            budget: RunBudget::default(),
-            cancel: None,
-            observer: None,
-            tracer: Tracer::disabled(),
-            metrics: MetricsRegistry::disabled(),
-            flight: FlightRecorder::disabled(),
+            ctx: RunContext::default(),
         }
-    }
-
-    /// Sets the solver configuration (defaults to
-    /// [`SolverConfig::default`]).
-    #[must_use]
-    pub fn config(mut self, config: SolverConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Imposes a [`RunBudget`] on the session. Integer caps apply to the
-    /// solver's *cumulative* counters (conflicts accumulate across
-    /// probes); a shared `deadline_at` or wall budget bounds the whole
-    /// ladder.
-    #[must_use]
-    pub fn budget(mut self, budget: RunBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Attaches a cooperative cancellation token; cancelling any clone of
-    /// it stops the current and all subsequent probes.
-    #[must_use]
-    pub fn cancel(mut self, token: CancellationToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Attaches an observer receiving every probe's event stream.
-    #[must_use]
-    pub fn observe(mut self, observer: Arc<dyn RunObserver>) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Attaches a [`Tracer`]: the encode records an `encode_incremental`
-    /// span and each probe a `width_probe` span (field `width`) carrying
-    /// the solver's event stream. A disabled tracer records nothing.
-    #[must_use]
-    pub fn trace(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Attaches a [`MetricsRegistry`]: the solver feeds the `solver.*`
-    /// family and the session counts `incremental.probes` and
-    /// `incremental.reused_conflicts` (conflicts carried into each probe
-    /// from earlier ones — the state a cold ladder would have thrown
-    /// away).
-    #[must_use]
-    pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = registry;
-        self
-    }
-
-    /// Attaches a [`FlightRecorder`]: every probe deposits search-state
-    /// samples into the ring, and a probe that stops on a budget carries a
-    /// [`Postmortem`](satroute_obs::Postmortem) in its report.
-    #[must_use]
-    pub fn flight(mut self, recorder: FlightRecorder) -> Self {
-        self.flight = recorder;
-        self
     }
 
     /// Encodes the instance once at the upper bound and loads the warm
@@ -155,16 +90,10 @@ impl<'a> IncrementalSessionBuilder<'a> {
             self.upper,
             &self.strategy.encoding.encoding(),
             self.strategy.symmetry,
-            &self.tracer,
+            &self.ctx.tracer,
         );
         let formula_stats = encoding.formula.stats();
-        let mut solver = CdclSolver::with_config(self.config);
-        solver.set_metrics(&self.metrics);
-        solver.set_flight(&self.flight);
-        solver.set_budget(self.budget);
-        if let Some(token) = self.cancel {
-            solver.set_cancellation(token);
-        }
+        let mut solver = self.ctx.solver();
         solver.add_formula(&encoding.formula);
         // Probes at width k only assume the selectors of tracks ≥ k, so
         // the solver's per-call assumption freezing never covers the
@@ -178,10 +107,7 @@ impl<'a> IncrementalSessionBuilder<'a> {
             solver,
             encoding,
             formula_stats,
-            observer: self.observer,
-            tracer: self.tracer,
-            metrics: self.metrics,
-            flight: self.flight,
+            ctx: self.ctx,
             probes: 0,
             failed_tracks: Vec::new(),
             encode_time_pending: true,
@@ -217,10 +143,7 @@ pub struct IncrementalSession {
     solver: CdclSolver,
     encoding: IncrementalEncoding,
     formula_stats: FormulaStats,
-    observer: Option<Arc<dyn RunObserver>>,
-    tracer: Tracer,
-    metrics: MetricsRegistry,
-    flight: FlightRecorder,
+    ctx: RunContext,
     probes: u64,
     /// Tracks named by the failed-assumption core of the last UNSAT probe.
     failed_tracks: Vec<u32>,
@@ -297,7 +220,7 @@ impl IncrementalSession {
             "width {k} exceeds the encoded upper bound {}",
             self.upper()
         );
-        let span = self.tracer.span_with(
+        let span = self.ctx.tracer.span_with(
             "width_probe",
             [
                 ("width", FieldValue::from(k)),
@@ -305,22 +228,17 @@ impl IncrementalSession {
             ],
         );
         let recorder = Arc::new(MetricsRecorder::new());
-        let mut fanout = FanoutObserver::new().with(recorder.clone() as Arc<dyn RunObserver>);
-        if let Some(user) = &self.observer {
-            fanout = fanout.with(user.clone());
-        }
-        if self.tracer.is_enabled() {
-            fanout = fanout.with(Arc::new(TraceObserver::new(self.tracer.clone(), span.id())));
-        }
-        self.solver.set_observer(Arc::new(fanout));
+        self.solver.set_observer(
+            self.ctx
+                .observer_on(span.id(), [recorder.clone() as Arc<dyn RunObserver>]),
+        );
 
         let reused = self.solver.stats().conflicts;
         self.probes += 1;
-        if self.metrics.is_enabled() {
-            self.metrics.counter("incremental.probes").add(1);
-            self.metrics
-                .counter("incremental.reused_conflicts")
-                .add(reused);
+        let metrics = &self.ctx.metrics;
+        if metrics.is_enabled() {
+            metrics.counter("incremental.probes").add(1);
+            metrics.counter("incremental.reused_conflicts").add(reused);
         }
 
         let assumptions = self.encoding.assumptions_for_width(k);
@@ -365,8 +283,8 @@ impl IncrementalSession {
             sat_solving,
         };
         let postmortem = match &outcome {
-            ColoringOutcome::Unknown(reason) if self.flight.is_enabled() => {
-                let mut pm = Postmortem::from_recorder(&self.flight, reason.to_string());
+            ColoringOutcome::Unknown(reason) if self.ctx.flight.is_enabled() => {
+                let mut pm = Postmortem::from_recorder(&self.ctx.flight, reason.to_string());
                 pm.hottest_phase = Some(hottest_phase(&timing).to_string());
                 if let Some(failed) = &failed_assumptions {
                     pm.failed_assumptions = crate::strategy::postmortem_core(failed);
@@ -443,6 +361,8 @@ mod tests {
     use crate::catalog::EncodingId;
     use crate::symmetry::SymmetryHeuristic;
     use satroute_coloring::{exact, random_graph};
+    use satroute_obs::MetricsRegistry;
+    use satroute_solver::CancellationToken;
 
     #[test]
     fn matches_exact_chromatic_number() {

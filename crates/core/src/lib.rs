@@ -24,7 +24,8 @@
 //!   coloring.
 //! * [`strategy`] — one (encoding, symmetry) combination run end to end
 //!   with the Table 2 time breakdown, configured through the
-//!   [`SolveRequest`] builder (budget, cancellation, observer).
+//!   [`SolveRequest`] builder (a [`RunContext`] plus assumptions,
+//!   sharing and preprocessing).
 //! * [`portfolio`] — parallel first-answer-wins execution of several
 //!   strategies (§6), with per-member reports, a shared deadline, a
 //!   parallelism-aware thread cap, and optional learnt-clause sharing
@@ -45,9 +46,10 @@
 //!   and shrink it to a 1-minimal MUS over nets by warm deletion probes
 //!   ([`ExplainRequest`], built by [`Strategy::explain`]).
 //!
-//! Run control (budgets, cancellation tokens, observers) comes from
-//! [`satroute_solver::run`] and is threaded through every entry point;
-//! the commonly used types are re-exported here.
+//! Run control comes from [`satroute_solver::run`]: every request holds
+//! one [`RunContext`] (configuration, budget, cancellation, observer,
+//! tracer, metrics, flight recorder) and forwards it to the solves it
+//! spawns. The commonly used types are re-exported here.
 //!
 //! # Examples
 //!
@@ -67,6 +69,88 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+/// Writes the run-control setters of a request type that holds its
+/// [`RunContext`] in a `ctx` field: [`context`](SolveRequest::context)
+/// replaces the whole context, and one setter per context field replaces
+/// just that field. Each type documents what its spans and metrics record.
+macro_rules! run_context_setters {
+    ($ty:ty) => {
+        impl $ty {
+            /// Replaces the whole [`RunContext`](satroute_solver::RunContext).
+            #[must_use]
+            pub fn context(mut self, ctx: satroute_solver::RunContext) -> Self {
+                self.ctx = ctx;
+                self
+            }
+
+            /// Sets the solver configuration (defaults to
+            /// [`SolverConfig::default`](satroute_solver::SolverConfig)).
+            #[must_use]
+            pub fn config(mut self, config: satroute_solver::SolverConfig) -> Self {
+                self.ctx.config = config;
+                self
+            }
+
+            /// Sets the resource budget (unlimited by default). Limits are
+            /// polled at conflict boundaries, so overshoot is bounded; see
+            /// [`RunBudget`](satroute_solver::RunBudget).
+            #[must_use]
+            pub fn budget(mut self, budget: satroute_solver::RunBudget) -> Self {
+                self.ctx.budget = budget;
+                self
+            }
+
+            /// Attaches a cooperative cancellation token; cancelling any
+            /// clone of it stops every current and later solve with
+            /// [`StopReason::Cancelled`](satroute_solver::StopReason).
+            #[must_use]
+            pub fn cancel(mut self, token: satroute_solver::CancellationToken) -> Self {
+                self.ctx.cancel = Some(token);
+                self
+            }
+
+            /// Attaches an observer receiving every solve's
+            /// [`SolverEvent`](satroute_solver::SolverEvent) stream.
+            #[must_use]
+            pub fn observe(
+                mut self,
+                observer: std::sync::Arc<dyn satroute_solver::RunObserver>,
+            ) -> Self {
+                self.ctx.observer = Some(observer);
+                self
+            }
+
+            /// Attaches a [`Tracer`](satroute_obs::Tracer); the disabled
+            /// default records nothing.
+            #[must_use]
+            pub fn trace(mut self, tracer: satroute_obs::Tracer) -> Self {
+                self.ctx.tracer = tracer;
+                self
+            }
+
+            /// Attaches a [`MetricsRegistry`](satroute_obs::MetricsRegistry);
+            /// the disabled default records nothing and costs one branch
+            /// per boundary.
+            #[must_use]
+            pub fn metrics(mut self, registry: satroute_obs::MetricsRegistry) -> Self {
+                self.ctx.metrics = registry;
+                self
+            }
+
+            /// Attaches a [`FlightRecorder`](satroute_obs::FlightRecorder):
+            /// solves deposit search-state samples into its ring, and a
+            /// solve stopped by a budget or cancellation carries a
+            /// [`Postmortem`](satroute_obs::Postmortem). The disabled default
+            /// records nothing.
+            #[must_use]
+            pub fn flight(mut self, recorder: satroute_obs::FlightRecorder) -> Self {
+                self.ctx.flight = recorder;
+                self
+            }
+        }
+    };
+}
 
 pub mod analysis;
 pub mod catalog;
@@ -101,8 +185,7 @@ pub use pipeline::{
     PipelineError, RouteResult, RoutingPipeline, UnroutabilityCertificate, WidthSearch,
 };
 pub use portfolio::{
-    run_portfolio, run_portfolio_opts, run_portfolio_with, simulate_portfolio,
-    simulate_portfolio_with, MemberReport, PortfolioOptions, PortfolioResult, SharingBus,
+    run_portfolio, simulate_portfolio, MemberReport, PortfolioOptions, PortfolioResult, SharingBus,
     SimulatedPortfolio,
 };
 pub use scheme::SimpleScheme;
@@ -113,8 +196,8 @@ pub use symmetry::SymmetryHeuristic;
 // so downstream code does not need a direct `satroute_solver` dependency.
 pub use satroute_solver::{
     CancellationToken, ClauseExchange, MetricsRecorder, NullObserver, PhaseInit, ProgressLogger,
-    RestartScheme, RunBudget, RunMetrics, RunObserver, SharingConfig, SolverEvent, StopReason,
-    TraceObserver,
+    RestartScheme, RunBudget, RunContext, RunMetrics, RunObserver, SharingConfig, SolverEvent,
+    StopReason, TraceObserver,
 };
 
 // Tracing vocabulary (spans, sinks, reports) from `satroute_obs`,

@@ -11,12 +11,9 @@
 //! found for W, such that the configuration with W − 1 tracks is proven
 //! unroutable"*.
 
-use std::fmt;
-use std::sync::Arc;
-
 use satroute_fpga::{DetailedRouting, RoutingProblem};
-use satroute_obs::{FieldValue, FlightRecorder, MetricsRegistry, Tracer};
-use satroute_solver::{CancellationToken, RunBudget, RunObserver, SolverConfig, StopReason};
+use satroute_obs::FieldValue;
+use satroute_solver::{RunBudget, RunContext, StopReason};
 
 use crate::strategy::{ColoringOutcome, ColoringReport, Strategy};
 
@@ -147,96 +144,37 @@ impl std::error::Error for PipelineError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone)]
+///
+/// Run control comes from the pipeline's [`RunContext`], which every solve
+/// it performs inherits. Each probe of a width search gets the budget
+/// individually; a shared absolute `deadline_at` bounds the whole search.
+/// A tracer records a `route` span per width with `graph_generation`,
+/// `encode`, `solve`, `decode` and `verify` children (and a `certify`
+/// child for certified refutations). A metrics registry additionally
+/// receives `phase.graph_generation_us` and `phase.verify_us` wall-time
+/// histograms, on top of the per-solve instruments the
+/// [`SolveRequest`](crate::SolveRequest) feeds.
+#[derive(Clone, Debug)]
 pub struct RoutingPipeline {
     strategy: Strategy,
-    config: SolverConfig,
-    budget: RunBudget,
-    cancel: Option<CancellationToken>,
-    observer: Option<Arc<dyn RunObserver>>,
-    tracer: Tracer,
-    metrics: MetricsRegistry,
-    flight: FlightRecorder,
+    ctx: RunContext,
 }
 
-impl fmt::Debug for RoutingPipeline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RoutingPipeline")
-            .field("strategy", &self.strategy)
-            .field("config", &self.config)
-            .field("budget", &self.budget)
-            .field("observed", &self.observer.is_some())
-            .finish_non_exhaustive()
-    }
-}
+run_context_setters!(RoutingPipeline);
 
 impl RoutingPipeline {
     /// Creates a pipeline with default solver settings.
     pub fn new(strategy: Strategy) -> Self {
         RoutingPipeline {
             strategy,
-            config: SolverConfig::default(),
-            budget: RunBudget::default(),
-            cancel: None,
-            observer: None,
-            tracer: Tracer::disabled(),
-            metrics: MetricsRegistry::disabled(),
-            flight: FlightRecorder::disabled(),
+            ctx: RunContext::default(),
         }
     }
 
-    /// Replaces the solver configuration.
-    pub fn with_solver_config(mut self, config: SolverConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Imposes a [`RunBudget`] on every solve the pipeline performs. Each
-    /// probe of a width search gets the budget individually; a shared
-    /// absolute `deadline_at` bounds the whole search.
-    pub fn with_budget(mut self, budget: RunBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Attaches a cooperative cancellation token to every solve.
-    pub fn with_cancellation(mut self, token: CancellationToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Attaches an observer receiving every solve's event stream.
-    pub fn with_observer(mut self, observer: Arc<dyn RunObserver>) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Attaches a [`Tracer`]: every route records a `route` span with
-    /// `graph_generation`, `encode`, `solve`, `decode` and `verify`
-    /// children (and a `certify` child for certified refutations).
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Attaches a [`MetricsRegistry`]: every route additionally records
-    /// `phase.graph_generation_us` and `phase.verify_us` wall-time
-    /// histograms here, on top of the per-solve instruments the
-    /// [`SolveRequest`](crate::SolveRequest) feeds (the `solver.*`
-    /// family, per-encoding CNF sizes and encode/solve/decode phase
-    /// times).
-    pub fn with_metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = registry;
-        self
-    }
-
-    /// Attaches a [`FlightRecorder`]: every solve the pipeline performs
-    /// deposits search-state samples into the ring, and a budget-stopped
-    /// solve carries a [`Postmortem`](satroute_obs::Postmortem) in its
-    /// report.
-    pub fn with_flight(mut self, recorder: FlightRecorder) -> Self {
-        self.flight = recorder;
-        self
+    /// Same as [`RoutingPipeline::budget`].
+    #[must_use]
+    pub fn with_budget(self, budget: RunBudget) -> Self {
+        self.budget(budget)
     }
 
     /// The pipeline's strategy.
@@ -266,7 +204,7 @@ impl RoutingPipeline {
         width: u32,
     ) -> Result<RouteResult, PipelineError> {
         let span = self.route_span(width, false);
-        let (graph, graph_generation) = problem.conflict_graph_traced(&self.tracer);
+        let (graph, graph_generation) = problem.conflict_graph_traced(&self.ctx.tracer);
         self.record_phase("phase.graph_generation_us", graph_generation);
 
         let mut report = self.request(&graph, width).run();
@@ -296,7 +234,7 @@ impl RoutingPipeline {
 
     /// Opens the per-width root span shared by both route paths.
     fn route_span(&self, width: u32, certified: bool) -> satroute_obs::SpanGuard {
-        self.tracer.span_with(
+        self.ctx.tracer.span_with(
             "route",
             [
                 ("width", FieldValue::from(width)),
@@ -312,21 +250,7 @@ impl RoutingPipeline {
         graph: &'g satroute_coloring::CspGraph,
         width: u32,
     ) -> crate::SolveRequest<'g> {
-        let mut request = self
-            .strategy
-            .solve(graph, width)
-            .config(self.config.clone())
-            .budget(self.budget)
-            .trace(self.tracer.clone())
-            .metrics(self.metrics.clone())
-            .flight(self.flight.clone());
-        if let Some(token) = &self.cancel {
-            request = request.cancel(token.clone());
-        }
-        if let Some(observer) = &self.observer {
-            request = request.observe(observer.clone());
-        }
-        request
+        self.strategy.solve(graph, width).context(self.ctx.clone())
     }
 
     /// Converts a decoded coloring into a detailed routing and verifies it
@@ -337,7 +261,7 @@ impl RoutingPipeline {
     /// Panics if verification fails — a soundness bug, not a run-time
     /// condition.
     fn verify(&self, problem: &RoutingProblem, width: u32, tracks: &[u32]) -> DetailedRouting {
-        let span = self.tracer.span("verify");
+        let span = self.ctx.tracer.span("verify");
         let routing = DetailedRouting::from_tracks(tracks.to_vec());
         problem
             .verify_detailed_routing(&routing, width)
@@ -349,9 +273,9 @@ impl RoutingPipeline {
     /// Records one phase duration into the registry (no-op when metrics
     /// are disabled).
     fn record_phase(&self, name: &str, duration: std::time::Duration) {
-        if self.metrics.is_enabled() {
+        if self.ctx.metrics.is_enabled() {
             let micros = u64::try_from(duration.as_micros()).unwrap_or(u64::MAX);
-            self.metrics.histogram(name).record(micros);
+            self.ctx.metrics.histogram(name).record(micros);
         }
     }
 
@@ -389,7 +313,7 @@ impl RoutingPipeline {
         width: u32,
     ) -> Result<(RouteResult, Option<UnroutabilityCertificate>), PipelineError> {
         let span = self.route_span(width, true);
-        let (graph, graph_generation) = problem.conflict_graph_traced(&self.tracer);
+        let (graph, graph_generation) = problem.conflict_graph_traced(&self.ctx.tracer);
         self.record_phase("phase.graph_generation_us", graph_generation);
 
         let (mut report, formula, proof) = self.request(&graph, width).run_certified();
@@ -500,31 +424,21 @@ impl RoutingPipeline {
         &self,
         problem: &RoutingProblem,
     ) -> Result<WidthSearch, PipelineError> {
-        let ladder_span = self.tracer.span_with(
+        let ladder_span = self.ctx.tracer.span_with(
             "width_ladder",
             [("strategy", FieldValue::from(self.strategy.to_string()))],
         );
-        let (graph, graph_generation) = problem.conflict_graph_traced(&self.tracer);
+        let (graph, graph_generation) = problem.conflict_graph_traced(&self.ctx.tracer);
         self.record_phase("phase.graph_generation_us", graph_generation);
         let upper = satroute_coloring::dsatur_coloring(&graph)
             .max_color()
             .map_or(1, |m| m + 1);
 
-        let mut builder = self
+        let mut session = self
             .strategy
             .incremental(&graph, upper)
-            .config(self.config.clone())
-            .budget(self.budget)
-            .trace(self.tracer.clone())
-            .metrics(self.metrics.clone())
-            .flight(self.flight.clone());
-        if let Some(token) = &self.cancel {
-            builder = builder.cancel(token.clone());
-        }
-        if let Some(observer) = &self.observer {
-            builder = builder.observe(observer.clone());
-        }
-        let mut session = builder.build();
+            .context(self.ctx.clone())
+            .build();
 
         let mut probes = Vec::new();
         let mut best: Option<(u32, DetailedRouting)> = None;
@@ -588,7 +502,8 @@ impl RoutingPipeline {
 mod tests {
     use super::*;
     use satroute_fpga::benchmarks;
-    use satroute_solver::MetricsRecorder;
+    use satroute_solver::{CancellationToken, MetricsRecorder};
+    use std::sync::Arc;
 
     #[test]
     fn incremental_ladder_records_failed_track_core() {
@@ -766,11 +681,8 @@ mod tests {
     #[test]
     fn budgeted_pipeline_reports_undecided() {
         let inst = &benchmarks::suite_tiny()[2];
-        let config = SolverConfig {
-            max_conflicts: Some(0),
-            ..SolverConfig::default()
-        };
-        let pipeline = RoutingPipeline::new(Strategy::paper_baseline()).with_solver_config(config);
+        let pipeline = RoutingPipeline::new(Strategy::paper_baseline())
+            .budget(RunBudget::new().with_max_conflicts(0));
         // With a zero-conflict budget, either the instance is trivial (no
         // conflicts needed) or we get Undecided; both must be handled.
         match pipeline.route(&inst.problem, inst.unroutable_width.max(1)) {
@@ -798,7 +710,7 @@ mod tests {
         let inst = &benchmarks::suite_tiny()[0];
         let token = CancellationToken::new();
         token.cancel();
-        let pipeline = RoutingPipeline::new(Strategy::paper_best()).with_cancellation(token);
+        let pipeline = RoutingPipeline::new(Strategy::paper_best()).cancel(token);
         match pipeline.route(&inst.problem, inst.routable_width) {
             Err(PipelineError::Undecided { reason, .. }) => {
                 assert_eq!(reason, StopReason::Cancelled);
@@ -811,7 +723,7 @@ mod tests {
     fn pipeline_observer_sees_every_probe() {
         let inst = &benchmarks::suite_tiny()[0];
         let recorder = Arc::new(MetricsRecorder::new());
-        let pipeline = RoutingPipeline::new(Strategy::paper_best()).with_observer(recorder.clone());
+        let pipeline = RoutingPipeline::new(Strategy::paper_best()).observe(recorder.clone());
         let search = pipeline.find_min_width(&inst.problem).unwrap();
         // The recorder saw at least the last probe's Finished event.
         assert!(search.probes.len() >= 2);

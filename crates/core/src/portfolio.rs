@@ -6,30 +6,31 @@
 //! of a multicore CPU …, with the rest of the runs terminated as soon as
 //! one of them returns an answer."
 //!
-//! [`run_portfolio`] spawns one thread per strategy, all solving the same
-//! K-coloring instance. The first *decided* (SAT or UNSAT) result wins;
-//! a shared [`CancellationToken`] stops the losers at their next conflict
-//! boundary. Every member's report — including the losers' partial
-//! [`SolverStats`](satroute_solver::SolverStats) and
-//! [`StopReason`] — is retained in the returned [`PortfolioResult`].
+//! [`run_portfolio`] runs one solve per strategy on a worker pool, all on
+//! the same K-coloring instance. The first *decided* (SAT or UNSAT)
+//! result wins; a shared [`CancellationToken`](crate::CancellationToken)
+//! stops the losers at their next conflict boundary. Every member's
+//! report — including the losers' partial
+//! [`SolverStats`](satroute_solver::SolverStats) and [`StopReason`] — is
+//! retained in the returned [`PortfolioResult`].
 //!
-//! [`run_portfolio_with`] additionally accepts a [`RunBudget`] imposed on
-//! the whole portfolio: a relative wall limit is converted to one shared
-//! absolute deadline, so members that start a few microseconds apart still
-//! race the same instant.
+//! Run control comes from one [`RunContext`] shared by every member: a
+//! relative wall limit is converted to one shared absolute deadline, so
+//! members that start a few microseconds apart still race the same
+//! instant.
 //!
-//! Beyond racing, members can *cooperate*: [`run_portfolio_opts`] accepts
-//! [`PortfolioOptions`] that (a) cap the number of concurrently running
-//! members at the machine's parallelism (excess members are queued, so an
-//! N-member portfolio no longer degrades to a thread pile-up on a small
-//! box), (b) derive diversified solver configurations per member
-//! (seed/phase/restart-scheme variants of one base config), and (c) wire a
-//! [`SharingBus`] between members so learnt clauses flow between them.
-//! Sharing is restricted to members with the *same* strategy — same
-//! encoding, same symmetry breaking, and (implicitly, per call) the same
-//! `k` — because only then do two members solve the identical CNF, making
-//! a peer's learnt clause a sound addition. [`Strategy::diversified`]
-//! builds such same-strategy member lists.
+//! Beyond racing, members can *cooperate*: [`PortfolioOptions`] (a) cap
+//! the number of concurrently running members at the machine's
+//! parallelism (excess members are queued, so an N-member portfolio no
+//! longer degrades to a thread pile-up on a small box), (b) derive
+//! diversified solver configurations per member (seed/phase/restart-scheme
+//! variants of one base config), and (c) wire a [`SharingBus`] between
+//! members so learnt clauses flow between them. Sharing is restricted to
+//! members with the *same* strategy — same encoding, same symmetry
+//! breaking, and (implicitly, per call) the same `k` — because only then
+//! do two members solve the identical CNF, making a peer's learnt clause a
+//! sound addition. [`Strategy::diversified`] builds such same-strategy
+//! member lists.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,10 +39,9 @@ use std::time::{Duration, Instant};
 
 use satroute_cnf::Lit;
 use satroute_coloring::CspGraph;
-use satroute_obs::{FieldValue, FlightRecorder, MetricsRegistry, Tracer};
+use satroute_obs::FieldValue;
 use satroute_solver::{
-    CancellationToken, ClauseExchange, FanoutObserver, RegistryObserver, RunBudget, RunObserver,
-    SharingConfig, SolverConfig, StopReason, TraceObserver,
+    ClauseExchange, RegistryObserver, RunContext, RunObserver, SharingConfig, StopReason,
 };
 
 use crate::strategy::{ColoringReport, Strategy};
@@ -141,71 +141,8 @@ impl PortfolioResult {
     }
 }
 
-/// Runs `strategies` in parallel on the K-coloring problem of `graph` and
-/// returns the first decided answer plus every member's report.
-///
-/// Equivalent to [`run_portfolio_with`] with an unlimited budget and no
-/// external cancellation.
-///
-/// # Examples
-///
-/// ```
-/// use satroute_coloring::CspGraph;
-/// use satroute_core::{run_portfolio, ColoringOutcome, Strategy};
-/// use satroute_solver::SolverConfig;
-///
-/// let triangle = CspGraph::from_edges(3, [(0, 1), (1, 2), (0, 2)]);
-/// let portfolio = Strategy::paper_portfolio_3();
-/// let result = run_portfolio(&triangle, 2, &portfolio, &SolverConfig::default());
-/// let report = result.report().expect("portfolio decides");
-/// assert!(matches!(report.outcome, ColoringOutcome::Unsat));
-/// assert_eq!(result.members.len(), portfolio.len());
-/// ```
-pub fn run_portfolio(
-    graph: &CspGraph,
-    k: u32,
-    strategies: &[Strategy],
-    config: &SolverConfig,
-) -> PortfolioResult {
-    run_portfolio_with(graph, k, strategies, config, RunBudget::default(), None)
-}
-
-/// Runs a portfolio under a shared [`RunBudget`] and an optional external
-/// [`CancellationToken`].
-///
-/// A relative wall limit (`budget.wall`) is resolved once, at launch, into
-/// an absolute deadline shared by all members; if the caller also supplied
-/// an absolute `deadline_at`, the *earlier* of the two wins. Each member
-/// additionally honours the budget's conflict/decision/memory caps
-/// individually. Cancelling `cancel` (from any thread) stops every member
-/// at its next poll point; the same token is used internally to stop
-/// losers once a winner is known.
-///
-/// Concurrency is capped at [`std::thread::available_parallelism`];
-/// members beyond the cap are queued and start as workers free up (use
-/// [`run_portfolio_opts`] with [`PortfolioOptions::with_max_threads`] to
-/// override, and for clause sharing / diversification).
-pub fn run_portfolio_with(
-    graph: &CspGraph,
-    k: u32,
-    strategies: &[Strategy],
-    config: &SolverConfig,
-    budget: RunBudget,
-    cancel: Option<CancellationToken>,
-) -> PortfolioResult {
-    run_portfolio_opts(
-        graph,
-        k,
-        strategies,
-        config,
-        budget,
-        cancel,
-        &PortfolioOptions::default(),
-    )
-}
-
-/// Execution options for [`run_portfolio_opts`]: thread cap, clause
-/// sharing, and per-member configuration diversification.
+/// Execution options for [`run_portfolio`]: thread cap, clause sharing,
+/// and per-member configuration diversification.
 ///
 /// # Examples
 ///
@@ -232,29 +169,10 @@ pub struct PortfolioOptions {
     /// filtered by this configuration (see [`SharingBus`]).
     pub sharing: Option<SharingConfig>,
     /// When `true`, member `i` runs
-    /// [`SolverConfig::diversified`]`(i)` of the base configuration
-    /// instead of the base itself (member 0 keeps the base).
+    /// [`SolverConfig::diversified`](satroute_solver::SolverConfig::diversified)`(i)`
+    /// of the base configuration instead of the base itself (member 0
+    /// keeps the base).
     pub diversify: bool,
-    /// Trace destination. The disabled default records nothing; an enabled
-    /// tracer gets a `portfolio` root span with one `member` child span per
-    /// member (fields: `index`, `strategy`; counters/marks bridged from the
-    /// member's solver via [`TraceObserver`]), each member's own
-    /// encode/solve/decode spans nesting beneath it.
-    pub tracer: Tracer,
-    /// Metrics destination. The disabled default records nothing; an
-    /// enabled registry receives the aggregate `solver.*` instruments
-    /// (fed by every member's solver hot path) plus a
-    /// `portfolio.member_<i>.*` family per member — conflict /
-    /// propagation totals, wall-time histogram, props/sec and outcome
-    /// counts, bridged via
-    /// [`RegistryObserver`](satroute_solver::RegistryObserver).
-    pub metrics: MetricsRegistry,
-    /// Flight-recorder destination. The disabled default records nothing;
-    /// an enabled recorder receives every member's search-state samples,
-    /// each stamped with the member's index, and a member stopped by the
-    /// shared budget (or cancelled as a loser) carries a
-    /// [`Postmortem`](satroute_obs::Postmortem) in its report.
-    pub flight: FlightRecorder,
 }
 
 impl PortfolioOptions {
@@ -279,26 +197,6 @@ impl PortfolioOptions {
     /// Enables per-member configuration diversification.
     pub fn with_diversified_configs(mut self, diversify: bool) -> Self {
         self.diversify = diversify;
-        self
-    }
-
-    /// Records the run into `tracer` (see the `tracer` field).
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Records aggregate and per-member metrics into `registry` (see the
-    /// `metrics` field).
-    pub fn with_metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = registry;
-        self
-    }
-
-    /// Records per-member search-state samples into `recorder` (see the
-    /// `flight` field).
-    pub fn with_flight(mut self, recorder: FlightRecorder) -> Self {
-        self.flight = recorder;
         self
     }
 }
@@ -417,14 +315,34 @@ fn default_thread_cap() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
-/// Runs a portfolio with full control over threading, sharing and
-/// diversification — the general form of [`run_portfolio_with`].
+/// Runs `strategies` in parallel on the K-coloring problem of `graph` and
+/// returns the first decided answer plus every member's report.
+///
+/// Every member solves under `ctx`. A relative wall limit
+/// (`ctx.budget.wall`) is resolved once, at launch, into an absolute
+/// deadline shared by all members; if the caller also supplied an
+/// absolute `deadline_at`, the *earlier* of the two wins. Each member
+/// additionally honours the budget's conflict/decision/memory caps
+/// individually. Cancelling `ctx.cancel` (from any thread) stops every
+/// member at its next poll point; the same token is used internally to
+/// stop losers once a winner is known.
 ///
 /// At most `opts.max_threads` members run concurrently (default: the
 /// machine's parallelism); remaining members queue and are claimed by idle
 /// workers. When `opts.sharing` is set, a [`SharingBus`] connects members
 /// with equal strategies. When `opts.diversify` is set, member `i` runs
-/// [`SolverConfig::diversified`]`(i)` of `config`.
+/// [`SolverConfig::diversified`](satroute_solver::SolverConfig::diversified)`(i)`
+/// of `ctx.config`.
+///
+/// An enabled tracer gets a `portfolio` root span with one `member` child
+/// span per member (fields: `index`, `strategy`; counters and marks
+/// bridged from the member's solver), each member's own
+/// encode/solve/decode spans nesting beneath it. An enabled metrics
+/// registry receives the aggregate `solver.*` instruments plus a
+/// `portfolio.member_<i>.*` family per member (conflict / propagation
+/// totals, wall-time histogram, props/sec and outcome counts). An enabled
+/// flight recorder receives every member's samples stamped with the
+/// member's index. The context's observer sees every member's events.
 ///
 /// # Examples
 ///
@@ -432,33 +350,22 @@ fn default_thread_cap() -> usize {
 ///
 /// ```
 /// use satroute_coloring::random_graph;
-/// use satroute_core::{run_portfolio_opts, PortfolioOptions, Strategy};
-/// use satroute_solver::{RunBudget, SharingConfig, SolverConfig};
+/// use satroute_core::{run_portfolio, PortfolioOptions, RunContext, Strategy};
+/// use satroute_solver::SharingConfig;
 ///
 /// let g = random_graph(12, 0.5, 7);
 /// let members = Strategy::diversified(Strategy::paper_best(), 4);
 /// let opts = PortfolioOptions::new()
 ///     .with_sharing(SharingConfig::default())
 ///     .with_diversified_configs(true);
-/// let result = run_portfolio_opts(
-///     &g,
-///     4,
-///     &members,
-///     &SolverConfig::default(),
-///     RunBudget::default(),
-///     None,
-///     &opts,
-/// );
+/// let result = run_portfolio(&g, 4, &members, &RunContext::default(), &opts);
 /// assert!(result.is_decided());
 /// ```
-#[allow(clippy::too_many_arguments)]
-pub fn run_portfolio_opts(
+pub fn run_portfolio(
     graph: &CspGraph,
     k: u32,
     strategies: &[Strategy],
-    config: &SolverConfig,
-    budget: RunBudget,
-    cancel: Option<CancellationToken>,
+    ctx: &RunContext,
     opts: &PortfolioOptions,
 ) -> PortfolioResult {
     let start = Instant::now();
@@ -466,29 +373,19 @@ pub fn run_portfolio_opts(
     // that start at slightly different times race the same instant. When
     // the caller supplied an absolute deadline too, `RunBudget::deadline`
     // resolves to the earlier of the two.
-    let mut budget = budget;
+    let mut budget = ctx.budget;
     if let Some(deadline) = budget.deadline(start) {
         budget.deadline_at = Some(deadline);
         budget.wall = None;
     }
-    let stop = cancel.unwrap_or_default();
+    let stop = ctx.cancel.clone().unwrap_or_default();
     let n = strategies.len();
     let cap = opts
         .max_threads
         .unwrap_or_else(default_thread_cap)
         .clamp(1, n.max(1));
     let bus = opts.sharing.map(|_| SharingBus::for_strategies(strategies));
-    let configs: Vec<SolverConfig> = (0..n as u64)
-        .map(|i| {
-            if opts.diversify {
-                config.diversified(i)
-            } else {
-                config.clone()
-            }
-        })
-        .collect();
-    let tracer = &opts.tracer;
-    let metrics = &opts.metrics;
+    let (tracer, metrics) = (&ctx.tracer, &ctx.metrics);
     let root = tracer.span_with(
         "portfolio",
         [
@@ -507,7 +404,6 @@ pub fn run_portfolio_opts(
             let tx = tx.clone();
             let stop = stop.clone();
             let next_member = &next_member;
-            let configs = &configs;
             let bus = &bus;
             let sharing = opts.sharing;
             scope.spawn(move || loop {
@@ -525,43 +421,29 @@ pub fn run_portfolio_opts(
                         ("strategy", FieldValue::from(strategies[idx].to_string())),
                     ],
                 );
-                let mut request = strategies[idx]
-                    .solve(graph, k)
-                    .config(configs[idx].clone())
-                    .budget(budget)
-                    .cancel(stop.clone())
-                    .trace(tracer.clone())
-                    .metrics(metrics.clone())
-                    .flight(opts.flight.labelled(idx as u64));
-                // `observe` replaces rather than appends, so the trace and
-                // metrics bridges must be composed up front.
-                let mut observers: Vec<Arc<dyn RunObserver>> = Vec::new();
-                if tracer.is_enabled() {
-                    // Bridge solver heartbeats and final counters onto the
-                    // member span so traces report per-member props/sec.
-                    observers.push(Arc::new(TraceObserver::new(
-                        tracer.clone(),
-                        member_span.id(),
-                    )));
-                }
-                if metrics.is_enabled() {
-                    // Per-member counter family alongside the shared
-                    // `solver.*` instruments the member's solver feeds.
-                    observers.push(Arc::new(RegistryObserver::new(
+                // Per-member counter family alongside the shared
+                // `solver.*` instruments the member's solver feeds; the
+                // member span gets the solver's heartbeats and final
+                // counters so traces report per-member props/sec.
+                let registry_bridge = metrics.is_enabled().then(|| {
+                    Arc::new(RegistryObserver::new(
                         metrics,
                         &format!("portfolio.member_{idx}."),
-                    )));
-                }
-                request = match observers.len() {
-                    0 => request,
-                    1 => request.observe(observers.pop().expect("len checked")),
-                    _ => {
-                        let fanout = observers
-                            .drain(..)
-                            .fold(FanoutObserver::new(), FanoutObserver::with);
-                        request.observe(Arc::new(fanout))
-                    }
+                    )) as Arc<dyn RunObserver>
+                });
+                let member_ctx = RunContext {
+                    config: if opts.diversify {
+                        ctx.config.diversified(idx as u64)
+                    } else {
+                        ctx.config.clone()
+                    },
+                    budget,
+                    cancel: Some(stop.clone()),
+                    observer: Some(ctx.observer_on(member_span.id(), registry_bridge)),
+                    flight: ctx.flight.labelled(idx as u64),
+                    ..ctx.clone()
                 };
+                let mut request = strategies[idx].solve(graph, k).context(member_ctx);
                 if let (Some(sharing), Some(bus)) = (sharing, bus) {
                     if let Some(exchange) = bus.exchange(idx) {
                         request = request.share(exchange, sharing);
@@ -652,45 +534,30 @@ impl SimulatedPortfolio {
 }
 
 /// Simulates the paper's multicore portfolio on a machine with too few
-/// cores: runs every member **sequentially**, measures each, and reports
-/// the minimum decided time as the virtual parallel wall time.
+/// cores: runs every member **sequentially** under `ctx`, measures each,
+/// and reports the minimum decided time as the virtual parallel wall time.
 ///
 /// On a CPU with at least `strategies.len()` idle cores,
 /// [`run_portfolio`]'s real wall time converges to this value (plus
 /// scheduling noise); on a single core the real portfolio degrades to
 /// roughly the *sum* of member times, which is why this simulation exists
 /// (see DESIGN.md, substitution table).
-pub fn simulate_portfolio(
-    graph: &CspGraph,
-    k: u32,
-    strategies: &[Strategy],
-    config: &SolverConfig,
-) -> SimulatedPortfolio {
-    simulate_portfolio_with(graph, k, strategies, config, RunBudget::default())
-}
-
-/// Simulates a portfolio with a per-member [`RunBudget`].
 ///
 /// Because members run sequentially here, the budget (including a `wall`
 /// limit) applies to each member individually — that is what each member
 /// would get on an ideal parallel machine. An absolute `deadline_at` is
 /// almost certainly wrong for a simulation and is left untouched.
-pub fn simulate_portfolio_with(
+pub fn simulate_portfolio(
     graph: &CspGraph,
     k: u32,
     strategies: &[Strategy],
-    config: &SolverConfig,
-    budget: RunBudget,
+    ctx: &RunContext,
 ) -> SimulatedPortfolio {
     let mut members = Vec::with_capacity(strategies.len());
     let mut winner: Option<(usize, Duration)> = None;
     for (idx, strategy) in strategies.iter().enumerate() {
         let start = Instant::now();
-        let report = strategy
-            .solve(graph, k)
-            .config(config.clone())
-            .budget(budget)
-            .run();
+        let report = strategy.solve(graph, k).context(ctx.clone()).run();
         let elapsed = start.elapsed();
         if report.outcome.is_decided() && winner.is_none_or(|(_, t)| elapsed < t) {
             winner = Some((idx, elapsed));
@@ -765,11 +632,18 @@ mod tests {
     use super::*;
     use crate::strategy::ColoringOutcome;
     use satroute_coloring::{exact, random_graph};
+    use satroute_obs::{MetricsRegistry, Tracer};
+    use satroute_solver::{CancellationToken, RunBudget};
+
+    /// The classic race: `strategies` under `ctx` with default options.
+    fn race(g: &CspGraph, k: u32, strategies: &[Strategy], ctx: RunContext) -> PortfolioResult {
+        run_portfolio(g, k, strategies, &ctx, &PortfolioOptions::default())
+    }
 
     #[test]
     fn empty_portfolio_is_undecided() {
         let g = CspGraph::new(2);
-        let result = run_portfolio(&g, 1, &[], &SolverConfig::default());
+        let result = race(&g, 1, &[], RunContext::default());
         assert!(!result.is_decided());
         assert!(result.members.is_empty());
         assert!(result.report().is_none());
@@ -781,7 +655,7 @@ mod tests {
         let chi = exact::chromatic_number(&g);
         let portfolio = Strategy::paper_portfolio_3();
 
-        let sat = run_portfolio(&g, chi, &portfolio, &SolverConfig::default());
+        let sat = race(&g, chi, &portfolio, RunContext::default());
         match &sat.report().expect("decides").outcome {
             ColoringOutcome::Colorable(c) => assert!(c.is_proper(&g)),
             other => panic!("expected colorable, got {other:?}"),
@@ -791,7 +665,7 @@ mod tests {
         assert_eq!(sat.strategy(), Some(portfolio[winner]));
         assert_eq!(sat.members.len(), portfolio.len());
 
-        let unsat = run_portfolio(&g, chi - 1, &portfolio, &SolverConfig::default());
+        let unsat = race(&g, chi - 1, &portfolio, RunContext::default());
         assert!(matches!(
             unsat.report().expect("decides").outcome,
             ColoringOutcome::Unsat
@@ -803,7 +677,7 @@ mod tests {
         let g = random_graph(10, 0.5, 3);
         let chi = exact::chromatic_number(&g);
         let portfolio = Strategy::paper_portfolio_3();
-        let result = run_portfolio(&g, chi - 1, &portfolio, &SolverConfig::default());
+        let result = race(&g, chi - 1, &portfolio, RunContext::default());
         assert!(result.is_decided());
         for (idx, member) in result.members.iter().enumerate() {
             assert_eq!(member.strategy, portfolio[idx]);
@@ -824,13 +698,14 @@ mod tests {
         let budget = RunBudget::new().with_max_conflicts(1);
         // With a 1-conflict budget on a hard instance every member returns
         // Unknown (or, rarely, one finishes instantly — accept both).
-        let result = run_portfolio_with(
+        let result = race(
             &g,
             9,
             &Strategy::paper_portfolio_2(),
-            &SolverConfig::default(),
-            budget,
-            None,
+            RunContext {
+                budget,
+                ..RunContext::default()
+            },
         );
         for member in &result.members {
             if !member.is_decided() {
@@ -849,13 +724,14 @@ mod tests {
     fn expired_deadline_stops_every_member() {
         let g = random_graph(30, 0.6, 5);
         let budget = RunBudget::new().with_wall(Duration::ZERO);
-        let result = run_portfolio_with(
+        let result = race(
             &g,
             9,
             &Strategy::paper_portfolio_2(),
-            &SolverConfig::default(),
-            budget,
-            None,
+            RunContext {
+                budget,
+                ..RunContext::default()
+            },
         );
         assert!(!result.is_decided());
         for member in &result.members {
@@ -868,13 +744,14 @@ mod tests {
         let g = random_graph(30, 0.6, 5);
         let token = CancellationToken::new();
         token.cancel();
-        let result = run_portfolio_with(
+        let result = race(
             &g,
             9,
             &Strategy::paper_portfolio_2(),
-            &SolverConfig::default(),
-            RunBudget::default(),
-            Some(token),
+            RunContext {
+                cancel: Some(token),
+                ..RunContext::default()
+            },
         );
         assert!(!result.is_decided());
         for member in &result.members {
@@ -887,7 +764,7 @@ mod tests {
         let g = random_graph(12, 0.5, 11);
         let chi = exact::chromatic_number(&g);
         let strategies = Strategy::paper_portfolio_3();
-        let sim = simulate_portfolio(&g, chi - 1, &strategies, &SolverConfig::default());
+        let sim = simulate_portfolio(&g, chi - 1, &strategies, &RunContext::default());
         assert!(matches!(
             sim.report().expect("members decide").outcome,
             ColoringOutcome::Unsat
@@ -906,7 +783,7 @@ mod tests {
     #[test]
     fn simulated_portfolio_empty_is_undecided() {
         let g = CspGraph::new(2);
-        let sim = simulate_portfolio(&g, 1, &[], &SolverConfig::default());
+        let sim = simulate_portfolio(&g, 1, &[], &RunContext::default());
         assert!(!sim.is_decided());
         assert_eq!(sim.virtual_wall_time, Duration::ZERO);
     }
@@ -930,13 +807,14 @@ mod tests {
             .with_wall(Duration::from_secs(3600))
             .with_deadline_at(Instant::now());
         let start = Instant::now();
-        let result = run_portfolio_with(
+        let result = race(
             &g,
             9,
             &Strategy::paper_portfolio_2(),
-            &SolverConfig::default(),
-            budget,
-            None,
+            RunContext {
+                budget,
+                ..RunContext::default()
+            },
         );
         assert!(
             start.elapsed() < Duration::from_secs(60),
@@ -954,13 +832,14 @@ mod tests {
             .with_wall(Duration::ZERO)
             .with_deadline_at(Instant::now() + Duration::from_secs(3600));
         let start = Instant::now();
-        let result = run_portfolio_with(
+        let result = race(
             &g,
             9,
             &Strategy::paper_portfolio_2(),
-            &SolverConfig::default(),
-            budget,
-            None,
+            RunContext {
+                budget,
+                ..RunContext::default()
+            },
         );
         assert!(
             start.elapsed() < Duration::from_secs(60),
@@ -982,15 +861,7 @@ mod tests {
         let chi = exact::chromatic_number(&g);
         let members = Strategy::diversified(Strategy::paper_best(), 6);
         let opts = PortfolioOptions::new().with_max_threads(1);
-        let result = run_portfolio_opts(
-            &g,
-            chi,
-            &members,
-            &SolverConfig::default(),
-            RunBudget::default(),
-            None,
-            &opts,
-        );
+        let result = run_portfolio(&g, chi, &members, &RunContext::default(), &opts);
         assert!(result.is_decided());
         assert_eq!(result.members.len(), 6);
         assert_eq!(result.winner, Some(0), "sequential run: member 0 decides");
@@ -1041,16 +912,11 @@ mod tests {
         let chi = exact::chromatic_number(&g);
         let strategies = Strategy::paper_portfolio_3();
         let tree = satroute_obs::TraceTree::new();
-        let opts = PortfolioOptions::new().with_tracer(Tracer::to_sink(tree.clone()));
-        let result = run_portfolio_opts(
-            &g,
-            chi,
-            &strategies,
-            &SolverConfig::default(),
-            RunBudget::default(),
-            None,
-            &opts,
-        );
+        let ctx = RunContext {
+            tracer: Tracer::to_sink(tree.clone()),
+            ..RunContext::default()
+        };
+        let result = run_portfolio(&g, chi, &strategies, &ctx, &PortfolioOptions::new());
         assert!(result.is_decided());
 
         let forest = tree.forest().expect("trace reconstructs");
@@ -1107,16 +973,11 @@ mod tests {
         let chi = exact::chromatic_number(&g);
         let strategies = Strategy::paper_portfolio_2();
         let registry = MetricsRegistry::new();
-        let opts = PortfolioOptions::new().with_metrics(registry.clone());
-        let result = run_portfolio_opts(
-            &g,
-            chi,
-            &strategies,
-            &SolverConfig::default(),
-            RunBudget::default(),
-            None,
-            &opts,
-        );
+        let ctx = RunContext {
+            metrics: registry.clone(),
+            ..RunContext::default()
+        };
+        let result = run_portfolio(&g, chi, &strategies, &ctx, &PortfolioOptions::new());
         assert!(result.is_decided());
 
         let snapshot = registry.snapshot();
@@ -1153,15 +1014,7 @@ mod tests {
             .with_sharing(SharingConfig::default())
             .with_diversified_configs(true);
         for k in [chi - 1, chi] {
-            let result = run_portfolio_opts(
-                &g,
-                k,
-                &members,
-                &SolverConfig::default(),
-                RunBudget::default(),
-                None,
-                &opts,
-            );
+            let result = run_portfolio(&g, k, &members, &RunContext::default(), &opts);
             match &result.report().expect("decides").outcome {
                 ColoringOutcome::Colorable(c) => {
                     assert_eq!(k, chi);

@@ -7,24 +7,22 @@
 //! the graph-generation time is added by [`crate::pipeline`]).
 //!
 //! Runs are configured through the builder returned by
-//! [`Strategy::solve`]: a [`SolveRequest`] carries the solver
-//! configuration, an optional [`RunBudget`], a [`CancellationToken`] and a
-//! [`RunObserver`] — the same run-control surface the underlying
-//! [`CdclSolver`] exposes, threaded through the encode/decode pipeline.
+//! [`Strategy::solve`]: a [`SolveRequest`] carries a [`RunContext`] — the
+//! solver configuration, budget, cancellation token, observer and
+//! telemetry sinks the underlying solver is wired with — threaded through
+//! the encode/decode pipeline.
 
 use std::fmt;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
 use satroute_cnf::{CnfFormula, FormulaStats, Lit};
 use satroute_coloring::{Coloring, CspGraph};
-use satroute_obs::{FieldValue, FlightRecorder, MetricsRegistry, Postmortem, Tracer};
+use satroute_obs::{FieldValue, Postmortem};
 use satroute_solver::preprocess::{preprocess, PreprocessStats, Simplification};
 use satroute_solver::{
-    CancellationToken, CdclSolver, ClauseExchange, DratProof, FanoutObserver, MetricsRecorder,
-    RunBudget, RunMetrics, RunObserver, SharingConfig, SolveOutcome, SolverConfig,
-    SolverMetricsHub, SolverStats, StopReason, TraceObserver,
+    ClauseExchange, DratProof, MetricsRecorder, RunContext, RunMetrics, RunObserver, SharingConfig,
+    SolveOutcome, SolverMetricsHub, SolverStats, StopReason,
 };
 
 use crate::catalog::EncodingId;
@@ -140,7 +138,7 @@ pub struct ColoringReport {
     pub failed_assumptions: Option<Vec<Lit>>,
     /// Flight-recorder postmortem for a budget-stopped or cancelled run
     /// ([`ColoringOutcome::Unknown`]) when the request attached an enabled
-    /// [`FlightRecorder`] via [`SolveRequest::flight`]. `None` for decided
+    /// flight recorder via [`SolveRequest::flight`]. `None` for decided
     /// runs and for runs without a recorder.
     pub postmortem: Option<Postmortem>,
 }
@@ -205,14 +203,8 @@ impl Strategy {
             strategy: *self,
             graph,
             k,
-            config: SolverConfig::default(),
-            budget: RunBudget::default(),
-            cancel: None,
-            observer: None,
+            ctx: RunContext::default(),
             exchange: None,
-            tracer: Tracer::disabled(),
-            metrics: MetricsRegistry::disabled(),
-            flight: FlightRecorder::disabled(),
             assumptions: Vec::new(),
             preprocess: false,
         }
@@ -286,29 +278,6 @@ impl Strategy {
     pub fn solve_coloring(&self, graph: &CspGraph, k: u32) -> ColoringReport {
         self.solve(graph, k).run()
     }
-
-    /// Solves with an explicit solver configuration and an optional
-    /// cooperative cancellation flag.
-    ///
-    /// Deprecated: use the [`Strategy::solve`] builder, which also exposes
-    /// budgets and observers.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Strategy::solve(graph, k).config(..).cancel(..).run() instead"
-    )]
-    pub fn solve_coloring_with(
-        &self,
-        graph: &CspGraph,
-        k: u32,
-        config: &SolverConfig,
-        terminate: Option<Arc<AtomicBool>>,
-    ) -> ColoringReport {
-        let mut request = self.solve(graph, k).config(config.clone());
-        if let Some(flag) = terminate {
-            request = request.cancel(CancellationToken::from_flag(flag));
-        }
-        request.run()
-    }
 }
 
 /// A configured-but-not-yet-started strategy run, built by
@@ -317,19 +286,21 @@ impl Strategy {
 /// Every run attaches a [`MetricsRecorder`] internally, so the returned
 /// [`ColoringReport`] always carries [`RunMetrics`]; an observer added
 /// with [`SolveRequest::observe`] receives the same event stream.
+///
+/// Run control comes from the request's [`RunContext`]. The budget bounds
+/// the SAT-solving stage. A tracer records `encode` (with per-encoding
+/// CNF-size counters), `solve` and `decode` spans under the caller's
+/// current span. A metrics registry receives the solver's `solver.*`
+/// counters and LBD/restart-interval histograms, the encoder's
+/// per-encoding CNF-size histograms (`encode.*.<encoding>`) and one
+/// `phase.*_us` wall-time histogram per pipeline phase.
 #[derive(Clone)]
 pub struct SolveRequest<'a> {
     strategy: Strategy,
     graph: &'a CspGraph,
     k: u32,
-    config: SolverConfig,
-    budget: RunBudget,
-    cancel: Option<CancellationToken>,
-    observer: Option<Arc<dyn RunObserver>>,
+    ctx: RunContext,
     exchange: Option<(Arc<dyn ClauseExchange>, SharingConfig)>,
-    tracer: Tracer,
-    metrics: MetricsRegistry,
-    flight: FlightRecorder,
     assumptions: Vec<Lit>,
     preprocess: bool,
 }
@@ -339,45 +310,15 @@ impl fmt::Debug for SolveRequest<'_> {
         f.debug_struct("SolveRequest")
             .field("strategy", &self.strategy)
             .field("k", &self.k)
-            .field("budget", &self.budget)
-            .field("cancelled", &self.cancel.as_ref().map(|c| c.is_cancelled()))
-            .field("observed", &self.observer.is_some())
+            .field("ctx", &self.ctx)
             .field("shared", &self.exchange.is_some())
             .finish_non_exhaustive()
     }
 }
 
+run_context_setters!(SolveRequest<'_>);
+
 impl<'a> SolveRequest<'a> {
-    /// Sets the solver configuration (defaults to
-    /// [`SolverConfig::default`]).
-    pub fn config(mut self, config: SolverConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the resource budget for the SAT-solving stage (unlimited by
-    /// default). Budgets are polled at conflict boundaries, so overshoot
-    /// is bounded; see [`RunBudget`].
-    pub fn budget(mut self, budget: RunBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Attaches a cooperative cancellation token; cancelling any clone of
-    /// it stops the run with [`StopReason::Cancelled`].
-    pub fn cancel(mut self, token: CancellationToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Attaches an observer that receives the solver's
-    /// [`SolverEvent`](satroute_solver::SolverEvent) stream alongside the
-    /// internally recorded metrics.
-    pub fn observe(mut self, observer: Arc<dyn RunObserver>) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
     /// Connects the underlying solver to a [`ClauseExchange`] for
     /// learnt-clause sharing, with `sharing` as the export filter.
     ///
@@ -391,18 +332,10 @@ impl<'a> SolveRequest<'a> {
         self
     }
 
-    /// Attaches a [`Tracer`]: the run records `encode` (with per-encoding
-    /// CNF-size counters), `solve` and `decode` spans under the caller's
-    /// current span. A disabled tracer (the default) records nothing.
-    pub fn trace(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
     /// Solves under `assumptions` — literals of the *encoded CNF* (use the
     /// [`DecodeMap`](crate::DecodeMap) variable layout: vertex `v`'s block
     /// starts at `offsets[v]`) forced true for this run only, without
-    /// dropping down to [`CdclSolver`].
+    /// dropping down to [`CdclSolver`](satroute_solver::CdclSolver).
     ///
     /// When the run comes back UNSAT only because of the assumptions, the
     /// report's [`failed_assumptions`](ColoringReport::failed_assumptions)
@@ -410,17 +343,6 @@ impl<'a> SolveRequest<'a> {
     /// analysis; the graph itself has *not* been proven uncolorable.
     pub fn assume(mut self, assumptions: &[Lit]) -> Self {
         self.assumptions = assumptions.to_vec();
-        self
-    }
-
-    /// Attaches a [`MetricsRegistry`]: the solver feeds the `solver.*`
-    /// counters and LBD/restart-interval histograms from its hot path,
-    /// the encoder feeds per-encoding CNF-size histograms
-    /// (`encode.*.<encoding>`), and each pipeline phase records its wall
-    /// time into a `phase.*_us` histogram. A disabled registry (the
-    /// default) records nothing and costs one branch per boundary.
-    pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = registry;
         self
     }
 
@@ -436,16 +358,6 @@ impl<'a> SolveRequest<'a> {
     /// preprocessor does not emit proof steps).
     pub fn preprocess(mut self, enabled: bool) -> Self {
         self.preprocess = enabled;
-        self
-    }
-
-    /// Attaches a [`FlightRecorder`]: the solver deposits fixed-interval
-    /// search-state samples (every 256 conflicts and at restart / reduce /
-    /// GC / finish boundaries) into its ring, and a run that stops early
-    /// carries a [`Postmortem`] in the report. A disabled recorder (the
-    /// default) records nothing and costs one branch per boundary.
-    pub fn flight(mut self, recorder: FlightRecorder) -> Self {
-        self.flight = recorder;
         self
     }
 
@@ -483,15 +395,15 @@ impl<'a> SolveRequest<'a> {
         self,
         with_proof: bool,
     ) -> (ColoringReport, Option<CnfFormula>, Option<DratProof>) {
-        let tracer = self.tracer.clone();
-        let metrics = self.metrics.clone();
+        let ctx = &self.ctx;
+        let (tracer, metrics) = (&ctx.tracer, &ctx.metrics);
         let encoded = encode_coloring_instrumented(
             self.graph,
             self.k,
             &self.strategy.encoding.encoding(),
             self.strategy.symmetry,
-            &tracer,
-            &metrics,
+            tracer,
+            metrics,
         );
         let formula_stats = encoded.formula.stats();
 
@@ -511,31 +423,16 @@ impl<'a> SolveRequest<'a> {
             [("strategy", FieldValue::from(self.strategy.to_string()))],
         );
         let recorder = Arc::new(MetricsRecorder::new());
-        let mut fanout = FanoutObserver::new().with(recorder.clone() as Arc<dyn RunObserver>);
-        if let Some(user) = &self.observer {
-            fanout = fanout.with(user.clone());
-        }
-        if tracer.is_enabled() {
-            fanout = fanout.with(Arc::new(TraceObserver::new(
-                tracer.clone(),
-                solve_span.id(),
-            )));
-        }
-
-        let mut solver = CdclSolver::with_config(self.config);
+        let mut solver = ctx.solver();
         if with_proof {
             solver.enable_proof_logging();
-        }
-        solver.set_metrics(&metrics);
-        solver.set_flight(&self.flight);
-        solver.set_budget(self.budget);
-        if let Some(token) = self.cancel {
-            solver.set_cancellation(token);
         }
         if let Some((exchange, sharing)) = self.exchange {
             solver.set_exchange(exchange, sharing);
         }
-        solver.set_observer(Arc::new(fanout));
+        solver.set_observer(
+            ctx.observer_on(solve_span.id(), [recorder.clone() as Arc<dyn RunObserver>]),
+        );
         match &pre {
             // A preprocessor UNSAT came from unit propagation alone, so
             // the solver re-derives it instantly from the original
@@ -610,7 +507,7 @@ impl<'a> SolveRequest<'a> {
         if let Some((_, pstats)) = &pre {
             run_metrics.preprocess = *pstats;
             if metrics.is_enabled() {
-                SolverMetricsHub::from_registry(&metrics).on_preprocess(pstats);
+                SolverMetricsHub::from_registry(metrics).on_preprocess(pstats);
             }
         }
         let timing = TimingBreakdown {
@@ -621,8 +518,8 @@ impl<'a> SolveRequest<'a> {
             sat_solving,
         };
         let postmortem = match &outcome {
-            ColoringOutcome::Unknown(reason) if self.flight.is_enabled() => {
-                let mut pm = Postmortem::from_recorder(&self.flight, reason.to_string());
+            ColoringOutcome::Unknown(reason) if ctx.flight.is_enabled() => {
+                let mut pm = Postmortem::from_recorder(&ctx.flight, reason.to_string());
                 pm.hottest_phase = Some(hottest_phase(&timing).to_string());
                 if let Some(failed) = &failed_assumptions {
                     pm.failed_assumptions = postmortem_core(failed);
@@ -654,6 +551,8 @@ impl fmt::Display for Strategy {
 mod tests {
     use super::*;
     use satroute_coloring::{exact, random_graph};
+    use satroute_obs::MetricsRegistry;
+    use satroute_solver::{CancellationToken, RunBudget};
 
     #[test]
     fn every_strategy_agrees_with_the_exact_oracle() {
@@ -778,15 +677,6 @@ mod tests {
             report.outcome,
             ColoringOutcome::Unknown(StopReason::Cancelled)
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_entry_point_still_solves() {
-        let g = random_graph(8, 0.5, 3);
-        let report =
-            Strategy::paper_baseline().solve_coloring_with(&g, 8, &SolverConfig::default(), None);
-        assert!(report.outcome.is_decided());
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! search, which makes the benchmark tables reproducible run to run.
 
 use std::fmt;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -118,8 +117,6 @@ pub struct SolverConfig {
     pub learnt_ratio: f64,
     /// Growth factor of the learnt-clause limit at each database reduction.
     pub learnt_growth: f64,
-    /// Abort with [`SolveOutcome::Unknown`] after this many conflicts.
-    pub max_conflicts: Option<u64>,
     /// Diversification seed. `0` (the default) means "no diversification":
     /// phases and activities are exactly the classic deterministic search.
     /// Any other value perturbs the initial variable activities (a tiny
@@ -156,7 +153,6 @@ impl Default for SolverConfig {
             restart_base: 100,
             learnt_ratio: 1.0 / 3.0,
             learnt_growth: 1.1,
-            max_conflicts: None,
             seed: 0,
             phase_init: PhaseInit::AllFalse,
             restart_scheme: RestartScheme::Luby,
@@ -529,20 +525,6 @@ impl CdclSolver {
     /// the incremental width ladder skip doomed widths.
     pub fn failed_assumptions(&self) -> &[Lit] {
         &self.failed_assumptions
-    }
-
-    /// Installs a cooperative cancellation flag.
-    ///
-    /// Deprecated: wrap the flag in a [`CancellationToken`] (or create one
-    /// with [`CancellationToken::new`]) and pass it to
-    /// [`CdclSolver::set_cancellation`]. Stores through the original `Arc`
-    /// keep working — the token shares the flag.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use set_cancellation(CancellationToken) instead"
-    )]
-    pub fn set_terminate_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.set_cancellation(CancellationToken::from_flag(flag));
     }
 
     /// Installs a cooperative [`CancellationToken`].
@@ -1109,11 +1091,7 @@ impl CdclSolver {
     /// `Instant::now` and the atomic load stay off the hot path.
     fn check_budget_at_conflict(&self) -> Option<StopReason> {
         let conflicts = self.stats.conflicts;
-        let max_conflicts = match (self.config.max_conflicts, self.budget.max_conflicts) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        if let Some(max) = max_conflicts {
+        if let Some(max) = self.budget.max_conflicts {
             if conflicts >= max {
                 return Some(StopReason::ConflictLimit);
             }
@@ -2131,31 +2109,6 @@ mod tests {
         assert!(s.stats().learnt_clauses > 0);
     }
 
-    #[test]
-    fn conflict_budget_yields_unknown() {
-        // A hard-enough pigeonhole with a tiny budget.
-        let n = 8i64;
-        let h = 7i64;
-        let p = |i: i64, j: i64| h * i + j + 1;
-        let mut f = CnfFormula::new();
-        for i in 0..n {
-            f.add_clause((0..h).map(|j| Lit::from_dimacs(p(i, j))));
-        }
-        for j in 0..h {
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    f.add_clause([Lit::from_dimacs(-p(a, j)), Lit::from_dimacs(-p(b, j))]);
-                }
-            }
-        }
-        let mut s = CdclSolver::with_config(SolverConfig {
-            max_conflicts: Some(10),
-            ..SolverConfig::default()
-        });
-        s.add_formula(&f);
-        assert_eq!(s.solve(), SolveOutcome::Unknown(StopReason::ConflictLimit));
-    }
-
     /// Builds a pigeonhole formula (n pigeons into h holes).
     fn pigeonhole(n: i64, h: i64) -> CnfFormula {
         let p = |i: i64, j: i64| h * i + j + 1;
@@ -2179,16 +2132,6 @@ mod tests {
         let token = CancellationToken::new();
         token.cancel();
         s.set_cancellation(token);
-        s.add_formula(&pigeonhole(9, 8));
-        assert_eq!(s.solve(), SolveOutcome::Unknown(StopReason::Cancelled));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_terminate_flag_still_works() {
-        let mut s = CdclSolver::new();
-        let flag = Arc::new(AtomicBool::new(true));
-        s.set_terminate_flag(Arc::clone(&flag));
         s.add_formula(&pigeonhole(9, 8));
         assert_eq!(s.solve(), SolveOutcome::Unknown(StopReason::Cancelled));
     }

@@ -71,8 +71,8 @@ pub use outcome::SolveOutcome;
 pub use proof::{rup_implied, CheckProofError, DratProof, ProofStep};
 pub use run::{
     CancellationToken, ClauseExchange, FanoutObserver, MetricsRecorder, NullObserver,
-    ProgressLogger, RegistryObserver, RunBudget, RunMetrics, RunObserver, SharingConfig,
-    SolveVerdict, SolverEvent, SolverMetricsHub, StopReason, StoreSnapshot, TraceObserver,
-    PROGRESS_LOG_MIN_INTERVAL,
+    ProgressLogger, RegistryObserver, RunBudget, RunContext, RunMetrics, RunObserver,
+    SharingConfig, SolveVerdict, SolverEvent, SolverMetricsHub, StopReason, StoreSnapshot,
+    TraceObserver, PROGRESS_LOG_MIN_INTERVAL,
 };
 pub use satroute_obs::{FlightRecorder, SampleCause, TimelineSample};

@@ -12,8 +12,11 @@
 //!   [`SolveOutcome::Unknown`](crate::SolveOutcome::Unknown), so callers can
 //!   distinguish "out of time" from "cancelled because a sibling won".
 //! * [`CancellationToken`] — a cheap-to-clone handle for cooperative
-//!   cancellation across threads (replaces passing a raw
-//!   `Arc<AtomicBool>`).
+//!   cancellation across threads.
+//! * [`RunContext`] — the one value bundling configuration, budget,
+//!   cancellation, observer, tracer, metrics registry and flight recorder
+//!   that every request holds and forwards; it builds wired solvers and
+//!   composes per-solve observers.
 //! * [`SolverEvent`] / [`RunObserver`] — a typed event stream (restarts,
 //!   clause-database reductions, periodic progress with rates and the
 //!   learnt-clause LBD trend) delivered to pluggable sinks:
@@ -52,20 +55,21 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use satroute_cnf::Lit;
-use satroute_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanId, TimelineSample, Tracer};
+use satroute_obs::{
+    Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, SpanId, TimelineSample, Tracer,
+};
 
-use crate::cdcl::SolverStats;
+use crate::cdcl::{CdclSolver, SolverConfig, SolverStats};
 use crate::preprocess::PreprocessStats;
 
 /// Why a solve stopped without a SAT/UNSAT answer.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum StopReason {
-    /// A [`CancellationToken`] (or legacy terminate flag) was triggered.
+    /// A [`CancellationToken`] was triggered.
     Cancelled,
     /// The wall-clock deadline of the [`RunBudget`] passed.
     Deadline,
-    /// The conflict cap was reached (budget or
-    /// [`SolverConfig::max_conflicts`](crate::SolverConfig::max_conflicts)).
+    /// The conflict cap of the [`RunBudget`] was reached.
     ConflictLimit,
     /// The decision cap of the [`RunBudget`] was reached.
     DecisionLimit,
@@ -113,13 +117,6 @@ impl CancellationToken {
     /// Creates a token in the not-cancelled state.
     pub fn new() -> Self {
         CancellationToken::default()
-    }
-
-    /// Wraps an existing shared flag (bridge for the deprecated
-    /// `Arc<AtomicBool>`-based interface); stores through the original
-    /// `Arc` remain visible through the token.
-    pub fn from_flag(flag: Arc<AtomicBool>) -> Self {
-        CancellationToken { flag }
     }
 
     /// Requests cancellation. Idempotent; there is no un-cancel.
@@ -290,6 +287,109 @@ impl RunBudget {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
+    }
+}
+
+/// Everything that controls one run apart from its input: the solver
+/// configuration, the [`RunBudget`], cancellation, the observer and the
+/// three telemetry sinks.
+///
+/// Every request in `satroute_core` (solve, incremental ladder, explain,
+/// conquer, portfolio, routing pipeline) holds one context and forwards it
+/// unchanged to the requests it spawns, so a caller configures a run the
+/// same way whatever the entry point. The default is the classic
+/// unlimited, unobserved, untraced search.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use satroute_cnf::{CnfFormula, Lit};
+/// use satroute_solver::{MetricsRecorder, RunBudget, RunContext};
+///
+/// let recorder = Arc::new(MetricsRecorder::new());
+/// let ctx = RunContext {
+///     budget: RunBudget::new().with_max_conflicts(1_000),
+///     observer: Some(recorder.clone()),
+///     ..RunContext::default()
+/// };
+/// let mut f = CnfFormula::new();
+/// let a = f.new_var();
+/// f.add_clause([Lit::positive(a)]);
+/// let span = ctx.tracer.span("solve");
+/// let mut solver = ctx.solver();
+/// solver.set_observer(ctx.observer_on(span.id(), []));
+/// solver.add_formula(&f);
+/// assert!(solver.solve().is_sat());
+/// assert_eq!(recorder.snapshot().sat, Some(true));
+/// ```
+#[derive(Clone, Default)]
+pub struct RunContext {
+    /// Solver configuration every solve starts from.
+    pub config: SolverConfig,
+    /// Resource limits, polled at conflict boundaries.
+    pub budget: RunBudget,
+    /// Cooperative cancellation; `None` means the run cannot be cancelled
+    /// from outside.
+    pub cancel: Option<CancellationToken>,
+    /// The caller's sink for every solve's [`SolverEvent`] stream.
+    pub observer: Option<Arc<dyn RunObserver>>,
+    /// Span destination; the disabled default records nothing.
+    pub tracer: Tracer,
+    /// Metrics destination; the disabled default records nothing.
+    pub metrics: MetricsRegistry,
+    /// Search-state sampling ring; the disabled default records nothing.
+    pub flight: FlightRecorder,
+}
+
+impl RunContext {
+    /// A fresh solver with this context's configuration, budget,
+    /// cancellation token, metrics registry and flight recorder attached.
+    /// The observer is left to [`RunContext::observer_on`], since each
+    /// solve bridges events onto its own span.
+    pub fn solver(&self) -> CdclSolver {
+        let mut solver = CdclSolver::with_config(self.config.clone());
+        solver.set_metrics(&self.metrics);
+        solver.set_flight(&self.flight);
+        solver.set_budget(self.budget);
+        if let Some(token) = &self.cancel {
+            solver.set_cancellation(token.clone());
+        }
+        solver
+    }
+
+    /// The observer for one solve: the caller's `extras` (in order), then
+    /// the context's observer, then a [`TraceObserver`] on `span` when the
+    /// tracer is enabled.
+    pub fn observer_on(
+        &self,
+        span: SpanId,
+        extras: impl IntoIterator<Item = Arc<dyn RunObserver>>,
+    ) -> Arc<dyn RunObserver> {
+        let mut fanout = extras
+            .into_iter()
+            .fold(FanoutObserver::new(), FanoutObserver::with);
+        if let Some(user) = &self.observer {
+            fanout = fanout.with(user.clone());
+        }
+        if self.tracer.is_enabled() {
+            fanout = fanout.with(Arc::new(TraceObserver::new(self.tracer.clone(), span)));
+        }
+        Arc::new(fanout)
+    }
+}
+
+impl fmt::Debug for RunContext {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RunContext")
+            .field("config", &self.config)
+            .field("budget", &self.budget)
+            .field("cancelled", &self.cancel.as_ref().map(|c| c.is_cancelled()))
+            .field("observed", &self.observer.is_some())
+            .field("traced", &self.tracer.is_enabled())
+            .field("metered", &self.metrics.is_enabled())
+            .field("recorded", &self.flight.is_enabled())
+            .finish()
     }
 }
 
@@ -1201,15 +1301,6 @@ mod tests {
         assert!(!t.is_cancelled() && !c.is_cancelled());
         c.cancel();
         assert!(t.is_cancelled() && c.is_cancelled());
-    }
-
-    #[test]
-    fn legacy_flag_bridge_observes_external_stores() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let t = CancellationToken::from_flag(Arc::clone(&flag));
-        assert!(!t.is_cancelled());
-        flag.store(true, Ordering::Relaxed);
-        assert!(t.is_cancelled());
     }
 
     #[test]

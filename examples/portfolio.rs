@@ -5,12 +5,10 @@
 
 use std::time::Instant;
 
-use satroute::core::{run_portfolio, Strategy};
+use satroute::core::{run_portfolio, PortfolioOptions, RunContext, Strategy};
 use satroute::fpga::benchmarks;
-use satroute::solver::SolverConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let config = SolverConfig::default();
     println!("paper 3-strategy portfolio:");
     for s in Strategy::paper_portfolio_3() {
         println!("  - {s}");
@@ -31,7 +29,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // The portfolio in parallel.
         let portfolio = Strategy::paper_portfolio_3();
-        let result = run_portfolio(&instance.conflict_graph, width, &portfolio, &config);
+        let result = run_portfolio(
+            &instance.conflict_graph,
+            width,
+            &portfolio,
+            &RunContext::default(),
+            &PortfolioOptions::default(),
+        );
         let winner = result
             .strategy()
             .expect("portfolio decides without a budget");

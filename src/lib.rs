@@ -69,8 +69,8 @@ pub use satroute_solver as solver;
 
 pub use satroute_solver::{
     CancellationToken, FanoutObserver, MetricsRecorder, NullObserver, ProgressLogger,
-    RegistryObserver, RunBudget, RunMetrics, RunObserver, SolveVerdict, SolverEvent, StopReason,
-    TraceObserver,
+    RegistryObserver, RunBudget, RunContext, RunMetrics, RunObserver, SolveVerdict, SolverEvent,
+    StopReason, TraceObserver,
 };
 
 pub use satroute_obs::{

@@ -45,11 +45,12 @@
 //! minimum. Explanation ignores `--symmetry`: deleting nets from a
 //! symmetry-broken formula would be unsound.
 //!
-//! Run control: `--timeout <secs>` (wall-clock budget), `--max-conflicts
-//! <n>` (conflict budget), `--progress` (periodic solver progress on
-//! stderr), `--json` (machine-readable result on stdout). Budgets are
-//! cooperative — checked at conflict boundaries — so overshoot is bounded
-//! but nonzero; an exhausted budget reports UNKNOWN with its stop reason.
+//! Run control (every solving command): `--timeout <secs>` (wall-clock
+//! budget), `--max-conflicts <n>` (conflict budget), `--progress`
+//! (periodic solver progress on stderr), `--json` (machine-readable
+//! result on stdout). Budgets are cooperative — checked at conflict
+//! boundaries — so overshoot is bounded but nonzero; an exhausted budget
+//! reports UNKNOWN with its stop reason.
 //!
 //! Flight recording: `--progress` or `--flight-record` turns on the
 //! solver's sampling ring (one search-state sample every 256 conflicts
@@ -60,13 +61,13 @@
 //! `trace timeline` and `trace export`.
 //!
 //! Tracing: `--trace <out.jsonl>` on `route`, `prove`, `min-width`,
-//! `solve` and `portfolio` records hierarchical spans (graph generation,
-//! encoding, solving, decode) to a JSONL artifact; `satroute trace report
-//! <out.jsonl>` reconstructs the span tree and prints per-phase,
-//! per-encoding and per-member tables (`--json` for machine-readable
-//! output). The writer is explicitly finished before exit so a full
-//! buffer or disk error fails the command instead of truncating the
-//! artifact silently.
+//! `solve`, `portfolio`, `conquer` and `explain` records hierarchical
+//! spans (graph generation, encoding, solving, decode) to a JSONL
+//! artifact; `satroute trace report <out.jsonl>` reconstructs the span
+//! tree and prints per-phase, per-encoding and per-member tables
+//! (`--json` for machine-readable output). The writer is explicitly
+//! finished before exit so a full buffer or disk error fails the command
+//! instead of truncating the artifact silently.
 //!
 //! Metrics: `--metrics <out.json|out.prom>` on the same commands enables
 //! the metrics registry (solver conflict/propagation counters, LBD and
@@ -96,11 +97,11 @@ use satroute::core::{
 use satroute::fpga::{benchmarks, io as fpga_io, BlameReport, NetId, RoutingProblem};
 use satroute::obs::json::Value;
 use satroute::obs::FieldValue;
-use satroute::solver::{CdclSolver, SolveOutcome};
+use satroute::solver::SolveOutcome;
 use satroute::{
-    chrome_trace, collapsed_stacks, parse_jsonl, FanoutObserver, FlightRecorder, MetricsRegistry,
-    Postmortem, ProgressLogger, RunBudget, RunObserver, SpanForest, TimelineReport, TraceObserver,
-    TraceReport, TraceWriter, Tracer,
+    chrome_trace, collapsed_stacks, parse_jsonl, FlightRecorder, MetricsRegistry, Postmortem,
+    ProgressLogger, RunBudget, RunContext, SpanForest, TimelineReport, TraceReport, TraceWriter,
+    Tracer,
 };
 
 fn main() -> ExitCode {
@@ -145,38 +146,35 @@ struct Options {
 }
 
 impl Options {
-    /// The solver configuration implied by `--inprocess`: the default
-    /// CDCL settings, with the inprocessing schedule switched on when
-    /// requested (off keeps the classic search byte-identical).
-    fn solver_config(&self) -> satroute::solver::SolverConfig {
-        let mut config = satroute::solver::SolverConfig::default();
+    /// The run control of a solving command: the default CDCL settings
+    /// with inprocessing switched on by `--inprocess` (off keeps the
+    /// classic search byte-identical), the `--timeout` / `--max-conflicts`
+    /// budget, a `--progress` logger on stderr labelled `label`, the
+    /// command's tracer and registry, and a flight recorder when
+    /// `--progress` or `--flight-record` asks for one (so a
+    /// budget-exhausted or cancelled run carries a postmortem).
+    fn run_context(&self, label: &str, tracer: &Tracer, registry: &MetricsRegistry) -> RunContext {
+        let mut ctx = RunContext {
+            tracer: tracer.clone(),
+            metrics: registry.clone(),
+            ..RunContext::default()
+        };
         if self.inprocess {
-            config.inprocess = satroute::solver::InprocessConfig::on();
+            ctx.config.inprocess = satroute::solver::InprocessConfig::on();
         }
-        config
-    }
-
-    /// The run budget implied by `--timeout` / `--max-conflicts`.
-    fn budget(&self) -> RunBudget {
-        let mut budget = RunBudget::new();
         if let Some(secs) = self.timeout {
-            budget = budget.with_wall(Duration::from_secs_f64(secs));
+            ctx.budget = ctx.budget.with_wall(Duration::from_secs_f64(secs));
         }
         if let Some(n) = self.max_conflicts {
-            budget = budget.with_max_conflicts(n);
+            ctx.budget = ctx.budget.with_max_conflicts(n);
         }
-        budget
-    }
-
-    /// The flight recorder implied by `--progress` / `--flight-record`:
-    /// either flag enables the sampling ring, so a budget-exhausted or
-    /// cancelled run carries a postmortem in its report.
-    fn flight(&self) -> FlightRecorder {
+        if self.progress {
+            ctx.observer = Some(Arc::new(ProgressLogger::stderr(label)));
+        }
         if self.progress || self.flight_record {
-            FlightRecorder::new()
-        } else {
-            FlightRecorder::disabled()
+            ctx.flight = FlightRecorder::new();
         }
+        ctx
     }
 
     /// The trace writer implied by `--trace`. The caller keeps the
@@ -382,7 +380,7 @@ fn dispatch(
     tracer: &Tracer,
     registry: &MetricsRegistry,
 ) -> Result<ExitCode, String> {
-    let flight = opts.flight();
+    let ctx = opts.run_context(command, tracer, registry);
     match command {
         "gen" => {
             let name = opts.bench.ok_or("gen needs --bench <name>")?;
@@ -409,25 +407,18 @@ fn dispatch(
                 .ok_or("route/prove need a problem file")?;
             let width = opts.width.ok_or("route/prove need --width <W>")?;
             let problem = load_problem(path)?;
-            let mut pipeline = RoutingPipeline::new(Strategy::new(opts.encoding, opts.symmetry))
-                .with_solver_config(opts.solver_config())
-                .with_budget(opts.budget())
-                .with_tracer(tracer.clone())
-                .with_metrics(registry.clone())
-                .with_flight(flight.clone());
-            if opts.progress {
-                pipeline = pipeline.with_observer(Arc::new(ProgressLogger::stderr(command)));
-            }
+            let pipeline = RoutingPipeline::new(Strategy::new(opts.encoding, opts.symmetry))
+                .context(ctx.clone());
 
             if let Some(cert_path) = &opts.certificate {
                 let (result, certificate) = pipeline
                     .prove_unroutable_certified(&problem, width)
-                    .map_err(|e| pipeline_stop(e, &flight))?;
+                    .map_err(|e| pipeline_stop(e, &ctx.flight))?;
                 return finish_route(result, Some((cert_path, certificate)), opts.json);
             }
             let result = pipeline
                 .route(&problem, width)
-                .map_err(|e| pipeline_stop(e, &flight))?;
+                .map_err(|e| pipeline_stop(e, &ctx.flight))?;
             finish_route(result, None, opts.json)
         }
         "min-width" => {
@@ -436,15 +427,8 @@ fn dispatch(
                 .first()
                 .ok_or("min-width needs a problem file")?;
             let problem = load_problem(path)?;
-            let mut pipeline = RoutingPipeline::new(Strategy::new(opts.encoding, opts.symmetry))
-                .with_solver_config(opts.solver_config())
-                .with_budget(opts.budget())
-                .with_tracer(tracer.clone())
-                .with_metrics(registry.clone())
-                .with_flight(flight.clone());
-            if opts.progress {
-                pipeline = pipeline.with_observer(Arc::new(ProgressLogger::stderr("min-width")));
-            }
+            let pipeline = RoutingPipeline::new(Strategy::new(opts.encoding, opts.symmetry))
+                .context(ctx.clone());
             let search = if opts.incremental {
                 // One warm solver for the whole ladder: encode once at the
                 // DSATUR bound, sweep widths via selector assumptions.
@@ -452,7 +436,7 @@ fn dispatch(
             } else {
                 pipeline.find_min_width(&problem)
             }
-            .map_err(|e| pipeline_stop(e, &flight))?;
+            .map_err(|e| pipeline_stop(e, &ctx.flight))?;
             // Cumulative across the ladder: the last probe reports the
             // warm solver's total counters.
             let conflicts = search
@@ -462,14 +446,7 @@ fn dispatch(
             // --explain blames the width just below the minimum — by
             // construction the tightest unroutable probe.
             let explanation = if opts.explain && search.min_width > 0 {
-                Some(explain_at(
-                    &problem,
-                    search.min_width - 1,
-                    &opts,
-                    tracer,
-                    registry,
-                    &flight,
-                ))
+                Some(explain_at(&problem, search.min_width - 1, &opts, &ctx))
             } else {
                 if opts.explain {
                     eprintln!("note: minimum width is 0 — nothing to blame");
@@ -567,7 +544,7 @@ fn dispatch(
                 .ok_or("explain needs a problem file")?;
             let width = opts.width.ok_or("explain needs --width <W>")?;
             let problem = load_problem(path)?;
-            let (report, blame) = explain_at(&problem, width, &opts, tracer, registry, &flight);
+            let (report, blame) = explain_at(&problem, width, &opts, &ctx);
             if let Some(pm) = &report.postmortem {
                 eprint!("{}", pm.render_text());
             }
@@ -673,21 +650,11 @@ fn dispatch(
             } else {
                 None
             };
-            let mut solver = CdclSolver::with_config(opts.solver_config());
+            let mut solver = ctx.solver();
             if opts.proof.is_some() {
                 solver.enable_proof_logging();
             }
-            solver.set_metrics(registry);
-            solver.set_flight(&flight);
-            solver.set_budget(opts.budget());
-            let mut fan = FanoutObserver::new();
-            if opts.progress {
-                fan = fan.with(Arc::new(ProgressLogger::stderr("solve")));
-            }
-            if tracer.is_enabled() {
-                fan = fan.with(Arc::new(TraceObserver::new(tracer.clone(), span.id())));
-            }
-            solver.set_observer(Arc::new(fan) as Arc<dyn RunObserver>);
+            solver.set_observer(ctx.observer_on(span.id(), []));
             match &pre {
                 // A preprocessor refutation came from unit propagation
                 // alone, so the solver re-derives it instantly from the
@@ -754,8 +721,8 @@ fn dispatch(
                     Ok(ExitCode::from(20))
                 }
                 SolveOutcome::Unknown(reason) => {
-                    if flight.is_enabled() {
-                        let pm = Postmortem::from_recorder(&flight, reason.to_string());
+                    if ctx.flight.is_enabled() {
+                        let pm = Postmortem::from_recorder(&ctx.flight, reason.to_string());
                         eprint!("{}", pm.render_text());
                     }
                     if !opts.json {
@@ -775,7 +742,7 @@ fn dispatch(
             let problem = load_problem(path)?;
             let graph = problem.conflict_graph();
 
-            use satroute::core::{run_portfolio_opts, PortfolioOptions};
+            use satroute::core::{run_portfolio, PortfolioOptions};
             use satroute::solver::SharingConfig;
             // --diversify N races N copies of the selected strategy with
             // diversified solver configurations (a sound setting for clause
@@ -785,26 +752,15 @@ fn dispatch(
                 Some(n) => Strategy::diversified(Strategy::new(opts.encoding, opts.symmetry), n),
                 None => Strategy::paper_portfolio_3(),
             };
-            let mut portfolio_opts = PortfolioOptions::new()
-                .with_diversified_configs(opts.diversify.is_some())
-                .with_tracer(tracer.clone())
-                .with_metrics(registry.clone())
-                .with_flight(flight.clone());
+            let mut portfolio_opts =
+                PortfolioOptions::new().with_diversified_configs(opts.diversify.is_some());
             if let Some(n) = opts.threads {
                 portfolio_opts = portfolio_opts.with_max_threads(n);
             }
             if opts.portfolio_share {
                 portfolio_opts = portfolio_opts.with_sharing(SharingConfig::default());
             }
-            let result = run_portfolio_opts(
-                &graph,
-                width,
-                &strategies,
-                &opts.solver_config(),
-                opts.budget(),
-                None,
-                &portfolio_opts,
-            );
+            let result = run_portfolio(&graph, width, &strategies, &ctx, &portfolio_opts);
 
             if opts.json {
                 let members: Vec<String> = result
@@ -892,11 +848,7 @@ fn dispatch(
             let mut request = Strategy::new(opts.encoding, opts.symmetry)
                 .cube_and_conquer(&graph, width)
                 .cube_vars(cube_vars)
-                .config(opts.solver_config())
-                .budget(opts.budget())
-                .trace(tracer.clone())
-                .metrics(registry.clone())
-                .flight(flight.clone());
+                .context(ctx.clone());
             if let Some(n) = opts.threads {
                 request = request.threads(n);
             }
@@ -1109,11 +1061,11 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
                         if !secs.is_finite() || secs < 0.0 {
                             return Err(format!("bad timeout `{v}`"));
                         }
-                        suite_opts.budget =
+                        suite_opts.ctx.budget =
                             RunBudget::new().with_wall(Duration::from_secs_f64(secs));
                     }
                     "--trace" => trace = Some(take_value(args, &mut i, "--trace")?),
-                    "--flight-record" => suite_opts.flight = FlightRecorder::new(),
+                    "--flight-record" => suite_opts.ctx.flight = FlightRecorder::new(),
                     "--filter" => {
                         suite_opts.filter = Some(take_value(args, &mut i, "--filter")?);
                     }
@@ -1128,7 +1080,7 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
                 ),
                 None => None,
             };
-            suite_opts.tracer = trace_writer
+            suite_opts.ctx.tracer = trace_writer
                 .as_ref()
                 .map_or_else(Tracer::disabled, |w| Tracer::to_sink(w.clone()));
 
@@ -1218,24 +1170,15 @@ fn explain_at(
     problem: &RoutingProblem,
     width: u32,
     opts: &Options,
-    tracer: &Tracer,
-    registry: &MetricsRegistry,
-    flight: &FlightRecorder,
+    ctx: &RunContext,
 ) -> (ExplainReport, Option<BlameReport>) {
     let graph = problem.conflict_graph();
     let groups: Vec<u32> = problem.subnets().map(|s| s.net.0).collect();
-    let mut request = Strategy::new(opts.encoding, opts.symmetry)
+    let report = Strategy::new(opts.encoding, opts.symmetry)
         .explain(&graph, &groups, width)
-        .config(opts.solver_config())
-        .budget(opts.budget())
+        .context(ctx.clone())
         .shrink_budget(opts.shrink_budget)
-        .trace(tracer.clone())
-        .metrics(registry.clone())
-        .flight(flight.clone());
-    if opts.progress {
-        request = request.observe(Arc::new(ProgressLogger::stderr("explain")));
-    }
-    let report = request.run();
+        .run();
     let blame = report.core().map(|core| {
         let nets: Vec<NetId> = core.groups.iter().copied().map(NetId).collect();
         BlameReport::new(problem, width, &nets)

@@ -245,3 +245,29 @@ fn portfolio_command_reports_sharing_counters() {
         assert_eq!(out.status.code(), Some(2));
     }
 }
+
+#[test]
+fn progress_flag_reaches_portfolio_and_conquer() {
+    let dir = tempdir("progress");
+    let problem = dir.join("tiny.txt");
+    satroute()
+        .args(["gen", "--bench", "tiny_a", "--out"])
+        .arg(&problem)
+        .status()
+        .expect("binary runs");
+
+    for command in ["portfolio", "conquer"] {
+        let out = satroute()
+            .arg(command)
+            .arg(&problem)
+            .args(["--width", "3", "--progress"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{command}: {stderr}");
+        assert!(
+            stderr.contains(&format!("[{command} +")) && stderr.contains("start:"),
+            "{command} --progress printed no progress: {stderr}"
+        );
+    }
+}

@@ -10,10 +10,9 @@
 //! appendix and the code cannot drift apart silently.
 
 use satroute::coloring::{exact, random_graph};
-use satroute::core::{run_portfolio_opts, PortfolioOptions, RoutingPipeline, RunBudget, Strategy};
+use satroute::core::{run_portfolio, PortfolioOptions, RoutingPipeline, RunContext, Strategy};
 use satroute::fpga::benchmarks;
 use satroute::obs::MetricsRegistry;
-use satroute::solver::SolverConfig;
 
 /// Reads the documented name patterns out of the DESIGN.md appendix.
 ///
@@ -91,22 +90,23 @@ fn run_everything(registry: &MetricsRegistry) {
         .into_iter()
         .next()
         .expect("tiny suite is non-empty");
-    let pipeline = RoutingPipeline::new(Strategy::paper_best()).with_metrics(registry.clone());
+    let pipeline = RoutingPipeline::new(Strategy::paper_best()).metrics(registry.clone());
     pipeline
         .route(&instance.problem, instance.routable_width)
         .expect("tiny instance routes at its recorded width");
 
     let g = random_graph(10, 0.5, 3);
     let chi = exact::chromatic_number(&g);
-    let opts = PortfolioOptions::new().with_metrics(registry.clone());
-    let result = run_portfolio_opts(
+    let ctx = RunContext {
+        metrics: registry.clone(),
+        ..RunContext::default()
+    };
+    let result = run_portfolio(
         &g,
         chi,
         &Strategy::paper_portfolio_2(),
-        &SolverConfig::default(),
-        RunBudget::default(),
-        None,
-        &opts,
+        &ctx,
+        &PortfolioOptions::new(),
     );
     assert!(result.is_decided(), "portfolio decides the tiny instance");
 

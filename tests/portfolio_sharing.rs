@@ -8,11 +8,11 @@ use std::sync::{Arc, Mutex};
 use satroute::cnf::Lit;
 use satroute::coloring::{dsatur_coloring, exact, random_graph};
 use satroute::core::{
-    encode_coloring, run_portfolio_opts, ColoringOutcome, EncodingId, PortfolioOptions, Strategy,
+    encode_coloring, run_portfolio, ColoringOutcome, EncodingId, PortfolioOptions, Strategy,
     SymmetryHeuristic,
 };
 use satroute::solver::{rup_implied, CdclSolver, ClauseExchange, SharingConfig, SolveOutcome};
-use satroute::RunBudget;
+use satroute::{RunBudget, RunContext};
 
 /// Oversubscribes the single-core CI container so members interleave and
 /// clauses actually flow while the race is undecided.
@@ -45,13 +45,11 @@ fn shared_and_unshared_portfolios_agree_with_the_oracle() {
         for k in [chi.saturating_sub(1).max(1), chi] {
             let expect_sat = k >= chi;
             for share in [false, true] {
-                let result = run_portfolio_opts(
+                let result = run_portfolio(
                     &g,
                     k,
                     &members,
-                    &Default::default(),
-                    RunBudget::default(),
-                    None,
+                    &RunContext::default(),
                     &sharing_opts(share),
                 );
                 match &result.report().expect("small instance decides").outcome {
@@ -202,15 +200,11 @@ fn diversified_sharing_portfolio_reports_clause_flow() {
     );
     let budget = RunBudget::new().with_max_conflicts(3000);
 
-    let result = run_portfolio_opts(
-        &g,
-        k,
-        &members,
-        &Default::default(),
+    let ctx = RunContext {
         budget,
-        None,
-        &sharing_opts(true),
-    );
+        ..RunContext::default()
+    };
+    let result = run_portfolio(&g, k, &members, &ctx, &sharing_opts(true));
     assert_eq!(result.members.len(), 4);
     assert!(
         result.total_exported() > 0,

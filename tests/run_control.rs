@@ -2,13 +2,18 @@
 //! and the solver event stream, exercised through the public `satroute`
 //! facade exactly as an embedding application would.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use satroute::coloring::{dsatur_coloring, random_graph, CspGraph};
-use satroute::core::{run_portfolio_with, ColoringOutcome, Strategy};
-use satroute::solver::SolverConfig;
-use satroute::{CancellationToken, RunBudget, RunObserver, SolverEvent, StopReason};
+use satroute::core::{
+    run_portfolio, ColoringOutcome, ExplainOutcome, PipelineError, PortfolioOptions,
+    RoutingPipeline, Strategy,
+};
+use satroute::fpga::benchmarks;
+use satroute::{
+    CancellationToken, MetricsRecorder, RunBudget, RunContext, RunObserver, SolverEvent, StopReason,
+};
 
 /// A graph-coloring instance hard enough that no strategy decides it
 /// within the test budgets: a random graph with `k` between the greedy
@@ -59,7 +64,16 @@ fn portfolio_under_wall_budget_terminates_with_deadline_members() {
     let budget = RunBudget::new().with_wall(Duration::from_secs(2));
 
     let start = Instant::now();
-    let result = run_portfolio_with(&g, k, &strategies, &SolverConfig::default(), budget, None);
+    let result = run_portfolio(
+        &g,
+        k,
+        &strategies,
+        &RunContext {
+            budget,
+            ..RunContext::default()
+        },
+        &PortfolioOptions::default(),
+    );
     let elapsed = start.elapsed();
 
     assert!(
@@ -106,13 +120,15 @@ fn cancellation_mid_solve_stops_every_portfolio_member() {
     };
 
     let start = Instant::now();
-    let result = run_portfolio_with(
+    let result = run_portfolio(
         &g,
         k,
         &strategies,
-        &SolverConfig::default(),
-        RunBudget::default(),
-        Some(token),
+        &RunContext {
+            cancel: Some(token),
+            ..RunContext::default()
+        },
+        &PortfolioOptions::default(),
     );
     let elapsed = start.elapsed();
     canceller.join().unwrap();
@@ -156,7 +172,7 @@ fn observer_events_arrive_in_valid_order() {
         // runs with enough conflicts to restart at least occasionally.
         let k = upper.saturating_sub(1).max(1);
 
-        let log = std::sync::Arc::new(EventLog::default());
+        let log = Arc::new(EventLog::default());
         let report = Strategy::paper_baseline()
             .solve(&g, k)
             .observe(log.clone())
@@ -241,4 +257,121 @@ fn conflict_cap_is_exact_and_reported() {
         "{} conflicts against a cap of 500",
         report.solver_stats.conflicts
     );
+}
+
+/// The stop reason of a pipeline run that gave up.
+fn undecided<T>(result: Result<T, PipelineError>) -> Option<StopReason> {
+    result
+        .err()
+        .map(|PipelineError::Undecided { reason, .. }| reason)
+}
+
+/// Every entry point forwards its `RunContext` to the solves it runs: a
+/// context carrying a pre-cancelled token and a user `MetricsRecorder`
+/// stops each path with `Cancelled`, and the recorder sees the stopped
+/// solve's `Finished` event (the only event that sets its stop reason).
+#[test]
+fn every_entry_point_forwards_its_run_context() {
+    let instance = benchmarks::suite_tiny().remove(0);
+    let problem = &instance.problem;
+    let graph = &instance.conflict_graph;
+    let width = instance.routable_width;
+    let groups: Vec<u32> = problem.subnets().map(|s| s.net.0).collect();
+    let strategy = Strategy::paper_best();
+
+    type Path<'a> = Box<dyn Fn(&RunContext) -> Option<StopReason> + 'a>;
+    let paths: Vec<(&str, Path)> = vec![
+        (
+            "SolveRequest",
+            Box::new(|ctx| {
+                let report = strategy.solve(graph, width).context(ctx.clone()).run();
+                report.outcome.stop_reason()
+            }),
+        ),
+        (
+            "IncrementalSession::probe",
+            Box::new(|ctx| {
+                let mut session = strategy
+                    .incremental(graph, width)
+                    .context(ctx.clone())
+                    .build();
+                session.probe(width).outcome.stop_reason()
+            }),
+        ),
+        (
+            "ExplainRequest",
+            Box::new(|ctx| {
+                let report = strategy
+                    .explain(graph, &groups, width)
+                    .context(ctx.clone())
+                    .run();
+                match report.outcome {
+                    ExplainOutcome::Unknown(reason) => Some(reason),
+                    _ => None,
+                }
+            }),
+        ),
+        (
+            "ConquerRequest",
+            Box::new(|ctx| {
+                let result = strategy
+                    .cube_and_conquer(graph, width)
+                    .cube_vars(2)
+                    .context(ctx.clone())
+                    .run();
+                result.outcome.stop_reason()
+            }),
+        ),
+        (
+            "run_portfolio",
+            Box::new(|ctx| {
+                let strategies = Strategy::paper_portfolio_2();
+                let result =
+                    run_portfolio(graph, width, &strategies, ctx, &PortfolioOptions::new());
+                let stopped = |m: &satroute::core::MemberReport| {
+                    m.stop_reason() == Some(StopReason::Cancelled)
+                };
+                result
+                    .members
+                    .iter()
+                    .all(stopped)
+                    .then_some(StopReason::Cancelled)
+            }),
+        ),
+        (
+            "RoutingPipeline::route",
+            Box::new(|ctx| {
+                let pipeline = RoutingPipeline::new(strategy).context(ctx.clone());
+                undecided(pipeline.route(problem, width))
+            }),
+        ),
+        (
+            "RoutingPipeline::find_min_width_incremental",
+            Box::new(|ctx| {
+                let pipeline = RoutingPipeline::new(strategy).context(ctx.clone());
+                undecided(pipeline.find_min_width_incremental(problem))
+            }),
+        ),
+    ];
+
+    for (name, path) in &paths {
+        let token = CancellationToken::new();
+        token.cancel();
+        let recorder = Arc::new(MetricsRecorder::new());
+        let ctx = RunContext {
+            cancel: Some(token),
+            observer: Some(recorder.clone()),
+            ..RunContext::default()
+        };
+        assert_eq!(
+            path(&ctx),
+            Some(StopReason::Cancelled),
+            "{name} dropped the context's cancellation token"
+        );
+        assert_eq!(
+            recorder.snapshot().stop_reason,
+            Some(StopReason::Cancelled),
+            "{name} dropped the context's observer"
+        );
+    }
 }

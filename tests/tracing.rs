@@ -7,12 +7,11 @@
 use std::fs;
 
 use satroute::core::{
-    encode_coloring, encode_coloring_traced, run_portfolio_opts, EncodingId, PortfolioOptions,
-    RoutingPipeline, Strategy, SymmetryHeuristic,
+    encode_coloring, encode_coloring_traced, run_portfolio, EncodingId, PortfolioOptions,
+    RoutingPipeline, RunContext, Strategy, SymmetryHeuristic,
 };
 use satroute::fpga::benchmarks;
 use satroute::obs::TraceEvent;
-use satroute::solver::{RunBudget, SolverConfig};
 use satroute::{parse_jsonl, SpanForest, TraceReport, TraceTree, TraceWriter, Tracer};
 
 fn trace_file(name: &str) -> std::path::PathBuf {
@@ -42,7 +41,7 @@ fn route_trace_round_trips_through_jsonl() {
     let path = trace_file("route.jsonl");
     {
         let tracer = Tracer::to_sink(TraceWriter::to_path(&path).expect("can create trace file"));
-        let pipeline = RoutingPipeline::new(Strategy::paper_best()).with_tracer(tracer);
+        let pipeline = RoutingPipeline::new(Strategy::paper_best()).trace(tracer);
         let result = pipeline
             .route(&instance.problem, instance.routable_width)
             .expect("pipeline runs");
@@ -160,15 +159,16 @@ fn portfolio_trace_reports_every_member() {
     let path = trace_file("portfolio.jsonl");
     {
         let tracer = Tracer::to_sink(TraceWriter::to_path(&path).expect("can create trace file"));
-        let opts = PortfolioOptions::new().with_tracer(tracer);
-        let result = run_portfolio_opts(
+        let ctx = RunContext {
+            tracer,
+            ..RunContext::default()
+        };
+        let result = run_portfolio(
             &instance.conflict_graph,
             instance.unroutable_width,
             &strategies,
-            &SolverConfig::default(),
-            RunBudget::default(),
-            None,
-            &opts,
+            &ctx,
+            &PortfolioOptions::new(),
         );
         assert!(result.is_decided());
     }
