@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use satroute_obs::json::Value;
-use satroute_obs::HistogramSnapshot;
+use satroute_obs::{Align, HistogramSnapshot, TextTable};
 
 /// Artifact schema identifier; bump on breaking layout changes.
 pub const SCHEMA: &str = "satroute-bench/v1";
@@ -299,7 +299,7 @@ impl BenchCell {
 pub struct BenchArtifact {
     /// Always [`SCHEMA`] for artifacts this code writes.
     pub schema: String,
-    /// Suite name (`"quick"` or `"paper"`).
+    /// Suite name (a [`SuiteId`](crate::SuiteId) name such as `"quick"`).
     pub suite: String,
     /// Environment the suite ran in.
     pub env: EnvFingerprint,
@@ -358,6 +358,87 @@ impl BenchArtifact {
     #[must_use]
     pub fn cell(&self, id: &str) -> Option<&BenchCell> {
         self.cells.iter().find(|c| c.id == id)
+    }
+
+    /// Renders the cells as a Table 2-style grid of median wall times in
+    /// seconds (four decimals): one row per benchmark and width, one
+    /// column per remaining id segment (the `w<W>` token dropped), in
+    /// first-appearance order. A `Total` row sums each column; a
+    /// `Speedup` row divides the first column's time by each column's,
+    /// summed over the rows both columns have. Cells the artifact lacks
+    /// render blank.
+    #[must_use]
+    pub fn render_grid(&self) -> String {
+        fn slot<T: PartialEq>(list: &mut Vec<T>, item: T) -> usize {
+            list.iter().position(|x| *x == item).unwrap_or_else(|| {
+                list.push(item);
+                list.len() - 1
+            })
+        }
+        let mut rows: Vec<(&str, u32)> = Vec::new();
+        let mut columns: Vec<String> = Vec::new();
+        let mut times: BTreeMap<(usize, usize), f64> = BTreeMap::new();
+        for cell in &self.cells {
+            let w = format!("w{}", cell.width);
+            let column: Vec<&str> = cell
+                .id
+                .split('/')
+                .skip(1)
+                .filter_map(|seg| match seg.strip_suffix(w.as_str()) {
+                    Some("") => None,
+                    Some(rest) => Some(rest.trim_end_matches('-')),
+                    None => Some(seg),
+                })
+                .collect();
+            let r = slot(&mut rows, (cell.benchmark.as_str(), cell.width));
+            let c = slot(&mut columns, column.join("/"));
+            times.insert((r, c), cell.wall_time_s.median);
+        }
+
+        let mut table = TextTable::new(
+            [("benchmark", Align::Left), ("W", Align::Right)]
+                .into_iter()
+                .chain(columns.iter().map(|c| (c.as_str(), Align::Right))),
+        );
+        let secs = |t: f64| format!("{t:.4}");
+        for (r, (benchmark, width)) in rows.iter().enumerate() {
+            table.row(
+                [benchmark.to_string(), width.to_string()]
+                    .into_iter()
+                    .chain(
+                        (0..columns.len())
+                            .map(|c| times.get(&(r, c)).map_or(String::new(), |&t| secs(t))),
+                    ),
+            );
+        }
+        let totals = (0..columns.len()).map(|c| {
+            let total: f64 = (0..rows.len()).filter_map(|r| times.get(&(r, c))).sum();
+            secs(total)
+        });
+        table.row(
+            ["Total".to_string(), String::new()]
+                .into_iter()
+                .chain(totals),
+        );
+        let speedups = (0..columns.len()).map(|c| {
+            let (first, this) = (0..rows.len())
+                .filter_map(|r| Some((times.get(&(r, 0))?, times.get(&(r, c))?)))
+                .fold((0.0, 0.0), |(f, t), (a, b)| (f + a, t + b));
+            if this > 0.0 {
+                // Three significant digits: 0.00283x, 1.00x, 189x.
+                let x = first / this;
+                let decimals = (2.0 - x.log10().floor()).clamp(0.0, 6.0) as usize;
+                format!("{x:.decimals$}x")
+            } else {
+                String::new()
+            }
+        });
+        table.row(
+            ["Speedup".to_string(), String::new()]
+                .into_iter()
+                .chain(speedups),
+        );
+        table.render()
     }
 }
 
@@ -466,6 +547,50 @@ mod tests {
         assert!(a.timing_comparable(&b));
         b.cpus = 4;
         assert!(!a.timing_comparable(&b));
+    }
+
+    #[test]
+    fn grid_totals_speedups_and_blank_cells() {
+        let mut artifact = sample();
+        let template = artifact.cells.pop().unwrap();
+        let cell = |id: &str, width: u32, wall: f64| BenchCell {
+            id: id.to_string(),
+            benchmark: id.split('/').next().unwrap().to_string(),
+            width,
+            wall_time_s: WallTime {
+                median: wall,
+                min: wall,
+                max: wall,
+            },
+            ..template.clone()
+        };
+        artifact.cells = vec![
+            cell("a/muldirect/-/w3", 3, 1.0),
+            cell("a/log/s1/w3", 3, 0.5),
+            cell("a/log/-/explain-w3", 3, 0.25),
+            cell("b/muldirect/-/w4", 4, 3.0),
+            cell("b/log/-/explain-w4", 4, 0.75),
+        ];
+        let text = artifact.render_grid();
+        let lines: Vec<Vec<&str>> = text
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            lines[0],
+            ["benchmark", "W", "muldirect/-", "log/s1", "log/-/explain"]
+        );
+        assert_eq!(lines[2], ["a", "3", "1.0000", "0.5000", "0.2500"]);
+        // `b` has no log/s1 cell: that slot is blank, not shifted.
+        assert_eq!(lines[3], ["b", "4", "3.0000", "0.7500"]);
+        let header = text.lines().next().unwrap();
+        let s1 = header.find("log/s1").unwrap();
+        let b_row = text.lines().nth(3).unwrap();
+        assert!(b_row[s1..s1 + "log/s1".len()].trim().is_empty(), "{text}");
+        assert_eq!(lines[4], ["Total", "4.0000", "0.5000", "1.0000"]);
+        // Speedups compare against column 1 on shared rows only: log/s1
+        // ran on `a` alone, so 1.0 / 0.5, not 4.0 / 0.5.
+        assert_eq!(lines[5], ["Speedup", "1.00x", "2.00x", "4.00x"]);
     }
 
     #[test]

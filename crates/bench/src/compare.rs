@@ -10,9 +10,9 @@
 //! reporting (not gating) the timing delta.
 
 use satroute_obs::json::Value;
+use satroute_obs::{Align, TextTable};
 
 use crate::artifact::{BenchArtifact, BenchCell, EnvFingerprint};
-use crate::row;
 
 /// Gating knobs of a comparison.
 #[derive(Clone, Copy, Debug)]
@@ -96,40 +96,31 @@ impl Comparison {
     /// Renders the per-cell delta table plus a verdict line.
     #[must_use]
     pub fn render_text(&self) -> String {
-        let widths = [56, 10, 10, 8, 12, 12, 9];
-        let mut out = String::new();
-        out.push_str(&row(
-            &[
-                "cell".into(),
-                "base_s".into(),
-                "cand_s".into(),
-                "wall%".into(),
-                "conflicts".into(),
-                "clauses".into(),
-                "outcome".into(),
-            ],
-            &widths,
-        ));
-        out.push('\n');
+        let mut table = TextTable::new([
+            ("cell", Align::Left),
+            ("base_s", Align::Right),
+            ("cand_s", Align::Right),
+            ("wall%", Align::Right),
+            ("conflicts", Align::Right),
+            ("clauses", Align::Right),
+            ("outcome", Align::Left),
+        ]);
         for cell in &self.cells {
-            out.push_str(&row(
-                &[
-                    cell.id.clone(),
-                    format!("{:.3}", cell.wall.0),
-                    format!("{:.3}", cell.wall.1),
-                    format!("{:+.1}", cell.wall_delta_pct()),
-                    format!("{} -> {}", cell.conflicts.0, cell.conflicts.1),
-                    format!("{} -> {}", cell.cnf_clauses.0, cell.cnf_clauses.1),
-                    if cell.outcome.0 == cell.outcome.1 {
-                        cell.outcome.1.clone()
-                    } else {
-                        format!("{}!={}", cell.outcome.0, cell.outcome.1)
-                    },
-                ],
-                &widths,
-            ));
-            out.push('\n');
+            table.row([
+                cell.id.clone(),
+                format!("{:.3}", cell.wall.0),
+                format!("{:.3}", cell.wall.1),
+                format!("{:+.1}", cell.wall_delta_pct()),
+                format!("{} -> {}", cell.conflicts.0, cell.conflicts.1),
+                format!("{} -> {}", cell.cnf_clauses.0, cell.cnf_clauses.1),
+                if cell.outcome.0 == cell.outcome.1 {
+                    cell.outcome.1.clone()
+                } else {
+                    format!("{}!={}", cell.outcome.0, cell.outcome.1)
+                },
+            ]);
         }
+        let mut out = table.render();
         if !self.timing_gated {
             out.push_str(
                 "note: environments differ (rustc/cpus/opt-level/os); wall time reported but not gated\n",

@@ -1,23 +1,27 @@
-//! Shared harness code for the table/figure-regeneration binaries.
+//! Benchmark harness: the `satroute bench` suites and the programs that
+//! print the paper's structural artifacts.
 //!
-//! Each binary in `src/bin/` regenerates one artifact of the reproduced
-//! paper (see `DESIGN.md`, experiment index):
+//! The paper's measured results are suites of `satroute bench run` (see
+//! `DESIGN.md`, experiment index); the binaries in `src/bin/` print what
+//! the suites do not model:
 //!
-//! | binary            | paper artifact |
-//! |-------------------|----------------|
-//! | `table1`          | Table 1 — clause sets of log/direct/muldirect |
-//! | `figure1`         | Figure 1 — the four ITE trees for a 13-value domain |
-//! | `table2`          | Table 2 — encodings × symmetry on unroutable configs |
-//! | `routable`        | §6 prose — all encodings on routable configs |
-//! | `portfolio_table` | §6 prose — 2- and 3-strategy parallel portfolios |
-//! | `sizes`           | ablation A1 — formula sizes per encoding |
+//! | artifact                     | how to regenerate |
+//! |------------------------------|-------------------|
+//! | Table 1 — clause sets of log/direct/muldirect | `table1` |
+//! | Figure 1 — the four ITE trees for a 13-value domain | `figure1` |
+//! | Table 2 — encodings × symmetry on unroutable configs | `satroute bench run --suite paper` |
+//! | §6 prose — all encodings on routable configs | `satroute bench run --suite routable` |
+//! | §6 prose — 2- and 3-strategy portfolios, clause sharing | `satroute bench run --suite portfolio` |
+//! | ablation A1 — formula sizes per encoding | `sizes` |
+//! | ablation A3 — greedy router vs SAT | `sequential_vs_sat` |
+//! | ablation A6 — ITE tree shapes | `tree_shapes` |
 //!
-//! Beyond the paper artifacts, the [`suite`] / [`artifact`] / [`compare`]
-//! modules implement the `satroute bench` regression harness: pinned
-//! deterministic suites whose runs are recorded as `BENCH_*.json`
-//! baselines and diffed/gated against each other (see the crate README,
-//! "Benchmark regression harness"). The JSON document model these share
-//! lives in [`satroute_obs::json`].
+//! The [`suite`] / [`artifact`] / [`compare`](mod@compare) modules implement the
+//! regression harness: pinned deterministic suites whose runs are
+//! recorded as `BENCH_*.json` baselines, rendered as Table 2-style grids,
+//! and diffed/gated against each other (see the crate README, "Benchmark
+//! regression harness"). The JSON document model these share lives in
+//! [`satroute_obs::json`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,100 +34,6 @@ pub use artifact::{BenchArtifact, BenchCell, EnvFingerprint, HistogramSummary, W
 pub use compare::{compare, Comparison, GateOptions, Regression};
 pub use suite::{run_suite, SuiteId, SuiteOptions};
 
-use std::time::Duration;
-
-use satroute_core::{ColoringOutcome, ColoringReport, RunMetrics, Strategy};
-use satroute_fpga::benchmarks::BenchmarkInstance;
-use satroute_obs::json::Value;
-
-/// One measured cell of a results table.
-#[derive(Clone, Debug)]
-pub struct Cell {
-    /// The strategy that was run.
-    pub strategy: Strategy,
-    /// The benchmark name.
-    pub benchmark: String,
-    /// Total time (graph generation + CNF translation + SAT solving).
-    pub total: Duration,
-    /// The outcome.
-    pub outcome: ColoringOutcome,
-    /// Solver-run metrics (wall time, work counters, stop reason).
-    pub metrics: RunMetrics,
-    /// Full report.
-    pub report: ColoringReport,
-}
-
-/// Runs `strategy` on `instance` at the given channel width and returns
-/// the Table 2-style cell.
-pub fn run_cell(instance: &BenchmarkInstance, strategy: Strategy, width: u32) -> Cell {
-    run_cell_traced(instance, strategy, width, &satroute_obs::Tracer::disabled())
-}
-
-/// [`run_cell`] recording into `tracer`: one `cell` root span (fields:
-/// benchmark, strategy, width) with the run's encode/solve/decode spans
-/// nested beneath it.
-pub fn run_cell_traced(
-    instance: &BenchmarkInstance,
-    strategy: Strategy,
-    width: u32,
-    tracer: &satroute_obs::Tracer,
-) -> Cell {
-    let span = tracer.span_with(
-        "cell",
-        [
-            (
-                "benchmark",
-                satroute_obs::FieldValue::from(instance.name.as_str()),
-            ),
-            (
-                "strategy",
-                satroute_obs::FieldValue::from(strategy.to_string()),
-            ),
-            ("width", satroute_obs::FieldValue::from(width)),
-        ],
-    );
-    let mut report = strategy
-        .solve(&instance.conflict_graph, width)
-        .trace(tracer.clone())
-        .run();
-    drop(span);
-    // Account the (cached) conflict-graph generation as zero: the suites
-    // pre-extract it; `RoutingPipeline` measures it when run end to end.
-    report.timing.graph_generation = Duration::ZERO;
-    Cell {
-        strategy,
-        benchmark: instance.name.clone(),
-        total: report.timing.total(),
-        outcome: report.outcome.clone(),
-        metrics: report.metrics,
-        report,
-    }
-}
-
-/// Builds the tracer implied by a `--trace <path>` argument pair in
-/// `std::env::args()`: a buffered JSONL [`satroute_obs::TraceWriter`], or
-/// the disabled tracer when the flag is absent.
-///
-/// # Errors
-///
-/// Returns a message when the flag is present without a value or the
-/// file cannot be created; bench binaries report it on stderr and exit
-/// nonzero (see [`exit_on_cli_error`]) instead of unwinding with a
-/// panic backtrace.
-pub fn tracer_from_args() -> Result<satroute_obs::Tracer, String> {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(at) = args.iter().position(|a| a == "--trace") else {
-        return Ok(satroute_obs::Tracer::disabled());
-    };
-    let path = args
-        .get(at + 1)
-        .filter(|v| !v.starts_with("--"))
-        .ok_or("--trace needs a file path")?;
-    let writer = satroute_obs::TraceWriter::to_path(path)
-        .map_err(|e| format!("cannot create {path}: {e}"))?;
-    Ok(satroute_obs::Tracer::to_sink(writer))
-}
-
 /// Unwraps a CLI-argument result, printing `error: <msg>` to stderr and
 /// exiting with status 2 on failure — the uniform bad-usage exit of the
 /// bench binaries (a user error is not a crash; no backtrace).
@@ -132,102 +42,4 @@ pub fn exit_on_cli_error<T>(result: Result<T, String>) -> T {
         eprintln!("error: {msg}");
         std::process::exit(2);
     })
-}
-
-/// Serializes a [`RunMetrics`] snapshot as a JSON object — the common
-/// per-run payload of every `--json` bench emitter.
-pub fn metrics_json(metrics: &RunMetrics) -> Value {
-    let secs = metrics.wall_time.as_secs_f64();
-    let per_sec = |n: u64| {
-        if secs > 0.0 {
-            Value::from(n as f64 / secs)
-        } else {
-            Value::from(0.0)
-        }
-    };
-    Value::object([
-        ("wall_time_s", Value::from(secs)),
-        ("conflicts", Value::from(metrics.stats.conflicts)),
-        ("decisions", Value::from(metrics.stats.decisions)),
-        ("propagations", Value::from(metrics.stats.propagations)),
-        ("conflicts_per_sec", per_sec(metrics.stats.conflicts)),
-        ("propagations_per_sec", per_sec(metrics.stats.propagations)),
-        ("restarts", Value::from(metrics.restarts)),
-        ("reductions", Value::from(metrics.reductions)),
-        ("learnt_clauses", Value::from(metrics.stats.learnt_clauses)),
-        ("exported_clauses", Value::from(metrics.exported_clauses())),
-        ("imported_clauses", Value::from(metrics.imported_clauses())),
-        ("mean_lbd", Value::from(metrics.mean_lbd())),
-        (
-            "sat",
-            match metrics.sat {
-                Some(b) => Value::Bool(b),
-                None => Value::Null,
-            },
-        ),
-        (
-            "stop_reason",
-            match metrics.stop_reason {
-                Some(r) => Value::from(r.to_string()),
-                None => Value::Null,
-            },
-        ),
-    ])
-}
-
-/// Serializes one table cell as a JSON object.
-pub fn cell_json(cell: &Cell) -> Value {
-    Value::object([
-        ("benchmark", Value::from(cell.benchmark.as_str())),
-        ("strategy", Value::from(cell.strategy.to_string())),
-        ("total_s", Value::from(cell.total.as_secs_f64())),
-        (
-            "outcome",
-            Value::from(match &cell.outcome {
-                ColoringOutcome::Colorable(_) => "sat".to_string(),
-                ColoringOutcome::Unsat => "unsat".to_string(),
-                ColoringOutcome::Unknown(reason) => format!("unknown:{reason}"),
-            }),
-        ),
-        ("metrics", metrics_json(&cell.metrics)),
-    ])
-}
-
-/// Formats a duration like the paper's tables: seconds with two decimals.
-pub fn fmt_secs(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64())
-}
-
-/// Formats a speedup row entry (e.g. `1139x`).
-pub fn fmt_speedup(baseline: Duration, other: Duration) -> String {
-    if other.is_zero() {
-        return "inf".to_string();
-    }
-    format!("{:.2}x", baseline.as_secs_f64() / other.as_secs_f64())
-}
-
-/// Renders a fixed-width table row.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect::<Vec<_>>()
-        .join("  ")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fmt_helpers() {
-        assert_eq!(fmt_secs(Duration::from_millis(1500)), "1.50");
-        assert_eq!(
-            fmt_speedup(Duration::from_secs(10), Duration::from_secs(2)),
-            "5.00x"
-        );
-        assert_eq!(fmt_speedup(Duration::from_secs(1), Duration::ZERO), "inf");
-        assert_eq!(row(&["a".into(), "bb".into()], &[3, 4]), "  a    bb");
-    }
 }

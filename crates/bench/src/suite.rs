@@ -1,22 +1,29 @@
-//! Pinned regression suites for `satroute bench run`.
+//! Pinned benchmark suites for `satroute bench run`.
 //!
-//! A suite is a fixed list of (benchmark, strategy, width) triples whose
-//! instances are generated from constant seeds, so the deterministic
-//! columns of the resulting [`BenchArtifact`] (conflicts, decisions,
-//! propagations, CNF shape, outcome) are bit-identical across machines
-//! for a given toolchain — those columns gate regressions anywhere, while
-//! wall time gates only between matching environments (see
-//! [`crate::compare`]).
+//! A suite is a fixed list of cells — a benchmark instance, a strategy
+//! and a `CellKind` saying what one run does — whose instances are
+//! generated from constant seeds, so the deterministic columns of the
+//! resulting [`BenchArtifact`] (conflicts, decisions, propagations, CNF
+//! shape, outcome) are bit-identical across machines for a given
+//! toolchain — those columns gate regressions anywhere, while wall time
+//! gates only between matching environments (see
+//! [`crate::compare`](mod@crate::compare)).
+//! One driver measures every cell: each kind only says how one run
+//! yields a `Sample`.
 
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use satroute_core::{ExplainOutcome, RoutingPipeline, Strategy, WidthSearch};
+use satroute_cnf::FormulaStats;
+use satroute_core::{
+    run_portfolio, simulate_portfolio, ColoringOutcome, EncodingId, ExplainOutcome,
+    PortfolioOptions, RoutingPipeline, Strategy, SymmetryHeuristic,
+};
 use satroute_fpga::benchmarks::{self, BenchmarkInstance};
-use satroute_obs::{MetricsRegistry, MetricsSnapshot};
-use satroute_solver::{InprocessConfig, RunBudget, RunContext, SolverConfig};
+use satroute_obs::{FieldValue, MetricsRegistry, MetricsSnapshot};
+use satroute_solver::{InprocessConfig, RunBudget, RunContext, SharingConfig, SolverStats};
 
 use crate::artifact::{BenchArtifact, BenchCell, EnvFingerprint, HistogramSummary, WallTime};
-use crate::fmt_secs;
 
 /// Which pinned suite to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,9 +31,25 @@ pub enum SuiteId {
     /// The three `tiny_*` instances × two strategies × both calibrated
     /// widths — seconds of wall time; the CI regression gate.
     Quick,
-    /// The paper's circuit suite at the unroutable widths (the Table 2
-    /// regime) with the paper's best and baseline strategies — minutes.
+    /// Table 2 of the paper: its 15 strategies (muldirect/- first, the
+    /// speedup baseline) × the 8 circuits at the unroutable width.
+    /// Cells record the solver's wall time; CNF translation is in the
+    /// `phase.cnf_translation_us` histogram.
     Paper,
+    /// The paper's §6 routable configurations: all 45 strategies (15
+    /// encodings × {-, b1, s1}, muldirect/- first) × the 8 circuits at
+    /// the routable width.
+    Routable,
+    /// The paper's §6 portfolios on the 8 circuits. At the unroutable
+    /// width, `portfolio-N` cells simulate the first 1, 2 and 3 members
+    /// of the paper's portfolio (each member runs sequentially; the wall
+    /// is the fastest decided member's, so all three columns are timed
+    /// the same way); the outcome names the winner. At the routable
+    /// width, four diversified muldirect/s1 members race on four threads
+    /// with learnt-clause sharing off and on; the outcome adds the
+    /// exported/imported clause counts. The threaded twins depend on
+    /// scheduling, so this suite is a smoke test, not a gate.
+    Portfolio,
     /// Full minimum-width ladders on the `tiny_*` instances, warm
     /// (assumption-based, one solver) versus cold (re-encode per width),
     /// for both reference strategies. Cells record *total ladder*
@@ -63,13 +86,26 @@ pub enum SuiteId {
 }
 
 impl SuiteId {
-    /// The suite's artifact name (`"quick"` / `"paper"` /
-    /// `"incremental"` / `"conquer"` / `"explain"` / `"inprocess"`).
+    /// Every suite, in `--suite` listing order.
+    const ALL: [SuiteId; 8] = [
+        SuiteId::Quick,
+        SuiteId::Paper,
+        SuiteId::Routable,
+        SuiteId::Portfolio,
+        SuiteId::Incremental,
+        SuiteId::Conquer,
+        SuiteId::Explain,
+        SuiteId::Inprocess,
+    ];
+
+    /// The suite's artifact name, which is also its `--suite` value.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             SuiteId::Quick => "quick",
             SuiteId::Paper => "paper",
+            SuiteId::Routable => "routable",
+            SuiteId::Portfolio => "portfolio",
             SuiteId::Incremental => "incremental",
             SuiteId::Conquer => "conquer",
             SuiteId::Explain => "explain",
@@ -82,18 +118,13 @@ impl std::str::FromStr for SuiteId {
     type Err = String;
 
     fn from_str(s: &str) -> Result<SuiteId, String> {
-        match s {
-            "quick" => Ok(SuiteId::Quick),
-            "paper" => Ok(SuiteId::Paper),
-            "incremental" => Ok(SuiteId::Incremental),
-            "conquer" => Ok(SuiteId::Conquer),
-            "explain" => Ok(SuiteId::Explain),
-            "inprocess" => Ok(SuiteId::Inprocess),
-            other => Err(format!(
-                "unknown suite `{other}` (try: quick, paper, incremental, conquer, explain, \
-                 inprocess)"
-            )),
-        }
+        SuiteId::ALL
+            .into_iter()
+            .find(|suite| suite.name() == s)
+            .ok_or_else(|| {
+                let names: Vec<&str> = SuiteId::ALL.iter().map(|suite| suite.name()).collect();
+                format!("unknown suite `{s}` (try: {})", names.join(", "))
+            })
     }
 }
 
@@ -130,16 +161,21 @@ impl Default for SuiteOptions {
     }
 }
 
-/// What a suite cell measures.
+/// Members (and threads) of the portfolio suite's clause-sharing twins.
+const SHARING_MEMBERS: usize = 4;
+
+/// What one run of a suite cell does.
 #[derive(Clone, Copy)]
 enum CellKind {
-    /// One solve at a fixed channel width.
-    Solve { width: u32 },
+    /// One solve at a fixed channel width. `inprocess: Some(on)` marks an
+    /// inprocessing twin: `on` enables in-search inprocessing, and the
+    /// `on` outcome appends the pass counters.
+    Solve { width: u32, inprocess: Option<bool> },
     /// A whole minimum-width ladder; `warm` selects the assumption-based
     /// incremental search over the re-encode-per-width baseline.
     Ladder { warm: bool },
     /// One cube-and-conquer run at a fixed width: `2^cube_vars` subcubes
-    /// raced by `threads` workers, sharing off (determinism).
+    /// for `threads` workers, sharing off (determinism).
     Conquer {
         width: u32,
         cube_vars: u32,
@@ -149,177 +185,208 @@ enum CellKind {
     /// selector encoding, initial core, deletion shrink to 1-minimality
     /// on one warm solver.
     Explain { width: u32 },
-    /// One solve at a fixed width with in-search inprocessing toggled;
-    /// the `on` cells embed the pass counters in the outcome column.
-    Inprocess { width: u32, on: bool },
+    /// A simulated portfolio of the first `members` strategies of
+    /// [`Strategy::paper_portfolio_3`], whose lead is the cell strategy.
+    Portfolio { width: u32, members: usize },
+    /// [`SHARING_MEMBERS`] diversified copies of the cell strategy racing
+    /// on as many threads, with learnt-clause sharing on or off.
+    Sharing { width: u32, share: bool },
+}
+
+impl CellKind {
+    /// The pinned channel width, or `None` for a ladder.
+    fn width(self) -> Option<u32> {
+        match self {
+            CellKind::Solve { width, .. }
+            | CellKind::Conquer { width, .. }
+            | CellKind::Explain { width }
+            | CellKind::Portfolio { width, .. }
+            | CellKind::Sharing { width, .. } => Some(width),
+            CellKind::Ladder { .. } => None,
+        }
+    }
 }
 
 /// One entry of a suite's work list.
 struct SuiteCell {
-    instance: BenchmarkInstance,
+    instance: Rc<BenchmarkInstance>,
     strategy: Strategy,
     kind: CellKind,
 }
 
-fn quick_cells() -> Vec<SuiteCell> {
-    let strategies = [Strategy::paper_best(), Strategy::paper_baseline()];
-    let mut cells = Vec::new();
-    for instance in benchmarks::suite_tiny() {
-        for strategy in strategies {
-            for width in [instance.routable_width, instance.unroutable_width] {
-                if width == 0 {
-                    continue;
-                }
-                cells.push(SuiteCell {
-                    instance: instance.clone(),
-                    strategy,
-                    kind: CellKind::Solve { width },
-                });
-            }
-        }
-    }
-    cells
+/// What one run of a cell yields; the driver keeps the median-wall run.
+struct Sample {
+    wall: Duration,
+    width: u32,
+    outcome: String,
+    stats: SolverStats,
+    cnf: FormulaStats,
 }
 
-fn incremental_cells() -> Vec<SuiteCell> {
-    let strategies = [Strategy::paper_best(), Strategy::paper_baseline()];
+/// Every instance × strategy × kind, in that nesting order, skipping
+/// kinds pinned at width 0 (an instance without conflicts).
+fn cross(
+    instances: Vec<BenchmarkInstance>,
+    strategies: &[Strategy],
+    kinds: impl Fn(&BenchmarkInstance) -> Vec<CellKind>,
+) -> Vec<SuiteCell> {
     let mut cells = Vec::new();
-    for instance in benchmarks::suite_tiny() {
-        for strategy in strategies {
-            for warm in [true, false] {
-                cells.push(SuiteCell {
-                    instance: instance.clone(),
-                    strategy,
-                    kind: CellKind::Ladder { warm },
-                });
-            }
-        }
-    }
-    cells
-}
-
-fn paper_cells() -> Vec<SuiteCell> {
-    let strategies = [Strategy::paper_best(), Strategy::paper_baseline()];
-    let mut cells = Vec::new();
-    for instance in benchmarks::suite_paper() {
-        for strategy in strategies {
-            let width = instance.unroutable_width;
-            if width == 0 {
-                continue;
-            }
-            cells.push(SuiteCell {
-                instance: instance.clone(),
-                strategy,
-                kind: CellKind::Solve { width },
-            });
-        }
-    }
-    cells
-}
-
-/// The hard rows of the conquer suite: each unroutable `tiny_*` cell
-/// appears twice, once as a plain single-threaded solve (the wall-time
-/// baseline) and once cube-and-conquered at up to `2^4` cubes on a
-/// simulated 4-worker machine (see [`run_conquer_cell`]).
-fn conquer_cells() -> Vec<SuiteCell> {
-    let strategies = [Strategy::paper_best(), Strategy::paper_baseline()];
-    let mut cells = Vec::new();
-    for instance in benchmarks::suite_tiny() {
-        if !matches!(instance.name.as_str(), "tiny_b" | "tiny_c") {
-            continue;
-        }
-        let width = instance.unroutable_width;
-        if width == 0 {
-            continue;
-        }
-        for strategy in strategies {
-            cells.push(SuiteCell {
-                instance: instance.clone(),
-                strategy,
-                kind: CellKind::Solve { width },
-            });
-            cells.push(SuiteCell {
-                instance: instance.clone(),
-                strategy,
-                kind: CellKind::Conquer {
-                    width,
-                    cube_vars: 4,
-                    threads: 4,
-                },
-            });
-        }
-    }
-    cells
-}
-
-/// One explanation cell per unroutable `tiny_*` instance and reference
-/// strategy: extract and shrink the net-level UNSAT core at the
-/// calibrated unroutable width. The shrink loop runs unbudgeted on these
-/// sub-second instances, so every cell's core is 1-minimal and its
-/// outcome column is exact.
-fn explain_cells() -> Vec<SuiteCell> {
-    let strategies = [Strategy::paper_best(), Strategy::paper_baseline()];
-    let mut cells = Vec::new();
-    for instance in benchmarks::suite_tiny() {
-        let width = instance.unroutable_width;
-        if width == 0 {
-            continue;
-        }
-        for strategy in strategies {
-            cells.push(SuiteCell {
-                instance: instance.clone(),
-                strategy,
-                kind: CellKind::Explain { width },
-            });
-        }
-    }
-    cells
-}
-
-/// The quick-suite grid with inprocessing on and off: every `tiny_*`
-/// instance × reference strategy × calibrated width appears as an
-/// `inp-on` / `inp-off` twin pair, plus the hard `k2` paper cell at its
-/// unroutable width (the one sub-second instance where the
-/// symmetry-falsified literals stripped by the start round pay for the
-/// search perturbation many times over). Both cells of a pair solve the
-/// same CNF with the same solver configuration apart from the
-/// [`InprocessConfig`] toggle, so any divergence in the verdict columns
-/// is an inprocessing soundness bug, not noise.
-fn inprocess_cells() -> Vec<SuiteCell> {
-    let strategies = [Strategy::paper_best(), Strategy::paper_baseline()];
-    let mut cells = Vec::new();
-    for instance in benchmarks::suite_tiny() {
-        for strategy in strategies {
-            for width in [instance.routable_width, instance.unroutable_width] {
-                if width == 0 {
-                    continue;
-                }
-                for on in [true, false] {
+    for instance in instances.into_iter().map(Rc::new) {
+        for &strategy in strategies {
+            for kind in kinds(&instance) {
+                if kind.width() != Some(0) {
                     cells.push(SuiteCell {
-                        instance: instance.clone(),
+                        instance: Rc::clone(&instance),
                         strategy,
-                        kind: CellKind::Inprocess { width, on },
+                        kind,
                     });
                 }
             }
         }
     }
-    for instance in benchmarks::suite_paper() {
-        if instance.name != "k2" {
-            continue;
+    cells
+}
+
+/// Table 2's columns: muldirect with {-, b1, s1}, then the six best new
+/// encodings with {b1, s1}.
+fn table2_strategies() -> Vec<Strategy> {
+    use EncodingId::*;
+    use SymmetryHeuristic::{B1, S1};
+    let mut strategies = vec![Strategy::paper_baseline()];
+    strategies.extend(
+        [
+            Muldirect,
+            IteLinear,
+            IteLog,
+            IteLinear2Direct,
+            IteLinear2Muldirect,
+            Muldirect3Muldirect,
+            Direct3Muldirect,
+        ]
+        .into_iter()
+        .flat_map(|encoding| [Strategy::new(encoding, B1), Strategy::new(encoding, S1)]),
+    );
+    strategies
+}
+
+/// All 45 strategies, the paper baseline first.
+fn all_strategies() -> Vec<Strategy> {
+    let baseline = Strategy::paper_baseline();
+    let others = EncodingId::ALL.into_iter().flat_map(|encoding| {
+        SymmetryHeuristic::ALL
+            .into_iter()
+            .map(move |symmetry| Strategy::new(encoding, symmetry))
+    });
+    std::iter::once(baseline)
+        .chain(others.filter(|s| *s != baseline))
+        .collect()
+}
+
+/// The instances called one of `names`.
+fn named(instances: Vec<BenchmarkInstance>, names: &[&str]) -> Vec<BenchmarkInstance> {
+    instances
+        .into_iter()
+        .filter(|i| names.contains(&i.name.as_str()))
+        .collect()
+}
+
+/// The suite's cells, in run order.
+fn suite_cells(suite: SuiteId) -> Vec<SuiteCell> {
+    let reference = [Strategy::paper_best(), Strategy::paper_baseline()];
+    let solve = |width| CellKind::Solve {
+        width,
+        inprocess: None,
+    };
+    let both_widths = |i: &BenchmarkInstance| [i.routable_width, i.unroutable_width];
+    match suite {
+        SuiteId::Quick => cross(benchmarks::suite_tiny(), &reference, |i| {
+            both_widths(i).map(solve).to_vec()
+        }),
+        SuiteId::Paper => cross(benchmarks::suite_paper(), &table2_strategies(), |i| {
+            vec![solve(i.unroutable_width)]
+        }),
+        SuiteId::Routable => cross(benchmarks::suite_paper(), &all_strategies(), |i| {
+            vec![solve(i.routable_width)]
+        }),
+        SuiteId::Portfolio => {
+            let instances = benchmarks::suite_paper();
+            let mut cells = cross(instances.clone(), &[Strategy::paper_best()], |i| {
+                (1..=3)
+                    .map(|members| CellKind::Portfolio {
+                        width: i.unroutable_width,
+                        members,
+                    })
+                    .collect()
+            });
+            let muldirect = Strategy::new(EncodingId::Muldirect, SymmetryHeuristic::S1);
+            cells.extend(cross(instances, &[muldirect], |i| {
+                [false, true]
+                    .map(|share| CellKind::Sharing {
+                        width: i.routable_width,
+                        share,
+                    })
+                    .to_vec()
+            }));
+            cells
         }
-        let width = instance.unroutable_width;
-        for strategy in strategies {
-            for on in [true, false] {
-                cells.push(SuiteCell {
-                    instance: instance.clone(),
-                    strategy,
-                    kind: CellKind::Inprocess { width, on },
-                });
-            }
+        SuiteId::Incremental => cross(benchmarks::suite_tiny(), &reference, |_| {
+            vec![
+                CellKind::Ladder { warm: true },
+                CellKind::Ladder { warm: false },
+            ]
+        }),
+        // Each unroutable cell twice: a plain single-threaded solve (the
+        // wall-time baseline) and cube-and-conquered at up to `2^4` cubes
+        // on a simulated 4-worker machine.
+        SuiteId::Conquer => cross(
+            named(benchmarks::suite_tiny(), &["tiny_b", "tiny_c"]),
+            &reference,
+            |i| {
+                let width = i.unroutable_width;
+                vec![
+                    solve(width),
+                    CellKind::Conquer {
+                        width,
+                        cube_vars: 4,
+                        threads: 4,
+                    },
+                ]
+            },
+        ),
+        // The shrink loop runs unbudgeted on these sub-second instances,
+        // so every core is 1-minimal and the outcome column is exact.
+        SuiteId::Explain => cross(benchmarks::suite_tiny(), &reference, |i| {
+            vec![CellKind::Explain {
+                width: i.unroutable_width,
+            }]
+        }),
+        // The quick grid as on/off twins plus the hard `k2` cell at its
+        // unroutable width. Twins solve the same CNF with the same
+        // configuration apart from the inprocessing toggle, so a verdict
+        // divergence is a soundness bug, not noise.
+        SuiteId::Inprocess => {
+            let twins = |widths: &[u32]| {
+                widths
+                    .iter()
+                    .flat_map(|&width| {
+                        [true, false].map(|on| CellKind::Solve {
+                            width,
+                            inprocess: Some(on),
+                        })
+                    })
+                    .collect()
+            };
+            let mut cells = cross(benchmarks::suite_tiny(), &reference, |i| {
+                twins(&both_widths(i))
+            });
+            cells.extend(cross(
+                named(benchmarks::suite_paper(), &["k2"]),
+                &reference,
+                |i| twins(&[i.unroutable_width]),
+            ));
+            cells
         }
     }
-    cells
 }
 
 /// Runs `suite` and assembles the artifact. `progress` receives one line
@@ -329,27 +396,17 @@ pub fn run_suite(
     opts: &SuiteOptions,
     mut progress: impl FnMut(&str),
 ) -> BenchArtifact {
-    let mut cells = match suite {
-        SuiteId::Quick => quick_cells(),
-        SuiteId::Paper => paper_cells(),
-        SuiteId::Incremental => incremental_cells(),
-        SuiteId::Conquer => conquer_cells(),
-        SuiteId::Explain => explain_cells(),
-        SuiteId::Inprocess => inprocess_cells(),
-    };
+    let mut cells = suite_cells(suite);
     if let Some(needle) = &opts.filter {
-        cells.retain(|cell| cell_id(cell).contains(needle.as_str()));
+        cells.retain(|cell| cell.id().contains(needle.as_str()));
     }
     let runs = opts.runs.max(1);
     let mut measured = Vec::with_capacity(cells.len());
     for cell in &cells {
         let bench_cell = run_cell(cell, runs, opts);
         progress(&format!(
-            "{:<56} {:>8}s  {:>9} conflicts  {}",
-            bench_cell.id,
-            fmt_secs(Duration::from_secs_f64(bench_cell.wall_time_s.median)),
-            bench_cell.conflicts,
-            bench_cell.outcome,
+            "{:<56} {:>8.2}s  {:>9} conflicts  {}",
+            bench_cell.id, bench_cell.wall_time_s.median, bench_cell.conflicts, bench_cell.outcome,
         ));
         measured.push(bench_cell);
     }
@@ -361,666 +418,325 @@ pub fn run_suite(
     }
 }
 
-/// The artifact id a suite cell will be recorded under. Ladder cells use
-/// a `ladder-warm` / `ladder-cold` final segment in place of `wN`, since
-/// they sweep widths rather than pinning one; conquer cells append a
-/// `cube<k>x<threads>` segment to the plain id so they never collide
-/// with their single-threaded baseline twin. Explain cells use an
-/// `explain-wN` final segment and a `-` symmetry segment — deleting nets
-/// from a symmetry-broken formula is unsound, so the explanation path
-/// always encodes symmetry-free regardless of the strategy. Inprocess
-/// cells append `inp-on` / `inp-off` to the plain id so twins never
-/// collide with each other or with the quick suite.
-fn cell_id(cell: &SuiteCell) -> String {
-    match cell.kind {
-        CellKind::Solve { width } => BenchCell::make_id(
-            &cell.instance.name,
-            cell.strategy.encoding.name(),
-            cell.strategy.symmetry.name(),
-            width,
-        ),
-        CellKind::Ladder { warm } => format!(
-            "{}/{}/{}/ladder-{}",
-            cell.instance.name,
-            cell.strategy.encoding.name(),
-            cell.strategy.symmetry.name(),
-            if warm { "warm" } else { "cold" }
-        ),
-        CellKind::Conquer {
-            width,
-            cube_vars,
-            threads,
-        } => format!(
-            "{}/cube{cube_vars}x{threads}",
-            BenchCell::make_id(
-                &cell.instance.name,
-                cell.strategy.encoding.name(),
-                cell.strategy.symmetry.name(),
-                width,
-            )
-        ),
-        CellKind::Explain { width } => format!(
-            "{}/{}/-/explain-w{width}",
-            cell.instance.name,
-            cell.strategy.encoding.name(),
-        ),
-        CellKind::Inprocess { width, on } => format!(
-            "{}/inp-{}",
-            BenchCell::make_id(
-                &cell.instance.name,
-                cell.strategy.encoding.name(),
-                cell.strategy.symmetry.name(),
-                width,
-            ),
-            if on { "on" } else { "off" }
-        ),
-    }
-}
-
-/// The suite's run control for one run of a cell, recording into that
-/// run's own `registry`.
-fn cell_context(opts: &SuiteOptions, registry: &MetricsRegistry) -> RunContext {
-    RunContext {
-        metrics: registry.clone(),
-        ..opts.ctx.clone()
-    }
-}
-
-/// Measures one cell: `runs` repeats, each with a fresh metrics
-/// registry; deterministic columns and histograms come from the run with
-/// the median wall time.
+/// Measures one cell: `runs` repeats under one `cell` span, each with a
+/// fresh metrics registry; the deterministic columns and histograms come
+/// from the run with the median wall time.
 fn run_cell(cell: &SuiteCell, runs: usize, opts: &SuiteOptions) -> BenchCell {
-    let width = match cell.kind {
-        CellKind::Solve { width } => width,
-        CellKind::Ladder { warm } => return run_ladder_cell(cell, warm, runs, opts),
-        CellKind::Conquer {
-            width,
-            cube_vars,
-            threads,
-        } => return run_conquer_cell(cell, width, cube_vars, threads, runs, opts),
-        CellKind::Explain { width } => return run_explain_cell(cell, width, runs, opts),
-        CellKind::Inprocess { width, on } => {
-            return run_inprocess_cell(cell, width, on, runs, opts)
-        }
-    };
+    let id = cell.id();
     let span = opts.ctx.tracer.span_with(
         "cell",
         [
-            (
-                "benchmark",
-                satroute_obs::FieldValue::from(cell.instance.name.as_str()),
-            ),
-            (
-                "strategy",
-                satroute_obs::FieldValue::from(cell.strategy.to_string()),
-            ),
-            ("width", satroute_obs::FieldValue::from(width)),
+            ("id", FieldValue::from(id.as_str())),
+            ("benchmark", FieldValue::from(cell.instance.name.as_str())),
+            ("strategy", FieldValue::from(cell.strategy.to_string())),
         ],
     );
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let registry = MetricsRegistry::new();
-        let report = cell
-            .strategy
-            .solve(&cell.instance.conflict_graph, width)
-            .context(cell_context(opts, &registry))
-            .run();
-        samples.push((report, registry.snapshot()));
-    }
+    let samples: Vec<(Sample, MetricsSnapshot)> = (0..runs)
+        .map(|_| {
+            let registry = MetricsRegistry::new();
+            let ctx = RunContext {
+                metrics: registry.clone(),
+                ..opts.ctx.clone()
+            };
+            (cell.measure(ctx), registry.snapshot())
+        })
+        .collect();
     drop(span);
 
-    // Median by wall time; ties keep the earlier run (deterministic).
+    // Median by wall time; the stable sort keeps the earlier of tied runs.
     let mut order: Vec<usize> = (0..samples.len()).collect();
-    order.sort_by(|&a, &b| {
-        samples[a]
-            .0
-            .metrics
-            .wall_time
-            .cmp(&samples[b].0.metrics.wall_time)
-            .then(a.cmp(&b))
-    });
-    let median_idx = order[order.len() / 2];
-    let (report, snapshot) = &samples[median_idx];
-
-    let walls: Vec<f64> = samples
-        .iter()
-        .map(|(r, _)| r.metrics.wall_time.as_secs_f64())
-        .collect();
-    let min = walls.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = walls.iter().copied().fold(0.0_f64, f64::max);
-
-    let outcome = match &report.outcome {
-        satroute_core::ColoringOutcome::Colorable(_) => "sat".to_string(),
-        satroute_core::ColoringOutcome::Unsat => "unsat".to_string(),
-        satroute_core::ColoringOutcome::Unknown(reason) => format!("unknown:{reason}"),
-    };
-    let histograms = snapshot
-        .histograms()
-        .map(|(name, h)| (name.to_string(), HistogramSummary::of(h)))
-        .collect();
-
-    BenchCell {
-        id: cell_id(cell),
-        benchmark: cell.instance.name.clone(),
-        encoding: cell.strategy.encoding.name().to_string(),
-        symmetry: cell.strategy.symmetry.name().to_string(),
-        width,
-        runs: runs as u64,
-        wall_time_s: WallTime {
-            median: report.metrics.wall_time.as_secs_f64(),
-            min,
-            max,
-        },
-        conflicts: report.solver_stats.conflicts,
-        decisions: report.solver_stats.decisions,
-        propagations: report.solver_stats.propagations,
-        props_per_sec: report.metrics.propagations_per_sec(),
-        cnf_vars: u64::from(report.formula_stats.num_vars),
-        cnf_clauses: report.formula_stats.num_clauses as u64,
-        outcome,
-        histograms,
-    }
-}
-
-/// Measures one inprocessing twin cell: a plain fixed-width solve with
-/// the [`InprocessConfig`] toggled per the cell's `on` flag. The `on`
-/// outcome column appends the pass counters
-/// (`viv=<literals> sub=<clauses> bve=<vars>`) to the verdict: pass
-/// budgets are conflict- and tick-scheduled (ticks decrement by clause
-/// length, never by time) and candidate orders are fixed, so the
-/// counters are bit-identical across machines and the compare gate
-/// checks them verbatim — a pass that silently stops firing, or fires
-/// differently, fails the gate even if wall time looks fine.
-fn run_inprocess_cell(
-    cell: &SuiteCell,
-    width: u32,
-    on: bool,
-    runs: usize,
-    opts: &SuiteOptions,
-) -> BenchCell {
-    let span = opts.ctx.tracer.span_with(
-        "cell",
-        [
-            (
-                "benchmark",
-                satroute_obs::FieldValue::from(cell.instance.name.as_str()),
-            ),
-            (
-                "strategy",
-                satroute_obs::FieldValue::from(cell.strategy.to_string()),
-            ),
-            ("width", satroute_obs::FieldValue::from(width)),
-            ("inprocess", satroute_obs::FieldValue::from(on)),
-        ],
-    );
-    let mut config = SolverConfig::default();
-    if on {
-        config.inprocess = InprocessConfig::on();
-    }
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let registry = MetricsRegistry::new();
-        let report = cell
-            .strategy
-            .solve(&cell.instance.conflict_graph, width)
-            .context(cell_context(opts, &registry))
-            .config(config.clone())
-            .run();
-        samples.push((report, registry.snapshot()));
-    }
-    drop(span);
-
-    // Median by wall time; ties keep the earlier run (deterministic).
-    let mut order: Vec<usize> = (0..samples.len()).collect();
-    order.sort_by(|&a, &b| {
-        samples[a]
-            .0
-            .metrics
-            .wall_time
-            .cmp(&samples[b].0.metrics.wall_time)
-            .then(a.cmp(&b))
-    });
-    let median_idx = order[order.len() / 2];
-    let (report, snapshot) = &samples[median_idx];
-
-    let walls: Vec<f64> = samples
-        .iter()
-        .map(|(r, _)| r.metrics.wall_time.as_secs_f64())
-        .collect();
-    let min = walls.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = walls.iter().copied().fold(0.0_f64, f64::max);
-
-    let verdict = match &report.outcome {
-        satroute_core::ColoringOutcome::Colorable(_) => "sat".to_string(),
-        satroute_core::ColoringOutcome::Unsat => "unsat".to_string(),
-        satroute_core::ColoringOutcome::Unknown(reason) => format!("unknown:{reason}"),
-    };
-    let outcome = if on {
-        let s = &report.solver_stats;
-        format!(
-            "{verdict} viv={} sub={} bve={}",
-            s.vivified_literals, s.subsumed_clauses, s.eliminated_vars,
-        )
-    } else {
-        verdict
-    };
-    let histograms = snapshot
-        .histograms()
-        .map(|(name, h)| (name.to_string(), HistogramSummary::of(h)))
-        .collect();
-
-    BenchCell {
-        id: cell_id(cell),
-        benchmark: cell.instance.name.clone(),
-        encoding: cell.strategy.encoding.name().to_string(),
-        symmetry: cell.strategy.symmetry.name().to_string(),
-        width,
-        runs: runs as u64,
-        wall_time_s: WallTime {
-            median: report.metrics.wall_time.as_secs_f64(),
-            min,
-            max,
-        },
-        conflicts: report.solver_stats.conflicts,
-        decisions: report.solver_stats.decisions,
-        propagations: report.solver_stats.propagations,
-        props_per_sec: report.metrics.propagations_per_sec(),
-        cnf_vars: u64::from(report.formula_stats.num_vars),
-        cnf_clauses: report.formula_stats.num_clauses as u64,
-        outcome,
-        histograms,
-    }
-}
-
-/// Measures one cube-and-conquer cell. Sharing stays off and every cube
-/// gets a fresh solver, so the emitted cube count, split-time
-/// refutations, and per-cube conflict sequence are independent of worker
-/// scheduling on UNSAT instances; they are recorded in the outcome
-/// column (`unsat cubes=N refuted=M cube_conflicts=a,b,...`), which the
-/// compare gate checks verbatim everywhere. The aggregate
-/// conflicts/decisions/propagations columns are sums over the cubes and
-/// gate as usual.
-///
-/// Wall time follows the substitution policy (DESIGN.md): this container
-/// exposes a single core, so a threaded run cannot show a parallel
-/// speedup and would distort every per-cube wall with time-slicing.
-/// The cubes therefore execute on one thread — giving clean per-cube
-/// measurements — and the recorded wall is
-/// [`satroute_core::ConquerResult::ideal_wall_time`] for the cell's
-/// worker count: the
-/// split prefix plus the LPT makespan an ideally parallel
-/// `threads`-core machine achieves. Wall gates at the usual 25%
-/// threshold; the verdict columns above are exact.
-fn run_conquer_cell(
-    cell: &SuiteCell,
-    width: u32,
-    cube_vars: u32,
-    threads: usize,
-    runs: usize,
-    opts: &SuiteOptions,
-) -> BenchCell {
-    struct Sample {
-        wall: Duration,
-        outcome: String,
-        conflicts: u64,
-        decisions: u64,
-        propagations: u64,
-        cnf_vars: u64,
-        cnf_clauses: u64,
-        snapshot: MetricsSnapshot,
-    }
-
-    let span = opts.ctx.tracer.span_with(
-        "cell",
-        [
-            (
-                "benchmark",
-                satroute_obs::FieldValue::from(cell.instance.name.as_str()),
-            ),
-            (
-                "strategy",
-                satroute_obs::FieldValue::from(cell.strategy.to_string()),
-            ),
-            ("width", satroute_obs::FieldValue::from(width)),
-            ("cube_vars", satroute_obs::FieldValue::from(cube_vars)),
-            ("threads", satroute_obs::FieldValue::from(threads as u64)),
-        ],
-    );
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let registry = MetricsRegistry::new();
-        // One thread for undistorted per-cube walls; the cell's worker
-        // count enters through `ideal_wall_time` below.
-        let result = cell
-            .strategy
-            .cube_and_conquer(&cell.instance.conflict_graph, width)
-            .cube_vars(cube_vars)
-            .threads(1)
-            .context(cell_context(opts, &registry))
-            .run();
-        let outcome = match &result.outcome {
-            satroute_core::ColoringOutcome::Colorable(_) => "sat".to_string(),
-            satroute_core::ColoringOutcome::Unsat => {
-                let per_cube: Vec<String> =
-                    result.cube_conflicts().iter().map(u64::to_string).collect();
-                format!(
-                    "unsat cubes={} refuted={} cube_conflicts={}",
-                    result.cubes.len(),
-                    result.refuted_at_split,
-                    per_cube.join(","),
-                )
-            }
-            satroute_core::ColoringOutcome::Unknown(reason) => format!("unknown:{reason}"),
-        };
-        let (decisions, propagations) = result.cubes.iter().fold((0, 0), |acc, c| {
-            let s = &c.report.solver_stats;
-            (acc.0 + s.decisions, acc.1 + s.propagations)
-        });
-        samples.push(Sample {
-            wall: result.ideal_wall_time(threads),
-            outcome,
-            conflicts: result.total_conflicts(),
-            decisions,
-            propagations,
-            cnf_vars: u64::from(result.formula_stats.num_vars),
-            cnf_clauses: result.formula_stats.num_clauses as u64,
-            snapshot: registry.snapshot(),
-        });
-    }
-    drop(span);
-
-    // Median by wall time; ties keep the earlier run (deterministic).
-    let mut order: Vec<usize> = (0..samples.len()).collect();
-    order.sort_by(|&a, &b| samples[a].wall.cmp(&samples[b].wall).then(a.cmp(&b)));
-    let median = &samples[order[order.len() / 2]];
-    let walls: Vec<f64> = samples.iter().map(|s| s.wall.as_secs_f64()).collect();
-    let min = walls.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = walls.iter().copied().fold(0.0_f64, f64::max);
+    order.sort_by_key(|&i| samples[i].0.wall);
+    let (median, snapshot) = &samples[order[order.len() / 2]];
+    let walls = samples.iter().map(|(s, _)| s.wall.as_secs_f64());
     let secs = median.wall.as_secs_f64();
-    let histograms = median
-        .snapshot
-        .histograms()
-        .map(|(name, h)| (name.to_string(), HistogramSummary::of(h)))
-        .collect();
 
     BenchCell {
-        id: cell_id(cell),
+        id,
         benchmark: cell.instance.name.clone(),
         encoding: cell.strategy.encoding.name().to_string(),
-        symmetry: cell.strategy.symmetry.name().to_string(),
-        width,
-        runs: runs as u64,
-        wall_time_s: WallTime {
-            median: secs,
-            min,
-            max,
-        },
-        conflicts: median.conflicts,
-        decisions: median.decisions,
-        propagations: median.propagations,
-        props_per_sec: if secs > 0.0 {
-            median.propagations as f64 / secs
-        } else {
-            0.0
-        },
-        cnf_vars: median.cnf_vars,
-        cnf_clauses: median.cnf_clauses,
-        outcome: median.outcome.clone(),
-        histograms,
-    }
-}
-
-/// Measures one explanation cell: net-grouped re-encode, initial
-/// assumption core, deletion shrink to 1-minimality on one warm solver.
-/// The whole path is single-threaded and seed-pinned, so the outcome
-/// column (`core=<net ids> status=<shrink status> probes=N kept=K
-/// dropped=D`) is exact and gates everywhere; the aggregate
-/// conflict/decision/propagation columns are the warm solver's
-/// cumulative counters across all probes.
-fn run_explain_cell(cell: &SuiteCell, width: u32, runs: usize, opts: &SuiteOptions) -> BenchCell {
-    struct Sample {
-        wall: Duration,
-        outcome: String,
-        conflicts: u64,
-        decisions: u64,
-        propagations: u64,
-        cnf_vars: u64,
-        cnf_clauses: u64,
-        snapshot: MetricsSnapshot,
-    }
-
-    let span = opts.ctx.tracer.span_with(
-        "cell",
-        [
-            (
-                "benchmark",
-                satroute_obs::FieldValue::from(cell.instance.name.as_str()),
-            ),
-            (
-                "strategy",
-                satroute_obs::FieldValue::from(cell.strategy.to_string()),
-            ),
-            ("explain_width", satroute_obs::FieldValue::from(width)),
-        ],
-    );
-    let groups: Vec<u32> = cell.instance.problem.subnets().map(|s| s.net.0).collect();
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let registry = MetricsRegistry::new();
-        let start = Instant::now();
-        let report = cell
-            .strategy
-            .explain(&cell.instance.conflict_graph, &groups, width)
-            .context(cell_context(opts, &registry))
-            .run();
-        let wall = start.elapsed();
-        let outcome = match &report.outcome {
-            ExplainOutcome::Core(core) => {
-                let nets: Vec<String> = core.groups.iter().map(u32::to_string).collect();
-                format!(
-                    "core={} status={} probes={} kept={} dropped={}",
-                    nets.join(","),
-                    core.status.name(),
-                    report.probes,
-                    report.kept,
-                    report.dropped,
-                )
-            }
-            ExplainOutcome::Colorable(_) => "sat".to_string(),
-            ExplainOutcome::Unknown(reason) => format!("unknown:{reason}"),
-        };
-        samples.push(Sample {
-            wall,
-            outcome,
-            conflicts: report.solver_stats.conflicts,
-            decisions: report.solver_stats.decisions,
-            propagations: report.solver_stats.propagations,
-            cnf_vars: u64::from(report.formula_stats.num_vars),
-            cnf_clauses: report.formula_stats.num_clauses as u64,
-            snapshot: registry.snapshot(),
-        });
-    }
-    drop(span);
-
-    // Median by wall time; ties keep the earlier run (deterministic).
-    let mut order: Vec<usize> = (0..samples.len()).collect();
-    order.sort_by(|&a, &b| samples[a].wall.cmp(&samples[b].wall).then(a.cmp(&b)));
-    let median = &samples[order[order.len() / 2]];
-    let walls: Vec<f64> = samples.iter().map(|s| s.wall.as_secs_f64()).collect();
-    let min = walls.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = walls.iter().copied().fold(0.0_f64, f64::max);
-    let secs = median.wall.as_secs_f64();
-    let histograms = median
-        .snapshot
-        .histograms()
-        .map(|(name, h)| (name.to_string(), HistogramSummary::of(h)))
-        .collect();
-
-    BenchCell {
-        id: cell_id(cell),
-        benchmark: cell.instance.name.clone(),
-        encoding: cell.strategy.encoding.name().to_string(),
-        // The explanation path always encodes symmetry-free (see
-        // `cell_id`), whatever the strategy says.
-        symmetry: "-".to_string(),
-        width,
-        runs: runs as u64,
-        wall_time_s: WallTime {
-            median: secs,
-            min,
-            max,
-        },
-        conflicts: median.conflicts,
-        decisions: median.decisions,
-        propagations: median.propagations,
-        props_per_sec: if secs > 0.0 {
-            median.propagations as f64 / secs
-        } else {
-            0.0
-        },
-        cnf_vars: median.cnf_vars,
-        cnf_clauses: median.cnf_clauses,
-        outcome: median.outcome.clone(),
-        histograms,
-    }
-}
-
-/// Measures one minimum-width ladder end to end: global routing,
-/// encoding, and every width probe. The deterministic columns are ladder
-/// *totals* — warm reads the cumulative counters of its single solver,
-/// cold sums over its per-width solvers — and the outcome column records
-/// the answer (`min_width=N`), so the gate catches a wrong minimum as
-/// loudly as a slow one.
-fn run_ladder_cell(cell: &SuiteCell, warm: bool, runs: usize, opts: &SuiteOptions) -> BenchCell {
-    struct Sample {
-        wall: Duration,
-        outcome: String,
-        width: u32,
-        conflicts: u64,
-        decisions: u64,
-        propagations: u64,
-        cnf_vars: u64,
-        cnf_clauses: u64,
-        snapshot: MetricsSnapshot,
-    }
-
-    let span = opts.ctx.tracer.span_with(
-        "cell",
-        [
-            (
-                "benchmark",
-                satroute_obs::FieldValue::from(cell.instance.name.as_str()),
-            ),
-            (
-                "strategy",
-                satroute_obs::FieldValue::from(cell.strategy.to_string()),
-            ),
-            ("warm", satroute_obs::FieldValue::from(warm)),
-        ],
-    );
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let registry = MetricsRegistry::new();
-        let pipeline = RoutingPipeline::new(cell.strategy).context(cell_context(opts, &registry));
-        let start = Instant::now();
-        let result = if warm {
-            pipeline.find_min_width_incremental(&cell.instance.problem)
-        } else {
-            pipeline.find_min_width(&cell.instance.problem)
-        };
-        let wall = start.elapsed();
-        let sample = match result {
-            Ok(search) => {
-                let (conflicts, decisions, propagations) = ladder_totals(&search, warm);
-                let shape = search.probes.last().map(|p| &p.report.formula_stats);
-                Sample {
-                    wall,
-                    outcome: format!("min_width={}", search.min_width),
-                    width: search.min_width,
-                    conflicts,
-                    decisions,
-                    propagations,
-                    cnf_vars: shape.map_or(0, |s| u64::from(s.num_vars)),
-                    cnf_clauses: shape.map_or(0, |s| s.num_clauses as u64),
-                    snapshot: registry.snapshot(),
-                }
-            }
-            Err(e) => Sample {
-                wall,
-                outcome: format!("unknown:{e}"),
-                width: 0,
-                conflicts: 0,
-                decisions: 0,
-                propagations: 0,
-                cnf_vars: 0,
-                cnf_clauses: 0,
-                snapshot: registry.snapshot(),
-            },
-        };
-        samples.push(sample);
-    }
-    drop(span);
-
-    // Median by wall time; ties keep the earlier run (deterministic).
-    let mut order: Vec<usize> = (0..samples.len()).collect();
-    order.sort_by(|&a, &b| samples[a].wall.cmp(&samples[b].wall).then(a.cmp(&b)));
-    let median = &samples[order[order.len() / 2]];
-    let walls: Vec<f64> = samples.iter().map(|s| s.wall.as_secs_f64()).collect();
-    let min = walls.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = walls.iter().copied().fold(0.0_f64, f64::max);
-    let secs = median.wall.as_secs_f64();
-    let histograms = median
-        .snapshot
-        .histograms()
-        .map(|(name, h)| (name.to_string(), HistogramSummary::of(h)))
-        .collect();
-
-    BenchCell {
-        id: cell_id(cell),
-        benchmark: cell.instance.name.clone(),
-        encoding: cell.strategy.encoding.name().to_string(),
-        symmetry: cell.strategy.symmetry.name().to_string(),
+        symmetry: cell.symmetry().to_string(),
         width: median.width,
         runs: runs as u64,
         wall_time_s: WallTime {
             median: secs,
-            min,
-            max,
+            min: walls.clone().fold(f64::INFINITY, f64::min),
+            max: walls.fold(0.0, f64::max),
         },
-        conflicts: median.conflicts,
-        decisions: median.decisions,
-        propagations: median.propagations,
+        conflicts: median.stats.conflicts,
+        decisions: median.stats.decisions,
+        propagations: median.stats.propagations,
         props_per_sec: if secs > 0.0 {
-            median.propagations as f64 / secs
+            median.stats.propagations as f64 / secs
         } else {
             0.0
         },
-        cnf_vars: median.cnf_vars,
-        cnf_clauses: median.cnf_clauses,
+        cnf_vars: u64::from(median.cnf.num_vars),
+        cnf_clauses: median.cnf.num_clauses as u64,
         outcome: median.outcome.clone(),
-        histograms,
+        histograms: snapshot
+            .histograms()
+            .map(|(name, h)| (name.to_string(), HistogramSummary::of(h)))
+            .collect(),
     }
 }
 
-/// Ladder totals for the deterministic columns: the warm ladder's single
-/// solver reports cumulative counters (its last probe *is* the total);
-/// the cold ladder sums its independent per-width solvers.
-fn ladder_totals(search: &WidthSearch, warm: bool) -> (u64, u64, u64) {
-    if warm {
-        search.probes.last().map_or((0, 0, 0), |p| {
-            let s = &p.report.solver_stats;
-            (s.conflicts, s.decisions, s.propagations)
-        })
-    } else {
-        search.probes.iter().fold((0, 0, 0), |acc, p| {
-            let s = &p.report.solver_stats;
-            (
-                acc.0 + s.conflicts,
-                acc.1 + s.decisions,
-                acc.2 + s.propagations,
-            )
-        })
+impl SuiteCell {
+    /// The artifact id: `benchmark/encoding/symmetry/wN`, plus a final
+    /// segment naming the cell kind (`inp-on`, `cube4x4`, `portfolio-2`,
+    /// `div4-share-on`, ...) so twins never collide. Ladder cells sweep
+    /// widths, so `ladder-warm` / `ladder-cold` replaces `wN`; explain
+    /// cells end in `explain-wN` under a `-` symmetry segment.
+    fn id(&self) -> String {
+        let name = &self.instance.name;
+        let encoding = self.strategy.encoding.name();
+        let symmetry = self.symmetry();
+        let plain = |width| BenchCell::make_id(name, encoding, symmetry, width);
+        let on_off = |on: bool| if on { "on" } else { "off" };
+        match self.kind {
+            CellKind::Solve {
+                width,
+                inprocess: None,
+            } => plain(width),
+            CellKind::Solve {
+                width,
+                inprocess: Some(on),
+            } => format!("{}/inp-{}", plain(width), on_off(on)),
+            CellKind::Ladder { warm } => format!(
+                "{name}/{encoding}/{symmetry}/ladder-{}",
+                if warm { "warm" } else { "cold" }
+            ),
+            CellKind::Conquer {
+                width,
+                cube_vars,
+                threads,
+            } => format!("{}/cube{cube_vars}x{threads}", plain(width)),
+            CellKind::Explain { width } => format!("{name}/{encoding}/-/explain-w{width}"),
+            CellKind::Portfolio { width, members } => {
+                format!("{}/portfolio-{members}", plain(width))
+            }
+            CellKind::Sharing { width, share } => format!(
+                "{}/div{SHARING_MEMBERS}-share-{}",
+                plain(width),
+                on_off(share)
+            ),
+        }
     }
+
+    /// The symmetry the cell actually encodes with: deleting nets from a
+    /// symmetry-broken formula is unsound, so explanation always encodes
+    /// symmetry-free, whatever the strategy says.
+    fn symmetry(&self) -> &'static str {
+        match self.kind {
+            CellKind::Explain { .. } => "-",
+            _ => self.strategy.symmetry.name(),
+        }
+    }
+
+    /// One run of the cell under `ctx`.
+    fn measure(&self, mut ctx: RunContext) -> Sample {
+        let graph = &self.instance.conflict_graph;
+        match self.kind {
+            // The solver's own wall time, without encode and decode.
+            CellKind::Solve { width, inprocess } => {
+                let inprocess_on = inprocess == Some(true);
+                if inprocess_on {
+                    ctx.config.inprocess = InprocessConfig::on();
+                }
+                let report = self.strategy.solve(graph, width).context(ctx).run();
+                let mut outcome = verdict(&report.outcome);
+                // Pass budgets tick on clause lengths, never on time, and
+                // candidate orders are fixed, so the counters are
+                // deterministic and the gate checks them verbatim.
+                if inprocess_on {
+                    let s = &report.solver_stats;
+                    outcome = format!(
+                        "{outcome} viv={} sub={} bve={}",
+                        s.vivified_literals, s.subsumed_clauses, s.eliminated_vars,
+                    );
+                }
+                Sample {
+                    wall: report.metrics.wall_time,
+                    width,
+                    outcome,
+                    stats: report.solver_stats,
+                    cnf: report.formula_stats,
+                }
+            }
+            // Global routing, encoding and every probe. Warm ladders read
+            // their one solver's cumulative counters, cold ladders sum
+            // their per-width solvers; the outcome pins the answer.
+            CellKind::Ladder { warm } => {
+                let pipeline = RoutingPipeline::new(self.strategy).context(ctx);
+                let start = Instant::now();
+                let result = if warm {
+                    pipeline.find_min_width_incremental(&self.instance.problem)
+                } else {
+                    pipeline.find_min_width(&self.instance.problem)
+                };
+                let wall = start.elapsed();
+                match result {
+                    Ok(search) => {
+                        let reports = search.probes.iter().map(|p| &p.report);
+                        let last = search.probes.last().map(|p| &p.report);
+                        Sample {
+                            wall,
+                            width: search.min_width,
+                            outcome: format!("min_width={}", search.min_width),
+                            stats: if warm {
+                                last.map(|r| r.solver_stats).unwrap_or_default()
+                            } else {
+                                summed(reports.map(|r| &r.solver_stats))
+                            },
+                            cnf: last.map(|r| r.formula_stats).unwrap_or_default(),
+                        }
+                    }
+                    Err(e) => Sample {
+                        wall,
+                        width: 0,
+                        outcome: format!("unknown:{e}"),
+                        stats: SolverStats::default(),
+                        cnf: FormulaStats::default(),
+                    },
+                }
+            }
+            // Sharing off and a fresh solver per cube make the cube count,
+            // split-time refutations and per-cube conflicts independent of
+            // scheduling; the outcome records them verbatim. The cubes run
+            // on one thread for undistorted per-cube walls, and the wall is
+            // the split prefix plus the LPT makespan of an ideal
+            // `threads`-core machine (the substitution policy, DESIGN.md).
+            CellKind::Conquer {
+                width,
+                cube_vars,
+                threads,
+            } => {
+                let result = self
+                    .strategy
+                    .cube_and_conquer(graph, width)
+                    .cube_vars(cube_vars)
+                    .threads(1)
+                    .context(ctx)
+                    .run();
+                let outcome = match &result.outcome {
+                    ColoringOutcome::Unsat => {
+                        let per_cube: Vec<String> =
+                            result.cube_conflicts().iter().map(u64::to_string).collect();
+                        format!(
+                            "unsat cubes={} refuted={} cube_conflicts={}",
+                            result.cubes.len(),
+                            result.refuted_at_split,
+                            per_cube.join(","),
+                        )
+                    }
+                    other => verdict(other),
+                };
+                Sample {
+                    wall: result.ideal_wall_time(threads),
+                    width,
+                    outcome,
+                    stats: summed(result.cubes.iter().map(|c| &c.report.solver_stats)),
+                    cnf: result.formula_stats,
+                }
+            }
+            // Single-threaded and seed-pinned: the outcome (core net ids,
+            // shrink status, probe counts) is exact; the counters are the
+            // warm solver's totals across all probes.
+            CellKind::Explain { width } => {
+                let groups: Vec<u32> = self.instance.problem.subnets().map(|s| s.net.0).collect();
+                let start = Instant::now();
+                let report = self
+                    .strategy
+                    .explain(graph, &groups, width)
+                    .context(ctx)
+                    .run();
+                let wall = start.elapsed();
+                let outcome = match &report.outcome {
+                    ExplainOutcome::Core(core) => {
+                        let nets: Vec<String> = core.groups.iter().map(u32::to_string).collect();
+                        format!(
+                            "core={} status={} probes={} kept={} dropped={}",
+                            nets.join(","),
+                            core.status.name(),
+                            report.probes,
+                            report.kept,
+                            report.dropped,
+                        )
+                    }
+                    ExplainOutcome::Colorable(_) => "sat".to_string(),
+                    ExplainOutcome::Unknown(reason) => format!("unknown:{reason}"),
+                };
+                Sample {
+                    wall,
+                    width,
+                    outcome,
+                    stats: report.solver_stats,
+                    cnf: report.formula_stats,
+                }
+            }
+            // Counters sum over the members and the CNF shape is the lead
+            // member's, both deterministic; the winner is timing-dependent.
+            CellKind::Portfolio { width, members } => {
+                let strategies = &Strategy::paper_portfolio_3()[..members];
+                let sim = simulate_portfolio(graph, width, strategies, &ctx);
+                let outcome = match sim.winning_member() {
+                    Some(m) => format!("{} winner={}", verdict(&m.report.outcome), m.strategy),
+                    None => verdict(&sim.members[0].report.outcome),
+                };
+                Sample {
+                    wall: sim.virtual_wall_time,
+                    width,
+                    outcome,
+                    stats: summed(sim.members.iter().map(|m| &m.report.solver_stats)),
+                    cnf: sim.members[0].report.formula_stats,
+                }
+            }
+            CellKind::Sharing { width, share } => {
+                let members = Strategy::diversified(self.strategy, SHARING_MEMBERS);
+                let mut options = PortfolioOptions::new()
+                    .with_max_threads(SHARING_MEMBERS)
+                    .with_diversified_configs(true);
+                if share {
+                    options = options.with_sharing(SharingConfig::default());
+                }
+                let result = run_portfolio(graph, width, &members, &ctx, &options);
+                let outcome = match result.winner {
+                    Some(i) => format!(
+                        "{} winner={i} exported={} imported={}",
+                        verdict(&result.members[i].report.outcome),
+                        result.total_exported(),
+                        result.total_imported(),
+                    ),
+                    None => verdict(&result.members[0].report.outcome),
+                };
+                Sample {
+                    wall: result.wall_time,
+                    width,
+                    outcome,
+                    stats: summed(result.members.iter().map(|m| &m.report.solver_stats)),
+                    cnf: result.members[0].report.formula_stats,
+                }
+            }
+        }
+    }
+}
+
+/// `"sat"`, `"unsat"` or `"unknown:<reason>"`.
+fn verdict(outcome: &ColoringOutcome) -> String {
+    match outcome {
+        ColoringOutcome::Colorable(_) => "sat".to_string(),
+        ColoringOutcome::Unsat => "unsat".to_string(),
+        ColoringOutcome::Unknown(reason) => format!("unknown:{reason}"),
+    }
+}
+
+/// The conflict, decision and propagation totals of several solvers.
+fn summed<'a>(stats: impl Iterator<Item = &'a SolverStats>) -> SolverStats {
+    stats.fold(SolverStats::default(), |acc, s| SolverStats {
+        conflicts: acc.conflicts + s.conflicts,
+        decisions: acc.decisions + s.decisions,
+        propagations: acc.propagations + s.propagations,
+        ..acc
+    })
 }
 
 #[cfg(test)]
@@ -1255,6 +971,118 @@ mod tests {
                 cell.histograms.contains_key("phase.sat_solving_us"),
                 "{} lacks phase.sat_solving_us",
                 cell.id
+            );
+        }
+    }
+
+    #[test]
+    fn paper_tables_pin_their_grids() {
+        let circuits = [
+            "alu2",
+            "too_large",
+            "alu4",
+            "C880",
+            "apex7",
+            "C1355",
+            "vda",
+            "k2",
+        ];
+        // Table 2's columns, in the paper's order, baseline first.
+        let table2 = [
+            "muldirect/-",
+            "muldirect/b1",
+            "muldirect/s1",
+            "ITE-linear/b1",
+            "ITE-linear/s1",
+            "ITE-log/b1",
+            "ITE-log/s1",
+            "ITE-linear-2+direct/b1",
+            "ITE-linear-2+direct/s1",
+            "ITE-linear-2+muldirect/b1",
+            "ITE-linear-2+muldirect/s1",
+            "muldirect-3+muldirect/b1",
+            "muldirect-3+muldirect/s1",
+            "direct-3+muldirect/b1",
+            "direct-3+muldirect/s1",
+        ];
+        let paper = suite_cells(SuiteId::Paper);
+        let ids: Vec<String> = paper.iter().map(SuiteCell::id).collect();
+        let mut expected = Vec::new();
+        for (circuit, row) in circuits.iter().zip(paper.chunks(table2.len())) {
+            let width = row[0].instance.unroutable_width;
+            assert!(width > 0, "{circuit}");
+            for strategy in table2 {
+                expected.push(format!("{circuit}/{strategy}/w{width}"));
+            }
+        }
+        assert_eq!(ids, expected);
+        // The 16 cells of the former two-strategy `paper` suite survive
+        // with their ids.
+        for instance in benchmarks::suite_paper() {
+            for strategy in [Strategy::paper_best(), Strategy::paper_baseline()] {
+                let id = BenchCell::make_id(
+                    &instance.name,
+                    strategy.encoding.name(),
+                    strategy.symmetry.name(),
+                    instance.unroutable_width,
+                );
+                assert!(ids.contains(&id), "{id}");
+            }
+        }
+
+        // Routable: every strategy once per circuit, at the routable width.
+        let routable = suite_cells(SuiteId::Routable);
+        assert_eq!(routable.len(), 45 * circuits.len());
+        let mut strategies: Vec<String> = routable[..45]
+            .iter()
+            .map(|c| c.strategy.to_string())
+            .collect();
+        assert_eq!(strategies[0], "muldirect/-");
+        strategies.sort();
+        strategies.dedup();
+        assert_eq!(strategies.len(), 45);
+        for cell in &routable {
+            assert_eq!(cell.kind.width(), Some(cell.instance.routable_width));
+        }
+    }
+
+    #[test]
+    fn portfolio_cells_run_every_member_and_report_the_winner() {
+        let opts = SuiteOptions {
+            runs: 1,
+            filter: Some("alu2/".to_string()),
+            ..SuiteOptions::default()
+        };
+        let artifact = run_suite(SuiteId::Portfolio, &opts, |_| {});
+        let ids: Vec<&str> = artifact.cells.iter().map(|c| c.id.as_str()).collect();
+        assert_eq!(ids.len(), 5, "{ids:?}");
+        let mut member_conflicts = Vec::new();
+        for members in 1..=3 {
+            let cell = artifact
+                .cells
+                .iter()
+                .find(|c| c.id.ends_with(&format!("/portfolio-{members}")))
+                .expect("one cell per portfolio size");
+            assert!(
+                cell.outcome.starts_with("unsat winner="),
+                "{}",
+                cell.outcome
+            );
+            member_conflicts.push(cell.conflicts);
+        }
+        // Counters sum over the members, so a larger portfolio never
+        // reports less work.
+        assert!(member_conflicts.windows(2).all(|w| w[0] <= w[1]));
+        for share in ["off", "on"] {
+            let cell = artifact
+                .cells
+                .iter()
+                .find(|c| c.id.ends_with(&format!("/div4-share-{share}")))
+                .expect("sharing twins");
+            assert!(
+                cell.outcome.starts_with("sat winner=") && cell.outcome.contains(" imported="),
+                "{}",
+                cell.outcome
             );
         }
     }

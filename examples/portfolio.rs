@@ -63,6 +63,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n(The paper reports 1.84x / 2.30x additional speedup from 2-/3-strategy");
     println!(" portfolios on the full-size unroutable benchmarks; run");
-    println!(" `cargo run --release -p satroute-bench --bin portfolio_table` for that.)");
+    println!(" `satroute bench run --suite portfolio` for that.)");
     Ok(())
 }

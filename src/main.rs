@@ -14,7 +14,7 @@
 //! satroute trace report <trace.jsonl> [--json]         analyze a trace artifact
 //! satroute trace timeline <trace.jsonl> [--json]       flight-recorder time series
 //! satroute trace export <trace.jsonl> --chrome <f>     Perfetto / flamegraph export
-//! satroute bench run [--suite quick|paper|incremental|conquer|explain|inprocess] [--filter S] record a BENCH_*.json baseline
+//! satroute bench run [--suite <name>] [--filter S]     record a BENCH_*.json baseline + grid
 //! satroute bench compare <base> <cand> [--gate]        diff/gate two baselines
 //! satroute encodings                                   list the 15 encodings
 //! ```
@@ -75,7 +75,10 @@
 //! snapshot in JSON or Prometheus text exposition, chosen by extension.
 //!
 //! Benchmarking: `satroute bench run --suite quick --out BENCH_quick.json`
-//! executes a pinned deterministic suite and records a baseline artifact;
+//! executes a pinned deterministic suite, records a baseline artifact and
+//! prints its cells as a Table 2-style grid (suites: `quick`, `paper` =
+//! Table 2, `routable`, `portfolio`, `incremental`, `conquer`, `explain`,
+//! `inprocess`);
 //! `satroute bench compare <baseline> <candidate> --gate [--threshold 25]`
 //! diffs two artifacts and exits with status 3 when a gated metric
 //! regressed (wall time gates only between timing-comparable
@@ -1096,6 +1099,11 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
             }
             fs::write(&out, artifact.to_json_string())
                 .map_err(|e| format!("cannot write {out}: {e}"))?;
+            println!(
+                "suite {}: median wall time [s] per cell; speedup vs the first column",
+                artifact.suite
+            );
+            print!("{}", artifact.render_grid());
             if let Some(writer) = trace_writer {
                 let path = trace.as_deref().unwrap_or_default();
                 writer
@@ -1328,7 +1336,7 @@ fn print_usage() {
          metrics: --metrics <out.json|out.prom>; flight recording: --progress or --flight-record\n\
          min-width: --incremental (one warm solver, selector assumptions), --explain (blame the width below the minimum)\n\
          explain: --width <W>, --shrink-budget <n> (cap deletion probes), --json (core + blame document)\n\
-         bench: bench run [--suite quick|paper|incremental|conquer|explain|inprocess] [--out F] [--runs N] [--trace F] [--flight-record] [--filter S];\n\
+         bench: bench run [--suite quick|paper|routable|portfolio|incremental|conquer|explain|inprocess] [--out F] [--runs N] [--trace F] [--flight-record] [--filter S];\n\
          \u{20}       bench compare <base> <cand> [--gate] [--threshold PCT] [--json]\n\
          see the crate README for details"
     );

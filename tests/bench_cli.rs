@@ -313,3 +313,58 @@ fn bench_run_filter_restricts_and_rejects_unmatched() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn routable_suite_routes_every_strategy_and_prints_a_grid() {
+    let dir = tempdir("routable");
+    let out_path = dir.join("BENCH_routable.json");
+    let out = satroute()
+        .args([
+            "bench", "run", "--suite", "routable", "--filter", "alu2/", "--runs", "1", "--out",
+        ])
+        .arg(&out_path)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "routable bench run failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&out_path).expect("artifact written");
+    let artifact = BenchArtifact::parse_str(&text).expect("artifact parses");
+    assert_eq!(artifact.suite, "routable");
+    assert_eq!(artifact.cells.len(), 45, "15 encodings x 3 symmetries");
+    for cell in &artifact.cells {
+        assert_eq!(cell.benchmark, "alu2");
+        assert_eq!(cell.outcome, "sat", "{}", cell.id);
+    }
+
+    // The grid on stdout: a header naming every strategy, one alu2 row,
+    // then the Total and Speedup rows with one entry per strategy.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    let header = lines
+        .iter()
+        .position(|l| l.starts_with("benchmark"))
+        .unwrap_or_else(|| panic!("no grid header in {stdout}"));
+    let columns: Vec<&str> = lines[header].split_whitespace().skip(2).collect();
+    assert_eq!(columns.len(), 45, "{}", lines[header]);
+    assert_eq!(columns[0], "muldirect/-");
+    for cell in &artifact.cells {
+        let column = cell
+            .id
+            .rsplit_once('/')
+            .unwrap()
+            .0
+            .split_once('/')
+            .unwrap()
+            .1;
+        assert!(columns.contains(&column), "no column for {}", cell.id);
+    }
+    assert!(lines[header + 2].starts_with("alu2"), "{stdout}");
+    assert_eq!(lines[header + 2].split_whitespace().count(), 2 + 45);
+    assert_eq!(lines[header + 3].split_whitespace().next(), Some("Total"));
+    assert_eq!(lines[header + 3].split_whitespace().count(), 1 + 45);
+    assert!(lines[header + 4].starts_with("Speedup"), "{stdout}");
+    assert!(lines[header + 4].contains("1.00x"), "{stdout}");
+}
