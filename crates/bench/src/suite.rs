@@ -543,7 +543,7 @@ impl SuiteCell {
                     ctx.config.inprocess = InprocessConfig::on();
                 }
                 let report = self.strategy.solve(graph, width).context(ctx).run();
-                let mut outcome = verdict(&report.outcome);
+                let mut outcome = report.outcome.verdict().to_string();
                 // Pass budgets tick on clause lengths, never on time, and
                 // candidate orders are fixed, so the counters are
                 // deterministic and the gate checks them verbatim.
@@ -555,7 +555,7 @@ impl SuiteCell {
                     );
                 }
                 Sample {
-                    wall: report.metrics.wall_time,
+                    wall: report.solve_time,
                     width,
                     outcome,
                     stats: report.solver_stats,
@@ -628,7 +628,7 @@ impl SuiteCell {
                             per_cube.join(","),
                         )
                     }
-                    other => verdict(other),
+                    other => other.verdict().to_string(),
                 };
                 Sample {
                     wall: result.ideal_wall_time(threads),
@@ -679,8 +679,8 @@ impl SuiteCell {
                 let strategies = &Strategy::paper_portfolio_3()[..members];
                 let sim = simulate_portfolio(graph, width, strategies, &ctx);
                 let outcome = match sim.winning_member() {
-                    Some(m) => format!("{} winner={}", verdict(&m.report.outcome), m.strategy),
-                    None => verdict(&sim.members[0].report.outcome),
+                    Some(m) => format!("{} winner={}", m.report.outcome.verdict(), m.strategy),
+                    None => sim.members[0].report.outcome.verdict().to_string(),
                 };
                 Sample {
                     wall: sim.virtual_wall_time,
@@ -702,11 +702,11 @@ impl SuiteCell {
                 let outcome = match result.winner {
                     Some(i) => format!(
                         "{} winner={i} exported={} imported={}",
-                        verdict(&result.members[i].report.outcome),
+                        result.members[i].report.outcome.verdict(),
                         result.total_exported(),
                         result.total_imported(),
                     ),
-                    None => verdict(&result.members[0].report.outcome),
+                    None => result.members[0].report.outcome.verdict().to_string(),
                 };
                 Sample {
                     wall: result.wall_time,
@@ -717,15 +717,6 @@ impl SuiteCell {
                 }
             }
         }
-    }
-}
-
-/// `"sat"`, `"unsat"` or `"unknown:<reason>"`.
-fn verdict(outcome: &ColoringOutcome) -> String {
-    match outcome {
-        ColoringOutcome::Colorable(_) => "sat".to_string(),
-        ColoringOutcome::Unsat => "unsat".to_string(),
-        ColoringOutcome::Unknown(reason) => format!("unknown:{reason}"),
     }
 }
 

@@ -29,8 +29,9 @@
 //!   — sound to import in any sibling cube.
 //!
 //! Observability mirrors the portfolio: a `conquer` root span with one
-//! `cube` child per conquered cube (solver events bridged via
-//! [`TraceObserver`](crate::TraceObserver)), and `conquer.cubes` /
+//! `cube` child per conquered cube (the cube's final counters and
+//! `outcome` mark; its solver events land on the `solve` span beneath
+//! it), and `conquer.cubes` /
 //! `conquer.refuted` / `conquer.stolen` counters plus a
 //! `conquer.cube_conflicts` histogram in the metrics registry.
 //!
@@ -424,7 +425,6 @@ impl<'a> ConquerRequest<'a> {
                     let cube_ctx = RunContext {
                         budget,
                         cancel: Some(stop.clone()),
-                        observer: Some(ctx.observer_on(cube_span.id(), [])),
                         flight: ctx.flight.labelled(cube_idx as u64),
                         ..ctx.clone()
                     };
@@ -435,6 +435,7 @@ impl<'a> ConquerRequest<'a> {
                         }
                     }
                     let report = request.run();
+                    report.trace_onto(&cube_span);
                     if matches!(report.outcome, ColoringOutcome::Colorable(_)) {
                         // First SAT wins: siblings observe the token and
                         // bail at their next conflict boundary.

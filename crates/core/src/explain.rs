@@ -258,7 +258,8 @@ impl<'a> ExplainRequest<'a> {
             tracer,
         );
         let formula_stats = encoding.formula.stats();
-        let mut solver = ctx.solver();
+        // No span yet: each probe moves the sink onto its own.
+        let mut solver = ctx.solver(0);
         solver.add_formula(&encoding.formula);
         // Deletion probes assume shrinking selector subsets, so the
         // solver's per-call assumption freezing never covers dropped
@@ -465,7 +466,7 @@ fn probe_groups(
         fields.push(("candidate", FieldValue::from(group)));
     }
     let span = ctx.tracer.span_with(span_name, fields);
-    solver.set_observer(ctx.observer_on(span.id(), []));
+    solver.set_trace_span(span.id());
     let assumptions = encoding.assumptions_for(active.iter().copied());
     let outcome = solver.solve_with_assumptions(&assumptions);
     span.mark(

@@ -22,12 +22,13 @@
 //! every width `≤ m` uncolorable, so the ladder can stop without probing
 //! the widths the core covers ([`IncrementalSession::core_lower_bound`]).
 
-use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use satroute_cnf::FormulaStats;
 use satroute_coloring::{Coloring, CspGraph};
 use satroute_obs::{FieldValue, Postmortem};
-use satroute_solver::{CdclSolver, MetricsRecorder, RunContext, RunObserver, SolveOutcome};
+use satroute_solver::preprocess::PreprocessStats;
+use satroute_solver::{CdclSolver, RunContext, SolveOutcome};
 
 use crate::decode::decode_coloring;
 use crate::encode::{encode_coloring_incremental_traced, IncrementalEncoding};
@@ -93,7 +94,8 @@ impl<'a> IncrementalSessionBuilder<'a> {
             &self.ctx.tracer,
         );
         let formula_stats = encoding.formula.stats();
-        let mut solver = self.ctx.solver();
+        // No span yet: each probe moves the sink onto its own.
+        let mut solver = self.ctx.solver(0);
         solver.add_formula(&encoding.formula);
         // Probes at width k only assume the selectors of tracks ≥ k, so
         // the solver's per-call assumption freezing never covers the
@@ -207,7 +209,8 @@ impl IncrementalSession {
 
     /// Probes k-colorability for any `k ≤ upper`, returning the full
     /// report. `solver_stats` in the report are the session's *cumulative*
-    /// counters at the end of the probe; `metrics` cover this probe alone.
+    /// counters at the end of the probe; `solve_time` covers this probe
+    /// alone.
     /// On an UNSAT answer the report's `failed_assumptions` carries the
     /// selector core.
     ///
@@ -227,11 +230,7 @@ impl IncrementalSession {
                 ("strategy", FieldValue::from(self.strategy.to_string())),
             ],
         );
-        let recorder = Arc::new(MetricsRecorder::new());
-        self.solver.set_observer(
-            self.ctx
-                .observer_on(span.id(), [recorder.clone() as Arc<dyn RunObserver>]),
-        );
+        self.solver.set_trace_span(span.id());
 
         let reused = self.solver.stats().conflicts;
         self.probes += 1;
@@ -242,7 +241,9 @@ impl IncrementalSession {
         }
 
         let assumptions = self.encoding.assumptions_for_width(k);
+        let solve_start = Instant::now();
         let outcome = self.solver.solve_with_assumptions(&assumptions);
+        let solve_time = solve_start.elapsed();
         let sat_solving = span.close();
 
         self.failed_tracks.clear();
@@ -275,10 +276,10 @@ impl IncrementalSession {
             self.encode_time_pending = false;
             self.encoding.cnf_translation
         } else {
-            std::time::Duration::ZERO
+            Duration::ZERO
         };
         let timing = TimingBreakdown {
-            graph_generation: std::time::Duration::ZERO,
+            graph_generation: Duration::ZERO,
             cnf_translation,
             sat_solving,
         };
@@ -298,7 +299,8 @@ impl IncrementalSession {
             timing,
             formula_stats: self.formula_stats,
             solver_stats: *self.solver.stats(),
-            metrics: recorder.snapshot(),
+            solve_time,
+            preprocess: PreprocessStats::default(),
             failed_assumptions,
             postmortem,
         }
@@ -483,18 +485,18 @@ mod tests {
     fn session_feeds_metrics_and_observer() {
         let g = random_graph(10, 0.5, 3);
         let registry = MetricsRegistry::new();
-        let recorder = Arc::new(MetricsRecorder::new());
+        let observer = std::sync::Arc::new(crate::test_support::LastFinished::default());
         let mut session = Strategy::paper_best()
             .incremental(&g, 5)
             .metrics(registry.clone())
-            .observe(recorder.clone())
+            .observe(observer.clone())
             .build();
         let (_min, _coloring) = session.find_min_colors().expect("colorable");
         let snap = registry.snapshot();
         assert_eq!(snap.counter("incremental.probes"), Some(session.probes()));
         assert!(snap.counter("incremental.reused_conflicts").is_some());
         // The observer saw the last probe's Finished event.
-        assert!(recorder.snapshot().sat.is_some());
+        assert!(observer.get().is_some());
     }
 
     #[test]

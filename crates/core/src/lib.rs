@@ -195,9 +195,8 @@ pub use symmetry::SymmetryHeuristic;
 // Run-control vocabulary used throughout this crate's APIs, re-exported
 // so downstream code does not need a direct `satroute_solver` dependency.
 pub use satroute_solver::{
-    CancellationToken, ClauseExchange, MetricsRecorder, NullObserver, PhaseInit, ProgressLogger,
-    RestartScheme, RunBudget, RunContext, RunMetrics, RunObserver, SharingConfig, SolverEvent,
-    StopReason, TraceObserver,
+    CancellationToken, ClauseExchange, PhaseInit, ProgressLogger, RestartScheme, RunBudget,
+    RunContext, RunObserver, SharingConfig, SolveVerdict, SolverEvent, StopReason,
 };
 
 // Tracing vocabulary (spans, sinks, reports) from `satroute_obs`,
@@ -206,3 +205,30 @@ pub use satroute_obs::{
     parse_jsonl, FlightRecorder, Postmortem, SampleCause, SpanForest, TimelineSample, TraceReport,
     TraceTree, TraceWriter, Tracer,
 };
+
+/// Test helpers shared by this crate's unit tests.
+#[cfg(test)]
+mod test_support {
+    use std::sync::Mutex;
+
+    use satroute_solver::{RunObserver, SolveVerdict, SolverEvent, SolverStats};
+
+    /// An observer keeping the verdict and stats of the last `Finished`
+    /// event it saw.
+    #[derive(Default)]
+    pub(crate) struct LastFinished(Mutex<Option<(SolveVerdict, SolverStats)>>);
+
+    impl LastFinished {
+        pub(crate) fn get(&self) -> Option<(SolveVerdict, SolverStats)> {
+            *self.0.lock().unwrap()
+        }
+    }
+
+    impl RunObserver for LastFinished {
+        fn on_event(&self, event: &SolverEvent) {
+            if let SolverEvent::Finished { verdict, stats, .. } = event {
+                *self.0.lock().unwrap() = Some((*verdict, *stats));
+            }
+        }
+    }
+}

@@ -39,10 +39,8 @@ use std::time::{Duration, Instant};
 
 use satroute_cnf::Lit;
 use satroute_coloring::CspGraph;
-use satroute_obs::FieldValue;
-use satroute_solver::{
-    ClauseExchange, RegistryObserver, RunContext, RunObserver, SharingConfig, StopReason,
-};
+use satroute_obs::{FieldValue, MetricsRegistry};
+use satroute_solver::{ClauseExchange, RunContext, SharingConfig, SolveVerdict, StopReason};
 
 use crate::strategy::{ColoringReport, Strategy};
 
@@ -335,10 +333,10 @@ fn default_thread_cap() -> usize {
 /// of `ctx.config`.
 ///
 /// An enabled tracer gets a `portfolio` root span with one `member` child
-/// span per member (fields: `index`, `strategy`; counters and marks
-/// bridged from the member's solver), each member's own
-/// encode/solve/decode spans nesting beneath it. An enabled metrics
-/// registry receives the aggregate `solver.*` instruments plus a
+/// span per member (fields: `index`, `strategy`; the member's final
+/// conflicts, decisions and propagations plus an `outcome` mark), each
+/// member's own encode/solve/decode spans nesting beneath it. An enabled
+/// metrics registry receives the aggregate `solver.*` instruments plus a
 /// `portfolio.member_<i>.*` family per member (conflict / propagation
 /// totals, wall-time histogram, props/sec and outcome counts). An enabled
 /// flight recorder receives every member's samples stamped with the
@@ -421,16 +419,6 @@ pub fn run_portfolio(
                         ("strategy", FieldValue::from(strategies[idx].to_string())),
                     ],
                 );
-                // Per-member counter family alongside the shared
-                // `solver.*` instruments the member's solver feeds; the
-                // member span gets the solver's heartbeats and final
-                // counters so traces report per-member props/sec.
-                let registry_bridge = metrics.is_enabled().then(|| {
-                    Arc::new(RegistryObserver::new(
-                        metrics,
-                        &format!("portfolio.member_{idx}."),
-                    )) as Arc<dyn RunObserver>
-                });
                 let member_ctx = RunContext {
                     config: if opts.diversify {
                         ctx.config.diversified(idx as u64)
@@ -439,7 +427,6 @@ pub fn run_portfolio(
                     },
                     budget,
                     cancel: Some(stop.clone()),
-                    observer: Some(ctx.observer_on(member_span.id(), registry_bridge)),
                     flight: ctx.flight.labelled(idx as u64),
                     ..ctx.clone()
                 };
@@ -450,6 +437,13 @@ pub fn run_portfolio(
                     }
                 }
                 let report = request.run();
+                // The member span and the per-member counter family
+                // (alongside the shared `solver.*` instruments the
+                // member's solver feeds) come from the member's report.
+                report.trace_onto(&member_span);
+                if metrics.is_enabled() {
+                    record_member(metrics, idx, &report);
+                }
                 // A send fails only if the receiver gave up; ignore.
                 let _ = tx.send((idx, report, member_span.close()));
             });
@@ -488,6 +482,39 @@ pub fn run_portfolio(
         None => root.mark("winner", "none"),
     }
     result
+}
+
+/// Adds member `idx`'s report to its `portfolio.member_<i>.*` family:
+/// work and sharing totals, the solve's wall time, its propagation rate
+/// and an outcome tally.
+fn record_member(registry: &MetricsRegistry, idx: usize, report: &ColoringReport) {
+    let name = |suffix: &str| format!("portfolio.member_{idx}.{suffix}");
+    let stats = &report.solver_stats;
+    let verdict = report.outcome.verdict();
+    for (suffix, value) in [
+        ("conflicts", stats.conflicts),
+        ("decisions", stats.decisions),
+        ("propagations", stats.propagations),
+        ("restarts", stats.restarts),
+        ("import_batches", stats.import_batches),
+        ("imported_clauses", stats.imported_clauses),
+        ("exported_clauses", stats.exported_clauses),
+        ("outcome.sat", u64::from(verdict == SolveVerdict::Sat)),
+        ("outcome.unsat", u64::from(verdict == SolveVerdict::Unsat)),
+        (
+            "outcome.unknown",
+            u64::from(verdict.stop_reason().is_some()),
+        ),
+    ] {
+        registry.counter(&name(suffix)).add(value);
+    }
+    let micros = u64::try_from(report.solve_time.as_micros()).unwrap_or(u64::MAX);
+    registry.histogram(&name("wall_time_us")).record(micros);
+    let props_per_sec = registry.gauge(&name("props_per_sec"));
+    let secs = report.solve_time.as_secs_f64();
+    if secs > 0.0 {
+        props_per_sec.set(stats.propagations as f64 / secs);
+    }
 }
 
 /// The result of a *simulated* parallel portfolio run (see
@@ -941,7 +968,7 @@ mod tests {
                 member.field("strategy").map(|f| f.to_string()),
                 Some(strategies[idx].to_string())
             );
-            // The TraceObserver bridge put final solver counters on the span.
+            // The member's report put its final counters on the span.
             assert_eq!(
                 member.counters.get("conflicts").copied(),
                 Some(result.members[idx].report.solver_stats.conflicts)
@@ -982,8 +1009,8 @@ mod tests {
 
         let snapshot = registry.snapshot();
         for (idx, member) in result.members.iter().enumerate() {
-            // RegistryObserver folded the member's final stats into its
-            // prefixed counter family.
+            // The member's report was folded into its prefixed counter
+            // family.
             assert_eq!(
                 snapshot.counter(&format!("portfolio.member_{idx}.conflicts")),
                 Some(member.report.solver_stats.conflicts)

@@ -14,15 +14,15 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use satroute_cnf::{CnfFormula, FormulaStats, Lit};
 use satroute_coloring::{Coloring, CspGraph};
-use satroute_obs::{FieldValue, Postmortem};
+use satroute_obs::{FieldValue, Postmortem, SpanGuard};
 use satroute_solver::preprocess::{preprocess, PreprocessStats, Simplification};
 use satroute_solver::{
-    ClauseExchange, DratProof, MetricsRecorder, RunContext, RunMetrics, RunObserver, SharingConfig,
-    SolveOutcome, SolverMetricsHub, SolverStats, StopReason,
+    ClauseExchange, DratProof, RunContext, SharingConfig, SolveOutcome, SolveVerdict, SolverStats,
+    StopReason,
 };
 
 use crate::catalog::EncodingId;
@@ -66,6 +66,17 @@ impl ColoringOutcome {
         match self {
             ColoringOutcome::Colorable(c) => Some(c),
             _ => None,
+        }
+    }
+
+    /// The solver verdict behind this outcome; its `Display` form
+    /// (`sat`, `unsat`, `unknown:<reason>`) is the outcome string of
+    /// traces, bench artifacts and the CLI.
+    pub fn verdict(&self) -> SolveVerdict {
+        match self {
+            ColoringOutcome::Colorable(_) => SolveVerdict::Sat,
+            ColoringOutcome::Unsat => SolveVerdict::Unsat,
+            ColoringOutcome::Unknown(reason) => SolveVerdict::Unknown(*reason),
         }
     }
 }
@@ -127,9 +138,12 @@ pub struct ColoringReport {
     pub formula_stats: FormulaStats,
     /// Solver work counters.
     pub solver_stats: SolverStats,
-    /// Aggregated run observations (rates, restarts, LBD trend, stop
-    /// reason) recorded by the always-attached [`MetricsRecorder`].
-    pub metrics: RunMetrics,
+    /// The solver's own wall time for this solve, without solver set-up,
+    /// encode or decode.
+    pub solve_time: Duration,
+    /// Pre-solve simplification counters when the run preprocessed its
+    /// formula ([`SolveRequest::preprocess`]); all zero otherwise.
+    pub preprocess: PreprocessStats,
     /// When the outcome is [`ColoringOutcome::Unsat`] *under assumptions*
     /// (a run built with [`SolveRequest::assume`], or an incremental
     /// width probe), the subset of the assumptions the solver's
@@ -141,6 +155,20 @@ pub struct ColoringReport {
     /// flight recorder via [`SolveRequest::flight`]. `None` for decided
     /// runs and for runs without a recorder.
     pub postmortem: Option<Postmortem>,
+}
+
+impl ColoringReport {
+    /// Writes the final work counters and the `outcome` mark onto the
+    /// `member` or `cube` span a portfolio or conquer run opened around
+    /// this solve; the solver's own events land on the `solve` span
+    /// beneath it.
+    pub(crate) fn trace_onto(&self, span: &SpanGuard) {
+        let stats = &self.solver_stats;
+        span.counter("conflicts", stats.conflicts);
+        span.counter("decisions", stats.decisions);
+        span.counter("propagations", stats.propagations);
+        span.mark("outcome", &self.outcome.verdict().to_string());
+    }
 }
 
 /// A single parallel-portfolio constituent: an encoding plus a
@@ -283,14 +311,12 @@ impl Strategy {
 /// A configured-but-not-yet-started strategy run, built by
 /// [`Strategy::solve`].
 ///
-/// Every run attaches a [`MetricsRecorder`] internally, so the returned
-/// [`ColoringReport`] always carries [`RunMetrics`]; an observer added
-/// with [`SolveRequest::observe`] receives the same event stream.
-///
 /// Run control comes from the request's [`RunContext`]. The budget bounds
-/// the SAT-solving stage. A tracer records `encode` (with per-encoding
-/// CNF-size counters), `solve` and `decode` spans under the caller's
-/// current span. A metrics registry receives the solver's `solver.*`
+/// the SAT-solving stage. An observer added with [`SolveRequest::observe`]
+/// receives the solver's event stream. A tracer records `encode` (with
+/// per-encoding CNF-size counters), `solve` and `decode` spans under the
+/// caller's current span; the solver's events and flight samples are
+/// bridged onto the `solve` span. A metrics registry receives the solver's `solver.*`
 /// counters and LBD/restart-interval histograms, the encoder's
 /// per-encoding CNF-size histograms (`encode.*.<encoding>`) and one
 /// `phase.*_us` wall-time histogram per pipeline phase.
@@ -349,8 +375,8 @@ impl<'a> SolveRequest<'a> {
     /// Runs level-0 preprocessing (unit propagation, pure-literal
     /// elimination) on the encoded CNF before solving, and surfaces the
     /// pass's [`PreprocessStats`] in the report's
-    /// [`RunMetrics::preprocess`] and the registry's `preprocess.*`
-    /// counters.
+    /// [`preprocess`](ColoringReport::preprocess) and the registry's
+    /// `preprocess.*` counters.
     ///
     /// Silently skipped when the request carries assumptions (pure-literal
     /// elimination is unsound under later-forced literals) or runs
@@ -422,17 +448,13 @@ impl<'a> SolveRequest<'a> {
             "solve",
             [("strategy", FieldValue::from(self.strategy.to_string()))],
         );
-        let recorder = Arc::new(MetricsRecorder::new());
-        let mut solver = ctx.solver();
+        let mut solver = ctx.solver(solve_span.id());
         if with_proof {
             solver.enable_proof_logging();
         }
         if let Some((exchange, sharing)) = self.exchange {
             solver.set_exchange(exchange, sharing);
         }
-        solver.set_observer(
-            ctx.observer_on(solve_span.id(), [recorder.clone() as Arc<dyn RunObserver>]),
-        );
         match &pre {
             // A preprocessor UNSAT came from unit propagation alone, so
             // the solver re-derives it instantly from the original
@@ -441,7 +463,9 @@ impl<'a> SolveRequest<'a> {
             Some((simp, _)) if !simp.unsat => solver.add_formula(&simp.formula),
             _ => solver.add_formula(&encoded.formula),
         }
+        let solve_start = Instant::now();
         let outcome = solver.solve_with_assumptions(&self.assumptions);
+        let solve_time = solve_start.elapsed();
         let sat_solving = solve_span.close();
         let solver_stats = *solver.stats();
         let failed_assumptions = (matches!(outcome, SolveOutcome::Unsat)
@@ -503,13 +527,13 @@ impl<'a> SolveRequest<'a> {
                 .record(micros(decoding));
         }
 
-        let mut run_metrics = recorder.snapshot();
-        if let Some((_, pstats)) = &pre {
-            run_metrics.preprocess = *pstats;
-            if metrics.is_enabled() {
-                SolverMetricsHub::from_registry(metrics).on_preprocess(pstats);
+        let preprocess = match &pre {
+            Some((_, pstats)) => {
+                pstats.record(metrics);
+                *pstats
             }
-        }
+            None => PreprocessStats::default(),
+        };
         let timing = TimingBreakdown {
             graph_generation: Duration::ZERO,
             // Both stage durations come from span measurements, so the
@@ -533,7 +557,8 @@ impl<'a> SolveRequest<'a> {
             timing,
             formula_stats,
             solver_stats,
-            metrics: run_metrics,
+            solve_time,
+            preprocess,
             failed_assumptions,
             postmortem,
         };
@@ -591,10 +616,10 @@ mod tests {
         let report = Strategy::paper_best().solve_coloring(&g, 4);
         assert!(report.formula_stats.num_clauses > 0);
         assert!(report.timing.total() >= report.timing.sat_solving);
-        // Metrics come from the internal recorder and must agree with the
-        // solver's own counters.
-        assert_eq!(report.metrics.stats, report.solver_stats);
-        assert_eq!(report.metrics.sat, Some(report.outcome.is_colorable()));
+        // The solver's own time sits inside the solve stage, and nothing
+        // was preprocessed.
+        assert!(report.solve_time <= report.timing.sat_solving);
+        assert_eq!(report.preprocess, PreprocessStats::default());
     }
 
     #[test]
@@ -629,15 +654,15 @@ mod tests {
                 // The pass's work is surfaced both on the report and in
                 // the metrics registry.
                 assert!(
-                    pre.metrics.preprocess.units > 0,
+                    pre.preprocess.units > 0,
                     "seed {seed}, k {k}: S1 units must feed the preprocessor"
                 );
                 assert_eq!(
                     registry.snapshot().counter("preprocess.units"),
-                    Some(pre.metrics.preprocess.units as u64),
+                    Some(pre.preprocess.units as u64),
                     "seed {seed}, k {k}"
                 );
-                assert_eq!(plain.metrics.preprocess, PreprocessStats::default());
+                assert_eq!(plain.preprocess, PreprocessStats::default());
             }
         }
     }
@@ -663,7 +688,7 @@ mod tests {
         // the call must not hang or panic.
         if let ColoringOutcome::Unknown(reason) = report.outcome {
             assert_eq!(reason, StopReason::ConflictLimit);
-            assert_eq!(report.metrics.stop_reason, Some(reason));
+            assert!(report.solver_stats.conflicts <= 1);
         }
     }
 
@@ -733,13 +758,14 @@ mod tests {
     #[test]
     fn user_observer_receives_the_event_stream() {
         let g = random_graph(14, 0.6, 4);
-        let user = Arc::new(MetricsRecorder::new());
+        let user = Arc::new(crate::test_support::LastFinished::default());
         let report = Strategy::paper_baseline()
             .solve(&g, 3)
             .observe(user.clone())
             .run();
-        // The user's recorder saw the same Finished event as the internal
-        // one.
-        assert_eq!(user.snapshot().stats, report.metrics.stats);
+        // The user's observer saw the solve's Finished event.
+        let (verdict, stats) = user.get().expect("Finished arrived");
+        assert_eq!(stats, report.solver_stats);
+        assert_eq!(verdict, report.outcome.verdict());
     }
 }

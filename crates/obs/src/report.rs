@@ -410,7 +410,8 @@ fn rate(first: Option<&TimelineSample>, last: Option<&TimelineSample>) -> f64 {
 pub struct TimelineSeries {
     /// The span the samples were attached to.
     pub span: SpanId,
-    /// Display label (`member 0 (log/s1)`, `cube 3`, or the span name).
+    /// Display label: the nearest `member` or `cube` ancestor
+    /// (`member 0 (log/s1)`, `cube 3`), else the span name.
     pub label: String,
     /// The samples, in time order.
     pub samples: Vec<TimelineSample>,
@@ -437,16 +438,20 @@ impl TimelineSeries {
         let last = samples.last();
         let restarts = last.map_or(0, |s| s.restarts);
         let conflicts = last.map_or(0, |s| s.conflicts);
-        let label = match node.name.as_str() {
+        // A portfolio member's or cube's samples sit on the `solve` span
+        // beneath it; label the series by that nearest ancestor.
+        let owner = std::iter::successors(Some(node), |n| n.parent.and_then(|p| forest.node(p)))
+            .find(|n| matches!(n.name.as_str(), "member" | "cube"))
+            .unwrap_or(node);
+        let label = match owner.name.as_str() {
             "member" => format!(
                 "member {} ({})",
-                field_u64(node, "index").unwrap_or(0),
-                field_str(node, "strategy").unwrap_or_else(|| "?".into()),
+                field_u64(owner, "index").unwrap_or(0),
+                field_str(owner, "strategy").unwrap_or_else(|| "?".into()),
             ),
-            "cube" => format!("cube {}", field_u64(node, "index").unwrap_or(0)),
+            "cube" => format!("cube {}", field_u64(owner, "index").unwrap_or(0)),
             other => other.to_string(),
         };
-        let _ = forest;
         TimelineSeries {
             span: node.id,
             label,

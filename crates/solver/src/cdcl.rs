@@ -31,10 +31,10 @@ use crate::luby::luby;
 use crate::outcome::SolveOutcome;
 use crate::proof::DratProof;
 use crate::run::{
-    CancellationToken, ClauseExchange, RunBudget, RunObserver, SharingConfig, SolverEvent,
-    SolverMetricsHub, StopReason, StoreSnapshot,
+    Boundary, CancellationToken, ClauseExchange, RunBudget, SearchView, SharingConfig, StopReason,
+    Telemetry,
 };
-use satroute_obs::{FlightRecorder, MetricsRegistry, SampleCause, TimelineSample};
+use satroute_obs::SpanId;
 
 /// Conflicts between cancellation-token polls.
 const CANCEL_POLL_INTERVAL: u64 = 256;
@@ -42,11 +42,6 @@ const CANCEL_POLL_INTERVAL: u64 = 256;
 const DEADLINE_POLL_INTERVAL: u64 = 64;
 /// Decisions between budget polls on conflict-free stretches.
 const DECISION_POLL_INTERVAL: u64 = 4096;
-/// Conflicts between [`SolverEvent::Progress`] emissions.
-const PROGRESS_INTERVAL: u64 = 1024;
-/// Conflicts between flight-recorder heartbeat samples (boundaries —
-/// restart, reduce, GC, finish — sample regardless of the interval).
-const FLIGHT_SAMPLE_INTERVAL: u64 = 256;
 
 /// Initial phase (branching polarity) assigned to fresh variables.
 ///
@@ -239,6 +234,9 @@ pub struct SolverStats {
     /// (after level-0 simplification; satisfied/tautological deliveries are
     /// not counted).
     pub imported_clauses: u64,
+    /// Restart boundaries that imported at least one clause (one
+    /// [`SolverEvent::Import`](crate::SolverEvent::Import) each).
+    pub import_batches: u64,
     /// Compacting garbage collections of the clause arena.
     pub gc_runs: u64,
     /// Bytes reclaimed by those collections.
@@ -272,21 +270,8 @@ pub(crate) struct Watcher {
     blocker: Lit,
 }
 
-/// Holder for the optional observer; `dyn RunObserver` has no `Debug`
-/// impl, so the slot provides one for the solver's derive.
-#[derive(Clone, Default)]
-struct ObserverSlot(Option<Arc<dyn RunObserver>>);
-
-impl fmt::Debug for ObserverSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("ObserverSlot")
-            .field(&self.0.as_ref().map(|_| "dyn RunObserver"))
-            .finish()
-    }
-}
-
-/// Holder for the optional clause exchange (same `Debug` story as
-/// [`ObserverSlot`]).
+/// Holder for the optional clause exchange; `dyn ClauseExchange` has no
+/// `Debug` impl, so the slot provides one for the solver's derive.
 #[derive(Clone, Default)]
 struct ExchangeSlot(Option<Arc<dyn ClauseExchange>>);
 
@@ -366,7 +351,10 @@ pub struct CdclSolver {
     pub(crate) ok: bool,
     cancel: Option<CancellationToken>,
     budget: RunBudget,
-    observer: ObserverSlot,
+    /// Where every boundary of a solve is reported; subscribes nothing
+    /// unless built by [`RunContext::solver`](crate::RunContext::solver)
+    /// (one branch per boundary).
+    pub(crate) telemetry: Telemetry,
     /// Mailbox to sharing peers plus the export filter, when this solver
     /// participates in a sharing portfolio.
     exchange: ExchangeSlot,
@@ -380,15 +368,6 @@ pub struct CdclSolver {
     lbd_ema: f64,
     /// Approximate bytes held by live learnt clauses (for the memory cap).
     learnt_bytes: u64,
-    /// Pre-resolved metric handles, fed at conflict/restart/finish
-    /// boundaries; disabled by default (one branch per boundary).
-    pub(crate) metrics: SolverMetricsHub,
-    /// Flight recorder fed fixed-interval search-state samples; disabled
-    /// by default (one branch per boundary, like `metrics`).
-    pub(crate) flight: FlightRecorder,
-    /// `(conflicts, propagations, at_us)` of the previous flight sample,
-    /// from which the next sample's windowed rates are computed.
-    flight_last: Option<(u64, u64, u64)>,
     /// DRAT proof log (learnt additions + deletions) when enabled.
     pub(crate) proof: Option<DratProof>,
     /// Set when the last `solve_with_assumptions` failed only because of
@@ -466,16 +445,13 @@ impl CdclSolver {
             ok: true,
             cancel: None,
             budget: RunBudget::default(),
-            observer: ObserverSlot::default(),
+            telemetry: Telemetry::default(),
             exchange: ExchangeSlot::default(),
             sharing: SharingConfig::default(),
             deadline: None,
             solve_start: None,
             lbd_ema: 0.0,
             learnt_bytes: 0,
-            metrics: SolverMetricsHub::disabled(),
-            flight: FlightRecorder::disabled(),
-            flight_last: None,
             proof: None,
             unsat_under_assumptions: false,
             failed_assumptions: Vec::new(),
@@ -553,44 +529,12 @@ impl CdclSolver {
         self.budget
     }
 
-    /// Installs a [`RunObserver`] that receives [`SolverEvent`]s from every
-    /// subsequent solve call (replacing any previous observer).
-    pub fn set_observer(&mut self, observer: Arc<dyn RunObserver>) {
-        self.observer = ObserverSlot(Some(observer));
-    }
-
-    /// Removes the installed observer, if any.
-    pub fn clear_observer(&mut self) {
-        self.observer = ObserverSlot(None);
-    }
-
-    /// Connects this solver to a [`MetricsRegistry`]: conflicts,
-    /// decisions, propagations, restarts and learnt-clause counts feed
-    /// the shared `solver.*` counters, learnt-clause LBD feeds the
-    /// `solver.lbd` histogram, and conflicts-between-restarts feed
-    /// `solver.restart_interval`.
-    ///
-    /// Counters are flushed as deltas at conflict/restart/finish
-    /// boundaries, so the per-propagation hot path is untouched; with a
-    /// [disabled](MetricsRegistry::disabled) registry every boundary
-    /// call is a single branch.
-    pub fn set_metrics(&mut self, registry: &MetricsRegistry) {
-        self.metrics = SolverMetricsHub::from_registry(registry);
-    }
-
-    /// Attaches a [`FlightRecorder`]: subsequent solves capture a
-    /// [`TimelineSample`] every `FLIGHT_SAMPLE_INTERVAL` (256) conflicts
-    /// and at restart/reduce/GC/finish boundaries — never per
-    /// propagation — into the recorder's ring, and emit each capture as
-    /// a [`SolverEvent::Sample`] to the installed observer.
-    ///
-    /// Sampling only *reads* search state, so the deterministic columns
-    /// (conflicts, decisions, propagations) are bit-identical with
-    /// recording on or off; with a
-    /// [disabled](FlightRecorder::disabled) recorder every boundary is
-    /// a single branch, mirroring [`CdclSolver::set_metrics`].
-    pub fn set_flight(&mut self, recorder: &FlightRecorder) {
-        self.flight = recorder.clone();
+    /// Moves the trace bridge of the solver's telemetry (see
+    /// [`RunContext::solver`](crate::RunContext::solver)) to `span`,
+    /// keeping the registry deltas and flight-sample rates — for a solver
+    /// that lives across probes, each traced under its own span.
+    pub fn set_trace_span(&mut self, span: SpanId) {
+        self.telemetry.set_span(span);
     }
 
     /// Connects this solver to a [`ClauseExchange`] for learnt-clause
@@ -623,53 +567,23 @@ impl CdclSolver {
         self.lbd_ema
     }
 
+    /// Reports one boundary of the solve to the telemetry sink; with
+    /// nothing subscribed this is one branch.
     #[inline]
-    pub(crate) fn emit(&self, event: SolverEvent) {
-        if let Some(obs) = &self.observer.0 {
-            obs.on_event(&event);
+    pub(crate) fn report(&mut self, at: Boundary) {
+        if self.telemetry.is_active() {
+            let view = SearchView {
+                stats: self.stats,
+                trail: self.trail.len() as u64,
+                level: u64::from(self.decision_level()),
+                tiers: self.tier_counts,
+                arena_live_bytes: self.arena.live_bytes(),
+                arena_dead_bytes: self.arena.dead_bytes(),
+                lbd_ema: self.lbd_ema,
+                solve_start: self.solve_start,
+            };
+            self.telemetry.record(at, &view);
         }
-    }
-
-    /// Captures one flight-recorder sample of the current search state.
-    /// Pure read of solver state: recording cannot perturb the search.
-    pub(crate) fn flight_sample(&mut self, cause: SampleCause) {
-        debug_assert!(self.flight.is_enabled(), "callers guard on is_enabled");
-        let at_us = self
-            .solve_start
-            .map(|s| u64::try_from(s.elapsed().as_micros()).unwrap_or(u64::MAX))
-            .unwrap_or(0);
-        let (mut conflicts_per_sec, mut propagations_per_sec) = (0.0, 0.0);
-        if let Some((conflicts0, propagations0, at0)) = self.flight_last {
-            if at_us > at0 {
-                let window_secs = (at_us - at0) as f64 / 1e6;
-                conflicts_per_sec =
-                    self.stats.conflicts.saturating_sub(conflicts0) as f64 / window_secs;
-                propagations_per_sec =
-                    self.stats.propagations.saturating_sub(propagations0) as f64 / window_secs;
-            }
-        }
-        self.flight_last = Some((self.stats.conflicts, self.stats.propagations, at_us));
-        let sample = TimelineSample {
-            at_us,
-            cause: cause.into(),
-            member: self.flight.label(),
-            conflicts: self.stats.conflicts,
-            decisions: self.stats.decisions,
-            propagations: self.stats.propagations,
-            restarts: self.stats.restarts,
-            trail: self.trail.len() as u64,
-            level: self.decision_level() as u64,
-            tier_core: self.tier_counts[Tier::Core as usize],
-            tier_mid: self.tier_counts[Tier::Mid as usize],
-            tier_local: self.tier_counts[Tier::Local as usize],
-            arena_live_bytes: self.arena.live_bytes(),
-            arena_dead_bytes: self.arena.dead_bytes(),
-            lbd_ema: self.lbd_ema,
-            conflicts_per_sec,
-            propagations_per_sec,
-        };
-        self.flight.record(&sample);
-        self.emit(SolverEvent::Sample { sample });
     }
 
     /// Work counters accumulated so far.
@@ -823,23 +737,13 @@ impl CdclSolver {
         let start = Instant::now();
         self.solve_start = Some(start);
         self.deadline = self.budget.deadline(start);
-        self.emit(SolverEvent::Started {
+        self.report(Boundary::Start {
             num_vars: self.num_vars(),
             num_clauses: self.original_clauses,
         });
         let outcome = self.solve_inner(assumptions);
-        let stats = self.stats;
-        self.metrics.on_finish(&stats);
-        if self.metrics.is_enabled() {
-            let snap = self.store_snapshot();
-            self.metrics.on_store(&snap);
-        }
-        if self.flight.is_enabled() {
-            self.flight_sample(SampleCause::Finish);
-        }
-        self.emit(SolverEvent::Finished {
+        self.report(Boundary::Finish {
             verdict: outcome.verdict(),
-            stats: self.stats,
             elapsed: start.elapsed(),
         });
         outcome
@@ -913,15 +817,7 @@ impl CdclSolver {
                 SearchResult::Restart => {
                     self.backtrack(0);
                     self.stats.restarts += 1;
-                    let stats = self.stats;
-                    self.metrics.on_restart(&stats);
-                    self.emit(SolverEvent::Restart {
-                        restarts: self.stats.restarts,
-                        conflicts: self.stats.conflicts,
-                    });
-                    if self.flight.is_enabled() {
-                        self.flight_sample(SampleCause::Restart);
-                    }
+                    self.report(Boundary::Restart);
                     // Restart boundaries are the import points: the trail
                     // is at level 0, so peer clauses can be watched on
                     // unassigned literals.
@@ -987,30 +883,12 @@ impl CdclSolver {
                 self.backtrack(backtrack_level);
                 self.record_learnt(lbd);
                 self.decay_activities();
-                if self.metrics.is_enabled() {
-                    let stats = self.stats;
-                    self.metrics.on_conflict(lbd, &stats);
-                }
                 if let Some(every) = self.config.debug_force_gc {
                     if every > 0 && self.stats.conflicts.is_multiple_of(every) {
                         self.collect_garbage();
                     }
                 }
-
-                if self.stats.conflicts.is_multiple_of(PROGRESS_INTERVAL) {
-                    self.emit(SolverEvent::Progress {
-                        conflicts: self.stats.conflicts,
-                        decisions: self.stats.decisions,
-                        propagations: self.stats.propagations,
-                        lbd_ema: self.lbd_ema,
-                        elapsed: self.solve_start.map(|s| s.elapsed()).unwrap_or_default(),
-                    });
-                }
-                if self.flight.is_enabled()
-                    && self.stats.conflicts.is_multiple_of(FLIGHT_SAMPLE_INTERVAL)
-                {
-                    self.flight_sample(SampleCause::Conflict);
-                }
+                self.report(Boundary::Conflict { lbd });
 
                 if *conflicts_left == 0 {
                     return SearchResult::Restart;
@@ -1233,11 +1111,8 @@ impl CdclSolver {
             }
         }
         if accepted > 0 {
-            self.emit(SolverEvent::Import {
-                imported: accepted,
-                total_imported: self.stats.imported_clauses,
-                conflicts: self.stats.conflicts,
-            });
+            self.stats.import_batches += 1;
+            self.report(Boundary::Import { imported: accepted });
         }
         self.ok
     }
@@ -1746,19 +1621,12 @@ impl CdclSolver {
             ReducePolicy::Tiered => self.reduce_tiered(),
         }
         self.learnts.retain(|&c| !self.arena.is_deleted(c));
-        self.emit(SolverEvent::Reduce {
+        self.report(Boundary::Reduce {
             learnts_before,
             learnts_after: self.learnts.len(),
-            conflicts: self.stats.conflicts,
         });
-        if self.flight.is_enabled() {
-            self.flight_sample(SampleCause::Reduce);
-        }
         if self.arena.wants_gc(self.config.gc_dead_frac) {
             self.collect_garbage();
-        } else if self.metrics.is_enabled() {
-            let snap = self.store_snapshot();
-            self.metrics.on_store(&snap);
         }
     }
 
@@ -1857,13 +1725,9 @@ impl CdclSolver {
         }
         self.stats.gc_runs += 1;
         self.stats.gc_reclaimed_bytes += reclaimed;
-        if self.metrics.is_enabled() {
-            let snap = self.store_snapshot();
-            self.metrics.on_gc(reclaimed, &snap);
-        }
-        if self.flight.is_enabled() {
-            self.flight_sample(SampleCause::Gc);
-        }
+        self.report(Boundary::Gc {
+            reclaimed_bytes: reclaimed,
+        });
         self.debug_check_refs();
     }
 
@@ -1914,17 +1778,6 @@ impl CdclSolver {
                     "live clause mentions an eliminated variable"
                 );
             }
-        }
-    }
-
-    /// Current clause-store gauges for the metrics hub.
-    fn store_snapshot(&self) -> StoreSnapshot {
-        StoreSnapshot {
-            live_bytes: self.arena.live_bytes(),
-            dead_bytes: self.arena.dead_bytes(),
-            tier_core: self.tier_counts[Tier::Core as usize],
-            tier_mid: self.tier_counts[Tier::Mid as usize],
-            tier_local: self.tier_counts[Tier::Local as usize],
         }
     }
 
@@ -2186,18 +2039,43 @@ mod tests {
 
     #[test]
     fn observer_sees_started_finished_and_metrics() {
-        use crate::run::MetricsRecorder;
-        let recorder = Arc::new(MetricsRecorder::new());
-        let mut s = CdclSolver::new();
-        s.set_observer(recorder.clone());
+        use crate::run::{RunContext, RunObserver, SolveVerdict, SolverEvent};
+        use std::sync::Mutex;
+
+        #[derive(Default)]
+        struct Log(Mutex<Vec<SolverEvent>>);
+        impl RunObserver for Log {
+            fn on_event(&self, event: &SolverEvent) {
+                self.0.lock().unwrap().push(*event);
+            }
+        }
+
+        let log = Arc::new(Log::default());
+        let registry = satroute_obs::MetricsRegistry::new();
+        let ctx = RunContext {
+            observer: Some(log.clone()),
+            metrics: registry.clone(),
+            ..RunContext::default()
+        };
+        let mut s = ctx.solver(0);
         s.add_formula(&pigeonhole(5, 4));
         assert!(s.solve().is_unsat());
-        let m = recorder.snapshot();
-        assert_eq!(m.sat, Some(false));
-        assert!(m.stop_reason.is_none());
-        assert_eq!(m.stats, *s.stats());
-        assert!(m.stats.conflicts > 0);
-        assert!(m.mean_lbd() > 0.0, "learnt clauses must carry LBD");
+        let events = log.0.lock().unwrap();
+        assert!(matches!(events.first(), Some(SolverEvent::Started { .. })));
+        let Some(SolverEvent::Finished { verdict, stats, .. }) = events.last() else {
+            panic!("the stream must end with Finished");
+        };
+        assert_eq!(*verdict, SolveVerdict::Unsat);
+        assert_eq!(stats, s.stats());
+        assert!(stats.conflicts > 0);
+        assert!(stats.sum_lbd > 0, "learnt clauses must carry LBD");
+        // The registry saw the same work, one LBD per learnt clause.
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("solver.conflicts"), Some(stats.conflicts));
+        assert_eq!(
+            snap.histogram("solver.lbd").map(|h| h.count()),
+            Some(stats.learnt_clauses)
+        );
     }
 
     #[test]
@@ -2673,8 +2551,6 @@ mod tests {
         assert_eq!(live(&mids), 2, "mid tier keeps half");
         assert_eq!(live(&locals), 1, "local tier keeps a quarter");
         assert_eq!(s.tier_counts, [1, 2, 1]);
-        let snap = s.store_snapshot();
-        assert_eq!((snap.tier_core, snap.tier_mid, snap.tier_local), (1, 2, 1));
         assert_eq!(s.learnts.len(), 4, "learnts index drops deleted refs");
     }
 
@@ -2705,11 +2581,11 @@ mod tests {
         s.add_formula(&f);
         assert!(s.solve().is_unsat());
         assert!(s.stats().gc_runs > 0, "reduction churn must trigger GC");
-        let snap = s.store_snapshot();
+        let (live, dead) = (s.arena.live_bytes(), s.arena.dead_bytes());
         assert!(
-            snap.dead_bytes as f64 <= 0.1 * (snap.live_bytes + snap.dead_bytes).max(1) as f64
-                || snap.dead_bytes == 0,
-            "post-GC arena stays under the dead-byte threshold at finish: {snap:?}"
+            dead as f64 <= 0.1 * (live + dead).max(1) as f64 || dead == 0,
+            "post-GC arena stays under the dead-byte threshold at finish: \
+             {live} live, {dead} dead bytes"
         );
     }
 

@@ -36,11 +36,10 @@
 //!   the sharing bus.
 
 use satroute_cnf::{Lit, Var};
-use satroute_obs::SampleCause;
 
 use crate::arena::ClauseRef;
 use crate::cdcl::{CdclSolver, FALSE, NO_REASON, TRUE, UNDEF};
-use crate::run::SolverEvent;
+use crate::run::Boundary;
 
 /// Schedule and pass selection for inprocessing (see the module docs).
 ///
@@ -218,19 +217,7 @@ impl CdclSolver {
         }
 
         self.stats.inprocess_runs += 1;
-        let stats = self.stats;
-        self.metrics.on_inprocess(&stats);
-        self.emit(SolverEvent::Inprocess {
-            runs: stats.inprocess_runs,
-            vivified_literals: stats.vivified_literals,
-            subsumed_clauses: stats.subsumed_clauses,
-            strengthened_clauses: stats.strengthened_clauses,
-            eliminated_vars: stats.eliminated_vars,
-            conflicts: stats.conflicts,
-        });
-        if self.flight.is_enabled() {
-            self.flight_sample(SampleCause::Inprocess);
-        }
+        self.report(Boundary::Inprocess);
         if self.ok && self.arena.wants_gc(self.config.gc_dead_frac) {
             self.collect_garbage();
         }

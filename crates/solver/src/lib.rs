@@ -21,9 +21,11 @@
 //! [`SolveOutcome`]. The CDCL solver additionally supports run control and
 //! observability (see [`run`]): declarative [`RunBudget`]s (wall-clock
 //! deadline, conflict/decision/memory caps), cooperative cancellation via
-//! [`CancellationToken`], and a [`SolverEvent`] stream delivered to
-//! [`RunObserver`] sinks such as [`MetricsRecorder`]. An early stop is
-//! reported as [`SolveOutcome::Unknown`] carrying a typed [`StopReason`].
+//! [`CancellationToken`], and one telemetry sink per solver (filled by
+//! [`RunContext::solver`]) that feeds a metrics registry, a flight
+//! recorder, a tracer and a [`RunObserver`] receiving the
+//! [`SolverEvent`] stream. An early stop is reported as
+//! [`SolveOutcome::Unknown`] carrying a typed [`StopReason`].
 //!
 //! # Examples
 //!
@@ -70,9 +72,7 @@ pub use luby::luby;
 pub use outcome::SolveOutcome;
 pub use proof::{rup_implied, CheckProofError, DratProof, ProofStep};
 pub use run::{
-    CancellationToken, ClauseExchange, FanoutObserver, MetricsRecorder, NullObserver,
-    ProgressLogger, RegistryObserver, RunBudget, RunContext, RunMetrics, RunObserver,
-    SharingConfig, SolveVerdict, SolverEvent, SolverMetricsHub, StopReason, StoreSnapshot,
-    TraceObserver, PROGRESS_LOG_MIN_INTERVAL,
+    CancellationToken, ClauseExchange, ProgressLogger, RunBudget, RunContext, RunObserver,
+    SharingConfig, SolveVerdict, SolverEvent, StopReason, PROGRESS_LOG_MIN_INTERVAL,
 };
 pub use satroute_obs::{FlightRecorder, SampleCause, TimelineSample};

@@ -12,6 +12,7 @@
 //! turn many direct/muldirect clauses into units).
 
 use satroute_cnf::{Assignment, CnfFormula, Lit, Var};
+use satroute_obs::MetricsRegistry;
 
 use crate::outcome::SolveOutcome;
 use crate::CdclSolver;
@@ -59,6 +60,35 @@ pub struct PreprocessStats {
     pub removed_clauses: usize,
     /// Literal occurrences removed from surviving clauses.
     pub removed_literals: usize,
+}
+
+/// The registry counters a preprocessing pass adds to, in the order of
+/// [`PreprocessStats::record`]'s values.
+pub(crate) const PREPROCESS_COUNTERS: [&str; 4] = [
+    "preprocess.units",
+    "preprocess.pure_literals",
+    "preprocess.removed_clauses",
+    "preprocess.removed_literals",
+];
+
+impl PreprocessStats {
+    /// Adds this pass's totals to the registry's `preprocess.units`,
+    /// `preprocess.pure_literals`, `preprocess.removed_clauses` and
+    /// `preprocess.removed_literals` counters (nothing when disabled).
+    pub fn record(&self, registry: &MetricsRegistry) {
+        if !registry.is_enabled() {
+            return;
+        }
+        let values = [
+            self.units,
+            self.pure_literals,
+            self.removed_clauses,
+            self.removed_literals,
+        ];
+        for (name, value) in PREPROCESS_COUNTERS.into_iter().zip(values) {
+            registry.counter(name).add(value as u64);
+        }
+    }
 }
 
 /// Simplifies `formula` by repeated unit propagation and pure-literal

@@ -15,37 +15,52 @@
 //!   cancellation across threads.
 //! * [`RunContext`] — the one value bundling configuration, budget,
 //!   cancellation, observer, tracer, metrics registry and flight recorder
-//!   that every request holds and forwards; it builds wired solvers and
-//!   composes per-solve observers.
+//!   that every request holds and forwards; it builds wired solvers.
+//! * `Telemetry` — a solver's one telemetry sink, filled from the
+//!   context by [`RunContext::solver`]. The solver reports each boundary
+//!   of a solve to it with one call, and it feeds the registry's
+//!   `solver.*` instruments, the flight-recorder ring, the tracer
+//!   (bridged onto the solve's span) and the caller's observer.
 //! * [`SolverEvent`] / [`RunObserver`] — a typed event stream (restarts,
 //!   clause-database reductions, periodic progress with rates and the
-//!   learnt-clause LBD trend) delivered to pluggable sinks:
-//!   [`NullObserver`], [`MetricsRecorder`] (aggregates into
-//!   [`RunMetrics`]), and [`ProgressLogger`] (human-readable lines).
+//!   learnt-clause LBD trend) delivered to the caller's sink, such as
+//!   [`ProgressLogger`] (human-readable lines).
 //!
 //! # Examples
 //!
-//! Give a solve two seconds and record its metrics:
+//! Give a solve two seconds and watch its events:
 //!
 //! ```
-//! use std::sync::Arc;
+//! use std::sync::{Arc, Mutex};
 //! use std::time::Duration;
 //! use satroute_cnf::{CnfFormula, Lit};
-//! use satroute_solver::{CdclSolver, MetricsRecorder, RunBudget};
+//! use satroute_solver::{RunBudget, RunContext, RunObserver, SolveVerdict, SolverEvent};
+//!
+//! #[derive(Default)]
+//! struct LastVerdict(Mutex<Option<SolveVerdict>>);
+//!
+//! impl RunObserver for LastVerdict {
+//!     fn on_event(&self, event: &SolverEvent) {
+//!         if let SolverEvent::Finished { verdict, .. } = event {
+//!             *self.0.lock().unwrap() = Some(*verdict);
+//!         }
+//!     }
+//! }
 //!
 //! let mut f = CnfFormula::new();
 //! let a = f.new_var();
 //! f.add_clause([Lit::positive(a)]);
 //!
-//! let recorder = Arc::new(MetricsRecorder::new());
-//! let mut solver = CdclSolver::new();
-//! solver.set_budget(RunBudget::new().with_wall(Duration::from_secs(2)));
-//! solver.set_observer(recorder.clone());
+//! let last = Arc::new(LastVerdict::default());
+//! let ctx = RunContext {
+//!     budget: RunBudget::new().with_wall(Duration::from_secs(2)),
+//!     observer: Some(last.clone()),
+//!     ..RunContext::default()
+//! };
+//! let mut solver = ctx.solver(0);
 //! solver.add_formula(&f);
 //! assert!(solver.solve().is_sat());
-//! let metrics = recorder.snapshot();
-//! assert_eq!(metrics.sat, Some(true));
-//! assert!(metrics.stop_reason.is_none());
+//! assert_eq!(*last.0.lock().unwrap(), Some(SolveVerdict::Sat));
 //! ```
 
 use std::fmt;
@@ -56,11 +71,18 @@ use std::time::{Duration, Instant};
 
 use satroute_cnf::Lit;
 use satroute_obs::{
-    Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, SpanId, TimelineSample, Tracer,
+    Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, SampleCause, SpanId,
+    TimelineSample, Tracer,
 };
 
 use crate::cdcl::{CdclSolver, SolverConfig, SolverStats};
-use crate::preprocess::PreprocessStats;
+use crate::preprocess::PREPROCESS_COUNTERS;
+
+/// Conflicts between [`SolverEvent::Progress`] emissions.
+const PROGRESS_INTERVAL: u64 = 1024;
+/// Conflicts between flight-recorder heartbeat samples (restart, reduce,
+/// GC, inprocessing and finish boundaries sample regardless).
+const FLIGHT_SAMPLE_INTERVAL: u64 = 256;
 
 /// Why a solve stopped without a SAT/UNSAT answer.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -303,25 +325,24 @@ impl RunBudget {
 /// # Examples
 ///
 /// ```
-/// use std::sync::Arc;
 /// use satroute_cnf::{CnfFormula, Lit};
-/// use satroute_solver::{MetricsRecorder, RunBudget, RunContext};
+/// use satroute_obs::MetricsRegistry;
+/// use satroute_solver::{RunBudget, RunContext};
 ///
-/// let recorder = Arc::new(MetricsRecorder::new());
+/// let registry = MetricsRegistry::new();
 /// let ctx = RunContext {
 ///     budget: RunBudget::new().with_max_conflicts(1_000),
-///     observer: Some(recorder.clone()),
+///     metrics: registry.clone(),
 ///     ..RunContext::default()
 /// };
 /// let mut f = CnfFormula::new();
 /// let a = f.new_var();
 /// f.add_clause([Lit::positive(a)]);
 /// let span = ctx.tracer.span("solve");
-/// let mut solver = ctx.solver();
-/// solver.set_observer(ctx.observer_on(span.id(), []));
+/// let mut solver = ctx.solver(span.id());
 /// solver.add_formula(&f);
 /// assert!(solver.solve().is_sat());
-/// assert_eq!(recorder.snapshot().sat, Some(true));
+/// assert_eq!(registry.snapshot().counter("solver.conflicts"), Some(0));
 /// ```
 #[derive(Clone, Default)]
 pub struct RunContext {
@@ -343,14 +364,14 @@ pub struct RunContext {
 }
 
 impl RunContext {
-    /// A fresh solver with this context's configuration, budget,
-    /// cancellation token, metrics registry and flight recorder attached.
-    /// The observer is left to [`RunContext::observer_on`], since each
-    /// solve bridges events onto its own span.
-    pub fn solver(&self) -> CdclSolver {
+    /// A fresh solver with this context's configuration, budget and
+    /// cancellation token, whose telemetry feeds this context's registry,
+    /// flight recorder and observer and bridges its tracer onto `span`
+    /// (`0` for no span; see
+    /// [`CdclSolver::set_trace_span`](crate::CdclSolver::set_trace_span)).
+    pub fn solver(&self, span: SpanId) -> CdclSolver {
         let mut solver = CdclSolver::with_config(self.config.clone());
-        solver.set_metrics(&self.metrics);
-        solver.set_flight(&self.flight);
+        solver.telemetry = self.telemetry(span);
         solver.set_budget(self.budget);
         if let Some(token) = &self.cancel {
             solver.set_cancellation(token.clone());
@@ -358,24 +379,25 @@ impl RunContext {
         solver
     }
 
-    /// The observer for one solve: the caller's `extras` (in order), then
-    /// the context's observer, then a [`TraceObserver`] on `span` when the
-    /// tracer is enabled.
-    pub fn observer_on(
-        &self,
-        span: SpanId,
-        extras: impl IntoIterator<Item = Arc<dyn RunObserver>>,
-    ) -> Arc<dyn RunObserver> {
-        let mut fanout = extras
-            .into_iter()
-            .fold(FanoutObserver::new(), FanoutObserver::with);
-        if let Some(user) = &self.observer {
-            fanout = fanout.with(user.clone());
-        }
-        if self.tracer.is_enabled() {
-            fanout = fanout.with(Arc::new(TraceObserver::new(self.tracer.clone(), span)));
-        }
-        Arc::new(fanout)
+    /// The telemetry sink of one solver: this context's registry, flight
+    /// recorder and observer, and its tracer bridged onto `span`.
+    fn telemetry(&self, span: SpanId) -> Telemetry {
+        let mut telemetry = Telemetry {
+            active: false,
+            registry: self
+                .metrics
+                .is_enabled()
+                .then(|| SolverInstruments::new(&self.metrics)),
+            flight: self.flight.clone(),
+            flight_last: None,
+            trace: self
+                .tracer
+                .is_enabled()
+                .then(|| (self.tracer.clone(), span)),
+            observer: self.observer.clone(),
+        };
+        telemetry.active = telemetry.registry.is_some() || telemetry.fans_out();
+        telemetry
     }
 }
 
@@ -403,6 +425,18 @@ pub enum SolveVerdict {
     Unsat,
     /// The solve stopped early for the given reason.
     Unknown(StopReason),
+}
+
+impl fmt::Display for SolveVerdict {
+    /// `sat`, `unsat` or `unknown:<reason>` — the `outcome` mark of a
+    /// traced solve.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SolveVerdict::Sat => f.write_str("sat"),
+            SolveVerdict::Unsat => f.write_str("unsat"),
+            SolveVerdict::Unknown(reason) => write!(f, "unknown:{reason}"),
+        }
+    }
 }
 
 impl SolveVerdict {
@@ -513,145 +547,6 @@ pub enum SolverEvent {
 pub trait RunObserver: Send + Sync {
     /// Called by the solver at each event point.
     fn on_event(&self, event: &SolverEvent);
-}
-
-/// An observer that discards every event.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullObserver;
-
-impl RunObserver for NullObserver {
-    fn on_event(&self, _event: &SolverEvent) {}
-}
-
-/// Aggregated measurements of one run, assembled by [`MetricsRecorder`]
-/// (and re-used as the machine-readable record the benchmark harness
-/// serializes).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RunMetrics {
-    /// Wall time of the solve (zero until `Finished` arrives).
-    pub wall_time: Duration,
-    /// Final work counters.
-    pub stats: SolverStats,
-    /// Why the run stopped early, if it did.
-    pub stop_reason: Option<StopReason>,
-    /// `Some(true)` on SAT, `Some(false)` on UNSAT, `None` on Unknown.
-    pub sat: Option<bool>,
-    /// Restart events observed.
-    pub restarts: u64,
-    /// Clause-database reductions observed.
-    pub reductions: u64,
-    /// Progress events observed.
-    pub progress_samples: u64,
-    /// Import events observed (batches, not clauses; clause totals live in
-    /// [`SolverStats::imported_clauses`]).
-    pub import_batches: u64,
-    /// Inprocessing rounds observed (simplification totals live in
-    /// [`SolverStats`]: `vivified_literals`, `subsumed_clauses`,
-    /// `strengthened_clauses`, `eliminated_vars`).
-    pub inprocess_rounds: u64,
-    /// Flight-recorder samples observed.
-    pub timeline_samples: u64,
-    /// Last observed LBD moving average (0 if no clause was learnt).
-    pub lbd_ema: f64,
-    /// Pre-solve simplification counters, when the run preprocessed its
-    /// formula (all zero otherwise — preprocessing is opt-in and skipped
-    /// under assumptions or proof logging).
-    pub preprocess: PreprocessStats,
-}
-
-impl RunMetrics {
-    /// Conflicts per second of wall time (0 for a zero-duration run).
-    pub fn conflicts_per_sec(&self) -> f64 {
-        let secs = self.wall_time.as_secs_f64();
-        if secs > 0.0 {
-            self.stats.conflicts as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Propagations per second of wall time (0 for a zero-duration run).
-    pub fn propagations_per_sec(&self) -> f64 {
-        let secs = self.wall_time.as_secs_f64();
-        if secs > 0.0 {
-            self.stats.propagations as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Mean LBD over all learnt clauses (0 if none).
-    pub fn mean_lbd(&self) -> f64 {
-        if self.stats.learnt_clauses > 0 {
-            self.stats.sum_lbd as f64 / self.stats.learnt_clauses as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Clauses this run exported to sharing peers.
-    pub fn exported_clauses(&self) -> u64 {
-        self.stats.exported_clauses
-    }
-
-    /// Clauses this run imported from sharing peers.
-    pub fn imported_clauses(&self) -> u64 {
-        self.stats.imported_clauses
-    }
-}
-
-/// An observer that aggregates the event stream into [`RunMetrics`].
-///
-/// When one recorder observes several consecutive solves (e.g. the probes
-/// of an incremental width search), the snapshot reflects the latest
-/// `Finished` event plus cumulative restart/reduce/progress counts.
-#[derive(Debug, Default)]
-pub struct MetricsRecorder {
-    inner: Mutex<RunMetrics>,
-}
-
-impl MetricsRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        MetricsRecorder::default()
-    }
-
-    /// The metrics observed so far.
-    pub fn snapshot(&self) -> RunMetrics {
-        *self.inner.lock().expect("metrics lock never poisoned")
-    }
-}
-
-impl RunObserver for MetricsRecorder {
-    fn on_event(&self, event: &SolverEvent) {
-        let mut m = self.inner.lock().expect("metrics lock never poisoned");
-        match *event {
-            SolverEvent::Started { .. } => {}
-            SolverEvent::Restart { .. } => m.restarts += 1,
-            SolverEvent::Reduce { .. } => m.reductions += 1,
-            SolverEvent::Progress { lbd_ema, .. } => {
-                m.progress_samples += 1;
-                m.lbd_ema = lbd_ema;
-            }
-            SolverEvent::Import { .. } => m.import_batches += 1,
-            SolverEvent::Inprocess { .. } => m.inprocess_rounds += 1,
-            SolverEvent::Sample { .. } => m.timeline_samples += 1,
-            SolverEvent::Finished {
-                verdict,
-                stats,
-                elapsed,
-            } => {
-                m.wall_time = elapsed;
-                m.stats = stats;
-                m.stop_reason = verdict.stop_reason();
-                m.sat = match verdict {
-                    SolveVerdict::Sat => Some(true),
-                    SolveVerdict::Unsat => Some(false),
-                    SolveVerdict::Unknown(_) => None,
-                };
-            }
-        }
-    }
 }
 
 /// An observer that writes one human-readable line per event.
@@ -820,472 +715,480 @@ impl RunObserver for ProgressLogger {
     }
 }
 
-/// An observer that bridges the solver's event stream into a trace span:
-/// heartbeat measurements from `Progress`, import/restart counters, and
-/// final work counters plus an `outcome` mark from `Finished`.
-///
-/// The portfolio runner attaches one per member span, so a recorded trace
-/// can report conflicts, decisions and propagations (and props/sec) per
-/// member.
-pub struct TraceObserver {
-    tracer: Tracer,
-    span: SpanId,
+/// A point in a solve at which the solver reports to its [`Telemetry`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Boundary {
+    /// A solve began over this many variables and original clauses.
+    Start {
+        num_vars: u32,
+        num_clauses: usize,
+    },
+    /// A clause with this LBD was learnt from a conflict.
+    Conflict {
+        lbd: u32,
+    },
+    Restart,
+    /// The learnt-clause database was reduced.
+    Reduce {
+        learnts_before: usize,
+        learnts_after: usize,
+    },
+    /// The clause arena was compacted.
+    Gc {
+        reclaimed_bytes: u64,
+    },
+    /// This many peer clauses were imported at a restart boundary.
+    Import {
+        imported: usize,
+    },
+    /// An inprocessing round finished.
+    Inprocess,
+    /// The solve returned after `elapsed`.
+    Finish {
+        verdict: SolveVerdict,
+        elapsed: Duration,
+    },
 }
 
-impl TraceObserver {
-    /// Bridges events onto `span` of `tracer`.
-    pub fn new(tracer: Tracer, span: SpanId) -> Self {
-        TraceObserver { tracer, span }
+impl Boundary {
+    /// The flight-recorder sample this boundary takes, if any.
+    fn sample_cause(&self, conflicts: u64) -> Option<SampleCause> {
+        match self {
+            Boundary::Start { .. } | Boundary::Import { .. } => None,
+            Boundary::Conflict { .. } => conflicts
+                .is_multiple_of(FLIGHT_SAMPLE_INTERVAL)
+                .then_some(SampleCause::Conflict),
+            Boundary::Restart => Some(SampleCause::Restart),
+            Boundary::Reduce { .. } => Some(SampleCause::Reduce),
+            Boundary::Gc { .. } => Some(SampleCause::Gc),
+            Boundary::Inprocess => Some(SampleCause::Inprocess),
+            Boundary::Finish { .. } => Some(SampleCause::Finish),
+        }
     }
-}
 
-impl fmt::Debug for TraceObserver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceObserver")
-            .field("span", &self.span)
-            .finish()
-    }
-}
-
-impl RunObserver for TraceObserver {
-    fn on_event(&self, event: &SolverEvent) {
-        let span = self.span;
-        match *event {
-            SolverEvent::Started {
+    /// The [`SolverEvent`] this boundary emits, if any.
+    fn event(&self, view: &SearchView) -> Option<SolverEvent> {
+        let stats = &view.stats;
+        Some(match *self {
+            Boundary::Start {
                 num_vars,
                 num_clauses,
-            } => {
-                self.tracer.counter(span, "num_vars", num_vars as u64);
-                self.tracer.counter(span, "num_clauses", num_clauses as u64);
+            } => SolverEvent::Started {
+                num_vars,
+                num_clauses,
+            },
+            Boundary::Conflict { .. } if stats.conflicts.is_multiple_of(PROGRESS_INTERVAL) => {
+                SolverEvent::Progress {
+                    conflicts: stats.conflicts,
+                    decisions: stats.decisions,
+                    propagations: stats.propagations,
+                    lbd_ema: view.lbd_ema,
+                    elapsed: view.solve_start.map(|s| s.elapsed()).unwrap_or_default(),
+                }
             }
-            SolverEvent::Restart { restarts, .. } => {
-                self.tracer.counter(span, "restarts", restarts);
+            Boundary::Conflict { .. } | Boundary::Gc { .. } => return None,
+            Boundary::Restart => SolverEvent::Restart {
+                restarts: stats.restarts,
+                conflicts: stats.conflicts,
+            },
+            Boundary::Reduce {
+                learnts_before,
+                learnts_after,
+            } => SolverEvent::Reduce {
+                learnts_before,
+                learnts_after,
+                conflicts: stats.conflicts,
+            },
+            Boundary::Import { imported } => SolverEvent::Import {
+                imported,
+                total_imported: stats.imported_clauses,
+                conflicts: stats.conflicts,
+            },
+            Boundary::Inprocess => SolverEvent::Inprocess {
+                runs: stats.inprocess_runs,
+                vivified_literals: stats.vivified_literals,
+                subsumed_clauses: stats.subsumed_clauses,
+                strengthened_clauses: stats.strengthened_clauses,
+                eliminated_vars: stats.eliminated_vars,
+                conflicts: stats.conflicts,
+            },
+            Boundary::Finish { verdict, elapsed } => SolverEvent::Finished {
+                verdict,
+                stats: *stats,
+                elapsed,
+            },
+        })
+    }
+}
+
+/// What the solver shows its [`Telemetry`] at a boundary: the work
+/// counters and the search state a flight sample captures.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SearchView {
+    pub(crate) stats: SolverStats,
+    /// Assigned literals on the trail.
+    pub(crate) trail: u64,
+    /// Current decision level.
+    pub(crate) level: u64,
+    /// Live learnt clauses per tier (core, mid, local).
+    pub(crate) tiers: [u64; 3],
+    pub(crate) arena_live_bytes: u64,
+    pub(crate) arena_dead_bytes: u64,
+    pub(crate) lbd_ema: f64,
+    pub(crate) solve_start: Option<Instant>,
+}
+
+/// A solver's one telemetry sink.
+///
+/// The solver reports each boundary of a solve — start, conflict,
+/// restart, reduce, GC, import, inprocessing round and finish — with one
+/// call, and the sink feeds up to four subscribers from it:
+///
+/// * the registry's `solver.*` instruments, resolved once and fed as
+///   deltas against the last flushed [`SolverStats`], so
+///   per-propagation work costs nothing;
+/// * the flight-recorder ring: a [`TimelineSample`] every 256 conflicts
+///   and at restart, reduce, GC, inprocessing and finish boundaries —
+///   never per propagation;
+/// * the tracer, bridged onto the solve's span: heartbeat counters from
+///   `Progress`, restart, import and inprocessing counters, every sample,
+///   and the final work counters plus an `outcome` mark;
+/// * the caller's [`RunObserver`], which sees the [`SolverEvent`] stream
+///   (samples included).
+///
+/// Sampling only reads search state, so no subscriber perturbs the
+/// search. With nothing subscribed a boundary costs one branch; with only
+/// the registry, a conflict is a direct call with no dynamic dispatch,
+/// lock or allocation.
+///
+/// Filled by [`RunContext::solver`]; the default subscribes nothing.
+#[derive(Clone, Default)]
+pub(crate) struct Telemetry {
+    /// Whether anything is subscribed: the solver's one branch.
+    active: bool,
+    registry: Option<SolverInstruments>,
+    flight: FlightRecorder,
+    /// `(conflicts, propagations, at_us)` of the previous flight sample,
+    /// from which the next sample's windowed rates are computed.
+    flight_last: Option<(u64, u64, u64)>,
+    trace: Option<(Tracer, SpanId)>,
+    observer: Option<Arc<dyn RunObserver>>,
+}
+
+impl Telemetry {
+    /// Whether any subscriber is attached.
+    #[inline]
+    pub(crate) fn is_active(&self) -> bool {
+        self.active
+    }
+
+    /// Whether a subscriber beyond the registry is attached.
+    fn fans_out(&self) -> bool {
+        self.flight.is_enabled() || self.trace.is_some() || self.observer.is_some()
+    }
+
+    /// Bridges later boundaries onto `span`; registry deltas and sample
+    /// rates carry over.
+    pub(crate) fn set_span(&mut self, span: SpanId) {
+        if let Some((_, current)) = &mut self.trace {
+            *current = span;
+        }
+    }
+
+    /// Feeds one boundary to every subscriber. Events precede the
+    /// boundary's sample, except at finish, where `Finished` closes the
+    /// stream.
+    pub(crate) fn record(&mut self, at: Boundary, view: &SearchView) {
+        if let Some(registry) = &mut self.registry {
+            registry.record(&at, view);
+        }
+        if !self.fans_out() {
+            return;
+        }
+        let sample = match at.sample_cause(view.stats.conflicts) {
+            Some(cause) if self.flight.is_enabled() => Some(self.capture(cause, view)),
+            _ => None,
+        };
+        if self.trace.is_none() && self.observer.is_none() {
+            return;
+        }
+        let sample = sample.map(|sample| SolverEvent::Sample { sample });
+        let event = at.event(view);
+        let ordered = match at {
+            Boundary::Finish { .. } => [sample, event],
+            _ => [event, sample],
+        };
+        for event in ordered.iter().flatten() {
+            if let Some(observer) = &self.observer {
+                observer.on_event(event);
             }
-            SolverEvent::Reduce { learnts_after, .. } => {
-                self.tracer.counter(span, "learnts", learnts_after as u64);
-            }
-            SolverEvent::Progress {
-                conflicts,
-                decisions,
-                propagations,
-                lbd_ema,
-                ..
-            } => {
-                self.tracer.counter(span, "conflicts", conflicts);
-                self.tracer.counter(span, "decisions", decisions);
-                self.tracer.counter(span, "propagations", propagations);
-                self.tracer.gauge(span, "lbd_ema", lbd_ema);
-            }
-            SolverEvent::Import { total_imported, .. } => {
-                self.tracer
-                    .counter(span, "imported_clauses", total_imported);
-            }
-            SolverEvent::Inprocess {
-                runs,
-                vivified_literals,
-                subsumed_clauses,
-                strengthened_clauses,
-                eliminated_vars,
-                ..
-            } => {
-                self.tracer.counter(span, "inprocess_runs", runs);
-                self.tracer
-                    .counter(span, "vivified_literals", vivified_literals);
-                self.tracer
-                    .counter(span, "subsumed_clauses", subsumed_clauses);
-                self.tracer
-                    .counter(span, "strengthened_clauses", strengthened_clauses);
-                self.tracer
-                    .counter(span, "eliminated_vars", eliminated_vars);
-            }
-            SolverEvent::Finished { verdict, stats, .. } => {
-                self.tracer.counter(span, "conflicts", stats.conflicts);
-                self.tracer.counter(span, "decisions", stats.decisions);
-                self.tracer
-                    .counter(span, "propagations", stats.propagations);
-                let outcome = match verdict {
-                    SolveVerdict::Sat => "sat".to_string(),
-                    SolveVerdict::Unsat => "unsat".to_string(),
-                    SolveVerdict::Unknown(reason) => format!("unknown:{reason}"),
-                };
-                self.tracer.mark(span, "outcome", &outcome);
-            }
-            SolverEvent::Sample { sample } => {
-                self.tracer.sample(span, &sample);
+            if let Some((tracer, span)) = &self.trace {
+                bridge(tracer, *span, event);
             }
         }
     }
-}
 
-/// Fans one event stream out to several observers, in order.
-#[derive(Clone, Default)]
-pub struct FanoutObserver {
-    sinks: Vec<Arc<dyn RunObserver>>,
-}
-
-impl FanoutObserver {
-    /// Creates an empty fanout (equivalent to [`NullObserver`]).
-    pub fn new() -> Self {
-        FanoutObserver::default()
+    /// Captures one sample of the search state into the flight ring.
+    fn capture(&mut self, cause: SampleCause, view: &SearchView) -> TimelineSample {
+        let stats = &view.stats;
+        let at_us = view.solve_start.map_or(0, |s| {
+            u64::try_from(s.elapsed().as_micros()).unwrap_or(u64::MAX)
+        });
+        let (mut conflicts_per_sec, mut propagations_per_sec) = (0.0, 0.0);
+        if let Some((conflicts0, propagations0, at0)) = self.flight_last {
+            if at_us > at0 {
+                let window_secs = (at_us - at0) as f64 / 1e6;
+                conflicts_per_sec = stats.conflicts.saturating_sub(conflicts0) as f64 / window_secs;
+                propagations_per_sec =
+                    stats.propagations.saturating_sub(propagations0) as f64 / window_secs;
+            }
+        }
+        self.flight_last = Some((stats.conflicts, stats.propagations, at_us));
+        let [tier_core, tier_mid, tier_local] = view.tiers;
+        let sample = TimelineSample {
+            at_us,
+            cause: cause.into(),
+            member: self.flight.label(),
+            conflicts: stats.conflicts,
+            decisions: stats.decisions,
+            propagations: stats.propagations,
+            restarts: stats.restarts,
+            trail: view.trail,
+            level: view.level,
+            tier_core,
+            tier_mid,
+            tier_local,
+            arena_live_bytes: view.arena_live_bytes,
+            arena_dead_bytes: view.arena_dead_bytes,
+            lbd_ema: view.lbd_ema,
+            conflicts_per_sec,
+            propagations_per_sec,
+        };
+        self.flight.record(&sample);
+        sample
     }
-
-    /// Adds a sink; events are delivered in insertion order.
-    pub fn with(mut self, sink: Arc<dyn RunObserver>) -> Self {
-        self.sinks.push(sink);
-        self
-    }
 }
 
-impl fmt::Debug for FanoutObserver {
+impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FanoutObserver")
-            .field("sinks", &self.sinks.len())
+        f.debug_struct("Telemetry")
+            .field("metered", &self.registry.is_some())
+            .field("recorded", &self.flight.is_enabled())
+            .field("span", &self.trace.as_ref().map(|(_, span)| *span))
+            .field("observed", &self.observer.is_some())
             .finish()
     }
 }
 
-impl RunObserver for FanoutObserver {
-    fn on_event(&self, event: &SolverEvent) {
-        for sink in &self.sinks {
-            sink.on_event(event);
+/// Writes one event onto `span`: heartbeat counters and the LBD gauge
+/// from `Progress`, restart, import and inprocessing counters, samples,
+/// and the final work counters plus an `outcome` mark from `Finished`.
+fn bridge(tracer: &Tracer, span: SpanId, event: &SolverEvent) {
+    let counters = |pairs: &[(&str, u64)]| {
+        for &(name, value) in pairs {
+            tracer.counter(span, name, value);
         }
+    };
+    match *event {
+        SolverEvent::Started {
+            num_vars,
+            num_clauses,
+        } => counters(&[
+            ("num_vars", u64::from(num_vars)),
+            ("num_clauses", num_clauses as u64),
+        ]),
+        SolverEvent::Restart { restarts, .. } => counters(&[("restarts", restarts)]),
+        SolverEvent::Reduce { learnts_after, .. } => {
+            counters(&[("learnts", learnts_after as u64)]);
+        }
+        SolverEvent::Progress {
+            conflicts,
+            decisions,
+            propagations,
+            lbd_ema,
+            ..
+        } => {
+            counters(&[
+                ("conflicts", conflicts),
+                ("decisions", decisions),
+                ("propagations", propagations),
+            ]);
+            tracer.gauge(span, "lbd_ema", lbd_ema);
+        }
+        SolverEvent::Import { total_imported, .. } => {
+            counters(&[("imported_clauses", total_imported)]);
+        }
+        SolverEvent::Inprocess {
+            runs,
+            vivified_literals,
+            subsumed_clauses,
+            strengthened_clauses,
+            eliminated_vars,
+            ..
+        } => counters(&[
+            ("inprocess_runs", runs),
+            ("vivified_literals", vivified_literals),
+            ("subsumed_clauses", subsumed_clauses),
+            ("strengthened_clauses", strengthened_clauses),
+            ("eliminated_vars", eliminated_vars),
+        ]),
+        SolverEvent::Finished { verdict, stats, .. } => {
+            counters(&[
+                ("conflicts", stats.conflicts),
+                ("decisions", stats.decisions),
+                ("propagations", stats.propagations),
+            ]);
+            tracer.mark(span, "outcome", &verdict.to_string());
+        }
+        SolverEvent::Sample { sample } => tracer.sample(span, &sample),
     }
 }
 
-/// Pre-resolved [`MetricsRegistry`] handles for the CDCL hot path.
-///
-/// The solver owns one hub and calls it at conflict, restart and finish
-/// boundaries; each call is a single `enabled` branch when metrics are
-/// off. Counters are fed as *deltas* against the last flushed
-/// [`SolverStats`], so per-propagation work costs nothing — the
-/// propagation count reaches the registry in one relaxed add per
-/// conflict instead of one per propagated literal.
-///
-/// Instrument names (shared by every solver feeding one registry):
-/// `solver.conflicts`, `solver.decisions`, `solver.propagations`,
-/// `solver.restarts`, `solver.learnt_clauses` (counters),
-/// `solver.lbd` (histogram of learnt-clause glue) and
-/// `solver.restart_interval` (histogram of conflicts between restarts).
-///
-/// Clause-store instruments, fed at reduce/GC/finish boundaries from
-/// [`StoreSnapshot`]s: `solver.arena.live_bytes`, `solver.arena.dead_bytes`,
-/// `solver.tier.core`, `solver.tier.mid`, `solver.tier.local` (gauges),
+/// Work counters fed as deltas at conflict, restart, inprocessing and
+/// finish boundaries.
+const WORK_COUNTERS: [&str; 5] = [
+    "solver.conflicts",
+    "solver.decisions",
+    "solver.propagations",
+    "solver.restarts",
+    "solver.learnt_clauses",
+];
+
+fn work_counts(s: &SolverStats) -> [u64; 5] {
+    [
+        s.conflicts,
+        s.decisions,
+        s.propagations,
+        s.restarts,
+        s.learnt_clauses,
+    ]
+}
+
+/// Inprocessing counters fed as deltas at round boundaries.
+const INPROCESS_COUNTERS: [&str; 5] = [
+    "solver.inprocess.runs",
+    "solver.inprocess.vivified_literals",
+    "solver.inprocess.subsumed_clauses",
+    "solver.inprocess.strengthened_clauses",
+    "solver.inprocess.eliminated_vars",
+];
+
+fn inprocess_counts(s: &SolverStats) -> [u64; 5] {
+    [
+        s.inprocess_runs,
+        s.vivified_literals,
+        s.subsumed_clauses,
+        s.strengthened_clauses,
+        s.eliminated_vars,
+    ]
+}
+
+/// Clause-store gauges set at reduce, GC and finish boundaries.
+const STORE_GAUGES: [&str; 5] = [
+    "solver.arena.live_bytes",
+    "solver.arena.dead_bytes",
+    "solver.tier.core",
+    "solver.tier.mid",
+    "solver.tier.local",
+];
+
+fn store_levels(view: &SearchView) -> [u64; 5] {
+    let [core, mid, local] = view.tiers;
+    [
+        view.arena_live_bytes,
+        view.arena_dead_bytes,
+        core,
+        mid,
+        local,
+    ]
+}
+
+/// The registry's `solver.*` instruments, resolved once so the hot path
+/// never touches the registry's name maps. Besides the families above:
+/// `solver.lbd` (histogram of learnt-clause glue),
+/// `solver.restart_interval` (histogram of conflicts between restarts),
 /// `solver.arena.gc_runs` and `solver.arena.reclaimed_bytes` (counters).
-///
-/// Inprocessing instruments, fed at round boundaries by
-/// [`SolverMetricsHub::on_inprocess`]: `solver.inprocess.runs`,
-/// `solver.inprocess.vivified_literals`, `solver.inprocess.subsumed_clauses`,
-/// `solver.inprocess.strengthened_clauses` and
-/// `solver.inprocess.eliminated_vars` (counters).
-#[derive(Clone, Default)]
-pub struct SolverMetricsHub {
-    enabled: bool,
-    conflicts: Counter,
-    decisions: Counter,
-    propagations: Counter,
-    restarts: Counter,
-    learnt_clauses: Counter,
+#[derive(Clone)]
+struct SolverInstruments {
+    work: [Counter; 5],
+    inprocess: [Counter; 5],
+    store: [Gauge; 5],
     lbd: Histogram,
     restart_interval: Histogram,
-    arena_live_bytes: Gauge,
-    arena_dead_bytes: Gauge,
-    arena_gc_runs: Counter,
-    arena_reclaimed_bytes: Counter,
-    tier_core: Gauge,
-    tier_mid: Gauge,
-    tier_local: Gauge,
-    inprocess_runs: Counter,
-    inprocess_vivified_literals: Counter,
-    inprocess_subsumed_clauses: Counter,
-    inprocess_strengthened_clauses: Counter,
-    inprocess_eliminated_vars: Counter,
-    preprocess_units: Counter,
-    preprocess_pure_literals: Counter,
-    preprocess_removed_clauses: Counter,
-    preprocess_removed_literals: Counter,
+    gc_runs: Counter,
+    reclaimed_bytes: Counter,
+    /// The stats at the last flush.
     last: SolverStats,
     last_restart_conflicts: u64,
 }
 
-/// A point-in-time view of the solver's clause store, produced by the
-/// solver at reduce/GC/finish boundaries and folded into the registry by
-/// [`SolverMetricsHub::on_store`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreSnapshot {
-    /// Bytes occupied by live clauses in the arena.
-    pub live_bytes: u64,
-    /// Bytes occupied by deleted clauses awaiting compaction.
-    pub dead_bytes: u64,
-    /// Live learnt clauses in the core tier (LBD ≤ 3, kept forever under
-    /// the tiered policy).
-    pub tier_core: u64,
-    /// Live learnt clauses in the mid tier.
-    pub tier_mid: u64,
-    /// Live learnt clauses in the local tier.
-    pub tier_local: u64,
-}
-
-impl SolverMetricsHub {
-    /// A hub that records nothing (one branch per call).
-    pub fn disabled() -> Self {
-        SolverMetricsHub::default()
-    }
-
-    /// Resolves the `solver.*` instruments of `registry` once, so the
-    /// hot path never touches the registry's name maps.
-    pub fn from_registry(registry: &MetricsRegistry) -> Self {
-        SolverMetricsHub {
-            enabled: registry.is_enabled(),
-            conflicts: registry.counter("solver.conflicts"),
-            decisions: registry.counter("solver.decisions"),
-            propagations: registry.counter("solver.propagations"),
-            restarts: registry.counter("solver.restarts"),
-            learnt_clauses: registry.counter("solver.learnt_clauses"),
+impl SolverInstruments {
+    fn new(registry: &MetricsRegistry) -> Self {
+        // Listed at zero until a pass records into them, so a metered
+        // run always reports the `preprocess.*` family.
+        for name in PREPROCESS_COUNTERS {
+            let _ = registry.counter(name);
+        }
+        SolverInstruments {
+            work: WORK_COUNTERS.map(|name| registry.counter(name)),
+            inprocess: INPROCESS_COUNTERS.map(|name| registry.counter(name)),
+            store: STORE_GAUGES.map(|name| registry.gauge(name)),
             lbd: registry.histogram("solver.lbd"),
             restart_interval: registry.histogram("solver.restart_interval"),
-            arena_live_bytes: registry.gauge("solver.arena.live_bytes"),
-            arena_dead_bytes: registry.gauge("solver.arena.dead_bytes"),
-            arena_gc_runs: registry.counter("solver.arena.gc_runs"),
-            arena_reclaimed_bytes: registry.counter("solver.arena.reclaimed_bytes"),
-            tier_core: registry.gauge("solver.tier.core"),
-            tier_mid: registry.gauge("solver.tier.mid"),
-            tier_local: registry.gauge("solver.tier.local"),
-            inprocess_runs: registry.counter("solver.inprocess.runs"),
-            inprocess_vivified_literals: registry.counter("solver.inprocess.vivified_literals"),
-            inprocess_subsumed_clauses: registry.counter("solver.inprocess.subsumed_clauses"),
-            inprocess_strengthened_clauses: registry
-                .counter("solver.inprocess.strengthened_clauses"),
-            inprocess_eliminated_vars: registry.counter("solver.inprocess.eliminated_vars"),
-            preprocess_units: registry.counter("preprocess.units"),
-            preprocess_pure_literals: registry.counter("preprocess.pure_literals"),
-            preprocess_removed_clauses: registry.counter("preprocess.removed_clauses"),
-            preprocess_removed_literals: registry.counter("preprocess.removed_literals"),
+            gc_runs: registry.counter("solver.arena.gc_runs"),
+            reclaimed_bytes: registry.counter("solver.arena.reclaimed_bytes"),
             last: SolverStats::default(),
             last_restart_conflicts: 0,
         }
     }
 
-    /// Whether this hub feeds a live registry.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Called once per learnt conflict with the clause's LBD and the
-    /// solver's cumulative stats.
-    #[inline]
-    pub fn on_conflict(&mut self, lbd: u32, stats: &SolverStats) {
-        if !self.enabled {
-            return;
+    fn record(&mut self, at: &Boundary, view: &SearchView) {
+        let stats = &view.stats;
+        match *at {
+            Boundary::Conflict { lbd } => {
+                self.lbd.record(u64::from(lbd));
+                self.flush(stats);
+            }
+            Boundary::Restart => {
+                self.restart_interval
+                    .record(stats.conflicts.saturating_sub(self.last_restart_conflicts));
+                self.last_restart_conflicts = stats.conflicts;
+                self.flush(stats);
+            }
+            Boundary::Inprocess => {
+                let then = inprocess_counts(&self.last);
+                for ((counter, now), then) in
+                    self.inprocess.iter().zip(inprocess_counts(stats)).zip(then)
+                {
+                    counter.add(now.saturating_sub(then));
+                }
+                self.flush(stats);
+            }
+            Boundary::Gc { reclaimed_bytes } => {
+                self.gc_runs.inc();
+                self.reclaimed_bytes.add(reclaimed_bytes);
+                self.set_store(view);
+            }
+            Boundary::Reduce { .. } => self.set_store(view),
+            Boundary::Finish { .. } => {
+                self.flush(stats);
+                self.set_store(view);
+            }
+            Boundary::Start { .. } | Boundary::Import { .. } => {}
         }
-        self.lbd.record(u64::from(lbd));
-        self.flush_deltas(stats);
     }
 
-    /// Called at each restart boundary; records the conflict interval
-    /// since the previous restart.
-    pub fn on_restart(&mut self, stats: &SolverStats) {
-        if !self.enabled {
-            return;
+    fn flush(&mut self, stats: &SolverStats) {
+        let then = work_counts(&self.last);
+        for ((counter, now), then) in self.work.iter().zip(work_counts(stats)).zip(then) {
+            counter.add(now.saturating_sub(then));
         }
-        self.restart_interval
-            .record(stats.conflicts.saturating_sub(self.last_restart_conflicts));
-        self.last_restart_conflicts = stats.conflicts;
-        self.flush_deltas(stats);
-    }
-
-    /// Called when a solve returns, flushing any unflushed tail of the
-    /// work counters.
-    pub fn on_finish(&mut self, stats: &SolverStats) {
-        if !self.enabled {
-            return;
-        }
-        self.flush_deltas(stats);
-    }
-
-    /// Folds a clause-store snapshot into the arena/tier gauges. Called at
-    /// reduce, GC and finish boundaries — never per conflict.
-    pub fn on_store(&mut self, snap: &StoreSnapshot) {
-        if !self.enabled {
-            return;
-        }
-        self.arena_live_bytes.set(snap.live_bytes as f64);
-        self.arena_dead_bytes.set(snap.dead_bytes as f64);
-        self.tier_core.set(snap.tier_core as f64);
-        self.tier_mid.set(snap.tier_mid as f64);
-        self.tier_local.set(snap.tier_local as f64);
-    }
-
-    /// Folds one pre-solve preprocessing pass into the `preprocess.*`
-    /// counters. Unlike the solver-fed methods this is called from
-    /// *outside* the solver (the pass runs before a solver exists), once
-    /// per pass with that pass's totals.
-    pub fn on_preprocess(&mut self, stats: &PreprocessStats) {
-        if !self.enabled {
-            return;
-        }
-        self.preprocess_units.add(stats.units as u64);
-        self.preprocess_pure_literals
-            .add(stats.pure_literals as u64);
-        self.preprocess_removed_clauses
-            .add(stats.removed_clauses as u64);
-        self.preprocess_removed_literals
-            .add(stats.removed_literals as u64);
-    }
-
-    /// Called at the end of each inprocessing round; feeds the
-    /// `solver.inprocess.*` counters as deltas (alongside the regular
-    /// work counters, which an inprocessing round also advances through
-    /// its unit propagations).
-    pub fn on_inprocess(&mut self, stats: &SolverStats) {
-        if !self.enabled {
-            return;
-        }
-        self.inprocess_runs.add(
-            stats
-                .inprocess_runs
-                .saturating_sub(self.last.inprocess_runs),
-        );
-        self.inprocess_vivified_literals.add(
-            stats
-                .vivified_literals
-                .saturating_sub(self.last.vivified_literals),
-        );
-        self.inprocess_subsumed_clauses.add(
-            stats
-                .subsumed_clauses
-                .saturating_sub(self.last.subsumed_clauses),
-        );
-        self.inprocess_strengthened_clauses.add(
-            stats
-                .strengthened_clauses
-                .saturating_sub(self.last.strengthened_clauses),
-        );
-        self.inprocess_eliminated_vars.add(
-            stats
-                .eliminated_vars
-                .saturating_sub(self.last.eliminated_vars),
-        );
-        self.flush_deltas(stats);
-    }
-
-    /// Called after each compacting GC with the bytes it reclaimed and the
-    /// post-collection store snapshot.
-    pub fn on_gc(&mut self, reclaimed_bytes: u64, snap: &StoreSnapshot) {
-        if !self.enabled {
-            return;
-        }
-        self.arena_gc_runs.inc();
-        self.arena_reclaimed_bytes.add(reclaimed_bytes);
-        self.on_store(snap);
-    }
-
-    fn flush_deltas(&mut self, stats: &SolverStats) {
-        self.conflicts
-            .add(stats.conflicts.saturating_sub(self.last.conflicts));
-        self.decisions
-            .add(stats.decisions.saturating_sub(self.last.decisions));
-        self.propagations
-            .add(stats.propagations.saturating_sub(self.last.propagations));
-        self.restarts
-            .add(stats.restarts.saturating_sub(self.last.restarts));
-        self.learnt_clauses.add(
-            stats
-                .learnt_clauses
-                .saturating_sub(self.last.learnt_clauses),
-        );
         self.last = *stats;
     }
-}
 
-impl fmt::Debug for SolverMetricsHub {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SolverMetricsHub")
-            .field("enabled", &self.enabled)
-            .finish_non_exhaustive()
-    }
-}
-
-/// An observer that folds the event stream into a [`MetricsRegistry`]
-/// under a caller-chosen name prefix.
-///
-/// Where [`SolverMetricsHub`] rides inside one solver, this observer
-/// attaches from the outside — the portfolio runner hangs one per
-/// member (prefix `portfolio.member_<i>.`) so a shared registry ends up
-/// with per-member conflict/propagation totals, wall-time histograms
-/// and outcome counts without touching solver internals.
-pub struct RegistryObserver {
-    wall_time_us: Histogram,
-    conflicts: Counter,
-    decisions: Counter,
-    propagations: Counter,
-    restarts: Counter,
-    import_batches: Counter,
-    imported_clauses: Counter,
-    exported_clauses: Counter,
-    props_per_sec: Gauge,
-    sat: Counter,
-    unsat: Counter,
-    unknown: Counter,
-}
-
-impl RegistryObserver {
-    /// Resolves this observer's instruments under `prefix` (e.g.
-    /// `"portfolio.member_0."`; the empty string puts them at the root).
-    pub fn new(registry: &MetricsRegistry, prefix: &str) -> Self {
-        let name = |suffix: &str| format!("{prefix}{suffix}");
-        RegistryObserver {
-            wall_time_us: registry.histogram(&name("wall_time_us")),
-            conflicts: registry.counter(&name("conflicts")),
-            decisions: registry.counter(&name("decisions")),
-            propagations: registry.counter(&name("propagations")),
-            restarts: registry.counter(&name("restarts")),
-            import_batches: registry.counter(&name("import_batches")),
-            imported_clauses: registry.counter(&name("imported_clauses")),
-            exported_clauses: registry.counter(&name("exported_clauses")),
-            props_per_sec: registry.gauge(&name("props_per_sec")),
-            sat: registry.counter(&name("outcome.sat")),
-            unsat: registry.counter(&name("outcome.unsat")),
-            unknown: registry.counter(&name("outcome.unknown")),
-        }
-    }
-}
-
-impl fmt::Debug for RegistryObserver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RegistryObserver").finish_non_exhaustive()
-    }
-}
-
-impl RunObserver for RegistryObserver {
-    fn on_event(&self, event: &SolverEvent) {
-        match *event {
-            SolverEvent::Import { .. } => self.import_batches.inc(),
-            SolverEvent::Finished {
-                verdict,
-                stats,
-                elapsed,
-            } => {
-                self.conflicts.add(stats.conflicts);
-                self.decisions.add(stats.decisions);
-                self.propagations.add(stats.propagations);
-                self.restarts.add(stats.restarts);
-                self.imported_clauses.add(stats.imported_clauses);
-                self.exported_clauses.add(stats.exported_clauses);
-                let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-                self.wall_time_us.record(micros);
-                let secs = elapsed.as_secs_f64();
-                if secs > 0.0 {
-                    #[allow(clippy::cast_precision_loss)]
-                    self.props_per_sec.set(stats.propagations as f64 / secs);
-                }
-                match verdict {
-                    SolveVerdict::Sat => self.sat.inc(),
-                    SolveVerdict::Unsat => self.unsat.inc(),
-                    SolveVerdict::Unknown(_) => self.unknown.inc(),
-                }
-            }
-            _ => {}
+    fn set_store(&self, view: &SearchView) {
+        for (gauge, level) in self.store.iter().zip(store_levels(view)) {
+            gauge.set(level as f64);
         }
     }
 }
@@ -1318,62 +1221,22 @@ mod tests {
         assert!(!RunBudget::new().with_max_decisions(5).is_unlimited());
     }
 
-    #[test]
-    fn metrics_recorder_aggregates_stream() {
-        let r = MetricsRecorder::new();
-        r.on_event(&SolverEvent::Started {
-            num_vars: 3,
-            num_clauses: 4,
-        });
-        r.on_event(&SolverEvent::Restart {
-            restarts: 1,
-            conflicts: 100,
-        });
-        r.on_event(&SolverEvent::Progress {
-            conflicts: 1024,
-            decisions: 2000,
-            propagations: 9000,
-            lbd_ema: 3.5,
-            elapsed: Duration::from_millis(20),
-        });
-        let stats = SolverStats {
-            conflicts: 1500,
-            propagations: 12000,
-            ..Default::default()
-        };
-        r.on_event(&SolverEvent::Finished {
-            verdict: SolveVerdict::Unknown(StopReason::Deadline),
-            stats,
-            elapsed: Duration::from_millis(500),
-        });
-        let m = r.snapshot();
-        assert_eq!(m.restarts, 1);
-        assert_eq!(m.progress_samples, 1);
-        assert_eq!(m.lbd_ema, 3.5);
-        assert_eq!(m.stop_reason, Some(StopReason::Deadline));
-        assert_eq!(m.sat, None);
-        assert_eq!(m.stats.conflicts, 1500);
-        assert!(m.conflicts_per_sec() > 0.0);
-        assert!(m.propagations_per_sec() > m.conflicts_per_sec());
+    /// A writer whose bytes the test can read back.
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Shared {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
     }
 
     #[test]
     fn progress_logger_writes_lines() {
-        use std::sync::OnceLock;
-        static BUF: OnceLock<Arc<Mutex<Vec<u8>>>> = OnceLock::new();
-        let buf = BUF.get_or_init(|| Arc::new(Mutex::new(Vec::new()))).clone();
-
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
+        let buf = Arc::new(Mutex::new(Vec::new()));
         let logger = ProgressLogger::to_writer("t", Box::new(Shared(buf.clone())))
             .with_min_interval(Duration::ZERO);
         logger.on_event(&SolverEvent::Started {
@@ -1393,17 +1256,6 @@ mod tests {
 
     #[test]
     fn progress_logger_throttles_intermediate_events() {
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
         let buf = Arc::new(Mutex::new(Vec::new()));
         // A one-hour interval: nothing intermediate can pass after Started.
         let logger = ProgressLogger::to_writer("t", Box::new(Shared(buf.clone())))
@@ -1431,141 +1283,12 @@ mod tests {
     }
 
     #[test]
-    fn solver_metrics_hub_flushes_deltas() {
-        let registry = MetricsRegistry::new();
-        let mut hub = SolverMetricsHub::from_registry(&registry);
-        assert!(hub.is_enabled());
-
-        let mut stats = SolverStats {
-            conflicts: 1,
-            decisions: 10,
-            propagations: 100,
-            learnt_clauses: 1,
-            ..Default::default()
-        };
-        hub.on_conflict(3, &stats);
-        stats.conflicts = 2;
-        stats.decisions = 25;
-        stats.propagations = 450;
-        stats.learnt_clauses = 2;
-        hub.on_conflict(7, &stats);
-        stats.restarts = 1;
-        hub.on_restart(&stats);
-        stats.propagations = 500;
-        hub.on_finish(&stats);
-
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("solver.conflicts"), Some(2));
-        assert_eq!(snap.counter("solver.decisions"), Some(25));
-        assert_eq!(snap.counter("solver.propagations"), Some(500));
-        assert_eq!(snap.counter("solver.restarts"), Some(1));
-        assert_eq!(snap.counter("solver.learnt_clauses"), Some(2));
-        let lbd = snap.histogram("solver.lbd").unwrap();
-        assert_eq!(lbd.count(), 2);
-        assert_eq!(lbd.max(), 7);
-        // The restart happened 2 conflicts in.
-        let interval = snap.histogram("solver.restart_interval").unwrap();
-        assert_eq!(interval.count(), 1);
-        assert_eq!(interval.max(), 2);
-
-        // A disabled hub records nothing and costs one branch.
-        let mut off = SolverMetricsHub::disabled();
-        assert!(!off.is_enabled());
-        off.on_conflict(3, &stats);
-        off.on_finish(&stats);
-    }
-
-    #[test]
-    fn registry_observer_folds_finished_stats() {
-        let registry = MetricsRegistry::new();
-        let obs = RegistryObserver::new(&registry, "portfolio.member_0.");
-        obs.on_event(&SolverEvent::Import {
-            imported: 4,
-            total_imported: 4,
-            conflicts: 10,
-        });
-        obs.on_event(&SolverEvent::Finished {
-            verdict: SolveVerdict::Unsat,
-            stats: SolverStats {
-                conflicts: 1500,
-                propagations: 12000,
-                imported_clauses: 4,
-                ..Default::default()
-            },
-            elapsed: Duration::from_millis(500),
-        });
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("portfolio.member_0.conflicts"), Some(1500));
-        assert_eq!(snap.counter("portfolio.member_0.import_batches"), Some(1));
-        assert_eq!(snap.counter("portfolio.member_0.outcome.unsat"), Some(1));
-        assert_eq!(snap.counter("portfolio.member_0.outcome.sat"), Some(0));
-        let wall = snap.histogram("portfolio.member_0.wall_time_us").unwrap();
-        assert_eq!(wall.count(), 1);
-        assert!(snap.gauge("portfolio.member_0.props_per_sec").unwrap() > 0.0);
-    }
-
-    #[test]
-    fn trace_observer_bridges_events_onto_a_span() {
-        use satroute_obs::{TraceEvent, TraceTree};
-
-        let tree = TraceTree::new();
-        let tracer = Tracer::to_sink(tree.clone());
-        let span = tracer.span("member");
-        let obs = TraceObserver::new(tracer.clone(), span.id());
-        obs.on_event(&SolverEvent::Progress {
-            conflicts: 1024,
-            decisions: 2048,
-            propagations: 9001,
-            lbd_ema: 4.5,
-            elapsed: Duration::from_millis(10),
-        });
-        let stats = SolverStats {
-            conflicts: 1500,
-            decisions: 3000,
-            propagations: 12000,
-            ..Default::default()
-        };
-        obs.on_event(&SolverEvent::Finished {
-            verdict: SolveVerdict::Unsat,
-            stats,
-            elapsed: Duration::from_millis(20),
-        });
-        drop(span);
-
-        let forest = tree.forest().unwrap();
-        let member = forest.node(forest.roots()[0]).unwrap();
-        assert_eq!(member.counters.get("conflicts"), Some(&1500));
-        assert_eq!(member.counters.get("propagations"), Some(&12000));
-        assert_eq!(
-            member.marks.get("outcome").map(String::as_str),
-            Some("unsat")
-        );
-        assert_eq!(member.gauges.get("lbd_ema"), Some(&4.5));
-        // The heartbeat arrived before the final counters.
-        let events = tree.events();
-        assert!(events.iter().any(
-            |e| matches!(e, TraceEvent::Counter { name, value: 1024, .. } if name == "conflicts")
-        ));
-    }
-
-    #[test]
-    fn fanout_delivers_to_all_sinks() {
-        let a = Arc::new(MetricsRecorder::new());
-        let b = Arc::new(MetricsRecorder::new());
-        let fan = FanoutObserver::new()
-            .with(a.clone() as Arc<dyn RunObserver>)
-            .with(b.clone() as Arc<dyn RunObserver>);
-        fan.on_event(&SolverEvent::Restart {
-            restarts: 1,
-            conflicts: 1,
-        });
-        assert_eq!(a.snapshot().restarts, 1);
-        assert_eq!(b.snapshot().restarts, 1);
-    }
-
-    #[test]
     fn stop_reason_displays_kebab_case() {
         assert_eq!(StopReason::Deadline.to_string(), "deadline");
         assert_eq!(StopReason::ConflictLimit.to_string(), "conflict-limit");
+        assert_eq!(
+            SolveVerdict::Unknown(StopReason::Deadline).to_string(),
+            "unknown:deadline"
+        );
     }
 }

@@ -25,9 +25,9 @@
 //!   the comparison gate.
 //!
 //! The run-control vocabulary (budgets, cancellation, observers) is
-//! re-exported at the crate root: [`RunBudget`], [`CancellationToken`],
-//! [`StopReason`], [`RunMetrics`], [`RunObserver`] and friends, as is
-//! the tracing vocabulary from [`obs`]: [`Tracer`], [`TraceWriter`],
+//! re-exported at the crate root: [`RunContext`], [`RunBudget`],
+//! [`CancellationToken`], [`StopReason`], [`RunObserver`] and friends,
+//! as is the tracing vocabulary from [`obs`]: [`Tracer`], [`TraceWriter`],
 //! [`SpanForest`] and [`TraceReport`] (see "Observability & tracing" in
 //! the README).
 //!
@@ -68,9 +68,8 @@ pub use satroute_obs as obs;
 pub use satroute_solver as solver;
 
 pub use satroute_solver::{
-    CancellationToken, FanoutObserver, MetricsRecorder, NullObserver, ProgressLogger,
-    RegistryObserver, RunBudget, RunContext, RunMetrics, RunObserver, SolveVerdict, SolverEvent,
-    StopReason, TraceObserver,
+    CancellationToken, ProgressLogger, RunBudget, RunContext, RunObserver, SolveVerdict,
+    SolverEvent, StopReason,
 };
 
 pub use satroute_obs::{

@@ -636,10 +636,7 @@ fn dispatch(
             // the proof would not cover its rewrites.
             let pre = if opts.preprocess && opts.proof.is_none() {
                 let (simp, pstats) = satroute::solver::preprocess::preprocess(&formula);
-                if registry.is_enabled() {
-                    satroute::solver::SolverMetricsHub::from_registry(registry)
-                        .on_preprocess(&pstats);
-                }
+                pstats.record(registry);
                 if !opts.json {
                     println!(
                         "c preprocess: {} units, {} pure literals, {} clauses removed, {} literals stripped",
@@ -653,11 +650,10 @@ fn dispatch(
             } else {
                 None
             };
-            let mut solver = ctx.solver();
+            let mut solver = ctx.solver(span.id());
             if opts.proof.is_some() {
                 solver.enable_proof_logging();
             }
-            solver.set_observer(ctx.observer_on(span.id(), []));
             match &pre {
                 // A preprocessor refutation came from unit propagation
                 // alone, so the solver re-derives it instantly from the
@@ -774,7 +770,7 @@ fn dispatch(
                             "{{\"strategy\":{},\"decided\":{},\"conflicts\":{},\"exported_clauses\":{},\"imported_clauses\":{}}}",
                             json_str(&m.strategy.to_string()),
                             m.is_decided(),
-                            m.report.metrics.stats.conflicts,
+                            m.report.solver_stats.conflicts,
                             m.exported_clauses(),
                             m.imported_clauses(),
                         )
@@ -815,7 +811,7 @@ fn dispatch(
                     println!(
                         "  {:<28} {:>8} conflicts  {:>6} exported  {:>6} imported{}",
                         member.strategy.to_string(),
-                        member.report.metrics.stats.conflicts,
+                        member.report.solver_stats.conflicts,
                         member.exported_clauses(),
                         member.imported_clauses(),
                         if member.is_decided() {
@@ -860,13 +856,6 @@ fn dispatch(
             }
             let result = request.run();
 
-            let cube_outcome = |c: &satroute::core::CubeReport| -> String {
-                match &c.report.outcome {
-                    satroute::core::ColoringOutcome::Colorable(_) => "sat".to_string(),
-                    satroute::core::ColoringOutcome::Unsat => "unsat".to_string(),
-                    satroute::core::ColoringOutcome::Unknown(reason) => format!("unknown:{reason}"),
-                }
-            };
             if opts.json {
                 let cubes: Vec<String> = result
                     .cubes
@@ -878,7 +867,7 @@ fn dispatch(
                             c.worker,
                             c.stolen,
                             c.report.solver_stats.conflicts,
-                            json_str(&cube_outcome(c)),
+                            json_str(&c.report.outcome.verdict().to_string()),
                         )
                     })
                     .collect();
@@ -930,7 +919,7 @@ fn dispatch(
                         cube.index,
                         cube.worker,
                         cube.report.solver_stats.conflicts,
-                        cube_outcome(cube),
+                        cube.report.outcome.verdict(),
                         if cube.stolen { "  [stolen]" } else { "" },
                     );
                 }
@@ -1273,7 +1262,7 @@ fn finish_route(
     json: bool,
 ) -> Result<ExitCode, String> {
     if json {
-        let metrics = &result.report.metrics;
+        let report = &result.report;
         let tracks = match &result.routing {
             Some(routing) => routing
                 .tracks()
@@ -1288,8 +1277,8 @@ fn finish_route(
             result.width,
             result.routing.is_some(),
             tracks,
-            metrics.stats.conflicts,
-            metrics.wall_time.as_secs_f64(),
+            report.solver_stats.conflicts,
+            report.solve_time.as_secs_f64(),
         );
     }
     match &result.routing {

@@ -10,20 +10,23 @@
 //! 2. **A disabled recorder is inert** — no samples, no postmortem,
 //!    identical to not passing one at all.
 //! 3. **Recording never perturbs the search**: conflict, decision and
-//!    propagation counts are bit-identical with the recorder on or off,
-//!    the same determinism contract the bench gate enforces.
+//!    propagation counts are bit-identical with the recorder on or off —
+//!    or with every telemetry subscriber on at once — the same
+//!    determinism contract the bench gate enforces.
 //!
 //! Plus the exporter round trip: a traced + recorded run's Chrome
 //! trace must re-parse as JSON, contain every span exactly once, and
 //! keep timestamps monotone per track.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use satroute::coloring::{random_graph, CspGraph};
 use satroute::core::{ColoringOutcome, ColoringReport, Strategy};
-use satroute::obs::{chrome_trace, json, BufferSink, FlightRecorder, Tracer};
-use satroute::solver::{CancellationToken, RunBudget, StopReason};
+use satroute::obs::{chrome_trace, json, BufferSink, FlightRecorder, MetricsRegistry, Tracer};
+use satroute::solver::{CancellationToken, RunBudget, RunObserver, SolverEvent, StopReason};
 
 /// A dense 25-vertex graph at an infeasibly low color count: reliably
 /// UNSAT and far beyond any of the tiny budgets used below, so every
@@ -162,6 +165,47 @@ fn recording_does_not_perturb_the_search() {
     assert_eq!(
         plain.solver_stats.propagations,
         recorded.solver_stats.propagations
+    );
+
+    // Every subscriber at once: tracer, a fresh registry, the recorder
+    // and a user observer.
+    #[derive(Default)]
+    struct Counted(AtomicU64);
+    impl RunObserver for Counted {
+        fn on_event(&self, _event: &SolverEvent) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    let registry = MetricsRegistry::new();
+    let observer = Arc::new(Counted::default());
+    let all = Strategy::paper_best()
+        .solve(&g, k)
+        .trace(Tracer::to_sink(BufferSink::new()))
+        .metrics(registry.clone())
+        .flight(FlightRecorder::new())
+        .observe(observer.clone())
+        .run();
+    assert_eq!(plain.outcome, all.outcome);
+    assert_eq!(
+        plain.solver_stats.conflicts, all.solver_stats.conflicts,
+        "the subscribers changed the conflict count"
+    );
+    assert_eq!(plain.solver_stats.decisions, all.solver_stats.decisions);
+    assert_eq!(
+        plain.solver_stats.propagations,
+        all.solver_stats.propagations
+    );
+    assert!(observer.0.load(Ordering::Relaxed) >= 2, "observer starved");
+    // The registry's delta flushes add up to the solver's own counters,
+    // with one LBD observation per learnt clause.
+    let snapshot = registry.snapshot();
+    assert_eq!(
+        snapshot.counter("solver.conflicts"),
+        Some(all.solver_stats.conflicts)
+    );
+    assert_eq!(
+        snapshot.histogram("solver.lbd").map(|h| h.count()),
+        Some(all.solver_stats.learnt_clauses)
     );
 }
 

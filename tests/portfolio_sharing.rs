@@ -12,7 +12,7 @@ use satroute::core::{
     SymmetryHeuristic,
 };
 use satroute::solver::{rup_implied, CdclSolver, ClauseExchange, SharingConfig, SolveOutcome};
-use satroute::{RunBudget, RunContext};
+use satroute::{MetricsRegistry, RunBudget, RunContext};
 
 /// Oversubscribes the single-core CI container so members interleave and
 /// clauses actually flow while the race is undecided.
@@ -216,4 +216,67 @@ fn diversified_sharing_portfolio_reports_clause_flow() {
          (exported {} clauses)",
         result.total_exported()
     );
+}
+
+/// Each member's `portfolio.member_<i>.*` family is folded from its
+/// report: work and sharing totals (import batches included), one
+/// wall-time observation, a propagation rate and an outcome tally.
+#[test]
+fn sharing_portfolio_member_families_match_the_reports() {
+    let g = random_graph(40, 0.5, 0xC0FFEE);
+    let clique = g.greedy_clique().len() as u32;
+    let upper = dsatur_coloring(&g).max_color().map_or(1, |m| m + 1);
+    let members = Strategy::diversified(
+        Strategy::new(EncodingId::Muldirect, SymmetryHeuristic::S1),
+        4,
+    );
+    let registry = MetricsRegistry::new();
+    let ctx = RunContext {
+        budget: RunBudget::new().with_max_conflicts(3000),
+        metrics: registry.clone(),
+        ..RunContext::default()
+    };
+    let result = run_portfolio(
+        &g,
+        (clique + upper) / 2,
+        &members,
+        &ctx,
+        &sharing_opts(true),
+    );
+
+    let snapshot = registry.snapshot();
+    for (i, member) in result.members.iter().enumerate() {
+        let name = |suffix: &str| format!("portfolio.member_{i}.{suffix}");
+        let stats = &member.report.solver_stats;
+        let outcome = &member.report.outcome;
+        assert_eq!(stats.import_batches > 0, stats.imported_clauses > 0);
+        for (suffix, value) in [
+            ("conflicts", stats.conflicts),
+            ("decisions", stats.decisions),
+            ("propagations", stats.propagations),
+            ("restarts", stats.restarts),
+            ("import_batches", stats.import_batches),
+            ("imported_clauses", stats.imported_clauses),
+            ("exported_clauses", stats.exported_clauses),
+            ("outcome.sat", u64::from(outcome.is_colorable())),
+            (
+                "outcome.unsat",
+                u64::from(*outcome == ColoringOutcome::Unsat),
+            ),
+            ("outcome.unknown", u64::from(!outcome.is_decided())),
+        ] {
+            assert_eq!(
+                snapshot.counter(&name(suffix)),
+                Some(value),
+                "{}",
+                name(suffix)
+            );
+        }
+        let wall = snapshot.histogram(&name("wall_time_us")).map(|h| h.count());
+        assert_eq!(wall, Some(1), "member {i}");
+        let rate = snapshot
+            .gauge(&name("props_per_sec"))
+            .expect("gauge resolved");
+        assert_eq!(rate > 0.0, stats.propagations > 0, "member {i}");
+    }
 }

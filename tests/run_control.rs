@@ -7,12 +7,12 @@ use std::time::{Duration, Instant};
 
 use satroute::coloring::{dsatur_coloring, random_graph, CspGraph};
 use satroute::core::{
-    run_portfolio, ColoringOutcome, ExplainOutcome, PipelineError, PortfolioOptions,
-    RoutingPipeline, Strategy,
+    run_portfolio, simulate_portfolio, ColoringOutcome, ExplainOutcome, PipelineError,
+    PortfolioOptions, RoutingPipeline, Strategy,
 };
 use satroute::fpga::benchmarks;
 use satroute::{
-    CancellationToken, MetricsRecorder, RunBudget, RunContext, RunObserver, SolverEvent, StopReason,
+    CancellationToken, RunBudget, RunContext, RunObserver, SolveVerdict, SolverEvent, StopReason,
 };
 
 /// A graph-coloring instance hard enough that no strategy decides it
@@ -40,7 +40,7 @@ fn wall_deadline_returns_unknown_within_tolerance() {
         ColoringOutcome::Unknown(StopReason::Deadline),
         "hard instance must hit the wall budget"
     );
-    assert_eq!(report.metrics.stop_reason, Some(StopReason::Deadline));
+    assert_eq!(report.outcome.stop_reason(), Some(StopReason::Deadline));
     // Budgets are polled at conflict boundaries, so overshoot is bounded
     // but nonzero; a whole extra second would mean polling is broken.
     assert!(
@@ -48,9 +48,9 @@ fn wall_deadline_returns_unknown_within_tolerance() {
         "stopped {elapsed:?} after a 300 ms budget"
     );
     assert!(
-        report.metrics.wall_time >= Duration::from_millis(250),
+        report.solve_time >= Duration::from_millis(250),
         "solver gave up early: {:?}",
-        report.metrics.wall_time
+        report.solve_time
     );
 }
 
@@ -267,9 +267,9 @@ fn undecided<T>(result: Result<T, PipelineError>) -> Option<StopReason> {
 }
 
 /// Every entry point forwards its `RunContext` to the solves it runs: a
-/// context carrying a pre-cancelled token and a user `MetricsRecorder`
-/// stops each path with `Cancelled`, and the recorder sees the stopped
-/// solve's `Finished` event (the only event that sets its stop reason).
+/// context carrying a pre-cancelled token and an `EventLog` observer
+/// stops each path with `Cancelled`, and the log ends with the stopped
+/// solve's `Finished` event.
 #[test]
 fn every_entry_point_forwards_its_run_context() {
     let instance = benchmarks::suite_tiny().remove(0);
@@ -339,10 +339,38 @@ fn every_entry_point_forwards_its_run_context() {
             }),
         ),
         (
+            "simulate_portfolio",
+            Box::new(|ctx| {
+                let strategies = Strategy::paper_portfolio_2();
+                let sim = simulate_portfolio(graph, width, &strategies, ctx);
+                let stopped = |m: &satroute::core::MemberReport| {
+                    m.stop_reason() == Some(StopReason::Cancelled)
+                };
+                sim.members
+                    .iter()
+                    .all(stopped)
+                    .then_some(StopReason::Cancelled)
+            }),
+        ),
+        (
             "RoutingPipeline::route",
             Box::new(|ctx| {
                 let pipeline = RoutingPipeline::new(strategy).context(ctx.clone());
                 undecided(pipeline.route(problem, width))
+            }),
+        ),
+        (
+            "RoutingPipeline::prove_unroutable",
+            Box::new(|ctx| {
+                let pipeline = RoutingPipeline::new(strategy).context(ctx.clone());
+                undecided(pipeline.prove_unroutable(problem, width))
+            }),
+        ),
+        (
+            "RoutingPipeline::find_min_width",
+            Box::new(|ctx| {
+                let pipeline = RoutingPipeline::new(strategy).context(ctx.clone());
+                undecided(pipeline.find_min_width(problem))
             }),
         ),
         (
@@ -357,10 +385,10 @@ fn every_entry_point_forwards_its_run_context() {
     for (name, path) in &paths {
         let token = CancellationToken::new();
         token.cancel();
-        let recorder = Arc::new(MetricsRecorder::new());
+        let log = Arc::new(EventLog::default());
         let ctx = RunContext {
             cancel: Some(token),
-            observer: Some(recorder.clone()),
+            observer: Some(log.clone()),
             ..RunContext::default()
         };
         assert_eq!(
@@ -368,9 +396,15 @@ fn every_entry_point_forwards_its_run_context() {
             Some(StopReason::Cancelled),
             "{name} dropped the context's cancellation token"
         );
-        assert_eq!(
-            recorder.snapshot().stop_reason,
-            Some(StopReason::Cancelled),
+        let events = log.events.lock().unwrap();
+        assert!(
+            matches!(
+                events.last(),
+                Some(SolverEvent::Finished {
+                    verdict: SolveVerdict::Unknown(StopReason::Cancelled),
+                    ..
+                })
+            ),
             "{name} dropped the context's observer"
         );
     }

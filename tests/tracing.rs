@@ -6,13 +6,17 @@
 
 use std::fs;
 
+use satroute::coloring::random_graph;
 use satroute::core::{
     encode_coloring, encode_coloring_traced, run_portfolio, EncodingId, PortfolioOptions,
     RoutingPipeline, RunContext, Strategy, SymmetryHeuristic,
 };
 use satroute::fpga::benchmarks;
 use satroute::obs::TraceEvent;
-use satroute::{parse_jsonl, SpanForest, TraceReport, TraceTree, TraceWriter, Tracer};
+use satroute::{
+    parse_jsonl, FlightRecorder, MetricsRegistry, SpanForest, TimelineReport, TraceReport,
+    TraceTree, TraceWriter, Tracer,
+};
 
 fn trace_file(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("satroute_tracing_{}", std::process::id()));
@@ -188,6 +192,150 @@ fn portfolio_trace_reports_every_member() {
     }
     // At least the winner propagated something, so props/sec is reportable.
     assert!(report.members.iter().any(|m| m.props_per_sec > 0.0));
+}
+
+/// A traced, metered solve long enough to restart and send heartbeats
+/// bridges its event stream onto its `solve` span — heartbeat counters
+/// and the LBD gauge from `Progress`, restart counts, the final work
+/// counters and an `outcome` mark — and its registry deltas add up to
+/// the solver's own counters.
+#[test]
+fn solve_span_and_registry_carry_the_solver_counters() {
+    let g = random_graph(40, 0.5, 3);
+    let tree = TraceTree::new();
+    let registry = MetricsRegistry::new();
+    let report = Strategy::paper_best()
+        .solve(&g, 6)
+        .trace(Tracer::to_sink(tree.clone()))
+        .metrics(registry.clone())
+        .run();
+    let stats = report.solver_stats;
+    assert!(
+        stats.conflicts >= 1024 && stats.restarts > 0,
+        "the instance must restart and reach a heartbeat: {stats:?}"
+    );
+
+    let forest = tree.forest().expect("trace reconstructs");
+    let solve = forest.spans_named("solve")[0];
+    let work = [
+        ("conflicts", stats.conflicts),
+        ("decisions", stats.decisions),
+        ("propagations", stats.propagations),
+        ("restarts", stats.restarts),
+    ];
+    for (name, value) in work {
+        assert_eq!(solve.counters.get(name), Some(&value), "solve span {name}");
+    }
+    assert_eq!(
+        solve.marks.get("outcome").map(String::as_str),
+        Some(report.outcome.verdict().to_string().as_str())
+    );
+    assert!(solve.gauges.contains_key("lbd_ema"), "no heartbeat gauge");
+    // The first heartbeat reached the span before the final counters.
+    assert!(tree.events().iter().any(
+        |e| matches!(e, TraceEvent::Counter { name, value: 1024, .. } if name == "conflicts")
+    ));
+
+    let snapshot = registry.snapshot();
+    for (name, value) in work
+        .into_iter()
+        .chain([("learnt_clauses", stats.learnt_clauses)])
+    {
+        assert_eq!(
+            snapshot.counter(&format!("solver.{name}")),
+            Some(value),
+            "registry solver.{name}"
+        );
+    }
+    let count = |name: &str| snapshot.histogram(name).map(|h| h.count());
+    assert_eq!(count("solver.lbd"), Some(stats.learnt_clauses));
+    assert_eq!(count("solver.restart_interval"), Some(stats.restarts));
+}
+
+/// A traced, flight-recorded portfolio and cube-and-conquer run write
+/// each solve's events and samples once, on that solve's own span: the
+/// timeline has exactly one series per member or cube, labelled by it
+/// and never `solve`, while the report's member and cube rows keep their
+/// final conflicts and outcome.
+#[test]
+fn portfolio_and_conquer_samples_reach_the_trace_once() {
+    // tiny_c at width 8 is unroutable but not refuted by loading alone:
+    // members search, and the splitter leaves cubes to conquer.
+    let instance = benchmarks::suite_tiny().remove(2);
+    assert_eq!(instance.name, "tiny_c");
+    let (graph, width) = (&instance.conflict_graph, 8);
+
+    let tree = TraceTree::new();
+    let strategies = Strategy::paper_portfolio_2();
+    let ctx = RunContext {
+        tracer: Tracer::to_sink(tree.clone()),
+        flight: FlightRecorder::new(),
+        ..RunContext::default()
+    };
+    let opts = PortfolioOptions::new().with_max_threads(2);
+    let result = run_portfolio(graph, width, &strategies, &ctx, &opts);
+    let forest = tree.forest().expect("trace reconstructs");
+    let labels: Vec<String> = TimelineReport::from_forest(&forest)
+        .series
+        .into_iter()
+        .map(|series| series.label)
+        .collect();
+    let mut expected: Vec<String> = strategies
+        .iter()
+        .enumerate()
+        .map(|(i, s)| format!("member {i} ({s})"))
+        .collect();
+    let mut sorted = labels.clone();
+    sorted.sort();
+    expected.sort();
+    assert_eq!(sorted, expected, "one series per member: {labels:?}");
+    let report = TraceReport::from_forest(&forest);
+    assert_eq!(report.members.len(), strategies.len());
+    for row in &report.members {
+        let member = &result.members[row.index as usize].report;
+        assert_eq!(row.conflicts, member.solver_stats.conflicts);
+        assert_eq!(
+            row.outcome.as_deref(),
+            Some(member.outcome.verdict().to_string().as_str())
+        );
+    }
+
+    let tree = TraceTree::new();
+    let conquered = Strategy::paper_best()
+        .cube_and_conquer(graph, width)
+        .cube_vars(3)
+        .threads(2)
+        .trace(Tracer::to_sink(tree.clone()))
+        .flight(FlightRecorder::new())
+        .run();
+    assert!(
+        !conquered.cubes.is_empty(),
+        "the splitter left cubes to solve"
+    );
+    let forest = tree.forest().expect("trace reconstructs");
+    let mut labels: Vec<String> = TimelineReport::from_forest(&forest)
+        .series
+        .into_iter()
+        .map(|series| series.label)
+        .collect();
+    let mut expected: Vec<String> = conquered
+        .cubes
+        .iter()
+        .map(|cube| format!("cube {}", cube.index))
+        .collect();
+    labels.sort();
+    expected.sort();
+    assert_eq!(labels, expected, "one series per cube");
+    let report = TraceReport::from_forest(&forest);
+    assert_eq!(report.cubes.len(), conquered.cubes.len());
+    for row in &report.cubes {
+        let cube = &conquered.cubes[row.index as usize].report;
+        assert_eq!(row.conflicts, cube.solver_stats.conflicts);
+        assert_eq!(
+            row.outcome.as_deref(),
+            Some(cube.outcome.verdict().to_string().as_str())
+        );
+    }
 }
 
 /// The CLI round trip: `route --trace` writes an artifact that
