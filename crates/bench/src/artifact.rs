@@ -7,7 +7,7 @@
 //! the deterministic work counters, CNF shape and histogram summaries.
 //! `satroute bench run` writes artifacts; `satroute bench compare` diffs
 //! two of them and optionally gates on regressions (see
-//! [`crate::compare`]).
+//! [`crate::compare`](mod@crate::compare)).
 
 use std::collections::BTreeMap;
 

@@ -11,10 +11,10 @@
 //! * each worker owns a deque of cube indices; an idle worker **steals**
 //!   from the back of the fullest peer deque, so an unlucky cube
 //!   distribution cannot idle half the pool;
-//! * every cube is solved through the ordinary [`SolveRequest::assume`]
-//!   path on a fresh solver — cube soundness falls out of the pinned
-//!   assumption machinery (PR 6), and a cube's UNSAT answer is exactly
-//!   "no solution extends this prefix";
+//! * every cube loads the splitter's one encode into a fresh solver and
+//!   solves it under the cube's literals as assumptions
+//!   ([`SolveRequest::assume`](crate::SolveRequest::assume)), so a cube's
+//!   UNSAT answer is exactly "no solution extends this prefix";
 //! * the first cube that reports SAT **cancels the siblings** via the
 //!   shared [`CancellationToken`](crate::CancellationToken) (they report
 //!   [`StopReason::Cancelled`]); if *every* cube reports UNSAT the
@@ -28,10 +28,10 @@
 //!   assumptions enter conflict analysis as decisions, never as axioms)
 //!   — sound to import in any sibling cube.
 //!
-//! Observability mirrors the portfolio: a `conquer` root span with one
-//! `cube` child per conquered cube (the cube's final counters and
-//! `outcome` mark; its solver events land on the `solve` span beneath
-//! it), and `conquer.cubes` /
+//! Observability mirrors the portfolio: a `conquer` root span with a
+//! `split` child holding the one `encode` span, and one `cube` child per
+//! conquered cube (the cube's final counters and `outcome` mark; its
+//! solver events land on the `solve` span beneath it), and `conquer.cubes` /
 //! `conquer.refuted` / `conquer.stolen` counters plus a
 //! `conquer.cube_conflicts` histogram in the metrics registry.
 //!
@@ -60,7 +60,7 @@ use satroute_obs::FieldValue;
 use satroute_solver::cubes::{split_cubes, CubeOptions};
 use satroute_solver::{RunContext, SharingConfig, StopReason};
 
-use crate::encode::encode_coloring_instrumented;
+use crate::encode::{encode, Selectors};
 use crate::portfolio::SharingBus;
 use crate::strategy::{ColoringOutcome, ColoringReport, Strategy};
 
@@ -86,9 +86,10 @@ pub struct CubeReport {
     /// The full per-cube report. UNSAT here means "UNSAT under this
     /// cube's assumptions" and carries
     /// [`failed_assumptions`](ColoringReport::failed_assumptions) unless
-    /// the solver refuted the formula outright.
+    /// the solver refuted the formula outright. The cube loads the shared
+    /// encode, so its `cnf_translation` is zero.
     pub report: ColoringReport,
-    /// This cube's own wall time (encode + solve + decode).
+    /// This cube's own wall time (solver load + solve + decode).
     pub wall_time: Duration,
 }
 
@@ -301,16 +302,16 @@ impl<'a> ConquerRequest<'a> {
         }
         let stop = ctx.cancel.clone().unwrap_or_default();
 
-        // Encode once for the splitter. Every cube's SolveRequest
-        // re-encodes internally; the encoding is a pure function of
-        // (graph, k, encoding, symmetry), so all solvers see this exact
-        // CNF and the cube literals stay valid everywhere.
+        // Encode once: the splitter picks the cube literals from this CNF
+        // and every cube loads it, so all solvers see the exact CNF the
+        // cubes range over.
         let split_span = tracer.span("split");
-        let encoded = encode_coloring_instrumented(
+        let encoded = encode(
             self.graph,
             self.k,
             &self.strategy.encoding.encoding(),
             self.strategy.symmetry,
+            Selectors::None,
             tracer,
             metrics,
         );
@@ -375,6 +376,7 @@ impl<'a> ConquerRequest<'a> {
         let k = self.k;
         let sharing = self.sharing;
         let plan_cubes = &plan.cubes;
+        let encoded = &encoded;
         let (tx, rx) = mpsc::channel::<(usize, usize, bool, ColoringReport, Duration)>();
 
         let (winner, first_answer, slots) = std::thread::scope(|scope| {
@@ -434,7 +436,7 @@ impl<'a> ConquerRequest<'a> {
                             request = request.share(exchange, sharing);
                         }
                     }
-                    let report = request.run();
+                    let (report, _) = request.run_encoded(encoded, Duration::ZERO, false);
                     report.trace_onto(&cube_span);
                     if matches!(report.outcome, ColoringOutcome::Colorable(_)) {
                         // First SAT wins: siblings observe the token and

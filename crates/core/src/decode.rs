@@ -40,7 +40,7 @@ impl fmt::Display for DecodeError {
 impl Error for DecodeError {}
 
 /// Decodes a SAT model into a coloring using the map produced by
-/// [`crate::encode::encode_coloring`].
+/// [`encode`](crate::encode::encode).
 ///
 /// # Errors
 ///

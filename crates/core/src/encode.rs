@@ -11,21 +11,81 @@
 //! 4. adds one conflict clause per edge and common domain value:
 //!    `¬pattern_v(d) ∨ ¬pattern_w(d)` (§2–§4);
 //! 5. adds symmetry-breaking restrictions: the p-th restricted vertex
-//!    (0-based) gets `¬pattern(d)` clauses for every `d > p` (§5).
+//!    (0-based) gets `¬pattern(d)` clauses for every `d > p` (§5);
+//! 6. optionally appends activation [`Selectors`] — one fresh variable per
+//!    track (the warm width ladder) or per vertex group (explain's cores) —
+//!    after all vertex blocks.
 //!
 //! The result carries a [`DecodeMap`] so that a SAT model can be converted
-//! back into a coloring by [`crate::decode::decode_coloring`].
+//! back into a coloring by [`crate::decode::decode_coloring`], and a failed
+//! selector assumption back into its track or group id.
 
-use satroute_cnf::{CnfFormula, Lit};
+use std::ops::Range;
+
+use satroute_cnf::{CnfFormula, Lit, Var};
 use satroute_coloring::CspGraph;
 use satroute_obs::{FieldValue, MetricsRegistry, Tracer};
 
 use crate::catalog::Encoding;
-use crate::pattern::SchemeCnf;
+use crate::pattern::{Pattern, SchemeCnf};
 use crate::symmetry::SymmetryHeuristic;
 
-/// Mapping from SAT variables back to CSP vertices: the shared scheme and
-/// each vertex's variable-block offset.
+/// Which activation selectors [`encode`] appends after the vertex blocks.
+///
+/// Selectors are consecutive fresh variables, so the [`DecodeMap`] of the
+/// vertex blocks is the plain encode's, and a selector literal maps back
+/// to its track or group id by variable index
+/// ([`DecodeMap::selector_id`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Selectors<'a> {
+    /// No selectors: the paper's plain encoding.
+    None,
+    /// One selector `s_d` per track `d < k`, with the clauses
+    /// `¬s_d ∨ ¬pattern_v(d)` for every vertex `v`. Assuming `s_d` disables
+    /// track `d` for the whole graph, so a width-`W` probe assumes
+    /// [`DecodeMap::assumptions_for_width`] and one CNF encoded at an upper
+    /// width answers every narrower width. Because patterns are
+    /// conjunctions this works for every catalog encoding.
+    ///
+    /// Decoding at width `W` stays sound: totality forces some pattern
+    /// true per vertex and the activation clauses falsify every pattern
+    /// `≥ W`. Symmetry restrictions emitted at the upper width stay sound
+    /// at smaller widths because they only ever *forbid* high tracks.
+    PerTrack,
+    /// One selector `s_g` per vertex group, `groups[v]` being vertex `v`'s
+    /// group (for routing, the subnet's net id). Every clause mentioning a
+    /// vertex of `g` is guarded with `¬s_g`: structural clauses get their
+    /// vertex's guard, conflict clauses the guards of both endpoints.
+    /// Assuming `s_g` activates the group; leaving it free lets the solver
+    /// delete the group's vertices by setting `s_g` false. A probe
+    /// assuming the selectors of a set `A` of groups is therefore SAT iff
+    /// the subgraph induced by `A`'s vertices is `k`-colorable, and an
+    /// UNSAT answer's failed assumptions name a subset of `A` that is
+    /// uncolorable on its own — a group-level core.
+    ///
+    /// Symmetry breaking is forced off: restrictions derived from a clique
+    /// and vertex order of the *full* graph do not stay sound once groups
+    /// are deleted, and an unsound one would make a colorable group subset
+    /// look UNSAT. At `k == 0` each populated group gets the unit clause
+    /// `¬s_g` instead of the empty clause, so width-0 probes still yield
+    /// group cores.
+    PerGroup(&'a [u32]),
+}
+
+impl Selectors<'_> {
+    /// Stable name recorded in the `encode` span's `selectors` field
+    /// (`none`, `track`, `group`).
+    fn name(&self) -> &'static str {
+        match self {
+            Selectors::None => "none",
+            Selectors::PerTrack => "track",
+            Selectors::PerGroup(_) => "group",
+        }
+    }
+}
+
+/// Mapping from SAT variables back to the CSP: the shared scheme, each
+/// vertex's variable-block offset and the activation selectors.
 #[derive(Clone, Debug)]
 pub struct DecodeMap {
     /// The per-vertex scheme (patterns over local variables).
@@ -34,13 +94,82 @@ pub struct DecodeMap {
     pub offsets: Vec<u32>,
     /// Number of colors the instance was encoded for.
     pub num_colors: u32,
+    /// Variable indices of the activation selectors, consecutive after
+    /// every vertex block; the variable at `selectors.start + i` is the
+    /// selector of track or group `i`. Empty for [`Selectors::None`].
+    pub selectors: Range<u32>,
 }
 
-/// The output of [`encode_coloring`]: the CNF formula and its decode map.
+impl DecodeMap {
+    /// Number of selectors: the encoded width for [`Selectors::PerTrack`],
+    /// max group id + 1 for [`Selectors::PerGroup`] (ids need not all be
+    /// populated), 0 otherwise.
+    #[must_use]
+    pub fn num_selectors(&self) -> u32 {
+        self.selectors.end - self.selectors.start
+    }
+
+    /// The positive literal of selector `id` (a track or group id).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not below [`DecodeMap::num_selectors`].
+    #[must_use]
+    pub fn selector(&self, id: u32) -> Lit {
+        assert!(
+            id < self.num_selectors(),
+            "selector {id} out of range ({} selectors)",
+            self.num_selectors()
+        );
+        Lit::positive(Var::new(self.selectors.start + id))
+    }
+
+    /// Maps a failed-assumption literal back to the track or group id of
+    /// its selector, by variable index; `None` for literals that are not
+    /// positive selector occurrences.
+    #[must_use]
+    pub fn selector_id(&self, lit: Lit) -> Option<u32> {
+        let var = lit.var().index();
+        (lit.is_positive() && self.selectors.contains(&var)).then(|| var - self.selectors.start)
+    }
+
+    /// The assumption vector of a width-`width` probe of a per-track
+    /// encode: the selectors of every track `≥ width`, highest track first
+    /// (so consecutive downward probes share an assumption prefix).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` exceeds the encoded width.
+    #[must_use]
+    pub fn assumptions_for_width(&self, width: u32) -> Vec<Lit> {
+        assert!(
+            width <= self.num_selectors(),
+            "width {width} above encoded upper bound {}",
+            self.num_selectors()
+        );
+        (width..self.num_selectors())
+            .rev()
+            .map(|d| self.selector(d))
+            .collect()
+    }
+
+    /// The assumption vector activating exactly the given groups of a
+    /// per-group encode (ascending group-id order for determinism).
+    #[must_use]
+    pub fn assumptions_for(&self, groups: impl IntoIterator<Item = u32>) -> Vec<Lit> {
+        let mut ids: Vec<u32> = groups.into_iter().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.into_iter().map(|g| self.selector(g)).collect()
+    }
+}
+
+/// The output of [`encode`]: the CNF formula and its decode map.
 #[derive(Clone, Debug)]
 pub struct EncodedColoring {
     /// The CNF instance; satisfiable iff the graph is `num_colors`-colorable
-    /// (under the sound symmetry restrictions).
+    /// (under the sound symmetry restrictions; for selector encodes, under
+    /// the probe's assumptions).
     pub formula: CnfFormula,
     /// Decoder state.
     pub decode: DecodeMap,
@@ -49,11 +178,203 @@ pub struct EncodedColoring {
     pub cnf_translation: std::time::Duration,
 }
 
-/// Encodes the K-coloring problem of `graph` as CNF.
+/// Encodes the K-coloring problem of `graph` as CNF, with the given
+/// activation `selectors` appended after the vertex blocks.
 ///
 /// `k == 0` with a non-empty graph yields a trivially unsatisfiable formula
-/// (a single empty clause); with an empty graph, an empty (satisfiable)
-/// formula.
+/// (a single empty clause, or per group a unit clause against its
+/// selector); with an empty graph, an empty (satisfiable) formula.
+///
+/// The run is recorded as one `encode` span (fields: encoding name, `k`,
+/// vertex/edge counts and the selector kind) with `scheme_emit`,
+/// `structural_clauses`, `conflict_clauses`, `symmetry_breaking` and, per
+/// track, `activation_selectors` child spans, plus final
+/// `variables`/`clauses`/`literals` counters — the paper's per-encoding
+/// CNF-size comparison, recorded per run. An enabled `metrics` registry
+/// receives the wall time in the `encode.wall_us.<encoding>` histogram and
+/// the CNF shape in `encode.vars.<encoding>` / `encode.clauses.<encoding>`
+/// / `encode.literals.<encoding>`.
+///
+/// # Panics
+///
+/// Panics if a [`Selectors::PerGroup`] slice does not hold exactly one
+/// group id per vertex.
+pub fn encode(
+    graph: &CspGraph,
+    k: u32,
+    encoding: &Encoding,
+    symmetry: SymmetryHeuristic,
+    selectors: Selectors<'_>,
+    tracer: &Tracer,
+    metrics: &MetricsRegistry,
+) -> EncodedColoring {
+    let n = graph.num_vertices();
+    let span = tracer.span_with(
+        "encode",
+        [
+            ("encoding", FieldValue::from(encoding.name())),
+            ("k", FieldValue::from(k)),
+            ("vertices", FieldValue::from(n)),
+            ("edges", FieldValue::from(graph.num_edges())),
+            ("selectors", FieldValue::from(selectors.name())),
+        ],
+    );
+    let (groups, num_selectors) = match selectors {
+        Selectors::None => (None, 0),
+        Selectors::PerTrack => (None, k),
+        Selectors::PerGroup(groups) => {
+            assert_eq!(
+                groups.len(),
+                n,
+                "need exactly one group id per vertex ({} ids for {n} vertices)",
+                groups.len()
+            );
+            (
+                Some(groups),
+                groups.iter().map(|&g| g + 1).max().unwrap_or(0),
+            )
+        }
+    };
+    // Deleting groups would make full-graph symmetry restrictions unsound.
+    let symmetry = if groups.is_some() {
+        SymmetryHeuristic::None
+    } else {
+        symmetry
+    };
+
+    let scheme = if k == 0 {
+        SchemeCnf::default()
+    } else {
+        encoding.emit_traced(k, tracer)
+    };
+    let blocks = scheme.num_vars * n as u32;
+    let mut formula = CnfFormula::with_vars(blocks + num_selectors);
+    let offsets: Vec<u32> = (0..n as u32).map(|v| v * scheme.num_vars).collect();
+    let negations: Vec<Vec<Lit>> = scheme
+        .patterns
+        .iter()
+        .map(Pattern::negation_clause)
+        .collect();
+    let selector = |id: u32| Lit::positive(Var::new(blocks + id));
+    // The literal releasing vertex `v`'s clauses: its group's `¬s_g`.
+    let guard = |v: u32| groups.map(|groups| !selector(groups[v as usize]));
+
+    // Structural clauses, one copy per vertex.
+    let structural = tracer.span("structural_clauses");
+    for (v, &offset) in (0u32..).zip(&offsets) {
+        for clause in &scheme.structural {
+            formula.add_clause(guard(v).into_iter().chain(shifted(clause, offset)));
+        }
+    }
+    structural.counter("clauses", formula.num_clauses() as u64);
+    drop(structural);
+
+    // Conflict clauses: for each edge and common value, forbid both
+    // patterns simultaneously — guarded by both endpoints' groups, so the
+    // clause only bites while both are active.
+    let conflicts = tracer.span("conflict_clauses");
+    let before_conflicts = formula.num_clauses();
+    for (u, v) in graph.edges() {
+        let gu = guard(u);
+        let gv = guard(v).filter(|&g| Some(g) != gu);
+        let (ou, ov) = (offsets[u as usize], offsets[v as usize]);
+        for neg in &negations {
+            formula.add_clause(
+                gu.into_iter()
+                    .chain(gv)
+                    .chain(shifted(neg, ou))
+                    .chain(shifted(neg, ov)),
+            );
+        }
+    }
+    conflicts.counter("clauses", (formula.num_clauses() - before_conflicts) as u64);
+    drop(conflicts);
+
+    // Symmetry restrictions: position p (0-based) may only use colors 0..=p.
+    let sym = tracer.span_with(
+        "symmetry_breaking",
+        [("heuristic", FieldValue::from(symmetry.to_string()))],
+    );
+    let before_sym = formula.num_clauses();
+    for (p, &v) in symmetry.restricted_sequence(graph, k).iter().enumerate() {
+        for neg in negations.iter().skip(p + 1) {
+            formula.add_clause(shifted(neg, offsets[v as usize]));
+        }
+    }
+    sym.counter("clauses", (formula.num_clauses() - before_sym) as u64);
+    drop(sym);
+
+    if selectors == Selectors::PerTrack {
+        let activations = tracer.span("activation_selectors");
+        let before = formula.num_clauses();
+        for &offset in &offsets {
+            for (d, neg) in (0u32..).zip(&negations) {
+                formula.add_clause(std::iter::once(!selector(d)).chain(shifted(neg, offset)));
+            }
+        }
+        activations.counter("clauses", (formula.num_clauses() - before) as u64);
+        drop(activations);
+    }
+
+    if k == 0 {
+        // No tracks at all. Per group, each populated group is unroutable
+        // by itself: one unit clause against its selector (one per group,
+        // not per vertex, so cores stay minimal).
+        match groups {
+            Some(groups) => {
+                let mut populated = vec![false; num_selectors as usize];
+                for &g in groups {
+                    if !std::mem::replace(&mut populated[g as usize], true) {
+                        formula.add_clause([!selector(g)]);
+                    }
+                }
+            }
+            None if n > 0 => formula.add_clause(std::iter::empty()),
+            None => {}
+        }
+    }
+
+    let stats = formula.stats();
+    span.counter("variables", stats.num_vars as u64);
+    span.counter("clauses", stats.num_clauses as u64);
+    span.counter("literals", stats.num_literals as u64);
+    let cnf_translation = span.close();
+    if metrics.is_enabled() {
+        let name = encoding.name();
+        let micros = u64::try_from(cnf_translation.as_micros()).unwrap_or(u64::MAX);
+        metrics
+            .histogram(&format!("encode.wall_us.{name}"))
+            .record(micros);
+        metrics
+            .histogram(&format!("encode.vars.{name}"))
+            .record(stats.num_vars as u64);
+        metrics
+            .histogram(&format!("encode.clauses.{name}"))
+            .record(stats.num_clauses as u64);
+        metrics
+            .histogram(&format!("encode.literals.{name}"))
+            .record(stats.num_literals as u64);
+    }
+    EncodedColoring {
+        formula,
+        decode: DecodeMap {
+            scheme,
+            offsets,
+            num_colors: k,
+            selectors: blocks..blocks + num_selectors,
+        },
+        cnf_translation,
+    }
+}
+
+/// `lits` moved into the variable block starting at `offset`.
+fn shifted(lits: &[Lit], offset: u32) -> impl Iterator<Item = Lit> + '_ {
+    lits.iter()
+        .map(move |&l| Lit::from_code(l.code() + 2 * offset))
+}
+
+/// Encodes the K-coloring problem of `graph` as plain CNF: [`encode`]
+/// without selectors, trace or metrics.
 ///
 /// # Examples
 ///
@@ -77,560 +398,22 @@ pub fn encode_coloring(
     encoding: &Encoding,
     symmetry: SymmetryHeuristic,
 ) -> EncodedColoring {
-    encode_coloring_traced(graph, k, encoding, symmetry, &Tracer::disabled())
-}
-
-/// [`encode_coloring`] with trace instrumentation: an `encode` span
-/// (fields: encoding name, `k`, vertex/edge counts) with `scheme_emit`,
-/// `structural_clauses`, `conflict_clauses` and `symmetry_breaking` child
-/// spans, plus final `variables`/`clauses`/`literals` counters — the
-/// paper's Table-style per-encoding CNF-size comparison, recorded per run.
-pub fn encode_coloring_traced(
-    graph: &CspGraph,
-    k: u32,
-    encoding: &Encoding,
-    symmetry: SymmetryHeuristic,
-    tracer: &Tracer,
-) -> EncodedColoring {
-    encode_coloring_instrumented(
+    encode(
         graph,
         k,
         encoding,
         symmetry,
-        tracer,
+        Selectors::None,
+        &Tracer::disabled(),
         &MetricsRegistry::disabled(),
     )
-}
-
-/// [`encode_coloring_traced`] that additionally feeds a
-/// [`MetricsRegistry`]: the encode wall time lands in the
-/// `encode.wall_us.<encoding>` histogram and the CNF shape in
-/// `encode.vars.<encoding>` / `encode.clauses.<encoding>` /
-/// `encode.literals.<encoding>` — one histogram family per encoding, so
-/// a registry fed by many runs carries the paper's per-encoding
-/// size-comparison directly. A disabled registry records nothing.
-pub fn encode_coloring_instrumented(
-    graph: &CspGraph,
-    k: u32,
-    encoding: &Encoding,
-    symmetry: SymmetryHeuristic,
-    tracer: &Tracer,
-    metrics: &MetricsRegistry,
-) -> EncodedColoring {
-    let span = tracer.span_with(
-        "encode",
-        [
-            ("encoding", FieldValue::from(encoding.name())),
-            ("k", FieldValue::from(k)),
-            ("vertices", FieldValue::from(graph.num_vertices())),
-            ("edges", FieldValue::from(graph.num_edges())),
-        ],
-    );
-    let mut encoded = encode_inner(graph, k, encoding, symmetry, tracer);
-    let stats = encoded.formula.stats();
-    span.counter("variables", stats.num_vars as u64);
-    span.counter("clauses", stats.num_clauses as u64);
-    span.counter("literals", stats.num_literals as u64);
-    encoded.cnf_translation = span.close();
-    if metrics.is_enabled() {
-        let name = encoding.name();
-        let micros = u64::try_from(encoded.cnf_translation.as_micros()).unwrap_or(u64::MAX);
-        metrics
-            .histogram(&format!("encode.wall_us.{name}"))
-            .record(micros);
-        metrics
-            .histogram(&format!("encode.vars.{name}"))
-            .record(stats.num_vars as u64);
-        metrics
-            .histogram(&format!("encode.clauses.{name}"))
-            .record(stats.num_clauses as u64);
-        metrics
-            .histogram(&format!("encode.literals.{name}"))
-            .record(stats.num_literals as u64);
-    }
-    encoded
-}
-
-/// The output of [`encode_coloring_incremental`]: one CNF encoded at the
-/// upper-bound width plus per-track *activation selectors* that let a
-/// single warm solver probe every width `0..=upper` with assumptions.
-///
-/// For each track `d` a fresh selector variable `s_d` is allocated (after
-/// all vertex blocks, so the [`DecodeMap`] is unchanged) together with the
-/// clauses `¬s_d ∨ ¬pattern_v(d)` for every vertex `v`. Assuming `s_d`
-/// *true* therefore disables track `d` for the whole graph; a width-`W`
-/// probe assumes `{s_d : d ≥ W}` and leaves the remaining selectors free.
-/// Because patterns are conjunctions this works for every catalog
-/// encoding, not just single-positive-literal indexings like muldirect.
-///
-/// Soundness of decoding at width `W < upper`: the structural clauses'
-/// totality guarantee forces some pattern true for each vertex, and the
-/// activation clauses falsify every pattern `≥ W`, so the decoded color is
-/// `< W`. Symmetry restrictions emitted at `upper` stay sound at smaller
-/// widths because they only ever *forbid* high tracks.
-#[derive(Clone, Debug)]
-pub struct IncrementalEncoding {
-    /// The CNF instance at the upper-bound width, including activation
-    /// clauses; satisfiable with `{s_d : d ≥ W}` assumed iff the graph is
-    /// `W`-colorable (under the sound symmetry restrictions).
-    pub formula: CnfFormula,
-    /// Decoder state (identical to the non-incremental encode at `upper`).
-    pub decode: DecodeMap,
-    /// `selectors[d]` = the positive literal of track `d`'s selector
-    /// variable; assuming it disables the track.
-    pub selectors: Vec<Lit>,
-    /// Wall time spent encoding (the `encode_incremental` span's duration).
-    pub cnf_translation: std::time::Duration,
-}
-
-impl IncrementalEncoding {
-    /// The upper-bound width the instance was encoded at.
-    #[must_use]
-    pub fn upper(&self) -> u32 {
-        self.selectors.len() as u32
-    }
-
-    /// The assumption vector for a width-`width` probe: the selectors of
-    /// every track `≥ width`, highest track first (so consecutive
-    /// downward probes share an assumption prefix).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` exceeds the encoded upper bound.
-    #[must_use]
-    pub fn assumptions_for_width(&self, width: u32) -> Vec<Lit> {
-        assert!(
-            width <= self.upper(),
-            "width {width} above encoded upper bound {}",
-            self.upper()
-        );
-        (width..self.upper())
-            .rev()
-            .map(|d| self.selectors[d as usize])
-            .collect()
-    }
-
-    /// Maps a failed-assumption literal back to the track it disables, or
-    /// `None` for literals that are not positive selector occurrences.
-    #[must_use]
-    pub fn track_of(&self, selector: Lit) -> Option<u32> {
-        self.selectors
-            .iter()
-            .position(|&s| s == selector)
-            .map(|d| d as u32)
-    }
-}
-
-/// Encodes the coloring problem once at width `upper` with per-track
-/// activation selectors, for assumption-based width probing (see
-/// [`IncrementalEncoding`]).
-///
-/// # Panics
-///
-/// Panics if `upper == 0` — the ladder needs at least one track to hang
-/// selectors on (a width-0 probe is expressed by assuming *all* selectors).
-pub fn encode_coloring_incremental(
-    graph: &CspGraph,
-    upper: u32,
-    encoding: &Encoding,
-    symmetry: SymmetryHeuristic,
-) -> IncrementalEncoding {
-    encode_coloring_incremental_traced(graph, upper, encoding, symmetry, &Tracer::disabled())
-}
-
-/// [`encode_coloring_incremental`] with trace instrumentation: an
-/// `encode_incremental` span wrapping the usual encode child spans plus an
-/// `activation_selectors` span counting the selector clauses.
-pub fn encode_coloring_incremental_traced(
-    graph: &CspGraph,
-    upper: u32,
-    encoding: &Encoding,
-    symmetry: SymmetryHeuristic,
-    tracer: &Tracer,
-) -> IncrementalEncoding {
-    assert!(upper > 0, "incremental encoding needs at least one track");
-    let span = tracer.span_with(
-        "encode_incremental",
-        [
-            ("encoding", FieldValue::from(encoding.name())),
-            ("upper", FieldValue::from(upper)),
-            ("vertices", FieldValue::from(graph.num_vertices())),
-            ("edges", FieldValue::from(graph.num_edges())),
-        ],
-    );
-    let base = encode_inner(graph, upper, encoding, symmetry, tracer);
-    let mut formula = base.formula;
-    let decode = base.decode;
-
-    let sel_span = tracer.span("activation_selectors");
-    let before = formula.num_clauses();
-    let selectors: Vec<Lit> = (0..upper)
-        .map(|_| Lit::positive(formula.new_var()))
-        .collect();
-    let negations: Vec<Vec<Lit>> = decode
-        .scheme
-        .patterns
-        .iter()
-        .map(|p| p.negation_clause())
-        .collect();
-    for &offset in &decode.offsets {
-        for (d, neg) in negations.iter().enumerate() {
-            let mut clause = Vec::with_capacity(neg.len() + 1);
-            clause.push(!selectors[d]);
-            clause.extend(neg.iter().map(|&l| Lit::from_code(l.code() + 2 * offset)));
-            formula.add_clause(clause);
-        }
-    }
-    sel_span.counter("clauses", (formula.num_clauses() - before) as u64);
-    drop(sel_span);
-
-    let stats = formula.stats();
-    span.counter("variables", stats.num_vars as u64);
-    span.counter("clauses", stats.num_clauses as u64);
-    span.counter("literals", stats.num_literals as u64);
-    let cnf_translation = span.close();
-    IncrementalEncoding {
-        formula,
-        decode,
-        selectors,
-        cnf_translation,
-    }
-}
-
-/// The output of [`encode_coloring_grouped`]: one CNF with a *group
-/// activation selector* per vertex group (for routing: per net), so a
-/// single warm solver can probe colorability of any vertex-induced union
-/// of groups with assumptions — the substrate for UNSAT-core extraction
-/// and deletion-based core minimization over nets.
-///
-/// For each group `g` a fresh selector variable `s_g` is allocated (after
-/// all vertex blocks, so the [`DecodeMap`] is unchanged) and every clause
-/// mentioning a vertex of `g` is guarded with `¬s_g`: structural clauses
-/// get their vertex's guard, conflict clauses the guards of both
-/// endpoints. Assuming `s_g` *true* activates group `g`; leaving it free
-/// lets the solver satisfy the group's clauses by setting `s_g` false,
-/// which is equivalent to deleting the group's vertices from the graph.
-/// A probe assuming selectors of a set `A` of groups is therefore SAT iff
-/// the subgraph induced by `A`'s vertices is `k`-colorable, and an UNSAT
-/// answer's failed assumptions name a subset of `A` that is already
-/// uncolorable on its own — a group-level core.
-///
-/// No symmetry restrictions are emitted: they are derived from a clique
-/// and vertex order of the *full* graph and do not stay sound once groups
-/// are deleted, and an unsound restriction would let a group subset look
-/// UNSAT that is in fact colorable — exactly the error a core must not
-/// make.
-///
-/// `k == 0` with a non-empty graph emits the unit clause `¬s_g` for every
-/// populated group instead of an empty clause, so even width-0 probes
-/// produce group cores.
-#[derive(Clone, Debug)]
-pub struct GroupedEncoding {
-    /// The CNF instance; satisfiable with a set `A` of group selectors
-    /// assumed iff the subgraph induced by `A`'s vertices is
-    /// `num_colors`-colorable.
-    pub formula: CnfFormula,
-    /// Decoder state (identical to the non-incremental encode; selector
-    /// variables live after all vertex blocks).
-    pub decode: DecodeMap,
-    /// `selectors[g]` = the positive literal of group `g`'s selector
-    /// variable; assuming it activates the group.
-    pub selectors: Vec<Lit>,
-    /// `groups[v]` = the group id of vertex `v` (the caller's mapping,
-    /// kept for diagnostics).
-    pub groups: Vec<u32>,
-    /// Wall time spent encoding (the `encode_grouped` span's duration).
-    pub cnf_translation: std::time::Duration,
-}
-
-impl GroupedEncoding {
-    /// Number of groups (max group id + 1; ids need not all be populated).
-    #[must_use]
-    pub fn num_groups(&self) -> u32 {
-        self.selectors.len() as u32
-    }
-
-    /// The selector literal activating `group`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is out of range.
-    #[must_use]
-    pub fn selector_of(&self, group: u32) -> Lit {
-        self.selectors[group as usize]
-    }
-
-    /// Maps a failed-assumption literal back to the group it activates, or
-    /// `None` for literals that are not positive selector occurrences.
-    #[must_use]
-    pub fn group_of(&self, selector: Lit) -> Option<u32> {
-        self.selectors
-            .iter()
-            .position(|&s| s == selector)
-            .map(|g| g as u32)
-    }
-
-    /// The assumption vector activating exactly the given groups
-    /// (ascending group-id order for determinism).
-    #[must_use]
-    pub fn assumptions_for<I>(&self, groups: I) -> Vec<Lit>
-    where
-        I: IntoIterator<Item = u32>,
-    {
-        let mut ids: Vec<u32> = groups.into_iter().collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.into_iter().map(|g| self.selector_of(g)).collect()
-    }
-
-    /// The assumption vector activating every group.
-    #[must_use]
-    pub fn all_assumptions(&self) -> Vec<Lit> {
-        self.selectors.clone()
-    }
-}
-
-/// Encodes the K-coloring problem of `graph` with one activation selector
-/// per vertex group, for assumption-based group-core extraction (see
-/// [`GroupedEncoding`]). `groups[v]` is the group id of vertex `v`; for a
-/// routing conflict graph, the subnet's net id.
-///
-/// # Panics
-///
-/// Panics if `groups.len() != graph.num_vertices()`.
-pub fn encode_coloring_grouped(
-    graph: &CspGraph,
-    k: u32,
-    groups: &[u32],
-    encoding: &Encoding,
-) -> GroupedEncoding {
-    encode_coloring_grouped_traced(graph, k, groups, encoding, &Tracer::disabled())
-}
-
-/// [`encode_coloring_grouped`] with trace instrumentation: an
-/// `encode_grouped` span (fields: encoding name, `k`, vertex/edge/group
-/// counts) wrapping the usual encode child spans plus a `group_selectors`
-/// span counting the guarded clauses.
-pub fn encode_coloring_grouped_traced(
-    graph: &CspGraph,
-    k: u32,
-    groups: &[u32],
-    encoding: &Encoding,
-    tracer: &Tracer,
-) -> GroupedEncoding {
-    let n = graph.num_vertices();
-    assert_eq!(
-        groups.len(),
-        n,
-        "need exactly one group id per vertex ({} ids for {n} vertices)",
-        groups.len()
-    );
-    let num_groups = groups.iter().map(|&g| g + 1).max().unwrap_or(0);
-    let span = tracer.span_with(
-        "encode_grouped",
-        [
-            ("encoding", FieldValue::from(encoding.name())),
-            ("k", FieldValue::from(k)),
-            ("vertices", FieldValue::from(n)),
-            ("edges", FieldValue::from(graph.num_edges())),
-            ("groups", FieldValue::from(num_groups)),
-        ],
-    );
-
-    if k == 0 {
-        // No tracks at all: each populated group is unroutable by itself,
-        // expressed as a unit clause against its selector (one per group,
-        // not per vertex, so cores stay minimal).
-        let mut formula = CnfFormula::new();
-        let selectors: Vec<Lit> = (0..num_groups)
-            .map(|_| Lit::positive(formula.new_var()))
-            .collect();
-        let mut populated = vec![false; num_groups as usize];
-        for &g in groups {
-            if !std::mem::replace(&mut populated[g as usize], true) {
-                formula.add_clause([!selectors[g as usize]]);
-            }
-        }
-        let cnf_translation = span.close();
-        return GroupedEncoding {
-            formula,
-            decode: DecodeMap {
-                scheme: SchemeCnf::default(),
-                offsets: vec![0; n],
-                num_colors: 0,
-            },
-            selectors,
-            groups: groups.to_vec(),
-            cnf_translation,
-        };
-    }
-
-    let scheme = encoding.emit_traced(k, tracer);
-    let mut formula = CnfFormula::with_vars(scheme.num_vars * n as u32);
-    let offsets: Vec<u32> = (0..n as u32).map(|v| v * scheme.num_vars).collect();
-    let selectors: Vec<Lit> = (0..num_groups)
-        .map(|_| Lit::positive(formula.new_var()))
-        .collect();
-    let shift = |lits: &[Lit], offset: u32| -> Vec<Lit> {
-        lits.iter()
-            .map(|&l| Lit::from_code(l.code() + 2 * offset))
-            .collect()
-    };
-
-    // Structural clauses, one guarded copy per vertex: deactivating the
-    // vertex's group releases its totality/at-most-one constraints.
-    let sel_span = tracer.span("group_selectors");
-    let structural = tracer.span("structural_clauses");
-    for (v, &offset) in offsets.iter().enumerate() {
-        let guard = !selectors[groups[v] as usize];
-        for clause in &scheme.structural {
-            let mut guarded = Vec::with_capacity(clause.len() + 1);
-            guarded.push(guard);
-            guarded.extend(shift(clause, offset));
-            formula.add_clause(guarded);
-        }
-    }
-    structural.counter("clauses", formula.num_clauses() as u64);
-    drop(structural);
-
-    // Conflict clauses guarded by both endpoints' groups: the clause only
-    // bites while both nets are active.
-    let conflicts = tracer.span("conflict_clauses");
-    let before_conflicts = formula.num_clauses();
-    let negations: Vec<Vec<Lit>> = scheme
-        .patterns
-        .iter()
-        .map(|p| p.negation_clause())
-        .collect();
-    for (u, v) in graph.edges() {
-        let gu = groups[u as usize];
-        let gv = groups[v as usize];
-        for neg in &negations {
-            let mut clause = Vec::with_capacity(2 * neg.len() + 2);
-            clause.push(!selectors[gu as usize]);
-            if gv != gu {
-                clause.push(!selectors[gv as usize]);
-            }
-            clause.extend(shift(neg, offsets[u as usize]));
-            clause.extend(shift(neg, offsets[v as usize]));
-            formula.add_clause(clause);
-        }
-    }
-    conflicts.counter("clauses", (formula.num_clauses() - before_conflicts) as u64);
-    drop(conflicts);
-    sel_span.counter("selectors", u64::from(num_groups));
-    drop(sel_span);
-
-    let stats = formula.stats();
-    span.counter("variables", stats.num_vars as u64);
-    span.counter("clauses", stats.num_clauses as u64);
-    span.counter("literals", stats.num_literals as u64);
-    let cnf_translation = span.close();
-    GroupedEncoding {
-        formula,
-        decode: DecodeMap {
-            scheme,
-            offsets,
-            num_colors: k,
-        },
-        selectors,
-        groups: groups.to_vec(),
-        cnf_translation,
-    }
-}
-
-fn encode_inner(
-    graph: &CspGraph,
-    k: u32,
-    encoding: &Encoding,
-    symmetry: SymmetryHeuristic,
-    tracer: &Tracer,
-) -> EncodedColoring {
-    let n = graph.num_vertices();
-    if k == 0 {
-        let mut formula = CnfFormula::new();
-        if n > 0 {
-            formula.add_clause(std::iter::empty());
-        }
-        return EncodedColoring {
-            formula,
-            decode: DecodeMap {
-                scheme: SchemeCnf::default(),
-                offsets: vec![0; n],
-                num_colors: 0,
-            },
-            cnf_translation: std::time::Duration::ZERO,
-        };
-    }
-
-    let scheme = encoding.emit_traced(k, tracer);
-    let mut formula = CnfFormula::with_vars(scheme.num_vars * n as u32);
-
-    let offsets: Vec<u32> = (0..n as u32).map(|v| v * scheme.num_vars).collect();
-    let shift = |lits: &[Lit], offset: u32| -> Vec<Lit> {
-        lits.iter()
-            .map(|&l| Lit::from_code(l.code() + 2 * offset))
-            .collect()
-    };
-
-    // Structural clauses, one copy per vertex.
-    let structural = tracer.span("structural_clauses");
-    for &offset in &offsets {
-        for clause in &scheme.structural {
-            formula.add_clause(shift(clause, offset));
-        }
-    }
-    structural.counter("clauses", formula.num_clauses() as u64);
-    drop(structural);
-
-    // Conflict clauses: for each edge and common value, forbid both
-    // patterns simultaneously.
-    let conflicts = tracer.span("conflict_clauses");
-    let before_conflicts = formula.num_clauses();
-    let negations: Vec<Vec<Lit>> = scheme
-        .patterns
-        .iter()
-        .map(|p| p.negation_clause())
-        .collect();
-    for (u, v) in graph.edges() {
-        for neg in &negations {
-            let mut clause = shift(neg, offsets[u as usize]);
-            clause.extend(shift(neg, offsets[v as usize]));
-            formula.add_clause(clause);
-        }
-    }
-    conflicts.counter("clauses", (formula.num_clauses() - before_conflicts) as u64);
-    drop(conflicts);
-
-    // Symmetry restrictions: position p (0-based) may only use colors 0..=p.
-    let sym = tracer.span_with(
-        "symmetry_breaking",
-        [("heuristic", FieldValue::from(symmetry.to_string()))],
-    );
-    let before_sym = formula.num_clauses();
-    for (p, &v) in symmetry.restricted_sequence(graph, k).iter().enumerate() {
-        for d in (p as u32 + 1)..k {
-            formula.add_clause(shift(&negations[d as usize], offsets[v as usize]));
-        }
-    }
-    sym.counter("clauses", (formula.num_clauses() - before_sym) as u64);
-    drop(sym);
-
-    EncodedColoring {
-        formula,
-        decode: DecodeMap {
-            scheme,
-            offsets,
-            num_colors: k,
-        },
-        cnf_translation: std::time::Duration::ZERO,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::EncodingId;
+    use satroute_coloring::random_graph;
 
     fn triangle() -> CspGraph {
         CspGraph::from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -735,55 +518,79 @@ mod tests {
         assert_eq!(enc.formula.num_clauses(), 15);
     }
 
+    /// [`encode`] with selectors, untraced.
+    fn encode_with(
+        graph: &CspGraph,
+        k: u32,
+        id: EncodingId,
+        symmetry: SymmetryHeuristic,
+        selectors: Selectors<'_>,
+    ) -> EncodedColoring {
+        encode(
+            graph,
+            k,
+            &id.encoding(),
+            symmetry,
+            selectors,
+            &Tracer::disabled(),
+            &MetricsRegistry::disabled(),
+        )
+    }
+
     #[test]
     fn incremental_encoding_adds_selectors_after_vertex_blocks() {
-        let enc = encode_coloring_incremental(
+        let enc = encode_with(
             &triangle(),
             3,
-            &EncodingId::Muldirect.encoding(),
+            EncodingId::Muldirect,
             SymmetryHeuristic::None,
+            Selectors::PerTrack,
         );
         let per = enc.decode.scheme.num_vars;
         // Decode map identical to the plain encode; selectors appended.
         assert_eq!(enc.decode.offsets, vec![0, per, 2 * per]);
         assert_eq!(enc.formula.num_vars(), 3 * per + 3);
-        assert_eq!(enc.upper(), 3);
+        assert_eq!(enc.decode.num_selectors(), 3);
         // Base clauses (3 ALO + 9 conflicts) + 3 vertices × 3 activations.
         assert_eq!(enc.formula.num_clauses(), 12 + 9);
     }
 
     #[test]
     fn incremental_assumption_vectors_probe_suffixes() {
-        let enc = encode_coloring_incremental(
+        let enc = encode_with(
             &triangle(),
             3,
-            &EncodingId::IteLinear.encoding(),
+            EncodingId::IteLinear,
             SymmetryHeuristic::S1,
+            Selectors::PerTrack,
         );
+        let decode = &enc.decode;
         // Full-width probe assumes nothing; width 1 disables tracks 2 and
         // 1, highest first; width 0 disables everything.
-        assert!(enc.assumptions_for_width(3).is_empty());
+        assert!(decode.assumptions_for_width(3).is_empty());
         assert_eq!(
-            enc.assumptions_for_width(1),
-            vec![enc.selectors[2], enc.selectors[1]]
+            decode.assumptions_for_width(1),
+            vec![decode.selector(2), decode.selector(1)]
         );
-        assert_eq!(enc.assumptions_for_width(0).len(), 3);
-        assert_eq!(enc.track_of(enc.selectors[2]), Some(2));
-        assert_eq!(enc.track_of(!enc.selectors[2]), None);
+        assert_eq!(decode.assumptions_for_width(0).len(), 3);
+        assert_eq!(decode.selector_id(decode.selector(2)), Some(2));
+        assert_eq!(decode.selector_id(!decode.selector(2)), None);
     }
 
     #[test]
     fn grouped_encoding_guards_clauses_and_keeps_decode_map() {
         // Triangle, vertices 0 and 1 in group 0, vertex 2 in group 1.
-        let enc = encode_coloring_grouped(
+        let enc = encode_with(
             &triangle(),
             3,
-            &[0, 0, 1],
-            &EncodingId::Muldirect.encoding(),
+            EncodingId::Muldirect,
+            SymmetryHeuristic::None,
+            Selectors::PerGroup(&[0, 0, 1]),
         );
-        assert_eq!(enc.num_groups(), 2);
+        let decode = &enc.decode;
+        assert_eq!(decode.num_selectors(), 2);
         // Vertex blocks first, then one selector variable per group.
-        assert_eq!(enc.decode.offsets, vec![0, 3, 6]);
+        assert_eq!(decode.offsets, vec![0, 3, 6]);
         assert_eq!(enc.formula.num_vars(), 9 + 2);
         // Same clause count as the ungrouped encode (3 ALO + 9 conflicts),
         // each clause merely widened by its guard literal(s).
@@ -793,18 +600,83 @@ mod tests {
         let lens: Vec<usize> = enc.formula.clauses().iter().map(|c| c.len()).collect();
         assert_eq!(lens.iter().filter(|&&l| l == 4).count(), 3 + 6);
         assert_eq!(lens.iter().filter(|&&l| l == 3).count(), 3);
-        assert_eq!(enc.group_of(enc.selectors[1]), Some(1));
-        assert_eq!(enc.group_of(!enc.selectors[1]), None);
-        assert_eq!(enc.assumptions_for([1, 0, 1]), enc.all_assumptions());
+        assert_eq!(decode.selector_id(decode.selector(1)), Some(1));
+        assert_eq!(decode.selector_id(!decode.selector(1)), None);
+        assert_eq!(
+            decode.assumptions_for([1, 0, 1]),
+            decode.assumptions_for(0..2)
+        );
     }
 
     #[test]
     fn grouped_zero_colors_emits_one_unit_guard_per_populated_group() {
-        let enc = encode_coloring_grouped(&triangle(), 0, &[0, 2, 2], &EncodingId::Log.encoding());
+        let enc = encode_with(
+            &triangle(),
+            0,
+            EncodingId::Log,
+            SymmetryHeuristic::None,
+            Selectors::PerGroup(&[0, 2, 2]),
+        );
         // Groups 0 and 2 are populated, group 1 is not.
-        assert_eq!(enc.num_groups(), 3);
+        assert_eq!(enc.decode.num_selectors(), 3);
         assert_eq!(enc.formula.num_clauses(), 2);
         assert!(enc.formula.clauses().iter().all(|c| c.len() == 1));
+    }
+
+    #[test]
+    fn selector_kinds_only_add_to_the_plain_encode() {
+        // Every encoding, symmetry and width on seeded random graphs: a
+        // per-track encode is the plain encode plus n·k trailing
+        // activation clauses, and a per-group encode is the symmetry-free
+        // plain encode with a guard prefix on every clause — so the three
+        // selector kinds cannot drift apart.
+        for seed in 0..6u64 {
+            let n = 6 + seed as usize;
+            let graph = random_graph(n, 0.3 + 0.06 * seed as f64, seed);
+            let groups: Vec<u32> = (0..n as u32).map(|v| v / 2).collect();
+            for id in EncodingId::ALL {
+                for sym in SymmetryHeuristic::ALL {
+                    for k in 1..=5u32 {
+                        let at = format!("{id}/{sym} k={k} seed={seed}");
+                        let plain = encode_with(&graph, k, id, sym, Selectors::None);
+                        let track = encode_with(&graph, k, id, sym, Selectors::PerTrack);
+                        let activations = n * k as usize;
+                        let clauses = track.formula.clauses();
+                        assert_eq!(
+                            &clauses[..clauses.len() - activations],
+                            plain.formula.clauses(),
+                            "{at}"
+                        );
+                        assert_eq!(track.decode.offsets, plain.decode.offsets, "{at}");
+
+                        let free =
+                            encode_with(&graph, k, id, SymmetryHeuristic::None, Selectors::None);
+                        let grouped = encode_with(&graph, k, id, sym, Selectors::PerGroup(&groups));
+                        let stripped: Vec<Vec<Lit>> = grouped
+                            .formula
+                            .clauses()
+                            .iter()
+                            .map(|c| {
+                                let lits = c.lits();
+                                let guards = lits
+                                    .iter()
+                                    .take_while(|&&l| grouped.decode.selector_id(!l).is_some())
+                                    .count();
+                                assert!((1..=2).contains(&guards), "{at}: unguarded clause");
+                                lits[guards..].to_vec()
+                            })
+                            .collect();
+                        let expected: Vec<Vec<Lit>> = free
+                            .formula
+                            .clauses()
+                            .iter()
+                            .map(|c| c.lits().to_vec())
+                            .collect();
+                        assert_eq!(stripped, expected, "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! An UNSAT verdict at width `W` says *that* the instance is unroutable,
 //! not *why*. This module answers why at the domain level: which minimal
 //! set of nets is jointly unroutable. The instance is re-encoded with one
-//! activation selector per vertex group ([`GroupedEncoding`]; for
+//! activation selector per vertex group ([`Selectors::PerGroup`]; for
 //! routing, one group per net), solved once with every group assumed
 //! active, and the solver's final-conflict analysis yields an initial
 //! group-level core. A deletion pass then shrinks it to a **1-minimal
@@ -35,11 +35,12 @@ use std::time::Duration;
 use satroute_cnf::FormulaStats;
 use satroute_coloring::{Coloring, CspGraph};
 use satroute_obs::{FieldValue, Postmortem};
-use satroute_solver::{CdclSolver, RunContext, SolveOutcome, SolverStats, StopReason};
+use satroute_solver::{RunContext, SolveOutcome, SolverStats, StopReason};
 
-use crate::decode::decode_coloring;
-use crate::encode::{encode_coloring_grouped_traced, GroupedEncoding};
-use crate::strategy::{postmortem_core, Strategy};
+use crate::encode::{encode, Selectors};
+use crate::probe::{Probe, Probed};
+use crate::strategy::Strategy;
+use crate::symmetry::SymmetryHeuristic;
 
 /// How far the deletion pass got.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -174,14 +175,15 @@ impl ExplainReport {
 /// probe. Integer budget caps apply to the solver's *cumulative* counters
 /// across all probes; a stopped probe ends the shrink pass with
 /// [`ShrinkStatus::SolverStopped`]. A tracer records an `explain` root
-/// span with the `encode_grouped` span, an `initial_core` probe span and
-/// one `shrink_step` span per deletion probe (fields: the candidate
-/// group, active-set size; mark: the verdict) as children. A metrics
-/// registry receives the `solver.*` family plus `explain.probes`,
-/// `explain.kept`, `explain.dropped` and `explain.core_nets` counters and
-/// an `explain.shrink_conflicts` histogram of per-deletion-probe conflict
-/// costs. A budget-stopped run's postmortem names the active assumption
-/// core at the stop.
+/// span with the `encode` span (field `selectors`: `group`), an
+/// `initial_core` probe span and one `shrink_step` span per deletion probe
+/// (fields: the candidate group, active-set size; the solver's `outcome`
+/// mark) as children. A metrics registry receives the encoder's
+/// `encode.*.<encoding>` histograms, the `solver.*` family plus
+/// `explain.probes`, `explain.kept`, `explain.dropped` and
+/// `explain.core_nets` counters and an `explain.shrink_conflicts`
+/// histogram of per-deletion-probe conflict costs. A budget-stopped run's
+/// postmortem lists the stopped probe's active group selectors.
 pub struct ExplainRequest<'a> {
     strategy: Strategy,
     graph: &'a CspGraph,
@@ -237,8 +239,7 @@ impl<'a> ExplainRequest<'a> {
     /// Panics if `groups.len() != graph.num_vertices()`.
     pub fn run(self) -> ExplainReport {
         let ctx = &self.ctx;
-        let (tracer, metrics) = (&ctx.tracer, &ctx.metrics);
-        let span = tracer.span_with(
+        let span = ctx.tracer.span_with(
             "explain",
             [
                 (
@@ -250,106 +251,99 @@ impl<'a> ExplainRequest<'a> {
                 ("edges", FieldValue::from(self.graph.num_edges())),
             ],
         );
-        let encoding = encode_coloring_grouped_traced(
+        let encoded = encode(
             self.graph,
             self.width,
-            self.groups,
             &self.strategy.encoding.encoding(),
-            tracer,
+            SymmetryHeuristic::None,
+            Selectors::PerGroup(self.groups),
+            &ctx.tracer,
+            &ctx.metrics,
         );
-        let formula_stats = encoding.formula.stats();
-        // No span yet: each probe moves the sink onto its own.
-        let mut solver = ctx.solver(0);
-        solver.add_formula(&encoding.formula);
-        // Deletion probes assume shrinking selector subsets, so the
-        // solver's per-call assumption freezing never covers dropped
-        // groups — freeze every group selector up front or inprocessing
-        // (when enabled) could eliminate one a later probe re-assumes.
-        for lit in encoding.all_assumptions() {
-            solver.freeze_var(lit.var());
-        }
+        // No span yet: each probe moves the solver's telemetry onto its
+        // own. The formula is dropped here; the solver holds its clauses.
+        let mut probe = GroupProbe {
+            probe: Probe::load(ctx, 0, &encoded, false),
+            ctx,
+            probes: 0,
+            sat_solving: Duration::ZERO,
+        };
+        let cnf_translation = encoded.cnf_translation;
+        drop(encoded);
 
         let mut populated: Vec<u32> = self.groups.to_vec();
         populated.sort_unstable();
         populated.dedup();
-
-        let mut probes = 0u64;
-        let mut sat_solving = Duration::ZERO;
-        let mut postmortem = None;
-
         // Initial probe: every populated group active.
-        probes += 1;
-        if metrics.is_enabled() {
-            metrics.counter("explain.probes").add(1);
-        }
-        let (outcome, wall) = probe_groups(
-            &mut solver,
-            &encoding,
-            ctx,
-            "initial_core",
-            None,
-            &populated,
-        );
-        sat_solving += wall;
-
-        let initial_core = match outcome {
+        let initial = probe.run("initial_core", None, &populated);
+        let (outcome, postmortem) = match initial.outcome {
             SolveOutcome::Sat(model) => {
-                let coloring = decode_coloring(&model, &encoding.decode)
-                    .expect("models of the encoding always decode (totality)");
+                let coloring = probe.probe.coloring(&model);
                 assert!(
                     coloring.is_proper(self.graph),
                     "decoded coloring must be proper — encoder/solver soundness bug"
                 );
-                span.mark("verdict", "colorable");
-                close_run_span(span, probes, 0, 0, 0);
-                return ExplainReport {
-                    outcome: ExplainOutcome::Colorable(coloring),
-                    width: self.width,
-                    probes,
-                    kept: 0,
-                    dropped: 0,
-                    formula_stats,
-                    solver_stats: *solver.stats(),
-                    cnf_translation: encoding.cnf_translation,
-                    sat_solving,
-                    postmortem: None,
-                };
+                (ExplainOutcome::Colorable(coloring), None)
             }
-            SolveOutcome::Unknown(reason) => {
-                if ctx.flight.is_enabled() {
-                    let mut pm = Postmortem::from_recorder(&ctx.flight, reason.to_string());
-                    pm.hottest_phase = Some("sat_solving".to_string());
-                    pm.failed_assumptions =
-                        postmortem_core(&encoding.assumptions_for(populated.iter().copied()));
-                    postmortem = Some(pm);
-                }
-                span.mark("verdict", "unknown");
-                close_run_span(span, probes, 0, 0, 0);
-                return ExplainReport {
-                    outcome: ExplainOutcome::Unknown(reason),
-                    width: self.width,
-                    probes,
-                    kept: 0,
-                    dropped: 0,
-                    formula_stats,
-                    solver_stats: *solver.stats(),
-                    cnf_translation: encoding.cnf_translation,
-                    sat_solving,
-                    postmortem,
-                };
-            }
-            SolveOutcome::Unsat => failed_groups(&solver, &encoding).expect(
-                "the grouped CNF is satisfiable without assumptions, so UNSAT is always under them",
-            ),
+            SolveOutcome::Unknown(reason) => (ExplainOutcome::Unknown(reason), initial.postmortem),
+            SolveOutcome::Unsat => self.shrink(&mut probe, initial),
         };
 
-        // Deletion pass: drop one candidate group per probe; a SAT answer
-        // proves it critical, an UNSAT answer refines the candidate set to
-        // the new failed core.
+        let (verdict, kept, dropped, core_nets) = match &outcome {
+            ExplainOutcome::Colorable(_) => ("colorable", 0, 0, 0),
+            ExplainOutcome::Unknown(_) => ("unknown", 0, 0, 0),
+            ExplainOutcome::Core(core) => {
+                let core_nets = core.groups.len() as u32;
+                // Every core group was either proven critical or left
+                // untested.
+                let kept = core_nets - core.status.untested();
+                let dropped = core.initial_size - core_nets;
+                let metrics = &ctx.metrics;
+                if metrics.is_enabled() {
+                    metrics.counter("explain.kept").add(u64::from(kept));
+                    metrics.counter("explain.dropped").add(u64::from(dropped));
+                    metrics
+                        .counter("explain.core_nets")
+                        .add(u64::from(core_nets));
+                }
+                (core.status.name(), kept, dropped, core_nets)
+            }
+        };
+        span.mark("verdict", verdict);
+        span.counter("probes", probe.probes);
+        span.counter("kept", u64::from(kept));
+        span.counter("dropped", u64::from(dropped));
+        span.counter("core_nets", u64::from(core_nets));
+        span.close();
+        ExplainReport {
+            outcome,
+            width: self.width,
+            probes: probe.probes,
+            kept,
+            dropped,
+            formula_stats: probe.probe.formula_stats,
+            solver_stats: *probe.probe.solver.stats(),
+            cnf_translation,
+            sat_solving: probe.sat_solving,
+            postmortem,
+        }
+    }
+
+    /// The deletion pass over the `initial` probe's failed core: drop one
+    /// candidate group per probe; a SAT answer proves it critical, an
+    /// UNSAT answer refines the candidate set to the new failed core.
+    /// Returns the core and the postmortem of a stopped probe.
+    fn shrink(
+        &self,
+        probe: &mut GroupProbe<'_>,
+        initial: Probed,
+    ) -> (ExplainOutcome, Option<Postmortem>) {
+        let initial_core = failed_groups(initial);
         let initial_size = initial_core.len() as u32;
         let mut kept: Vec<u32> = Vec::new();
-        let mut untested: VecDeque<u32> = initial_core.into_iter().collect();
+        let mut untested: VecDeque<u32> = initial_core.into();
         let mut status = ShrinkStatus::Minimal;
+        let mut postmortem = None;
         let mut shrink_probes = 0u64;
         while let Some(candidate) = untested.pop_front() {
             if self.shrink_budget.is_some_and(|cap| shrink_probes >= cap) {
@@ -360,31 +354,21 @@ impl<'a> ExplainRequest<'a> {
                 break;
             }
             shrink_probes += 1;
-            probes += 1;
-            if metrics.is_enabled() {
-                metrics.counter("explain.probes").add(1);
-            }
             let active: Vec<u32> = kept.iter().chain(untested.iter()).copied().collect();
-            let conflicts_before = solver.stats().conflicts;
-            let (outcome, wall) = probe_groups(
-                &mut solver,
-                &encoding,
-                ctx,
-                "shrink_step",
-                Some(candidate),
-                &active,
-            );
-            sat_solving += wall;
-            if metrics.is_enabled() {
-                metrics
+            let conflicts_before = probe.probe.solver.stats().conflicts;
+            let probed = probe.run("shrink_step", Some(candidate), &active);
+            if self.ctx.metrics.is_enabled() {
+                self.ctx
+                    .metrics
                     .histogram("explain.shrink_conflicts")
-                    .record(solver.stats().conflicts - conflicts_before);
+                    .record(probe.probe.solver.stats().conflicts - conflicts_before);
             }
-            match outcome {
+            match probed.outcome {
+                // A SAT answer is never decoded: a released net's vertices
+                // may select no track at all.
                 SolveOutcome::Sat(_) => kept.push(candidate),
                 SolveOutcome::Unsat => {
-                    let refined = failed_groups(&solver, &encoding)
-                        .expect("UNSAT of the grouped CNF is always under assumptions");
+                    let refined = failed_groups(probed);
                     kept.retain(|g| refined.binary_search(g).is_ok());
                     untested.retain(|g| refined.binary_search(g).is_ok());
                 }
@@ -394,107 +378,58 @@ impl<'a> ExplainRequest<'a> {
                         reason,
                         untested: untested.len() as u32,
                     };
-                    if ctx.flight.is_enabled() {
-                        let mut pm = Postmortem::from_recorder(&ctx.flight, reason.to_string());
-                        pm.hottest_phase = Some("sat_solving".to_string());
-                        pm.failed_assumptions =
-                            postmortem_core(&encoding.assumptions_for(active.iter().copied()));
-                        postmortem = Some(pm);
-                    }
+                    postmortem = probed.postmortem;
                     break;
                 }
             }
         }
 
-        let mut core: Vec<u32> = kept.iter().chain(untested.iter()).copied().collect();
-        core.sort_unstable();
-        let kept_count = kept.len() as u32;
-        let dropped = initial_size - core.len() as u32;
-        if metrics.is_enabled() {
-            metrics.counter("explain.kept").add(u64::from(kept_count));
-            metrics.counter("explain.dropped").add(u64::from(dropped));
-            metrics.counter("explain.core_nets").add(core.len() as u64);
-        }
-        span.mark("verdict", status.name());
-        close_run_span(span, probes, kept_count, dropped, core.len() as u32);
-        ExplainReport {
-            outcome: ExplainOutcome::Core(NetCore {
-                groups: core,
-                status,
-                initial_size,
-            }),
-            width: self.width,
-            probes,
-            kept: kept_count,
-            dropped,
-            formula_stats,
-            solver_stats: *solver.stats(),
-            cnf_translation: encoding.cnf_translation,
-            sat_solving,
-            postmortem,
-        }
+        let mut groups: Vec<u32> = kept.iter().chain(untested.iter()).copied().collect();
+        groups.sort_unstable();
+        let core = NetCore {
+            groups,
+            status,
+            initial_size,
+        };
+        (ExplainOutcome::Core(core), postmortem)
     }
 }
 
-/// Closes the `explain` root span after stamping the run counters.
-fn close_run_span(
-    span: satroute_obs::SpanGuard,
+/// The warm probe of one explanation run and its running totals.
+struct GroupProbe<'c> {
+    probe: Probe,
+    ctx: &'c RunContext,
     probes: u64,
-    kept: u32,
-    dropped: u32,
-    core_nets: u32,
-) {
-    span.counter("probes", probes);
-    span.counter("kept", u64::from(kept));
-    span.counter("dropped", u64::from(dropped));
-    span.counter("core_nets", u64::from(core_nets));
-    span.close();
+    sat_solving: Duration,
 }
 
-/// One warm probe with the given groups assumed active, under its own
-/// child span carrying the solver's event stream.
-fn probe_groups(
-    solver: &mut CdclSolver,
-    encoding: &GroupedEncoding,
-    ctx: &RunContext,
-    span_name: &'static str,
-    candidate: Option<u32>,
-    active: &[u32],
-) -> (SolveOutcome, Duration) {
-    let mut fields = vec![("active", FieldValue::from(active.len() as u64))];
-    if let Some(group) = candidate {
-        fields.push(("candidate", FieldValue::from(group)));
+impl GroupProbe<'_> {
+    /// One probe with the `active` groups assumed, under its own `name`
+    /// span (fields: active-set size and the candidate group).
+    fn run(&mut self, name: &str, candidate: Option<u32>, active: &[u32]) -> Probed {
+        self.probes += 1;
+        if self.ctx.metrics.is_enabled() {
+            self.ctx.metrics.counter("explain.probes").add(1);
+        }
+        let mut fields = vec![("active", FieldValue::from(active.len() as u64))];
+        if let Some(group) = candidate {
+            fields.push(("candidate", FieldValue::from(group)));
+        }
+        let span = self.ctx.tracer.span_with(name, fields);
+        let assumptions = self.probe.decode.assumptions_for(active.iter().copied());
+        let probed = self.probe.solve(span, &assumptions, Duration::ZERO);
+        self.sat_solving += probed.timing.sat_solving;
+        probed
     }
-    let span = ctx.tracer.span_with(span_name, fields);
-    solver.set_trace_span(span.id());
-    let assumptions = encoding.assumptions_for(active.iter().copied());
-    let outcome = solver.solve_with_assumptions(&assumptions);
-    span.mark(
-        "verdict",
-        match &outcome {
-            SolveOutcome::Sat(_) => "sat",
-            SolveOutcome::Unsat => "unsat",
-            SolveOutcome::Unknown(_) => "unknown",
-        },
+}
+
+/// The group ids of an UNSAT probe's failed core, ascending.
+fn failed_groups(probed: Probed) -> Vec<u32> {
+    assert!(
+        probed.failed.is_some(),
+        "the grouped CNF is satisfiable without assumptions, so UNSAT is always under them"
     );
-    let wall = span.close();
-    (outcome, wall)
-}
-
-/// The failed-assumption core of the last probe as sorted, deduped group
-/// ids; `None` when the answer was not UNSAT-under-assumptions.
-fn failed_groups(solver: &CdclSolver, encoding: &GroupedEncoding) -> Option<Vec<u32>> {
-    if !solver.unsat_under_assumptions() {
-        return None;
-    }
-    let mut groups: Vec<u32> = solver
-        .failed_assumptions()
-        .iter()
-        .filter_map(|&l| encoding.group_of(l))
-        .collect();
-    groups.sort_unstable();
-    groups.dedup();
-    Some(groups)
+    probed.failed_ids
 }
 
 #[cfg(test)]

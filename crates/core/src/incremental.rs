@@ -4,12 +4,12 @@
 //! width. Modern SAT solvers offer a cheaper alternative — the MiniSat
 //! assumption interface — which this module exploits as an extension: the
 //! instance is encoded **once** at an upper bound `W_max` on the width with
-//! one *activation selector* per track (see
-//! [`encode_coloring_incremental`]), and narrower widths are probed by
-//! assuming the selectors of every track `d ≥ W`. All clauses learnt at one
-//! width remain valid at every other width (assumptions never enter the
-//! formula), so the descending search reuses the solver's accumulated
-//! knowledge — learnt DB, VSIDS scores and saved phases included.
+//! one *activation selector* per track (see [`Selectors::PerTrack`]), and
+//! narrower widths are probed by assuming the selectors of every track
+//! `d ≥ W`. All clauses learnt at one width remain valid at every other
+//! width (assumptions never enter the formula), so the descending search
+//! reuses the solver's accumulated knowledge — learnt DB, VSIDS scores and
+//! saved phases included.
 //!
 //! Because selectors disable whole *patterns*, this works for every catalog
 //! encoding (the historical muldirect-only trick — one assumption per
@@ -17,22 +17,21 @@
 //! removed).
 //!
 //! When a probe is UNSAT the solver's final-conflict analysis
-//! ([`CdclSolver::failed_assumptions`]) yields the subset of selectors that
-//! already contradict the formula; the lowest track `m` in that core proves
-//! every width `≤ m` uncolorable, so the ladder can stop without probing
-//! the widths the core covers ([`IncrementalSession::core_lower_bound`]).
+//! ([`CdclSolver::failed_assumptions`](satroute_solver::CdclSolver::failed_assumptions))
+//! yields the subset of selectors that already contradict the formula;
+//! the lowest track `m` in that core proves every width `≤ m` uncolorable,
+//! so the ladder can stop without probing the widths the core covers
+//! ([`IncrementalSession::core_lower_bound`]).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use satroute_cnf::FormulaStats;
 use satroute_coloring::{Coloring, CspGraph};
-use satroute_obs::{FieldValue, Postmortem};
-use satroute_solver::preprocess::PreprocessStats;
-use satroute_solver::{CdclSolver, RunContext, SolveOutcome};
+use satroute_obs::FieldValue;
+use satroute_solver::RunContext;
 
-use crate::decode::decode_coloring;
-use crate::encode::{encode_coloring_incremental_traced, IncrementalEncoding};
-use crate::strategy::{hottest_phase, ColoringOutcome, ColoringReport, Strategy, TimingBreakdown};
+use crate::encode::{encode, Selectors};
+use crate::probe::Probe;
+use crate::strategy::{ColoringOutcome, ColoringReport, Strategy};
 
 /// Builder for an [`IncrementalSession`], returned by
 /// [`Strategy::incremental`]. Mirrors the [`crate::SolveRequest`] idiom:
@@ -42,9 +41,10 @@ use crate::strategy::{hottest_phase, ColoringOutcome, ColoringReport, Strategy, 
 /// probe of the session. Integer budget caps apply to the solver's
 /// *cumulative* counters (conflicts accumulate across probes); a shared
 /// `deadline_at` or wall budget bounds the whole ladder. A tracer records
-/// an `encode_incremental` span for the encode and a `width_probe` span
-/// (field `width`) carrying each probe's solver events. A metrics
-/// registry receives the `solver.*` family plus the session's
+/// an `encode` span (field `selectors`: `track`) for the encode and a
+/// `width_probe` span (field `width`) carrying each probe's solver events.
+/// A metrics registry receives the encoder's `encode.*.<encoding>`
+/// histograms, the `solver.*` family and the session's
 /// `incremental.probes` and `incremental.reused_conflicts` counters
 /// (conflicts carried into each probe from earlier ones — the state a
 /// cold ladder would have thrown away).
@@ -86,40 +86,33 @@ impl<'a> IncrementalSessionBuilder<'a> {
     #[must_use]
     pub fn build(self) -> IncrementalSession {
         assert!(self.upper >= 1, "the upper color bound must be positive");
-        let encoding = encode_coloring_incremental_traced(
+        let encoded = encode(
             self.graph,
             self.upper,
             &self.strategy.encoding.encoding(),
             self.strategy.symmetry,
+            Selectors::PerTrack,
             &self.ctx.tracer,
+            &self.ctx.metrics,
         );
-        let formula_stats = encoding.formula.stats();
-        // No span yet: each probe moves the sink onto its own.
-        let mut solver = self.ctx.solver(0);
-        solver.add_formula(&encoding.formula);
-        // Probes at width k only assume the selectors of tracks ≥ k, so
-        // the solver's per-call assumption freezing never covers the
-        // lower tracks — freeze every selector up front or inprocessing
-        // (when enabled) could eliminate one a later probe assumes.
-        for lit in encoding.assumptions_for_width(0) {
-            solver.freeze_var(lit.var());
-        }
+        // No span yet: each probe moves the solver's telemetry onto its
+        // own. The formula is dropped here; the solver holds its clauses.
+        let probe = Probe::load(&self.ctx, 0, &encoded, false);
         IncrementalSession {
             strategy: self.strategy,
-            solver,
-            encoding,
-            formula_stats,
+            probe,
             ctx: self.ctx,
             probes: 0,
             failed_tracks: Vec::new(),
-            encode_time_pending: true,
+            encode_time: Some(encoded.cnf_translation),
         }
     }
 }
 
 /// An incremental k-colorability oracle for one graph: encode once at an
 /// upper bound (any catalog encoding), probe any `k ≤ upper` by flipping
-/// selector assumptions on one warm [`CdclSolver`].
+/// selector assumptions on one warm
+/// [`CdclSolver`](satroute_solver::CdclSolver).
 ///
 /// Built by [`Strategy::incremental`]. The session keeps the solver's
 /// learnt clauses, activity scores and saved phases across probes; probe
@@ -142,16 +135,14 @@ impl<'a> IncrementalSessionBuilder<'a> {
 /// ```
 pub struct IncrementalSession {
     strategy: Strategy,
-    solver: CdclSolver,
-    encoding: IncrementalEncoding,
-    formula_stats: FormulaStats,
+    probe: Probe,
     ctx: RunContext,
     probes: u64,
     /// Tracks named by the failed-assumption core of the last UNSAT probe.
     failed_tracks: Vec<u32>,
-    /// The one-time encode wall time is charged to the first probe's
-    /// `cnf_translation` so ladder timing sums stay honest.
-    encode_time_pending: bool,
+    /// The one-time encode wall time, until the first probe's
+    /// `cnf_translation` takes it so ladder timing sums stay honest.
+    encode_time: Option<Duration>,
 }
 
 impl std::fmt::Debug for IncrementalSession {
@@ -169,7 +160,7 @@ impl IncrementalSession {
     /// The encoded upper bound.
     #[must_use]
     pub fn upper(&self) -> u32 {
-        self.encoding.upper()
+        self.probe.decode.num_selectors()
     }
 
     /// The session's strategy.
@@ -187,7 +178,7 @@ impl IncrementalSession {
     /// Solver work counters accumulated across all probes so far.
     #[must_use]
     pub fn solver_stats(&self) -> &satroute_solver::SolverStats {
-        self.solver.stats()
+        self.probe.solver.stats()
     }
 
     /// The tracks named by the failed-assumption core of the most recent
@@ -212,7 +203,8 @@ impl IncrementalSession {
     /// counters at the end of the probe; `solve_time` covers this probe
     /// alone.
     /// On an UNSAT answer the report's `failed_assumptions` carries the
-    /// selector core.
+    /// selector core; a stopped probe's postmortem lists the probe's
+    /// selector assumptions.
     ///
     /// # Panics
     ///
@@ -230,80 +222,27 @@ impl IncrementalSession {
                 ("strategy", FieldValue::from(self.strategy.to_string())),
             ],
         );
-        self.solver.set_trace_span(span.id());
-
-        let reused = self.solver.stats().conflicts;
         self.probes += 1;
         let metrics = &self.ctx.metrics;
         if metrics.is_enabled() {
+            let reused = self.probe.solver.stats().conflicts;
             metrics.counter("incremental.probes").add(1);
             metrics.counter("incremental.reused_conflicts").add(reused);
         }
 
-        let assumptions = self.encoding.assumptions_for_width(k);
-        let solve_start = Instant::now();
-        let outcome = self.solver.solve_with_assumptions(&assumptions);
-        let solve_time = solve_start.elapsed();
-        let sat_solving = span.close();
-
-        self.failed_tracks.clear();
-        let mut failed_assumptions = None;
-        if self.solver.unsat_under_assumptions() {
-            let core = self.solver.failed_assumptions().to_vec();
-            self.failed_tracks = core
-                .iter()
-                .filter_map(|&l| self.encoding.track_of(l))
-                .collect();
-            self.failed_tracks.sort_unstable();
-            failed_assumptions = Some(core);
-        }
-
-        let outcome = match outcome {
-            SolveOutcome::Sat(model) => {
-                let coloring = decode_coloring(&model, &self.encoding.decode)
-                    .expect("models of the encoding always decode (totality)");
-                debug_assert!(
-                    coloring.colors().iter().all(|&c| c < k),
-                    "selectors force decoded colors below the probed width"
-                );
-                ColoringOutcome::Colorable(coloring)
-            }
-            SolveOutcome::Unsat => ColoringOutcome::Unsat,
-            SolveOutcome::Unknown(reason) => ColoringOutcome::Unknown(reason),
-        };
-
-        let cnf_translation = if self.encode_time_pending {
-            self.encode_time_pending = false;
-            self.encoding.cnf_translation
-        } else {
-            Duration::ZERO
-        };
-        let timing = TimingBreakdown {
-            graph_generation: Duration::ZERO,
-            cnf_translation,
-            sat_solving,
-        };
-        let postmortem = match &outcome {
-            ColoringOutcome::Unknown(reason) if self.ctx.flight.is_enabled() => {
-                let mut pm = Postmortem::from_recorder(&self.ctx.flight, reason.to_string());
-                pm.hottest_phase = Some(hottest_phase(&timing).to_string());
-                if let Some(failed) = &failed_assumptions {
-                    pm.failed_assumptions = crate::strategy::postmortem_core(failed);
-                }
-                Some(pm)
-            }
-            _ => None,
-        };
-        ColoringReport {
-            outcome,
-            timing,
-            formula_stats: self.formula_stats,
-            solver_stats: *self.solver.stats(),
-            solve_time,
-            preprocess: PreprocessStats::default(),
-            failed_assumptions,
-            postmortem,
-        }
+        let assumptions = self.probe.decode.assumptions_for_width(k);
+        let encode_time = self.encode_time.take().unwrap_or_default();
+        let mut probed = self.probe.solve(span, &assumptions, encode_time);
+        self.failed_tracks = std::mem::take(&mut probed.failed_ids);
+        let report = self.probe.report(probed);
+        debug_assert!(
+            report
+                .outcome
+                .coloring()
+                .is_none_or(|c| c.colors().iter().all(|&c| c < k)),
+            "selectors force decoded colors below the probed width"
+        );
+        report
     }
 
     /// Probes k-colorability for any `k ≤ upper` (outcome only; see
@@ -462,6 +401,35 @@ mod tests {
         assert!(report.outcome.is_colorable());
         assert!(report.failed_assumptions.is_none());
         assert!(session.failed_tracks().is_empty());
+    }
+
+    #[test]
+    fn stopped_probe_postmortem_lists_its_assumptions() {
+        use satroute_obs::FlightRecorder;
+        use satroute_solver::{RunBudget, StopReason};
+        // Far below the chromatic number of a dense graph: five conflicts
+        // cannot refute the width.
+        let g = random_graph(30, 0.6, 1);
+        let mut session = Strategy::paper_baseline()
+            .incremental(&g, 12)
+            .budget(RunBudget::new().with_max_conflicts(5))
+            .flight(FlightRecorder::new())
+            .build();
+        let report = session.probe(7);
+        assert_eq!(
+            report.outcome,
+            ColoringOutcome::Unknown(StopReason::ConflictLimit)
+        );
+        let pm = report.postmortem.expect("a stopped probe with a recorder");
+        let mut expected: Vec<i64> = session
+            .probe
+            .decode
+            .assumptions_for_width(7)
+            .iter()
+            .map(|l| l.to_dimacs())
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(pm.assumptions, expected);
     }
 
     #[test]

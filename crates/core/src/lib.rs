@@ -20,12 +20,13 @@
 //!   addressable by [`EncodingId`].
 //! * [`symmetry`] — the symmetry-breaking heuristics **b1** (Van Gelder) and
 //!   **s1** (the paper's new heuristic) (§5).
-//! * [`encode`] / [`decode`] — graph-coloring CSP → CNF and SAT model →
-//!   coloring.
+//! * [`encode`](mod@encode) / [`decode`] — graph-coloring CSP → CNF (one
+//!   [`encode()`] with optional per-track or per-group activation
+//!   [`Selectors`]) and SAT model → coloring.
 //! * [`strategy`] — one (encoding, symmetry) combination run end to end
 //!   with the Table 2 time breakdown, configured through the
-//!   [`SolveRequest`] builder (a [`RunContext`] plus assumptions,
-//!   sharing and preprocessing).
+//!   [`SolveRequest`] builder (a [`RunContext`] plus assumptions and
+//!   sharing).
 //! * [`portfolio`] — parallel first-answer-wins execution of several
 //!   strategies (§6), with per-member reports, a shared deadline, a
 //!   parallelism-aware thread cap, and optional learnt-clause sharing
@@ -49,7 +50,11 @@
 //! Run control comes from [`satroute_solver::run`]: every request holds
 //! one [`RunContext`] (configuration, budget, cancellation, observer,
 //! tracer, metrics, flight recorder) and forwards it to the solves it
-//! spawns. The commonly used types are re-exported here.
+//! spawns. Every solve — a cold request, a conquer cube, a ladder probe,
+//! an explain probe — is a probe of one crate-private solver loaded with
+//! one encode, which times it, maps its failed assumptions back to track
+//! or group ids and writes the postmortem of a stopped probe. The commonly
+//! used types are re-exported here.
 //!
 //! # Examples
 //!
@@ -164,6 +169,7 @@ pub mod ite;
 pub mod pattern;
 pub mod pipeline;
 pub mod portfolio;
+mod probe;
 pub mod scheme;
 pub mod strategy;
 pub mod symmetry;
@@ -171,11 +177,7 @@ pub mod symmetry;
 pub use catalog::{Encoding, EncodingId, ParseEncodingError};
 pub use conquer::{ConquerRequest, ConquerResult, CubeReport};
 pub use decode::{decode_coloring, DecodeError};
-pub use encode::{
-    encode_coloring, encode_coloring_grouped, encode_coloring_grouped_traced,
-    encode_coloring_incremental, encode_coloring_incremental_traced, encode_coloring_traced,
-    DecodeMap, EncodedColoring, GroupedEncoding, IncrementalEncoding,
-};
+pub use encode::{encode, encode_coloring, DecodeMap, EncodedColoring, Selectors};
 pub use explain::{ExplainOutcome, ExplainReport, ExplainRequest, NetCore, ShrinkStatus};
 pub use hier::TopScheme;
 pub use incremental::{IncrementalSession, IncrementalSessionBuilder};

@@ -148,9 +148,9 @@ impl std::error::Error for PipelineError {}
 /// Run control comes from the pipeline's [`RunContext`], which every solve
 /// it performs inherits. Each probe of a width search gets the budget
 /// individually; a shared absolute `deadline_at` bounds the whole search.
-/// A tracer records a `route` span per width with `graph_generation`,
-/// `encode`, `solve`, `decode` and `verify` children (and a `certify`
-/// child for certified refutations). A metrics registry additionally
+/// A tracer records a `route` span per width (field `certified`) with
+/// `graph_generation`, `encode`, `solve`, `decode` and `verify`
+/// children. A metrics registry additionally
 /// receives `phase.graph_generation_us` and `phase.verify_us` wall-time
 /// histograms, on top of the per-solve instruments the
 /// [`SolveRequest`](crate::SolveRequest) feeds.
@@ -203,18 +203,56 @@ impl RoutingPipeline {
         problem: &RoutingProblem,
         width: u32,
     ) -> Result<RouteResult, PipelineError> {
-        let span = self.route_span(width, false);
+        self.route_at(problem, width, false)
+            .map(|(result, _)| result)
+    }
+
+    /// The one body of [`RoutingPipeline::route`] and
+    /// [`RoutingPipeline::prove_unroutable_certified`]: a `route` span over
+    /// graph generation, the solve and the verify, with a DRAT certificate
+    /// of an UNSAT answer when `certified`.
+    fn route_at(
+        &self,
+        problem: &RoutingProblem,
+        width: u32,
+        certified: bool,
+    ) -> Result<(RouteResult, Option<UnroutabilityCertificate>), PipelineError> {
+        let span = self.ctx.tracer.span_with(
+            "route",
+            [
+                ("width", FieldValue::from(width)),
+                ("strategy", FieldValue::from(self.strategy.to_string())),
+                ("certified", FieldValue::from(certified)),
+            ],
+        );
         let (graph, graph_generation) = problem.conflict_graph_traced(&self.ctx.tracer);
         self.record_phase("phase.graph_generation_us", graph_generation);
 
-        let mut report = self.request(&graph, width).run();
+        let request = self.strategy.solve(&graph, width).context(self.ctx.clone());
+        let (mut report, certificate) = if certified {
+            let (report, formula, proof) = request.run_certified();
+            let certificate = proof.map(|proof| UnroutabilityCertificate {
+                width,
+                formula,
+                proof,
+            });
+            (report, certificate)
+        } else {
+            (request.run(), None)
+        };
         report.timing.graph_generation = graph_generation;
 
         let routing = match &report.outcome {
             ColoringOutcome::Colorable(coloring) => {
                 Some(self.verify(problem, width, coloring.colors()))
             }
-            ColoringOutcome::Unsat => None,
+            ColoringOutcome::Unsat => {
+                assert!(
+                    !certified || certificate.is_some(),
+                    "UNSAT certified runs always carry a proof"
+                );
+                None
+            }
             ColoringOutcome::Unknown(reason) => {
                 span.mark("verdict", "unknown");
                 return Err(PipelineError::Undecided {
@@ -224,33 +262,12 @@ impl RoutingPipeline {
             }
         };
         span.mark("verdict", if routing.is_some() { "sat" } else { "unsat" });
-
-        Ok(RouteResult {
+        let result = RouteResult {
             width,
             routing,
             report,
-        })
-    }
-
-    /// Opens the per-width root span shared by both route paths.
-    fn route_span(&self, width: u32, certified: bool) -> satroute_obs::SpanGuard {
-        self.ctx.tracer.span_with(
-            "route",
-            [
-                ("width", FieldValue::from(width)),
-                ("strategy", FieldValue::from(self.strategy.to_string())),
-                ("certified", FieldValue::from(certified)),
-            ],
-        )
-    }
-
-    /// Builds the configured solve request for one width probe.
-    fn request<'g>(
-        &self,
-        graph: &'g satroute_coloring::CspGraph,
-        width: u32,
-    ) -> crate::SolveRequest<'g> {
-        self.strategy.solve(graph, width).context(self.ctx.clone())
+        };
+        Ok((result, certificate))
     }
 
     /// Converts a decoded coloring into a detailed routing and verifies it
@@ -312,46 +329,7 @@ impl RoutingPipeline {
         problem: &RoutingProblem,
         width: u32,
     ) -> Result<(RouteResult, Option<UnroutabilityCertificate>), PipelineError> {
-        let span = self.route_span(width, true);
-        let (graph, graph_generation) = problem.conflict_graph_traced(&self.ctx.tracer);
-        self.record_phase("phase.graph_generation_us", graph_generation);
-
-        let (mut report, formula, proof) = self.request(&graph, width).run_certified();
-        report.timing.graph_generation = graph_generation;
-
-        match &report.outcome {
-            ColoringOutcome::Colorable(coloring) => {
-                span.mark("verdict", "sat");
-                let routing = self.verify(problem, width, coloring.colors());
-                let result = RouteResult {
-                    width,
-                    routing: Some(routing),
-                    report,
-                };
-                Ok((result, None))
-            }
-            ColoringOutcome::Unsat => {
-                span.mark("verdict", "unsat");
-                let certificate = UnroutabilityCertificate {
-                    width,
-                    formula,
-                    proof: proof.expect("UNSAT certified runs always carry a proof"),
-                };
-                let result = RouteResult {
-                    width,
-                    routing: None,
-                    report,
-                };
-                Ok((result, Some(certificate)))
-            }
-            ColoringOutcome::Unknown(reason) => {
-                span.mark("verdict", "unknown");
-                Err(PipelineError::Undecided {
-                    width,
-                    reason: *reason,
-                })
-            }
-        }
+        self.route_at(problem, width, true)
     }
 
     /// Finds the minimum channel width for which `problem` has a detailed

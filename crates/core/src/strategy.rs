@@ -14,20 +14,19 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use satroute_cnf::{CnfFormula, FormulaStats, Lit};
 use satroute_coloring::{Coloring, CspGraph};
 use satroute_obs::{FieldValue, Postmortem, SpanGuard};
-use satroute_solver::preprocess::{preprocess, PreprocessStats, Simplification};
 use satroute_solver::{
     ClauseExchange, DratProof, RunContext, SharingConfig, SolveOutcome, SolveVerdict, SolverStats,
     StopReason,
 };
 
 use crate::catalog::EncodingId;
-use crate::decode::decode_coloring;
-use crate::encode::encode_coloring_instrumented;
+use crate::encode::{encode, EncodedColoring, Selectors};
+use crate::probe::Probe;
 use crate::symmetry::SymmetryHeuristic;
 
 /// The answer of a strategy run on a K-coloring instance.
@@ -100,33 +99,6 @@ impl TimingBreakdown {
     }
 }
 
-/// DIMACS rendering of a failed-assumption core for postmortems.
-///
-/// `failed_assumptions` comes out of final-conflict analysis in trail
-/// order, which depends on the restart schedule; postmortems are diffed
-/// across reruns, so sort and dedupe before rendering.
-pub(crate) fn postmortem_core(lits: &[Lit]) -> Vec<i64> {
-    let mut core: Vec<i64> = lits.iter().map(|l| l.to_dimacs()).collect();
-    core.sort_unstable();
-    core.dedup();
-    core
-}
-
-/// The stage of `timing` that dominated wall time, as a stable name
-/// (`graph_generation`, `cnf_translation`, `sat_solving`).
-pub(crate) fn hottest_phase(timing: &TimingBreakdown) -> &'static str {
-    let stages = [
-        ("graph_generation", timing.graph_generation),
-        ("cnf_translation", timing.cnf_translation),
-        ("sat_solving", timing.sat_solving),
-    ];
-    stages
-        .iter()
-        .max_by_key(|(_, d)| *d)
-        .map(|(name, _)| *name)
-        .expect("stage list is non-empty")
-}
-
 /// Everything a strategy run reports.
 #[derive(Clone, Debug)]
 pub struct ColoringReport {
@@ -141,9 +113,6 @@ pub struct ColoringReport {
     /// The solver's own wall time for this solve, without solver set-up,
     /// encode or decode.
     pub solve_time: Duration,
-    /// Pre-solve simplification counters when the run preprocessed its
-    /// formula ([`SolveRequest::preprocess`]); all zero otherwise.
-    pub preprocess: PreprocessStats,
     /// When the outcome is [`ColoringOutcome::Unsat`] *under assumptions*
     /// (a run built with [`SolveRequest::assume`], or an incremental
     /// width probe), the subset of the assumptions the solver's
@@ -152,8 +121,9 @@ pub struct ColoringReport {
     pub failed_assumptions: Option<Vec<Lit>>,
     /// Flight-recorder postmortem for a budget-stopped or cancelled run
     /// ([`ColoringOutcome::Unknown`]) when the request attached an enabled
-    /// flight recorder via [`SolveRequest::flight`]. `None` for decided
-    /// runs and for runs without a recorder.
+    /// flight recorder via [`SolveRequest::flight`]; it lists the run's
+    /// assumptions. `None` for decided runs and for runs without a
+    /// recorder.
     pub postmortem: Option<Postmortem>,
 }
 
@@ -234,7 +204,6 @@ impl Strategy {
             ctx: RunContext::default(),
             exchange: None,
             assumptions: Vec::new(),
-            preprocess: false,
         }
     }
 
@@ -278,7 +247,7 @@ impl Strategy {
     ///
     /// The strategy's symmetry heuristic is ignored: full-graph symmetry
     /// restrictions are unsound once groups are deleted (see
-    /// [`crate::encode::GroupedEncoding`]).
+    /// [`Selectors::PerGroup`]).
     ///
     /// # Examples
     ///
@@ -328,7 +297,6 @@ pub struct SolveRequest<'a> {
     ctx: RunContext,
     exchange: Option<(Arc<dyn ClauseExchange>, SharingConfig)>,
     assumptions: Vec<Lit>,
-    preprocess: bool,
 }
 
 impl fmt::Debug for SolveRequest<'_> {
@@ -372,21 +340,6 @@ impl<'a> SolveRequest<'a> {
         self
     }
 
-    /// Runs level-0 preprocessing (unit propagation, pure-literal
-    /// elimination) on the encoded CNF before solving, and surfaces the
-    /// pass's [`PreprocessStats`] in the report's
-    /// [`preprocess`](ColoringReport::preprocess) and the registry's
-    /// `preprocess.*` counters.
-    ///
-    /// Silently skipped when the request carries assumptions (pure-literal
-    /// elimination is unsound under later-forced literals) or runs
-    /// certified (the DRAT log must cover every derived clause, and the
-    /// preprocessor does not emit proof steps).
-    pub fn preprocess(mut self, enabled: bool) -> Self {
-        self.preprocess = enabled;
-        self
-    }
-
     /// Encodes, solves and decodes, consuming the request.
     ///
     /// # Panics
@@ -409,104 +362,66 @@ impl<'a> SolveRequest<'a> {
     /// returned — the report's `failed_assumptions` is the certificate
     /// for that case.
     pub fn run_certified(self) -> (ColoringReport, CnfFormula, Option<DratProof>) {
-        let (report, formula, proof) = self.run_inner(true);
-        (
-            report,
-            formula.expect("run_inner(true) always returns the formula"),
-            proof,
-        )
+        self.run_inner(true)
     }
 
-    fn run_inner(
-        self,
-        with_proof: bool,
-    ) -> (ColoringReport, Option<CnfFormula>, Option<DratProof>) {
+    fn run_inner(self, with_proof: bool) -> (ColoringReport, CnfFormula, Option<DratProof>) {
         let ctx = &self.ctx;
-        let (tracer, metrics) = (&ctx.tracer, &ctx.metrics);
-        let encoded = encode_coloring_instrumented(
+        let encoded = encode(
             self.graph,
             self.k,
             &self.strategy.encoding.encoding(),
             self.strategy.symmetry,
-            tracer,
-            metrics,
+            Selectors::None,
+            &ctx.tracer,
+            &ctx.metrics,
         );
-        let formula_stats = encoded.formula.stats();
+        let (report, proof) = self.run_encoded(&encoded, encoded.cnf_translation, with_proof);
+        (report, encoded.formula, proof)
+    }
 
-        // Pre-solve simplification (opt-in). Skipped under assumptions
-        // (pure-literal elimination is unsound once literals can be
-        // forced later) and under proof logging (the preprocessor emits
-        // no DRAT steps, so the log would not cover its deletions).
-        let pre: Option<(Simplification, PreprocessStats)> =
-            if self.preprocess && self.assumptions.is_empty() && !with_proof {
-                Some(preprocess(&encoded.formula))
-            } else {
-                None
-            };
-
-        let solve_span = tracer.span_with(
+    /// Solves `encoded` — this request's plain encode, or one equal to it
+    /// such as the splitter's shared by every conquer cube — on a cold
+    /// probe under the request's assumptions, and decodes the answer.
+    ///
+    /// The `solve` span covers the solver load and the solve (the report's
+    /// `sat_solving`), the `decode` span the decode; `cnf_translation` is
+    /// the encode time charged to this run. With `with_proof`, a
+    /// refutation of the formula itself also returns its DRAT proof.
+    pub(crate) fn run_encoded(
+        self,
+        encoded: &EncodedColoring,
+        cnf_translation: Duration,
+        with_proof: bool,
+    ) -> (ColoringReport, Option<DratProof>) {
+        let ctx = &self.ctx;
+        let solve_span = ctx.tracer.span_with(
             "solve",
             [("strategy", FieldValue::from(self.strategy.to_string()))],
         );
-        let mut solver = ctx.solver(solve_span.id());
-        if with_proof {
-            solver.enable_proof_logging();
-        }
+        let mut probe = Probe::load(ctx, solve_span.id(), encoded, with_proof);
         if let Some((exchange, sharing)) = self.exchange {
-            solver.set_exchange(exchange, sharing);
+            probe.solver.set_exchange(exchange, sharing);
         }
-        match &pre {
-            // A preprocessor UNSAT came from unit propagation alone, so
-            // the solver re-derives it instantly from the original
-            // clauses — no special verdict path needed (the residual
-            // formula would be empty, i.e. trivially SAT).
-            Some((simp, _)) if !simp.unsat => solver.add_formula(&simp.formula),
-            _ => solver.add_formula(&encoded.formula),
-        }
-        let solve_start = Instant::now();
-        let outcome = solver.solve_with_assumptions(&self.assumptions);
-        let solve_time = solve_start.elapsed();
-        let sat_solving = solve_span.close();
-        let solver_stats = *solver.stats();
-        let failed_assumptions = (matches!(outcome, SolveOutcome::Unsat)
-            && solver.unsat_under_assumptions())
-        .then(|| solver.failed_assumptions().to_vec());
+        let probed = probe.solve(solve_span, &self.assumptions, cnf_translation);
         // UNSAT-under-assumptions refutes nothing, so there is no proof to
         // take: the DRAT log never derived the empty clause.
-        let proof = if with_proof
-            && matches!(outcome, SolveOutcome::Unsat)
-            && !solver.unsat_under_assumptions()
-        {
-            Some(solver.take_proof().expect("logging was enabled"))
-        } else {
-            None
-        };
+        let proof = (with_proof
+            && matches!(probed.outcome, SolveOutcome::Unsat)
+            && !probe.solver.unsat_under_assumptions())
+        .then(|| probe.solver.take_proof().expect("logging was enabled"));
 
-        let decode_span = tracer.span("decode");
-        let outcome = match outcome {
-            SolveOutcome::Sat(model) => {
-                // Extend a model of the residual formula back over the
-                // literals the preprocessor fixed.
-                let model = match &pre {
-                    Some((simp, _)) if !simp.unsat => {
-                        simp.restore_model(&model, encoded.formula.num_vars())
-                    }
-                    _ => model,
-                };
-                let coloring = decode_coloring(&model, &encoded.decode)
-                    .expect("models of the encoding always decode (totality)");
-                assert!(
-                    coloring.is_proper(self.graph),
-                    "decoded coloring must be proper — encoder/solver soundness bug"
-                );
-                ColoringOutcome::Colorable(coloring)
-            }
-            SolveOutcome::Unsat => ColoringOutcome::Unsat,
-            SolveOutcome::Unknown(reason) => ColoringOutcome::Unknown(reason),
-        };
+        let decode_span = ctx.tracer.span("decode");
+        let report = probe.report(probed);
+        if let ColoringOutcome::Colorable(coloring) = &report.outcome {
+            assert!(
+                coloring.is_proper(self.graph),
+                "decoded coloring must be proper — encoder/solver soundness bug"
+            );
+        }
         decode_span.mark(
             "verdict",
-            match &outcome {
+            match &report.outcome {
                 ColoringOutcome::Colorable(_) => "sat",
                 ColoringOutcome::Unsat => "unsat",
                 ColoringOutcome::Unknown(_) => "unknown",
@@ -514,55 +429,20 @@ impl<'a> SolveRequest<'a> {
         );
         let decoding = decode_span.close();
 
+        let metrics = &ctx.metrics;
         if metrics.is_enabled() {
             let micros = |d: Duration| -> u64 { u64::try_from(d.as_micros()).unwrap_or(u64::MAX) };
             metrics
                 .histogram("phase.cnf_translation_us")
-                .record(micros(encoded.cnf_translation));
+                .record(micros(report.timing.cnf_translation));
             metrics
                 .histogram("phase.sat_solving_us")
-                .record(micros(sat_solving));
+                .record(micros(report.timing.sat_solving));
             metrics
                 .histogram("phase.decode_us")
                 .record(micros(decoding));
         }
-
-        let preprocess = match &pre {
-            Some((_, pstats)) => {
-                pstats.record(metrics);
-                *pstats
-            }
-            None => PreprocessStats::default(),
-        };
-        let timing = TimingBreakdown {
-            graph_generation: Duration::ZERO,
-            // Both stage durations come from span measurements, so the
-            // public timing view and a recorded trace always agree.
-            cnf_translation: encoded.cnf_translation,
-            sat_solving,
-        };
-        let postmortem = match &outcome {
-            ColoringOutcome::Unknown(reason) if ctx.flight.is_enabled() => {
-                let mut pm = Postmortem::from_recorder(&ctx.flight, reason.to_string());
-                pm.hottest_phase = Some(hottest_phase(&timing).to_string());
-                if let Some(failed) = &failed_assumptions {
-                    pm.failed_assumptions = postmortem_core(failed);
-                }
-                Some(pm)
-            }
-            _ => None,
-        };
-        let report = ColoringReport {
-            outcome,
-            timing,
-            formula_stats,
-            solver_stats,
-            solve_time,
-            preprocess,
-            failed_assumptions,
-            postmortem,
-        };
-        (report, with_proof.then_some(encoded.formula), proof)
+        (report, proof)
     }
 }
 
@@ -576,7 +456,6 @@ impl fmt::Display for Strategy {
 mod tests {
     use super::*;
     use satroute_coloring::{exact, random_graph};
-    use satroute_obs::MetricsRegistry;
     use satroute_solver::{CancellationToken, RunBudget};
 
     #[test]
@@ -616,55 +495,8 @@ mod tests {
         let report = Strategy::paper_best().solve_coloring(&g, 4);
         assert!(report.formula_stats.num_clauses > 0);
         assert!(report.timing.total() >= report.timing.sat_solving);
-        // The solver's own time sits inside the solve stage, and nothing
-        // was preprocessed.
+        // The solver's own time sits inside the solve stage.
         assert!(report.solve_time <= report.timing.sat_solving);
-        assert_eq!(report.preprocess, PreprocessStats::default());
-    }
-
-    #[test]
-    fn preprocessed_solve_agrees_and_surfaces_its_stats() {
-        // Muldirect's S1 symmetry pins vertex colors with unit clauses
-        // (the ITE encodings restrict via longer clauses instead), so
-        // the pre-solve pass always has units to consume here.
-        let strategy = Strategy::new(EncodingId::Muldirect, SymmetryHeuristic::S1);
-        for seed in 0..3u64 {
-            let g = random_graph(10, 0.5, seed);
-            let chi = exact::chromatic_number(&g);
-            for k in [chi.saturating_sub(1).max(1), chi] {
-                let plain = strategy.solve_coloring(&g, k);
-                let registry = MetricsRegistry::new();
-                let pre = strategy
-                    .solve(&g, k)
-                    .preprocess(true)
-                    .metrics(registry.clone())
-                    .run();
-                assert_eq!(
-                    pre.outcome.is_colorable(),
-                    plain.outcome.is_colorable(),
-                    "seed {seed}, k {k}: preprocessing flipped the verdict"
-                );
-                if let ColoringOutcome::Colorable(c) = &pre.outcome {
-                    // The decoder consumed a model restored through the
-                    // preprocessor, so a proper coloring here certifies
-                    // `restore_model`.
-                    assert!(c.is_proper(&g), "seed {seed}, k {k}");
-                    assert!(c.max_color().unwrap() < k);
-                }
-                // The pass's work is surfaced both on the report and in
-                // the metrics registry.
-                assert!(
-                    pre.preprocess.units > 0,
-                    "seed {seed}, k {k}: S1 units must feed the preprocessor"
-                );
-                assert_eq!(
-                    registry.snapshot().counter("preprocess.units"),
-                    Some(pre.preprocess.units as u64),
-                    "seed {seed}, k {k}"
-                );
-                assert_eq!(plain.preprocess, PreprocessStats::default());
-            }
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `C880`, `apex7`, `C1355`, `vda`, `k2`) with global routings from
 //! SEGA-1.1. Those files are not redistributable/available here, so this
 //! module generates *synthetic stand-ins with the same names*: seeded random
-//! placements routed by [`GlobalRouter`](crate::GlobalRouter) on island
+//! placements routed by [`GlobalRouter`] on island
 //! fabrics of increasing size, yielding conflict graphs that span the same
 //! small→hard difficulty range (see `DESIGN.md`, substitution table).
 //!

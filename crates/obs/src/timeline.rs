@@ -520,9 +520,10 @@ pub struct Postmortem {
     /// The pipeline phase that dominated wall time, when the caller
     /// knows the breakdown (e.g. `sat_solving`).
     pub hottest_phase: Option<String>,
-    /// Failed-assumption set (DIMACS literals) when the stop happened
-    /// under assumptions that were already contradictory.
-    pub failed_assumptions: Vec<i64>,
+    /// The stopped solve's assumptions as DIMACS literals, sorted and
+    /// deduplicated (so reruns diff cleanly); empty for a solve without
+    /// assumptions.
+    pub assumptions: Vec<i64>,
 }
 
 impl Postmortem {
@@ -542,7 +543,7 @@ impl Postmortem {
             member: label,
             samples,
             hottest_phase: None,
-            failed_assumptions: Vec::new(),
+            assumptions: Vec::new(),
         }
     }
 
@@ -606,13 +607,9 @@ impl Postmortem {
             self.window_conflict_rate(),
             self.samples.len(),
         ));
-        if !self.failed_assumptions.is_empty() {
-            let lits: Vec<String> = self
-                .failed_assumptions
-                .iter()
-                .map(|l| l.to_string())
-                .collect();
-            out.push_str(&format!("  failed assumptions: {}\n", lits.join(" ")));
+        if !self.assumptions.is_empty() {
+            let lits: Vec<String> = self.assumptions.iter().map(|l| l.to_string()).collect();
+            out.push_str(&format!("  assumptions: {}\n", lits.join(" ")));
         }
         out
     }
@@ -638,12 +635,8 @@ impl Postmortem {
                     .unwrap_or(Value::Null),
             ),
             (
-                "failed_assumptions",
-                Value::array(
-                    self.failed_assumptions
-                        .iter()
-                        .map(|l| Value::Number(*l as f64)),
-                ),
+                "assumptions",
+                Value::array(self.assumptions.iter().map(|l| Value::Number(*l as f64))),
             ),
             (
                 "samples",

@@ -20,7 +20,7 @@
 //!   (counters, gauges, log-bucketed histograms), the solver flight
 //!   recorder ([`FlightRecorder`], [`Postmortem`]) and the Chrome
 //!   trace-event / folded-stack exporters,
-//! * [`bench`] — the table/figure-regeneration harness and the
+//! * [`bench`](mod@bench) — the table/figure-regeneration harness and the
 //!   `satroute bench` regression suites, `BENCH_*.json` artifacts and
 //!   the comparison gate.
 //!

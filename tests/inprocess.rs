@@ -13,8 +13,9 @@
 //! trajectory — that is its point. The invariant is the verdict.
 
 use satroute::coloring::{exact, random_graph};
-use satroute::core::{encode_coloring, encode_coloring_incremental, EncodingId, SymmetryHeuristic};
+use satroute::core::{encode, encode_coloring, EncodingId, Selectors, SymmetryHeuristic};
 use satroute::solver::{CdclSolver, InprocessConfig, SolverConfig};
+use satroute::{MetricsRegistry, Tracer};
 
 /// Rounds fire at solve start and then every ~60 conflicts (no
 /// back-off), so even the micro-instances below inprocess many times.
@@ -170,25 +171,29 @@ fn frozen_selectors_survive_ladder_inprocessing() {
         let g = random_graph(n, 0.5, seed);
         let chi = exact::chromatic_number(&g);
         let upper = chi + 2;
-        let enc = encode_coloring_incremental(
+        let enc = encode(
             &g,
             upper,
             &EncodingId::Muldirect.encoding(),
             SymmetryHeuristic::None,
+            Selectors::PerTrack,
+            &Tracer::disabled(),
+            &MetricsRegistry::disabled(),
         );
+        let selectors: Vec<_> = (0..upper).map(|d| enc.decode.selector(d)).collect();
 
         let mut warm = CdclSolver::with_config(aggressive());
         warm.add_formula(&enc.formula);
-        for &sel in &enc.selectors {
+        for &sel in &selectors {
             warm.freeze_var(sel.var());
         }
 
         for k in (1..=upper).rev() {
-            let assumptions = enc.assumptions_for_width(k);
+            let assumptions = enc.decode.assumptions_for_width(k);
             let out = warm.solve_with_assumptions(&assumptions);
             probes += 1;
 
-            for &sel in &enc.selectors {
+            for &sel in &selectors {
                 assert!(
                     warm.is_frozen(sel.var()),
                     "seed {seed}, width {k}: selector {sel:?} lost its freeze"

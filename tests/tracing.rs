@@ -8,8 +8,8 @@ use std::fs;
 
 use satroute::coloring::random_graph;
 use satroute::core::{
-    encode_coloring, encode_coloring_traced, run_portfolio, EncodingId, PortfolioOptions,
-    RoutingPipeline, RunContext, Strategy, SymmetryHeuristic,
+    encode, encode_coloring, run_portfolio, EncodingId, PortfolioOptions, RoutingPipeline,
+    RunContext, Selectors, Strategy, SymmetryHeuristic,
 };
 use satroute::fpga::benchmarks;
 use satroute::obs::TraceEvent;
@@ -126,12 +126,14 @@ fn encode_spans_pin_cnf_stats_per_encoding() {
     for (id, vars, clauses) in pinned {
         let tree = TraceTree::new();
         let tracer = Tracer::to_sink(tree.clone());
-        let traced = encode_coloring_traced(
+        let traced = encode(
             &triangle,
             3,
             &id.encoding(),
             SymmetryHeuristic::None,
+            Selectors::None,
             &tracer,
+            &MetricsRegistry::disabled(),
         );
         let plain = encode_coloring(&triangle, 3, &id.encoding(), SymmetryHeuristic::None);
         let stats = plain.formula.stats();
