@@ -683,7 +683,7 @@ impl SuiteCell {
                     None => sim.members[0].report.outcome.verdict().to_string(),
                 };
                 Sample {
-                    wall: sim.virtual_wall_time,
+                    wall: sim.wall_time,
                     width,
                     outcome,
                     stats: summed(sim.members.iter().map(|m| &m.report.solver_stats)),

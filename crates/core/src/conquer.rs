@@ -1,4 +1,4 @@
-//! Cube-and-conquer: work-stealing parallel search *within* one instance.
+//! Cube-and-conquer: parallel search *within* one instance.
 //!
 //! The portfolio ([`crate::portfolio`]) parallelizes across *strategies*;
 //! every member still faces the whole instance. Cube-and-conquer
@@ -6,22 +6,22 @@
 //! lookahead splitter ([`satroute_solver::cubes`]) picks the `k` most
 //! constraining variables of the encoded CNF and partitions the instance
 //! into up to `2^k` subcubes — assumption prefixes over the split
-//! variables — which a pool of workers then *conquers* concurrently:
+//! variables — which the crate's worker pool, the same one that races
+//! portfolio members, then *conquers* concurrently:
 //!
-//! * each worker owns a deque of cube indices; an idle worker **steals**
-//!   from the back of the fullest peer deque, so an unlucky cube
-//!   distribution cannot idle half the pool;
+//! * workers claim the next unconquered cube from one shared counter;
+//!   cubes are never split once claimed, so this balances load without
+//!   per-worker queues;
 //! * every cube loads the splitter's one encode into a fresh solver and
 //!   solves it under the cube's literals as assumptions
 //!   ([`SolveRequest::assume`](crate::SolveRequest::assume)), so a cube's
 //!   UNSAT answer is exactly "no solution extends this prefix";
-//! * the first cube that reports SAT **cancels the siblings** via the
-//!   shared [`CancellationToken`](crate::CancellationToken) (they report
-//!   [`StopReason::Cancelled`]); if *every* cube reports UNSAT the
-//!   instance is UNSAT, because the cubes plus the splitter's
-//!   propagation-refuted sign patterns cover all `2^k` assignments of
-//!   the split variables;
-//! * workers optionally exchange learnt clauses over the PR 2
+//! * the first cube that reports SAT **cancels the siblings** through the
+//!   pool's stop token (they report [`StopReason::Cancelled`]); if *every*
+//!   cube reports UNSAT the instance is UNSAT, because the cubes plus the
+//!   splitter's propagation-refuted sign patterns cover all `2^k`
+//!   assignments of the split variables;
+//! * workers optionally exchange learnt clauses over the portfolio's
 //!   [`SharingBus`]: every worker runs the *same* strategy on the same
 //!   instance, so all solvers see the identical CNF, and clauses learnt
 //!   under assumptions are consequences of the formula alone (the
@@ -32,8 +32,8 @@
 //! `split` child holding the one `encode` span, and one `cube` child per
 //! conquered cube (the cube's final counters and `outcome` mark; its
 //! solver events land on the `solve` span beneath it), and `conquer.cubes` /
-//! `conquer.refuted` / `conquer.stolen` counters plus a
-//! `conquer.cube_conflicts` histogram in the metrics registry.
+//! `conquer.refuted` counters plus a `conquer.cube_conflicts` histogram in
+//! the metrics registry.
 //!
 //! Determinism note for benchmarking: with sharing disabled, per-cube
 //! conflict counts are bit-reproducible even under parallel execution —
@@ -49,9 +49,6 @@
 //! proof is future work (see DESIGN.md §7); use `satroute prove` for a
 //! certified sequential refutation.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use satroute_cnf::{FormulaStats, Lit, Var};
@@ -62,14 +59,8 @@ use satroute_solver::{RunContext, SharingConfig, StopReason};
 
 use crate::encode::{encode, Selectors};
 use crate::portfolio::SharingBus;
+use crate::race::{self, Pool};
 use crate::strategy::{ColoringOutcome, ColoringReport, Strategy};
-
-/// Locks `mutex`, recovering the data if a panicking holder poisoned it —
-/// a cube deque is a plain work list whose integrity does not depend on
-/// the poisoned holder's critical section having completed.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// One conquered cube's contribution to a [`ConquerResult`].
 #[derive(Clone, Debug)]
@@ -80,9 +71,6 @@ pub struct CubeReport {
     pub cube: Vec<Lit>,
     /// The worker that conquered it.
     pub worker: usize,
-    /// `true` when `worker` stole the cube from a peer's deque instead of
-    /// popping its own.
-    pub stolen: bool,
     /// The full per-cube report. UNSAT here means "UNSAT under this
     /// cube's assumptions" and carries
     /// [`failed_assumptions`](ColoringReport::failed_assumptions) unless
@@ -123,8 +111,6 @@ pub struct ConquerResult {
     /// Sign patterns the splitter's unit propagation refuted before any
     /// solver ran; together with `cubes` they cover `2^split_vars.len()`.
     pub refuted_at_split: u64,
-    /// Cubes executed by a worker other than the one they were dealt to.
-    pub stolen: u64,
     /// Number of workers the pool ran with.
     pub workers: usize,
     /// Wall-clock time from launch to the winning answer (or to the last
@@ -223,12 +209,14 @@ fn lpt_makespan(jobs: &[Duration], workers: usize) -> Duration {
 ///
 /// Run control comes from the request's [`RunContext`], which every cube's
 /// solve inherits. A relative wall budget is resolved once, at launch,
-/// into one absolute deadline raced by all cubes. The cancellation token
-/// also stops sibling cubes once a winner is known. A tracer records a
-/// `conquer` root span with a `split` child and one `cube` span per
+/// into one absolute deadline raced by all cubes. Cancelling the context's
+/// token stops every cube; a winning cube stops its siblings through a
+/// [`child`](crate::CancellationToken::child) of that token, so the
+/// caller's token is never cancelled by the race itself. A tracer records
+/// a `conquer` root span with a `split` child and one `cube` span per
 /// conquered cube. A metrics registry receives every cube solver's
-/// `solver.*` instruments plus `conquer.{cubes,refuted,stolen}` counters
-/// and a `conquer.cube_conflicts` histogram. A flight recorder receives
+/// `solver.*` instruments plus `conquer.{cubes,refuted}` counters and a
+/// `conquer.cube_conflicts` histogram. A flight recorder receives
 /// samples stamped with the cube's index, and a cube stopped by the
 /// shared budget (or cancelled after a winner) carries a
 /// [`Postmortem`](satroute_obs::Postmortem) in its report.
@@ -291,16 +279,6 @@ impl<'a> ConquerRequest<'a> {
                 ("cube_vars", FieldValue::from(self.cube_vars)),
             ],
         );
-        let root_id = root.id();
-
-        // One shared absolute deadline, like the portfolio: cubes claimed
-        // late still race the same instant.
-        let mut budget = ctx.budget;
-        if let Some(deadline) = budget.deadline(start) {
-            budget.deadline_at = Some(deadline);
-            budget.wall = None;
-        }
-        let stop = ctx.cancel.clone().unwrap_or_default();
 
         // Encode once: the splitter picks the cube literals from this CNF
         // and every cube loads it, so all solvers see the exact CNF the
@@ -342,7 +320,6 @@ impl<'a> ConquerRequest<'a> {
                 cubes: Vec::new(),
                 split_vars: plan.vars,
                 refuted_at_split: plan.refuted,
-                stolen: 0,
                 workers: 0,
                 wall_time: start.elapsed(),
                 split_wall_time,
@@ -351,135 +328,67 @@ impl<'a> ConquerRequest<'a> {
             };
         }
 
-        let n_cubes = plan.cubes.len();
-        let workers = self
-            .threads
-            .unwrap_or_else(default_thread_cap)
-            .clamp(1, n_cubes);
+        let workers = race::workers(self.threads, plan.cubes.len());
         root.counter("workers", workers as u64);
-
-        // Per-worker deques, dealt round-robin; idle workers steal from
-        // the back of the fullest peer.
-        let deques: Vec<Mutex<VecDeque<usize>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for idx in 0..n_cubes {
-            lock_unpoisoned(&deques[idx % workers]).push_back(idx);
-        }
-        let stolen_total = AtomicU64::new(0);
         // Same-strategy workers ⇒ one sharing group spanning the pool.
         let bus = self
             .sharing
             .map(|_| SharingBus::for_strategies(&vec![self.strategy; workers]));
-
-        let strategy = self.strategy;
-        let graph = self.graph;
-        let k = self.k;
-        let sharing = self.sharing;
-        let plan_cubes = &plan.cubes;
-        let encoded = &encoded;
-        let (tx, rx) = mpsc::channel::<(usize, usize, bool, ColoringReport, Duration)>();
-
-        let (winner, first_answer, slots) = std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let tx = tx.clone();
-                let stop = stop.clone();
-                let deques = &deques;
-                let stolen_total = &stolen_total;
-                let bus = &bus;
-                scope.spawn(move || loop {
-                    // Own deque first (front), then steal (back of the
-                    // fullest peer). Cubes only leave deques by being
-                    // claimed, and every claimed cube sends exactly one
-                    // report — even post-cancellation, where the solve
-                    // returns immediately with `Cancelled`.
-                    //
-                    // Pop into a local first: a guard in the match
-                    // scrutinee would stay locked through `steal`, which
-                    // locks every peer deque, so two workers running dry
-                    // together would deadlock each other.
-                    let own = lock_unpoisoned(&deques[worker]).pop_front();
-                    let (cube_idx, stolen) = match own {
-                        Some(idx) => (idx, false),
-                        None => match steal(deques, worker) {
-                            Some(idx) => (idx, true),
-                            None => break,
-                        },
-                    };
-                    if stolen {
-                        stolen_total.fetch_add(1, Ordering::Relaxed);
-                        if metrics.is_enabled() {
-                            metrics.counter("conquer.stolen").inc();
-                        }
+        let pool = Pool {
+            ctx,
+            start,
+            parent: root.id(),
+            workers,
+        };
+        let race = pool.race(
+            plan.cubes.len(),
+            "cube",
+            |idx, worker| {
+                vec![
+                    ("index", FieldValue::from(idx as u64)),
+                    ("worker", FieldValue::from(worker as u64)),
+                    (
+                        "assumptions",
+                        FieldValue::from(dimacs_cube(&plan.cubes[idx])),
+                    ),
+                ]
+            },
+            ColoringOutcome::is_colorable,
+            |idx, worker, cube_ctx| {
+                let mut request = self
+                    .strategy
+                    .solve(self.graph, self.k)
+                    .context(cube_ctx)
+                    .assume(&plan.cubes[idx]);
+                if let (Some(sharing), Some(bus)) = (self.sharing, &bus) {
+                    if let Some(exchange) = bus.exchange(worker) {
+                        request = request.share(exchange, sharing);
                     }
-                    let cube = &plan_cubes[cube_idx];
-                    // Explicit parent: the worker thread's span stack is
-                    // empty, so implicit parenting would make cubes roots.
-                    let cube_span = tracer.span_under(
-                        root_id,
-                        "cube",
-                        [
-                            ("index", FieldValue::from(cube_idx as u64)),
-                            ("worker", FieldValue::from(worker as u64)),
-                            ("stolen", FieldValue::from(stolen)),
-                            ("assumptions", FieldValue::from(dimacs_cube(cube))),
-                        ],
-                    );
-                    let cube_ctx = RunContext {
-                        budget,
-                        cancel: Some(stop.clone()),
-                        flight: ctx.flight.labelled(cube_idx as u64),
-                        ..ctx.clone()
-                    };
-                    let mut request = strategy.solve(graph, k).context(cube_ctx).assume(cube);
-                    if let (Some(sharing), Some(bus)) = (sharing, bus) {
-                        if let Some(exchange) = bus.exchange(worker) {
-                            request = request.share(exchange, sharing);
-                        }
-                    }
-                    let (report, _) = request.run_encoded(encoded, Duration::ZERO, false);
-                    report.trace_onto(&cube_span);
-                    if matches!(report.outcome, ColoringOutcome::Colorable(_)) {
-                        // First SAT wins: siblings observe the token and
-                        // bail at their next conflict boundary.
-                        stop.cancel();
-                    }
-                    if metrics.is_enabled() {
-                        metrics
-                            .histogram("conquer.cube_conflicts")
-                            .record(report.solver_stats.conflicts);
-                    }
-                    // A send fails only if the receiver gave up; ignore.
-                    let _ = tx.send((cube_idx, worker, stolen, report, cube_span.close()));
-                });
-            }
-            drop(tx);
-
-            let mut winner: Option<usize> = None;
-            let mut first_answer: Option<Duration> = None;
-            let mut slots: Vec<Option<CubeReport>> = (0..n_cubes).map(|_| None).collect();
-            while let Ok((idx, worker, stolen, report, wall_time)) = rx.recv() {
-                if matches!(report.outcome, ColoringOutcome::Colorable(_)) && winner.is_none() {
-                    winner = Some(idx);
-                    first_answer = Some(start.elapsed());
                 }
-                slots[idx] = Some(CubeReport {
-                    index: idx,
-                    cube: plan_cubes[idx].clone(),
-                    worker,
-                    stolen,
-                    report,
-                    wall_time,
-                });
-            }
-            (winner, first_answer, slots)
-        });
+                let (report, _) = request.run_encoded(&encoded, Duration::ZERO, false);
+                if metrics.is_enabled() {
+                    metrics
+                        .histogram("conquer.cube_conflicts")
+                        .record(report.solver_stats.conflicts);
+                }
+                report
+            },
+        );
 
-        let cubes: Vec<CubeReport> = slots
+        let cubes: Vec<CubeReport> = race
+            .jobs
             .into_iter()
-            .map(|s| s.expect("every claimed cube sends exactly one report"))
+            .zip(plan.cubes)
+            .enumerate()
+            .map(|(index, (job, cube))| CubeReport {
+                index,
+                cube,
+                worker: job.worker,
+                report: job.report,
+                wall_time: job.wall_time,
+            })
             .collect();
-        let outcome = aggregate(winner, &cubes);
-        root.counter("stolen", stolen_total.load(Ordering::Relaxed));
+        let outcome = aggregate(race.winner, &cubes);
         match &outcome {
             ColoringOutcome::Colorable(_) => root.mark("outcome", "sat"),
             ColoringOutcome::Unsat => root.mark("outcome", "unsat"),
@@ -488,39 +397,15 @@ impl<'a> ConquerRequest<'a> {
 
         ConquerResult {
             outcome,
-            winner,
+            winner: race.winner,
             cubes,
             split_vars: plan.vars,
             refuted_at_split: plan.refuted,
-            stolen: stolen_total.load(Ordering::Relaxed),
             workers,
-            wall_time: first_answer.unwrap_or_else(|| start.elapsed()),
+            wall_time: race.wall_time,
             split_wall_time,
             formula_stats,
             cnf_translation: encoded.cnf_translation,
-        }
-    }
-}
-
-/// Steals from the back of the fullest peer deque; `None` when no peer
-/// holds work.
-fn steal(deques: &[Mutex<VecDeque<usize>>], thief: usize) -> Option<usize> {
-    loop {
-        let mut victim: Option<(usize, usize)> = None;
-        for (idx, deque) in deques.iter().enumerate() {
-            if idx == thief {
-                continue;
-            }
-            let len = lock_unpoisoned(deque).len();
-            if len > 0 && victim.is_none_or(|(best, _)| len > best) {
-                victim = Some((len, idx));
-            }
-        }
-        let (_, idx) = victim?;
-        // A peer may have drained the victim between the scan and this
-        // lock; rescan rather than give up.
-        if let Some(cube) = lock_unpoisoned(&deques[idx]).pop_back() {
-            return Some(cube);
         }
     }
 }
@@ -544,11 +429,6 @@ fn aggregate(winner: Option<usize>, cubes: &[CubeReport]) -> ColoringOutcome {
         .find_map(|c| c.stop_reason())
         .unwrap_or(StopReason::Cancelled);
     ColoringOutcome::Unknown(reason)
-}
-
-/// The machine's available parallelism (1 if it cannot be queried).
-fn default_thread_cap() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 impl Strategy {
@@ -712,7 +592,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(result.stolen, 0, "one worker cannot steal");
     }
 
     #[test]

@@ -33,9 +33,10 @@
 //!   between diversified same-strategy members.
 //! * [`conquer`] — cube-and-conquer parallelism *within* one instance: a
 //!   lookahead splitter ([`satroute_solver::cubes`]) partitions the CNF
-//!   into `2^k` assumption-prefix subcubes that a work-stealing pool
-//!   races with first-SAT-wins cancellation and all-UNSAT aggregation
-//!   ([`ConquerRequest`], built by [`Strategy::cube_and_conquer`]).
+//!   into `2^k` assumption-prefix subcubes that the same worker pool as
+//!   the portfolio races with first-SAT-wins cancellation and all-UNSAT
+//!   aggregation ([`ConquerRequest`], built by
+//!   [`Strategy::cube_and_conquer`]).
 //! * [`pipeline`] — the full FPGA flow: global routing → conflict graph →
 //!   SAT → detailed routing / unroutability proof.
 //! * [`incremental`] — assumption-based incremental width search: encode
@@ -170,6 +171,7 @@ pub mod pattern;
 pub mod pipeline;
 pub mod portfolio;
 mod probe;
+mod race;
 pub mod scheme;
 pub mod strategy;
 pub mod symmetry;
@@ -188,7 +190,6 @@ pub use pipeline::{
 };
 pub use portfolio::{
     run_portfolio, simulate_portfolio, MemberReport, PortfolioOptions, PortfolioResult, SharingBus,
-    SimulatedPortfolio,
 };
 pub use scheme::SimpleScheme;
 pub use strategy::{ColoringOutcome, ColoringReport, SolveRequest, Strategy, TimingBreakdown};

@@ -6,13 +6,16 @@
 //! of a multicore CPU …, with the rest of the runs terminated as soon as
 //! one of them returns an answer."
 //!
-//! [`run_portfolio`] runs one solve per strategy on a worker pool, all on
-//! the same K-coloring instance. The first *decided* (SAT or UNSAT)
-//! result wins; a shared [`CancellationToken`](crate::CancellationToken)
-//! stops the losers at their next conflict boundary. Every member's
-//! report — including the losers' partial
-//! [`SolverStats`](satroute_solver::SolverStats) and [`StopReason`] — is
-//! retained in the returned [`PortfolioResult`].
+//! [`run_portfolio`] runs one solve per strategy, all on the same
+//! K-coloring instance, as one race of the crate's worker pool — the same
+//! pool that races cube-and-conquer's cubes ([`crate::conquer`]). The
+//! first *decided* (SAT or UNSAT) result wins and stops the losers at
+//! their next conflict boundary. Every member's report — including the
+//! losers' partial [`SolverStats`](satroute_solver::SolverStats) and
+//! [`StopReason`] — is retained in the returned [`PortfolioResult`].
+//! [`simulate_portfolio`] runs the same members one after another and
+//! returns the same result type, with the wall time an ideal multicore
+//! would have taken.
 //!
 //! Run control comes from one [`RunContext`] shared by every member: a
 //! relative wall limit is converted to one shared absolute deadline, so
@@ -21,8 +24,8 @@
 //!
 //! Beyond racing, members can *cooperate*: [`PortfolioOptions`] (a) cap
 //! the number of concurrently running members at the machine's
-//! parallelism (excess members are queued, so an N-member portfolio no
-//! longer degrades to a thread pile-up on a small box), (b) derive
+//! parallelism (excess members are queued, so an N-member portfolio does
+//! not degrade to a thread pile-up on a small box), (b) derive
 //! diversified solver configurations per member (seed/phase/restart-scheme
 //! variants of one base config), and (c) wire a [`SharingBus`] between
 //! members so learnt clauses flow between them. Sharing is restricted to
@@ -33,8 +36,7 @@
 //! member lists.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use satroute_cnf::Lit;
@@ -42,7 +44,8 @@ use satroute_coloring::CspGraph;
 use satroute_obs::{FieldValue, MetricsRegistry};
 use satroute_solver::{ClauseExchange, RunContext, SharingConfig, SolveVerdict, StopReason};
 
-use crate::strategy::{ColoringReport, Strategy};
+use crate::race::{self, Pool};
+use crate::strategy::{ColoringOutcome, ColoringReport, Strategy};
 
 /// Maximum clauses a member's inbox holds; exports beyond this are dropped
 /// (a slow importer must not make peers buffer unboundedly).
@@ -83,18 +86,23 @@ impl MemberReport {
     }
 }
 
-/// The result of a portfolio run: the winner (if any member decided) plus
+/// The result of a portfolio run, real ([`run_portfolio`]) or simulated
+/// ([`simulate_portfolio`]): the winner (if any member decided) plus
 /// every member's report.
 #[derive(Clone, Debug)]
 pub struct PortfolioResult {
     /// Index (into `members` and the input strategy slice) of the member
-    /// that answered first, or `None` if every member returned Unknown.
+    /// that answered first — in a simulation, the decided member with the
+    /// smallest own wall time — or `None` if every member returned
+    /// Unknown.
     pub winner: Option<usize>,
     /// All members, in input order, each with its (possibly partial)
     /// report.
     pub members: Vec<MemberReport>,
     /// Wall-clock time from launch to the first decided answer, or to the
-    /// last member stopping when nothing was decided.
+    /// last member stopping when nothing was decided. A simulation reports
+    /// the virtual parallel wall time: the fastest decided member's own
+    /// time, else the slowest member's.
     pub wall_time: Duration,
 }
 
@@ -159,7 +167,7 @@ pub struct PortfolioOptions {
     /// Cap on concurrently running members. `None` (the default) uses
     /// [`std::thread::available_parallelism`]. Members beyond the cap are
     /// queued and claimed by workers as slots free up; a queued member
-    /// still races the same shared deadline and cancellation token, so it
+    /// still races the same shared deadline and stop token, so it
     /// reports [`StopReason::Deadline`] / [`StopReason::Cancelled`] with
     /// zero work if the race ends before it starts.
     pub max_threads: Option<usize>,
@@ -308,11 +316,6 @@ impl SharingBus {
     }
 }
 
-/// The machine's available parallelism (1 if it cannot be queried).
-fn default_thread_cap() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
-}
-
 /// Runs `strategies` in parallel on the K-coloring problem of `graph` and
 /// returns the first decided answer plus every member's report.
 ///
@@ -322,8 +325,9 @@ fn default_thread_cap() -> usize {
 /// absolute `deadline_at`, the *earlier* of the two wins. Each member
 /// additionally honours the budget's conflict/decision/memory caps
 /// individually. Cancelling `ctx.cancel` (from any thread) stops every
-/// member at its next poll point; the same token is used internally to
-/// stop losers once a winner is known.
+/// member at its next poll point. The winner stops the losers through a
+/// [`child`](crate::CancellationToken::child) of that token, so the
+/// caller's token is never cancelled by the race itself.
 ///
 /// At most `opts.max_threads` members run concurrently (default: the
 /// machine's parallelism); remaining members queue and are claimed by idle
@@ -367,121 +371,66 @@ pub fn run_portfolio(
     opts: &PortfolioOptions,
 ) -> PortfolioResult {
     let start = Instant::now();
-    // Convert a relative wall limit into one absolute deadline so members
-    // that start at slightly different times race the same instant. When
-    // the caller supplied an absolute deadline too, `RunBudget::deadline`
-    // resolves to the earlier of the two.
-    let mut budget = ctx.budget;
-    if let Some(deadline) = budget.deadline(start) {
-        budget.deadline_at = Some(deadline);
-        budget.wall = None;
-    }
-    let stop = ctx.cancel.clone().unwrap_or_default();
     let n = strategies.len();
-    let cap = opts
-        .max_threads
-        .unwrap_or_else(default_thread_cap)
-        .clamp(1, n.max(1));
-    let bus = opts.sharing.map(|_| SharingBus::for_strategies(strategies));
-    let (tracer, metrics) = (&ctx.tracer, &ctx.metrics);
-    let root = tracer.span_with(
+    let root = ctx.tracer.span_with(
         "portfolio",
         [
             ("members", FieldValue::from(n as u64)),
             ("k", FieldValue::from(k)),
         ],
     );
-    let root_id = root.id();
-    let (tx, rx) = mpsc::channel::<(usize, ColoringReport, Duration)>();
-    // A fixed worker pool claiming member indices from a shared counter:
-    // at most `cap` members run at once, the rest queue.
-    let next_member = AtomicUsize::new(0);
-
-    let result = std::thread::scope(|scope| {
-        for _ in 0..cap {
-            let tx = tx.clone();
-            let stop = stop.clone();
-            let next_member = &next_member;
-            let bus = &bus;
-            let sharing = opts.sharing;
-            scope.spawn(move || loop {
-                let idx = next_member.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                // An explicit parent id: the worker thread's span stack is
-                // empty, so implicit parenting would make members roots.
-                let member_span = tracer.span_under(
-                    root_id,
-                    "member",
-                    [
-                        ("index", FieldValue::from(idx as u64)),
-                        ("strategy", FieldValue::from(strategies[idx].to_string())),
-                    ],
-                );
-                let member_ctx = RunContext {
-                    config: if opts.diversify {
-                        ctx.config.diversified(idx as u64)
-                    } else {
-                        ctx.config.clone()
-                    },
-                    budget,
-                    cancel: Some(stop.clone()),
-                    flight: ctx.flight.labelled(idx as u64),
-                    ..ctx.clone()
-                };
-                let mut request = strategies[idx].solve(graph, k).context(member_ctx);
-                if let (Some(sharing), Some(bus)) = (sharing, bus) {
-                    if let Some(exchange) = bus.exchange(idx) {
-                        request = request.share(exchange, sharing);
-                    }
-                }
-                let report = request.run();
-                // The member span and the per-member counter family
-                // (alongside the shared `solver.*` instruments the
-                // member's solver feeds) come from the member's report.
-                report.trace_onto(&member_span);
-                if metrics.is_enabled() {
-                    record_member(metrics, idx, &report);
-                }
-                // A send fails only if the receiver gave up; ignore.
-                let _ = tx.send((idx, report, member_span.close()));
-            });
-        }
-        drop(tx);
-
-        let mut winner: Option<usize> = None;
-        let mut first_answer: Option<Duration> = None;
-        let mut slots: Vec<Option<MemberReport>> = vec![None; strategies.len()];
-        while let Ok((idx, report, wall_time)) = rx.recv() {
-            if report.outcome.is_decided() && winner.is_none() {
-                winner = Some(idx);
-                first_answer = Some(start.elapsed());
-                // Losers observe the token and bail out at their next poll
-                // point; keep draining so the scope joins quickly.
-                stop.cancel();
+    let bus = opts.sharing.map(|_| SharingBus::for_strategies(strategies));
+    let pool = Pool {
+        ctx,
+        start,
+        parent: root.id(),
+        workers: race::workers(opts.max_threads, n),
+    };
+    let race = pool.race(
+        n,
+        "member",
+        |idx, _| {
+            vec![
+                ("index", FieldValue::from(idx as u64)),
+                ("strategy", FieldValue::from(strategies[idx].to_string())),
+            ]
+        },
+        ColoringOutcome::is_decided,
+        |idx, _, mut member_ctx| {
+            if opts.diversify {
+                member_ctx.config = ctx.config.diversified(idx as u64);
             }
-            slots[idx] = Some(MemberReport {
-                strategy: strategies[idx],
-                report,
-                wall_time,
-            });
-        }
-        let members: Vec<MemberReport> = slots
-            .into_iter()
-            .map(|m| m.expect("every claimed member sends exactly one report"))
-            .collect();
-        PortfolioResult {
-            winner,
-            members,
-            wall_time: first_answer.unwrap_or_else(|| start.elapsed()),
-        }
-    });
-    match result.winner {
+            let mut request = strategies[idx].solve(graph, k).context(member_ctx);
+            if let (Some(sharing), Some(bus)) = (opts.sharing, &bus) {
+                if let Some(exchange) = bus.exchange(idx) {
+                    request = request.share(exchange, sharing);
+                }
+            }
+            let report = request.run();
+            if ctx.metrics.is_enabled() {
+                record_member(&ctx.metrics, idx, &report);
+            }
+            report
+        },
+    );
+    match race.winner {
         Some(w) => root.counter("winner", w as u64),
         None => root.mark("winner", "none"),
     }
-    result
+    PortfolioResult {
+        winner: race.winner,
+        members: race
+            .jobs
+            .into_iter()
+            .zip(strategies)
+            .map(|(job, &strategy)| MemberReport {
+                strategy,
+                report: job.report,
+                wall_time: job.wall_time,
+            })
+            .collect(),
+        wall_time: race.wall_time,
+    }
 }
 
 /// Adds member `idx`'s report to its `portfolio.member_<i>.*` family:
@@ -517,69 +466,30 @@ fn record_member(registry: &MetricsRegistry, idx: usize, report: &ColoringReport
     }
 }
 
-/// The result of a *simulated* parallel portfolio run (see
-/// [`simulate_portfolio`]), built from the same [`MemberReport`]s as the
-/// real runner.
-#[derive(Clone, Debug)]
-pub struct SimulatedPortfolio {
-    /// Index of the decided member with the smallest individual runtime,
-    /// or `None` if no member decided.
-    pub winner: Option<usize>,
-    /// All members, in input order, each measured sequentially.
-    pub members: Vec<MemberReport>,
-    /// The wall time an ideally parallel machine would achieve: the
-    /// fastest decided member's time, or the slowest member's time when
-    /// nothing decided (all cores run to exhaustion).
-    pub virtual_wall_time: Duration,
-}
-
-impl SimulatedPortfolio {
-    /// `true` if some member reached a SAT/UNSAT answer.
-    pub fn is_decided(&self) -> bool {
-        self.winner.is_some()
-    }
-
-    /// The winning member, if any.
-    pub fn winning_member(&self) -> Option<&MemberReport> {
-        self.winner.map(|i| &self.members[i])
-    }
-
-    /// The winning member's report, if any.
-    pub fn report(&self) -> Option<&ColoringReport> {
-        self.winning_member().map(|m| &m.report)
-    }
-
-    /// The winning strategy, if any.
-    pub fn strategy(&self) -> Option<Strategy> {
-        self.winning_member().map(|m| m.strategy)
-    }
-
-    /// Each member's individual (sequential) runtime, in input order.
-    pub fn member_times(&self) -> Vec<Duration> {
-        self.members.iter().map(|m| m.wall_time).collect()
-    }
-}
-
 /// Simulates the paper's multicore portfolio on a machine with too few
 /// cores: runs every member **sequentially** under `ctx`, measures each,
 /// and reports the minimum decided time as the virtual parallel wall time.
 ///
-/// On a CPU with at least `strategies.len()` idle cores,
-/// [`run_portfolio`]'s real wall time converges to this value (plus
-/// scheduling noise); on a single core the real portfolio degrades to
-/// roughly the *sum* of member times, which is why this simulation exists
-/// (see DESIGN.md, substitution table).
+/// The result's `winner` is the decided member with the smallest own wall
+/// time, and its `wall_time` is that member's time, or the slowest
+/// member's time when nothing decided (all cores run to exhaustion). On a
+/// CPU with at least `strategies.len()` idle cores, [`run_portfolio`]'s
+/// real wall time converges to this value (plus scheduling noise); on a
+/// single core the real portfolio degrades to roughly the *sum* of member
+/// times, which is why this simulation exists (see DESIGN.md,
+/// substitution table).
 ///
-/// Because members run sequentially here, the budget (including a `wall`
-/// limit) applies to each member individually — that is what each member
-/// would get on an ideal parallel machine. An absolute `deadline_at` is
-/// almost certainly wrong for a simulation and is left untouched.
+/// Because members run sequentially here, nothing is cancelled and the
+/// budget (including a `wall` limit) applies to each member individually —
+/// that is what each member would get on an ideal parallel machine. An
+/// absolute `deadline_at` is almost certainly wrong for a simulation and
+/// is left untouched. No `portfolio` or `member` spans are recorded.
 pub fn simulate_portfolio(
     graph: &CspGraph,
     k: u32,
     strategies: &[Strategy],
     ctx: &RunContext,
-) -> SimulatedPortfolio {
+) -> PortfolioResult {
     let mut members = Vec::with_capacity(strategies.len());
     let mut winner: Option<(usize, Duration)> = None;
     for (idx, strategy) in strategies.iter().enumerate() {
@@ -595,7 +505,7 @@ pub fn simulate_portfolio(
             wall_time: elapsed,
         });
     }
-    let virtual_wall_time = match winner {
+    let wall_time = match winner {
         Some((_, t)) => t,
         None => members
             .iter()
@@ -603,10 +513,10 @@ pub fn simulate_portfolio(
             .max()
             .unwrap_or_default(),
     };
-    SimulatedPortfolio {
+    PortfolioResult {
         winner: winner.map(|(i, _)| i),
         members,
-        virtual_wall_time,
+        wall_time,
     }
 }
 
@@ -797,13 +707,10 @@ mod tests {
             ColoringOutcome::Unsat
         ));
         assert_eq!(sim.members.len(), 3);
-        let times = sim.member_times();
-        assert_eq!(
-            sim.virtual_wall_time,
-            *times.iter().min().expect("non-empty")
-        );
+        let fastest = sim.members.iter().map(|m| m.wall_time).min();
+        assert_eq!(Some(sim.wall_time), fastest);
         let winner = sim.winner.expect("decides");
-        assert_eq!(times[winner], sim.virtual_wall_time);
+        assert_eq!(sim.members[winner].wall_time, sim.wall_time);
         assert_eq!(sim.strategy(), Some(strategies[winner]));
     }
 
@@ -812,7 +719,7 @@ mod tests {
         let g = CspGraph::new(2);
         let sim = simulate_portfolio(&g, 1, &[], &RunContext::default());
         assert!(!sim.is_decided());
-        assert_eq!(sim.virtual_wall_time, Duration::ZERO);
+        assert_eq!(sim.wall_time, Duration::ZERO);
     }
 
     #[test]

@@ -144,20 +144,22 @@ pub fn paper_specs() -> Vec<BenchmarkSpec> {
         congestion_weight: 0,
         clusters,
     };
-    // The ladder was calibrated in two dimensions:
+    // What the ladder gives, as pinned by
+    // `paper_suite_difficulty_ladder_is_pinned` and recorded in
+    // `results/BENCH_paper.json` (median of 3 runs, release build, 2-CPU
+    // Linux host):
     //
-    // * greedy-clique sizes grow across the suite (7, 8, 8, 9, 9, 9, 9,
-    //   10), so the W = clique − 1 UNSAT proofs for the muldirect baseline
-    //   span milliseconds (`alu2`) to tens of seconds (`k2`) — Table 2's
-    //   spread. (Clique 11 would push the uncapped baseline past 10
-    //   CPU-minutes per cell, measured, so the ladder tops out at 10.)
-    // * the three hardest instances use **two placement clusters**, giving
-    //   two congestion hotspots with near-equal cliques (9/9, 9/9, 10/10).
-    //   A single symmetry-restricted vertex sequence cannot break both
-    //   pigeonholes, so these instances stay hard under b1/s1 and the
-    //   encoding choice shows through — reproducing the paper's regime
-    //   where ITE-linear-2+muldirect/s1 wins (e.g. on `k2`:
-    //   muldirect/s1 ≈ 13 s vs ITE-linear-2+muldirect/s1 ≈ 0.2 s).
+    // * greedy cliques 5, 8, 8, 8, 8, 9, 10, 7 (alu2 … k2), so the suite
+    //   proves W = clique − 1 = 4, 7, 7, 7, 7, 8, 9, 6 unroutable. The
+    //   muldirect baseline without symmetry breaking needs 46 conflicts on
+    //   alu2 (0.19 ms), 3,324–4,065 on too_large … apex7 (47–63 ms),
+    //   19,237 on C1355 (0.46 s), 138,123 on vda (10.4 s) and 861 on k2
+    //   (6.3 ms), so vda, not k2, is the hardest cell.
+    // * the last three instances place their nets in two clusters, giving
+    //   two congestion hotspots. The encoding choice still shows through,
+    //   but not in the paper's direction: on k2, muldirect/s1 needs 144
+    //   conflicts (0.53 ms) and ITE-linear-2+muldirect/s1 needs 6,056
+    //   (31.7 ms).
     vec![
         spec("alu2", (5, 5), 24, 1, 0x5EED_0000),
         spec("too_large", (5, 5), 24, 1, 0x5EED_0002),

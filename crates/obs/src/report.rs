@@ -65,8 +65,6 @@ pub struct CubeStats {
     pub index: u64,
     /// Worker thread that solved the cube.
     pub worker: u64,
-    /// Whether the cube was work-stolen from another worker's deque.
-    pub stolen: bool,
     /// The cube's assumption prefix, when recorded.
     pub assumptions: Option<String>,
     /// Conflicts reached solving the cube.
@@ -168,7 +166,6 @@ impl TraceReport {
                 report.cubes.push(CubeStats {
                     index: field_u64(node, "index").unwrap_or(0),
                     worker: field_u64(node, "worker").unwrap_or(0),
-                    stolen: matches!(node.field("stolen"), Some(FieldValue::Bool(true))),
                     assumptions: field_str(node, "assumptions"),
                     conflicts: node.counters.get("conflicts").copied().unwrap_or(0),
                     total_us: node.total_us(),
@@ -275,15 +272,14 @@ impl TraceReport {
             }
             out.push('\n');
             out.push_str(&format!(
-                "  {:<4} {:<3} {:<6} {:>10} {:>10} {:<10} {}\n",
-                "cube", "w", "stolen", "conflicts", "time", "outcome", "assumptions"
+                "  {:<4} {:<3} {:>10} {:>10} {:<10} {}\n",
+                "cube", "w", "conflicts", "time", "outcome", "assumptions"
             ));
             for c in &self.cubes {
                 out.push_str(&format!(
-                    "  {:<4} {:<3} {:<6} {:>10} {:>10} {:<10} {}\n",
+                    "  {:<4} {:<3} {:>10} {:>10} {:<10} {}\n",
                     c.index,
                     c.worker,
-                    if c.stolen { "yes" } else { "no" },
                     c.conflicts,
                     fmt_us(c.total_us),
                     c.outcome.as_deref().unwrap_or("-"),
@@ -355,7 +351,6 @@ impl TraceReport {
             Value::object([
                 ("index", Value::from(c.index)),
                 ("worker", Value::from(c.worker)),
-                ("stolen", Value::Bool(c.stolen)),
                 (
                     "assumptions",
                     c.assumptions
@@ -734,7 +729,6 @@ mod tests {
                 fields: vec![
                     ("assumptions".into(), FieldValue::Str("1 -4".into())),
                     ("index".into(), FieldValue::U64(1)),
-                    ("stolen".into(), FieldValue::Bool(true)),
                     ("worker".into(), FieldValue::U64(0)),
                 ],
             },
@@ -759,7 +753,6 @@ mod tests {
         assert_eq!(report.cubes.len(), 1);
         let c = &report.cubes[0];
         assert_eq!(c.index, 1);
-        assert!(c.stolen);
         assert_eq!(c.assumptions.as_deref(), Some("1 -4"));
         assert_eq!(c.conflicts, 42);
         assert_eq!(c.outcome.as_deref(), Some("unsat"));

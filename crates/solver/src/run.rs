@@ -133,6 +133,7 @@ impl fmt::Display for StopReason {
 #[derive(Clone, Debug, Default)]
 pub struct CancellationToken {
     flag: Arc<AtomicBool>,
+    parent: Option<Box<CancellationToken>>,
 }
 
 impl CancellationToken {
@@ -141,14 +142,40 @@ impl CancellationToken {
         CancellationToken::default()
     }
 
+    /// A token that reads cancelled once it or `self` is cancelled, while
+    /// cancelling it leaves `self` untouched — so a race can stop its own
+    /// jobs without cancelling the caller's token.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use satroute_solver::CancellationToken;
+    ///
+    /// let caller = CancellationToken::new();
+    /// let race = caller.child();
+    /// race.cancel();
+    /// assert!(race.is_cancelled() && !caller.is_cancelled());
+    ///
+    /// let race = caller.child();
+    /// caller.cancel();
+    /// assert!(race.is_cancelled());
+    /// ```
+    pub fn child(&self) -> CancellationToken {
+        CancellationToken {
+            flag: Arc::default(),
+            parent: Some(Box::new(self.clone())),
+        }
+    }
+
     /// Requests cancellation. Idempotent; there is no un-cancel.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
     }
 
-    /// Returns `true` once any clone has been cancelled.
+    /// Returns `true` once any clone, or any clone of a parent this token
+    /// was made [`child`](CancellationToken::child) of, has been cancelled.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
+        self.flag.load(Ordering::Relaxed) || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
     }
 }
 

@@ -30,10 +30,10 @@
 //! parallelism).
 //!
 //! Conquer options: `--cube-vars <k>` splits the instance into up to
-//! `2^k` assumption-prefix subcubes (default 3) raced by a work-stealing
-//! pool of `--threads <T>` workers; `--portfolio-share` additionally
-//! exchanges learnt clauses between the workers (sound: every worker
-//! solves the identical CNF).
+//! `2^k` assumption-prefix subcubes (default 3) raced by the portfolio's
+//! worker pool with `--threads <T>` workers; `--portfolio-share`
+//! additionally exchanges learnt clauses between the workers (sound: every
+//! worker solves the identical CNF).
 //!
 //! Explain options: `satroute explain` re-encodes the instance with one
 //! activation selector per net, extracts a failed-assumption core and
@@ -462,41 +462,28 @@ fn dispatch(
                 }
             }
             if opts.json {
-                let probes: Vec<String> = search
-                    .probes
-                    .iter()
-                    .map(|p| {
-                        format!(
-                            "{{\"width\":{},\"routable\":{}}}",
-                            p.width,
-                            p.routing.is_some()
-                        )
-                    })
-                    .collect();
-                let mut extra = String::new();
+                let probes = search.probes.iter().map(|p| {
+                    Value::object([
+                        ("width", Value::from(u64::from(p.width))),
+                        ("routable", Value::from(p.routing.is_some())),
+                    ])
+                });
+                let mut doc = vec![
+                    ("min_width", Value::from(u64::from(search.min_width))),
+                    ("incremental", Value::from(opts.incremental)),
+                    ("probes", Value::array(probes)),
+                ];
                 if opts.incremental {
-                    let tracks: Vec<String> =
-                        search.failed_tracks.iter().map(u32::to_string).collect();
-                    extra.push_str(&format!(
-                        ",\"conflicts\":{conflicts},\"core_lower_bound\":{},\"failed_tracks\":[{}]",
-                        search
-                            .core_lower_bound()
-                            .map_or_else(|| "null".to_string(), |b| b.to_string()),
-                        tracks.join(","),
-                    ));
+                    let bound = search.core_lower_bound().map(u64::from);
+                    let tracks = search.failed_tracks.iter().map(|&t| u64::from(t).into());
+                    doc.push(("conflicts", Value::from(conflicts)));
+                    doc.push(("core_lower_bound", bound.map_or(Value::Null, Value::from)));
+                    doc.push(("failed_tracks", Value::array(tracks)));
                 }
                 if let Some((report, blame)) = &explanation {
-                    extra.push_str(&format!(
-                        ",\"explain\":{}",
-                        explain_json(report, blame.as_ref()).to_json()
-                    ));
+                    doc.push(("explain", explain_json(report, blame.as_ref())));
                 }
-                println!(
-                    "{{\"min_width\":{},\"incremental\":{}{extra},\"probes\":[{}]}}",
-                    search.min_width,
-                    opts.incremental,
-                    probes.join(",")
-                );
+                println!("{}", Value::object(doc).to_json());
             } else {
                 if opts.incremental {
                     println!(
@@ -668,16 +655,16 @@ fn dispatch(
                 let (result, reason) = match &outcome {
                     SolveOutcome::Sat(_) => ("sat", None),
                     SolveOutcome::Unsat => ("unsat", None),
-                    SolveOutcome::Unknown(reason) => ("unknown", Some(*reason)),
+                    SolveOutcome::Unknown(reason) => ("unknown", Some(reason.to_string())),
                 };
-                println!(
-                    "{{\"result\":{},\"stop_reason\":{},\"conflicts\":{},\"decisions\":{},\"propagations\":{}}}",
-                    json_str(result),
-                    reason.map_or("null".to_string(), |r| json_str(&r.to_string())),
-                    stats.conflicts,
-                    stats.decisions,
-                    stats.propagations,
-                );
+                let doc = Value::object([
+                    ("result", Value::from(result)),
+                    ("stop_reason", reason.map_or(Value::Null, Value::from)),
+                    ("conflicts", Value::from(stats.conflicts)),
+                    ("decisions", Value::from(stats.decisions)),
+                    ("propagations", Value::from(stats.propagations)),
+                ]);
+                println!("{}", doc.to_json());
             }
             match outcome {
                 SolveOutcome::Sat(model) => {
@@ -762,35 +749,29 @@ fn dispatch(
             let result = run_portfolio(&graph, width, &strategies, &ctx, &portfolio_opts);
 
             if opts.json {
-                let members: Vec<String> = result
-                    .members
-                    .iter()
-                    .map(|m| {
-                        format!(
-                            "{{\"strategy\":{},\"decided\":{},\"conflicts\":{},\"exported_clauses\":{},\"imported_clauses\":{}}}",
-                            json_str(&m.strategy.to_string()),
-                            m.is_decided(),
-                            m.report.solver_stats.conflicts,
-                            m.exported_clauses(),
-                            m.imported_clauses(),
-                        )
-                    })
-                    .collect();
+                let members = result.members.iter().map(|m| {
+                    Value::object([
+                        ("strategy", Value::string(m.strategy.to_string())),
+                        ("decided", Value::from(m.is_decided())),
+                        ("conflicts", Value::from(m.report.solver_stats.conflicts)),
+                        ("exported_clauses", Value::from(m.exported_clauses())),
+                        ("imported_clauses", Value::from(m.imported_clauses())),
+                    ])
+                });
                 let routable = result.report().map(|r| r.outcome.is_colorable());
-                println!(
-                    "{{\"width\":{},\"routable\":{},\"winner\":{},\"sharing\":{},\"total_conflicts\":{},\"total_exported\":{},\"total_imported\":{},\"wall_time_s\":{},\"members\":[{}]}}",
-                    width,
-                    routable.map_or("null".to_string(), |b| b.to_string()),
-                    result
-                        .strategy()
-                        .map_or("null".to_string(), |s| json_str(&s.to_string())),
-                    opts.portfolio_share,
-                    result.total_conflicts(),
-                    result.total_exported(),
-                    result.total_imported(),
-                    result.wall_time.as_secs_f64(),
-                    members.join(","),
-                );
+                let winner = result.strategy().map(|s| s.to_string());
+                let doc = Value::object([
+                    ("width", Value::from(u64::from(width))),
+                    ("routable", routable.map_or(Value::Null, Value::from)),
+                    ("winner", winner.map_or(Value::Null, Value::from)),
+                    ("sharing", Value::from(opts.portfolio_share)),
+                    ("total_conflicts", Value::from(result.total_conflicts())),
+                    ("total_exported", Value::from(result.total_exported())),
+                    ("total_imported", Value::from(result.total_imported())),
+                    ("wall_time_s", Value::from(result.wall_time.as_secs_f64())),
+                    ("members", Value::array(members)),
+                ]);
+                println!("{}", doc.to_json());
             } else {
                 match result.report().map(|r| &r.outcome) {
                     Some(satroute::core::ColoringOutcome::Colorable(_)) => {
@@ -857,41 +838,31 @@ fn dispatch(
             let result = request.run();
 
             if opts.json {
-                let cubes: Vec<String> = result
-                    .cubes
-                    .iter()
-                    .map(|c| {
-                        format!(
-                            "{{\"index\":{},\"worker\":{},\"stolen\":{},\"conflicts\":{},\"outcome\":{}}}",
-                            c.index,
-                            c.worker,
-                            c.stolen,
-                            c.report.solver_stats.conflicts,
-                            json_str(&c.report.outcome.verdict().to_string()),
-                        )
-                    })
-                    .collect();
-                let routable = match &result.outcome {
-                    satroute::core::ColoringOutcome::Colorable(_) => "true".to_string(),
-                    satroute::core::ColoringOutcome::Unsat => "false".to_string(),
-                    satroute::core::ColoringOutcome::Unknown(_) => "null".to_string(),
-                };
-                println!(
-                    "{{\"width\":{},\"routable\":{},\"cube_vars\":{},\"cubes\":{},\"refuted_at_split\":{},\"stolen\":{},\"workers\":{},\"winner\":{},\"total_conflicts\":{},\"wall_time_s\":{},\"cube_reports\":[{}]}}",
-                    width,
-                    routable,
-                    cube_vars,
-                    result.cubes.len(),
-                    result.refuted_at_split,
-                    result.stolen,
-                    result.workers,
-                    result
-                        .winner
-                        .map_or("null".to_string(), |w| w.to_string()),
-                    result.total_conflicts(),
-                    result.wall_time.as_secs_f64(),
-                    cubes.join(","),
-                );
+                let cubes = result.cubes.iter().map(|c| {
+                    Value::object([
+                        ("index", Value::from(c.index)),
+                        ("worker", Value::from(c.worker)),
+                        ("conflicts", Value::from(c.report.solver_stats.conflicts)),
+                        (
+                            "outcome",
+                            Value::string(c.report.outcome.verdict().to_string()),
+                        ),
+                    ])
+                });
+                let routable = result.is_decided().then(|| result.outcome.is_colorable());
+                let doc = Value::object([
+                    ("width", Value::from(u64::from(width))),
+                    ("routable", routable.map_or(Value::Null, Value::from)),
+                    ("cube_vars", Value::from(u64::from(cube_vars))),
+                    ("cubes", Value::from(result.cubes.len())),
+                    ("refuted_at_split", Value::from(result.refuted_at_split)),
+                    ("workers", Value::from(result.workers)),
+                    ("winner", result.winner.map_or(Value::Null, Value::from)),
+                    ("total_conflicts", Value::from(result.total_conflicts())),
+                    ("wall_time_s", Value::from(result.wall_time.as_secs_f64())),
+                    ("cube_reports", Value::array(cubes)),
+                ]);
+                println!("{}", doc.to_json());
             } else {
                 match &result.outcome {
                     satroute::core::ColoringOutcome::Colorable(_) => {
@@ -906,21 +877,19 @@ fn dispatch(
                     }
                 }
                 println!(
-                    "  split on {} vars: {} cubes, {} refuted by lookahead, {} stolen, {} workers",
+                    "  split on {} vars: {} cubes, {} refuted by lookahead, {} workers",
                     result.split_vars.len(),
                     result.cubes.len(),
                     result.refuted_at_split,
-                    result.stolen,
                     result.workers,
                 );
                 for cube in &result.cubes {
                     println!(
-                        "  cube {:<3} worker {:<2} {:>8} conflicts  {}{}",
+                        "  cube {:<3} worker {:<2} {:>8} conflicts  {}",
                         cube.index,
                         cube.worker,
                         cube.report.solver_stats.conflicts,
                         cube.report.outcome.verdict(),
-                        if cube.stolen { "  [stolen]" } else { "" },
                     );
                 }
             }
@@ -1237,25 +1206,6 @@ fn pipeline_stop(err: satroute::core::PipelineError, flight: &FlightRecorder) ->
     format!("{err}")
 }
 
-/// Minimal JSON string quoting for the CLI's `--json` output (the full
-/// document model lives in `satroute_obs::json`; the CLI only needs
-/// strings).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn finish_route(
     result: satroute::core::RouteResult,
     certificate: Option<(&String, Option<satroute::core::UnroutabilityCertificate>)>,
@@ -1263,23 +1213,15 @@ fn finish_route(
 ) -> Result<ExitCode, String> {
     if json {
         let report = &result.report;
-        let tracks = match &result.routing {
-            Some(routing) => routing
-                .tracks()
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-            None => String::new(),
-        };
-        println!(
-            "{{\"width\":{},\"routable\":{},\"tracks\":[{}],\"conflicts\":{},\"wall_time_s\":{}}}",
-            result.width,
-            result.routing.is_some(),
-            tracks,
-            report.solver_stats.conflicts,
-            report.solve_time.as_secs_f64(),
-        );
+        let tracks = result.routing.iter().flat_map(|r| r.tracks());
+        let doc = Value::object([
+            ("width", Value::from(u64::from(result.width))),
+            ("routable", Value::from(result.routing.is_some())),
+            ("tracks", Value::array(tracks.map(|&t| u64::from(t).into()))),
+            ("conflicts", Value::from(report.solver_stats.conflicts)),
+            ("wall_time_s", Value::from(report.solve_time.as_secs_f64())),
+        ]);
+        println!("{}", doc.to_json());
     }
     match &result.routing {
         Some(routing) => {

@@ -101,7 +101,7 @@ fn cube_space_is_fully_covered() {
     }
 }
 
-/// First-SAT-wins: with one worker the cubes run in deque order, so every
+/// First-SAT-wins: with one worker the cubes run in index order, so every
 /// cube before the winner must have been refuted and every cube after it
 /// must have been stopped by the winner's cancellation — observable as
 /// `StopReason::Cancelled` on each sibling.

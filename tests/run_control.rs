@@ -5,7 +5,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use satroute::coloring::{dsatur_coloring, random_graph, CspGraph};
+use satroute::coloring::{dsatur_coloring, exact, random_graph, CspGraph};
 use satroute::core::{
     run_portfolio, simulate_portfolio, ColoringOutcome, ExplainOutcome, PipelineError,
     PortfolioOptions, RoutingPipeline, Strategy,
@@ -146,6 +146,45 @@ fn cancellation_mid_solve_stops_every_portfolio_member() {
             member.strategy
         );
     }
+}
+
+/// A winner stops its siblings through the race's own token: the caller's
+/// token stays uncancelled, so the same context can run again.
+#[test]
+fn a_winner_leaves_the_callers_token_uncancelled() {
+    let g = random_graph(12, 0.4, 11);
+    let chi = exact::chromatic_number(&g);
+    let portfolio_token = CancellationToken::new();
+    let ctx = RunContext {
+        cancel: Some(portfolio_token.clone()),
+        ..RunContext::default()
+    };
+    for run in 0..2 {
+        let result = run_portfolio(
+            &g,
+            chi,
+            &Strategy::paper_portfolio_2(),
+            &ctx,
+            &PortfolioOptions::new(),
+        );
+        assert!(result.is_decided(), "portfolio run {run} undecided");
+        assert!(
+            !portfolio_token.is_cancelled(),
+            "portfolio run {run} cancelled the caller's token"
+        );
+    }
+
+    let conquer_token = CancellationToken::new();
+    let result = Strategy::paper_best()
+        .cube_and_conquer(&g, chi + 1)
+        .cube_vars(2)
+        .cancel(conquer_token.clone())
+        .run();
+    assert!(matches!(result.outcome, ColoringOutcome::Colorable(_)));
+    assert!(
+        !conquer_token.is_cancelled(),
+        "a SAT conquer cancelled the caller's token"
+    );
 }
 
 /// Records every event for post-hoc order checking.
