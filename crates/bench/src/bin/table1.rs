@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run -p satroute-bench --bin table1`
 
+use satroute_cnf::clause;
 use satroute_coloring::CspGraph;
 use satroute_core::{encode_coloring, EncodingId, SymmetryHeuristic};
 
@@ -29,8 +30,8 @@ fn main() {
         for (d, p) in scheme.patterns.iter().enumerate() {
             println!("  pattern for value {d}: {p}");
         }
-        for clause in enc.formula.clauses() {
-            println!("  clause: {clause}");
+        for lits in enc.formula.clauses() {
+            println!("  clause: {}", clause::display(lits));
         }
         println!();
     }

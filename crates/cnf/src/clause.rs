@@ -1,158 +1,75 @@
-//! Clauses: disjunctions of literals.
+//! Operations on one clause — a disjunction of literals — given as a
+//! literal slice, the form [`CnfFormula::clauses`](crate::CnfFormula::clauses)
+//! yields.
+//!
+//! # Examples
+//!
+//! ```
+//! use satroute_cnf::{clause, Lit, Var};
+//!
+//! let a = Var::new(0);
+//! let lits = [Lit::positive(a), Lit::negative(a)];
+//! assert!(clause::is_tautology(&lits));
+//! assert_eq!(clause::display(&lits).to_string(), "x0 ∨ ¬x0");
+//! ```
 
 use std::fmt;
 
 use crate::{Assignment, Lit};
 
-/// A clause — a disjunction of [`Lit`]s.
-///
-/// Clauses are thin wrappers around `Vec<Lit>` that add clause-level
-/// operations (normalization, tautology detection, evaluation). The order of
-/// literals is preserved as given, which matters for reproducing the paper's
-/// encodings literally (Table 1 lists clauses with a specific literal order).
-///
-/// # Examples
-///
-/// ```
-/// use satroute_cnf::{Clause, Lit, Var};
-///
-/// let a = Var::new(0);
-/// let clause = Clause::from_lits([Lit::positive(a), Lit::negative(a)]);
-/// assert!(clause.is_tautology());
-/// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct Clause {
-    lits: Vec<Lit>,
+/// Returns `true` if the clause contains some literal and its negation,
+/// making it trivially satisfied.
+pub fn is_tautology(lits: &[Lit]) -> bool {
+    lits.iter().any(|&l| lits.contains(&!l))
 }
 
-impl Clause {
-    /// Creates an empty clause (which is unsatisfiable).
-    pub fn new() -> Self {
-        Clause { lits: Vec::new() }
-    }
-
-    /// Creates a clause from literals.
-    pub fn from_lits<I: IntoIterator<Item = Lit>>(lits: I) -> Self {
-        Clause {
-            lits: lits.into_iter().collect(),
+/// Removes duplicate literals, preserving first occurrences.
+pub fn dedup(lits: &mut Vec<Lit>) {
+    let mut kept = 0;
+    for i in 0..lits.len() {
+        let lit = lits[i];
+        if !lits[..kept].contains(&lit) {
+            lits[kept] = lit;
+            kept += 1;
         }
     }
+    lits.truncate(kept);
+}
 
-    /// Returns the literals of this clause.
-    pub fn lits(&self) -> &[Lit] {
-        &self.lits
-    }
-
-    /// Returns the number of literals.
-    pub fn len(&self) -> usize {
-        self.lits.len()
-    }
-
-    /// Returns `true` if the clause has no literals.
-    ///
-    /// The empty clause is unsatisfiable.
-    pub fn is_empty(&self) -> bool {
-        self.lits.is_empty()
-    }
-
-    /// Returns `true` if the clause contains the given literal.
-    pub fn contains(&self, lit: Lit) -> bool {
-        self.lits.contains(&lit)
-    }
-
-    /// Returns `true` if the clause contains some literal and its negation,
-    /// making it trivially satisfied.
-    pub fn is_tautology(&self) -> bool {
-        let mut sorted: Vec<Lit> = self.lits.clone();
-        sorted.sort_unstable();
-        sorted.windows(2).any(|w| w[0] == !w[1])
-    }
-
-    /// Removes duplicate literals, preserving first occurrences.
-    pub fn dedup(&mut self) {
-        let mut seen = std::collections::HashSet::with_capacity(self.lits.len());
-        self.lits.retain(|l| seen.insert(*l));
-    }
-
-    /// Evaluates the clause under a (possibly partial) assignment.
-    ///
-    /// Returns `Some(true)` if some literal is satisfied, `Some(false)` if
-    /// all literals are falsified, and `None` if the clause is undetermined.
-    pub fn evaluate(&self, assignment: &Assignment) -> Option<bool> {
-        let mut undetermined = false;
-        for &lit in &self.lits {
-            match assignment.lit_value(lit) {
-                Some(true) => return Some(true),
-                Some(false) => {}
-                None => undetermined = true,
-            }
-        }
-        if undetermined {
-            None
-        } else {
-            Some(false)
+/// Evaluates the clause under a (possibly partial) assignment.
+///
+/// Returns `Some(true)` if some literal is satisfied, `Some(false)` if all
+/// literals are falsified (the empty clause included), and `None` if the
+/// clause is undetermined.
+pub fn evaluate(lits: &[Lit], assignment: &Assignment) -> Option<bool> {
+    let mut undetermined = false;
+    for &lit in lits {
+        match assignment.lit_value(lit) {
+            Some(true) => return Some(true),
+            Some(false) => {}
+            None => undetermined = true,
         }
     }
-
-    /// Iterates over the literals.
-    pub fn iter(&self) -> std::slice::Iter<'_, Lit> {
-        self.lits.iter()
-    }
-
-    /// Consumes the clause, returning its literal vector.
-    pub fn into_lits(self) -> Vec<Lit> {
-        self.lits
+    if undetermined {
+        None
+    } else {
+        Some(false)
     }
 }
 
-impl From<Vec<Lit>> for Clause {
-    fn from(lits: Vec<Lit>) -> Self {
-        Clause { lits }
-    }
+/// Formats the clause as `x0 ∨ ¬x1`, and the empty clause as `⊥`.
+pub fn display(lits: &[Lit]) -> impl fmt::Display + '_ {
+    Disjunction(lits)
 }
 
-impl FromIterator<Lit> for Clause {
-    fn from_iter<I: IntoIterator<Item = Lit>>(iter: I) -> Self {
-        Clause::from_lits(iter)
-    }
-}
+struct Disjunction<'a>(&'a [Lit]);
 
-impl Extend<Lit> for Clause {
-    fn extend<I: IntoIterator<Item = Lit>>(&mut self, iter: I) {
-        self.lits.extend(iter);
-    }
-}
-
-impl<'a> IntoIterator for &'a Clause {
-    type Item = &'a Lit;
-    type IntoIter = std::slice::Iter<'a, Lit>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.lits.iter()
-    }
-}
-
-impl IntoIterator for Clause {
-    type Item = Lit;
-    type IntoIter = std::vec::IntoIter<Lit>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.lits.into_iter()
-    }
-}
-
-impl fmt::Debug for Clause {
+impl fmt::Display for Disjunction<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Clause{:?}", self.lits)
-    }
-}
-
-impl fmt::Display for Clause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.lits.is_empty() {
+        if self.0.is_empty() {
             return write!(f, "⊥");
         }
-        for (i, lit) in self.lits.iter().enumerate() {
+        for (i, lit) in self.0.iter().enumerate() {
             if i > 0 {
                 write!(f, " ∨ ")?;
             }
@@ -173,41 +90,40 @@ mod tests {
 
     #[test]
     fn tautology_detection() {
-        assert!(Clause::from_lits([lit(1), lit(-1)]).is_tautology());
-        assert!(!Clause::from_lits([lit(1), lit(2)]).is_tautology());
-        assert!(!Clause::new().is_tautology());
+        assert!(is_tautology(&[lit(1), lit(-1)]));
+        assert!(!is_tautology(&[lit(1), lit(2)]));
+        assert!(!is_tautology(&[]));
     }
 
     #[test]
     fn dedup_preserves_first_occurrence() {
-        let mut c = Clause::from_lits([lit(1), lit(2), lit(1), lit(-2)]);
-        c.dedup();
-        assert_eq!(c.lits(), &[lit(1), lit(2), lit(-2)]);
+        let mut c = vec![lit(1), lit(2), lit(1), lit(-2)];
+        dedup(&mut c);
+        assert_eq!(c, [lit(1), lit(2), lit(-2)]);
     }
 
     #[test]
     fn evaluate_partial_assignments() {
-        let c = Clause::from_lits([lit(1), lit(2)]);
+        let c = [lit(1), lit(2)];
         let mut a = Assignment::new(2);
-        assert_eq!(c.evaluate(&a), None);
+        assert_eq!(evaluate(&c, &a), None);
         a.assign(Var::new(0), false);
-        assert_eq!(c.evaluate(&a), None);
+        assert_eq!(evaluate(&c, &a), None);
         a.assign(Var::new(1), true);
-        assert_eq!(c.evaluate(&a), Some(true));
+        assert_eq!(evaluate(&c, &a), Some(true));
         a.assign(Var::new(1), false);
-        assert_eq!(c.evaluate(&a), Some(false));
+        assert_eq!(evaluate(&c, &a), Some(false));
     }
 
     #[test]
     fn empty_clause_is_false() {
         let a = Assignment::new(0);
-        assert_eq!(Clause::new().evaluate(&a), Some(false));
+        assert_eq!(evaluate(&[], &a), Some(false));
     }
 
     #[test]
     fn display_uses_disjunction() {
-        let c = Clause::from_lits([lit(1), lit(-2)]);
-        assert_eq!(c.to_string(), "x0 ∨ ¬x1");
-        assert_eq!(Clause::new().to_string(), "⊥");
+        assert_eq!(display(&[lit(1), lit(-2)]).to_string(), "x0 ∨ ¬x1");
+        assert_eq!(display(&[]).to_string(), "⊥");
     }
 }

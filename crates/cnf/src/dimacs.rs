@@ -28,7 +28,7 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
 
-use crate::{CnfFormula, Lit};
+use crate::{CnfFormula, Lit, Var};
 
 /// Error produced when parsing a DIMACS CNF file fails.
 #[derive(Debug)]
@@ -89,8 +89,9 @@ fn syntax(line: usize, message: impl Into<String>) -> ParseCnfError {
 ///
 /// # Errors
 ///
-/// Returns [`ParseCnfError`] on I/O failure, a malformed header, literals
-/// outside `i64`, a missing header, or a clause not terminated by `0`.
+/// Returns [`ParseCnfError`] on I/O failure, a malformed header, a missing
+/// header, a clause not terminated by `0`, or a header variable count or
+/// literal whose variable lies beyond [`Var::LIMIT`].
 pub fn parse_cnf<R: Read>(reader: R) -> Result<CnfFormula, ParseCnfError> {
     let reader = BufReader::new(reader);
     let mut formula = CnfFormula::new();
@@ -116,6 +117,15 @@ pub fn parse_cnf<R: Read>(reader: R) -> Result<CnfFormula, ParseCnfError> {
                 .next()
                 .and_then(|s| s.parse().ok())
                 .ok_or_else(|| syntax(line_no, "bad variable count in header"))?;
+            if vars > Var::LIMIT {
+                return Err(syntax(
+                    line_no,
+                    format!(
+                        "header declares {vars} variables; the limit is {}",
+                        Var::LIMIT
+                    ),
+                ));
+            }
             let clauses: usize = parts
                 .next()
                 .and_then(|s| s.parse().ok())
@@ -132,6 +142,14 @@ pub fn parse_cnf<R: Read>(reader: R) -> Result<CnfFormula, ParseCnfError> {
                 .map_err(|_| syntax(line_no, format!("bad literal token `{tok}`")))?;
             if value == 0 {
                 formula.add_clause(current.drain(..));
+            } else if value.unsigned_abs() > u64::from(Var::LIMIT) {
+                return Err(syntax(
+                    line_no,
+                    format!(
+                        "literal `{tok}` names a variable beyond the limit {}",
+                        Var::LIMIT
+                    ),
+                ));
             } else {
                 current.push(Lit::from_dimacs(value));
             }
@@ -208,8 +226,8 @@ mod tests {
         let f = parse_cnf_str(text).unwrap();
         assert_eq!(f.num_vars(), 3);
         assert_eq!(f.num_clauses(), 2);
-        assert_eq!(f.clauses()[0].len(), 3);
-        assert_eq!(f.clauses()[1].len(), 2);
+        assert_eq!(f.clause(0).len(), 3);
+        assert_eq!(f.clause(1).len(), 2);
     }
 
     #[test]
@@ -247,6 +265,36 @@ mod tests {
         let text = to_cnf_string(&f);
         let parsed = parse_cnf_str(&text).unwrap();
         assert_eq!(parsed.num_clauses(), 1);
-        assert!(parsed.clauses()[0].is_empty());
+        assert!(parsed.clause(0).is_empty());
+    }
+
+    fn syntax_line(text: &str) -> usize {
+        match parse_cnf_str(text) {
+            Err(ParseCnfError::Syntax { line, .. }) => line,
+            other => panic!("expected a syntax error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_a_variable_beyond_the_limit() {
+        assert_eq!(syntax_line("p cnf 1 1\n3000000000 0\n"), 2);
+    }
+
+    #[test]
+    fn rejects_the_most_negative_literal() {
+        assert_eq!(syntax_line("p cnf 1 1\n-9223372036854775808 0\n"), 2);
+    }
+
+    #[test]
+    fn rejects_a_header_variable_count_beyond_the_limit() {
+        assert_eq!(syntax_line("p cnf 2000000000 1\n1 0\n"), 1);
+    }
+
+    #[test]
+    fn accepts_the_last_variable_below_the_limit() {
+        let top = i64::from(Var::LIMIT);
+        let f = parse_cnf_str(&format!("p cnf {} 1\n{top} -{top} 0\n", Var::LIMIT)).unwrap();
+        assert_eq!(f.num_vars(), Var::LIMIT);
+        assert_eq!(f.clause(0)[0].var().index(), Var::LIMIT - 1);
     }
 }

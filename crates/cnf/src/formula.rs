@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{Assignment, Clause, Lit, Var};
+use crate::{clause, Assignment, Lit, Var};
 
 /// A formula in conjunctive normal form.
 ///
@@ -10,6 +10,10 @@ use crate::{Assignment, Clause, Lit, Var};
 /// allocated. Fresh variables are handed out by [`CnfFormula::new_var`],
 /// which is how the encoding framework allocates the indexing Boolean
 /// variables of each CSP variable.
+///
+/// Clauses are stored flat — every clause's literals back to back in one
+/// buffer, plus one `u32` end offset per clause — so adding a clause
+/// allocates nothing of its own. They are read back as literal slices.
 ///
 /// # Examples
 ///
@@ -22,11 +26,15 @@ use crate::{Assignment, Clause, Lit, Var};
 /// f.add_clause([Lit::positive(a), Lit::positive(b)]);
 /// assert_eq!(f.num_vars(), 2);
 /// assert_eq!(f.num_clauses(), 1);
+/// assert_eq!(f.clause(0), [Lit::positive(a), Lit::positive(b)]);
 /// ```
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct CnfFormula {
     num_vars: u32,
-    clauses: Vec<Clause>,
+    /// The literals of every clause, back to back in clause order.
+    lits: Vec<Lit>,
+    /// `ends[i]` is the offset in `lits` just past clause `i`.
+    ends: Vec<u32>,
 }
 
 /// Summary statistics for a [`CnfFormula`], used by the formula-size
@@ -57,7 +65,7 @@ impl CnfFormula {
     pub fn with_vars(num_vars: u32) -> Self {
         CnfFormula {
             num_vars,
-            clauses: Vec::new(),
+            ..CnfFormula::default()
         }
     }
 
@@ -85,28 +93,48 @@ impl CnfFormula {
 
     /// Number of clauses.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
-    /// The clauses of the formula.
-    pub fn clauses(&self) -> &[Clause] {
-        &self.clauses
+    /// The clauses of the formula, in insertion order.
+    pub fn clauses(&self) -> Clauses<'_> {
+        Clauses {
+            lits: &self.lits,
+            ends: self.ends.iter(),
+            start: 0,
+        }
+    }
+
+    /// The literals of clause `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.num_clauses()`.
+    pub fn clause(&self, index: usize) -> &[Lit] {
+        let start = match index {
+            0 => 0,
+            _ => self.ends[index - 1] as usize,
+        };
+        &self.lits[start..self.ends[index] as usize]
     }
 
     /// Adds a clause built from the given literals.
     ///
     /// Variables referenced by the clause are registered automatically, so a
     /// formula parsed from literals never under-reports `num_vars`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the formula would hold more than `u32::MAX` literals.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        self.push_clause(Clause::from_lits(lits));
-    }
-
-    /// Adds an already-built clause.
-    pub fn push_clause(&mut self, clause: Clause) {
-        for lit in &clause {
+        let start = self.lits.len();
+        self.lits.extend(lits);
+        for lit in &self.lits[start..] {
             self.num_vars = self.num_vars.max(lit.var().index() + 1);
         }
-        self.clauses.push(clause);
+        let end =
+            u32::try_from(self.lits.len()).expect("a CnfFormula holds at most u32::MAX literals");
+        self.ends.push(end);
     }
 
     /// Evaluates the formula under an assignment.
@@ -115,8 +143,8 @@ impl CnfFormula {
     /// some clause is falsified, `None` if undetermined.
     pub fn evaluate(&self, assignment: &Assignment) -> Option<bool> {
         let mut undetermined = false;
-        for clause in &self.clauses {
-            match clause.evaluate(assignment) {
+        for lits in self {
+            match clause::evaluate(lits, assignment) {
                 Some(true) => {}
                 Some(false) => return Some(false),
                 None => undetermined = true,
@@ -133,60 +161,63 @@ impl CnfFormula {
     /// satisfied; unassigned variables are allowed as long as every clause
     /// already has a satisfied literal).
     pub fn is_satisfied_by(&self, assignment: &Assignment) -> bool {
-        self.clauses
-            .iter()
-            .all(|c| c.evaluate(assignment) == Some(true))
+        self.clauses()
+            .all(|lits| clause::evaluate(lits, assignment) == Some(true))
     }
 
     /// Computes summary statistics.
     pub fn stats(&self) -> FormulaStats {
         let mut s = FormulaStats {
             num_vars: self.num_vars,
-            num_clauses: self.clauses.len(),
+            num_clauses: self.num_clauses(),
+            num_literals: self.lits.len(),
             ..FormulaStats::default()
         };
-        for c in &self.clauses {
-            s.num_literals += c.len();
-            match c.len() {
+        for lits in self {
+            match lits.len() {
                 1 => s.num_unit += 1,
                 2 => s.num_binary += 1,
                 _ => {}
             }
-            s.max_clause_len = s.max_clause_len.max(c.len());
+            s.max_clause_len = s.max_clause_len.max(lits.len());
         }
         s
     }
+}
 
-    /// Iterates over the clauses.
-    pub fn iter(&self) -> std::slice::Iter<'_, Clause> {
-        self.clauses.iter()
+/// Iterator over the clauses of a [`CnfFormula`] as literal slices, in
+/// insertion order. Created by [`CnfFormula::clauses`].
+#[derive(Clone, Debug)]
+pub struct Clauses<'a> {
+    lits: &'a [Lit],
+    ends: std::slice::Iter<'a, u32>,
+    start: usize,
+}
+
+impl<'a> Iterator for Clauses<'a> {
+    type Item = &'a [Lit];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Lit]> {
+        let end = *self.ends.next()? as usize;
+        let lits = &self.lits[self.start..end];
+        self.start = end;
+        Some(lits)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ends.size_hint()
     }
 }
 
-impl FromIterator<Clause> for CnfFormula {
-    fn from_iter<I: IntoIterator<Item = Clause>>(iter: I) -> Self {
-        let mut f = CnfFormula::new();
-        for c in iter {
-            f.push_clause(c);
-        }
-        f
-    }
-}
-
-impl Extend<Clause> for CnfFormula {
-    fn extend<I: IntoIterator<Item = Clause>>(&mut self, iter: I) {
-        for c in iter {
-            self.push_clause(c);
-        }
-    }
-}
+impl ExactSizeIterator for Clauses<'_> {}
 
 impl<'a> IntoIterator for &'a CnfFormula {
-    type Item = &'a Clause;
-    type IntoIter = std::slice::Iter<'a, Clause>;
+    type Item = &'a [Lit];
+    type IntoIter = Clauses<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.clauses.iter()
+        self.clauses()
     }
 }
 
@@ -196,18 +227,18 @@ impl fmt::Debug for CnfFormula {
             f,
             "CnfFormula({} vars, {} clauses)",
             self.num_vars,
-            self.clauses.len()
+            self.num_clauses()
         )
     }
 }
 
 impl fmt::Display for CnfFormula {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, clause) in self.clauses.iter().enumerate() {
+        for (i, lits) in self.clauses().enumerate() {
             if i > 0 {
                 writeln!(f)?;
             }
-            write!(f, "({clause})")?;
+            write!(f, "({})", clause::display(lits))?;
         }
         Ok(())
     }
@@ -275,14 +306,42 @@ mod tests {
     }
 
     #[test]
-    fn collect_from_clauses() {
-        let f: CnfFormula = vec![
-            Clause::from_lits([lit(1), lit(2)]),
-            Clause::from_lits([lit(-3)]),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(f.num_clauses(), 2);
-        assert_eq!(f.num_vars(), 3);
+    fn flat_storage_keeps_clause_boundaries() {
+        let long: Vec<Lit> = (1..=40)
+            .map(|d| lit(if d % 2 == 0 { d } else { -d }))
+            .collect();
+        let mut f = CnfFormula::new();
+        f.add_clause(std::iter::empty());
+        f.add_clause([lit(3)]);
+        f.add_clause(long.iter().copied());
+        f.add_clause(std::iter::empty());
+        f.add_clause([lit(-1), lit(2)]);
+
+        assert_eq!(f.num_clauses(), 5);
+        assert_eq!(f.clause(0), []);
+        assert_eq!(f.clause(1), [lit(3)]);
+        assert_eq!(f.clause(2), long.as_slice());
+        assert_eq!(f.clause(3), []);
+        assert_eq!(f.clause(4), [lit(-1), lit(2)]);
+        assert_eq!(f.clauses().len(), 5);
+        let listed: Vec<&[Lit]> = f.clauses().collect();
+        let indexed: Vec<&[Lit]> = (0..5).map(|i| f.clause(i)).collect();
+        assert_eq!(listed, indexed);
+
+        let s = f.stats();
+        assert_eq!((s.num_vars, s.num_clauses, s.num_literals), (40, 5, 43));
+        assert_eq!((s.num_unit, s.num_binary, s.max_clause_len), (1, 1, 40));
+        assert_eq!(f.evaluate(&Assignment::new(40)), Some(false));
+
+        let text = crate::dimacs::to_cnf_string(&f);
+        assert_eq!(crate::dimacs::parse_cnf_str(&text).unwrap(), f);
+    }
+
+    #[test]
+    #[should_panic]
+    fn clause_index_past_the_end_panics() {
+        let mut f = CnfFormula::new();
+        f.add_clause([lit(1)]);
+        let _ = f.clause(1);
     }
 }

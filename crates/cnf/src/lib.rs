@@ -5,9 +5,10 @@
 //! and the benchmark harness:
 //!
 //! * [`Var`] / [`Lit`] — compact variable and literal handles,
-//! * [`Clause`] — a disjunction of literals,
 //! * [`CnfFormula`] — a formula in conjunctive normal form with its own
-//!   variable allocator,
+//!   variable allocator, storing its clauses flat and yielding each as a
+//!   literal slice,
+//! * [`clause`] — operations on one clause given as a literal slice,
 //! * [`Assignment`] — a (possibly partial) truth assignment,
 //! * [`dimacs`] — reading and writing the DIMACS CNF interchange format used
 //!   by the tool flow described in the reproduced paper (Velev & Gao,
@@ -39,13 +40,12 @@
 #![warn(missing_docs)]
 
 mod assignment;
-mod clause;
 mod formula;
 mod lit;
 
+pub mod clause;
 pub mod dimacs;
 
 pub use assignment::Assignment;
-pub use clause::Clause;
-pub use formula::{CnfFormula, FormulaStats};
+pub use formula::{Clauses, CnfFormula, FormulaStats};
 pub use lit::{Lit, Var};

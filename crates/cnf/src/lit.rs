@@ -20,15 +20,23 @@ use std::fmt;
 pub struct Var(u32);
 
 impl Var {
+    /// The number of variables a formula can have: indices run over
+    /// `0..Var::LIMIT`.
+    ///
+    /// The CDCL solver names an implicit binary clause in a trail reason
+    /// by one `u32` whose top bit is a tag and whose low 31 bits hold a
+    /// literal code, with `u32::MAX` reserved for "no reason". Literal
+    /// codes (`2 * index + sign`) therefore stay below `2^31 - 1`.
+    pub const LIMIT: u32 = (1 << 30) - 1;
+
     /// Creates a variable from its 0-based index.
     ///
     /// # Panics
     ///
-    /// Panics if `index` exceeds the maximum supported index
-    /// (`u32::MAX / 2 - 1`), which would overflow literal encoding.
+    /// Panics if `index` is not below [`Var::LIMIT`].
     #[inline]
     pub fn new(index: u32) -> Self {
-        assert!(index < u32::MAX / 2, "variable index out of range: {index}");
+        assert!(index < Var::LIMIT, "variable index out of range: {index}");
         Var(index)
     }
 
@@ -253,6 +261,18 @@ mod tests {
         assert!(!Lit::positive(v).apply(false));
         assert!(Lit::negative(v).apply(false));
         assert!(!Lit::negative(v).apply(true));
+    }
+
+    #[test]
+    fn highest_literal_code_stays_below_the_reason_tag() {
+        let top = Var::new(Var::LIMIT - 1);
+        assert!(Lit::negative(top).code() < (1 << 31) - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "variable index out of range")]
+    fn var_at_the_limit_panics() {
+        let _ = Var::new(Var::LIMIT);
     }
 
     #[test]

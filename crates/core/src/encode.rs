@@ -428,7 +428,7 @@ mod tests {
             SymmetryHeuristic::None,
         );
         assert_eq!(enc.formula.num_clauses(), 1);
-        assert!(enc.formula.clauses()[0].is_empty());
+        assert!(enc.formula.clause(0).is_empty());
     }
 
     #[test]
@@ -475,12 +475,7 @@ mod tests {
         let enc = encode_coloring(&g, 3, &EncodingId::Log.encoding(), SymmetryHeuristic::None);
         // 2 illegal-value clauses + 3 conflict clauses.
         assert_eq!(enc.formula.num_clauses(), 5);
-        let conflicts: Vec<_> = enc
-            .formula
-            .clauses()
-            .iter()
-            .filter(|c| c.len() == 4)
-            .collect();
+        let conflicts: Vec<_> = enc.formula.clauses().filter(|c| c.len() == 4).collect();
         assert_eq!(conflicts.len(), 3);
     }
 
@@ -597,7 +592,7 @@ mod tests {
         assert_eq!(enc.formula.num_clauses(), 3 + 9);
         // ALO clauses gain one guard; intra-group conflicts one, the
         // cross-group ones two.
-        let lens: Vec<usize> = enc.formula.clauses().iter().map(|c| c.len()).collect();
+        let lens: Vec<usize> = enc.formula.clauses().map(<[Lit]>::len).collect();
         assert_eq!(lens.iter().filter(|&&l| l == 4).count(), 3 + 6);
         assert_eq!(lens.iter().filter(|&&l| l == 3).count(), 3);
         assert_eq!(decode.selector_id(decode.selector(1)), Some(1));
@@ -620,7 +615,7 @@ mod tests {
         // Groups 0 and 2 are populated, group 1 is not.
         assert_eq!(enc.decode.num_selectors(), 3);
         assert_eq!(enc.formula.num_clauses(), 2);
-        assert!(enc.formula.clauses().iter().all(|c| c.len() == 1));
+        assert!(enc.formula.clauses().all(|c| c.len() == 1));
     }
 
     #[test]
@@ -641,10 +636,11 @@ mod tests {
                         let plain = encode_with(&graph, k, id, sym, Selectors::None);
                         let track = encode_with(&graph, k, id, sym, Selectors::PerTrack);
                         let activations = n * k as usize;
-                        let clauses = track.formula.clauses();
+                        let clauses: Vec<&[Lit]> = track.formula.clauses().collect();
+                        let plain_clauses: Vec<&[Lit]> = plain.formula.clauses().collect();
                         assert_eq!(
                             &clauses[..clauses.len() - activations],
-                            plain.formula.clauses(),
+                            plain_clauses,
                             "{at}"
                         );
                         assert_eq!(track.decode.offsets, plain.decode.offsets, "{at}");
@@ -655,9 +651,7 @@ mod tests {
                         let stripped: Vec<Vec<Lit>> = grouped
                             .formula
                             .clauses()
-                            .iter()
-                            .map(|c| {
-                                let lits = c.lits();
+                            .map(|lits| {
                                 let guards = lits
                                     .iter()
                                     .take_while(|&&l| grouped.decode.selector_id(!l).is_some())
@@ -666,12 +660,8 @@ mod tests {
                                 lits[guards..].to_vec()
                             })
                             .collect();
-                        let expected: Vec<Vec<Lit>> = free
-                            .formula
-                            .clauses()
-                            .iter()
-                            .map(|c| c.lits().to_vec())
-                            .collect();
+                        let expected: Vec<Vec<Lit>> =
+                            free.formula.clauses().map(<[Lit]>::to_vec).collect();
                         assert_eq!(stripped, expected, "{at}");
                     }
                 }

@@ -1,6 +1,9 @@
 //! Flat clause storage for the CDCL hot path.
 //!
-//! Every clause lives contiguously inside one `Vec<u32>` as
+//! The arena holds every learnt clause and every problem clause of three
+//! or more literals; two-literal problem clauses are implicit watcher
+//! pairs in the solver and never reach it. Every clause lives
+//! contiguously inside one `Vec<u32>` as
 //!
 //! ```text
 //! [ len | meta | act_lo | act_hi | lit_0 … lit_{len-1} ]
@@ -33,6 +36,11 @@ pub type ClauseRef = u32;
 
 /// Header words preceding the literals of every clause.
 const HEADER_WORDS: usize = 4;
+
+/// Most words the arena can hold: every [`ClauseRef`] stays below `2^31`,
+/// because the solver tags implicit binaries in a reason word with the
+/// top bit.
+pub(crate) const MAX_WORDS: usize = 1 << 31;
 
 const LEARNT_BIT: u32 = 1 << 0;
 const DELETED_BIT: u32 = 1 << 1;
@@ -129,7 +137,7 @@ impl ClauseArena {
         debug_assert!(lits.len() >= 2, "unit clauses live on the trail");
         let cref = self.data.len();
         assert!(
-            cref + HEADER_WORDS + lits.len() < u32::MAX as usize,
+            cref + HEADER_WORDS + lits.len() <= MAX_WORDS,
             "clause arena full"
         );
         self.data.reserve(HEADER_WORDS + lits.len());

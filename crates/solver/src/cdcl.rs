@@ -10,10 +10,14 @@
 //! * activity-driven learnt-clause database reduction (with an optional
 //!   LBD-tiered policy, see [`ReducePolicy`]).
 //!
-//! Clauses live in a flat [`ClauseArena`](crate::ClauseArena) — one
-//! contiguous `u32` buffer addressed by word offsets — with compacting
-//! garbage collection reclaiming deleted clauses once their share of the
-//! buffer crosses [`SolverConfig::gc_dead_frac`].
+//! Two-literal problem clauses are implicit: each is a pair of watchers
+//! that carry the other literal, so propagating one never touches clause
+//! memory. Every other clause — learnt clauses of any length and problem
+//! clauses of three or more literals — lives in a flat
+//! [`ClauseArena`](crate::ClauseArena) — one contiguous `u32` buffer
+//! addressed by word offsets — with compacting garbage collection
+//! reclaiming deleted clauses once their share of the buffer crosses
+//! [`SolverConfig::gc_dead_frac`].
 //!
 //! The solver is deterministic: the same formula always produces the same
 //! search, which makes the benchmark tables reproducible run to run.
@@ -24,7 +28,7 @@ use std::time::Instant;
 
 use satroute_cnf::{Assignment, CnfFormula, Lit, Var};
 
-use crate::arena::{ClauseArena, ClauseRef, Tier};
+use crate::arena::{ClauseArena, ClauseRef, Tier, MAX_WORDS};
 use crate::heap::VarHeap;
 use crate::inprocess::InprocessConfig;
 use crate::luby::luby;
@@ -207,6 +211,24 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The two smallest distinct literals of a clause, which normalization
+/// puts in the watched slots; `None` for clauses that will not be
+/// watched.
+fn two_smallest(lits: &[Lit]) -> Option<[Lit; 2]> {
+    let (&first, rest) = lits.split_first()?;
+    let mut min = first;
+    let mut second: Option<Lit> = None;
+    for &l in rest {
+        if l < min {
+            second = Some(min);
+            min = l;
+        } else if l != min && second.is_none_or(|s| l < s) {
+            second = Some(l);
+        }
+    }
+    second.map(|s| [min, s])
+}
+
 /// Counters describing the work a [`CdclSolver`] performed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
@@ -257,7 +279,19 @@ pub struct SolverStats {
     pub eliminated_vars: u64,
 }
 
+/// Reason word of a decision, an assumption or a root unit.
 pub(crate) const NO_REASON: u32 = u32::MAX;
+
+/// Tag bit of a reason word (and the `cref` of a watcher) that names an
+/// implicit problem binary rather than an arena clause. A tagged reason
+/// holds in its low 31 bits the code of the binary's literal other than
+/// the one it implied.
+pub(crate) const BINARY: u32 = 1 << 31;
+
+// Arena offsets stay below the tag, and a tagged literal code never
+// collides with `NO_REASON`.
+const _: () = assert!(MAX_WORDS <= BINARY as usize);
+const _: () = assert!(2 * Var::LIMIT - 1 < BINARY && (BINARY | (2 * Var::LIMIT - 1)) < NO_REASON);
 
 /// Truth-value codes for the internal assignment array.
 pub(crate) const UNDEF: u8 = 0;
@@ -266,8 +300,43 @@ pub(crate) const TRUE: u8 = 2;
 
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Watcher {
+    /// The watched arena clause, or [`BINARY`] for an implicit problem
+    /// binary.
     pub(crate) cref: ClauseRef,
-    blocker: Lit,
+    /// A literal of the clause other than the watched one; for a binary,
+    /// the other literal, which is all the watcher needs.
+    pub(crate) blocker: Lit,
+}
+
+impl Watcher {
+    /// One half of an implicit problem binary: the watcher that sits in
+    /// the list of one literal and carries the `other`.
+    pub(crate) fn binary(other: Lit) -> Watcher {
+        Watcher {
+            cref: BINARY,
+            blocker: other,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn is_binary(self) -> bool {
+        self.cref == BINARY
+    }
+}
+
+/// A clause as conflict analysis reads it: a conflict returned by
+/// `propagate`, or the reason of a trail literal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Antecedent {
+    /// An arena clause; its literal order is the watch order, which
+    /// puts a reason's implied literal in slot 0.
+    Clause(ClauseRef),
+    /// An implicit problem binary by its literals, in the slot order
+    /// `propagate` gives a two-literal arena clause (falsified watch in
+    /// slot 1), so both kinds analyze alike: for a reason, the implied
+    /// literal and then the falsified one; for a conflict, the other
+    /// literal and then the watched one.
+    Binary([Lit; 2]),
 }
 
 /// Holder for the optional clause exchange; `dyn ClauseExchange` has no
@@ -346,6 +415,9 @@ pub struct CdclSolver {
     /// Per-decision-level stamps for the allocation-free LBD computation.
     lbd_stamp: Vec<u32>,
     lbd_gen: u32,
+    /// Reusable output buffer of `normalize`, the level-0 clause
+    /// normalizer shared by loading and clause import.
+    norm_buf: Vec<Lit>,
 
     /// False once a top-level conflict has been derived.
     pub(crate) ok: bool,
@@ -442,6 +514,7 @@ impl CdclSolver {
             learnt_buf: Vec::new(),
             lbd_stamp: Vec::new(),
             lbd_gen: 0,
+            norm_buf: Vec::new(),
             ok: true,
             cancel: None,
             budget: RunBudget::default(),
@@ -597,7 +670,17 @@ impl CdclSolver {
     }
 
     /// Ensures the solver knows about variables `0..n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`Var::LIMIT`], the most variables a reason
+    /// word can name.
     pub fn ensure_vars(&mut self, n: u32) {
+        assert!(
+            n <= Var::LIMIT,
+            "{n} variables exceed the solver's limit of {}",
+            Var::LIMIT
+        );
         let n = n as usize;
         if self.assigns.len() >= n {
             return;
@@ -639,10 +722,26 @@ impl CdclSolver {
     }
 
     /// Adds every clause of `formula`.
+    ///
+    /// A counting pass first reserves every watch list at its final
+    /// length — a clause is watched on its two smallest distinct literals,
+    /// which normalization puts first — so loading never regrows one
+    /// (only level-0 units met on the way can shift a watch). The clauses
+    /// then load one by one through the reusable normalization buffer.
     pub fn add_formula(&mut self, formula: &CnfFormula) {
         self.ensure_vars(formula.num_vars());
-        for clause in formula {
-            self.add_clause(clause.lits());
+        let mut counts = vec![0u32; self.watches.len()];
+        for lits in formula {
+            if let Some([a, b]) = two_smallest(lits) {
+                counts[a.code() as usize] += 1;
+                counts[b.code() as usize] += 1;
+            }
+        }
+        for (watchers, &n) in self.watches.iter_mut().zip(&counts) {
+            watchers.reserve_exact(n as usize);
+        }
+        for lits in formula {
+            self.add_clause(lits);
         }
     }
 
@@ -674,44 +773,67 @@ impl CdclSolver {
             "clause mentions a variable removed by bounded variable \
              elimination; freeze variables that later clauses will mention"
         );
+        let mut normalized = std::mem::take(&mut self.norm_buf);
+        if self.normalize(lits, &mut normalized) {
+            self.add_normalized(&normalized, false);
+        }
+        self.norm_buf = normalized;
+        if !self.ok {
+            if let Some(proof) = &mut self.proof {
+                proof.push_add(Vec::new());
+            }
+        }
+    }
 
-        // Normalize: sort/dedup, drop falsified-at-level-0 literals, detect
-        // tautologies and satisfied clauses.
-        let mut normalized: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut sorted = lits.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut i = 0;
-        while i < sorted.len() {
-            let lit = sorted[i];
-            if i + 1 < sorted.len() && sorted[i + 1] == !lit {
-                return; // tautology
+    /// The level-0 clause normalizer: writes `lits` into `out` sorted and
+    /// duplicate-free, with literals falsified at level 0 dropped. Returns
+    /// `false` when the clause is tautological or already satisfied at
+    /// level 0, and so adds nothing.
+    fn normalize(&self, lits: &[Lit], out: &mut Vec<Lit>) -> bool {
+        out.clear();
+        out.extend_from_slice(lits);
+        out.sort_unstable();
+        out.dedup();
+        let mut kept = 0;
+        for i in 0..out.len() {
+            let lit = out[i];
+            if i + 1 < out.len() && out[i + 1] == !lit {
+                return false; // tautology
             }
             match self.lit_value(lit) {
-                TRUE => return, // already satisfied at level 0
-                FALSE => {}     // drop falsified literal
-                _ => normalized.push(lit),
+                TRUE => return false, // already satisfied at level 0
+                FALSE => {}           // drop falsified literal
+                _ => {
+                    out[kept] = lit;
+                    kept += 1;
+                }
             }
-            i += 1;
         }
+        out.truncate(kept);
+        true
+    }
 
-        match normalized.len() {
-            0 => {
-                self.ok = false;
-            }
+    /// Adds a normalized clause at level 0: the empty clause refutes the
+    /// formula, a unit is enqueued and propagated, a problem binary
+    /// becomes two implicit watchers, and anything else is attached in
+    /// the arena. A learnt clause (an import) is classified by its length,
+    /// a sound upper bound on its LBD, and bumped.
+    fn add_normalized(&mut self, lits: &[Lit], learnt: bool) {
+        match lits.len() {
+            0 => self.ok = false,
             1 => {
-                self.enqueue(normalized[0], NO_REASON);
+                self.enqueue(lits[0], NO_REASON);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
             }
-            _ => {
-                self.attach_clause(&normalized, false, 0);
+            2 if !learnt => self.attach_binary(lits[0], lits[1]),
+            len if learnt => {
+                let cref = self.attach_clause(lits, true, len as u32);
+                self.bump_clause(cref);
             }
-        }
-        if !self.ok {
-            if let Some(proof) = &mut self.proof {
-                proof.push_add(Vec::new());
+            _ => {
+                self.attach_clause(lits, false, 0);
             }
         }
     }
@@ -1029,12 +1151,12 @@ impl CdclSolver {
         }
     }
 
-    /// Drains the clause exchange and adds each delivered clause, with the
-    /// same level-0 normalization as [`CdclSolver::add_clause`]. Must be
-    /// called at decision level 0. Returns `false` if an imported clause
-    /// produced a top-level conflict — since imported clauses are entailed
-    /// by this solver's formula (the [`ClauseExchange`] contract), that
-    /// refutes the formula itself.
+    /// Drains the clause exchange and adds each delivered clause as a
+    /// learnt clause, through the same level-0 normalizer as
+    /// [`CdclSolver::add_clause`]. Must be called at decision level 0.
+    /// Returns `false` if an imported clause produced a top-level conflict
+    /// — since imported clauses are entailed by this solver's formula (the
+    /// [`ClauseExchange`] contract), that refutes the formula itself.
     fn import_shared_clauses(&mut self) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
         let Some(exchange) = self.exchange.0.clone() else {
@@ -1051,6 +1173,7 @@ impl CdclSolver {
             return self.ok;
         }
         let mut accepted = 0usize;
+        let mut normalized = std::mem::take(&mut self.norm_buf);
         for lits in batch {
             if !self.ok {
                 break;
@@ -1065,51 +1188,15 @@ impl CdclSolver {
             if lits.iter().any(|l| self.eliminated[usize::from(l.var())]) {
                 continue;
             }
-
-            // Normalize against the level-0 assignment: drop falsified
-            // literals, skip satisfied or tautological deliveries.
-            let mut sorted = lits.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            let mut normalized: Vec<Lit> = Vec::with_capacity(sorted.len());
-            let mut skip = false;
-            for (i, &lit) in sorted.iter().enumerate() {
-                if i + 1 < sorted.len() && sorted[i + 1] == !lit {
-                    skip = true; // tautology
-                    break;
-                }
-                match self.lit_value(lit) {
-                    TRUE => {
-                        skip = true; // already satisfied at level 0
-                        break;
-                    }
-                    FALSE => {}
-                    _ => normalized.push(lit),
-                }
-            }
-            if skip {
+            // Satisfied and tautological deliveries are skipped.
+            if !self.normalize(&lits, &mut normalized) {
                 continue;
             }
             accepted += 1;
             self.stats.imported_clauses += 1;
-            match normalized.len() {
-                0 => {
-                    self.ok = false;
-                }
-                1 => {
-                    self.enqueue(normalized[0], NO_REASON);
-                    if self.propagate().is_some() {
-                        self.ok = false;
-                    }
-                }
-                _ => {
-                    // The exchange drops LBD on the floor, so classify the
-                    // import by its length — a sound upper bound on LBD.
-                    let cref = self.attach_clause(&normalized, true, normalized.len() as u32);
-                    self.bump_clause(cref);
-                }
-            }
+            self.add_normalized(&normalized, true);
         }
+        self.norm_buf = normalized;
         if accepted > 0 {
             self.stats.import_batches += 1;
             self.report(Boundary::Import { imported: accepted });
@@ -1169,8 +1256,8 @@ impl CdclSolver {
         self.trail.push(lit);
     }
 
-    /// Unit propagation. Returns the conflicting clause reference, if any.
-    pub(crate) fn propagate(&mut self) -> Option<u32> {
+    /// Unit propagation. Returns the falsified clause, if any.
+    pub(crate) fn propagate(&mut self) -> Option<Antecedent> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -1182,7 +1269,7 @@ impl CdclSolver {
             let watch_idx = false_lit.code() as usize;
             let mut watchers = std::mem::take(&mut self.watches[watch_idx]);
             let mut kept = 0;
-            let mut conflict: Option<u32> = None;
+            let mut conflict: Option<Antecedent> = None;
 
             let mut i = 0;
             'watchers: while i < watchers.len() {
@@ -1193,6 +1280,19 @@ impl CdclSolver {
                 if self.lit_value(w.blocker) == TRUE {
                     watchers[kept] = w;
                     kept += 1;
+                    continue;
+                }
+
+                // An implicit binary stays in place: its other literal is
+                // implied, or falsified too.
+                if w.is_binary() {
+                    watchers[kept] = w;
+                    kept += 1;
+                    if self.lit_value(w.blocker) == FALSE {
+                        conflict = Some(Antecedent::Binary([w.blocker, false_lit]));
+                        break;
+                    }
+                    self.enqueue(w.blocker, BINARY | false_lit.code());
                     continue;
                 }
 
@@ -1237,19 +1337,18 @@ impl CdclSolver {
                 };
                 kept += 1;
                 if self.lit_value(first) == FALSE {
-                    // Conflict: keep the remaining watchers and stop.
-                    while i < watchers.len() {
-                        watchers[kept] = watchers[i];
-                        kept += 1;
-                        i += 1;
-                    }
-                    self.qhead = self.trail.len();
-                    conflict = Some(w.cref);
-                } else {
-                    self.enqueue(first, w.cref);
+                    conflict = Some(Antecedent::Clause(w.cref));
+                    break;
                 }
+                self.enqueue(first, w.cref);
             }
 
+            if conflict.is_some() {
+                // Conflict: keep the unvisited watchers and stop.
+                watchers.copy_within(i.., kept);
+                kept += watchers.len() - i;
+                self.qhead = self.trail.len();
+            }
             watchers.truncate(kept);
             self.watches[watch_idx] = watchers;
             if conflict.is_some() {
@@ -1264,7 +1363,7 @@ impl CdclSolver {
     /// Leaves the learnt clause in `learnt_buf` (asserting literal first,
     /// the literal of the backtrack level second) and returns the level to
     /// backtrack to.
-    fn analyze(&mut self, conflict: ClauseRef) -> u32 {
+    fn analyze(&mut self, conflict: Antecedent) -> u32 {
         self.learnt_buf.clear();
         self.learnt_buf.push(Lit::from_code(0)); // slot for UIP
         let mut path_count: u32 = 0;
@@ -1274,18 +1373,20 @@ impl CdclSolver {
         let current_level = self.decision_level();
 
         loop {
-            self.bump_clause(confl);
+            // A reason's slot 0 is the literal it implied; a conflict is
+            // read whole.
             let start = usize::from(p.is_some());
-            for k in start..self.arena.len(confl) {
-                let q = self.arena.lit(confl, k);
-                let var = usize::from(q.var());
-                if !self.seen[var] && self.level[var] > 0 {
-                    self.seen[var] = true;
-                    self.bump_var(q.var());
-                    if self.level[var] >= current_level {
-                        path_count += 1;
-                    } else {
-                        self.learnt_buf.push(q);
+            match confl {
+                Antecedent::Clause(cref) => {
+                    self.bump_clause(cref);
+                    for k in start..self.arena.len(cref) {
+                        let q = self.arena.lit(cref, k);
+                        self.analyze_lit(q, current_level, &mut path_count);
+                    }
+                }
+                Antecedent::Binary(lits) => {
+                    for &q in &lits[start..] {
+                        self.analyze_lit(q, current_level, &mut path_count);
                     }
                 }
             }
@@ -1306,8 +1407,7 @@ impl CdclSolver {
                 break;
             }
             p = Some(lit);
-            confl = self.reason[var];
-            debug_assert_ne!(confl, NO_REASON, "non-decision literal must have a reason");
+            confl = self.antecedent(lit);
         }
 
         // `seen` is still set for learnt_buf[1..]; reuse it for
@@ -1355,6 +1455,36 @@ impl CdclSolver {
         }
     }
 
+    /// One antecedent literal `q` of conflict analysis: marks and bumps
+    /// its variable the first time it is met above level 0, counting it
+    /// as an open path at the conflict level or keeping it for the learnt
+    /// clause below it.
+    #[inline]
+    fn analyze_lit(&mut self, q: Lit, current_level: u32, path_count: &mut u32) {
+        let var = usize::from(q.var());
+        if !self.seen[var] && self.level[var] > 0 {
+            self.seen[var] = true;
+            self.bump_var(q.var());
+            if self.level[var] >= current_level {
+                *path_count += 1;
+            } else {
+                self.learnt_buf.push(q);
+            }
+        }
+    }
+
+    /// The reason of the trail literal `lit`, which must have one.
+    #[inline]
+    pub(crate) fn antecedent(&self, lit: Lit) -> Antecedent {
+        let reason = self.reason[usize::from(lit.var())];
+        debug_assert_ne!(reason, NO_REASON, "non-decision literal must have a reason");
+        if reason & BINARY != 0 {
+            Antecedent::Binary([lit, Lit::from_code(reason & !BINARY)])
+        } else {
+            Antecedent::Clause(reason)
+        }
+    }
+
     /// MiniSat-style final-conflict analysis: `p` is the pending
     /// assumption found falsified while establishing the assumption
     /// prefix. Walks the trail top-down expanding reason clauses; every
@@ -1376,23 +1506,31 @@ impl CdclSolver {
             if !self.seen[var] {
                 continue;
             }
-            let reason = self.reason[var];
-            if reason == NO_REASON {
+            if self.reason[var] == NO_REASON {
                 // A decision inside the assumption prefix: the trail holds
                 // the assumption exactly as it was passed in.
                 self.failed_assumptions.push(lit);
             } else {
                 // Slot 0 is the propagated literal itself; expand the rest.
-                for k in 1..self.arena.len(reason) {
-                    let q = self.arena.lit(reason, k);
-                    if self.level[usize::from(q.var())] > 0 {
-                        self.seen[usize::from(q.var())] = true;
+                match self.antecedent(lit) {
+                    Antecedent::Clause(reason) => {
+                        for k in 1..self.arena.len(reason) {
+                            let q = self.arena.lit(reason, k);
+                            self.mark_above_root(q);
+                        }
                     }
+                    Antecedent::Binary([_, q]) => self.mark_above_root(q),
                 }
             }
             self.seen[var] = false;
         }
         self.seen[usize::from(p.var())] = false;
+    }
+
+    fn mark_above_root(&mut self, q: Lit) {
+        if self.level[usize::from(q.var())] > 0 {
+            self.seen[usize::from(q.var())] = true;
+        }
     }
 
     fn abstract_level(&self, var: Var) -> u64 {
@@ -1408,29 +1546,41 @@ impl CdclSolver {
         let clear_start = self.analyze_clear.len();
 
         while let Some(l) = self.analyze_stack.pop() {
-            let reason = self.reason[usize::from(l.var())];
-            debug_assert_ne!(reason, NO_REASON);
-            let clause_len = self.arena.len(reason);
-            for k in 1..clause_len {
-                let q = self.arena.lit(reason, k);
-                let var = usize::from(q.var());
-                if self.seen[var] || self.level[var] == 0 {
-                    continue;
+            // `l` is false; its variable's reason implied `!l`.
+            let removable = match self.antecedent(!l) {
+                Antecedent::Clause(reason) => (1..self.arena.len(reason)).all(|k| {
+                    let q = self.arena.lit(reason, k);
+                    self.redundant_step(q, abstract_levels)
+                }),
+                Antecedent::Binary([_, q]) => self.redundant_step(q, abstract_levels),
+            };
+            if !removable {
+                // Not removable: undo the markers added in this call.
+                for cleared in self.analyze_clear.drain(clear_start..) {
+                    self.seen[usize::from(cleared.var())] = false;
                 }
-                if self.reason[var] == NO_REASON
-                    || (self.abstract_level(q.var()) & abstract_levels) == 0
-                {
-                    // Not removable: undo the markers added in this call.
-                    for cleared in self.analyze_clear.drain(clear_start..) {
-                        self.seen[usize::from(cleared.var())] = false;
-                    }
-                    return false;
-                }
-                self.seen[var] = true;
-                self.analyze_stack.push(q);
-                self.analyze_clear.push(q);
+                return false;
             }
         }
+        true
+    }
+
+    /// One reason literal `q` met by `lit_redundant`: skipped if already
+    /// seen or at level 0, queued if its own reason may still imply it,
+    /// and `false` if it is a decision or sits on a level no learnt
+    /// literal has.
+    #[inline]
+    fn redundant_step(&mut self, q: Lit, abstract_levels: u64) -> bool {
+        let var = usize::from(q.var());
+        if self.seen[var] || self.level[var] == 0 {
+            return true;
+        }
+        if self.reason[var] == NO_REASON || (self.abstract_level(q.var()) & abstract_levels) == 0 {
+            return false;
+        }
+        self.seen[var] = true;
+        self.analyze_stack.push(q);
+        self.analyze_clear.push(q);
         true
     }
 
@@ -1485,6 +1635,15 @@ impl CdclSolver {
             self.original_clauses += 1;
         }
         cref
+    }
+
+    /// Attaches the problem binary `a ∨ b` as two implicit watchers,
+    /// pushed in the order `attach_clause` pushes an arena clause's.
+    pub(crate) fn attach_binary(&mut self, a: Lit, b: Lit) {
+        self.watches[a.code() as usize].push(Watcher::binary(b));
+        self.watches[b.code() as usize].push(Watcher::binary(a));
+        self.allocated_clauses += 1;
+        self.original_clauses += 1;
     }
 
     pub(crate) fn backtrack(&mut self, target_level: u32) {
@@ -1697,22 +1856,30 @@ impl CdclSolver {
     /// survivor order, exactly like the lazy drop in `propagate`), the
     /// trail's `reason` slots, and the `learnts` index. Reason clauses are
     /// never deleted (they are locked), so their remap always resolves.
+    /// Implicit binaries live outside the arena and keep their watchers
+    /// and reasons as they are.
     pub(crate) fn collect_garbage(&mut self) {
         let reclaimed = self.arena.dead_bytes();
         let fwd = self.arena.compact();
         for watchers in &mut self.watches {
-            watchers.retain_mut(|w| match fwd.resolve(w.cref) {
-                Some(new_cref) => {
-                    w.cref = new_cref;
-                    true
+            watchers.retain_mut(|w| {
+                if w.is_binary() {
+                    return true;
                 }
-                None => false,
+                match fwd.resolve(w.cref) {
+                    Some(new_cref) => {
+                        w.cref = new_cref;
+                        true
+                    }
+                    None => false,
+                }
             });
         }
         for &lit in &self.trail {
             let var = usize::from(lit.var());
             let reason = self.reason[var];
-            if reason != NO_REASON {
+            // Decisions and binary reasons both carry the tag bit.
+            if reason & BINARY == 0 {
                 self.reason[var] = fwd
                     .resolve(reason)
                     .expect("reason clauses are locked and survive GC");
@@ -1733,16 +1900,25 @@ impl CdclSolver {
 
     /// Debug-build invariant check run after every GC: every watcher
     /// references a live clause that still watches the list's literal,
-    /// every trail `reason` and every `learnts` entry resolves to a live
-    /// clause of the right kind, and no live clause mentions an
-    /// eliminated variable. Compiles to nothing in release builds.
+    /// the implicit binary watchers pair up (`a`'s list carries `b`
+    /// exactly as often as `b`'s carries `a`), every trail `reason` and
+    /// every `learnts` entry resolves to a live clause of the right kind,
+    /// and no live clause mentions an eliminated variable. Compiles to
+    /// nothing in release builds.
     pub(crate) fn debug_check_refs(&self) {
         if !cfg!(debug_assertions) {
             return;
         }
+        let mut halves: Vec<(u32, u32)> = Vec::new();
+        let mut twins: Vec<(u32, u32)> = Vec::new();
         for (code, watchers) in self.watches.iter().enumerate() {
             let watched = Lit::from_code(code as u32);
             for w in watchers {
+                if w.is_binary() {
+                    halves.push((watched.code(), w.blocker.code()));
+                    twins.push((w.blocker.code(), watched.code()));
+                    continue;
+                }
                 assert!(
                     !self.arena.is_deleted(w.cref),
                     "watcher references a deleted clause after GC"
@@ -1753,13 +1929,23 @@ impl CdclSolver {
                 );
             }
         }
+        halves.sort_unstable();
+        twins.sort_unstable();
+        assert!(halves == twins, "implicit binary watchers must pair up");
         for &lit in &self.trail {
             let reason = self.reason[usize::from(lit.var())];
-            if reason != NO_REASON {
-                assert!(
-                    !self.arena.is_deleted(reason),
+            if reason == NO_REASON {
+                continue;
+            }
+            match self.antecedent(lit) {
+                Antecedent::Clause(cref) => assert!(
+                    !self.arena.is_deleted(cref),
                     "trail reason references a deleted clause after GC"
-                );
+                ),
+                Antecedent::Binary([_, other]) => assert!(
+                    self.lit_value(other) == FALSE,
+                    "a binary reason's other literal must be false"
+                ),
             }
         }
         for &cref in &self.learnts {
@@ -1769,13 +1955,17 @@ impl CdclSolver {
             );
         }
         if self.stats.eliminated_vars > 0 {
+            let eliminated = |l: Lit| self.eliminated[usize::from(l.var())];
             for cref in self.arena.refs() {
                 assert!(
-                    !self
-                        .arena
-                        .lits(cref)
-                        .any(|l| self.eliminated[usize::from(l.var())]),
+                    !self.arena.lits(cref).any(eliminated),
                     "live clause mentions an eliminated variable"
+                );
+            }
+            for &(a, b) in &halves {
+                assert!(
+                    !eliminated(Lit::from_code(a)) && !eliminated(Lit::from_code(b)),
+                    "live binary mentions an eliminated variable"
                 );
             }
         }
@@ -2587,6 +2777,112 @@ mod tests {
             "post-GC arena stays under the dead-byte threshold at finish: \
              {live} live, {dead} dead bytes"
         );
+    }
+
+    /// Live problem binaries in the watch lists, each counted once;
+    /// panics unless every binary watcher has its twin.
+    fn implicit_binaries(s: &CdclSolver) -> usize {
+        let halves = s.watches.iter().flatten().filter(|w| w.is_binary()).count();
+        assert_eq!(halves % 2, 0, "binary watchers come in pairs");
+        halves / 2
+    }
+
+    #[test]
+    fn failed_assumption_core_runs_through_implicit_binaries() {
+        // a → x1 → x2 → x3 → x4 and b → ¬x4, all binary problem clauses;
+        // c and d are assumed but irrelevant. The chain is the only route
+        // from {a, b} to a contradiction, so a lost binary leaves the
+        // assumptions satisfiable.
+        let f = {
+            let mut f = CnfFormula::new();
+            for c in [[-1i64, 5], [-5, 6], [-6, 7], [-7, 8], [-2, -8]] {
+                f.add_clause(c.iter().map(|&d| lit(d)));
+            }
+            f.add_clause([lit(3), lit(4), lit(9)]);
+            f
+        };
+        let mut s = CdclSolver::new();
+        s.add_formula(&f);
+        assert_eq!(implicit_binaries(&s), 5);
+        assert_eq!(
+            s.arena.refs().count(),
+            1,
+            "only the ternary is an arena clause"
+        );
+
+        let assumptions = [lit(3), lit(1), lit(4), lit(2)];
+        assert_eq!(s.solve_with_assumptions(&assumptions), SolveOutcome::Unsat);
+        assert!(s.unsat_under_assumptions());
+        let mut core = s.failed_assumptions().to_vec();
+        core.sort_unstable();
+        assert_eq!(core, [lit(1), lit(2)]);
+
+        let mut fresh = CdclSolver::new();
+        fresh.add_formula(&f);
+        assert_eq!(fresh.solve_with_assumptions(&core), SolveOutcome::Unsat);
+        assert!(fresh.unsat_under_assumptions());
+        for half in core {
+            assert!(fresh.solve_with_assumptions(&[half]).is_sat(), "{half:?}");
+        }
+        assert_eq!(implicit_binaries(&fresh), 5);
+    }
+
+    /// `k`-coloring of a random graph on `n` vertices (edge probability
+    /// `p_percent`%, xorshift per seed) in the direct encoding: one
+    /// at-least-one clause per vertex, and a binary per edge and color —
+    /// nearly every clause and most reasons are implicit binaries.
+    fn random_coloring(seed: u64, n: u32, k: u32, p_percent: u64) -> CnfFormula {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let color = |v: u32, c: u32| Var::new(v * k + c);
+        let mut f = CnfFormula::new();
+        for v in 0..n {
+            f.add_clause((0..k).map(|c| Lit::positive(color(v, c))));
+        }
+        for u in 0..n {
+            for v in u + 1..n {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x % 100 < p_percent {
+                    for c in 0..k {
+                        f.add_clause([Lit::negative(color(u, c)), Lit::negative(color(v, c))]);
+                    }
+                }
+            }
+        }
+        f
+    }
+
+    #[test]
+    fn minimization_through_binary_reasons_keeps_proofs_valid() {
+        // Most reasons conflict analysis meets here are implicit binaries,
+        // so learnt-clause minimization walks binary reasons. Every verdict
+        // must match the DPLL oracle and every refutation's DRAT proof
+        // must check against the formula.
+        let (mut refuted, mut minimized) = (0, 0);
+        for seed in 0..24u64 {
+            let f = random_coloring(seed, 24, 3, 20);
+            let oracle = crate::DpllSolver::new().solve(&f).is_sat();
+            let mut s = CdclSolver::new();
+            s.enable_proof_logging();
+            s.add_formula(&f);
+            assert_eq!(implicit_binaries(&s), f.stats().num_binary, "seed {seed}");
+            let out = s.solve();
+            assert_eq!(out.is_sat(), oracle, "seed {seed}");
+            match &out {
+                SolveOutcome::Sat(m) => assert!(f.is_satisfied_by(m), "seed {seed}"),
+                _ => {
+                    let proof = s.take_proof().expect("logging enabled");
+                    proof
+                        .check(&f)
+                        .expect("proofs through binary reasons verify");
+                    refuted += 1;
+                    minimized += s.stats().minimized_literals;
+                }
+            }
+        }
+        assert!(refuted > 0, "the family must contain refutations");
+        assert!(minimized > 0, "minimization must remove literals");
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl DpllSolver {
     pub fn solve(&mut self, formula: &CnfFormula) -> SolveOutcome {
         self.decisions = 0;
         let num_vars = formula.num_vars();
-        let clauses: Vec<Vec<Lit>> = formula.iter().map(|c| c.lits().to_vec()).collect();
+        let clauses: Vec<Vec<Lit>> = formula.clauses().map(<[Lit]>::to_vec).collect();
         let mut assignment = Assignment::new(num_vars);
         match self.search(&clauses, &mut assignment, num_vars) {
             Some(true) => {

@@ -1,8 +1,9 @@
 //! Inprocessing: in-search formula simplification between restarts.
 //!
 //! Three MiniSat/CaDiCaL-lineage passes run over the flat clause arena
-//! at restart boundaries, scheduled by a conflict budget with geometric
-//! back-off ([`InprocessConfig`], off by default):
+//! and the implicit problem binaries at restart boundaries, scheduled by
+//! a conflict budget with geometric back-off ([`InprocessConfig`], off by
+//! default):
 //!
 //! * **Vivification** — each clause is re-propagated literal by literal
 //!   (assuming the negation of the prefix); a conflict or satisfied
@@ -20,8 +21,10 @@
 //! # Soundness rules
 //!
 //! * Clauses are never shrunk in place: a strengthened clause is a
-//!   fresh arena allocation and the old one is deleted (watchers drop
-//!   it lazily), so cached blocker literals can never dangle.
+//!   fresh arena allocation (or a fresh implicit binary) and the old one
+//!   is deleted (watchers drop it lazily; an implicit binary's two
+//!   watchers leave their lists at once), so cached blocker literals can
+//!   never dangle.
 //! * Locked clauses — the reason of their first literal, which at
 //!   level 0 means the reason of a root implication — are never
 //!   deleted or strengthened; DRAT checkers re-derive every root unit
@@ -38,7 +41,7 @@
 use satroute_cnf::{Lit, Var};
 
 use crate::arena::ClauseRef;
-use crate::cdcl::{CdclSolver, FALSE, NO_REASON, TRUE, UNDEF};
+use crate::cdcl::{CdclSolver, BINARY, FALSE, NO_REASON, TRUE, UNDEF};
 use crate::run::Boundary;
 
 /// Schedule and pass selection for inprocessing (see the module docs).
@@ -114,12 +117,36 @@ enum Derived {
     /// Already satisfied at level 0; nothing was added.
     Satisfied,
     /// Attached as a two-plus-literal clause.
-    Attached(ClauseRef),
+    Attached(Handle),
     /// Collapsed to a root unit, enqueued and propagated.
     Unit,
     /// Collapsed to the empty clause: the formula is refuted and the
     /// solver is marked unsatisfiable.
     Empty,
+}
+
+/// A clause an inprocessing round sees: an arena clause, or one of the
+/// round's implicit problem binaries by its index in [`Binaries`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum Handle {
+    Binary(u32),
+    Arena(ClauseRef),
+}
+
+/// The implicit problem binaries of one round: collected from the watch
+/// lists when the round starts — each once, from the list of its smaller
+/// literal — with the binaries the round derives appended.
+struct Binaries {
+    lits: Vec<[Lit; 2]>,
+    deleted: Vec<bool>,
+}
+
+impl Binaries {
+    fn push(&mut self, lits: [Lit; 2]) -> Handle {
+        self.lits.push(lits);
+        self.deleted.push(false);
+        Handle::Binary(self.lits.len() as u32 - 1)
+    }
 }
 
 impl CdclSolver {
@@ -197,14 +224,15 @@ impl CdclSolver {
             self.proof_units_logged = self.trail.len();
         }
 
+        let mut bins = self.collect_binaries();
         if cfg.vivify && self.ok {
-            self.vivify_pass(&cfg, &mut ticks);
+            self.vivify_pass(&mut bins, &cfg, &mut ticks);
         }
         if cfg.subsume && self.ok {
-            self.subsume_pass(&cfg, &mut ticks);
+            self.subsume_pass(&mut bins, &cfg, &mut ticks);
         }
         if cfg.bve && self.ok {
-            self.bve_pass(&cfg, &mut ticks);
+            self.bve_pass(&mut bins, &cfg, &mut ticks);
         }
 
         // Restore the `learnts` invariant (no deleted references) that
@@ -213,7 +241,7 @@ impl CdclSolver {
         // stale entries now keeps them off the propagation hot path.
         self.learnts.retain(|&c| !self.arena.is_deleted(c));
         for watchers in &mut self.watches {
-            watchers.retain(|w| !self.arena.is_deleted(w.cref));
+            watchers.retain(|w| w.is_binary() || !self.arena.is_deleted(w.cref));
         }
 
         self.stats.inprocess_runs += 1;
@@ -224,10 +252,121 @@ impl CdclSolver {
         self.debug_check_refs();
     }
 
+    fn collect_binaries(&self) -> Binaries {
+        let mut lits = Vec::new();
+        for (code, watchers) in self.watches.iter().enumerate() {
+            let watched = Lit::from_code(code as u32);
+            for w in watchers {
+                if w.is_binary() && watched < w.blocker {
+                    lits.push([watched, w.blocker]);
+                }
+            }
+        }
+        let deleted = vec![false; lits.len()];
+        Binaries { lits, deleted }
+    }
+
+    /// Every live clause of the round: the arena's in allocation order,
+    /// then the implicit binaries.
+    fn round_clauses(&self, bins: &Binaries) -> Vec<Handle> {
+        let binaries = (0..bins.lits.len() as u32)
+            .map(Handle::Binary)
+            .filter(|&h| !self.is_gone(bins, h));
+        self.arena
+            .refs()
+            .map(Handle::Arena)
+            .chain(binaries)
+            .collect()
+    }
+
+    fn clause_lits(&self, bins: &Binaries, h: Handle) -> Vec<Lit> {
+        match h {
+            Handle::Binary(i) => bins.lits[i as usize].to_vec(),
+            Handle::Arena(c) => self.arena.lits(c).collect(),
+        }
+    }
+
+    fn clause_len(&self, h: Handle) -> usize {
+        match h {
+            Handle::Binary(_) => 2,
+            Handle::Arena(c) => self.arena.len(c),
+        }
+    }
+
+    fn is_gone(&self, bins: &Binaries, h: Handle) -> bool {
+        match h {
+            Handle::Binary(i) => bins.deleted[i as usize],
+            Handle::Arena(c) => self.arena.is_deleted(c),
+        }
+    }
+
+    /// `true` for the reason of a trail literal: an arena clause locked
+    /// by its first literal, or a binary either of whose literals it
+    /// implied.
+    fn is_reason(&self, bins: &Binaries, h: Handle) -> bool {
+        match h {
+            Handle::Binary(i) => {
+                let [a, b] = bins.lits[i as usize];
+                let implied = |x: Lit, other: Lit| {
+                    self.lit_value(x) == TRUE
+                        && self.reason[usize::from(x.var())] == BINARY | other.code()
+                };
+                implied(a, b) || implied(b, a)
+            }
+            Handle::Arena(c) => self.is_locked(c),
+        }
+    }
+
+    /// Learnt flag, LBD and activity of a clause, for the clause that
+    /// replaces it; implicit binaries are problem clauses.
+    fn clause_meta(&self, h: Handle) -> (bool, u32, f64) {
+        match h {
+            Handle::Binary(_) => (false, 0, 0.0),
+            Handle::Arena(c) => (
+                self.arena.is_learnt(c),
+                self.arena.lbd(c),
+                self.arena.activity(c),
+            ),
+        }
+    }
+
+    /// Deletes a clause of the round. An implicit binary (one copy, if
+    /// the formula holds it twice) loses its two watchers at once, each
+    /// list keeping the order of the rest, with the same proof and
+    /// accounting duties as [`CdclSolver::delete_any_clause`].
+    fn delete_clause(&mut self, bins: &mut Binaries, h: Handle) {
+        let i = match h {
+            Handle::Arena(c) => return self.delete_any_clause(c),
+            Handle::Binary(i) => i as usize,
+        };
+        debug_assert!(!bins.deleted[i]);
+        let [a, b] = bins.lits[i];
+        for (watched, other) in [(a, b), (b, a)] {
+            let watchers = &mut self.watches[watched.code() as usize];
+            let at = watchers
+                .iter()
+                .position(|w| w.is_binary() && w.blocker == other)
+                .expect("a live binary keeps both watchers");
+            watchers.remove(at);
+        }
+        if let Some(proof) = &mut self.proof {
+            proof.push_delete_from([a, b]);
+        }
+        self.original_clauses -= 1;
+        bins.deleted[i] = true;
+    }
+
     /// Adds an entailed clause at level 0: normalizes against the root
-    /// assignment, emits the DRAT addition, and attaches or enqueues.
+    /// assignment, emits the DRAT addition, and attaches or enqueues —
+    /// a two-literal problem clause as an implicit binary of the round.
     /// `lits` must be duplicate-free and non-tautological.
-    fn add_derived(&mut self, lits: &[Lit], learnt: bool, lbd_hint: u32) -> Derived {
+    fn add_derived(
+        &mut self,
+        bins: &mut Binaries,
+        lits: &[Lit],
+        learnt: bool,
+        lbd_hint: u32,
+    ) -> Derived {
         debug_assert_eq!(self.decision_level(), 0);
         let mut out: Vec<Lit> = Vec::with_capacity(lits.len());
         for &l in lits {
@@ -240,13 +379,13 @@ impl CdclSolver {
         if let Some(proof) = &mut self.proof {
             proof.push_add(out.clone());
         }
-        match out.len() {
-            0 => {
+        match out[..] {
+            [] => {
                 self.ok = false;
                 Derived::Empty
             }
-            1 => {
-                self.enqueue(out[0], NO_REASON);
+            [unit] => {
+                self.enqueue(unit, NO_REASON);
                 if self.propagate().is_some() {
                     self.ok = false;
                     if let Some(proof) = &mut self.proof {
@@ -256,21 +395,25 @@ impl CdclSolver {
                 }
                 Derived::Unit
             }
-            n => {
+            [a, b] if !learnt => {
+                self.attach_binary(a, b);
+                Derived::Attached(bins.push([a, b]))
+            }
+            _ => {
                 let lbd = if learnt {
-                    lbd_hint.clamp(1, n as u32)
+                    lbd_hint.clamp(1, out.len() as u32)
                 } else {
                     0
                 };
-                Derived::Attached(self.attach_clause(&out, learnt, lbd))
+                Derived::Attached(Handle::Arena(self.attach_clause(&out, learnt, lbd)))
             }
         }
     }
 
     /// Vivification: distills each clause by propagating the negations
     /// of its literals one decision level at a time. Also deletes
-    /// clauses satisfied at the root (their watchers drop lazily).
-    fn vivify_pass(&mut self, cfg: &InprocessConfig, ticks: &mut u64) {
+    /// clauses satisfied at the root.
+    fn vivify_pass(&mut self, bins: &mut Binaries, cfg: &InprocessConfig, ticks: &mut u64) {
         // Probing assigns and retracts literals through the ordinary
         // trail machinery, and `backtrack` records every retracted
         // polarity for phase saving. Those assignments are probes, not
@@ -279,24 +422,23 @@ impl CdclSolver {
         // simplifies nothing. Snapshot and restore around the pass so
         // vivification's only observable effect is shorter clauses.
         let saved_phases = self.phase.clone();
-        let candidates: Vec<ClauseRef> = self.arena.refs().collect();
-        for cref in candidates {
+        for h in self.round_clauses(bins) {
             if *ticks == 0 || !self.ok {
                 break;
             }
-            if self.arena.is_deleted(cref) {
+            if self.is_gone(bins, h) {
                 continue;
             }
-            let len = self.arena.len(cref);
-            if len > cfg.vivify_max_len || self.is_locked(cref) {
+            let len = self.clause_len(h);
+            if len > cfg.vivify_max_len || self.is_reason(bins, h) {
                 continue;
             }
             *ticks = ticks.saturating_sub(len as u64);
-            let lits: Vec<Lit> = self.arena.lits(cref).collect();
+            let lits = self.clause_lits(bins, h);
 
             // Satisfied at the root: the unit trail subsumes it.
             if lits.iter().any(|&l| self.lit_value(l) == TRUE) {
-                self.delete_any_clause(cref);
+                self.delete_clause(bins, h);
                 self.stats.subsumed_clauses += 1;
                 continue;
             }
@@ -337,24 +479,22 @@ impl CdclSolver {
 
             self.stats.vivified_clauses += 1;
             self.stats.vivified_literals += (lits.len() - kept.len()) as u64;
-            let learnt = self.arena.is_learnt(cref);
-            let lbd = self.arena.lbd(cref);
-            let activity = self.arena.activity(cref);
-            match self.add_derived(&kept, learnt, lbd) {
+            let (learnt, lbd, activity) = self.clause_meta(h);
+            match self.add_derived(bins, &kept, learnt, lbd) {
                 Derived::Empty => break,
                 attached => {
                     // The replacement inherits the original's activity:
                     // a freshly-allocated clause scores 0, and a
                     // strengthened copy of a hot learnt clause must not
                     // die at the next reduction for being "new".
-                    if let Derived::Attached(new_cref) = attached {
+                    if let Derived::Attached(Handle::Arena(new_cref)) = attached {
                         self.arena.set_activity(new_cref, activity);
                     }
                     // Add-before-delete keeps the proof checkable; the
                     // unit case may have just locked the old clause as
                     // a root reason, in which case it must stay.
-                    if !self.is_locked(cref) {
-                        self.delete_any_clause(cref);
+                    if !self.is_reason(bins, h) {
+                        self.delete_clause(bins, h);
                     }
                 }
             }
@@ -364,22 +504,19 @@ impl CdclSolver {
 
     /// Subsumption and self-subsuming resolution over occurrence lists
     /// with 64-bit literal signatures.
-    fn subsume_pass(&mut self, cfg: &InprocessConfig, ticks: &mut u64) {
-        let mut clauses: Vec<ClauseRef> = self
-            .arena
-            .refs()
-            .filter(|&c| self.arena.len(c) <= cfg.subsume_max_len)
-            .collect();
+    fn subsume_pass(&mut self, bins: &mut Binaries, cfg: &InprocessConfig, ticks: &mut u64) {
+        let mut clauses: Vec<Handle> = self.round_clauses(bins);
+        clauses.retain(|&c| self.clause_len(c) <= cfg.subsume_max_len);
         // Smallest first: a clause can only be subsumed by one no
         // longer than itself, and processing short subsumers first
         // removes the most clauses per check.
-        clauses.sort_by_key(|&c| (self.arena.len(c), c));
+        clauses.sort_by_key(|&c| (self.clause_len(c), c));
 
-        let mut occ: Vec<Vec<ClauseRef>> = vec![Vec::new(); 2 * self.num_vars() as usize];
-        let mut sigs: std::collections::HashMap<ClauseRef, u64> = Default::default();
+        let mut occ: Vec<Vec<Handle>> = vec![Vec::new(); 2 * self.num_vars() as usize];
+        let mut sigs: std::collections::HashMap<Handle, u64> = Default::default();
         for &c in &clauses {
             let mut sig = 0u64;
-            for l in self.arena.lits(c) {
+            for l in self.clause_lits(bins, c) {
                 occ[l.code() as usize].push(c);
                 sig |= 1u64 << (l.var().index() % 64);
             }
@@ -390,10 +527,10 @@ impl CdclSolver {
             if *ticks == 0 || !self.ok {
                 break;
             }
-            if self.arena.is_deleted(c) {
+            if self.is_gone(bins, c) {
                 continue;
             }
-            let c_lits: Vec<Lit> = self.arena.lits(c).collect();
+            let c_lits = self.clause_lits(bins, c);
             let c_sig = sigs[&c];
 
             // Scan the occurrence lists of the rarest variable in `c`:
@@ -403,7 +540,7 @@ impl CdclSolver {
                 .iter()
                 .copied()
                 .min_by_key(|l| occ[l.code() as usize].len() + occ[(!*l).code() as usize].len())
-                .expect("arena clauses have at least two literals");
+                .expect("round clauses have at least two literals");
             let mut victims = occ[pivot.code() as usize].clone();
             victims.extend_from_slice(&occ[(!pivot).code() as usize]);
 
@@ -411,10 +548,10 @@ impl CdclSolver {
                 if *ticks == 0 || !self.ok {
                     break;
                 }
-                if d == c || self.arena.is_deleted(d) || self.arena.is_deleted(c) {
+                if d == c || self.is_gone(bins, d) || self.is_gone(bins, c) {
                     continue;
                 }
-                if self.arena.len(d) < c_lits.len() {
+                if self.clause_len(d) < c_lits.len() {
                     continue;
                 }
                 let d_sig = sigs.get(&d).copied().unwrap_or(u64::MAX);
@@ -426,7 +563,7 @@ impl CdclSolver {
                 // `c` subsumes `d` iff every literal of `c` occurs in
                 // `d`; one flipped occurrence instead means the
                 // resolvent on it strengthens `d`.
-                let d_lits: Vec<Lit> = self.arena.lits(d).collect();
+                let d_lits = self.clause_lits(bins, d);
                 let mut flipped: Option<Lit> = None;
                 let mut fits = true;
                 for &l in &c_lits {
@@ -440,46 +577,48 @@ impl CdclSolver {
                     fits = false;
                     break;
                 }
-                if !fits || self.is_locked(d) {
+                if !fits || self.is_reason(bins, d) {
                     continue;
                 }
 
+                let (d_learnt, d_lbd, d_activity) = self.clause_meta(d);
                 match flipped {
                     None => {
                         // A learnt subsumer must become permanent
                         // before the original it covers is dropped.
-                        if self.arena.is_learnt(c) && !self.arena.is_learnt(d) {
-                            self.promote_to_original(c);
+                        if let (Handle::Arena(c_ref), false) = (c, d_learnt) {
+                            if self.arena.is_learnt(c_ref) {
+                                self.promote_to_original(c_ref);
+                            }
                         }
-                        self.delete_any_clause(d);
+                        self.delete_clause(bins, d);
                         self.stats.subsumed_clauses += 1;
                     }
                     Some(l) => {
                         let strengthened: Vec<Lit> =
                             d_lits.iter().copied().filter(|&x| x != !l).collect();
-                        let learnt = self.arena.is_learnt(d);
-                        let lbd = self.arena.lbd(d);
-                        let activity = self.arena.activity(d);
                         self.stats.strengthened_clauses += 1;
-                        match self.add_derived(&strengthened, learnt, lbd) {
+                        match self.add_derived(bins, &strengthened, d_learnt, d_lbd) {
                             Derived::Empty => return,
-                            Derived::Attached(new_cref) => {
+                            Derived::Attached(new) => {
                                 // Inherit the victim's activity (see
                                 // `vivify_pass`).
-                                self.arena.set_activity(new_cref, activity);
-                                if !self.is_locked(d) {
-                                    self.delete_any_clause(d);
+                                if let Handle::Arena(new_cref) = new {
+                                    self.arena.set_activity(new_cref, d_activity);
+                                }
+                                if !self.is_reason(bins, d) {
+                                    self.delete_clause(bins, d);
                                 }
                                 let mut sig = 0u64;
-                                for l in self.arena.lits(new_cref) {
-                                    occ[l.code() as usize].push(new_cref);
+                                for l in self.clause_lits(bins, new) {
+                                    occ[l.code() as usize].push(new);
                                     sig |= 1u64 << (l.var().index() % 64);
                                 }
-                                sigs.insert(new_cref, sig);
+                                sigs.insert(new, sig);
                             }
                             _ => {
-                                if !self.is_locked(d) {
-                                    self.delete_any_clause(d);
+                                if !self.is_reason(bins, d) {
+                                    self.delete_clause(bins, d);
                                 }
                             }
                         }
@@ -493,10 +632,10 @@ impl CdclSolver {
     /// is resolved away when its non-tautological resolvents do not
     /// outnumber the clauses it appears in (plus the configured
     /// growth), with the positive side stored for model reconstruction.
-    fn bve_pass(&mut self, cfg: &InprocessConfig, ticks: &mut u64) {
-        let mut occ: Vec<Vec<ClauseRef>> = vec![Vec::new(); 2 * self.num_vars() as usize];
-        for c in self.arena.refs() {
-            for l in self.arena.lits(c) {
+    fn bve_pass(&mut self, bins: &mut Binaries, cfg: &InprocessConfig, ticks: &mut u64) {
+        let mut occ: Vec<Vec<Handle>> = vec![Vec::new(); 2 * self.num_vars() as usize];
+        for c in self.round_clauses(bins) {
+            for l in self.clause_lits(bins, c) {
                 occ[l.code() as usize].push(c);
             }
         }
@@ -510,35 +649,34 @@ impl CdclSolver {
                 continue;
             }
             let var = Var::new(v);
-            let pos_lit = Lit::positive(var);
-            let neg_lit = Lit::negative(var);
-            let pos: Vec<ClauseRef> = occ[pos_lit.code() as usize]
-                .iter()
-                .copied()
-                .filter(|&c| !self.arena.is_deleted(c))
-                .collect();
-            let neg: Vec<ClauseRef> = occ[neg_lit.code() as usize]
-                .iter()
-                .copied()
-                .filter(|&c| !self.arena.is_deleted(c))
-                .collect();
+            let live = |lit: Lit| -> Vec<Handle> {
+                occ[lit.code() as usize]
+                    .iter()
+                    .copied()
+                    .filter(|&c| !self.is_gone(bins, c))
+                    .collect()
+            };
+            let pos = live(Lit::positive(var));
+            let neg = live(Lit::negative(var));
             let occurrences = pos.len() + neg.len();
             if occurrences == 0 || occurrences > cfg.bve_max_occ {
                 continue;
             }
-            if pos.iter().chain(&neg).any(|&c| self.is_locked(c)) {
+            if pos.iter().chain(&neg).any(|&c| self.is_reason(bins, c)) {
                 continue;
             }
             *ticks = ticks.saturating_sub((occurrences * 4) as u64);
+            let pos_lits: Vec<Vec<Lit>> = pos.iter().map(|&c| self.clause_lits(bins, c)).collect();
+            let neg_lits: Vec<Vec<Lit>> = neg.iter().map(|&c| self.clause_lits(bins, c)).collect();
 
             // Count (and collect) the non-tautological resolvents.
             let mut resolvents: Vec<Vec<Lit>> = Vec::new();
             let limit = occurrences + cfg.bve_growth;
             let mut too_many = false;
-            'outer: for &pc in &pos {
-                for &nc in &neg {
-                    *ticks = ticks.saturating_sub((self.arena.len(pc) + self.arena.len(nc)) as u64);
-                    if let Some(r) = self.resolve_on(pc, nc, var) {
+            'outer: for pc in &pos_lits {
+                for nc in &neg_lits {
+                    *ticks = ticks.saturating_sub((pc.len() + nc.len()) as u64);
+                    if let Some(r) = resolve_on(pc, nc, var) {
                         resolvents.push(r);
                         if resolvents.len() > limit {
                             too_many = true;
@@ -551,22 +689,19 @@ impl CdclSolver {
                 continue;
             }
 
-            // Store the positive side before the clauses disappear.
-            let stored: Vec<Vec<Lit>> = pos.iter().map(|&c| self.arena.lits(c).collect()).collect();
-
             // Add every resolvent (DRAT add-before-delete), keeping the
             // occurrence lists current so later candidate variables see
             // them.
             let mut refuted = false;
             for r in &resolvents {
-                match self.add_derived(r, false, 0) {
+                match self.add_derived(bins, r, false, 0) {
                     Derived::Empty => {
                         refuted = true;
                         break;
                     }
-                    Derived::Attached(new_cref) => {
-                        for l in self.arena.lits(new_cref) {
-                            occ[l.code() as usize].push(new_cref);
+                    Derived::Attached(new) => {
+                        for l in self.clause_lits(bins, new) {
+                            occ[l.code() as usize].push(new);
                         }
                     }
                     _ => {}
@@ -580,37 +715,38 @@ impl CdclSolver {
             // `v` or locked one of its clauses as a root reason; both
             // void the elimination (the resolvents stay — they are
             // entailed either way).
-            if self.assigns[vi] != UNDEF || pos.iter().chain(&neg).any(|&c| self.is_locked(c)) {
+            if self.assigns[vi] != UNDEF || pos.iter().chain(&neg).any(|&c| self.is_reason(bins, c))
+            {
                 continue;
             }
             for &c in pos.iter().chain(&neg) {
-                if !self.arena.is_deleted(c) {
-                    self.delete_any_clause(c);
+                if !self.is_gone(bins, c) {
+                    self.delete_clause(bins, c);
                 }
             }
             self.eliminated[vi] = true;
-            self.elim_stack.push((var, stored));
+            self.elim_stack.push((var, pos_lits));
             self.stats.eliminated_vars += 1;
         }
     }
+}
 
-    /// The resolvent of `pc` (containing `var`) and `nc` (containing
-    /// `!var`) on `var`, deduplicated; `None` when tautological.
-    fn resolve_on(&self, pc: ClauseRef, nc: ClauseRef, var: Var) -> Option<Vec<Lit>> {
-        let mut out: Vec<Lit> = Vec::with_capacity(self.arena.len(pc) + self.arena.len(nc) - 2);
-        out.extend(self.arena.lits(pc).filter(|l| l.var() != var));
-        out.extend(self.arena.lits(nc).filter(|l| l.var() != var));
-        out.sort_unstable();
-        out.dedup();
-        let mut i = 0;
-        while i + 1 < out.len() {
-            if out[i + 1] == !out[i] {
-                return None;
-            }
-            i += 1;
+/// The resolvent of `pc` (containing `var`) and `nc` (containing `!var`)
+/// on `var`, deduplicated; `None` when tautological.
+fn resolve_on(pc: &[Lit], nc: &[Lit], var: Var) -> Option<Vec<Lit>> {
+    let mut out: Vec<Lit> = Vec::with_capacity(pc.len() + nc.len() - 2);
+    out.extend(pc.iter().copied().filter(|l| l.var() != var));
+    out.extend(nc.iter().copied().filter(|l| l.var() != var));
+    out.sort_unstable();
+    out.dedup();
+    let mut i = 0;
+    while i + 1 < out.len() {
+        if out[i + 1] == !out[i] {
+            return None;
         }
-        Some(out)
+        i += 1;
     }
+    Some(out)
 }
 
 #[cfg(test)]
@@ -789,6 +925,133 @@ mod tests {
             if let SolveOutcome::Sat(m) = &out {
                 assert!(f.is_satisfied_by(m), "seed {seed}");
             }
+        }
+    }
+
+    /// The eight clauses over variables `a..a+3` that rule out every
+    /// assignment: an unsatisfiable block that needs search.
+    fn unsat_block(a: i64) -> Vec<Vec<i64>> {
+        (0..8)
+            .map(|mask| {
+                (0..3)
+                    .map(|b| {
+                        if mask & (1 << b) == 0 {
+                            a + b
+                        } else {
+                            -(a + b)
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Solves `f` with proof logging under `passes`, then checks it
+    /// against the DPLL oracle: the same verdict, a model of `f` on SAT,
+    /// a checked DRAT proof on UNSAT, and watch lists holding exactly one
+    /// watcher pair per live problem clause outside the arena.
+    fn solve_checked(f: &CnfFormula, passes: InprocessConfig) -> CdclSolver {
+        let mut s = CdclSolver::with_config(crate::SolverConfig {
+            inprocess: passes,
+            ..crate::SolverConfig::default()
+        });
+        s.enable_proof_logging();
+        s.add_formula(f);
+        let out = s.solve();
+        assert_eq!(out.is_sat(), crate::DpllSolver::new().solve(f).is_sat());
+        match &out {
+            SolveOutcome::Sat(m) => assert!(f.is_satisfied_by(m)),
+            _ => s
+                .take_proof()
+                .expect("proof logging was enabled")
+                .check(f)
+                .expect("DRAT proof with inprocessing must verify"),
+        }
+        let halves = s.watches.iter().flatten().filter(|w| w.is_binary()).count();
+        let arena_problem = s.arena.refs().filter(|&c| !s.arena.is_learnt(c)).count();
+        assert_eq!(halves % 2, 0, "binary watchers come in pairs");
+        assert_eq!(halves / 2 + arena_problem, s.original_clauses);
+        assert!(s.stats().inprocess_runs >= 1);
+        s
+    }
+
+    fn only(vivify: bool, subsume: bool, bve: bool) -> InprocessConfig {
+        InprocessConfig {
+            vivify,
+            subsume,
+            bve,
+            ..InprocessConfig::on()
+        }
+    }
+
+    #[test]
+    fn an_implicit_binary_subsumes_a_ternary() {
+        // (1 2) is the only clause that can subsume (1 2 3); the ternary
+        // must go, and a lost or duplicated binary breaks the count or
+        // the oracle check.
+        let sat = vec![
+            vec![1, 2],
+            vec![1, 2, 3],
+            vec![-2, 4, 5],
+            vec![-4, -5],
+            vec![3, -1],
+        ];
+        let mut unsat = sat.clone();
+        unsat.extend(unsat_block(6));
+        for clauses in [sat, unsat] {
+            let s = solve_checked(&formula(&clauses), only(false, true, false));
+            assert!(s.stats().subsumed_clauses >= 1, "{:?}", s.stats());
+        }
+    }
+
+    #[test]
+    fn bve_eliminates_a_variable_seen_only_in_binaries() {
+        // Variable 1 occurs only in (1 2) and (-1 3): its resolvent (2 3)
+        // replaces both, and neither binary may propagate afterwards.
+        let sat = vec![
+            vec![1, 2],
+            vec![-1, 3],
+            vec![2, 4, 5],
+            vec![-3, -4, 5],
+            vec![-5, -2, 4],
+        ];
+        let mut unsat = sat.clone();
+        unsat.extend(unsat_block(6));
+        for clauses in [sat, unsat] {
+            let s = solve_checked(&formula(&clauses), only(false, false, true));
+            let x = Var::new(0);
+            assert!(s.is_eliminated(x), "{:?}", s.stats());
+            for l in [Lit::positive(x), Lit::negative(x)] {
+                assert!(
+                    s.watches[l.code() as usize].is_empty(),
+                    "deleted binaries must leave the watch lists"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn vivification_cuts_a_binary_to_a_unit() {
+        // Every clause is binary, so any vivified clause is a binary cut
+        // down: assuming ¬1 implies both 3 and ¬3, so (1 2) becomes (1).
+        let sat = vec![
+            vec![1, 2],
+            vec![1, 3],
+            vec![1, -3],
+            vec![-1, 4],
+            vec![4, 5],
+            vec![-5, 6],
+        ];
+        let mut unsat = sat.clone();
+        unsat.extend([vec![-4, 7], vec![-4, -7]]);
+        for clauses in [sat, unsat] {
+            let s = solve_checked(&formula(&clauses), only(true, false, false));
+            assert!(s.stats().vivified_clauses >= 1, "{:?}", s.stats());
+            assert_eq!(
+                s.stats().conflicts,
+                0,
+                "the unit settles the formula at the root"
+            );
         }
     }
 

@@ -11,7 +11,7 @@
 //! preprocessing can already discharge (e.g. symmetry-breaking negations
 //! turn many direct/muldirect clauses into units).
 
-use satroute_cnf::{Assignment, CnfFormula, Lit, Var};
+use satroute_cnf::{clause, Assignment, CnfFormula, Lit, Var};
 use satroute_obs::MetricsRegistry;
 
 use crate::outcome::SolveOutcome;
@@ -118,14 +118,14 @@ pub fn preprocess(formula: &CnfFormula) -> (Simplification, PreprocessStats) {
 
     // Working clause set, cleaned of tautologies and duplicate literals.
     let mut clauses: Vec<Vec<Lit>> = Vec::with_capacity(formula.num_clauses());
-    for clause in formula {
-        let mut c = clause.clone();
-        c.dedup();
-        if c.is_tautology() {
+    for lits in formula {
+        let mut c = lits.to_vec();
+        clause::dedup(&mut c);
+        if clause::is_tautology(&c) {
             stats.removed_clauses += 1;
             continue;
         }
-        clauses.push(c.into_lits());
+        clauses.push(c);
     }
 
     loop {
