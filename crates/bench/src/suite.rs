@@ -137,9 +137,9 @@ pub struct SuiteOptions {
     /// each solve at 60 s wall so a pathological regression fails the
     /// gate as `unknown:wall` instead of hanging CI. A tracer gets one
     /// `cell` span per cell with the run's encode/solve/decode spans
-    /// beneath it. A flight recorder receives every solve's search-state
-    /// samples; sampling only reads solver state, so the deterministic
-    /// columns are identical with recording on or off. Each run replaces
+    /// beneath it, and every solve's search-state samples on its `solve`
+    /// span; sampling only reads solver state, so the deterministic
+    /// columns are identical with tracing on or off. Each run replaces
     /// the metrics registry with a fresh one of its own.
     pub ctx: RunContext,
     /// Case-sensitive substring filter on cell ids

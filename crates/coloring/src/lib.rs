@@ -34,7 +34,6 @@ mod coloring;
 mod graph;
 mod greedy;
 mod random;
-mod tabu;
 
 pub mod dimacs;
 pub mod exact;
@@ -45,4 +44,3 @@ pub use greedy::{
     dsatur_coloring, greedy_coloring, greedy_coloring_capped, greedy_coloring_with_order,
 };
 pub use random::random_graph;
-pub use tabu::{improved_clique, tabu_color, tabu_upper_bound};

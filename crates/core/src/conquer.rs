@@ -216,10 +216,9 @@ fn lpt_makespan(jobs: &[Duration], workers: usize) -> Duration {
 /// a `conquer` root span with a `split` child and one `cube` span per
 /// conquered cube. A metrics registry receives every cube solver's
 /// `solver.*` instruments plus `conquer.{cubes,refuted}` counters and a
-/// `conquer.cube_conflicts` histogram. A flight recorder receives
-/// samples stamped with the cube's index, and a cube stopped by the
-/// shared budget (or cancelled after a winner) carries a
-/// [`Postmortem`](satroute_obs::Postmortem) in its report.
+/// `conquer.cube_conflicts` histogram. With the tracer enabled, a cube
+/// stopped by the shared budget (or cancelled after a winner) carries a
+/// [`Postmortem`](satroute_obs::Postmortem) labelled with its index.
 #[derive(Clone)]
 pub struct ConquerRequest<'a> {
     strategy: Strategy,
@@ -389,11 +388,7 @@ impl<'a> ConquerRequest<'a> {
             })
             .collect();
         let outcome = aggregate(race.winner, &cubes);
-        match &outcome {
-            ColoringOutcome::Colorable(_) => root.mark("outcome", "sat"),
-            ColoringOutcome::Unsat => root.mark("outcome", "unsat"),
-            ColoringOutcome::Unknown(_) => root.mark("outcome", "unknown"),
-        }
+        root.mark("outcome", &outcome.verdict().to_string());
 
         ConquerResult {
             outcome,
@@ -470,7 +465,7 @@ impl Strategy {
 mod tests {
     use super::*;
     use satroute_coloring::{exact, random_graph};
-    use satroute_obs::{MetricsRegistry, Tracer};
+    use satroute_obs::{MetricsRegistry, SpanForest, Tracer};
     use satroute_solver::CancellationToken;
 
     #[test]
@@ -638,12 +633,12 @@ mod tests {
         let g = random_graph(14, 0.5, 5);
         let chi = exact::chromatic_number(&g);
         let registry = MetricsRegistry::new();
-        let tree = satroute_obs::TraceTree::new();
+        let buffer = satroute_obs::BufferSink::new();
         let result = Strategy::paper_best()
             .cube_and_conquer(&g, chi - 1)
             .cube_vars(2)
             .threads(2)
-            .trace(Tracer::to_sink(tree.clone()))
+            .trace(Tracer::to_sink(buffer.clone()))
             .metrics(registry.clone())
             .run();
         assert!(matches!(result.outcome, ColoringOutcome::Unsat));
@@ -664,7 +659,7 @@ mod tests {
             Some(result.cubes.len() as u64)
         );
 
-        let forest = tree.forest().expect("trace reconstructs");
+        let forest = SpanForest::from_events(&buffer.events()).expect("trace reconstructs");
         let roots = forest.roots();
         assert_eq!(roots.len(), 1);
         let root = forest.node(roots[0]).unwrap();

@@ -143,9 +143,8 @@ pub struct ExplainReport {
     pub cnf_translation: Duration,
     /// Wall time spent solving, summed over all probes.
     pub sat_solving: Duration,
-    /// Flight-recorder postmortem of the probe that stopped early, when a
-    /// budget or cancellation interrupted the run and an enabled
-    /// [`FlightRecorder`](satroute_obs::FlightRecorder) was attached.
+    /// Postmortem of the probe that stopped early, when a budget or
+    /// cancellation interrupted a traced run.
     pub postmortem: Option<Postmortem>,
 }
 

@@ -405,7 +405,7 @@ mod tests {
 
     #[test]
     fn stopped_probe_postmortem_lists_its_assumptions() {
-        use satroute_obs::FlightRecorder;
+        use satroute_obs::{BufferSink, Tracer};
         use satroute_solver::{RunBudget, StopReason};
         // Far below the chromatic number of a dense graph: five conflicts
         // cannot refute the width.
@@ -413,14 +413,14 @@ mod tests {
         let mut session = Strategy::paper_baseline()
             .incremental(&g, 12)
             .budget(RunBudget::new().with_max_conflicts(5))
-            .flight(FlightRecorder::new())
+            .trace(Tracer::to_sink(BufferSink::new()))
             .build();
         let report = session.probe(7);
         assert_eq!(
             report.outcome,
             ColoringOutcome::Unknown(StopReason::ConflictLimit)
         );
-        let pm = report.postmortem.expect("a stopped probe with a recorder");
+        let pm = report.postmortem.expect("a stopped traced probe");
         let mut expected: Vec<i64> = session
             .probe
             .decode
@@ -451,20 +451,27 @@ mod tests {
 
     #[test]
     fn session_feeds_metrics_and_observer() {
+        use satroute_obs::{BufferSink, SpanForest, Tracer};
         let g = random_graph(10, 0.5, 3);
         let registry = MetricsRegistry::new();
-        let observer = std::sync::Arc::new(crate::test_support::LastFinished::default());
+        let buffer = BufferSink::new();
         let mut session = Strategy::paper_best()
             .incremental(&g, 5)
             .metrics(registry.clone())
-            .observe(observer.clone())
+            .trace(Tracer::to_sink(buffer.clone()))
             .build();
         let (_min, _coloring) = session.find_min_colors().expect("colorable");
         let snap = registry.snapshot();
         assert_eq!(snap.counter("incremental.probes"), Some(session.probes()));
         assert!(snap.counter("incremental.reused_conflicts").is_some());
-        // The observer saw the last probe's Finished event.
-        assert!(observer.get().is_some());
+        // Every probe's solve ended on an outcome mark on its own span.
+        let forest = SpanForest::from_events(&buffer.events()).unwrap();
+        let outcomes = forest
+            .spans()
+            .into_iter()
+            .filter(|span| span.marks.contains_key("outcome"))
+            .count();
+        assert_eq!(outcomes as u64, session.probes());
     }
 
     #[test]

@@ -49,12 +49,12 @@
 //!   ([`ExplainRequest`], built by [`Strategy::explain`]).
 //!
 //! Run control comes from [`satroute_solver::run`]: every request holds
-//! one [`RunContext`] (configuration, budget, cancellation, observer,
-//! tracer, metrics, flight recorder) and forwards it to the solves it
-//! spawns. Every solve — a cold request, a conquer cube, a ladder probe,
-//! an explain probe — is a probe of one crate-private solver loaded with
-//! one encode, which times it, maps its failed assumptions back to track
-//! or group ids and writes the postmortem of a stopped probe. The commonly
+//! one [`RunContext`] (configuration, budget, cancellation, tracer,
+//! metrics) and forwards it to the solves it spawns. Every solve — a cold
+//! request, a conquer cube, a ladder probe, an explain probe — is a probe
+//! of one crate-private solver loaded with one encode, which times it,
+//! maps its failed assumptions back to track or group ids and writes the
+//! postmortem of a stopped probe. The commonly
 //! used types are re-exported here.
 //!
 //! # Examples
@@ -116,18 +116,11 @@ macro_rules! run_context_setters {
                 self
             }
 
-            /// Attaches an observer receiving every solve's
-            /// [`SolverEvent`](satroute_solver::SolverEvent) stream.
-            #[must_use]
-            pub fn observe(
-                mut self,
-                observer: std::sync::Arc<dyn satroute_solver::RunObserver>,
-            ) -> Self {
-                self.ctx.observer = Some(observer);
-                self
-            }
-
-            /// Attaches a [`Tracer`](satroute_obs::Tracer); the disabled
+            /// Attaches a [`Tracer`](satroute_obs::Tracer): every solve
+            /// writes its counters, search-state samples and `outcome`
+            /// mark onto its span, and a solve stopped by a budget or
+            /// cancellation carries a
+            /// [`Postmortem`](satroute_obs::Postmortem). The disabled
             /// default records nothing.
             #[must_use]
             pub fn trace(mut self, tracer: satroute_obs::Tracer) -> Self {
@@ -141,17 +134,6 @@ macro_rules! run_context_setters {
             #[must_use]
             pub fn metrics(mut self, registry: satroute_obs::MetricsRegistry) -> Self {
                 self.ctx.metrics = registry;
-                self
-            }
-
-            /// Attaches a [`FlightRecorder`](satroute_obs::FlightRecorder):
-            /// solves deposit search-state samples into its ring, and a
-            /// solve stopped by a budget or cancellation carries a
-            /// [`Postmortem`](satroute_obs::Postmortem). The disabled default
-            /// records nothing.
-            #[must_use]
-            pub fn flight(mut self, recorder: satroute_obs::FlightRecorder) -> Self {
-                self.ctx.flight = recorder;
                 self
             }
         }
@@ -198,40 +180,13 @@ pub use symmetry::SymmetryHeuristic;
 // Run-control vocabulary used throughout this crate's APIs, re-exported
 // so downstream code does not need a direct `satroute_solver` dependency.
 pub use satroute_solver::{
-    CancellationToken, ClauseExchange, PhaseInit, ProgressLogger, RestartScheme, RunBudget,
-    RunContext, RunObserver, SharingConfig, SolveVerdict, SolverEvent, StopReason,
+    CancellationToken, ClauseExchange, PhaseInit, RestartScheme, RunBudget, RunContext,
+    SharingConfig, SolveVerdict, StopReason,
 };
 
 // Tracing vocabulary (spans, sinks, reports) from `satroute_obs`,
 // re-exported for the same reason.
 pub use satroute_obs::{
-    parse_jsonl, FlightRecorder, Postmortem, SampleCause, SpanForest, TimelineSample, TraceReport,
-    TraceTree, TraceWriter, Tracer,
+    parse_jsonl, Postmortem, SampleCause, SpanForest, TimelineSample, TraceReport, TraceWriter,
+    Tracer,
 };
-
-/// Test helpers shared by this crate's unit tests.
-#[cfg(test)]
-mod test_support {
-    use std::sync::Mutex;
-
-    use satroute_solver::{RunObserver, SolveVerdict, SolverEvent, SolverStats};
-
-    /// An observer keeping the verdict and stats of the last `Finished`
-    /// event it saw.
-    #[derive(Default)]
-    pub(crate) struct LastFinished(Mutex<Option<(SolveVerdict, SolverStats)>>);
-
-    impl LastFinished {
-        pub(crate) fn get(&self) -> Option<(SolveVerdict, SolverStats)> {
-            *self.0.lock().unwrap()
-        }
-    }
-
-    impl RunObserver for LastFinished {
-        fn on_event(&self, event: &SolverEvent) {
-            if let SolverEvent::Finished { verdict, stats, .. } = event {
-                *self.0.lock().unwrap() = Some((*verdict, *stats));
-            }
-        }
-    }
-}

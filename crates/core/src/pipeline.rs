@@ -12,7 +12,7 @@
 //! unroutable"*.
 
 use satroute_fpga::{DetailedRouting, RoutingProblem};
-use satroute_obs::FieldValue;
+use satroute_obs::{FieldValue, Postmortem};
 use satroute_solver::{RunBudget, RunContext, StopReason};
 
 use crate::strategy::{ColoringOutcome, ColoringReport, Strategy};
@@ -102,7 +102,7 @@ impl UnroutabilityCertificate {
 }
 
 /// Errors from pipeline runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum PipelineError {
     /// The solver returned Unknown (budget exhausted / cancelled).
     Undecided {
@@ -110,13 +110,15 @@ pub enum PipelineError {
         width: u32,
         /// Which budget limit or cancellation stopped the run.
         reason: StopReason,
+        /// The stopped probe's postmortem, when the run was traced.
+        postmortem: Option<Postmortem>,
     },
 }
 
 impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PipelineError::Undecided { width, reason } => {
+            PipelineError::Undecided { width, reason, .. } => {
                 write!(f, "solver stopped ({reason}) at channel width {width}")
             }
         }
@@ -258,6 +260,7 @@ impl RoutingPipeline {
                 return Err(PipelineError::Undecided {
                     width,
                     reason: *reason,
+                    postmortem: report.postmortem,
                 });
             }
         };
@@ -442,6 +445,7 @@ impl RoutingPipeline {
                     return Err(PipelineError::Undecided {
                         width,
                         reason: *reason,
+                        postmortem: report.postmortem,
                     });
                 }
             };
@@ -479,10 +483,8 @@ impl RoutingPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::LastFinished;
     use satroute_fpga::benchmarks;
     use satroute_solver::CancellationToken;
-    use std::sync::Arc;
 
     #[test]
     fn incremental_ladder_records_failed_track_core() {
@@ -676,7 +678,7 @@ mod tests {
         let pipeline = RoutingPipeline::new(Strategy::paper_best())
             .with_budget(RunBudget::new().with_wall(Duration::ZERO));
         match pipeline.route(&inst.problem, inst.routable_width) {
-            Err(PipelineError::Undecided { width, reason }) => {
+            Err(PipelineError::Undecided { width, reason, .. }) => {
                 assert_eq!(width, inst.routable_width);
                 assert_eq!(reason, StopReason::Deadline);
             }
@@ -700,12 +702,20 @@ mod tests {
 
     #[test]
     fn pipeline_observer_sees_every_probe() {
+        use satroute_obs::{BufferSink, SpanForest};
         let inst = &benchmarks::suite_tiny()[0];
-        let observer = Arc::new(LastFinished::default());
-        let pipeline = RoutingPipeline::new(Strategy::paper_best()).observe(observer.clone());
+        let buffer = BufferSink::new();
+        let pipeline = RoutingPipeline::new(Strategy::paper_best())
+            .trace(satroute_obs::Tracer::to_sink(buffer.clone()));
         let search = pipeline.find_min_width(&inst.problem).unwrap();
-        // The observer saw at least the last probe's Finished event.
+        // Every probe's solve span carries its outcome.
         assert!(search.probes.len() >= 2);
-        assert!(observer.get().is_some());
+        let forest = SpanForest::from_events(&buffer.events()).unwrap();
+        let solves = forest.spans_named("solve");
+        assert_eq!(solves.len(), search.probes.len());
+        for (solve, probe) in solves.iter().zip(&search.probes) {
+            let verdict = probe.report.outcome.verdict().to_string();
+            assert_eq!(solve.marks["outcome"], verdict);
+        }
     }
 }

@@ -342,9 +342,10 @@ impl SharingBus {
 /// member's own encode/solve/decode spans nesting beneath it. An enabled
 /// metrics registry receives the aggregate `solver.*` instruments plus a
 /// `portfolio.member_<i>.*` family per member (conflict / propagation
-/// totals, wall-time histogram, props/sec and outcome counts). An enabled
-/// flight recorder receives every member's samples stamped with the
-/// member's index. The context's observer sees every member's events.
+/// totals, wall-time histogram, props/sec and outcome counts). With the
+/// tracer enabled, a member stopped by the budget or by the winner
+/// carries a [`Postmortem`](satroute_obs::Postmortem) labelled with its
+/// index.
 ///
 /// # Examples
 ///
@@ -569,7 +570,7 @@ mod tests {
     use super::*;
     use crate::strategy::ColoringOutcome;
     use satroute_coloring::{exact, random_graph};
-    use satroute_obs::{MetricsRegistry, Tracer};
+    use satroute_obs::{MetricsRegistry, SpanForest, Tracer};
     use satroute_solver::{CancellationToken, RunBudget};
 
     /// The classic race: `strategies` under `ctx` with default options.
@@ -845,15 +846,15 @@ mod tests {
         let g = random_graph(10, 0.5, 3);
         let chi = exact::chromatic_number(&g);
         let strategies = Strategy::paper_portfolio_3();
-        let tree = satroute_obs::TraceTree::new();
+        let buffer = satroute_obs::BufferSink::new();
         let ctx = RunContext {
-            tracer: Tracer::to_sink(tree.clone()),
+            tracer: Tracer::to_sink(buffer.clone()),
             ..RunContext::default()
         };
         let result = run_portfolio(&g, chi, &strategies, &ctx, &PortfolioOptions::new());
         assert!(result.is_decided());
 
-        let forest = tree.forest().expect("trace reconstructs");
+        let forest = SpanForest::from_events(&buffer.events()).expect("trace reconstructs");
         let roots = forest.roots();
         assert_eq!(roots.len(), 1, "one portfolio root span");
         let root = forest.node(roots[0]).unwrap();

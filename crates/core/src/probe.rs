@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use satroute_cnf::{Assignment, FormulaStats, Lit, Var};
 use satroute_coloring::Coloring;
-use satroute_obs::{FlightRecorder, Postmortem, SpanGuard, SpanId};
+use satroute_obs::{Postmortem, SpanGuard, SpanId};
 use satroute_solver::{CdclSolver, RunContext, SolveOutcome};
 
 use crate::decode::decode_coloring;
@@ -31,9 +31,6 @@ pub(crate) struct Probe {
     pub(crate) decode: DecodeMap,
     /// Shape of the loaded CNF.
     pub(crate) formula_stats: FormulaStats,
-    /// The context's flight recorder, read for a stopped probe's
-    /// postmortem.
-    flight: FlightRecorder,
 }
 
 /// What one probe answered.
@@ -52,14 +49,14 @@ pub(crate) struct Probed {
     /// The track or group ids of the selectors in `failed`, ascending and
     /// deduplicated.
     pub(crate) failed_ids: Vec<u32>,
-    /// The flight-recorder postmortem of a stopped probe, when the
-    /// context's recorder is enabled.
+    /// The postmortem of a stopped probe, when the context's tracer is
+    /// enabled.
     pub(crate) postmortem: Option<Postmortem>,
 }
 
 impl Probe {
-    /// Loads `encoded` into a fresh solver from `ctx` whose telemetry is
-    /// bridged onto `span` (`0` until the first probe moves it), with DRAT
+    /// Loads `encoded` into a fresh solver from `ctx` whose telemetry
+    /// writes onto `span` (`0` until the first probe moves it), with DRAT
     /// logging from the first clause when `proof` is set.
     pub(crate) fn load(
         ctx: &RunContext,
@@ -88,7 +85,6 @@ impl Probe {
             solver,
             decode,
             formula_stats: encoded.formula.stats(),
-            flight: ctx.flight.clone(),
         }
     }
 
@@ -121,17 +117,13 @@ impl Probe {
             .collect();
         failed_ids.sort_unstable();
         failed_ids.dedup();
-        let postmortem = match outcome {
-            SolveOutcome::Unknown(reason) if self.flight.is_enabled() => {
-                let mut pm = Postmortem::from_recorder(&self.flight, reason.to_string());
-                pm.hottest_phase = Some(hottest_phase(&timing).to_string());
-                pm.assumptions = assumptions.iter().map(|l| l.to_dimacs()).collect();
-                pm.assumptions.sort_unstable();
-                pm.assumptions.dedup();
-                Some(pm)
-            }
-            _ => None,
-        };
+        let postmortem = self.solver.postmortem().map(|mut pm| {
+            pm.hottest_phase = Some(hottest_phase(&timing).to_string());
+            pm.assumptions = assumptions.iter().map(|l| l.to_dimacs()).collect();
+            pm.assumptions.sort_unstable();
+            pm.assumptions.dedup();
+            pm
+        });
         Probed {
             outcome,
             timing,

@@ -5,12 +5,13 @@
 //! claiming the next job index from one shared counter, so at most
 //! `workers` jobs run at once and the rest queue. Every job solves under a
 //! copy of the caller's [`RunContext`] with one absolute deadline shared by
-//! all jobs, the race's stop token and a flight recorder labelled with the
-//! job's index, inside a job span opened under an explicit parent. The
-//! first job whose outcome passes the win test stops the others through
-//! the stop token. That token is a [`child`](CancellationToken::child) of
-//! the caller's: cancelling the caller's token stops the race, but a win
-//! never cancels the caller's token.
+//! all jobs and the race's stop token, inside a job span opened under an
+//! explicit parent, and a stopped job's postmortem is labelled with the
+//! job's index. The first job whose outcome passes the win test stops the
+//! others through the stop token. That token is a
+//! [`child`](CancellationToken::child) of the caller's: cancelling the
+//! caller's token stops the race, but a win never cancels the caller's
+//! token.
 //!
 //! Jobs are never split once claimed, so taking the next index balances
 //! load without per-worker queues or a lock order to get wrong.
@@ -66,8 +67,9 @@ impl Pool<'_> {
     /// Runs jobs `0..jobs` and returns every job's report.
     ///
     /// Job `i` on worker `w` opens a `span` span with the fields
-    /// `fields(i, w)`, runs `job(i, w, ctx)` with the job's context, and
-    /// puts the report's counters and outcome mark on the span. A job
+    /// `fields(i, w)`, runs `job(i, w, ctx)` with the job's context, labels
+    /// the report's postmortem with `i`, and puts the report's counters
+    /// and outcome mark on the span. A job
     /// claimed after the race was won still runs, on a cancelled token, so
     /// every job reports.
     pub(crate) fn race(
@@ -100,10 +102,12 @@ impl Pool<'_> {
             let job_ctx = RunContext {
                 budget,
                 cancel: Some(stop.clone()),
-                flight: ctx.flight.labelled(idx as u64),
                 ..ctx.clone()
             };
-            let report = job(idx, worker, job_ctx);
+            let mut report = job(idx, worker, job_ctx);
+            if let Some(pm) = &mut report.postmortem {
+                pm.member = Some(idx as u64);
+            }
             report.trace_onto(&job_span);
             if wins(&report.outcome) && winner.set((idx, self.start.elapsed())).is_ok() {
                 stop.cancel();

@@ -8,9 +8,9 @@
 //!
 //! Runs are configured through the builder returned by
 //! [`Strategy::solve`]: a [`SolveRequest`] carries a [`RunContext`] — the
-//! solver configuration, budget, cancellation token, observer and
-//! telemetry sinks the underlying solver is wired with — threaded through
-//! the encode/decode pipeline.
+//! solver configuration, budget, cancellation token, tracer and metrics
+//! registry the underlying solver is wired with — threaded through the
+//! encode/decode pipeline.
 
 use std::fmt;
 use std::sync::Arc;
@@ -119,11 +119,10 @@ pub struct ColoringReport {
     /// final-conflict analysis found contradictory with the formula.
     /// `None` for unconditional answers.
     pub failed_assumptions: Option<Vec<Lit>>,
-    /// Flight-recorder postmortem for a budget-stopped or cancelled run
-    /// ([`ColoringOutcome::Unknown`]) when the request attached an enabled
-    /// flight recorder via [`SolveRequest::flight`]; it lists the run's
-    /// assumptions. `None` for decided runs and for runs without a
-    /// recorder.
+    /// Postmortem of a budget-stopped or cancelled run
+    /// ([`ColoringOutcome::Unknown`]) when the request's tracer is
+    /// enabled (see [`SolveRequest::trace`]); it lists the run's
+    /// assumptions. `None` for decided runs and for untraced runs.
     pub postmortem: Option<Postmortem>,
 }
 
@@ -281,12 +280,11 @@ impl Strategy {
 /// [`Strategy::solve`].
 ///
 /// Run control comes from the request's [`RunContext`]. The budget bounds
-/// the SAT-solving stage. An observer added with [`SolveRequest::observe`]
-/// receives the solver's event stream. A tracer records `encode` (with
-/// per-encoding CNF-size counters), `solve` and `decode` spans under the
-/// caller's current span; the solver's events and flight samples are
-/// bridged onto the `solve` span. A metrics registry receives the solver's `solver.*`
-/// counters and LBD/restart-interval histograms, the encoder's
+/// the SAT-solving stage. A tracer records `encode` (with per-encoding
+/// CNF-size counters), `solve` and `decode` spans under the caller's
+/// current span; the solver writes its counters, samples and `outcome`
+/// mark onto the `solve` span. A metrics registry receives the solver's
+/// `solver.*` counters and LBD/restart-interval histograms, the encoder's
 /// per-encoding CNF-size histograms (`encode.*.<encoding>`) and one
 /// `phase.*_us` wall-time histogram per pipeline phase.
 #[derive(Clone)]
@@ -589,15 +587,20 @@ mod tests {
 
     #[test]
     fn user_observer_receives_the_event_stream() {
+        use satroute_obs::{BufferSink, SpanForest, Tracer};
         let g = random_graph(14, 0.6, 4);
-        let user = Arc::new(crate::test_support::LastFinished::default());
+        let user = BufferSink::new();
         let report = Strategy::paper_baseline()
             .solve(&g, 3)
-            .observe(user.clone())
+            .trace(Tracer::to_sink(user.clone()))
             .run();
-        // The user's observer saw the solve's Finished event.
-        let (verdict, stats) = user.get().expect("Finished arrived");
-        assert_eq!(stats, report.solver_stats);
-        assert_eq!(verdict, report.outcome.verdict());
+        // The user's sink saw the solve's final counters and outcome.
+        let forest = SpanForest::from_events(&user.events()).unwrap();
+        let solve = forest.spans_named("solve")[0];
+        let stats = report.solver_stats;
+        assert_eq!(solve.counters["conflicts"], stats.conflicts);
+        assert_eq!(solve.counters["decisions"], stats.decisions);
+        assert_eq!(solve.counters["propagations"], stats.propagations);
+        assert_eq!(solve.marks["outcome"], report.outcome.verdict().to_string());
     }
 }

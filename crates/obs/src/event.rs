@@ -166,7 +166,7 @@ pub enum TraceEvent {
         /// Microseconds since the tracer's epoch.
         at_us: u64,
     },
-    /// A flight-recorder search-state capture. The event timestamp is
+    /// A solver search-state sample. The event timestamp is
     /// the tracer's clock; the sample's own `at_us` is relative to its
     /// solve's start.
     Sample {
@@ -449,8 +449,7 @@ mod tests {
             at_us: 44,
             sample: TimelineSample {
                 at_us: 41,
-                cause: crate::timeline::SampleCause::Restart.into(),
-                member: Some(1),
+                cause: crate::timeline::SampleCause::Restart,
                 conflicts: 512,
                 decisions: 900,
                 propagations: 40_000,

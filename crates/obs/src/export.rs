@@ -6,7 +6,7 @@
 //! reports use, so a JSONL artifact that passes `trace report` exports
 //! cleanly: spans become `ph:"X"` duration events, portfolio members
 //! and conquer cubes get their own named track rows, and
-//! counters/gauges/flight-recorder samples become `ph:"C"` counter
+//! counters/gauges/search-state samples become `ph:"C"` counter
 //! tracks (suffixed per member so concurrent solvers stay separable).
 
 use std::collections::BTreeMap;
@@ -118,7 +118,7 @@ impl Tracks {
 /// degrade to begin (`ph:"B"`) events so truncated artifacts still
 /// render. Portfolio members and conquer cubes are lifted onto their
 /// own named track rows (thread-name metadata events), and counters,
-/// gauges and flight-recorder samples become `ph:"C"` counter tracks,
+/// gauges and search-state samples become `ph:"C"` counter tracks,
 /// suffixed with the owning member/cube label.
 ///
 /// # Errors
@@ -221,10 +221,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Result<Value, String> {
                 at_us,
                 sample,
             } => {
-                let suffix = match sample.member {
-                    Some(m) => format!(" [m{m}]"),
-                    None => tracks.counter_suffix(*span),
-                };
+                let suffix = tracks.counter_suffix(*span);
                 let tid = span.map(|s| tracks.tid(s)).unwrap_or(0);
                 let finite = |x: f64| if x.is_finite() { x } else { 0.0 };
                 out.push(counter(
@@ -351,13 +348,14 @@ mod tests {
                 value: 64,
                 at_us: 20,
             },
+            // The member's solver samples on its own `solve` span.
+            span_start(3, Some(2), "solve", 25),
             TraceEvent::Sample {
-                span: Some(2),
+                span: Some(3),
                 at_us: 30,
                 sample: TimelineSample {
                     at_us: 20,
-                    cause: SampleCause::Conflict.into(),
-                    member: Some(0),
+                    cause: SampleCause::Conflict,
                     conflicts: 64,
                     trail: 12,
                     level: 4,
@@ -372,6 +370,7 @@ mod tests {
                     ..TimelineSample::default()
                 },
             },
+            TraceEvent::SpanEnd { id: 3, at_us: 80 },
             TraceEvent::SpanEnd { id: 2, at_us: 90 },
             TraceEvent::SpanEnd { id: 1, at_us: 100 },
         ]
@@ -391,7 +390,7 @@ mod tests {
                 .filter(|e| e.get("ph").and_then(Value::as_str) == Some(ph))
                 .collect()
         };
-        assert_eq!(of_ph("X").len(), 2, "{text}");
+        assert_eq!(of_ph("X").len(), 3, "{text}");
         assert!(of_ph("B").is_empty());
         // member span rides its own named track
         let member = of_ph("X")
@@ -410,13 +409,14 @@ mod tests {
             })
             .collect();
         assert_eq!(thread_names, vec!["member 0 (log/s1)"]);
-        // one plain counter + five sample-derived counter series
+        // one plain counter + five sample-derived counter series, all
+        // attributed to the enclosing member span
         let counters = of_ph("C");
         assert_eq!(counters.len(), 6, "{text}");
         assert!(counters.iter().all(|c| {
             c.get("name")
                 .and_then(Value::as_str)
-                .is_some_and(|n| n.ends_with("[member 0 (log/s1)]") || n.ends_with("[m0]"))
+                .is_some_and(|n| n.ends_with("[member 0 (log/s1)]"))
         }));
     }
 

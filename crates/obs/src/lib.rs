@@ -6,14 +6,19 @@
 //! its parent, start/end timestamps (µs since the tracer's epoch) and
 //! opening thread, and can carry typed [counters](SpanGuard::counter),
 //! [gauges](SpanGuard::gauge) and string [marks](SpanGuard::mark).
-//! Events fan out to pluggable [`TraceSink`]s: the in-memory
-//! [`TraceTree`] aggregator and the buffered JSONL [`TraceWriter`]
-//! (one JSON object per line, flushed on drop) that backs `--trace`
-//! artifacts. [`SpanForest`] re-builds and validates the span tree from
-//! any event stream, and [`TraceReport`] turns it into the per-phase /
-//! per-encoding / per-member tables behind `satroute trace report`.
+//! A traced solver also writes its work counters, its `outcome` mark and
+//! periodic search-state [samples](TimelineSample) onto its solve span,
+//! so a trace is a run's one event stream; a solve stopped by a budget
+//! keeps its last samples as a [`Postmortem`]. Events fan out to
+//! pluggable [`TraceSink`]s: the in-memory [`BufferSink`], the buffered
+//! JSONL [`TraceWriter`] (one JSON object per line, flushed on drop)
+//! that backs `--trace` artifacts, and the [`ProgressLogger`] behind
+//! `--progress`. [`SpanForest`] re-builds and validates the span tree
+//! from any event stream, and [`TraceReport`] turns it into the
+//! per-phase / per-encoding / per-member tables behind `satroute trace
+//! report`.
 //!
-//! Alongside the spans, a [`MetricsRegistry`] aggregates named atomic
+//! Alongside the trace, a [`MetricsRegistry`] aggregates named atomic
 //! counters, gauges and log-bucketed histograms (p50/p90/p99/max) fed
 //! from the solver and pipeline hot paths; snapshots subtract via
 //! [`MetricsSnapshot::delta`] and render to JSON or Prometheus-style
@@ -39,7 +44,7 @@ pub use export::{chrome_trace, collapsed_stacks};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use report::{CubeStats, EncodingStats, MemberStats, PhaseStats, TimelineReport, TraceReport};
 pub use table::{Align, TextTable};
-pub use timeline::{FlightRecorder, Postmortem, SampleCause, TimelineSample};
+pub use timeline::{Postmortem, SampleCause, TimelineSample};
 pub use tracer::{BufferSink, SpanGuard, TraceSink, Tracer};
-pub use tree::{SpanForest, SpanNode, TraceTree};
-pub use writer::TraceWriter;
+pub use tree::{SpanForest, SpanNode};
+pub use writer::{ProgressLogger, TraceWriter};

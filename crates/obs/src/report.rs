@@ -1,7 +1,7 @@
 //! Trace report analysis: aggregate a [`SpanForest`] into per-phase,
 //! per-encoding, per-member and per-cube tables, rendered as text or
 //! JSON — plus the [`TimelineReport`] time-series view built from
-//! flight-recorder samples.
+//! search-state samples.
 
 use std::collections::BTreeMap;
 
@@ -399,7 +399,7 @@ fn rate(first: Option<&TimelineSample>, last: Option<&TimelineSample>) -> f64 {
     }
 }
 
-/// One flight-recorder time series: the samples attached to one span,
+/// One search-state time series: the samples attached to one span,
 /// with its trajectory summarized.
 #[derive(Clone, Debug)]
 pub struct TimelineSeries {
@@ -466,7 +466,7 @@ impl TimelineSeries {
 }
 
 /// The time-series view of a trace: one [`TimelineSeries`] per span
-/// that carried flight-recorder samples, behind `satroute trace
+/// that carried search-state samples, behind `satroute trace
 /// timeline`.
 #[derive(Clone, Debug, Default)]
 pub struct TimelineReport {
@@ -500,8 +500,8 @@ impl TimelineReport {
         let mut out = String::new();
         if self.series.is_empty() {
             out.push_str(
-                "no flight-recorder samples in this trace \
-                 (record with --progress or --flight-record)\n",
+                "no search-state samples in this trace \
+                 (a traced solve writes them)\n",
             );
             return out;
         }

@@ -1,31 +1,24 @@
-//! The solver flight recorder: fixed-interval search-state samples in a
-//! lock-free bounded ring, and the budget postmortems built from them.
+//! Search-state samples and the budget postmortems built from them.
 //!
-//! A [`FlightRecorder`] is threaded through solve requests exactly like
-//! [`Tracer`](crate::tracer::Tracer) and
-//! [`MetricsRegistry`](crate::metrics::MetricsRegistry): the disabled
-//! handle (the `Default`) records nothing and costs one branch per
-//! boundary, so call sites attach it unconditionally. The CDCL solver
-//! feeds it [`TimelineSample`]s at conflict-interval and
-//! restart/reduce/GC boundaries — never per propagation — capturing
-//! where the search *was*: trail depth, decision level, learnt-database
-//! tiers, arena occupancy, the LBD trend and windowed rates.
+//! The CDCL solver takes a [`TimelineSample`] at conflict-interval and
+//! restart/reduce/GC/inprocessing/finish boundaries — never per
+//! propagation — whenever its tracer is enabled, and writes it onto the
+//! solve's span as a `sample` trace event. A sample captures where the
+//! search *was*: trail depth, decision level, learnt-database tiers,
+//! arena occupancy, the LBD trend and windowed rates.
 //!
-//! The ring is bounded and overwrites oldest-first, so a recorder on a
-//! runaway solve holds the *recent* history — exactly what a
-//! [`Postmortem`] needs when a budget trips: the last K samples, the
-//! terminal learnt/arena state, and the failed-assumption set if the
-//! stop happened inside an assumption probe.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! Each solver also keeps its last [`POSTMORTEM_WINDOW`] samples, so a
+//! solve that stops on a budget or cancellation reports a [`Postmortem`]:
+//! the trailing samples, the terminal learnt/arena state, and the
+//! assumptions of the stopped probe.
 
 use crate::json::Value;
 
 /// Which solver boundary produced a [`TimelineSample`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SampleCause {
     /// The fixed conflict-interval heartbeat.
+    #[default]
     Conflict,
     /// A restart boundary (backtrack to level 0).
     Restart,
@@ -64,28 +57,6 @@ impl SampleCause {
             _ => return None,
         })
     }
-
-    fn from_code(code: u64) -> SampleCause {
-        match code {
-            1 => SampleCause::Restart,
-            2 => SampleCause::Reduce,
-            3 => SampleCause::Gc,
-            4 => SampleCause::Finish,
-            5 => SampleCause::Inprocess,
-            _ => SampleCause::Conflict,
-        }
-    }
-
-    fn code(self) -> u64 {
-        match self {
-            SampleCause::Conflict => 0,
-            SampleCause::Restart => 1,
-            SampleCause::Reduce => 2,
-            SampleCause::Gc => 3,
-            SampleCause::Finish => 4,
-            SampleCause::Inprocess => 5,
-        }
-    }
 }
 
 impl std::fmt::Display for SampleCause {
@@ -104,9 +75,7 @@ pub struct TimelineSample {
     /// Microseconds since the solve started.
     pub at_us: u64,
     /// The boundary that produced the sample.
-    pub cause: SampleCauseField,
-    /// Portfolio member or cube index, when the run is labelled.
-    pub member: Option<u64>,
+    pub cause: SampleCause,
     /// Cumulative conflicts.
     pub conflicts: u64,
     /// Cumulative decisions.
@@ -137,31 +106,6 @@ pub struct TimelineSample {
     pub propagations_per_sec: f64,
 }
 
-/// Newtype wrapper so [`TimelineSample`] can derive `Default`
-/// (defaulting to [`SampleCause::Conflict`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SampleCauseField(pub SampleCause);
-
-impl Default for SampleCauseField {
-    fn default() -> Self {
-        SampleCauseField(SampleCause::Conflict)
-    }
-}
-
-impl From<SampleCause> for SampleCauseField {
-    fn from(c: SampleCause) -> Self {
-        SampleCauseField(c)
-    }
-}
-
-impl std::ops::Deref for SampleCauseField {
-    type Target = SampleCause;
-    fn deref(&self) -> &SampleCause {
-        &self.0
-    }
-}
-
-/// Total live learnt clauses across the three tiers.
 impl TimelineSample {
     /// Live learnt clauses summed over the tiers.
     pub fn learnts(&self) -> u64 {
@@ -172,7 +116,7 @@ impl TimelineSample {
     /// trace event and of postmortem artifacts).
     pub fn to_json(&self) -> Value {
         let finite = |x: f64| if x.is_finite() { x } else { 0.0 };
-        let mut entries = vec![
+        Value::object([
             ("at_us", Value::from(self.at_us)),
             ("cause", Value::from(self.cause.as_str())),
             ("conflicts", Value::from(self.conflicts)),
@@ -195,11 +139,7 @@ impl TimelineSample {
                 "propagations_per_sec",
                 Value::Number(finite(self.propagations_per_sec)),
             ),
-        ];
-        if let Some(m) = self.member {
-            entries.push(("member", Value::from(m)));
-        }
-        Value::object(entries)
+        ])
     }
 
     /// Parses a sample from the object produced by
@@ -226,15 +166,9 @@ impl TimelineSample {
             .and_then(Value::as_str)
             .and_then(SampleCause::parse)
             .ok_or("sample needs a valid `cause`")?;
-        let member = match v.get("member") {
-            None | Some(Value::Null) => None,
-            Some(Value::Number(n)) if n.fract() == 0.0 && *n >= 0.0 => Some(*n as u64),
-            Some(other) => return Err(format!("sample has malformed `member`: {other:?}")),
-        };
         Ok(TimelineSample {
             at_us: u64_key("at_us")?,
-            cause: cause.into(),
-            member,
+            cause,
             conflicts: u64_key("conflicts")?,
             decisions: u64_key("decisions")?,
             propagations: u64_key("propagations")?,
@@ -251,251 +185,6 @@ impl TimelineSample {
             propagations_per_sec: f64_key("propagations_per_sec")?,
         })
     }
-
-    fn encode(&self, index: u64) -> [u64; SLOT_WORDS] {
-        [
-            index,
-            self.at_us,
-            self.cause.code() | (self.member.map_or(0, |m| (m << 8) | MEMBER_SET)),
-            self.conflicts,
-            self.decisions,
-            self.propagations,
-            self.restarts,
-            self.trail,
-            self.level,
-            self.tier_core,
-            self.tier_mid,
-            self.tier_local,
-            self.arena_live_bytes,
-            self.arena_dead_bytes,
-            self.lbd_ema.to_bits(),
-            self.conflicts_per_sec.to_bits(),
-            self.propagations_per_sec.to_bits(),
-        ]
-    }
-
-    fn decode(words: &[u64; SLOT_WORDS]) -> (u64, TimelineSample) {
-        let tag = words[2];
-        let sample = TimelineSample {
-            at_us: words[1],
-            cause: SampleCause::from_code(tag & CAUSE_MASK).into(),
-            member: (tag & MEMBER_SET != 0).then_some(tag >> 8),
-            conflicts: words[3],
-            decisions: words[4],
-            propagations: words[5],
-            restarts: words[6],
-            trail: words[7],
-            level: words[8],
-            tier_core: words[9],
-            tier_mid: words[10],
-            tier_local: words[11],
-            arena_live_bytes: words[12],
-            arena_dead_bytes: words[13],
-            lbd_ema: f64::from_bits(words[14]),
-            conflicts_per_sec: f64::from_bits(words[15]),
-            propagations_per_sec: f64::from_bits(words[16]),
-        };
-        (words[0], sample)
-    }
-}
-
-const SLOT_WORDS: usize = 17;
-const CAUSE_MASK: u64 = 0x7f;
-const MEMBER_SET: u64 = 0x80;
-
-/// One seqlock-protected slot of the ring: an even sequence number means
-/// the words are consistent; writers flip it odd for the duration of the
-/// store. Every access is an atomic word operation, so the whole ring is
-/// safe code with no torn reads possible.
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; SLOT_WORDS],
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-struct Ring {
-    /// Next global sample index; `index % capacity` picks the slot.
-    cursor: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-/// A lock-free, bounded, overwrite-oldest ring buffer of
-/// [`TimelineSample`]s — the solver's flight recorder.
-///
-/// Cloning is cheap (an `Arc` bump, or nothing when disabled); the
-/// disabled recorder is the `Default`, so call sites thread it
-/// unconditionally and pay a single branch when recording is off —
-/// the same contract as [`Tracer`](crate::tracer::Tracer) and
-/// [`MetricsRegistry`](crate::metrics::MetricsRegistry).
-///
-/// Clones share one ring. [`FlightRecorder::labelled`] derives a handle
-/// that stamps a member/cube id into every sample it records, so a
-/// portfolio feeds one ring from many threads and the samples stay
-/// attributable. Writers never block: two threads racing for the same
-/// slot (one full lap apart) drop the late sample instead of waiting.
-///
-/// # Examples
-///
-/// ```
-/// use satroute_obs::timeline::{FlightRecorder, SampleCause, TimelineSample};
-///
-/// let recorder = FlightRecorder::with_capacity(4);
-/// for i in 0..6 {
-///     recorder.record(&TimelineSample {
-///         conflicts: i,
-///         cause: SampleCause::Conflict.into(),
-///         ..TimelineSample::default()
-///     });
-/// }
-/// let kept: Vec<u64> = recorder.samples().iter().map(|s| s.conflicts).collect();
-/// assert_eq!(kept, vec![2, 3, 4, 5]); // bounded: oldest overwritten
-/// ```
-#[derive(Clone, Default)]
-pub struct FlightRecorder {
-    ring: Option<Arc<Ring>>,
-    label: Option<u64>,
-}
-
-/// Default ring capacity: enough for the recent past of a long solve
-/// (at the solver's sampling interval this is minutes of history) while
-/// staying a few dozen KiB.
-pub const DEFAULT_RING_CAPACITY: usize = 256;
-
-impl FlightRecorder {
-    /// An enabled recorder with the [default
-    /// capacity](DEFAULT_RING_CAPACITY).
-    pub fn new() -> FlightRecorder {
-        FlightRecorder::with_capacity(DEFAULT_RING_CAPACITY)
-    }
-
-    /// An enabled recorder keeping the most recent `capacity` samples
-    /// (minimum 1).
-    pub fn with_capacity(capacity: usize) -> FlightRecorder {
-        let capacity = capacity.max(1);
-        FlightRecorder {
-            ring: Some(Arc::new(Ring {
-                cursor: AtomicU64::new(0),
-                slots: (0..capacity).map(|_| Slot::empty()).collect(),
-            })),
-            label: None,
-        }
-    }
-
-    /// A recorder that records nothing; every operation is one branch.
-    pub fn disabled() -> FlightRecorder {
-        FlightRecorder::default()
-    }
-
-    /// Whether samples are actually kept.
-    pub fn is_enabled(&self) -> bool {
-        self.ring.is_some()
-    }
-
-    /// A handle on the same ring that stamps `member` (a portfolio
-    /// member or cube index) into every sample it records.
-    #[must_use]
-    pub fn labelled(&self, member: u64) -> FlightRecorder {
-        FlightRecorder {
-            ring: self.ring.clone(),
-            label: Some(member),
-        }
-    }
-
-    /// The member label this handle stamps, if any.
-    pub fn label(&self) -> Option<u64> {
-        self.label
-    }
-
-    /// The ring capacity (0 when disabled).
-    pub fn capacity(&self) -> usize {
-        self.ring.as_ref().map_or(0, |r| r.slots.len())
-    }
-
-    /// Records one sample, overwriting the oldest when the ring is full.
-    /// Lock-free: a writer finding its slot mid-write (a racer one full
-    /// lap ahead) drops the sample rather than waiting.
-    pub fn record(&self, sample: &TimelineSample) {
-        let Some(ring) = &self.ring else { return };
-        let mut stamped = *sample;
-        if self.label.is_some() {
-            stamped.member = self.label;
-        }
-        let index = ring.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = &ring.slots[(index % ring.slots.len() as u64) as usize];
-        let seq = slot.seq.load(Ordering::Relaxed);
-        if seq % 2 != 0 {
-            return; // another writer owns the slot; drop, don't block
-        }
-        if slot
-            .seq
-            .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        for (word, value) in slot.words.iter().zip(stamped.encode(index)) {
-            word.store(value, Ordering::Relaxed);
-        }
-        slot.seq.store(seq + 2, Ordering::Release);
-    }
-
-    /// Samples recorded so far, oldest first. Slots being overwritten
-    /// concurrently are skipped, never torn.
-    pub fn samples(&self) -> Vec<TimelineSample> {
-        let Some(ring) = &self.ring else {
-            return Vec::new();
-        };
-        let mut indexed = Vec::with_capacity(ring.slots.len());
-        for slot in ring.slots.iter() {
-            let before = slot.seq.load(Ordering::Acquire);
-            if before == 0 || before % 2 != 0 {
-                continue; // never written, or a writer is mid-store
-            }
-            let mut words = [0u64; SLOT_WORDS];
-            for (out, word) in words.iter_mut().zip(slot.words.iter()) {
-                *out = word.load(Ordering::Relaxed);
-            }
-            if slot.seq.load(Ordering::Acquire) != before {
-                continue; // overwritten while reading
-            }
-            indexed.push(TimelineSample::decode(&words));
-        }
-        indexed.sort_by_key(|(index, _)| *index);
-        indexed.into_iter().map(|(_, sample)| sample).collect()
-    }
-
-    /// The most recent `k` samples, oldest of the window first.
-    pub fn last(&self, k: usize) -> Vec<TimelineSample> {
-        let mut all = self.samples();
-        let skip = all.len().saturating_sub(k);
-        all.drain(..skip);
-        all
-    }
-
-    /// Number of samples ever recorded (monotone; may exceed
-    /// [`FlightRecorder::capacity`]).
-    pub fn recorded(&self) -> u64 {
-        self.ring
-            .as_ref()
-            .map_or(0, |r| r.cursor.load(Ordering::Relaxed))
-    }
-}
-
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("enabled", &self.is_enabled())
-            .field("label", &self.label)
-            .finish()
-    }
 }
 
 /// How many trailing samples a [`Postmortem`] keeps.
@@ -504,16 +193,17 @@ pub const POSTMORTEM_WINDOW: usize = 16;
 /// The structured crash-dump of a run that stopped without an answer:
 /// what the search looked like when the budget tripped.
 ///
-/// Built from a [`FlightRecorder`] when a solve returns with a stop
-/// reason (deadline, conflict/decision/memory limit, cancellation);
-/// attached to coloring/member/cube reports and printed by the CLI on
-/// `--progress` runs.
+/// Built from the solver's last samples when a traced solve returns
+/// with a stop reason (deadline, conflict/decision/memory limit,
+/// cancellation); attached to coloring/member/cube reports and to a
+/// stopped pipeline's error, and printed by the CLI.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Postmortem {
     /// The stop reason's stable name (`deadline`, `conflict-limit`,
     /// `memory-limit`, `decision-limit`, `cancelled`).
     pub stop_reason: String,
-    /// Member/cube label of the run, when it had one.
+    /// The portfolio member or conquer cube index of the run, when it
+    /// was one.
     pub member: Option<u64>,
     /// The last [`POSTMORTEM_WINDOW`] samples, oldest first.
     pub samples: Vec<TimelineSample>,
@@ -527,26 +217,6 @@ pub struct Postmortem {
 }
 
 impl Postmortem {
-    /// Assembles a postmortem from the recorder's trailing window.
-    /// Samples not matching the recorder's label (other members sharing
-    /// the ring) are filtered out.
-    pub fn from_recorder(recorder: &FlightRecorder, stop_reason: impl Into<String>) -> Postmortem {
-        let label = recorder.label();
-        let mut samples = recorder.samples();
-        if label.is_some() {
-            samples.retain(|s| s.member == label);
-        }
-        let skip = samples.len().saturating_sub(POSTMORTEM_WINDOW);
-        samples.drain(..skip);
-        Postmortem {
-            stop_reason: stop_reason.into(),
-            member: label,
-            samples,
-            hottest_phase: None,
-            assumptions: Vec::new(),
-        }
-    }
-
     /// The terminal sample, if any was recorded.
     pub fn last_sample(&self) -> Option<&TimelineSample> {
         self.samples.last()
@@ -653,7 +323,7 @@ mod tests {
     fn sample(i: u64) -> TimelineSample {
         TimelineSample {
             at_us: i * 1000,
-            cause: SampleCause::Conflict.into(),
+            cause: SampleCause::Conflict,
             conflicts: i * 10,
             decisions: i * 20,
             propagations: i * 100,
@@ -672,43 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_is_inert() {
-        let r = FlightRecorder::disabled();
-        assert!(!r.is_enabled());
-        r.record(&sample(1));
-        assert!(r.samples().is_empty());
-        assert_eq!(r.capacity(), 0);
-        assert_eq!(r.recorded(), 0);
-        // A labelled view of a disabled recorder stays disabled.
-        assert!(!r.labelled(3).is_enabled());
-    }
-
-    #[test]
-    fn ring_keeps_the_most_recent_samples_in_order() {
-        let r = FlightRecorder::with_capacity(8);
-        for i in 0..20 {
-            r.record(&sample(i));
-        }
-        let got: Vec<u64> = r.samples().iter().map(|s| s.conflicts / 10).collect();
-        assert_eq!(got, (12..20).collect::<Vec<_>>());
-        assert_eq!(r.recorded(), 20);
-        let tail: Vec<u64> = r.last(3).iter().map(|s| s.conflicts / 10).collect();
-        assert_eq!(tail, vec![17, 18, 19]);
-    }
-
-    #[test]
-    fn labelled_handles_stamp_member_ids_into_a_shared_ring() {
-        let r = FlightRecorder::with_capacity(16);
-        let a = r.labelled(0);
-        let b = r.labelled(1);
-        a.record(&sample(1));
-        b.record(&sample(2));
-        a.record(&sample(3));
-        let members: Vec<Option<u64>> = r.samples().iter().map(|s| s.member).collect();
-        assert_eq!(members, vec![Some(0), Some(1), Some(0)]);
-    }
-
-    #[test]
     fn samples_survive_encode_decode_and_json_round_trips() {
         for cause in [
             SampleCause::Conflict,
@@ -719,11 +352,7 @@ mod tests {
             SampleCause::Inprocess,
         ] {
             let mut s = sample(7);
-            s.cause = cause.into();
-            s.member = Some(42);
-            let (idx, decoded) = TimelineSample::decode(&s.encode(9));
-            assert_eq!(idx, 9);
-            assert_eq!(decoded, s);
+            s.cause = cause;
             let parsed = TimelineSample::from_json(&s.to_json()).unwrap();
             assert_eq!(parsed, s);
             // JSON text parses back through the strict parser.
@@ -734,39 +363,12 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_writers_never_tear_samples() {
-        let r = FlightRecorder::with_capacity(32);
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let w = r.labelled(t);
-                std::thread::spawn(move || {
-                    for i in 0..500 {
-                        w.record(&sample(i));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        for s in r.samples() {
-            // Every field of a sample is internally consistent with the
-            // generator above; a torn read would break these relations.
-            let i = s.conflicts / 10;
-            assert_eq!(s.decisions, i * 20);
-            assert_eq!(s.propagations, i * 100);
-            assert_eq!(s.at_us, i * 1000);
-            assert!(s.member.is_some_and(|m| m < 4));
-        }
-    }
-
-    #[test]
     fn postmortem_summarizes_the_trailing_window() {
-        let r = FlightRecorder::with_capacity(64);
-        for i in 1..=40 {
-            r.record(&sample(i));
-        }
-        let pm = Postmortem::from_recorder(&r, "conflict-limit");
+        let pm = Postmortem {
+            stop_reason: "conflict-limit".into(),
+            samples: (25..=40).map(sample).collect(),
+            ..Postmortem::default()
+        };
         assert_eq!(pm.stop_reason, "conflict-limit");
         assert_eq!(pm.samples.len(), POSTMORTEM_WINDOW);
         assert_eq!(pm.last_sample().unwrap().conflicts, 400);
@@ -777,20 +379,5 @@ mod tests {
         assert!(text.contains("stopped: conflict-limit"), "{text}");
         assert!(text.contains("learnt DB"), "{text}");
         crate::json::parse(&pm.to_json().to_json()).unwrap();
-    }
-
-    #[test]
-    fn postmortem_filters_other_members_samples() {
-        let r = FlightRecorder::with_capacity(64);
-        let a = r.labelled(0);
-        let b = r.labelled(1);
-        for i in 1..=5 {
-            a.record(&sample(i));
-            b.record(&sample(100 + i));
-        }
-        let pm = Postmortem::from_recorder(&a, "deadline");
-        assert_eq!(pm.member, Some(0));
-        assert!(pm.samples.iter().all(|s| s.member == Some(0)));
-        assert_eq!(pm.samples.len(), 5);
     }
 }

@@ -212,7 +212,7 @@ impl Tracer {
         );
     }
 
-    /// Records a flight-recorder sample attached to `span` (0 = global).
+    /// Records a search-state sample attached to `span` (0 = global).
     pub fn sample(&self, span: SpanId, sample: &crate::timeline::TimelineSample) {
         let Some(inner) = &self.inner else { return };
         let mut state = inner.emit.lock().unwrap();
@@ -347,9 +347,11 @@ impl Drop for SpanGuard {
     }
 }
 
-/// A sink that appends events to a shared in-memory buffer — the
-/// building block for [`TraceTree`](crate::tree::TraceTree) and for
-/// tests.
+/// A sink that appends events to a shared in-memory buffer, for reading
+/// a run back in process ([`SpanForest::from_events`] over
+/// [`BufferSink::events`]) and for tests.
+///
+/// [`SpanForest::from_events`]: crate::tree::SpanForest::from_events
 #[derive(Clone, Default)]
 pub struct BufferSink {
     events: Arc<Mutex<Vec<TraceEvent>>>,

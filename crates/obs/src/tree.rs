@@ -1,10 +1,9 @@
-//! In-memory trace aggregation and span-tree reconstruction.
+//! Span-tree reconstruction.
 //!
-//! [`TraceTree`] is the live in-process aggregator (a sink you can hand
-//! to a [`Tracer`](crate::tracer::Tracer)); [`SpanForest`] is the
-//! validated tree built from any event stream — live or parsed back from
-//! a JSONL artifact. Reconstruction checks the structural invariants the
-//! tracer guarantees on write: no orphan parents, nondecreasing
+//! [`SpanForest`] is the validated tree built from any event stream —
+//! live from a [`BufferSink`](crate::tracer::BufferSink) or parsed back
+//! from a JSONL artifact. Reconstruction checks the structural invariants
+//! the tracer guarantees on write: no orphan parents, nondecreasing
 //! timestamps, ends after starts.
 
 use std::collections::BTreeMap;
@@ -12,7 +11,6 @@ use std::collections::HashMap;
 
 use crate::event::{FieldValue, SpanId, TraceEvent};
 use crate::timeline::TimelineSample;
-use crate::tracer::{BufferSink, TraceSink};
 
 /// A reconstructed span with its measurements and children.
 #[derive(Clone, Debug)]
@@ -38,7 +36,7 @@ pub struct SpanNode {
     pub gauges: BTreeMap<String, f64>,
     /// String annotations attached to the span (last value wins).
     pub marks: BTreeMap<String, String>,
-    /// Flight-recorder samples attached to the span, in emit order.
+    /// Search-state samples attached to the span, in emit order.
     pub samples: Vec<TimelineSample>,
     /// Child span ids, in start order.
     pub children: Vec<SpanId>,
@@ -261,49 +259,15 @@ impl SpanForest {
     }
 }
 
-/// A live in-memory aggregator: a sink that buffers events and can
-/// produce a [`SpanForest`] at any point.
-#[derive(Clone, Default)]
-pub struct TraceTree {
-    buffer: BufferSink,
-}
-
-impl TraceTree {
-    /// Creates an empty aggregator.
-    pub fn new() -> TraceTree {
-        TraceTree::default()
-    }
-
-    /// A snapshot of the raw events recorded so far.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.buffer.events()
-    }
-
-    /// Reconstructs the span forest from everything recorded so far.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SpanForest::from_events`] validation failures.
-    pub fn forest(&self) -> Result<SpanForest, String> {
-        SpanForest::from_events(&self.events())
-    }
-}
-
-impl TraceSink for TraceTree {
-    fn record(&mut self, event: &TraceEvent) {
-        self.buffer.record(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracer::Tracer;
+    use crate::tracer::{BufferSink, Tracer};
 
     #[test]
     fn live_tree_reconstructs_nesting_and_measurements() {
-        let tree = TraceTree::new();
-        let tracer = Tracer::to_sink(tree.clone());
+        let buffer = BufferSink::new();
+        let tracer = Tracer::to_sink(buffer.clone());
         {
             let route = tracer.span("route");
             {
@@ -313,7 +277,7 @@ mod tests {
             }
             route.mark("verdict", "unsat");
         }
-        let forest = tree.forest().unwrap();
+        let forest = SpanForest::from_events(&buffer.events()).unwrap();
         assert_eq!(forest.roots().len(), 1);
         let root = forest.node(forest.roots()[0]).unwrap();
         assert_eq!(root.name, "route");

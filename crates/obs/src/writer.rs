@@ -1,11 +1,14 @@
-//! Buffered JSONL trace artifact writer.
+//! Trace sinks that write: the buffered JSONL artifact writer and the
+//! human-readable progress logger.
 
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use crate::event::TraceEvent;
+use crate::event::{SpanId, TraceEvent};
 use crate::tracer::TraceSink;
 
 /// A [`TraceSink`] that writes one JSON object per line through a
@@ -114,6 +117,127 @@ impl<W: Write + Send> TraceSink for TraceWriter<W> {
     }
 }
 
+/// A [`TraceSink`] that writes one human-readable line per solve start,
+/// search-state sample and solve outcome — the CLI's `--progress`.
+///
+/// It reads what a solver writes onto its solve span: the `num_vars` and
+/// `num_clauses` counters at the start of a solve, `sample` events, and
+/// the `outcome` mark that ends the solve. Every line carries the label
+/// and the trace clock (`[label +1.2s]`), and the writer is flushed after
+/// each line so progress stays visible when stderr is redirected to a
+/// file. Write errors are ignored: progress output must never abort a
+/// solve.
+///
+/// Sample lines are rate-limited: one is dropped when less than the
+/// [minimum interval](ProgressLogger::with_min_interval) — 100 ms by
+/// default — has passed on the trace clock since the last line, so a hot
+/// solve cannot drown stderr. Start and outcome lines always pass.
+pub struct ProgressLogger {
+    label: String,
+    out: Box<dyn Write + Send>,
+    min_interval_us: u64,
+    last_line_us: Option<u64>,
+    /// Variables and start time of every solve that has started and not
+    /// yet ended, by span.
+    solves: HashMap<Option<SpanId>, (u64, u64)>,
+}
+
+impl ProgressLogger {
+    /// Logs to standard error with a `label` prefix.
+    pub fn stderr(label: impl Into<String>) -> Self {
+        ProgressLogger::to_writer(label, Box::new(io::stderr()))
+    }
+
+    /// Logs to an arbitrary writer.
+    pub fn to_writer(label: impl Into<String>, out: Box<dyn Write + Send>) -> Self {
+        ProgressLogger {
+            label: label.into(),
+            out,
+            min_interval_us: 100_000,
+            last_line_us: None,
+            solves: HashMap::new(),
+        }
+    }
+
+    /// Sets the minimum interval between a line and the next sample line
+    /// (`Duration::ZERO` disables throttling).
+    #[must_use]
+    pub fn with_min_interval(mut self, min_interval: Duration) -> Self {
+        self.min_interval_us = u64::try_from(min_interval.as_micros()).unwrap_or(u64::MAX);
+        self
+    }
+
+    fn line(&mut self, at_us: u64, text: std::fmt::Arguments) {
+        self.last_line_us = Some(at_us);
+        let secs = at_us as f64 / 1e6;
+        let _ = writeln!(self.out, "[{} +{secs:.1}s] {text}", self.label);
+        let _ = self.out.flush();
+    }
+}
+
+impl TraceSink for ProgressLogger {
+    fn record(&mut self, event: &TraceEvent) {
+        match event {
+            TraceEvent::Counter {
+                span,
+                name,
+                value,
+                at_us,
+            } => match name.as_str() {
+                "num_vars" => {
+                    self.solves.insert(*span, (*value, *at_us));
+                }
+                "num_clauses" => {
+                    if let Some(&(vars, _)) = self.solves.get(span) {
+                        self.line(*at_us, format_args!("start: {vars} vars, {value} clauses"));
+                    }
+                }
+                _ => {}
+            },
+            TraceEvent::Sample { at_us, sample, .. } => {
+                let recent = self
+                    .last_line_us
+                    .is_some_and(|last| at_us.saturating_sub(last) < self.min_interval_us);
+                if !recent {
+                    self.line(
+                        *at_us,
+                        format_args!(
+                            "{}: {} conflicts, {} decisions, {} props, {:.0} conflicts/s, \
+                             learnts={} (core {} / mid {} / local {}), lbd~{:.1}",
+                            sample.cause.as_str(),
+                            sample.conflicts,
+                            sample.decisions,
+                            sample.propagations,
+                            sample.conflicts_per_sec,
+                            sample.learnts(),
+                            sample.tier_core,
+                            sample.tier_mid,
+                            sample.tier_local,
+                            sample.lbd_ema,
+                        ),
+                    );
+                }
+            }
+            TraceEvent::Mark {
+                span,
+                name,
+                value,
+                at_us,
+            } if name == "outcome" => {
+                if let Some((_, start_us)) = self.solves.remove(span) {
+                    let secs = at_us.saturating_sub(start_us) as f64 / 1e6;
+                    self.line(*at_us, format_args!("done in {secs:.3}s: {value}"));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn flush(&mut self) {
+        let _ = self.out.flush();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,6 +299,52 @@ mod tests {
         handle.finish().expect("healthy writer finishes cleanly");
         let text = String::from_utf8(shared.0.lock().unwrap().clone()).unwrap();
         assert!(parse_jsonl(&text).unwrap().len() >= 2);
+    }
+
+    /// A traced solve's start counters, `samples` samples and outcome
+    /// mark, as a solver writes them.
+    fn traced_solve(tracer: &Tracer, samples: u64) {
+        let span = tracer.span("solve");
+        span.counter("num_vars", 3);
+        span.counter("num_clauses", 4);
+        for conflicts in 1..=samples {
+            let sample = crate::timeline::TimelineSample {
+                conflicts,
+                ..Default::default()
+            };
+            tracer.sample(span.id(), &sample);
+        }
+        span.mark("outcome", "sat");
+    }
+
+    #[test]
+    fn progress_logger_writes_lines() {
+        let shared = Shared(Arc::new(Mutex::new(Vec::new())));
+        let logger = ProgressLogger::to_writer("t", Box::new(shared.clone()))
+            .with_min_interval(Duration::ZERO);
+        traced_solve(&Tracer::to_sink(logger), 2);
+        let text = String::from_utf8(shared.0.lock().unwrap().clone()).unwrap();
+        assert!(text.contains("] start: 3 vars, 4 clauses"), "{text}");
+        assert!(text.contains("] conflict: 2 conflicts"), "{text}");
+        assert!(text.contains("] done in "), "{text}");
+        assert!(text.ends_with(": sat\n"), "{text}");
+        // Every line carries the label and the trace clock.
+        assert!(text.lines().all(|l| l.starts_with("[t +")), "{text}");
+        assert_eq!(text.lines().count(), 4, "{text}");
+    }
+
+    #[test]
+    fn progress_logger_throttles_intermediate_events() {
+        let shared = Shared(Arc::new(Mutex::new(Vec::new())));
+        // A one-hour interval: no sample can pass after the start line.
+        let logger = ProgressLogger::to_writer("t", Box::new(shared.clone()))
+            .with_min_interval(Duration::from_secs(3600));
+        traced_solve(&Tracer::to_sink(logger), 100);
+        let text = String::from_utf8(shared.0.lock().unwrap().clone()).unwrap();
+        // Start and outcome lines always land; the 100 samples are dropped.
+        assert_eq!(text.lines().count(), 2, "{text}");
+        assert!(text.contains("start:"), "{text}");
+        assert!(text.contains("done in"), "{text}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::run::{
     Boundary, CancellationToken, ClauseExchange, RunBudget, SearchView, SharingConfig, StopReason,
     Telemetry,
 };
-use satroute_obs::SpanId;
+use satroute_obs::{Postmortem, SpanId};
 
 /// Conflicts between cancellation-token polls.
 const CANCEL_POLL_INTERVAL: u64 = 256;
@@ -256,8 +256,7 @@ pub struct SolverStats {
     /// (after level-0 simplification; satisfied/tautological deliveries are
     /// not counted).
     pub imported_clauses: u64,
-    /// Restart boundaries that imported at least one clause (one
-    /// [`SolverEvent::Import`](crate::SolverEvent::Import) each).
+    /// Restart boundaries that imported at least one clause.
     pub import_batches: u64,
     /// Compacting garbage collections of the clause arena.
     pub gc_runs: u64,
@@ -602,12 +601,22 @@ impl CdclSolver {
         self.budget
     }
 
-    /// Moves the trace bridge of the solver's telemetry (see
+    /// Moves the span the solver's telemetry writes onto (see
     /// [`RunContext::solver`](crate::RunContext::solver)) to `span`,
-    /// keeping the registry deltas and flight-sample rates — for a solver
-    /// that lives across probes, each traced under its own span.
+    /// keeping the registry deltas and sample rates — for a solver that
+    /// lives across probes, each traced under its own span.
     pub fn set_trace_span(&mut self, span: SpanId) {
         self.telemetry.set_span(span);
+    }
+
+    /// The postmortem of the last solve, when it stopped without an
+    /// answer and the solver was built by
+    /// [`RunContext::solver`](crate::RunContext::solver) with an enabled
+    /// tracer: the stop reason and the solve's last
+    /// [`POSTMORTEM_WINDOW`](satroute_obs::timeline::POSTMORTEM_WINDOW)
+    /// samples. `None` for decided or untraced solves.
+    pub fn postmortem(&self) -> Option<Postmortem> {
+        self.telemetry.postmortem()
     }
 
     /// Connects this solver to a [`ClauseExchange`] for learnt-clause
@@ -866,7 +875,6 @@ impl CdclSolver {
         let outcome = self.solve_inner(assumptions);
         self.report(Boundary::Finish {
             verdict: outcome.verdict(),
-            elapsed: start.elapsed(),
         });
         outcome
     }
@@ -1199,7 +1207,7 @@ impl CdclSolver {
         self.norm_buf = normalized;
         if accepted > 0 {
             self.stats.import_batches += 1;
-            self.report(Boundary::Import { imported: accepted });
+            self.report(Boundary::Import);
         }
         self.ok
     }
@@ -1774,15 +1782,13 @@ impl CdclSolver {
     /// deleter, an inprocessing round, ends with the same retain — so no
     /// pre-filtering pass is needed.
     fn reduce_db(&mut self) {
-        let learnts_before = self.learnts.len();
         match self.config.reduce_policy {
             ReducePolicy::Activity => self.reduce_by_activity(),
             ReducePolicy::Tiered => self.reduce_tiered(),
         }
         self.learnts.retain(|&c| !self.arena.is_deleted(c));
         self.report(Boundary::Reduce {
-            learnts_before,
-            learnts_after: self.learnts.len(),
+            learnts: self.learnts.len(),
         });
         if self.arena.wants_gc(self.config.gc_dead_frac) {
             self.collect_garbage();
@@ -2229,36 +2235,34 @@ mod tests {
 
     #[test]
     fn observer_sees_started_finished_and_metrics() {
-        use crate::run::{RunContext, RunObserver, SolveVerdict, SolverEvent};
-        use std::sync::Mutex;
+        use crate::run::RunContext;
+        use satroute_obs::{BufferSink, SpanForest, Tracer};
 
-        #[derive(Default)]
-        struct Log(Mutex<Vec<SolverEvent>>);
-        impl RunObserver for Log {
-            fn on_event(&self, event: &SolverEvent) {
-                self.0.lock().unwrap().push(*event);
-            }
-        }
-
-        let log = Arc::new(Log::default());
+        let buffer = BufferSink::new();
         let registry = satroute_obs::MetricsRegistry::new();
         let ctx = RunContext {
-            observer: Some(log.clone()),
+            tracer: Tracer::to_sink(buffer.clone()),
             metrics: registry.clone(),
             ..RunContext::default()
         };
-        let mut s = ctx.solver(0);
+        let span = ctx.tracer.span("solve");
+        let mut s = ctx.solver(span.id());
         s.add_formula(&pigeonhole(5, 4));
         assert!(s.solve().is_unsat());
-        let events = log.0.lock().unwrap();
-        assert!(matches!(events.first(), Some(SolverEvent::Started { .. })));
-        let Some(SolverEvent::Finished { verdict, stats, .. }) = events.last() else {
-            panic!("the stream must end with Finished");
-        };
-        assert_eq!(*verdict, SolveVerdict::Unsat);
-        assert_eq!(stats, s.stats());
+        drop(span);
+        let forest = SpanForest::from_events(&buffer.events()).unwrap();
+        let solve = forest.spans_named("solve")[0];
+        // The start counters and the final outcome reached the span.
+        assert_eq!(solve.counters["num_vars"], u64::from(s.num_vars()));
+        assert_eq!(solve.marks["outcome"], "unsat");
+        let stats = s.stats();
+        assert_eq!(solve.counters["conflicts"], stats.conflicts);
         assert!(stats.conflicts > 0);
         assert!(stats.sum_lbd > 0, "learnt clauses must carry LBD");
+        assert!(
+            s.postmortem().is_none(),
+            "a decided solve has no postmortem"
+        );
         // The registry saw the same work, one LBD per learnt clause.
         let snap = registry.snapshot();
         assert_eq!(snap.counter("solver.conflicts"), Some(stats.conflicts));

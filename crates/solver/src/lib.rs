@@ -22,10 +22,11 @@
 //! observability (see [`run`]): declarative [`RunBudget`]s (wall-clock
 //! deadline, conflict/decision/memory caps), cooperative cancellation via
 //! [`CancellationToken`], and one telemetry sink per solver (filled by
-//! [`RunContext::solver`]) that feeds a metrics registry, a flight
-//! recorder, a tracer and a [`RunObserver`] receiving the
-//! [`SolverEvent`] stream. An early stop is reported as
-//! [`SolveOutcome::Unknown`] carrying a typed [`StopReason`].
+//! [`RunContext::solver`]) that writes the solve's counters, samples and
+//! outcome onto its trace span and feeds a metrics registry. An early
+//! stop is reported as [`SolveOutcome::Unknown`] carrying a typed
+//! [`StopReason`], and a traced one keeps a
+//! [`postmortem`](CdclSolver::postmortem).
 //!
 //! # Examples
 //!
@@ -72,7 +73,7 @@ pub use luby::luby;
 pub use outcome::SolveOutcome;
 pub use proof::{rup_implied, CheckProofError, DratProof, ProofStep};
 pub use run::{
-    CancellationToken, ClauseExchange, ProgressLogger, RunBudget, RunContext, RunObserver,
-    SharingConfig, SolveVerdict, SolverEvent, StopReason, PROGRESS_LOG_MIN_INTERVAL,
+    CancellationToken, ClauseExchange, RunBudget, RunContext, SharingConfig, SolveVerdict,
+    StopReason,
 };
-pub use satroute_obs::{FlightRecorder, SampleCause, TimelineSample};
+pub use satroute_obs::{Postmortem, SampleCause, TimelineSample};

@@ -333,6 +333,10 @@ fn is_rup(db: &[Vec<Lit>], num_vars: u32, clause: &[Lit]) -> bool {
                         break;
                     }
                     1 => {}
+                    // A repeated literal counts once, so `x ∨ x` propagates
+                    // `x` as the solver's unit does. `count` is exact up to
+                    // one distinct literal and at least 2 beyond.
+                    _ if unassigned == Some(l) => {}
                     _ => {
                         unassigned = Some(l);
                         count += 1;
@@ -382,6 +386,18 @@ mod tests {
         let mut proof = DratProof::new();
         proof.push_add(vec![lit(1)]); // RUP: assume ¬1, clauses force conflict
         proof.push_add(vec![]); // with unit 1, UP on (¬1∨2), (¬1∨¬2) conflicts
+        proof.check(&f).unwrap();
+    }
+
+    #[test]
+    fn a_repeated_literal_propagates_as_a_unit() {
+        // (x ∨ x) ∧ (¬x ∨ y) ∧ (¬x ∨ ¬y): the first clause is the unit x.
+        let mut f = CnfFormula::new();
+        f.add_clause([lit(1), lit(1)]);
+        f.add_clause([lit(-1), lit(2)]);
+        f.add_clause([lit(-1), lit(-2)]);
+        let mut proof = DratProof::new();
+        proof.push_add(vec![]);
         proof.check(&f).unwrap();
     }
 

@@ -1,4 +1,4 @@
-//! Run control and observability: budgets, cancellation, solver events.
+//! Run control: budgets, cancellation and the solver's telemetry.
 //!
 //! This module is the contract between long-running solves and the code
 //! that supervises them (portfolio runners, benchmark harnesses, the CLI):
@@ -14,75 +14,68 @@
 //! * [`CancellationToken`] — a cheap-to-clone handle for cooperative
 //!   cancellation across threads.
 //! * [`RunContext`] — the one value bundling configuration, budget,
-//!   cancellation, observer, tracer, metrics registry and flight recorder
-//!   that every request holds and forwards; it builds wired solvers.
+//!   cancellation, tracer and metrics registry that every request holds
+//!   and forwards; it builds wired solvers.
 //! * `Telemetry` — a solver's one telemetry sink, filled from the
 //!   context by [`RunContext::solver`]. The solver reports each boundary
-//!   of a solve to it with one call, and it feeds the registry's
-//!   `solver.*` instruments, the flight-recorder ring, the tracer
-//!   (bridged onto the solve's span) and the caller's observer.
-//! * [`SolverEvent`] / [`RunObserver`] — a typed event stream (restarts,
-//!   clause-database reductions, periodic progress with rates and the
-//!   learnt-clause LBD trend) delivered to the caller's sink, such as
-//!   [`ProgressLogger`] (human-readable lines).
+//!   of a solve to it with one call. It writes the solve's events onto
+//!   the solve's span — counters, the LBD trend, search-state samples
+//!   and the `outcome` mark — and feeds the registry's aggregate
+//!   `solver.*` instruments. A stopped traced solve keeps its last
+//!   samples as a [`Postmortem`].
 //!
 //! # Examples
 //!
-//! Give a solve two seconds and watch its events:
+//! Give a solve two seconds and read its outcome off the trace:
 //!
 //! ```
-//! use std::sync::{Arc, Mutex};
 //! use std::time::Duration;
 //! use satroute_cnf::{CnfFormula, Lit};
-//! use satroute_solver::{RunBudget, RunContext, RunObserver, SolveVerdict, SolverEvent};
-//!
-//! #[derive(Default)]
-//! struct LastVerdict(Mutex<Option<SolveVerdict>>);
-//!
-//! impl RunObserver for LastVerdict {
-//!     fn on_event(&self, event: &SolverEvent) {
-//!         if let SolverEvent::Finished { verdict, .. } = event {
-//!             *self.0.lock().unwrap() = Some(*verdict);
-//!         }
-//!     }
-//! }
+//! use satroute_obs::{BufferSink, SpanForest, Tracer};
+//! use satroute_solver::{RunBudget, RunContext};
 //!
 //! let mut f = CnfFormula::new();
 //! let a = f.new_var();
 //! f.add_clause([Lit::positive(a)]);
 //!
-//! let last = Arc::new(LastVerdict::default());
+//! let buffer = BufferSink::new();
 //! let ctx = RunContext {
 //!     budget: RunBudget::new().with_wall(Duration::from_secs(2)),
-//!     observer: Some(last.clone()),
+//!     tracer: Tracer::to_sink(buffer.clone()),
 //!     ..RunContext::default()
 //! };
-//! let mut solver = ctx.solver(0);
+//! let span = ctx.tracer.span("solve");
+//! let mut solver = ctx.solver(span.id());
 //! solver.add_formula(&f);
 //! assert!(solver.solve().is_sat());
-//! assert_eq!(*last.0.lock().unwrap(), Some(SolveVerdict::Sat));
+//! drop(span);
+//! let forest = SpanForest::from_events(&buffer.events()).unwrap();
+//! let solve = forest.spans_named("solve")[0];
+//! assert_eq!(solve.marks["outcome"], "sat");
 //! ```
 
+use std::collections::VecDeque;
 use std::fmt;
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use satroute_cnf::Lit;
+use satroute_obs::timeline::POSTMORTEM_WINDOW;
 use satroute_obs::{
-    Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, SampleCause, SpanId,
-    TimelineSample, Tracer,
+    Counter, Gauge, Histogram, MetricsRegistry, Postmortem, SampleCause, SpanId, TimelineSample,
+    Tracer,
 };
 
 use crate::cdcl::{CdclSolver, SolverConfig, SolverStats};
 use crate::preprocess::PREPROCESS_COUNTERS;
 
-/// Conflicts between [`SolverEvent::Progress`] emissions.
-const PROGRESS_INTERVAL: u64 = 1024;
-/// Conflicts between flight-recorder heartbeat samples (restart, reduce,
-/// GC, inprocessing and finish boundaries sample regardless).
-const FLIGHT_SAMPLE_INTERVAL: u64 = 256;
+/// Conflicts between the heartbeat counters and `lbd_ema` gauge written
+/// onto a traced solve's span.
+const HEARTBEAT_INTERVAL: u64 = 1024;
+/// Conflicts between heartbeat samples (restart, reduce, GC,
+/// inprocessing and finish boundaries sample regardless).
+const SAMPLE_INTERVAL: u64 = 256;
 
 /// Why a solve stopped without a SAT/UNSAT answer.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -340,14 +333,14 @@ impl RunBudget {
 }
 
 /// Everything that controls one run apart from its input: the solver
-/// configuration, the [`RunBudget`], cancellation, the observer and the
-/// three telemetry sinks.
+/// configuration, the [`RunBudget`], cancellation and the two telemetry
+/// destinations.
 ///
 /// Every request in `satroute_core` (solve, incremental ladder, explain,
 /// conquer, portfolio, routing pipeline) holds one context and forwards it
 /// unchanged to the requests it spawns, so a caller configures a run the
 /// same way whatever the entry point. The default is the classic
-/// unlimited, unobserved, untraced search.
+/// unlimited, untraced search.
 ///
 /// # Examples
 ///
@@ -380,51 +373,38 @@ pub struct RunContext {
     /// Cooperative cancellation; `None` means the run cannot be cancelled
     /// from outside.
     pub cancel: Option<CancellationToken>,
-    /// The caller's sink for every solve's [`SolverEvent`] stream.
-    pub observer: Option<Arc<dyn RunObserver>>,
-    /// Span destination; the disabled default records nothing.
+    /// Where every solve's events, samples and outcome go; the disabled
+    /// default records nothing.
     pub tracer: Tracer,
-    /// Metrics destination; the disabled default records nothing.
+    /// Aggregate counters, gauges and histograms; the disabled default
+    /// records nothing.
     pub metrics: MetricsRegistry,
-    /// Search-state sampling ring; the disabled default records nothing.
-    pub flight: FlightRecorder,
 }
 
 impl RunContext {
     /// A fresh solver with this context's configuration, budget and
-    /// cancellation token, whose telemetry feeds this context's registry,
-    /// flight recorder and observer and bridges its tracer onto `span`
-    /// (`0` for no span; see
+    /// cancellation token, whose telemetry feeds this context's registry
+    /// and writes onto `span` of its tracer (`0` for no span; see
     /// [`CdclSolver::set_trace_span`](crate::CdclSolver::set_trace_span)).
     pub fn solver(&self, span: SpanId) -> CdclSolver {
         let mut solver = CdclSolver::with_config(self.config.clone());
-        solver.telemetry = self.telemetry(span);
+        solver.telemetry = Telemetry {
+            active: self.metrics.is_enabled() || self.tracer.is_enabled(),
+            registry: self
+                .metrics
+                .is_enabled()
+                .then(|| SolverInstruments::new(&self.metrics)),
+            trace: self
+                .tracer
+                .is_enabled()
+                .then(|| (self.tracer.clone(), span)),
+            ..Telemetry::default()
+        };
         solver.set_budget(self.budget);
         if let Some(token) = &self.cancel {
             solver.set_cancellation(token.clone());
         }
         solver
-    }
-
-    /// The telemetry sink of one solver: this context's registry, flight
-    /// recorder and observer, and its tracer bridged onto `span`.
-    fn telemetry(&self, span: SpanId) -> Telemetry {
-        let mut telemetry = Telemetry {
-            active: false,
-            registry: self
-                .metrics
-                .is_enabled()
-                .then(|| SolverInstruments::new(&self.metrics)),
-            flight: self.flight.clone(),
-            flight_last: None,
-            trace: self
-                .tracer
-                .is_enabled()
-                .then(|| (self.tracer.clone(), span)),
-            observer: self.observer.clone(),
-        };
-        telemetry.active = telemetry.registry.is_some() || telemetry.fans_out();
-        telemetry
     }
 }
 
@@ -434,16 +414,14 @@ impl fmt::Debug for RunContext {
             .field("config", &self.config)
             .field("budget", &self.budget)
             .field("cancelled", &self.cancel.as_ref().map(|c| c.is_cancelled()))
-            .field("observed", &self.observer.is_some())
             .field("traced", &self.tracer.is_enabled())
             .field("metered", &self.metrics.is_enabled())
-            .field("recorded", &self.flight.is_enabled())
             .finish()
     }
 }
 
 /// The verdict part of a [`SolveOutcome`](crate::SolveOutcome), without the
-/// model — what observers and metrics carry.
+/// model — what a traced solve's `outcome` mark carries.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SolveVerdict {
     /// A model was found.
@@ -476,272 +454,6 @@ impl SolveVerdict {
     }
 }
 
-/// One point of the solver's event stream.
-///
-/// Events arrive in a fixed grammar per solve:
-/// `Started (Restart | Reduce | Progress | Import | Inprocess)* Finished`, with
-/// `Progress` conflict counts nondecreasing and `Restart` numbers
-/// increasing by one. `Import` is emitted only when a [`ClauseExchange`]
-/// is installed and delivered at least one clause at a restart boundary.
-#[derive(Clone, Copy, Debug)]
-pub enum SolverEvent {
-    /// A solve began.
-    Started {
-        /// Variables known to the solver.
-        num_vars: u32,
-        /// Clauses loaded (original, not learnt).
-        num_clauses: usize,
-    },
-    /// The solver restarted (backtracked to level 0 on the Luby schedule).
-    Restart {
-        /// Restart ordinal (1-based, cumulative across solves).
-        restarts: u64,
-        /// Conflicts seen so far.
-        conflicts: u64,
-    },
-    /// The learnt-clause database was reduced.
-    Reduce {
-        /// Learnt clauses before the reduction.
-        learnts_before: usize,
-        /// Learnt clauses surviving it.
-        learnts_after: usize,
-        /// Conflicts seen so far.
-        conflicts: u64,
-    },
-    /// Periodic progress (every 1024 conflicts).
-    Progress {
-        /// Conflicts so far.
-        conflicts: u64,
-        /// Decisions so far.
-        decisions: u64,
-        /// Propagations so far.
-        propagations: u64,
-        /// Exponential moving average of learnt-clause LBD (glue); low and
-        /// falling means the solver is learning useful clauses.
-        lbd_ema: f64,
-        /// Wall time since the solve started.
-        elapsed: Duration,
-    },
-    /// Clauses were imported from sharing peers (restart boundary).
-    Import {
-        /// Clauses accepted in this batch (after level-0 simplification).
-        imported: usize,
-        /// Cumulative imported-clause count.
-        total_imported: u64,
-        /// Conflicts seen so far.
-        conflicts: u64,
-    },
-    /// An inprocessing round finished (solve start or restart boundary,
-    /// only when [`SolverConfig::inprocess`](crate::SolverConfig) is
-    /// enabled). Counters are cumulative across the solver's lifetime.
-    Inprocess {
-        /// Rounds run so far.
-        runs: u64,
-        /// Literals removed by clause vivification.
-        vivified_literals: u64,
-        /// Clauses deleted by subsumption (including root-satisfied).
-        subsumed_clauses: u64,
-        /// Clauses strengthened by self-subsuming resolution.
-        strengthened_clauses: u64,
-        /// Variables removed by bounded variable elimination.
-        eliminated_vars: u64,
-        /// Conflicts seen so far.
-        conflicts: u64,
-    },
-    /// The solve returned.
-    Finished {
-        /// SAT / UNSAT / Unknown(reason).
-        verdict: SolveVerdict,
-        /// Cumulative work counters at the end of the solve.
-        stats: SolverStats,
-        /// Wall time of this solve.
-        elapsed: Duration,
-    },
-    /// A flight-recorder search-state capture (emitted only when a
-    /// [`FlightRecorder`] is attached; conflict-interval heartbeats plus
-    /// restart/reduce/GC/finish boundaries).
-    Sample {
-        /// The captured search state.
-        sample: TimelineSample,
-    },
-}
-
-/// A sink for [`SolverEvent`]s.
-///
-/// Observers are shared across threads (`Send + Sync`) and invoked from
-/// the solving thread; implementations use interior mutability and should
-/// return quickly — they sit on the restart/reduce path.
-pub trait RunObserver: Send + Sync {
-    /// Called by the solver at each event point.
-    fn on_event(&self, event: &SolverEvent);
-}
-
-/// An observer that writes one human-readable line per event.
-///
-/// Every line carries the wall time elapsed since the last `Started`
-/// event (`[label +1.2s]`), and the writer is flushed after each event so
-/// progress stays visible when stderr is redirected to a file. The
-/// default sink is standard error; [`ProgressLogger::to_writer`] accepts
-/// any `Write + Send` sink (tests use a `Vec<u8>` behind a `Mutex`).
-/// Write errors are ignored — progress output must never abort a solve.
-///
-/// Output is rate-limited: intermediate events (restart, reduce,
-/// progress, import) are dropped when less than the configured
-/// [minimum interval](ProgressLogger::with_min_interval) — 100 ms by
-/// default — has passed since the last emitted line, so a hot solve
-/// restarting thousands of times per second cannot drown stderr.
-/// Terminal events (`Started`, `Finished`) are always emitted.
-pub struct ProgressLogger {
-    label: String,
-    out: Mutex<Box<dyn Write + Send>>,
-    started: Mutex<Option<Instant>>,
-    min_interval: Duration,
-    last_emit: Mutex<Option<Instant>>,
-}
-
-/// Default floor between two emitted intermediate progress lines.
-pub const PROGRESS_LOG_MIN_INTERVAL: Duration = Duration::from_millis(100);
-
-impl ProgressLogger {
-    /// Logs to standard error with a `label` prefix.
-    pub fn stderr(label: impl Into<String>) -> Self {
-        ProgressLogger::to_writer(label, Box::new(std::io::stderr()))
-    }
-
-    /// Logs to an arbitrary writer.
-    pub fn to_writer(label: impl Into<String>, out: Box<dyn Write + Send>) -> Self {
-        ProgressLogger {
-            label: label.into(),
-            out: Mutex::new(out),
-            started: Mutex::new(None),
-            min_interval: PROGRESS_LOG_MIN_INTERVAL,
-            last_emit: Mutex::new(None),
-        }
-    }
-
-    /// Sets the minimum interval between two emitted intermediate lines
-    /// (`Duration::ZERO` disables throttling; tests use this to see
-    /// every event).
-    #[must_use]
-    pub fn with_min_interval(mut self, min_interval: Duration) -> Self {
-        self.min_interval = min_interval;
-        self
-    }
-}
-
-impl fmt::Debug for ProgressLogger {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ProgressLogger")
-            .field("label", &self.label)
-            .finish_non_exhaustive()
-    }
-}
-
-impl RunObserver for ProgressLogger {
-    fn on_event(&self, event: &SolverEvent) {
-        let terminal = matches!(
-            event,
-            SolverEvent::Started { .. } | SolverEvent::Finished { .. }
-        );
-        {
-            // Throttle intermediate events; terminal events always pass
-            // and reset the interval clock.
-            let mut last_emit = self.last_emit.lock().expect("logger lock never poisoned");
-            let now = Instant::now();
-            if !terminal {
-                if let Some(last) = *last_emit {
-                    if now.duration_since(last) < self.min_interval {
-                        return;
-                    }
-                }
-            }
-            *last_emit = Some(now);
-        }
-        let elapsed = {
-            let mut started = self.started.lock().expect("logger lock never poisoned");
-            if matches!(event, SolverEvent::Started { .. }) {
-                *started = Some(Instant::now());
-            }
-            started.map(|s| s.elapsed()).unwrap_or(Duration::ZERO)
-        };
-        let mut out = self.out.lock().expect("logger lock never poisoned");
-        let tag = format!("[{} +{:.1}s]", self.label, elapsed.as_secs_f64());
-        // Ignore write errors: logging must not interfere with solving.
-        let _ = match *event {
-            SolverEvent::Started {
-                num_vars,
-                num_clauses,
-            } => writeln!(out, "{tag} start: {num_vars} vars, {num_clauses} clauses"),
-            SolverEvent::Restart {
-                restarts,
-                conflicts,
-            } => writeln!(out, "{tag} restart #{restarts} at {conflicts} conflicts"),
-            SolverEvent::Reduce {
-                learnts_before,
-                learnts_after,
-                conflicts,
-            } => writeln!(
-                out,
-                "{tag} reduce: {learnts_before} -> {learnts_after} learnts at {conflicts} conflicts"
-            ),
-            SolverEvent::Progress {
-                conflicts,
-                decisions,
-                propagations,
-                lbd_ema,
-                elapsed,
-            } => writeln!(
-                out,
-                "{tag} {:.1}s: {conflicts} conflicts, {decisions} decisions, {propagations} props, lbd~{lbd_ema:.1}",
-                elapsed.as_secs_f64()
-            ),
-            SolverEvent::Import {
-                imported,
-                total_imported,
-                conflicts,
-            } => writeln!(
-                out,
-                "{tag} import: {imported} shared clauses ({total_imported} total) at {conflicts} conflicts"
-            ),
-            SolverEvent::Inprocess {
-                runs,
-                vivified_literals,
-                subsumed_clauses,
-                strengthened_clauses,
-                eliminated_vars,
-                conflicts,
-            } => writeln!(
-                out,
-                "{tag} inprocess #{runs} at {conflicts} conflicts: \
-                 {vivified_literals} lits vivified, {subsumed_clauses} subsumed, \
-                 {strengthened_clauses} strengthened, {eliminated_vars} vars eliminated"
-            ),
-            SolverEvent::Finished {
-                verdict, elapsed, ..
-            } => writeln!(
-                out,
-                "{tag} done in {:.3}s: {verdict:?}",
-                elapsed.as_secs_f64()
-            ),
-            // Recorder-backed line: the sampled phase, the conflict rate
-            // over the last sample window, and the learnt-DB breakdown.
-            SolverEvent::Sample { sample } => writeln!(
-                out,
-                "{tag} {}: {:.0} conflicts/s, learnts={} (core {} / mid {} / local {}), lbd~{:.1}",
-                sample.cause.as_str(),
-                sample.conflicts_per_sec,
-                sample.learnts(),
-                sample.tier_core,
-                sample.tier_mid,
-                sample.tier_local,
-                sample.lbd_ema,
-            ),
-        };
-        // Flush each line so progress survives redirection to a file.
-        let _ = out.flush();
-    }
-}
-
 /// A point in a solve at which the solver reports to its [`Telemetry`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Boundary {
@@ -755,35 +467,31 @@ pub(crate) enum Boundary {
         lbd: u32,
     },
     Restart,
-    /// The learnt-clause database was reduced.
+    /// The learnt-clause database was reduced to this many clauses.
     Reduce {
-        learnts_before: usize,
-        learnts_after: usize,
+        learnts: usize,
     },
     /// The clause arena was compacted.
     Gc {
         reclaimed_bytes: u64,
     },
-    /// This many peer clauses were imported at a restart boundary.
-    Import {
-        imported: usize,
-    },
+    /// Peer clauses were imported at a restart boundary.
+    Import,
     /// An inprocessing round finished.
     Inprocess,
-    /// The solve returned after `elapsed`.
+    /// The solve returned.
     Finish {
         verdict: SolveVerdict,
-        elapsed: Duration,
     },
 }
 
 impl Boundary {
-    /// The flight-recorder sample this boundary takes, if any.
+    /// The sample this boundary takes, if any.
     fn sample_cause(&self, conflicts: u64) -> Option<SampleCause> {
         match self {
-            Boundary::Start { .. } | Boundary::Import { .. } => None,
+            Boundary::Start { .. } | Boundary::Import => None,
             Boundary::Conflict { .. } => conflicts
-                .is_multiple_of(FLIGHT_SAMPLE_INTERVAL)
+                .is_multiple_of(SAMPLE_INTERVAL)
                 .then_some(SampleCause::Conflict),
             Boundary::Restart => Some(SampleCause::Restart),
             Boundary::Reduce { .. } => Some(SampleCause::Reduce),
@@ -792,64 +500,10 @@ impl Boundary {
             Boundary::Finish { .. } => Some(SampleCause::Finish),
         }
     }
-
-    /// The [`SolverEvent`] this boundary emits, if any.
-    fn event(&self, view: &SearchView) -> Option<SolverEvent> {
-        let stats = &view.stats;
-        Some(match *self {
-            Boundary::Start {
-                num_vars,
-                num_clauses,
-            } => SolverEvent::Started {
-                num_vars,
-                num_clauses,
-            },
-            Boundary::Conflict { .. } if stats.conflicts.is_multiple_of(PROGRESS_INTERVAL) => {
-                SolverEvent::Progress {
-                    conflicts: stats.conflicts,
-                    decisions: stats.decisions,
-                    propagations: stats.propagations,
-                    lbd_ema: view.lbd_ema,
-                    elapsed: view.solve_start.map(|s| s.elapsed()).unwrap_or_default(),
-                }
-            }
-            Boundary::Conflict { .. } | Boundary::Gc { .. } => return None,
-            Boundary::Restart => SolverEvent::Restart {
-                restarts: stats.restarts,
-                conflicts: stats.conflicts,
-            },
-            Boundary::Reduce {
-                learnts_before,
-                learnts_after,
-            } => SolverEvent::Reduce {
-                learnts_before,
-                learnts_after,
-                conflicts: stats.conflicts,
-            },
-            Boundary::Import { imported } => SolverEvent::Import {
-                imported,
-                total_imported: stats.imported_clauses,
-                conflicts: stats.conflicts,
-            },
-            Boundary::Inprocess => SolverEvent::Inprocess {
-                runs: stats.inprocess_runs,
-                vivified_literals: stats.vivified_literals,
-                subsumed_clauses: stats.subsumed_clauses,
-                strengthened_clauses: stats.strengthened_clauses,
-                eliminated_vars: stats.eliminated_vars,
-                conflicts: stats.conflicts,
-            },
-            Boundary::Finish { verdict, elapsed } => SolverEvent::Finished {
-                verdict,
-                stats: *stats,
-                elapsed,
-            },
-        })
-    }
 }
 
 /// What the solver shows its [`Telemetry`] at a boundary: the work
-/// counters and the search state a flight sample captures.
+/// counters and the search state a sample captures.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SearchView {
     pub(crate) stats: SolverStats,
@@ -869,52 +523,50 @@ pub(crate) struct SearchView {
 ///
 /// The solver reports each boundary of a solve — start, conflict,
 /// restart, reduce, GC, import, inprocessing round and finish — with one
-/// call, and the sink feeds up to four subscribers from it:
+/// call, and the sink writes it to up to two destinations:
 ///
+/// * the tracer, onto the solve's span: `num_vars`/`num_clauses` at the
+///   start; `conflicts`/`decisions`/`propagations` counters and the
+///   `lbd_ema` gauge every 1024 conflicts; `restarts`, `learnts`,
+///   `imported_clauses` and the inprocessing counters at their
+///   boundaries; a [`TimelineSample`] every 256 conflicts and at
+///   restart, reduce, GC, inprocessing and finish boundaries — never per
+///   propagation; and the final work counters then an `outcome` mark. The
+///   sink keeps the current solve's last [`POSTMORTEM_WINDOW`] samples
+///   for the [`Postmortem`] of a solve that stops without an answer;
 /// * the registry's `solver.*` instruments, resolved once and fed as
 ///   deltas against the last flushed [`SolverStats`], so
-///   per-propagation work costs nothing;
-/// * the flight-recorder ring: a [`TimelineSample`] every 256 conflicts
-///   and at restart, reduce, GC, inprocessing and finish boundaries —
-///   never per propagation;
-/// * the tracer, bridged onto the solve's span: heartbeat counters from
-///   `Progress`, restart, import and inprocessing counters, every sample,
-///   and the final work counters plus an `outcome` mark;
-/// * the caller's [`RunObserver`], which sees the [`SolverEvent`] stream
-///   (samples included).
+///   per-propagation work costs nothing.
 ///
-/// Sampling only reads search state, so no subscriber perturbs the
-/// search. With nothing subscribed a boundary costs one branch; with only
+/// Sampling only reads search state, so tracing never perturbs the
+/// search. With nothing enabled a boundary costs one branch; with only
 /// the registry, a conflict is a direct call with no dynamic dispatch,
 /// lock or allocation.
 ///
-/// Filled by [`RunContext::solver`]; the default subscribes nothing.
+/// Filled by [`RunContext::solver`]; the default writes nothing.
 #[derive(Clone, Default)]
 pub(crate) struct Telemetry {
-    /// Whether anything is subscribed: the solver's one branch.
+    /// Whether anything is enabled: the solver's one branch.
     active: bool,
     registry: Option<SolverInstruments>,
-    flight: FlightRecorder,
-    /// `(conflicts, propagations, at_us)` of the previous flight sample,
-    /// from which the next sample's windowed rates are computed.
-    flight_last: Option<(u64, u64, u64)>,
     trace: Option<(Tracer, SpanId)>,
-    observer: Option<Arc<dyn RunObserver>>,
+    /// `(conflicts, propagations, at_us)` of the previous sample, from
+    /// which the next sample's windowed rates are computed.
+    last_sample: Option<(u64, u64, u64)>,
+    /// The current solve's last samples, oldest first.
+    recent: VecDeque<TimelineSample>,
+    /// Why the last traced solve stopped without an answer.
+    stopped: Option<StopReason>,
 }
 
 impl Telemetry {
-    /// Whether any subscriber is attached.
+    /// Whether anything is enabled.
     #[inline]
     pub(crate) fn is_active(&self) -> bool {
         self.active
     }
 
-    /// Whether a subscriber beyond the registry is attached.
-    fn fans_out(&self) -> bool {
-        self.flight.is_enabled() || self.trace.is_some() || self.observer.is_some()
-    }
-
-    /// Bridges later boundaries onto `span`; registry deltas and sample
+    /// Writes later boundaries onto `span`; registry deltas and sample
     /// rates carry over.
     pub(crate) fn set_span(&mut self, span: SpanId) {
         if let Some((_, current)) = &mut self.trace {
@@ -922,47 +574,79 @@ impl Telemetry {
         }
     }
 
-    /// Feeds one boundary to every subscriber. Events precede the
-    /// boundary's sample, except at finish, where `Finished` closes the
-    /// stream.
+    /// Feeds one boundary to the registry and writes it onto the span: a
+    /// boundary's sample comes before its counters, and at finish the
+    /// `outcome` mark comes last.
     pub(crate) fn record(&mut self, at: Boundary, view: &SearchView) {
         if let Some(registry) = &mut self.registry {
             registry.record(&at, view);
         }
-        if !self.fans_out() {
+        if self.trace.is_none() {
             return;
         }
-        let sample = match at.sample_cause(view.stats.conflicts) {
-            Some(cause) if self.flight.is_enabled() => Some(self.capture(cause, view)),
-            _ => None,
-        };
-        if self.trace.is_none() && self.observer.is_none() {
-            return;
+        match at {
+            Boundary::Start { .. } => self.recent.clear(),
+            Boundary::Finish { verdict } => self.stopped = verdict.stop_reason(),
+            _ => {}
         }
-        let sample = sample.map(|sample| SolverEvent::Sample { sample });
-        let event = at.event(view);
-        let ordered = match at {
-            Boundary::Finish { .. } => [sample, event],
-            _ => [event, sample],
+        let sample = at
+            .sample_cause(view.stats.conflicts)
+            .map(|cause| self.capture(cause, view));
+        let Some((tracer, span)) = &self.trace else {
+            return;
         };
-        for event in ordered.iter().flatten() {
-            if let Some(observer) = &self.observer {
-                observer.on_event(event);
+        let counters = |pairs: &[(&str, u64)]| {
+            for &(name, value) in pairs {
+                tracer.counter(*span, name, value);
             }
-            if let Some((tracer, span)) = &self.trace {
-                bridge(tracer, *span, event);
+        };
+        if let Some(sample) = &sample {
+            tracer.sample(*span, sample);
+        }
+        let stats = &view.stats;
+        let work = [
+            ("conflicts", stats.conflicts),
+            ("decisions", stats.decisions),
+            ("propagations", stats.propagations),
+        ];
+        match at {
+            Boundary::Start {
+                num_vars,
+                num_clauses,
+            } => counters(&[
+                ("num_vars", u64::from(num_vars)),
+                ("num_clauses", num_clauses as u64),
+            ]),
+            Boundary::Conflict { .. } if stats.conflicts.is_multiple_of(HEARTBEAT_INTERVAL) => {
+                counters(&work);
+                tracer.gauge(*span, "lbd_ema", view.lbd_ema);
+            }
+            Boundary::Conflict { .. } | Boundary::Gc { .. } => {}
+            Boundary::Restart => counters(&[("restarts", stats.restarts)]),
+            Boundary::Reduce { learnts } => counters(&[("learnts", learnts as u64)]),
+            Boundary::Import => counters(&[("imported_clauses", stats.imported_clauses)]),
+            Boundary::Inprocess => counters(&[
+                ("inprocess_runs", stats.inprocess_runs),
+                ("vivified_literals", stats.vivified_literals),
+                ("subsumed_clauses", stats.subsumed_clauses),
+                ("strengthened_clauses", stats.strengthened_clauses),
+                ("eliminated_vars", stats.eliminated_vars),
+            ]),
+            Boundary::Finish { verdict } => {
+                counters(&work);
+                tracer.mark(*span, "outcome", &verdict.to_string());
             }
         }
     }
 
-    /// Captures one sample of the search state into the flight ring.
+    /// Captures one sample of the search state into the trailing window.
     fn capture(&mut self, cause: SampleCause, view: &SearchView) -> TimelineSample {
         let stats = &view.stats;
         let at_us = view.solve_start.map_or(0, |s| {
             u64::try_from(s.elapsed().as_micros()).unwrap_or(u64::MAX)
         });
         let (mut conflicts_per_sec, mut propagations_per_sec) = (0.0, 0.0);
-        if let Some((conflicts0, propagations0, at0)) = self.flight_last {
+        if let Some((conflicts0, propagations0, at0)) = self.last_sample {
             if at_us > at0 {
                 let window_secs = (at_us - at0) as f64 / 1e6;
                 conflicts_per_sec = stats.conflicts.saturating_sub(conflicts0) as f64 / window_secs;
@@ -970,12 +654,11 @@ impl Telemetry {
                     stats.propagations.saturating_sub(propagations0) as f64 / window_secs;
             }
         }
-        self.flight_last = Some((stats.conflicts, stats.propagations, at_us));
+        self.last_sample = Some((stats.conflicts, stats.propagations, at_us));
         let [tier_core, tier_mid, tier_local] = view.tiers;
         let sample = TimelineSample {
             at_us,
-            cause: cause.into(),
-            member: self.flight.label(),
+            cause,
             conflicts: stats.conflicts,
             decisions: stats.decisions,
             propagations: stats.propagations,
@@ -991,8 +674,21 @@ impl Telemetry {
             conflicts_per_sec,
             propagations_per_sec,
         };
-        self.flight.record(&sample);
+        if self.recent.len() == POSTMORTEM_WINDOW {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(sample);
         sample
+    }
+
+    /// The postmortem of the last solve, when it was traced and stopped
+    /// without an answer: the stop reason and the solve's last samples.
+    pub(crate) fn postmortem(&self) -> Option<Postmortem> {
+        Some(Postmortem {
+            stop_reason: self.stopped?.to_string(),
+            samples: self.recent.iter().copied().collect(),
+            ..Postmortem::default()
+        })
     }
 }
 
@@ -1000,74 +696,8 @@ impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Telemetry")
             .field("metered", &self.registry.is_some())
-            .field("recorded", &self.flight.is_enabled())
             .field("span", &self.trace.as_ref().map(|(_, span)| *span))
-            .field("observed", &self.observer.is_some())
             .finish()
-    }
-}
-
-/// Writes one event onto `span`: heartbeat counters and the LBD gauge
-/// from `Progress`, restart, import and inprocessing counters, samples,
-/// and the final work counters plus an `outcome` mark from `Finished`.
-fn bridge(tracer: &Tracer, span: SpanId, event: &SolverEvent) {
-    let counters = |pairs: &[(&str, u64)]| {
-        for &(name, value) in pairs {
-            tracer.counter(span, name, value);
-        }
-    };
-    match *event {
-        SolverEvent::Started {
-            num_vars,
-            num_clauses,
-        } => counters(&[
-            ("num_vars", u64::from(num_vars)),
-            ("num_clauses", num_clauses as u64),
-        ]),
-        SolverEvent::Restart { restarts, .. } => counters(&[("restarts", restarts)]),
-        SolverEvent::Reduce { learnts_after, .. } => {
-            counters(&[("learnts", learnts_after as u64)]);
-        }
-        SolverEvent::Progress {
-            conflicts,
-            decisions,
-            propagations,
-            lbd_ema,
-            ..
-        } => {
-            counters(&[
-                ("conflicts", conflicts),
-                ("decisions", decisions),
-                ("propagations", propagations),
-            ]);
-            tracer.gauge(span, "lbd_ema", lbd_ema);
-        }
-        SolverEvent::Import { total_imported, .. } => {
-            counters(&[("imported_clauses", total_imported)]);
-        }
-        SolverEvent::Inprocess {
-            runs,
-            vivified_literals,
-            subsumed_clauses,
-            strengthened_clauses,
-            eliminated_vars,
-            ..
-        } => counters(&[
-            ("inprocess_runs", runs),
-            ("vivified_literals", vivified_literals),
-            ("subsumed_clauses", subsumed_clauses),
-            ("strengthened_clauses", strengthened_clauses),
-            ("eliminated_vars", eliminated_vars),
-        ]),
-        SolverEvent::Finished { verdict, stats, .. } => {
-            counters(&[
-                ("conflicts", stats.conflicts),
-                ("decisions", stats.decisions),
-                ("propagations", stats.propagations),
-            ]);
-            tracer.mark(span, "outcome", &verdict.to_string());
-        }
-        SolverEvent::Sample { sample } => tracer.sample(span, &sample),
     }
 }
 
@@ -1201,7 +831,7 @@ impl SolverInstruments {
                 self.flush(stats);
                 self.set_store(view);
             }
-            Boundary::Start { .. } | Boundary::Import { .. } => {}
+            Boundary::Start { .. } | Boundary::Import => {}
         }
     }
 
@@ -1248,65 +878,71 @@ mod tests {
         assert!(!RunBudget::new().with_max_decisions(5).is_unlimited());
     }
 
-    /// A writer whose bytes the test can read back.
-    struct Shared(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for Shared {
-        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(b);
-            Ok(b.len())
+    /// `n` pigeons into `n - 1` holes: UNSAT, and hard enough to run
+    /// thousands of conflicts for small `n`.
+    fn pigeonhole(n: i64) -> satroute_cnf::CnfFormula {
+        let p = |i: i64, j: i64| Lit::from_dimacs((n - 1) * i + j + 1);
+        let mut f = satroute_cnf::CnfFormula::new();
+        for i in 0..n {
+            f.add_clause((0..n - 1).map(|j| p(i, j)));
         }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
+        for j in 0..n - 1 {
+            for a in 0..n {
+                for b in a + 1..n {
+                    f.add_clause([!p(a, j), !p(b, j)]);
+                }
+            }
         }
+        f
     }
 
     #[test]
-    fn progress_logger_writes_lines() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let logger = ProgressLogger::to_writer("t", Box::new(Shared(buf.clone())))
-            .with_min_interval(Duration::ZERO);
-        logger.on_event(&SolverEvent::Started {
-            num_vars: 3,
-            num_clauses: 4,
-        });
-        logger.on_event(&SolverEvent::Restart {
-            restarts: 2,
-            conflicts: 200,
-        });
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        assert!(text.contains("[t +0.0s] start: 3 vars"), "{text}");
-        assert!(text.contains("restart #2 at 200 conflicts"), "{text}");
-        // Every line carries the elapsed-since-start tag.
-        assert!(text.lines().all(|l| l.starts_with("[t +")), "{text}");
-    }
+    fn telemetry_keeps_the_last_window_of_samples() {
+        let buffer = satroute_obs::BufferSink::new();
+        let ctx = RunContext {
+            budget: RunBudget::new().with_max_conflicts(8_000),
+            tracer: Tracer::to_sink(buffer.clone()),
+            ..RunContext::default()
+        };
+        let mut solver = ctx.solver(0);
+        solver.add_formula(&pigeonhole(9));
+        let outcome = solver.solve();
+        assert_eq!(
+            outcome.verdict().stop_reason(),
+            Some(StopReason::ConflictLimit)
+        );
+        let traced: Vec<TimelineSample> = buffer
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                satroute_obs::TraceEvent::Sample { sample, .. } => Some(sample),
+                _ => None,
+            })
+            .collect();
+        assert!(traced.len() > POSTMORTEM_WINDOW, "{} samples", traced.len());
+        let pm = solver.postmortem().expect("a stopped traced solve");
+        assert_eq!(pm.stop_reason, "conflict-limit");
+        // The window is the trace's last samples, oldest first.
+        assert_eq!(pm.samples, traced[traced.len() - POSTMORTEM_WINDOW..]);
+        assert_eq!(pm.last_sample().unwrap().cause, SampleCause::Finish);
 
-    #[test]
-    fn progress_logger_throttles_intermediate_events() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        // A one-hour interval: nothing intermediate can pass after Started.
-        let logger = ProgressLogger::to_writer("t", Box::new(Shared(buf.clone())))
-            .with_min_interval(Duration::from_secs(3600));
-        logger.on_event(&SolverEvent::Started {
-            num_vars: 1,
-            num_clauses: 1,
-        });
-        for n in 1..=100 {
-            logger.on_event(&SolverEvent::Restart {
-                restarts: n,
-                conflicts: n,
-            });
-        }
-        logger.on_event(&SolverEvent::Finished {
-            verdict: SolveVerdict::Sat,
-            stats: SolverStats::default(),
-            elapsed: Duration::from_millis(1),
-        });
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        // Terminal events always land; the 100 restarts are dropped.
-        assert_eq!(text.lines().count(), 2, "{text}");
-        assert!(text.contains("start:"), "{text}");
-        assert!(text.contains("done in"), "{text}");
+        // The next solve starts a fresh window: three more conflicts leave
+        // only that solve's few samples.
+        solver.set_budget(RunBudget::new().with_max_conflicts(8_003));
+        assert!(!solver.solve().is_sat());
+        let pm = solver.postmortem().expect("a stopped traced solve");
+        assert!(
+            pm.samples.len() < POSTMORTEM_WINDOW,
+            "{} samples",
+            pm.samples.len()
+        );
+
+        // An untraced solver never has a postmortem.
+        let mut plain = RunContext::default().solver(0);
+        plain.set_budget(RunBudget::new().with_max_conflicts(10));
+        plain.add_formula(&pigeonhole(9));
+        assert!(!plain.solve().is_sat());
+        assert!(plain.postmortem().is_none());
     }
 
     #[test]

@@ -15,19 +15,20 @@
 //! * [`core`] — the paper's contribution: 14 SAT encodings for CSPs,
 //!   symmetry breaking, the encoder/decoder, strategies and the parallel
 //!   portfolio, plus the end-to-end routing pipeline,
-//! * [`obs`] — the observability subsystem: hierarchical spans, JSONL
-//!   trace artifacts, the trace report analyzer, the metrics registry
-//!   (counters, gauges, log-bucketed histograms), the solver flight
-//!   recorder ([`FlightRecorder`], [`Postmortem`]) and the Chrome
+//! * [`obs`] — the observability subsystem: hierarchical spans that
+//!   carry every solve's counters, search-state samples and outcome,
+//!   JSONL trace artifacts and the `--progress` logger, the trace report
+//!   analyzer, budget postmortems ([`Postmortem`]), the metrics registry
+//!   (counters, gauges, log-bucketed histograms) and the Chrome
 //!   trace-event / folded-stack exporters,
 //! * [`bench`](mod@bench) — the table/figure-regeneration harness and the
 //!   `satroute bench` regression suites, `BENCH_*.json` artifacts and
 //!   the comparison gate.
 //!
-//! The run-control vocabulary (budgets, cancellation, observers) is
-//! re-exported at the crate root: [`RunContext`], [`RunBudget`],
-//! [`CancellationToken`], [`StopReason`], [`RunObserver`] and friends,
-//! as is the tracing vocabulary from [`obs`]: [`Tracer`], [`TraceWriter`],
+//! The run-control vocabulary (budgets, cancellation) is re-exported at
+//! the crate root: [`RunContext`], [`RunBudget`], [`CancellationToken`],
+//! [`StopReason`] and [`SolveVerdict`], as is the tracing vocabulary from
+//! [`obs`]: [`Tracer`], [`TraceWriter`], [`ProgressLogger`],
 //! [`SpanForest`] and [`TraceReport`] (see "Observability & tracing" in
 //! the README).
 //!
@@ -67,13 +68,10 @@ pub use satroute_fpga as fpga;
 pub use satroute_obs as obs;
 pub use satroute_solver as solver;
 
-pub use satroute_solver::{
-    CancellationToken, ProgressLogger, RunBudget, RunContext, RunObserver, SolveVerdict,
-    SolverEvent, StopReason,
-};
+pub use satroute_solver::{CancellationToken, RunBudget, RunContext, SolveVerdict, StopReason};
 
 pub use satroute_obs::{
-    chrome_trace, collapsed_stacks, parse_jsonl, FlightRecorder, MetricsRegistry, MetricsSnapshot,
-    Postmortem, SampleCause, SpanForest, TimelineReport, TimelineSample, TraceReport, TraceTree,
+    chrome_trace, collapsed_stacks, parse_jsonl, MetricsRegistry, MetricsSnapshot, Postmortem,
+    ProgressLogger, SampleCause, SpanForest, TimelineReport, TimelineSample, TraceReport,
     TraceWriter, Tracer,
 };

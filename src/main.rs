@@ -12,7 +12,7 @@
 //! satroute conquer <problem.txt> --width <W> [...]     cube-and-conquer one instance
 //! satroute explain <problem.txt> --width <W> [...]     blame a minimal net core for unroutability
 //! satroute trace report <trace.jsonl> [--json]         analyze a trace artifact
-//! satroute trace timeline <trace.jsonl> [--json]       flight-recorder time series
+//! satroute trace timeline <trace.jsonl> [--json]       search-state time series
 //! satroute trace export <trace.jsonl> --chrome <f>     Perfetto / flamegraph export
 //! satroute bench run [--suite <name>] [--filter S]     record a BENCH_*.json baseline + grid
 //! satroute bench compare <base> <cand> [--gate]        diff/gate two baselines
@@ -47,18 +47,19 @@
 //!
 //! Run control (every solving command): `--timeout <secs>` (wall-clock
 //! budget), `--max-conflicts <n>` (conflict budget), `--progress`
-//! (periodic solver progress on stderr), `--json` (machine-readable
-//! result on stdout). Budgets are cooperative — checked at conflict
-//! boundaries — so overshoot is bounded but nonzero; an exhausted budget
-//! reports UNKNOWN with its stop reason.
+//! (solver progress on stderr), `--json` (machine-readable result on
+//! stdout). Budgets are cooperative — checked at conflict boundaries — so
+//! overshoot is bounded but nonzero; an exhausted budget reports UNKNOWN
+//! with its stop reason.
 //!
-//! Flight recording: `--progress` or `--flight-record` turns on the
-//! solver's sampling ring (one search-state sample every 256 conflicts
-//! and at restart/reduce/GC boundaries). A run that stops on a budget or
-//! cancellation then prints a postmortem on stderr — stop reason, hottest
-//! phase, last-window conflict rate, learnt-DB and arena state — and a
-//! `--trace` artifact recorded alongside carries the samples for
-//! `trace timeline` and `trace export`.
+//! Progress and postmortems: `--progress` adds a progress logger to the
+//! command's tracer, which prints each solve's start, its search-state
+//! samples (one every 256 conflicts and at restart/reduce/GC boundaries,
+//! at most one line per 100 ms) and its outcome. A traced run — with
+//! `--progress` or `--trace` — that stops on a budget or cancellation
+//! prints a postmortem on stderr: stop reason, hottest phase, last-window
+//! conflict rate, learnt-DB and arena state. A `--trace` artifact carries
+//! the samples for `trace timeline` and `trace export`.
 //!
 //! Tracing: `--trace <out.jsonl>` on `route`, `prove`, `min-width`,
 //! `solve`, `portfolio`, `conquer` and `explain` records hierarchical
@@ -86,7 +87,6 @@
 
 use std::fs;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use satroute::bench::{compare, BenchArtifact, GateOptions, SuiteId, SuiteOptions};
@@ -94,17 +94,16 @@ use satroute::cnf::dimacs as cnf_dimacs;
 use satroute::coloring::dimacs as col_dimacs;
 use satroute::coloring::CspGraph;
 use satroute::core::{
-    encode_coloring, EncodingId, ExplainOutcome, ExplainReport, RoutingPipeline, Strategy,
-    SymmetryHeuristic,
+    encode_coloring, EncodingId, ExplainOutcome, ExplainReport, PipelineError, RoutingPipeline,
+    Strategy, SymmetryHeuristic,
 };
 use satroute::fpga::{benchmarks, io as fpga_io, BlameReport, NetId, RoutingProblem};
 use satroute::obs::json::Value;
-use satroute::obs::FieldValue;
+use satroute::obs::{FieldValue, TraceSink};
 use satroute::solver::SolveOutcome;
 use satroute::{
-    chrome_trace, collapsed_stacks, parse_jsonl, FlightRecorder, MetricsRegistry, Postmortem,
-    ProgressLogger, RunBudget, RunContext, SpanForest, TimelineReport, TraceReport, TraceWriter,
-    Tracer,
+    chrome_trace, collapsed_stacks, parse_jsonl, MetricsRegistry, ProgressLogger, RunBudget,
+    RunContext, SpanForest, TimelineReport, TraceReport, TraceWriter, Tracer,
 };
 
 fn main() -> ExitCode {
@@ -141,7 +140,6 @@ struct Options {
     cube_vars: Option<u32>,
     trace: Option<String>,
     metrics: Option<String>,
-    flight_record: bool,
     chrome: Option<String>,
     collapsed: Option<String>,
     inprocess: bool,
@@ -152,11 +150,8 @@ impl Options {
     /// The run control of a solving command: the default CDCL settings
     /// with inprocessing switched on by `--inprocess` (off keeps the
     /// classic search byte-identical), the `--timeout` / `--max-conflicts`
-    /// budget, a `--progress` logger on stderr labelled `label`, the
-    /// command's tracer and registry, and a flight recorder when
-    /// `--progress` or `--flight-record` asks for one (so a
-    /// budget-exhausted or cancelled run carries a postmortem).
-    fn run_context(&self, label: &str, tracer: &Tracer, registry: &MetricsRegistry) -> RunContext {
+    /// budget, and the command's tracer and registry.
+    fn run_context(&self, tracer: &Tracer, registry: &MetricsRegistry) -> RunContext {
         let mut ctx = RunContext {
             tracer: tracer.clone(),
             metrics: registry.clone(),
@@ -171,13 +166,25 @@ impl Options {
         if let Some(n) = self.max_conflicts {
             ctx.budget = ctx.budget.with_max_conflicts(n);
         }
-        if self.progress {
-            ctx.observer = Some(Arc::new(ProgressLogger::stderr(label)));
-        }
-        if self.progress || self.flight_record {
-            ctx.flight = FlightRecorder::new();
-        }
         ctx
+    }
+
+    /// The command's tracer: the `--trace` writer and a `--progress`
+    /// logger on stderr labelled `label`, or the disabled tracer when
+    /// neither is asked for.
+    fn tracer(&self, label: &str, writer: Option<&TraceWriter<fs::File>>) -> Tracer {
+        let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
+        if let Some(writer) = writer {
+            sinks.push(Box::new(writer.clone()));
+        }
+        if self.progress {
+            sinks.push(Box::new(ProgressLogger::stderr(label)));
+        }
+        if sinks.is_empty() {
+            Tracer::disabled()
+        } else {
+            Tracer::with_sinks(sinks)
+        }
     }
 
     /// The trace writer implied by `--trace`. The caller keeps the
@@ -217,7 +224,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         cube_vars: None,
         trace: None,
         metrics: None,
-        flight_record: false,
         chrome: None,
         collapsed: None,
         inprocess: false,
@@ -270,7 +276,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--trace" => opts.trace = Some(take_value(args, &mut i, "--trace")?),
             "--metrics" => opts.metrics = Some(take_value(args, &mut i, "--metrics")?),
-            "--flight-record" => opts.flight_record = true,
             "--inprocess" => opts.inprocess = true,
             "--preprocess" => opts.preprocess = true,
             "--chrome" => opts.chrome = Some(take_value(args, &mut i, "--chrome")?),
@@ -340,9 +345,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
     let opts = parse_options(&args[1..])?;
     let trace_writer = opts.trace_writer()?;
-    let tracer = trace_writer
-        .as_ref()
-        .map_or_else(Tracer::disabled, |w| Tracer::to_sink(w.clone()));
+    let tracer = opts.tracer(command, trace_writer.as_ref());
     let registry = if opts.metrics.is_some() {
         MetricsRegistry::new()
     } else {
@@ -383,7 +386,7 @@ fn dispatch(
     tracer: &Tracer,
     registry: &MetricsRegistry,
 ) -> Result<ExitCode, String> {
-    let ctx = opts.run_context(command, tracer, registry);
+    let ctx = opts.run_context(tracer, registry);
     match command {
         "gen" => {
             let name = opts.bench.ok_or("gen needs --bench <name>")?;
@@ -416,12 +419,10 @@ fn dispatch(
             if let Some(cert_path) = &opts.certificate {
                 let (result, certificate) = pipeline
                     .prove_unroutable_certified(&problem, width)
-                    .map_err(|e| pipeline_stop(e, &ctx.flight))?;
+                    .map_err(pipeline_stop)?;
                 return finish_route(result, Some((cert_path, certificate)), opts.json);
             }
-            let result = pipeline
-                .route(&problem, width)
-                .map_err(|e| pipeline_stop(e, &ctx.flight))?;
+            let result = pipeline.route(&problem, width).map_err(pipeline_stop)?;
             finish_route(result, None, opts.json)
         }
         "min-width" => {
@@ -439,7 +440,7 @@ fn dispatch(
             } else {
                 pipeline.find_min_width(&problem)
             }
-            .map_err(|e| pipeline_stop(e, &ctx.flight))?;
+            .map_err(pipeline_stop)?;
             // Cumulative across the ladder: the last probe reports the
             // warm solver's total counters.
             let conflicts = search
@@ -707,8 +708,7 @@ fn dispatch(
                     Ok(ExitCode::from(20))
                 }
                 SolveOutcome::Unknown(reason) => {
-                    if ctx.flight.is_enabled() {
-                        let pm = Postmortem::from_recorder(&ctx.flight, reason.to_string());
+                    if let Some(pm) = solver.postmortem() {
                         eprint!("{}", pm.render_text());
                     }
                     if !opts.json {
@@ -1026,7 +1026,6 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
                             RunBudget::new().with_wall(Duration::from_secs_f64(secs));
                     }
                     "--trace" => trace = Some(take_value(args, &mut i, "--trace")?),
-                    "--flight-record" => suite_opts.ctx.flight = FlightRecorder::new(),
                     "--filter" => {
                         suite_opts.filter = Some(take_value(args, &mut i, "--filter")?);
                     }
@@ -1192,18 +1191,13 @@ fn explain_json(report: &ExplainReport, blame: Option<&BlameReport>) -> Value {
 }
 
 /// Renders a pipeline stop as the command's error message, first printing
-/// a flight-recorder postmortem on stderr when recording was on (the
-/// pipeline consumed the report, so the CLI reads the shared ring
-/// directly).
-fn pipeline_stop(err: satroute::core::PipelineError, flight: &FlightRecorder) -> String {
-    if flight.is_enabled() {
-        let satroute::core::PipelineError::Undecided { reason, .. } = err;
-        eprint!(
-            "{}",
-            Postmortem::from_recorder(flight, reason.to_string()).render_text()
-        );
+/// the stopped probe's postmortem on stderr when the run was traced.
+fn pipeline_stop(err: PipelineError) -> String {
+    let PipelineError::Undecided { postmortem, .. } = &err;
+    if let Some(pm) = postmortem {
+        eprint!("{}", pm.render_text());
     }
-    format!("{err}")
+    err.to_string()
 }
 
 fn finish_route(
@@ -1264,10 +1258,10 @@ fn print_usage() {
          conquer: --cube-vars <k> (2^k subcubes), --threads <T>, --portfolio-share\n\
          tracing: --trace <out.jsonl>; trace report|timeline <out.jsonl> [--json]\n\
          \u{20}        trace export <out.jsonl> --chrome <out.json> [--collapsed <out.txt>]\n\
-         metrics: --metrics <out.json|out.prom>; flight recording: --progress or --flight-record\n\
+         metrics: --metrics <out.json|out.prom>\n\
          min-width: --incremental (one warm solver, selector assumptions), --explain (blame the width below the minimum)\n\
          explain: --width <W>, --shrink-budget <n> (cap deletion probes), --json (core + blame document)\n\
-         bench: bench run [--suite quick|paper|routable|portfolio|incremental|conquer|explain|inprocess] [--out F] [--runs N] [--trace F] [--flight-record] [--filter S];\n\
+         bench: bench run [--suite quick|paper|routable|portfolio|incremental|conquer|explain|inprocess] [--out F] [--runs N] [--trace F] [--filter S];\n\
          \u{20}       bench compare <base> <cand> [--gate] [--threshold PCT] [--json]\n\
          see the crate README for details"
     );

@@ -1,32 +1,35 @@
-//! Flight-recorder contract tests.
+//! Search-state recording contract tests: a traced solve samples its
+//! search onto its span and keeps its last samples for a postmortem.
 //!
-//! Three properties pin the recorder down as pure observability:
+//! Three properties pin recording down as pure observability:
 //!
 //! 1. **Postmortems fire for every budget outcome.** Each
 //!    [`StopReason`] variant — conflict, decision and memory caps, a
 //!    passed deadline, an external cancellation — must leave a
-//!    [`Postmortem`] on the report naming that reason, and a decided
-//!    run (or a run with the recorder disabled) must leave none.
-//! 2. **A disabled recorder is inert** — no samples, no postmortem,
-//!    identical to not passing one at all.
+//!    [`Postmortem`](satroute::Postmortem) on a traced report naming that
+//!    reason, and a decided run (or an untraced run) must leave none.
+//! 2. **An untraced run records nothing** — no samples, no postmortem.
 //! 3. **Recording never perturbs the search**: conflict, decision and
-//!    propagation counts are bit-identical with the recorder on or off —
-//!    or with every telemetry subscriber on at once — the same
+//!    propagation counts are bit-identical with the tracer on or off —
+//!    or with every sink and the registry on at once — the same
 //!    determinism contract the bench gate enforces.
 //!
-//! Plus the exporter round trip: a traced + recorded run's Chrome
-//! trace must re-parse as JSON, contain every span exactly once, and
-//! keep timestamps monotone per track.
+//! Plus the exporter round trip: a traced run's Chrome trace must
+//! re-parse as JSON, contain every span exactly once, and keep
+//! timestamps monotone per track; and the postmortems of portfolio
+//! members and conquer cubes carry their job index.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use satroute::coloring::{random_graph, CspGraph};
-use satroute::core::{ColoringOutcome, ColoringReport, Strategy};
-use satroute::obs::{chrome_trace, json, BufferSink, FlightRecorder, MetricsRegistry, Tracer};
-use satroute::solver::{CancellationToken, RunBudget, RunObserver, SolverEvent, StopReason};
+use satroute::core::{
+    run_portfolio, ColoringOutcome, ColoringReport, PortfolioOptions, RunContext, Strategy,
+};
+use satroute::obs::{
+    chrome_trace, json, BufferSink, MetricsRegistry, ProgressLogger, TraceEvent, TraceSink, Tracer,
+};
+use satroute::solver::{CancellationToken, RunBudget, StopReason};
 
 /// A dense 25-vertex graph at an infeasibly low color count: reliably
 /// UNSAT and far beyond any of the tiny budgets used below, so every
@@ -35,17 +38,25 @@ fn hard_instance() -> (CspGraph, u32) {
     (random_graph(25, 0.5, 11), 4)
 }
 
-fn budgeted_run(budget: RunBudget, cancel: Option<CancellationToken>) -> ColoringReport {
+/// A traced cold solve and a traced ladder probe of the hard instance
+/// under `budget` (and `cancel`, when given).
+fn budgeted_runs(budget: RunBudget, cancel: Option<CancellationToken>) -> [ColoringReport; 2] {
     let (g, k) = hard_instance();
-    let flight = FlightRecorder::new();
-    let mut request = Strategy::paper_best()
+    let tracer = Tracer::to_sink(BufferSink::new());
+    let token = cancel.unwrap_or_default();
+    let cold = Strategy::paper_best()
         .solve(&g, k)
         .budget(budget)
-        .flight(flight);
-    if let Some(token) = cancel {
-        request = request.cancel(token);
-    }
-    request.run()
+        .cancel(token.clone())
+        .trace(tracer.clone())
+        .run();
+    let mut session = Strategy::paper_best()
+        .incremental(&g, k + 2)
+        .budget(budget)
+        .cancel(token)
+        .trace(tracer)
+        .build();
+    [cold, session.probe(k)]
 }
 
 #[test]
@@ -76,41 +87,54 @@ fn postmortem_names_every_stop_reason() {
         (StopReason::Cancelled, RunBudget::new(), Some(cancelled)),
     ];
     for (expected, budget, cancel) in cases {
-        let report = budgeted_run(budget, cancel);
-        assert_eq!(
-            report.outcome,
-            ColoringOutcome::Unknown(expected),
-            "budget did not stop the run with {expected:?}"
+        let [cold, probe] = budgeted_runs(budget, cancel);
+        // The ladder probe's postmortem lists the selector assumptions of
+        // its width; the cold solve assumes nothing.
+        let probe_pm = probe.postmortem.as_ref();
+        assert!(
+            probe_pm.is_some_and(|pm| !pm.assumptions.is_empty()),
+            "{expected:?} ladder probe lists no assumptions: {probe_pm:?}"
         );
-        let pm = report
+        assert!(cold
             .postmortem
             .as_ref()
-            .unwrap_or_else(|| panic!("{expected:?} run carries no postmortem"));
-        assert_eq!(
-            pm.stop_reason,
-            expected.to_string(),
-            "postmortem names the wrong stop reason"
-        );
-        assert!(
-            pm.hottest_phase.is_some(),
-            "{expected:?} postmortem lacks a hottest phase"
-        );
-        // Every stop path passes the finish boundary, which records one
-        // last sample even when no conflict interval was ever reached.
-        let last = pm
-            .last_sample()
-            .unwrap_or_else(|| panic!("{expected:?} postmortem carries no samples"));
-        assert_eq!(
-            last.cause.to_string(),
-            "finish",
-            "{expected:?}: final sample is not the finish-boundary one"
-        );
-        // The postmortem renders without panicking and names the reason.
-        let text = pm.render_text();
-        assert!(
-            text.contains(&expected.to_string()),
-            "rendered postmortem does not mention {expected}"
-        );
+            .is_some_and(|pm| pm.assumptions.is_empty()));
+        for report in [cold, probe] {
+            assert_eq!(
+                report.outcome,
+                ColoringOutcome::Unknown(expected),
+                "budget did not stop the run with {expected:?}"
+            );
+            let pm = report
+                .postmortem
+                .as_ref()
+                .unwrap_or_else(|| panic!("{expected:?} run carries no postmortem"));
+            assert_eq!(
+                pm.stop_reason,
+                expected.to_string(),
+                "postmortem names the wrong stop reason"
+            );
+            assert!(
+                pm.hottest_phase.is_some(),
+                "{expected:?} postmortem lacks a hottest phase"
+            );
+            // Every stop path passes the finish boundary, which records one
+            // last sample even when no conflict interval was ever reached.
+            let last = pm
+                .last_sample()
+                .unwrap_or_else(|| panic!("{expected:?} postmortem carries no samples"));
+            assert_eq!(
+                last.cause.to_string(),
+                "finish",
+                "{expected:?}: final sample is not the finish-boundary one"
+            );
+            // The postmortem renders without panicking and names the reason.
+            let text = pm.render_text();
+            assert!(
+                text.contains(&expected.to_string()),
+                "rendered postmortem does not mention {expected}"
+            );
+        }
     }
 }
 
@@ -118,31 +142,33 @@ fn postmortem_names_every_stop_reason() {
 fn decided_runs_and_disabled_recorders_carry_no_postmortem() {
     let (g, k) = hard_instance();
 
-    // Decided outcome (UNSAT, unlimited budget): recorder on, no postmortem.
-    let flight = FlightRecorder::new();
+    // Decided outcome (UNSAT, unlimited budget): tracer on, no postmortem.
+    let buffer = BufferSink::new();
     let report = Strategy::paper_best()
         .solve(&g, k)
-        .flight(flight.clone())
+        .trace(Tracer::to_sink(buffer.clone()))
         .run();
     assert_eq!(report.outcome, ColoringOutcome::Unsat);
     assert!(report.postmortem.is_none(), "decided run grew a postmortem");
-    assert!(flight.recorded() > 0, "enabled recorder saw no samples");
+    assert!(
+        buffer
+            .events()
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Sample { .. })),
+        "traced run wrote no samples"
+    );
 
-    // Budget-exhausted but recorder disabled: no postmortem either.
-    let disabled = FlightRecorder::disabled();
+    // Budget-exhausted but untraced: no postmortem either.
     let report = Strategy::paper_best()
         .solve(&g, k)
         .budget(RunBudget::new().with_max_conflicts(5))
-        .flight(disabled.clone())
+        .trace(Tracer::disabled())
         .run();
     assert!(matches!(report.outcome, ColoringOutcome::Unknown(_)));
     assert!(
         report.postmortem.is_none(),
-        "disabled recorder produced a postmortem"
+        "untraced run produced a postmortem"
     );
-    assert!(!disabled.is_enabled());
-    assert_eq!(disabled.recorded(), 0, "disabled recorder counted samples");
-    assert!(disabled.samples().is_empty());
 }
 
 #[test]
@@ -151,7 +177,7 @@ fn recording_does_not_perturb_the_search() {
     let plain = Strategy::paper_best().solve(&g, k).run();
     let recorded = Strategy::paper_best()
         .solve(&g, k)
-        .flight(FlightRecorder::new())
+        .trace(Tracer::to_sink(BufferSink::new()))
         .run();
     assert_eq!(plain.outcome, recorded.outcome);
     assert_eq!(
@@ -167,23 +193,18 @@ fn recording_does_not_perturb_the_search() {
         recorded.solver_stats.propagations
     );
 
-    // Every subscriber at once: tracer, a fresh registry, the recorder
-    // and a user observer.
-    #[derive(Default)]
-    struct Counted(AtomicU64);
-    impl RunObserver for Counted {
-        fn on_event(&self, _event: &SolverEvent) {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+    // Everything at once: a buffer and a progress logger on the tracer,
+    // and a fresh registry.
     let registry = MetricsRegistry::new();
-    let observer = Arc::new(Counted::default());
+    let buffer = BufferSink::new();
+    let sinks: Vec<Box<dyn TraceSink>> = vec![
+        Box::new(buffer.clone()),
+        Box::new(ProgressLogger::to_writer("t", Box::new(std::io::sink()))),
+    ];
     let all = Strategy::paper_best()
         .solve(&g, k)
-        .trace(Tracer::to_sink(BufferSink::new()))
+        .trace(Tracer::with_sinks(sinks))
         .metrics(registry.clone())
-        .flight(FlightRecorder::new())
-        .observe(observer.clone())
         .run();
     assert_eq!(plain.outcome, all.outcome);
     assert_eq!(
@@ -195,7 +216,7 @@ fn recording_does_not_perturb_the_search() {
         plain.solver_stats.propagations,
         all.solver_stats.propagations
     );
-    assert!(observer.0.load(Ordering::Relaxed) >= 2, "observer starved");
+    assert!(buffer.events().len() >= 2, "the tracer starved");
     // The registry's delta flushes add up to the solver's own counters,
     // with one LBD observation per learnt clause.
     let snapshot = registry.snapshot();
@@ -216,7 +237,6 @@ fn chrome_export_round_trips_a_recorded_run() {
     let report = Strategy::paper_best()
         .solve(&g, k)
         .trace(Tracer::to_sink(sink.clone()))
-        .flight(FlightRecorder::new())
         .run();
     assert_eq!(report.outcome, ColoringOutcome::Unsat);
 
@@ -278,11 +298,54 @@ fn chrome_export_round_trips_a_recorded_run() {
         "chrome trace does not carry every span exactly once"
     );
 
-    // The recorder's samples surfaced as counter tracks.
+    // The solve's samples surfaced as counter tracks.
     assert!(
         entries
             .iter()
             .any(|e| e.get("ph").and_then(|v| v.as_str()) == Some("C")),
         "recorded run exported no counter events"
     );
+}
+
+/// Checks that every stopped job of a race carries a postmortem labelled
+/// with its index (and that some job stopped), and that decided jobs
+/// carry none.
+fn assert_labelled<'a>(jobs: impl Iterator<Item = (usize, &'a ColoringReport)>) {
+    let mut stopped = 0;
+    for (index, report) in jobs {
+        let member = report.postmortem.as_ref().map(|pm| pm.member);
+        if report.outcome.is_decided() {
+            assert_eq!(member, None, "decided job {index}");
+        } else {
+            stopped += 1;
+            assert_eq!(member, Some(Some(index as u64)), "stopped job {index}");
+        }
+    }
+    assert!(stopped > 0, "no job stopped on the budget");
+}
+
+/// A stopped portfolio member's and conquer cube's postmortems carry
+/// their job index: the race labels each job's report.
+#[test]
+fn member_and_cube_postmortems_carry_their_job_index() {
+    let (g, k) = hard_instance();
+    let ctx = RunContext {
+        budget: RunBudget::new().with_max_conflicts(5),
+        tracer: Tracer::to_sink(BufferSink::new()),
+        ..RunContext::default()
+    };
+    let strategies = Strategy::paper_portfolio_3();
+    let opts = PortfolioOptions::new().with_max_threads(2);
+    let result = run_portfolio(&g, k, &strategies, &ctx, &opts);
+    assert_labelled(result.members.iter().map(|m| &m.report).enumerate());
+
+    // Dense enough that the splitter's lookahead leaves cubes to solve.
+    let g = random_graph(40, 0.5, 3);
+    let conquered = Strategy::paper_best()
+        .cube_and_conquer(&g, 6)
+        .cube_vars(2)
+        .threads(2)
+        .context(ctx)
+        .run();
+    assert_labelled(conquered.cubes.iter().map(|c| (c.index, &c.report)));
 }

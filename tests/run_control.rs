@@ -1,8 +1,7 @@
 //! Integration tests for the run-control subsystem: budgets, cancellation
-//! and the solver event stream, exercised through the public `satroute`
-//! facade exactly as an embedding application would.
+//! and the solver's events on the trace, exercised through the public
+//! `satroute` facade exactly as an embedding application would.
 
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use satroute::coloring::{dsatur_coloring, exact, random_graph, CspGraph};
@@ -11,9 +10,8 @@ use satroute::core::{
     PortfolioOptions, RoutingPipeline, Strategy,
 };
 use satroute::fpga::benchmarks;
-use satroute::{
-    CancellationToken, RunBudget, RunContext, RunObserver, SolveVerdict, SolverEvent, StopReason,
-};
+use satroute::obs::{BufferSink, SpanForest, TraceEvent};
+use satroute::{CancellationToken, RunBudget, RunContext, StopReason, Tracer};
 
 /// A graph-coloring instance hard enough that no strategy decides it
 /// within the test budgets: a random graph with `k` between the greedy
@@ -187,21 +185,25 @@ fn a_winner_leaves_the_callers_token_uncancelled() {
     );
 }
 
-/// Records every event for post-hoc order checking.
-#[derive(Default)]
-struct EventLog {
-    events: Mutex<Vec<SolverEvent>>,
+/// The events written onto span `id`, in order.
+fn span_events(events: &[TraceEvent], id: u64) -> Vec<&TraceEvent> {
+    events
+        .iter()
+        .filter(|e| match e {
+            TraceEvent::Counter { span, .. }
+            | TraceEvent::Gauge { span, .. }
+            | TraceEvent::Mark { span, .. }
+            | TraceEvent::Sample { span, .. } => *span == Some(id),
+            _ => false,
+        })
+        .collect()
 }
 
-impl RunObserver for EventLog {
-    fn on_event(&self, event: &SolverEvent) {
-        self.events.lock().unwrap().push(*event);
-    }
-}
-
-/// Property test: over seeded random graphs, the observer stream obeys the
-/// grammar `Started (Restart | Reduce | Progress | Import)* Finished` with
-/// monotone counters.
+/// Property test: over seeded random graphs, each traced solve writes a
+/// valid stream onto its span — `num_vars` and `num_clauses` first,
+/// restart counts increasing, conflict counts never decreasing, and the
+/// `outcome` mark after every other event — and no import or
+/// inprocessing counter appears while both are off.
 #[test]
 fn observer_events_arrive_in_valid_order() {
     for seed in 0..8u64 {
@@ -211,73 +213,69 @@ fn observer_events_arrive_in_valid_order() {
         // runs with enough conflicts to restart at least occasionally.
         let k = upper.saturating_sub(1).max(1);
 
-        let log = Arc::new(EventLog::default());
+        let buffer = BufferSink::new();
         let report = Strategy::paper_baseline()
             .solve(&g, k)
-            .observe(log.clone())
+            .trace(Tracer::to_sink(buffer.clone()))
             .run();
         assert!(report.outcome.is_decided(), "seed {seed}: tiny instance");
 
-        let events = log.events.lock().unwrap();
-        assert!(events.len() >= 2, "seed {seed}: missing bracket events");
-        assert!(
-            matches!(events.first(), Some(SolverEvent::Started { .. })),
-            "seed {seed}: first event must be Started"
+        let events = buffer.events();
+        let forest = SpanForest::from_events(&events).expect("trace reconstructs");
+        let solves = forest.spans_named("solve");
+        assert_eq!(solves.len(), 1, "seed {seed}: one solve span");
+        let stream = span_events(&events, solves[0].id);
+        let counters: Vec<(&str, u64)> = stream
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Counter { name, value, .. } => Some((name.as_str(), *value)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            counters.iter().map(|c| c.0).take(2).collect::<Vec<_>>(),
+            ["num_vars", "num_clauses"],
+            "seed {seed}: the start counters open the stream"
         );
-        assert!(
-            matches!(events.last(), Some(SolverEvent::Finished { .. })),
-            "seed {seed}: last event must be Finished"
-        );
-
-        let mut last_restart = 0u64;
-        let mut last_progress_conflicts = 0u64;
-        for (i, event) in events.iter().enumerate() {
-            match event {
-                SolverEvent::Started { .. } => {
-                    assert_eq!(i, 0, "seed {seed}: Started mid-stream")
+        let (mut last_restart, mut last_conflicts) = (0u64, 0u64);
+        for &(name, value) in &counters {
+            match name {
+                "restarts" => {
+                    assert!(value > last_restart, "seed {seed}: restart ordinal");
+                    last_restart = value;
                 }
-                SolverEvent::Finished { verdict, .. } => {
-                    assert_eq!(i, events.len() - 1, "seed {seed}: Finished mid-stream");
-                    assert!(verdict.stop_reason().is_none(), "seed {seed}: decided run");
-                }
-                SolverEvent::Restart { restarts, .. } => {
-                    assert!(*restarts > last_restart, "seed {seed}: restart ordinal");
-                    last_restart = *restarts;
-                }
-                SolverEvent::Progress { conflicts, .. } => {
+                "conflicts" => {
                     assert!(
-                        *conflicts >= last_progress_conflicts,
-                        "seed {seed}: progress conflicts must be monotone"
+                        value >= last_conflicts,
+                        "seed {seed}: conflict counts must be monotone"
                     );
-                    last_progress_conflicts = *conflicts;
+                    last_conflicts = value;
                 }
-                SolverEvent::Reduce {
-                    learnts_before,
-                    learnts_after,
-                    ..
-                } => {
-                    assert!(
-                        learnts_after <= learnts_before,
-                        "seed {seed}: reduction must not grow the database"
-                    );
-                }
-                SolverEvent::Import { imported, .. } => {
-                    // No exchange is attached in this test, so an Import
-                    // event would mean phantom clauses appeared.
-                    panic!("seed {seed}: import of {imported} clauses without an exchange");
-                }
-                SolverEvent::Sample { .. } => {
-                    // Flight sampling only fires with an enabled recorder,
-                    // and this request never attaches one.
-                    panic!("seed {seed}: flight sample without a recorder");
-                }
-                SolverEvent::Inprocess { runs, .. } => {
-                    // Inprocessing is off by default, so a round here
-                    // would mean the default path changed.
-                    panic!("seed {seed}: inprocessing round #{runs} while disabled");
-                }
+                // No exchange is attached, so an import counter would
+                // mean phantom clauses appeared.
+                "imported_clauses" => panic!("seed {seed}: import without an exchange"),
+                // Inprocessing is off by default, so a round here would
+                // mean the default path changed.
+                "inprocess_runs" => panic!("seed {seed}: inprocessing while disabled"),
+                _ => {}
             }
         }
+        assert_eq!(last_conflicts, report.solver_stats.conflicts);
+        match stream.last() {
+            Some(TraceEvent::Mark { name, value, .. }) if name == "outcome" => {
+                assert_eq!(*value, report.outcome.verdict().to_string(), "seed {seed}");
+                assert!(
+                    value == "sat" || value == "unsat",
+                    "seed {seed}: decided run"
+                );
+            }
+            other => panic!("seed {seed}: the stream must end on the outcome mark, got {other:?}"),
+        }
+        let outcome_marks = stream
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Mark { name, .. } if name == "outcome"))
+            .count();
+        assert_eq!(outcome_marks, 1, "seed {seed}: one outcome mark");
     }
 }
 
@@ -306,9 +304,9 @@ fn undecided<T>(result: Result<T, PipelineError>) -> Option<StopReason> {
 }
 
 /// Every entry point forwards its `RunContext` to the solves it runs: a
-/// context carrying a pre-cancelled token and an `EventLog` observer
-/// stops each path with `Cancelled`, and the log ends with the stopped
-/// solve's `Finished` event.
+/// context carrying a pre-cancelled token and a buffered tracer stops
+/// each path with `Cancelled`, and the trace's last `outcome` mark is the
+/// stopped solve's `unknown:cancelled`.
 #[test]
 fn every_entry_point_forwards_its_run_context() {
     let instance = benchmarks::suite_tiny().remove(0);
@@ -424,10 +422,10 @@ fn every_entry_point_forwards_its_run_context() {
     for (name, path) in &paths {
         let token = CancellationToken::new();
         token.cancel();
-        let log = Arc::new(EventLog::default());
+        let buffer = BufferSink::new();
         let ctx = RunContext {
             cancel: Some(token),
-            observer: Some(log.clone()),
+            tracer: Tracer::to_sink(buffer.clone()),
             ..RunContext::default()
         };
         assert_eq!(
@@ -435,16 +433,14 @@ fn every_entry_point_forwards_its_run_context() {
             Some(StopReason::Cancelled),
             "{name} dropped the context's cancellation token"
         );
-        let events = log.events.lock().unwrap();
-        assert!(
-            matches!(
-                events.last(),
-                Some(SolverEvent::Finished {
-                    verdict: SolveVerdict::Unknown(StopReason::Cancelled),
-                    ..
-                })
-            ),
-            "{name} dropped the context's observer"
+        let last_outcome = buffer.events().into_iter().rev().find_map(|e| match e {
+            TraceEvent::Mark { name, value, .. } if name == "outcome" => Some(value),
+            _ => None,
+        });
+        assert_eq!(
+            last_outcome.as_deref(),
+            Some("unknown:cancelled"),
+            "{name} dropped the context's tracer"
         );
     }
 }

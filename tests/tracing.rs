@@ -12,10 +12,9 @@ use satroute::core::{
     RunContext, Selectors, Strategy, SymmetryHeuristic,
 };
 use satroute::fpga::benchmarks;
-use satroute::obs::TraceEvent;
+use satroute::obs::{BufferSink, TraceEvent};
 use satroute::{
-    parse_jsonl, FlightRecorder, MetricsRegistry, SpanForest, TimelineReport, TraceReport,
-    TraceTree, TraceWriter, Tracer,
+    parse_jsonl, MetricsRegistry, SpanForest, TimelineReport, TraceReport, TraceWriter, Tracer,
 };
 
 fn trace_file(name: &str) -> std::path::PathBuf {
@@ -124,8 +123,8 @@ fn encode_spans_pin_cnf_stats_per_encoding() {
         (EncodingId::Muldirect, 9, 12),
     ];
     for (id, vars, clauses) in pinned {
-        let tree = TraceTree::new();
-        let tracer = Tracer::to_sink(tree.clone());
+        let buffer = BufferSink::new();
+        let tracer = Tracer::to_sink(buffer.clone());
         let traced = encode(
             &triangle,
             3,
@@ -138,7 +137,7 @@ fn encode_spans_pin_cnf_stats_per_encoding() {
         let plain = encode_coloring(&triangle, 3, &id.encoding(), SymmetryHeuristic::None);
         let stats = plain.formula.stats();
 
-        let forest = tree.forest().expect("trace reconstructs");
+        let forest = SpanForest::from_events(&buffer.events()).expect("trace reconstructs");
         let encode = &forest.spans_named("encode")[0];
         let counter = |name: &str| encode.counters.get(name).copied().unwrap_or(0);
 
@@ -197,18 +196,18 @@ fn portfolio_trace_reports_every_member() {
 }
 
 /// A traced, metered solve long enough to restart and send heartbeats
-/// bridges its event stream onto its `solve` span — heartbeat counters
-/// and the LBD gauge from `Progress`, restart counts, the final work
+/// writes its events onto its `solve` span — heartbeat counters and the
+/// LBD gauge every 1024 conflicts, restart counts, the final work
 /// counters and an `outcome` mark — and its registry deltas add up to
 /// the solver's own counters.
 #[test]
 fn solve_span_and_registry_carry_the_solver_counters() {
     let g = random_graph(40, 0.5, 3);
-    let tree = TraceTree::new();
+    let buffer = BufferSink::new();
     let registry = MetricsRegistry::new();
     let report = Strategy::paper_best()
         .solve(&g, 6)
-        .trace(Tracer::to_sink(tree.clone()))
+        .trace(Tracer::to_sink(buffer.clone()))
         .metrics(registry.clone())
         .run();
     let stats = report.solver_stats;
@@ -217,7 +216,7 @@ fn solve_span_and_registry_carry_the_solver_counters() {
         "the instance must restart and reach a heartbeat: {stats:?}"
     );
 
-    let forest = tree.forest().expect("trace reconstructs");
+    let forest = SpanForest::from_events(&buffer.events()).expect("trace reconstructs");
     let solve = forest.spans_named("solve")[0];
     let work = [
         ("conflicts", stats.conflicts),
@@ -234,7 +233,7 @@ fn solve_span_and_registry_carry_the_solver_counters() {
     );
     assert!(solve.gauges.contains_key("lbd_ema"), "no heartbeat gauge");
     // The first heartbeat reached the span before the final counters.
-    assert!(tree.events().iter().any(
+    assert!(buffer.events().iter().any(
         |e| matches!(e, TraceEvent::Counter { name, value: 1024, .. } if name == "conflicts")
     ));
 
@@ -254,7 +253,7 @@ fn solve_span_and_registry_carry_the_solver_counters() {
     assert_eq!(count("solver.restart_interval"), Some(stats.restarts));
 }
 
-/// A traced, flight-recorded portfolio and cube-and-conquer run write
+/// A traced portfolio and cube-and-conquer run write
 /// each solve's events and samples once, on that solve's own span: the
 /// timeline has exactly one series per member or cube, labelled by it
 /// and never `solve`, while the report's member and cube rows keep their
@@ -267,16 +266,15 @@ fn portfolio_and_conquer_samples_reach_the_trace_once() {
     assert_eq!(instance.name, "tiny_c");
     let (graph, width) = (&instance.conflict_graph, 8);
 
-    let tree = TraceTree::new();
+    let buffer = BufferSink::new();
     let strategies = Strategy::paper_portfolio_2();
     let ctx = RunContext {
-        tracer: Tracer::to_sink(tree.clone()),
-        flight: FlightRecorder::new(),
+        tracer: Tracer::to_sink(buffer.clone()),
         ..RunContext::default()
     };
     let opts = PortfolioOptions::new().with_max_threads(2);
     let result = run_portfolio(graph, width, &strategies, &ctx, &opts);
-    let forest = tree.forest().expect("trace reconstructs");
+    let forest = SpanForest::from_events(&buffer.events()).expect("trace reconstructs");
     let labels: Vec<String> = TimelineReport::from_forest(&forest)
         .series
         .into_iter()
@@ -302,19 +300,18 @@ fn portfolio_and_conquer_samples_reach_the_trace_once() {
         );
     }
 
-    let tree = TraceTree::new();
+    let buffer = BufferSink::new();
     let conquered = Strategy::paper_best()
         .cube_and_conquer(graph, width)
         .cube_vars(3)
         .threads(2)
-        .trace(Tracer::to_sink(tree.clone()))
-        .flight(FlightRecorder::new())
+        .trace(Tracer::to_sink(buffer.clone()))
         .run();
     assert!(
         !conquered.cubes.is_empty(),
         "the splitter left cubes to solve"
     );
-    let forest = tree.forest().expect("trace reconstructs");
+    let forest = SpanForest::from_events(&buffer.events()).expect("trace reconstructs");
     let mut labels: Vec<String> = TimelineReport::from_forest(&forest)
         .series
         .into_iter()
@@ -395,4 +392,83 @@ fn cli_trace_report_round_trips() {
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
+}
+
+/// A plain `--trace` artifact, with no other flag, carries the solve's
+/// samples: `trace timeline --json` finds a series and `trace export`
+/// turns the samples into counter tracks.
+#[test]
+fn plain_trace_artifact_feeds_timeline_and_export() {
+    let dir = std::env::temp_dir().join(format!("satroute_tracing_plain_{}", std::process::id()));
+    fs::create_dir_all(&dir).expect("can create temp dir");
+    let problem = dir.join("tiny.txt");
+    let artifact = dir.join("route.jsonl");
+    let chrome = dir.join("chrome.json");
+    let satroute = env!("CARGO_BIN_EXE_satroute");
+    let run = |args: &[&std::ffi::OsStr]| {
+        let out = std::process::Command::new(satroute)
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let os = |s: &'static str| std::ffi::OsStr::new(s);
+
+    run(&[
+        os("gen"),
+        os("--bench"),
+        os("tiny_a"),
+        os("--out"),
+        problem.as_os_str(),
+    ]);
+    run(&[
+        os("route"),
+        problem.as_os_str(),
+        os("--width"),
+        os("3"),
+        os("--trace"),
+        artifact.as_os_str(),
+    ]);
+    let timeline = run(&[
+        os("trace"),
+        os("timeline"),
+        artifact.as_os_str(),
+        os("--json"),
+    ]);
+    let doc = satroute::obs::json::parse(&timeline).expect("timeline emits valid JSON");
+    let samples: usize = doc
+        .get("series")
+        .and_then(|v| v.as_array())
+        .expect("timeline lists its series")
+        .iter()
+        .map(|series| {
+            series
+                .get("samples")
+                .and_then(|v| v.as_array())
+                .map_or(0, <[_]>::len)
+        })
+        .sum();
+    assert!(samples > 0, "no samples in the timeline: {timeline}");
+
+    run(&[
+        os("trace"),
+        os("export"),
+        artifact.as_os_str(),
+        os("--chrome"),
+        chrome.as_os_str(),
+    ]);
+    let text = fs::read_to_string(&chrome).expect("export wrote the Chrome trace");
+    let doc = satroute::obs::json::parse(&text).expect("Chrome trace is valid JSON");
+    let events = doc.get("traceEvents").and_then(|v| v.as_array()).unwrap();
+    assert!(
+        events.iter().any(|e| {
+            e.get("ph").and_then(|v| v.as_str()) == Some("C")
+                && e.get("name")
+                    .and_then(|v| v.as_str())
+                    .is_some_and(|n| n.starts_with("search"))
+        }),
+        "the samples did not reach the export"
+    );
 }
