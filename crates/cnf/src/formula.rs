@@ -37,6 +37,22 @@ pub struct CnfFormula {
     ends: Vec<u32>,
 }
 
+/// Where clauses go as they are produced: a [`CnfFormula`] that keeps
+/// them, a [`FormulaStats`] that counts them, or a solver that loads
+/// them, so an encoder writes each clause once, into whichever consumer
+/// it is handed.
+pub trait ClauseSink {
+    /// Takes one clause. The slice is only borrowed; a sink that keeps the
+    /// clause copies it.
+    fn add_clause(&mut self, lits: &[Lit]);
+}
+
+impl ClauseSink for CnfFormula {
+    fn add_clause(&mut self, lits: &[Lit]) {
+        CnfFormula::add_clause(self, lits.iter().copied());
+    }
+}
+
 /// Summary statistics for a [`CnfFormula`], used by the formula-size
 /// ablation (experiment A1 in `DESIGN.md`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -53,6 +69,22 @@ pub struct FormulaStats {
     pub num_binary: usize,
     /// Length of the longest clause.
     pub max_clause_len: usize,
+}
+
+/// Counting is a sink too: each clause added updates the clause, literal,
+/// unit, binary and longest-clause counts (`num_vars` is left to the
+/// caller).
+impl ClauseSink for FormulaStats {
+    fn add_clause(&mut self, lits: &[Lit]) {
+        self.num_clauses += 1;
+        self.num_literals += lits.len();
+        match lits.len() {
+            1 => self.num_unit += 1,
+            2 => self.num_binary += 1,
+            _ => {}
+        }
+        self.max_clause_len = self.max_clause_len.max(lits.len());
+    }
 }
 
 impl CnfFormula {
@@ -169,17 +201,10 @@ impl CnfFormula {
     pub fn stats(&self) -> FormulaStats {
         let mut s = FormulaStats {
             num_vars: self.num_vars,
-            num_clauses: self.num_clauses(),
-            num_literals: self.lits.len(),
             ..FormulaStats::default()
         };
         for lits in self {
-            match lits.len() {
-                1 => s.num_unit += 1,
-                2 => s.num_binary += 1,
-                _ => {}
-            }
-            s.max_clause_len = s.max_clause_len.max(lits.len());
+            s.add_clause(lits);
         }
         s
     }

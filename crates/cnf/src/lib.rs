@@ -8,6 +8,9 @@
 //! * [`CnfFormula`] — a formula in conjunctive normal form with its own
 //!   variable allocator, storing its clauses flat and yielding each as a
 //!   literal slice,
+//! * [`ClauseSink`] — anything that takes clauses one literal slice at a
+//!   time: a [`CnfFormula`] keeps them, [`FormulaStats`] counts them, and
+//!   a solver loads them directly,
 //! * [`clause`] — operations on one clause given as a literal slice,
 //! * [`Assignment`] — a (possibly partial) truth assignment,
 //! * [`dimacs`] — reading and writing the DIMACS CNF interchange format used
@@ -47,5 +50,5 @@ pub mod clause;
 pub mod dimacs;
 
 pub use assignment::Assignment;
-pub use formula::{Clauses, CnfFormula, FormulaStats};
+pub use formula::{ClauseSink, Clauses, CnfFormula, FormulaStats};
 pub use lit::{Lit, Var};

@@ -104,15 +104,16 @@ pub fn parse_col<R: Read>(reader: R) -> Result<CspGraph, ParseColError> {
                 if format != Some("edge") && format != Some("edges") {
                     return Err(syntax(line_no, "expected `p edge <n> <m>`"));
                 }
-                let n: usize = parts
+                // Vertex ids are `u32`, so no graph has more vertices.
+                let n: u32 = parts
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| syntax(line_no, "bad vertex count"))?;
+                    .ok_or_else(|| syntax(line_no, "bad vertex count (at most 4294967295)"))?;
                 let _m: usize = parts
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| syntax(line_no, "bad edge count"))?;
-                graph = Some(CspGraph::new(n));
+                graph = Some(CspGraph::new(n as usize));
             }
             Some("e") => {
                 let g = graph
@@ -220,6 +221,16 @@ mod tests {
         assert!(parse_col_str("p edge 2 1\nq 1 2\n").is_err());
         assert!(parse_col_str("p edge 2 1\np edge 2 1\n").is_err());
         assert!(parse_col_str("p foo 2 1\n").is_err());
+    }
+
+    #[test]
+    fn vertex_count_above_u32_is_a_syntax_error() {
+        let err = parse_col_str("p edge 18446744073709551615 1\n").unwrap_err();
+        assert!(
+            matches!(err, ParseColError::Syntax { line: 1, .. }),
+            "{err}"
+        );
+        assert!(parse_col_str("p edge 4294967296 0\n").is_err());
     }
 
     #[test]

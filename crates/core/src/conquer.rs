@@ -292,7 +292,7 @@ impl<'a> ConquerRequest<'a> {
             tracer,
             metrics,
         );
-        let formula_stats = encoded.formula.stats();
+        let formula_stats = encoded.stats;
         let plan = split_cubes(
             &encoded.formula,
             &CubeOptions::new(self.cube_vars).with_candidates(self.candidates),

@@ -16,15 +16,19 @@
 //!    track (the warm width ladder) or per vertex group (explain's cores) —
 //!    after all vertex blocks.
 //!
+//! Each clause goes out once, through a [`ClauseSink`]: a [`CnfFormula`]
+//! ([`encode`]) or, for a solve that keeps no formula, the solver itself.
 //! The result carries a [`DecodeMap`] so that a SAT model can be converted
 //! back into a coloring by [`crate::decode::decode_coloring`], and a failed
 //! selector assumption back into its track or group id.
 
 use std::ops::Range;
+use std::time::Duration;
 
-use satroute_cnf::{CnfFormula, Lit, Var};
+use satroute_cnf::{ClauseSink, CnfFormula, FormulaStats, Lit, Var};
 use satroute_coloring::CspGraph;
-use satroute_obs::{FieldValue, MetricsRegistry, Tracer};
+use satroute_obs::{FieldValue, MetricsRegistry, SpanGuard, Tracer};
+use satroute_solver::{CdclSolver, LoadPass};
 
 use crate::catalog::Encoding;
 use crate::pattern::{Pattern, SchemeCnf};
@@ -173,9 +177,11 @@ pub struct EncodedColoring {
     pub formula: CnfFormula,
     /// Decoder state.
     pub decode: DecodeMap,
+    /// Shape of `formula`, counted as the encoder wrote it.
+    pub stats: FormulaStats,
     /// Wall time spent encoding (the `encode` span's duration) — the
     /// `cnf_translation` component of [`crate::TimingBreakdown`].
-    pub cnf_translation: std::time::Duration,
+    pub cnf_translation: Duration,
 }
 
 /// Encodes the K-coloring problem of `graph` as CNF, with the given
@@ -184,6 +190,12 @@ pub struct EncodedColoring {
 /// `k == 0` with a non-empty graph yields a trivially unsatisfiable formula
 /// (a single empty clause, or per group a unit clause against its
 /// selector); with an empty graph, an empty (satisfiable) formula.
+///
+/// The clauses go through a [`ClauseSink`]: here a [`CnfFormula`], which
+/// DIMACS output, the DRAT checker and the cube splitter read. A solve
+/// that needs no formula ([`SolveRequest::run`](crate::SolveRequest::run),
+/// the warm ladder, explain) has the same clause writer fill its solver
+/// instead, through [`CdclSolver::load`].
 ///
 /// The run is recorded as one `encode` span (fields: encoding name, `k`,
 /// vertex/edge counts and the selector kind) with `scheme_emit`,
@@ -208,162 +220,282 @@ pub fn encode(
     tracer: &Tracer,
     metrics: &MetricsRegistry,
 ) -> EncodedColoring {
-    let n = graph.num_vertices();
-    let span = tracer.span_with(
-        "encode",
-        [
-            ("encoding", FieldValue::from(encoding.name())),
-            ("k", FieldValue::from(k)),
-            ("vertices", FieldValue::from(n)),
-            ("edges", FieldValue::from(graph.num_edges())),
-            ("selectors", FieldValue::from(selectors.name())),
-        ],
-    );
-    let (groups, num_selectors) = match selectors {
-        Selectors::None => (None, 0),
-        Selectors::PerTrack => (None, k),
-        Selectors::PerGroup(groups) => {
-            assert_eq!(
-                groups.len(),
-                n,
-                "need exactly one group id per vertex ({} ids for {n} vertices)",
-                groups.len()
-            );
-            (
-                Some(groups),
-                groups.iter().map(|&g| g + 1).max().unwrap_or(0),
-            )
-        }
-    };
-    // Deleting groups would make full-graph symmetry restrictions unsound.
-    let symmetry = if groups.is_some() {
-        SymmetryHeuristic::None
-    } else {
-        symmetry
-    };
-
-    let scheme = if k == 0 {
-        SchemeCnf::default()
-    } else {
-        encoding.emit_traced(k, tracer)
-    };
-    let blocks = scheme.num_vars * n as u32;
-    let mut formula = CnfFormula::with_vars(blocks + num_selectors);
-    let offsets: Vec<u32> = (0..n as u32).map(|v| v * scheme.num_vars).collect();
-    let negations: Vec<Vec<Lit>> = scheme
-        .patterns
-        .iter()
-        .map(Pattern::negation_clause)
-        .collect();
-    let selector = |id: u32| Lit::positive(Var::new(blocks + id));
-    // The literal releasing vertex `v`'s clauses: its group's `¬s_g`.
-    let guard = |v: u32| groups.map(|groups| !selector(groups[v as usize]));
-
-    // Structural clauses, one copy per vertex.
-    let structural = tracer.span("structural_clauses");
-    for (v, &offset) in (0u32..).zip(&offsets) {
-        for clause in &scheme.structural {
-            formula.add_clause(guard(v).into_iter().chain(shifted(clause, offset)));
-        }
-    }
-    structural.counter("clauses", formula.num_clauses() as u64);
-    drop(structural);
-
-    // Conflict clauses: for each edge and common value, forbid both
-    // patterns simultaneously — guarded by both endpoints' groups, so the
-    // clause only bites while both are active.
-    let conflicts = tracer.span("conflict_clauses");
-    let before_conflicts = formula.num_clauses();
-    for (u, v) in graph.edges() {
-        let gu = guard(u);
-        let gv = guard(v).filter(|&g| Some(g) != gu);
-        let (ou, ov) = (offsets[u as usize], offsets[v as usize]);
-        for neg in &negations {
-            formula.add_clause(
-                gu.into_iter()
-                    .chain(gv)
-                    .chain(shifted(neg, ou))
-                    .chain(shifted(neg, ov)),
-            );
-        }
-    }
-    conflicts.counter("clauses", (formula.num_clauses() - before_conflicts) as u64);
-    drop(conflicts);
-
-    // Symmetry restrictions: position p (0-based) may only use colors 0..=p.
-    let sym = tracer.span_with(
-        "symmetry_breaking",
-        [("heuristic", FieldValue::from(symmetry.to_string()))],
-    );
-    let before_sym = formula.num_clauses();
-    for (p, &v) in symmetry.restricted_sequence(graph, k).iter().enumerate() {
-        for neg in negations.iter().skip(p + 1) {
-            formula.add_clause(shifted(neg, offsets[v as usize]));
-        }
-    }
-    sym.counter("clauses", (formula.num_clauses() - before_sym) as u64);
-    drop(sym);
-
-    if selectors == Selectors::PerTrack {
-        let activations = tracer.span("activation_selectors");
-        let before = formula.num_clauses();
-        for &offset in &offsets {
-            for (d, neg) in (0u32..).zip(&negations) {
-                formula.add_clause(std::iter::once(!selector(d)).chain(shifted(neg, offset)));
-            }
-        }
-        activations.counter("clauses", (formula.num_clauses() - before) as u64);
-        drop(activations);
-    }
-
-    if k == 0 {
-        // No tracks at all. Per group, each populated group is unroutable
-        // by itself: one unit clause against its selector (one per group,
-        // not per vertex, so cores stay minimal).
-        match groups {
-            Some(groups) => {
-                let mut populated = vec![false; num_selectors as usize];
-                for &g in groups {
-                    if !std::mem::replace(&mut populated[g as usize], true) {
-                        formula.add_clause([!selector(g)]);
-                    }
-                }
-            }
-            None if n > 0 => formula.add_clause(std::iter::empty()),
-            None => {}
-        }
-    }
-
-    let stats = formula.stats();
-    span.counter("variables", stats.num_vars as u64);
-    span.counter("clauses", stats.num_clauses as u64);
-    span.counter("literals", stats.num_literals as u64);
-    let cnf_translation = span.close();
-    if metrics.is_enabled() {
-        let name = encoding.name();
-        let micros = u64::try_from(cnf_translation.as_micros()).unwrap_or(u64::MAX);
-        metrics
-            .histogram(&format!("encode.wall_us.{name}"))
-            .record(micros);
-        metrics
-            .histogram(&format!("encode.vars.{name}"))
-            .record(stats.num_vars as u64);
-        metrics
-            .histogram(&format!("encode.clauses.{name}"))
-            .record(stats.num_clauses as u64);
-        metrics
-            .histogram(&format!("encode.literals.{name}"))
-            .record(stats.num_literals as u64);
-    }
+    let encoder = Encoder::begin(graph, k, encoding, symmetry, selectors, tracer);
+    let mut formula = CnfFormula::with_vars(encoder.num_vars());
+    let stats = encoder.emit(&mut formula, LoadPass::Fill);
+    let (decode, cnf_translation) = encoder.finish(&stats, metrics);
     EncodedColoring {
         formula,
-        decode: DecodeMap {
-            scheme,
-            offsets,
-            num_colors: k,
-            selectors: blocks..blocks + num_selectors,
-        },
+        decode,
+        stats,
         cnf_translation,
+    }
+}
+
+/// One encode in progress: its open `encode` span, the scheme emitted for
+/// domain size K, the vertex blocks and the selector layout — everything
+/// the clause writer needs to write the clauses into a sink, as often as
+/// asked.
+pub(crate) struct Encoder<'a> {
+    span: SpanGuard,
+    tracer: &'a Tracer,
+    graph: &'a CspGraph,
+    encoding: &'a Encoding,
+    symmetry: SymmetryHeuristic,
+    /// `symmetry`'s restricted vertex sequence: position `p` may only use
+    /// colors `0..=p`.
+    restricted: Vec<u32>,
+    selectors: Selectors<'a>,
+    /// `negations[d]`: the clause forbidding pattern `d`, over the scheme's
+    /// local variables.
+    negations: Vec<Vec<Lit>>,
+    decode: DecodeMap,
+}
+
+impl<'a> Encoder<'a> {
+    /// Opens the `encode` span, emits the scheme under it and picks the
+    /// symmetry heuristic's restricted vertices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`Selectors::PerGroup`] slice does not hold exactly one
+    /// group id per vertex.
+    pub(crate) fn begin(
+        graph: &'a CspGraph,
+        k: u32,
+        encoding: &'a Encoding,
+        symmetry: SymmetryHeuristic,
+        selectors: Selectors<'a>,
+        tracer: &'a Tracer,
+    ) -> Self {
+        let n = graph.num_vertices();
+        let span = tracer.span_with(
+            "encode",
+            [
+                ("encoding", FieldValue::from(encoding.name())),
+                ("k", FieldValue::from(k)),
+                ("vertices", FieldValue::from(n)),
+                ("edges", FieldValue::from(graph.num_edges())),
+                ("selectors", FieldValue::from(selectors.name())),
+            ],
+        );
+        let num_selectors = match selectors {
+            Selectors::None => 0,
+            Selectors::PerTrack => k,
+            Selectors::PerGroup(groups) => {
+                assert_eq!(
+                    groups.len(),
+                    n,
+                    "need exactly one group id per vertex ({} ids for {n} vertices)",
+                    groups.len()
+                );
+                groups.iter().map(|&g| g + 1).max().unwrap_or(0)
+            }
+        };
+        // Deleting groups would make full-graph symmetry restrictions unsound.
+        let symmetry = match selectors {
+            Selectors::PerGroup(_) => SymmetryHeuristic::None,
+            _ => symmetry,
+        };
+        let scheme = if k == 0 {
+            SchemeCnf::default()
+        } else {
+            encoding.emit_traced(k, tracer)
+        };
+        let blocks = scheme.num_vars * n as u32;
+        let offsets: Vec<u32> = (0..n as u32).map(|v| v * scheme.num_vars).collect();
+        let negations = scheme
+            .patterns
+            .iter()
+            .map(Pattern::negation_clause)
+            .collect();
+        Encoder {
+            span,
+            tracer,
+            graph,
+            encoding,
+            symmetry,
+            restricted: symmetry.restricted_sequence(graph, k),
+            selectors,
+            negations,
+            decode: DecodeMap {
+                scheme,
+                offsets,
+                num_colors: k,
+                selectors: blocks..blocks + num_selectors,
+            },
+        }
+    }
+
+    /// Variables of the encode: every vertex block, then the selectors.
+    fn num_vars(&self) -> u32 {
+        self.decode.selectors.end
+    }
+
+    /// Encodes into `solver` in one count, reserve and fill
+    /// ([`CdclSolver::load`]), closes the span over both and returns the
+    /// decode map, the CNF shape and the span's wall time — encode plus
+    /// load. No [`CnfFormula`] is built.
+    pub(crate) fn load(
+        self,
+        solver: &mut CdclSolver,
+        metrics: &MetricsRegistry,
+    ) -> (DecodeMap, FormulaStats, Duration) {
+        let mut stats = FormulaStats::default();
+        solver.load(self.num_vars(), |sink, pass| stats = self.emit(sink, pass));
+        let (decode, cnf_translation) = self.finish(&stats, metrics);
+        (decode, stats, cnf_translation)
+    }
+
+    /// Writes every clause into `sink` and returns their shape. Only the
+    /// [`LoadPass::Fill`] pass records the section spans, so a counting
+    /// pass leaves no trace.
+    fn emit(&self, sink: &mut dyn ClauseSink, pass: LoadPass) -> FormulaStats {
+        let untraced = Tracer::disabled();
+        let tracer = match pass {
+            LoadPass::Count => &untraced,
+            LoadPass::Fill => self.tracer,
+        };
+        let mut out = Shaped {
+            sink,
+            stats: FormulaStats {
+                num_vars: self.num_vars(),
+                ..FormulaStats::default()
+            },
+            buf: Vec::new(),
+        };
+        let DecodeMap {
+            offsets, selectors, ..
+        } = &self.decode;
+        let negations = &self.negations;
+        let groups = match self.selectors {
+            Selectors::PerGroup(groups) => Some(groups),
+            _ => None,
+        };
+        let selector = |id: u32| Lit::positive(Var::new(selectors.start + id));
+        // The literal releasing vertex `v`'s clauses: its group's `¬s_g`.
+        let guard = |v: u32| groups.map(|groups| !selector(groups[v as usize]));
+
+        // Structural clauses, one copy per vertex.
+        let structural = tracer.span("structural_clauses");
+        for (v, &offset) in (0u32..).zip(offsets) {
+            for clause in &self.decode.scheme.structural {
+                out.add(guard(v).into_iter().chain(shifted(clause, offset)));
+            }
+        }
+        structural.counter("clauses", out.stats.num_clauses as u64);
+        drop(structural);
+
+        // Conflict clauses: for each edge and common value, forbid both
+        // patterns simultaneously — guarded by both endpoints' groups, so the
+        // clause only bites while both are active.
+        let conflicts = tracer.span("conflict_clauses");
+        let before_conflicts = out.stats.num_clauses;
+        for (u, v) in self.graph.edges() {
+            let gu = guard(u);
+            let gv = guard(v).filter(|&g| Some(g) != gu);
+            let (ou, ov) = (offsets[u as usize], offsets[v as usize]);
+            for neg in negations {
+                out.add(
+                    gu.into_iter()
+                        .chain(gv)
+                        .chain(shifted(neg, ou))
+                        .chain(shifted(neg, ov)),
+                );
+            }
+        }
+        conflicts.counter("clauses", (out.stats.num_clauses - before_conflicts) as u64);
+        drop(conflicts);
+
+        // Symmetry restrictions: position p (0-based) may only use colors 0..=p.
+        let sym = tracer.span_with(
+            "symmetry_breaking",
+            [("heuristic", FieldValue::from(self.symmetry.name()))],
+        );
+        let before_sym = out.stats.num_clauses;
+        for (p, &v) in self.restricted.iter().enumerate() {
+            for neg in negations.iter().skip(p + 1) {
+                out.add(shifted(neg, offsets[v as usize]));
+            }
+        }
+        sym.counter("clauses", (out.stats.num_clauses - before_sym) as u64);
+        drop(sym);
+
+        if self.selectors == Selectors::PerTrack {
+            let activations = tracer.span("activation_selectors");
+            let before = out.stats.num_clauses;
+            for &offset in offsets {
+                for (d, neg) in (0u32..).zip(negations) {
+                    out.add(std::iter::once(!selector(d)).chain(shifted(neg, offset)));
+                }
+            }
+            activations.counter("clauses", (out.stats.num_clauses - before) as u64);
+            drop(activations);
+        }
+
+        if self.decode.num_colors == 0 {
+            // No tracks at all. Per group, each populated group is unroutable
+            // by itself: one unit clause against its selector (one per group,
+            // not per vertex, so cores stay minimal).
+            match groups {
+                Some(groups) => {
+                    let mut populated = vec![false; selectors.len()];
+                    for &g in groups {
+                        if !std::mem::replace(&mut populated[g as usize], true) {
+                            out.add([!selector(g)]);
+                        }
+                    }
+                }
+                None if self.graph.num_vertices() > 0 => out.add(std::iter::empty()),
+                None => {}
+            }
+        }
+        out.stats
+    }
+
+    /// Records the CNF shape on the span, closes it and feeds the
+    /// `encode.*` histograms; returns the decode map and the span's wall
+    /// time.
+    fn finish(self, stats: &FormulaStats, metrics: &MetricsRegistry) -> (DecodeMap, Duration) {
+        let span = self.span;
+        span.counter("variables", stats.num_vars as u64);
+        span.counter("clauses", stats.num_clauses as u64);
+        span.counter("literals", stats.num_literals as u64);
+        let cnf_translation = span.close();
+        if metrics.is_enabled() {
+            let name = self.encoding.name();
+            let micros = u64::try_from(cnf_translation.as_micros()).unwrap_or(u64::MAX);
+            metrics
+                .histogram(&format!("encode.wall_us.{name}"))
+                .record(micros);
+            metrics
+                .histogram(&format!("encode.vars.{name}"))
+                .record(stats.num_vars as u64);
+            metrics
+                .histogram(&format!("encode.clauses.{name}"))
+                .record(stats.num_clauses as u64);
+            metrics
+                .histogram(&format!("encode.literals.{name}"))
+                .record(stats.num_literals as u64);
+        }
+        (self.decode, cnf_translation)
+    }
+}
+
+/// The encoder's view of a sink: each clause is built in one reused
+/// buffer, counted, then handed on.
+struct Shaped<'s> {
+    sink: &'s mut dyn ClauseSink,
+    stats: FormulaStats,
+    buf: Vec<Lit>,
+}
+
+impl Shaped<'_> {
+    fn add(&mut self, lits: impl IntoIterator<Item = Lit>) {
+        self.buf.clear();
+        self.buf.extend(lits);
+        self.stats.add_clause(&self.buf);
+        self.sink.add_clause(&self.buf);
     }
 }
 
@@ -635,6 +767,10 @@ mod tests {
                         let at = format!("{id}/{sym} k={k} seed={seed}");
                         let plain = encode_with(&graph, k, id, sym, Selectors::None);
                         let track = encode_with(&graph, k, id, sym, Selectors::PerTrack);
+                        // The shape counted while emitting is the
+                        // formula's own.
+                        assert_eq!(plain.stats, plain.formula.stats(), "{at}");
+                        assert_eq!(track.stats, track.formula.stats(), "{at}");
                         let activations = n * k as usize;
                         let clauses: Vec<&[Lit]> = track.formula.clauses().collect();
                         let plain_clauses: Vec<&[Lit]> = plain.formula.clauses().collect();
@@ -648,6 +784,7 @@ mod tests {
                         let free =
                             encode_with(&graph, k, id, SymmetryHeuristic::None, Selectors::None);
                         let grouped = encode_with(&graph, k, id, sym, Selectors::PerGroup(&groups));
+                        assert_eq!(grouped.stats, grouped.formula.stats(), "{at}");
                         let stripped: Vec<Vec<Lit>> = grouped
                             .formula
                             .clauses()
@@ -663,6 +800,69 @@ mod tests {
                         let expected: Vec<Vec<Lit>> =
                             free.formula.clauses().map(<[Lit]>::to_vec).collect();
                         assert_eq!(stripped, expected, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn loading_through_the_sink_searches_like_add_formula() {
+        // A solver the encoder writes into and one loaded from the encoded
+        // formula must hold the same clauses in the same watch order, so
+        // they search alike: same verdict, conflicts, decisions and
+        // propagations, and the same counted shape.
+        for seed in 0..4u64 {
+            let n = 6 + seed as usize;
+            let graph = random_graph(n, 0.3 + 0.06 * seed as f64, seed);
+            let groups: Vec<u32> = (0..n as u32).map(|v| v / 2).collect();
+            for id in EncodingId::ALL {
+                for sym in SymmetryHeuristic::ALL {
+                    for selectors in [
+                        Selectors::None,
+                        Selectors::PerTrack,
+                        Selectors::PerGroup(&groups),
+                    ] {
+                        for k in 1..=3u32 {
+                            let at = format!("{id}/{sym} {selectors:?} k={k} seed={seed}");
+                            let encoding = id.encoding();
+                            let tracer = Tracer::disabled();
+                            let metrics = MetricsRegistry::disabled();
+                            let encoded =
+                                encode(&graph, k, &encoding, sym, selectors, &tracer, &metrics);
+                            let mut copied = CdclSolver::new();
+                            copied.add_formula(&encoded.formula);
+
+                            let mut sunk = CdclSolver::new();
+                            let (decode, stats, _) =
+                                Encoder::begin(&graph, k, &encoding, sym, selectors, &tracer)
+                                    .load(&mut sunk, &metrics);
+                            assert_eq!(stats, encoded.stats, "{at}");
+                            assert_eq!(decode.offsets, encoded.decode.offsets, "{at}");
+                            assert_eq!(sunk.num_vars(), copied.num_vars(), "{at}");
+
+                            // Per track, probe one width below the
+                            // encoded one; per group, every group.
+                            let assumptions = match selectors {
+                                Selectors::None => Vec::new(),
+                                Selectors::PerTrack => decode.assumptions_for_width(k - 1),
+                                Selectors::PerGroup(groups) => {
+                                    decode.assumptions_for(groups.iter().copied())
+                                }
+                            };
+                            let outcome = sunk.solve_with_assumptions(&assumptions);
+                            assert_eq!(
+                                outcome,
+                                copied.solve_with_assumptions(&assumptions),
+                                "{at}"
+                            );
+                            let (a, b) = (sunk.stats(), copied.stats());
+                            assert_eq!(
+                                (a.conflicts, a.decisions, a.propagations),
+                                (b.conflicts, b.decisions, b.propagations),
+                                "{at}"
+                            );
+                        }
                     }
                 }
             }

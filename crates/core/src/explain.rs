@@ -37,7 +37,7 @@ use satroute_coloring::{Coloring, CspGraph};
 use satroute_obs::{FieldValue, Postmortem};
 use satroute_solver::{RunContext, SolveOutcome, SolverStats, StopReason};
 
-use crate::encode::{encode, Selectors};
+use crate::encode::Selectors;
 use crate::probe::{Probe, Probed};
 use crate::strategy::Strategy;
 use crate::symmetry::SymmetryHeuristic;
@@ -250,25 +250,20 @@ impl<'a> ExplainRequest<'a> {
                 ("edges", FieldValue::from(self.graph.num_edges())),
             ],
         );
-        let encoded = encode(
+        // No `CnfFormula`: the encoder writes straight into the solver.
+        let (probe, cnf_translation) = Probe::load(
+            ctx,
             self.graph,
             self.width,
-            &self.strategy.encoding.encoding(),
-            SymmetryHeuristic::None,
+            Strategy::new(self.strategy.encoding, SymmetryHeuristic::None),
             Selectors::PerGroup(self.groups),
-            &ctx.tracer,
-            &ctx.metrics,
         );
-        // No span yet: each probe moves the solver's telemetry onto its
-        // own. The formula is dropped here; the solver holds its clauses.
         let mut probe = GroupProbe {
-            probe: Probe::load(ctx, 0, &encoded, false),
+            probe,
             ctx,
             probes: 0,
             sat_solving: Duration::ZERO,
         };
-        let cnf_translation = encoded.cnf_translation;
-        drop(encoded);
 
         let mut populated: Vec<u32> = self.groups.to_vec();
         populated.sort_unstable();

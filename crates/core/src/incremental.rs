@@ -29,7 +29,7 @@ use satroute_coloring::{Coloring, CspGraph};
 use satroute_obs::FieldValue;
 use satroute_solver::RunContext;
 
-use crate::encode::{encode, Selectors};
+use crate::encode::Selectors;
 use crate::probe::Probe;
 use crate::strategy::{ColoringOutcome, ColoringReport, Strategy};
 
@@ -86,25 +86,21 @@ impl<'a> IncrementalSessionBuilder<'a> {
     #[must_use]
     pub fn build(self) -> IncrementalSession {
         assert!(self.upper >= 1, "the upper color bound must be positive");
-        let encoded = encode(
+        // No `CnfFormula`: the encoder writes straight into the solver.
+        let (probe, encode_time) = Probe::load(
+            &self.ctx,
             self.graph,
             self.upper,
-            &self.strategy.encoding.encoding(),
-            self.strategy.symmetry,
+            self.strategy,
             Selectors::PerTrack,
-            &self.ctx.tracer,
-            &self.ctx.metrics,
         );
-        // No span yet: each probe moves the solver's telemetry onto its
-        // own. The formula is dropped here; the solver holds its clauses.
-        let probe = Probe::load(&self.ctx, 0, &encoded, false);
         IncrementalSession {
             strategy: self.strategy,
             probe,
             ctx: self.ctx,
             probes: 0,
             failed_tracks: Vec::new(),
-            encode_time: Some(encoded.cnf_translation),
+            encode_time: Some(encode_time),
         }
     }
 }

@@ -7,20 +7,24 @@
 //! width ladder ([`IncrementalSession`](crate::IncrementalSession)) and
 //! explain's initial and shrink probes load one selector encode and probe
 //! it many times, keeping learnt clauses, activities and phases in
-//! between. The probe owns what those paths share: selector freezing,
-//! solve timing under the caller's probe span, the failed-assumption core
-//! mapped to track or group ids, and the postmortem of a stopped probe.
+//! between. [`Probe::load`] has the encoder write straight into the
+//! solver; only a certified run and conquer, which read the formula
+//! again, load a [`CnfFormula`](satroute_cnf::CnfFormula)
+//! ([`Probe::load_formula`]). The probe owns what those paths share:
+//! selector freezing, solve timing under the caller's probe span, the
+//! failed-assumption core mapped to track or group ids, and the
+//! postmortem of a stopped probe.
 
 use std::time::{Duration, Instant};
 
 use satroute_cnf::{Assignment, FormulaStats, Lit, Var};
-use satroute_coloring::Coloring;
-use satroute_obs::{Postmortem, SpanGuard, SpanId};
+use satroute_coloring::{Coloring, CspGraph};
+use satroute_obs::{Postmortem, SpanGuard};
 use satroute_solver::{CdclSolver, RunContext, SolveOutcome};
 
 use crate::decode::decode_coloring;
-use crate::encode::{DecodeMap, EncodedColoring};
-use crate::strategy::{ColoringOutcome, ColoringReport, TimingBreakdown};
+use crate::encode::{DecodeMap, EncodedColoring, Encoder, Selectors};
+use crate::strategy::{ColoringOutcome, ColoringReport, Strategy, TimingBreakdown};
 
 /// A solver from a [`RunContext`] loaded with one encode.
 pub(crate) struct Probe {
@@ -55,25 +59,55 @@ pub(crate) struct Probed {
 }
 
 impl Probe {
-    /// Loads `encoded` into a fresh solver from `ctx` whose telemetry
-    /// writes onto `span` (`0` until the first probe moves it), with DRAT
-    /// logging from the first clause when `proof` is set.
+    /// Encodes `graph` at `k` colors with `strategy` and `selectors`
+    /// straight into a fresh solver from `ctx` — no [`CnfFormula`] is
+    /// built — and returns the probe with the one `encode` span's wall
+    /// time, which covers the encode and the load.
+    ///
+    /// [`CnfFormula`]: satroute_cnf::CnfFormula
     pub(crate) fn load(
         ctx: &RunContext,
-        span: SpanId,
-        encoded: &EncodedColoring,
-        proof: bool,
-    ) -> Probe {
-        // Copied before the solver's clause arena grows: allocated after
-        // it, the small map lands above the arena and keeps the heap from
-        // reusing the arena's pages once it is freed, which raises the
-        // peak RSS of a run of large routing jobs.
+        graph: &CspGraph,
+        k: u32,
+        strategy: Strategy,
+        selectors: Selectors<'_>,
+    ) -> (Probe, Duration) {
+        let encoding = strategy.encoding.encoding();
+        // The encoder builds the decode map before the solver's clause
+        // arena grows. Allocated after it, the small map would land above
+        // the arena and keep the heap from reusing the arena's pages once
+        // it is freed, which raises the peak RSS of a run of large routing
+        // jobs.
+        let encoder = Encoder::begin(
+            graph,
+            k,
+            &encoding,
+            strategy.symmetry,
+            selectors,
+            &ctx.tracer,
+        );
+        // No span yet: each probe moves the solver's telemetry onto its
+        // own.
+        let mut solver = ctx.solver(0);
+        let (decode, formula_stats, cnf_translation) = encoder.load(&mut solver, &ctx.metrics);
+        (Probe::new(solver, decode, formula_stats), cnf_translation)
+    }
+
+    /// Loads a formula already encoded — a certified run's, which the
+    /// proof checker reads afterwards, or the splitter's, shared by every
+    /// conquer cube — into a fresh solver from `ctx`, with DRAT logging
+    /// from the first clause when `proof` is set.
+    pub(crate) fn load_formula(ctx: &RunContext, encoded: &EncodedColoring, proof: bool) -> Probe {
         let decode = encoded.decode.clone();
-        let mut solver = ctx.solver(span);
+        let mut solver = ctx.solver(0);
         if proof {
             solver.enable_proof_logging();
         }
         solver.add_formula(&encoded.formula);
+        Probe::new(solver, decode, encoded.stats)
+    }
+
+    fn new(mut solver: CdclSolver, decode: DecodeMap, formula_stats: FormulaStats) -> Probe {
         // Probes assume varying selector subsets, and the solver freezes
         // only the current call's assumptions: freeze every selector up
         // front, or inprocessing (when enabled) could eliminate one that a
@@ -84,7 +118,7 @@ impl Probe {
         Probe {
             solver,
             decode,
-            formula_stats: encoded.formula.stats(),
+            formula_stats,
         }
     }
 

@@ -86,9 +86,15 @@ pub struct TimingBreakdown {
     /// Generating the graph-coloring problem from the FPGA global routing
     /// (0 when a strategy is run directly on a graph).
     pub graph_generation: Duration,
-    /// Translating the coloring problem to CNF.
+    /// Translating the coloring problem to CNF (the `encode` span). Where
+    /// the encoder writes straight into the solver —
+    /// [`SolveRequest::run`] (so portfolio members and the uncertified
+    /// pipeline), the warm width ladder and explain — this also includes
+    /// loading the solver.
     pub cnf_translation: Duration,
-    /// SAT solving.
+    /// SAT solving (the `solve` span). Where a [`CnfFormula`] is kept —
+    /// [`SolveRequest::run_certified`] and conquer's cubes — this also
+    /// includes loading the solver from it.
     pub sat_solving: Duration,
 }
 
@@ -340,13 +346,26 @@ impl<'a> SolveRequest<'a> {
 
     /// Encodes, solves and decodes, consuming the request.
     ///
+    /// The encoder writes straight into the solver, so no
+    /// [`CnfFormula`] is built: the `encode` span covers the encode and
+    /// the load (the report's `cnf_translation`), and the `solve` span
+    /// the solve alone (`sat_solving`).
+    ///
     /// # Panics
     ///
     /// Panics if the solver returns a model that does not decode to a
     /// proper coloring — that would be a soundness bug in the encoder or
     /// solver, not a run-time condition.
     pub fn run(self) -> ColoringReport {
-        self.run_inner(false).0
+        let (probe, cnf_translation) = Probe::load(
+            &self.ctx,
+            self.graph,
+            self.k,
+            self.strategy,
+            Selectors::None,
+        );
+        let solve_span = self.solve_span();
+        self.solve(solve_span, probe, cnf_translation).0
     }
 
     /// Like [`SolveRequest::run`], but with DRAT proof logging enabled:
@@ -360,10 +379,6 @@ impl<'a> SolveRequest<'a> {
     /// returned — the report's `failed_assumptions` is the certificate
     /// for that case.
     pub fn run_certified(self) -> (ColoringReport, CnfFormula, Option<DratProof>) {
-        self.run_inner(true)
-    }
-
-    fn run_inner(self, with_proof: bool) -> (ColoringReport, CnfFormula, Option<DratProof>) {
         let ctx = &self.ctx;
         let encoded = encode(
             self.graph,
@@ -374,7 +389,7 @@ impl<'a> SolveRequest<'a> {
             &ctx.tracer,
             &ctx.metrics,
         );
-        let (report, proof) = self.run_encoded(&encoded, encoded.cnf_translation, with_proof);
+        let (report, proof) = self.run_encoded(&encoded, encoded.cnf_translation, true);
         (report, encoded.formula, proof)
     }
 
@@ -382,32 +397,50 @@ impl<'a> SolveRequest<'a> {
     /// such as the splitter's shared by every conquer cube — on a cold
     /// probe under the request's assumptions, and decodes the answer.
     ///
-    /// The `solve` span covers the solver load and the solve (the report's
-    /// `sat_solving`), the `decode` span the decode; `cnf_translation` is
-    /// the encode time charged to this run. With `with_proof`, a
-    /// refutation of the formula itself also returns its DRAT proof.
+    /// The `solve` span covers the formula's load and the solve (the
+    /// report's `sat_solving`); `cnf_translation` is the encode time
+    /// charged to this run. With `with_proof`, a refutation of the
+    /// formula itself also returns its DRAT proof.
     pub(crate) fn run_encoded(
         self,
         encoded: &EncodedColoring,
         cnf_translation: Duration,
         with_proof: bool,
     ) -> (ColoringReport, Option<DratProof>) {
-        let ctx = &self.ctx;
-        let solve_span = ctx.tracer.span_with(
+        let solve_span = self.solve_span();
+        let probe = Probe::load_formula(&self.ctx, encoded, with_proof);
+        self.solve(solve_span, probe, cnf_translation)
+    }
+
+    /// Opens the `solve` span of this request's one probe.
+    fn solve_span(&self) -> SpanGuard {
+        self.ctx.tracer.span_with(
             "solve",
             [("strategy", FieldValue::from(self.strategy.to_string()))],
-        );
-        let mut probe = Probe::load(ctx, solve_span.id(), encoded, with_proof);
+        )
+    }
+
+    /// Solves the loaded `probe` under the request's assumptions as one
+    /// probe traced on `solve_span`, then decodes the answer under a
+    /// `decode` span. A refutation of the formula itself by a solver that
+    /// logs a proof also returns the proof.
+    fn solve(
+        self,
+        solve_span: SpanGuard,
+        mut probe: Probe,
+        cnf_translation: Duration,
+    ) -> (ColoringReport, Option<DratProof>) {
+        let ctx = &self.ctx;
         if let Some((exchange, sharing)) = self.exchange {
             probe.solver.set_exchange(exchange, sharing);
         }
         let probed = probe.solve(solve_span, &self.assumptions, cnf_translation);
         // UNSAT-under-assumptions refutes nothing, so there is no proof to
         // take: the DRAT log never derived the empty clause.
-        let proof = (with_proof
-            && matches!(probed.outcome, SolveOutcome::Unsat)
+        let proof = (matches!(probed.outcome, SolveOutcome::Unsat)
             && !probe.solver.unsat_under_assumptions())
-        .then(|| probe.solver.take_proof().expect("logging was enabled"));
+        .then(|| probe.solver.take_proof())
+        .flatten();
 
         let decode_span = ctx.tracer.span("decode");
         let report = probe.report(probed);

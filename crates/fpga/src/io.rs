@@ -127,7 +127,9 @@ fn write_segment(w: &mut impl Write, s: Segment) -> io::Result<()> {
 }
 
 fn parse_segment(tok: &str, line: usize) -> Result<Segment, ParseProblemError> {
-    let (kind, rest) = tok.split_at(tok.len().min(1));
+    let (kind, rest) = tok
+        .split_at_checked(1)
+        .ok_or_else(|| syntax(line, format!("bad segment kind `{tok}`")))?;
     let inner = rest
         .strip_prefix('(')
         .and_then(|s| s.strip_suffix(')'))
@@ -330,6 +332,23 @@ mod tests {
         text.push_str(&to_problem_string(&problem));
         text.push_str("\n# trailer\n");
         assert_eq!(parse_problem_str(&text).unwrap(), problem);
+    }
+
+    #[test]
+    fn multibyte_segment_kind_is_a_syntax_error() {
+        let text = "fabric 2 2\nnet n0 (0,0,N) (1,1,S)\nroute n0 (0,0,N) (1,1,S) \u{e9}(0,1)\n";
+        let err = parse_problem_str(text).unwrap_err();
+        assert!(
+            matches!(err, ParseProblemError::Syntax { line: 3, .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn route_terminal_off_the_fabric_is_an_error() {
+        let text = "fabric 2 2\nnet n0 (0,0,N) (1,1,S)\nroute n0 (9,9,N) (1,1,S) H(0,1)\n";
+        let err = parse_problem_str(text).unwrap_err();
+        assert!(err.to_string().contains("off the fabric"), "{err}");
     }
 
     #[test]

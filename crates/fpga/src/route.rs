@@ -11,7 +11,7 @@ use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
-use crate::{decompose, Architecture, DecompositionStyle, Netlist, Segment, Subnet};
+use crate::{decompose, Architecture, DecompositionStyle, Netlist, Segment, Subnet, Terminal};
 
 /// The global route of one 2-pin subnet: the ordered channel segments it
 /// passes through, from the source pin's connection block to the sink's.
@@ -52,8 +52,9 @@ impl GlobalRouting {
     }
 
     /// Checks structural validity against a fabric: every path is non-empty,
-    /// starts at the source pin's segment, ends at the sink pin's segment,
-    /// and moves only between switch-block-adjacent segments.
+    /// both terminals are on the fabric, and the path starts at the source
+    /// pin's segment, ends at the sink pin's segment, and moves only
+    /// between switch-block-adjacent segments.
     ///
     /// # Errors
     ///
@@ -64,12 +65,12 @@ impl GlobalRouting {
             if path.is_empty() {
                 return Err(RouteError::EmptyPath(route.subnet));
             }
-            let src = arch.pin_segment(
-                route.subnet.from.x,
-                route.subnet.from.y,
-                route.subnet.from.side,
-            );
-            let dst = arch.pin_segment(route.subnet.to.x, route.subnet.to.y, route.subnet.to.side);
+            let (from, to) = (route.subnet.from, route.subnet.to);
+            if !arch.contains_block(from.x, from.y) || !arch.contains_block(to.x, to.y) {
+                return Err(RouteError::OffFabric(route.subnet));
+            }
+            let src = arch.pin_segment(from.x, from.y, from.side);
+            let dst = arch.pin_segment(to.x, to.y, to.side);
             if path[0] != src || *path.last().expect("non-empty") != dst {
                 return Err(RouteError::EndpointMismatch(route.subnet));
             }
@@ -101,6 +102,8 @@ impl GlobalRouting {
 pub enum RouteError {
     /// A subnet has an empty path.
     EmptyPath(Subnet),
+    /// A subnet's terminal is on a block outside the fabric.
+    OffFabric(Subnet),
     /// A path does not start/end at the subnet's pins.
     EndpointMismatch(Subnet),
     /// Consecutive path segments are not switch-block adjacent.
@@ -114,6 +117,7 @@ impl fmt::Display for RouteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RouteError::EmptyPath(s) => write!(f, "subnet {s} has an empty path"),
+            RouteError::OffFabric(s) => write!(f, "subnet {s} has a terminal off the fabric"),
             RouteError::EndpointMismatch(s) => {
                 write!(f, "subnet {s} path does not connect its pins")
             }
@@ -196,10 +200,14 @@ impl GlobalRouter {
         netlist: &Netlist,
     ) -> Result<GlobalRouting, RouteError> {
         let subnets = decompose(netlist, self.style);
-        let n_seg = arch.num_segments();
+        let graph = SegmentGraph::new(arch);
+        let mut search = MazeSearch::new(arch.num_segments());
         // usage[s] = number of subnets currently routed through segment s.
-        let mut usage: Vec<u64> = vec![0; n_seg];
-        let mut paths: Vec<Option<Vec<Segment>>> = vec![None; subnets.len()];
+        let mut usage: Vec<u64> = vec![0; arch.num_segments()];
+        // paths[i]: subnet i's segment indices, source first; empty until
+        // the first pass routes it.
+        let mut paths: Vec<Vec<u32>> = vec![Vec::new(); subnets.len()];
+        let pin = |t: Terminal| arch.segment_index(arch.pin_segment(t.x, t.y, t.side)) as u32;
 
         // Route longer subnets first: they have fewer detour options.
         let mut order: Vec<usize> = (0..subnets.len()).collect();
@@ -210,20 +218,20 @@ impl GlobalRouter {
             (Reverse(dx + dy), i)
         });
 
-        for pass in 0..=self.ripup_passes {
+        for _ in 0..=self.ripup_passes {
             for &i in &order {
-                if pass > 0 {
-                    if let Some(old) = paths[i].take() {
-                        for seg in &old {
-                            usage[arch.segment_index(*seg)] -= 1;
-                        }
-                    }
+                let path = &mut paths[i];
+                for &seg in path.iter() {
+                    usage[seg as usize] -= 1;
                 }
-                let path = self.maze_route(arch, subnets[i], &usage)?;
-                for seg in &path {
-                    usage[arch.segment_index(*seg)] += 1;
+                let subnet = subnets[i];
+                let cost = |seg: u32| 1 + self.congestion_weight * usage[seg as usize];
+                if !search.shortest_path(&graph, pin(subnet.from), pin(subnet.to), cost, path) {
+                    return Err(RouteError::NoPath(subnet));
                 }
-                paths[i] = Some(path);
+                for &seg in path.iter() {
+                    usage[seg as usize] += 1;
+                }
             }
         }
 
@@ -232,67 +240,121 @@ impl GlobalRouter {
             .zip(paths)
             .map(|(subnet, path)| SubnetRoute {
                 subnet,
-                path: path.expect("all subnets routed"),
+                path: path.iter().map(|&i| arch.segment_at(i as usize)).collect(),
             })
             .collect();
         Ok(GlobalRouting::new(routes))
     }
+}
 
-    /// Dijkstra over the segment graph with congestion-aware costs.
-    fn maze_route(
-        &self,
-        arch: &Architecture,
-        subnet: Subnet,
-        usage: &[u64],
-    ) -> Result<Vec<Segment>, RouteError> {
-        let src = arch.pin_segment(subnet.from.x, subnet.from.y, subnet.from.side);
-        let dst = arch.pin_segment(subnet.to.x, subnet.to.y, subnet.to.side);
-        let src_idx = arch.segment_index(src);
-        let dst_idx = arch.segment_index(dst);
+/// A fabric's segment graph as flat adjacency lists, built once per
+/// [`GlobalRouter::route`] call: the neighbors of the segment with dense
+/// index `i` are `adj[start[i]..start[i + 1]]`, as dense indices in
+/// [`Architecture::neighbors`] order.
+struct SegmentGraph {
+    start: Vec<u32>,
+    adj: Vec<u32>,
+}
 
-        let n = arch.num_segments();
-        let mut dist: Vec<u64> = vec![u64::MAX; n];
-        let mut prev: Vec<usize> = vec![usize::MAX; n];
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+impl SegmentGraph {
+    /// # Panics
+    ///
+    /// Panics if the fabric is too large for `u32` offsets: a segment has
+    /// at most six neighbors, so `6 · segments` must fit.
+    fn new(arch: &Architecture) -> Self {
+        assert!(
+            arch.num_segments() <= u32::MAX as usize / 6,
+            "{arch} has too many segments to route"
+        );
+        let mut start = Vec::with_capacity(arch.num_segments() + 1);
+        let mut adj = Vec::new();
+        start.push(0);
+        for seg in arch.segments() {
+            adj.extend(
+                arch.neighbors(seg)
+                    .into_iter()
+                    .map(|next| arch.segment_index(next) as u32),
+            );
+            start.push(adj.len() as u32);
+        }
+        SegmentGraph { start, adj }
+    }
 
-        let enter_cost = |idx: usize| 1 + self.congestion_weight * usage[idx];
-        dist[src_idx] = enter_cost(src_idx);
-        heap.push(Reverse((dist[src_idx], src_idx)));
+    fn neighbors(&self, seg: u32) -> &[u32] {
+        let seg = seg as usize;
+        &self.adj[self.start[seg] as usize..self.start[seg + 1] as usize]
+    }
+}
 
-        while let Some(Reverse((d, idx))) = heap.pop() {
-            if d > dist[idx] {
+/// Dijkstra's working state, reused by every search of one
+/// [`GlobalRouter::route`] call.
+struct MazeSearch {
+    dist: Vec<u64>,
+    /// Predecessor on the cheapest path found. Not reset between searches:
+    /// every segment a search reaches gets its entry from that search, and
+    /// the path walk follows only reached segments.
+    prev: Vec<u32>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl MazeSearch {
+    fn new(num_segments: usize) -> Self {
+        MazeSearch {
+            dist: vec![u64::MAX; num_segments],
+            prev: vec![u32::MAX; num_segments],
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Dijkstra over the segment graph from `src` to `dst`, where entering
+    /// a segment (the source included) costs `cost(segment)`. Writes the
+    /// cheapest path into `path`, source first, and returns `false` if
+    /// `dst` is unreachable.
+    fn shortest_path(
+        &mut self,
+        graph: &SegmentGraph,
+        src: u32,
+        dst: u32,
+        cost: impl Fn(u32) -> u64,
+        path: &mut Vec<u32>,
+    ) -> bool {
+        let dist = &mut self.dist;
+        dist.fill(u64::MAX);
+        self.heap.clear();
+        dist[src as usize] = cost(src);
+        self.heap.push(Reverse((dist[src as usize], src)));
+
+        while let Some(Reverse((d, seg))) = self.heap.pop() {
+            if d > dist[seg as usize] {
                 continue;
             }
-            if idx == dst_idx {
+            if seg == dst {
                 break;
             }
-            let seg = arch.segment_at(idx);
-            for next in arch.neighbors(seg) {
-                let next_idx = arch.segment_index(next);
-                let nd = d + enter_cost(next_idx);
-                if nd < dist[next_idx] {
-                    dist[next_idx] = nd;
-                    prev[next_idx] = idx;
-                    heap.push(Reverse((nd, next_idx)));
+            for &next in graph.neighbors(seg) {
+                let nd = d + cost(next);
+                if nd < dist[next as usize] {
+                    dist[next as usize] = nd;
+                    self.prev[next as usize] = seg;
+                    self.heap.push(Reverse((nd, next)));
                 }
             }
         }
 
-        if dist[dst_idx] == u64::MAX {
-            return Err(RouteError::NoPath(subnet));
+        if dist[dst as usize] == u64::MAX {
+            return false;
         }
-        let mut path = Vec::new();
-        let mut cur = dst_idx;
+        path.clear();
+        let mut cur = dst;
         loop {
-            path.push(arch.segment_at(cur));
-            if cur == src_idx {
+            path.push(cur);
+            if cur == src {
                 break;
             }
-            cur = prev[cur];
-            debug_assert_ne!(cur, usize::MAX, "broken predecessor chain");
+            cur = self.prev[cur as usize];
         }
         path.reverse();
-        Ok(path)
+        true
     }
 }
 
@@ -392,6 +454,122 @@ mod tests {
         broken[0].path.remove(0);
         let res = GlobalRouting::new(broken).validate(&arch);
         assert!(res.is_err());
+    }
+
+    /// The router before the flat segment graph: a fresh Dijkstra per
+    /// subnet, with neighbors from [`Architecture::neighbors`]. The
+    /// reference [`GlobalRouter::route`] must match route for route.
+    fn reference_route(
+        router: &GlobalRouter,
+        arch: &Architecture,
+        netlist: &Netlist,
+    ) -> GlobalRouting {
+        let subnets = decompose(netlist, router.style);
+        let mut usage: Vec<u64> = vec![0; arch.num_segments()];
+        let mut paths: Vec<Option<Vec<Segment>>> = vec![None; subnets.len()];
+        let mut order: Vec<usize> = (0..subnets.len()).collect();
+        order.sort_by_key(|&i| {
+            let s = subnets[i];
+            let dx = (i32::from(s.from.x) - i32::from(s.to.x)).unsigned_abs();
+            let dy = (i32::from(s.from.y) - i32::from(s.to.y)).unsigned_abs();
+            (Reverse(dx + dy), i)
+        });
+        for pass in 0..=router.ripup_passes {
+            for &i in &order {
+                if pass > 0 {
+                    for seg in paths[i].take().expect("routed in pass 0") {
+                        usage[arch.segment_index(seg)] -= 1;
+                    }
+                }
+                let path = reference_maze_route(router, arch, subnets[i], &usage);
+                for seg in &path {
+                    usage[arch.segment_index(*seg)] += 1;
+                }
+                paths[i] = Some(path);
+            }
+        }
+        GlobalRouting::new(
+            subnets
+                .into_iter()
+                .zip(paths)
+                .map(|(subnet, path)| SubnetRoute {
+                    subnet,
+                    path: path.expect("all subnets routed"),
+                })
+                .collect(),
+        )
+    }
+
+    fn reference_maze_route(
+        router: &GlobalRouter,
+        arch: &Architecture,
+        subnet: Subnet,
+        usage: &[u64],
+    ) -> Vec<Segment> {
+        let src =
+            arch.segment_index(arch.pin_segment(subnet.from.x, subnet.from.y, subnet.from.side));
+        let dst = arch.segment_index(arch.pin_segment(subnet.to.x, subnet.to.y, subnet.to.side));
+        let n = arch.num_segments();
+        let mut dist: Vec<u64> = vec![u64::MAX; n];
+        let mut prev: Vec<usize> = vec![usize::MAX; n];
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        let enter_cost = |idx: usize| 1 + router.congestion_weight * usage[idx];
+        dist[src] = enter_cost(src);
+        heap.push(Reverse((dist[src], src)));
+        while let Some(Reverse((d, idx))) = heap.pop() {
+            if d > dist[idx] {
+                continue;
+            }
+            if idx == dst {
+                break;
+            }
+            for next in arch.neighbors(arch.segment_at(idx)) {
+                let next_idx = arch.segment_index(next);
+                let nd = d + enter_cost(next_idx);
+                if nd < dist[next_idx] {
+                    dist[next_idx] = nd;
+                    prev[next_idx] = idx;
+                    heap.push(Reverse((nd, next_idx)));
+                }
+            }
+        }
+        let mut path = Vec::new();
+        let mut cur = dst;
+        loop {
+            path.push(arch.segment_at(cur));
+            if cur == src {
+                break;
+            }
+            cur = prev[cur];
+        }
+        path.reverse();
+        path
+    }
+
+    #[test]
+    fn flat_router_matches_the_reference_dijkstra() {
+        for (width, height) in [(1, 1), (3, 2), (5, 5), (9, 7)] {
+            let arch = Architecture::new(width, height).unwrap();
+            let nets = (arch.num_blocks() / 2).max(1);
+            for seed in 0..2u64 {
+                let nl = Netlist::random(&arch, nets, 2..=4, seed).unwrap();
+                for style in [DecompositionStyle::Star, DecompositionStyle::Chain] {
+                    for passes in [0, 1, 3] {
+                        for weight in [0, 1, 4] {
+                            let router = GlobalRouter::new()
+                                .with_decomposition(style)
+                                .with_ripup_passes(passes)
+                                .with_congestion_weight(weight);
+                            assert_eq!(
+                                router.route(&arch, &nl).unwrap(),
+                                reference_route(&router, &arch, &nl),
+                                "{width}x{height} seed {seed} {style:?} passes {passes} weight {weight}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use satroute_cnf::{Assignment, CnfFormula, Lit, Var};
+use satroute_cnf::{Assignment, ClauseSink, CnfFormula, Lit, Var};
 
 use crate::arena::{ClauseArena, ClauseRef, Tier, MAX_WORDS};
 use crate::heap::VarHeap;
@@ -227,6 +227,29 @@ fn two_smallest(lits: &[Lit]) -> Option<[Lit; 2]> {
         }
     }
     second.map(|s| [min, s])
+}
+
+/// The two passes of [`CdclSolver::load`], in the order they run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LoadPass {
+    /// The sink only counts how many watchers each literal's list will
+    /// hold; nothing is loaded.
+    Count,
+    /// The sink is the solver: every clause is added.
+    Fill,
+}
+
+/// The sink of [`CdclSolver::load`]'s counting pass: entry `code` is the
+/// number of clauses that will watch the literal with that code.
+struct WatchCounts(Vec<u32>);
+
+impl ClauseSink for WatchCounts {
+    fn add_clause(&mut self, lits: &[Lit]) {
+        if let Some([a, b]) = two_smallest(lits) {
+            self.0[a.code() as usize] += 1;
+            self.0[b.code() as usize] += 1;
+        }
+    }
 }
 
 /// Counters describing the work a [`CdclSolver`] performed.
@@ -471,6 +494,12 @@ pub struct CdclSolver {
     /// Conflicts between inprocessing rounds; grows geometrically by
     /// [`InprocessConfig::backoff`] after every round.
     pub(crate) inprocess_interval: u64,
+}
+
+impl ClauseSink for CdclSolver {
+    fn add_clause(&mut self, lits: &[Lit]) {
+        CdclSolver::add_clause(self, lits);
+    }
 }
 
 impl Default for CdclSolver {
@@ -730,41 +759,64 @@ impl CdclSolver {
         }
     }
 
-    /// Adds every clause of `formula`.
+    /// Loads a problem in one count, reserve and fill: loading never
+    /// regrows a watch list, and an emitter that produces its clauses on
+    /// the fly (the encoder) needs no stored copy of them.
     ///
-    /// A counting pass first reserves every watch list at its final
-    /// length — a clause is watched on its two smallest distinct literals,
-    /// which normalization puts first — so loading never regrows one
-    /// (only level-0 units met on the way can shift a watch). The clauses
-    /// then load one by one through the reusable normalization buffer.
-    pub fn add_formula(&mut self, formula: &CnfFormula) {
-        self.ensure_vars(formula.num_vars());
-        let mut counts = vec![0u32; self.watches.len()];
-        for lits in formula {
-            if let Some([a, b]) = two_smallest(lits) {
-                counts[a.code() as usize] += 1;
-                counts[b.code() as usize] += 1;
-            }
-        }
-        for (watchers, &n) in self.watches.iter_mut().zip(&counts) {
+    /// `emit` writes every clause into the sink it is handed, and runs
+    /// twice. The [`LoadPass::Count`] pass counts the watchers each
+    /// literal's list will hold: a clause is watched on its two smallest
+    /// distinct literals, which normalization puts first (only level-0
+    /// units met on the way can shift a watch). Every watch list is then
+    /// reserved at exactly that length, and the [`LoadPass::Fill`] pass
+    /// adds the clauses to the solver through [`CdclSolver::add_clause`].
+    /// Both passes must write the same clauses in the same order. The
+    /// solver knows at least `num_vars` variables afterwards, mentioned by
+    /// a clause or not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a clause mentions a variable beyond both `num_vars` and
+    /// the variables the solver already knows.
+    pub fn load(&mut self, num_vars: u32, mut emit: impl FnMut(&mut dyn ClauseSink, LoadPass)) {
+        self.ensure_vars(num_vars);
+        let mut counts = WatchCounts(vec![0; self.watches.len()]);
+        emit(&mut counts, LoadPass::Count);
+        for (watchers, &n) in self.watches.iter_mut().zip(&counts.0) {
             watchers.reserve_exact(n as usize);
         }
-        for lits in formula {
-            self.add_clause(lits);
-        }
+        drop(counts);
+        emit(self, LoadPass::Fill);
+    }
+
+    /// Adds every clause of `formula`: [`CdclSolver::load`] over its
+    /// clauses.
+    pub fn add_formula(&mut self, formula: &CnfFormula) {
+        self.load(formula.num_vars(), |sink, _| {
+            for lits in formula {
+                sink.add_clause(lits);
+            }
+        });
     }
 
     /// Adds a single clause.
     ///
     /// Duplicate literals are removed and tautological clauses are dropped.
     /// An empty (or immediately falsified) clause marks the solver
-    /// unsatisfiable.
+    /// unsatisfiable. A clause that is already normalized — strictly
+    /// increasing variables, each known to the solver, unassigned and not
+    /// eliminated — is attached straight from `lits`, which leaves the
+    /// same state as normalizing it; any other goes through the
+    /// normalization buffer first. The encoder writes nearly every clause
+    /// already normalized, so loading its output skips the copy, sort and
+    /// scans of `normalize`.
     ///
     /// # Panics
     ///
     /// Panics if called after `solve` left decisions on the trail (the
     /// solver always backtracks fully, so this cannot happen through the
-    /// public API).
+    /// public API), or if the clause mentions a variable removed by
+    /// bounded variable elimination.
     pub fn add_clause(&mut self, lits: &[Lit]) {
         assert!(
             self.trail_lim.is_empty(),
@@ -773,25 +825,40 @@ impl CdclSolver {
         if !self.ok {
             return;
         }
-        let max_var = lits.iter().map(|l| l.var().index() + 1).max().unwrap_or(0);
-        self.ensure_vars(max_var);
-        assert!(
-            !lits
-                .iter()
-                .any(|l| self.eliminated[l.var().index() as usize]),
-            "clause mentions a variable removed by bounded variable \
-             elimination; freeze variables that later clauses will mention"
-        );
-        let mut normalized = std::mem::take(&mut self.norm_buf);
-        if self.normalize(lits, &mut normalized) {
-            self.add_normalized(&normalized, false);
+        if self.is_normalized(lits) {
+            self.add_normalized(lits, false);
+        } else {
+            let max_var = lits.iter().map(|l| l.var().index() + 1).max().unwrap_or(0);
+            self.ensure_vars(max_var);
+            assert!(
+                !lits
+                    .iter()
+                    .any(|l| self.eliminated[l.var().index() as usize]),
+                "clause mentions a variable removed by bounded variable \
+                 elimination; freeze variables that later clauses will mention"
+            );
+            let mut normalized = std::mem::take(&mut self.norm_buf);
+            if self.normalize(lits, &mut normalized) {
+                self.add_normalized(&normalized, false);
+            }
+            self.norm_buf = normalized;
         }
-        self.norm_buf = normalized;
         if !self.ok {
             if let Some(proof) = &mut self.proof {
                 proof.push_add(Vec::new());
             }
         }
+    }
+
+    /// Whether `normalize` would return `lits` unchanged: its variables
+    /// strictly increase (so its literal codes do, and no variable
+    /// repeats), and each is known, unassigned and not eliminated.
+    fn is_normalized(&self, lits: &[Lit]) -> bool {
+        lits.windows(2).all(|pair| pair[0].var() < pair[1].var())
+            && lits.iter().all(|lit| {
+                let var = lit.var().index() as usize;
+                var < self.assigns.len() && self.assigns[var] == UNDEF && !self.eliminated[var]
+            })
     }
 
     /// The level-0 clause normalizer: writes `lits` into `out` sorted and
@@ -2887,6 +2954,95 @@ mod tests {
         }
         assert!(refuted > 0, "the family must contain refutations");
         assert!(minimized > 0, "minimization must remove literals");
+    }
+
+    #[test]
+    fn loading_reserves_every_watch_list_exactly() {
+        // Without unit clauses no level-0 assignment can shift a watch, so
+        // the counting pass predicts every list's final length.
+        for seed in 0..4u64 {
+            let f = random_coloring(seed, 30, 4, 30);
+            assert_eq!(f.stats().num_unit, 0);
+            let mut s = CdclSolver::new();
+            s.add_formula(&f);
+            for (code, watchers) in s.watches.iter().enumerate() {
+                assert_eq!(
+                    watchers.capacity(),
+                    watchers.len(),
+                    "seed {seed} literal {code}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn already_normalized_clauses_load_like_normalized_ones() {
+        // (clause, attached straight from the slice?)
+        let clauses: Vec<(Vec<i64>, bool)> = vec![
+            (vec![1, 2, 3], true),
+            (vec![-1, 4], true),         // binary
+            (vec![3, 1, 2, 5], false),   // unsorted
+            (vec![2, 2, 6], false),      // duplicated literal
+            (vec![2, 5, -2], false),     // tautology
+            (vec![7], true),             // unit, assigned at level 0
+            (vec![-7, 8, 9], false),     // falsified literal dropped
+            (vec![7, 10], false),        // satisfied at level 0, dropped
+            (vec![8, 9, 14, 13], false), // unsorted, past the known variables
+            (vec![-8, -9, 14], true),
+            (vec![], true),     // the empty clause refutes
+            (vec![1, 2], true), // ignored once refuted
+        ];
+        // `direct` gets each clause as written; `normalized` gets it
+        // reversed with its first literal repeated, which only `normalize`
+        // accepts.
+        let mut direct = CdclSolver::new();
+        let mut normalized = CdclSolver::new();
+        for s in [&mut direct, &mut normalized] {
+            s.enable_proof_logging();
+            s.ensure_vars(12);
+        }
+        for (clause, zero_copy) in &clauses {
+            let lits: Vec<Lit> = clause.iter().map(|&d| lit(d)).collect();
+            let scrambled: Vec<Lit> = lits.iter().rev().chain(lits.first()).copied().collect();
+            assert_eq!(direct.is_normalized(&lits), *zero_copy, "{clause:?}");
+            assert_eq!(normalized.is_normalized(&scrambled), lits.is_empty());
+            direct.add_clause(&lits);
+            normalized.add_clause(&scrambled);
+            // The normalization buffer only holds working state;
+            // everything else must match.
+            direct.norm_buf.clear();
+            normalized.norm_buf.clear();
+            assert_eq!(
+                format!("{direct:?}"),
+                format!("{normalized:?}"),
+                "after {clause:?}"
+            );
+        }
+        assert!(!direct.ok);
+
+        // The zero-copy path is taken exactly for already-normalized
+        // clauses over known, unassigned, live variables.
+        let s = CdclSolver::new();
+        assert!(s.is_normalized(&[]));
+        let mut s = CdclSolver::new();
+        s.ensure_vars(4);
+        assert!(s.is_normalized(&[lit(1), lit(-2), lit(4)]));
+        assert!(!s.is_normalized(&[lit(2), lit(1)]));
+        assert!(!s.is_normalized(&[lit(1), lit(-1)]));
+        assert!(!s.is_normalized(&[lit(1), lit(5)]));
+        s.add_clause(&[lit(3)]);
+        assert!(!s.is_normalized(&[lit(1), lit(3)]));
+        s.eliminated[3] = true;
+        assert!(!s.is_normalized(&[lit(4)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "clause mentions a variable removed by bounded variable elimination")]
+    fn clause_over_an_eliminated_variable_panics() {
+        let mut s = CdclSolver::new();
+        s.ensure_vars(3);
+        s.eliminated[1] = true;
+        s.add_clause(&[lit(1), lit(2), lit(3)]);
     }
 
     #[test]

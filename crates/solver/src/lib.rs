@@ -65,7 +65,9 @@ pub mod preprocess;
 pub mod run;
 
 pub use arena::{ClauseArena, ClauseRef, Forwarding, Tier};
-pub use cdcl::{CdclSolver, PhaseInit, ReducePolicy, RestartScheme, SolverConfig, SolverStats};
+pub use cdcl::{
+    CdclSolver, LoadPass, PhaseInit, ReducePolicy, RestartScheme, SolverConfig, SolverStats,
+};
 pub use cubes::{split_cubes, CubeOptions, CubePlan};
 pub use dpll::DpllSolver;
 pub use inprocess::InprocessConfig;

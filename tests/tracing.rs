@@ -154,6 +154,84 @@ fn encode_spans_pin_cnf_stats_per_encoding() {
     }
 }
 
+/// A solve whose encoder writes straight into the solver runs the clause
+/// writer twice, a counting pass and the fill, yet records one `encode`
+/// span with one child per section, the CNF-size counters of a formula
+/// encode, and one sample in each `encode.*` histogram. The same holds
+/// for the warm ladder's selector encode.
+#[test]
+fn sink_loads_record_one_encode_span_and_one_metric_sample() {
+    let g = random_graph(30, 0.4, 7);
+    let strategy = Strategy::new(EncodingId::Muldirect, SymmetryHeuristic::B1);
+    let encoding = strategy.encoding.encoding();
+    let sections = [
+        "scheme_emit",
+        "structural_clauses",
+        "conflict_clauses",
+        "symmetry_breaking",
+    ];
+    for warm in [false, true] {
+        let buffer = BufferSink::new();
+        let registry = MetricsRegistry::new();
+        let tracer = Tracer::to_sink(buffer.clone());
+        let (formula_stats, expected) = if warm {
+            let mut session = strategy
+                .incremental(&g, 6)
+                .trace(tracer)
+                .metrics(registry.clone())
+                .build();
+            let report = session.probe(6);
+            let traced = encode(
+                &g,
+                6,
+                &encoding,
+                strategy.symmetry,
+                Selectors::PerTrack,
+                &Tracer::disabled(),
+                &MetricsRegistry::disabled(),
+            );
+            (report.formula_stats, traced.formula.stats())
+        } else {
+            let report = strategy
+                .solve(&g, 6)
+                .trace(tracer)
+                .metrics(registry.clone())
+                .run();
+            let plain = encode_coloring(&g, 6, &encoding, strategy.symmetry);
+            (report.formula_stats, plain.formula.stats())
+        };
+        assert_eq!(formula_stats, expected, "warm={warm}");
+
+        let forest = SpanForest::from_events(&buffer.events()).expect("trace reconstructs");
+        let encodes = forest.spans_named("encode");
+        assert_eq!(encodes.len(), 1, "warm={warm}: one encode span");
+        let children: Vec<&str> = encodes[0]
+            .children
+            .iter()
+            .map(|&id| forest.node(id).expect("child exists").name.as_str())
+            .collect();
+        let mut want = sections.to_vec();
+        if warm {
+            want.push("activation_selectors");
+        }
+        assert_eq!(children, want, "warm={warm}");
+        let counter = |name: &str| encodes[0].counters.get(name).copied();
+        assert_eq!(counter("variables"), Some(u64::from(expected.num_vars)));
+        assert_eq!(counter("clauses"), Some(expected.num_clauses as u64));
+        assert_eq!(counter("literals"), Some(expected.num_literals as u64));
+
+        let snapshot = registry.snapshot();
+        for shape in ["wall_us", "vars", "clauses", "literals"] {
+            let name = format!("encode.{shape}.{}", encoding.name());
+            assert_eq!(
+                snapshot.histogram(&name).map(|h| h.count()),
+                Some(1),
+                "warm={warm}: {name}"
+            );
+        }
+    }
+}
+
 /// A traced portfolio produces one `member` span per strategy under the
 /// `portfolio` root, each carrying bridged solver counters, and the
 /// artifact survives the JSONL round trip.
