@@ -3,7 +3,8 @@
 //!
 //! The paper's measured results are suites of `satroute bench run` (see
 //! `DESIGN.md`, experiment index); the binaries in `src/bin/` print what
-//! the suites do not model:
+//! the suites do not model. The crate has no `cargo bench` targets:
+//! every timing comes from a suite.
 //!
 //! | artifact                     | how to regenerate |
 //! |------------------------------|-------------------|
@@ -19,9 +20,9 @@
 //! The [`suite`] / [`artifact`] / [`compare`](mod@compare) modules implement the
 //! regression harness: pinned deterministic suites whose runs are
 //! recorded as `BENCH_*.json` baselines, rendered as Table 2-style grids,
-//! and diffed/gated against each other (see the crate README, "Benchmark
-//! regression harness"). The JSON document model these share lives in
-//! [`satroute_obs::json`].
+//! and diffed/gated against each other (see the workspace README,
+//! "Benchmark regression harness"). The JSON document model these share
+//! lives in [`satroute_obs::json`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -21,7 +21,7 @@ use satroute_core::{
 };
 use satroute_fpga::benchmarks::{self, BenchmarkInstance};
 use satroute_obs::{FieldValue, MetricsRegistry, MetricsSnapshot};
-use satroute_solver::{InprocessConfig, RunBudget, RunContext, SharingConfig, SolverStats};
+use satroute_solver::{InprocessConfig, RunBudget, RunContext, SolverStats};
 
 use crate::artifact::{BenchArtifact, BenchCell, EnvFingerprint, HistogramSummary, WallTime};
 
@@ -692,12 +692,10 @@ impl SuiteCell {
             }
             CellKind::Sharing { width, share } => {
                 let members = Strategy::diversified(self.strategy, SHARING_MEMBERS);
-                let mut options = PortfolioOptions::new()
+                let options = PortfolioOptions::new()
                     .with_max_threads(SHARING_MEMBERS)
-                    .with_diversified_configs(true);
-                if share {
-                    options = options.with_sharing(SharingConfig::default());
-                }
+                    .with_diversified_configs(true)
+                    .with_sharing(share);
                 let result = run_portfolio(graph, width, &members, &ctx, &options);
                 let outcome = match result.winner {
                     Some(i) => format!(

@@ -48,13 +48,6 @@ impl Assignment {
         self.values.len() as u32
     }
 
-    /// Grows the assignment to cover at least `num_vars` variables.
-    pub fn grow(&mut self, num_vars: u32) {
-        if (num_vars as usize) > self.values.len() {
-            self.values.resize(num_vars as usize, 0);
-        }
-    }
-
     /// Returns the truth value of a variable, or `None` if unassigned or out
     /// of range.
     #[inline]

@@ -5,36 +5,17 @@
 //! # Examples
 //!
 //! ```
-//! use satroute_cnf::{clause, Lit, Var};
+//! use satroute_cnf::{clause, Assignment, Lit, Var};
 //!
 //! let a = Var::new(0);
 //! let lits = [Lit::positive(a), Lit::negative(a)];
-//! assert!(clause::is_tautology(&lits));
+//! assert_eq!(clause::evaluate(&lits, &Assignment::new(1)), None);
 //! assert_eq!(clause::display(&lits).to_string(), "x0 ∨ ¬x0");
 //! ```
 
 use std::fmt;
 
 use crate::{Assignment, Lit};
-
-/// Returns `true` if the clause contains some literal and its negation,
-/// making it trivially satisfied.
-pub fn is_tautology(lits: &[Lit]) -> bool {
-    lits.iter().any(|&l| lits.contains(&!l))
-}
-
-/// Removes duplicate literals, preserving first occurrences.
-pub fn dedup(lits: &mut Vec<Lit>) {
-    let mut kept = 0;
-    for i in 0..lits.len() {
-        let lit = lits[i];
-        if !lits[..kept].contains(&lit) {
-            lits[kept] = lit;
-            kept += 1;
-        }
-    }
-    lits.truncate(kept);
-}
 
 /// Evaluates the clause under a (possibly partial) assignment.
 ///
@@ -86,20 +67,6 @@ mod tests {
 
     fn lit(d: i64) -> Lit {
         Lit::from_dimacs(d)
-    }
-
-    #[test]
-    fn tautology_detection() {
-        assert!(is_tautology(&[lit(1), lit(-1)]));
-        assert!(!is_tautology(&[lit(1), lit(2)]));
-        assert!(!is_tautology(&[]));
-    }
-
-    #[test]
-    fn dedup_preserves_first_occurrence() {
-        let mut c = vec![lit(1), lit(2), lit(1), lit(-2)];
-        dedup(&mut c);
-        assert_eq!(c, [lit(1), lit(2), lit(-2)]);
     }
 
     #[test]

@@ -55,7 +55,7 @@ use satroute_cnf::{FormulaStats, Lit, Var};
 use satroute_coloring::CspGraph;
 use satroute_obs::FieldValue;
 use satroute_solver::cubes::{split_cubes, CubeOptions};
-use satroute_solver::{RunContext, SharingConfig, StopReason};
+use satroute_solver::{RunContext, StopReason};
 
 use crate::encode::{encode, Selectors};
 use crate::portfolio::SharingBus;
@@ -227,7 +227,7 @@ pub struct ConquerRequest<'a> {
     cube_vars: u32,
     candidates: usize,
     threads: Option<usize>,
-    sharing: Option<SharingConfig>,
+    sharing: bool,
     ctx: RunContext,
 }
 
@@ -256,12 +256,12 @@ impl<'a> ConquerRequest<'a> {
     }
 
     /// Enables learnt-clause exchange between workers over a
-    /// [`SharingBus`], filtered by `sharing`. Sound here by construction:
-    /// every worker solves the identical CNF (see the module docs) — but
-    /// it makes per-cube conflict counts scheduling-dependent, so the
-    /// gated bench suite keeps it off.
-    pub fn share(mut self, sharing: SharingConfig) -> Self {
-        self.sharing = Some(sharing);
+    /// [`SharingBus`]. Sound here by construction: every worker solves the
+    /// identical CNF (see the module docs) — but it makes per-cube
+    /// conflict counts scheduling-dependent, so the gated bench suite
+    /// keeps it off.
+    pub fn share(mut self) -> Self {
+        self.sharing = true;
         self
     }
 
@@ -332,7 +332,7 @@ impl<'a> ConquerRequest<'a> {
         // Same-strategy workers ⇒ one sharing group spanning the pool.
         let bus = self
             .sharing
-            .map(|_| SharingBus::for_strategies(&vec![self.strategy; workers]));
+            .then(|| SharingBus::for_strategies(&vec![self.strategy; workers]));
         let pool = Pool {
             ctx,
             start,
@@ -359,10 +359,8 @@ impl<'a> ConquerRequest<'a> {
                     .solve(self.graph, self.k)
                     .context(cube_ctx)
                     .assume(&plan.cubes[idx]);
-                if let (Some(sharing), Some(bus)) = (self.sharing, &bus) {
-                    if let Some(exchange) = bus.exchange(worker) {
-                        request = request.share(exchange, sharing);
-                    }
+                if let Some(exchange) = bus.as_ref().and_then(|bus| bus.exchange(worker)) {
+                    request = request.share(exchange);
                 }
                 let (report, _) = request.run_encoded(&encoded, Duration::ZERO, false);
                 if metrics.is_enabled() {
@@ -455,7 +453,7 @@ impl Strategy {
             cube_vars: 3,
             candidates: 32,
             threads: None,
-            sharing: None,
+            sharing: false,
             ctx: RunContext::default(),
         }
     }
@@ -682,7 +680,7 @@ mod tests {
                 .cube_and_conquer(&g, k)
                 .cube_vars(3)
                 .threads(4)
-                .share(SharingConfig::default())
+                .share()
                 .run();
             match &result.outcome {
                 ColoringOutcome::Colorable(c) => {

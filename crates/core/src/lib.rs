@@ -181,7 +181,7 @@ pub use symmetry::SymmetryHeuristic;
 // so downstream code does not need a direct `satroute_solver` dependency.
 pub use satroute_solver::{
     CancellationToken, ClauseExchange, PhaseInit, RestartScheme, RunBudget, RunContext,
-    SharingConfig, SolveVerdict, StopReason,
+    SolveVerdict, StopReason,
 };
 
 // Tracing vocabulary (spans, sinks, reports) from `satroute_obs`,

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use satroute_cnf::Lit;
 use satroute_coloring::CspGraph;
 use satroute_obs::{FieldValue, MetricsRegistry};
-use satroute_solver::{ClauseExchange, RunContext, SharingConfig, SolveVerdict, StopReason};
+use satroute_solver::{ClauseExchange, RunContext, SolveVerdict, StopReason};
 
 use crate::race::{self, Pool};
 use crate::strategy::{ColoringOutcome, ColoringReport, Strategy};
@@ -154,11 +154,10 @@ impl PortfolioResult {
 ///
 /// ```
 /// use satroute_core::PortfolioOptions;
-/// use satroute_solver::SharingConfig;
 ///
 /// let opts = PortfolioOptions::new()
 ///     .with_max_threads(4)
-///     .with_sharing(SharingConfig::default())
+///     .with_sharing(true)
 ///     .with_diversified_configs(true);
 /// assert_eq!(opts.max_threads, Some(4));
 /// ```
@@ -171,9 +170,9 @@ pub struct PortfolioOptions {
     /// reports [`StopReason::Deadline`] / [`StopReason::Cancelled`] with
     /// zero work if the race ends before it starts.
     pub max_threads: Option<usize>,
-    /// When set, members sharing a strategy exchange learnt clauses
-    /// filtered by this configuration (see [`SharingBus`]).
-    pub sharing: Option<SharingConfig>,
+    /// When `true`, members sharing a strategy exchange glue learnt
+    /// clauses (see [`SharingBus`]).
+    pub sharing: bool,
     /// When `true`, member `i` runs
     /// [`SolverConfig::diversified`](satroute_solver::SolverConfig::diversified)`(i)`
     /// of the base configuration instead of the base itself (member 0
@@ -195,8 +194,8 @@ impl PortfolioOptions {
     }
 
     /// Enables learnt-clause sharing among same-strategy members.
-    pub fn with_sharing(mut self, sharing: SharingConfig) -> Self {
-        self.sharing = Some(sharing);
+    pub fn with_sharing(mut self, sharing: bool) -> Self {
+        self.sharing = sharing;
         self
     }
 
@@ -222,7 +221,7 @@ struct BusEndpoint {
 }
 
 impl ClauseExchange for BusEndpoint {
-    fn export(&self, lits: &[Lit], _lbd: u32) {
+    fn export(&self, lits: &[Lit]) {
         // One allocation per export; each peer gets a pointer clone, not a
         // copy of the literal payload.
         let shared: Arc<[Lit]> = lits.into();
@@ -323,9 +322,9 @@ impl SharingBus {
 /// (`ctx.budget.wall`) is resolved once, at launch, into an absolute
 /// deadline shared by all members; if the caller also supplied an
 /// absolute `deadline_at`, the *earlier* of the two wins. Each member
-/// additionally honours the budget's conflict/decision/memory caps
-/// individually. Cancelling `ctx.cancel` (from any thread) stops every
-/// member at its next poll point. The winner stops the losers through a
+/// additionally honours the budget's conflict cap individually.
+/// Cancelling `ctx.cancel` (from any thread) stops every member at its
+/// next poll point. The winner stops the losers through a
 /// [`child`](crate::CancellationToken::child) of that token, so the
 /// caller's token is never cancelled by the race itself.
 ///
@@ -354,12 +353,11 @@ impl SharingBus {
 /// ```
 /// use satroute_coloring::random_graph;
 /// use satroute_core::{run_portfolio, PortfolioOptions, RunContext, Strategy};
-/// use satroute_solver::SharingConfig;
 ///
 /// let g = random_graph(12, 0.5, 7);
 /// let members = Strategy::diversified(Strategy::paper_best(), 4);
 /// let opts = PortfolioOptions::new()
-///     .with_sharing(SharingConfig::default())
+///     .with_sharing(true)
 ///     .with_diversified_configs(true);
 /// let result = run_portfolio(&g, 4, &members, &RunContext::default(), &opts);
 /// assert!(result.is_decided());
@@ -380,7 +378,7 @@ pub fn run_portfolio(
             ("k", FieldValue::from(k)),
         ],
     );
-    let bus = opts.sharing.map(|_| SharingBus::for_strategies(strategies));
+    let bus = opts.sharing.then(|| SharingBus::for_strategies(strategies));
     let pool = Pool {
         ctx,
         start,
@@ -402,10 +400,8 @@ pub fn run_portfolio(
                 member_ctx.config = ctx.config.diversified(idx as u64);
             }
             let mut request = strategies[idx].solve(graph, k).context(member_ctx);
-            if let (Some(sharing), Some(bus)) = (opts.sharing, &bus) {
-                if let Some(exchange) = bus.exchange(idx) {
-                    request = request.share(exchange, sharing);
-                }
+            if let Some(exchange) = bus.as_ref().and_then(|bus| bus.exchange(idx)) {
+                request = request.share(exchange);
             }
             let report = request.run();
             if ctx.metrics.is_enabled() {
@@ -834,7 +830,7 @@ mod tests {
         let c = bus.exchange(2).expect("connected");
         let clause = vec![Lit::from_dimacs(1), Lit::from_dimacs(-2)];
         let delivered: Arc<[Lit]> = clause.as_slice().into();
-        a.export(&clause, 2);
+        a.export(&clause);
         assert!(a.drain().is_empty(), "no self-delivery");
         assert_eq!(b.drain(), vec![Arc::clone(&delivered)]);
         assert_eq!(c.drain(), vec![delivered]);
@@ -946,7 +942,7 @@ mod tests {
         let members = Strategy::diversified(Strategy::paper_best(), 4);
         let opts = PortfolioOptions::new()
             .with_max_threads(4)
-            .with_sharing(SharingConfig::default())
+            .with_sharing(true)
             .with_diversified_configs(true);
         for k in [chi - 1, chi] {
             let result = run_portfolio(&g, k, &members, &RunContext::default(), &opts);
@@ -983,7 +979,7 @@ mod tests {
         // into and out of the poisoned mailbox, since every clause on
         // the bus is individually well-formed regardless of the abort.
         let clause = [Lit::positive(Var::new(0)), Lit::negative(Var::new(1))];
-        a.export(&clause, 2);
+        a.export(&clause);
         let delivered = b.drain();
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].as_ref(), &clause[..]);

@@ -20,8 +20,7 @@ use satroute_cnf::{CnfFormula, FormulaStats, Lit};
 use satroute_coloring::{Coloring, CspGraph};
 use satroute_obs::{FieldValue, Postmortem, SpanGuard};
 use satroute_solver::{
-    ClauseExchange, DratProof, RunContext, SharingConfig, SolveOutcome, SolveVerdict, SolverStats,
-    StopReason,
+    ClauseExchange, DratProof, RunContext, SolveOutcome, SolveVerdict, SolverStats, StopReason,
 };
 
 use crate::catalog::EncodingId;
@@ -299,7 +298,7 @@ pub struct SolveRequest<'a> {
     graph: &'a CspGraph,
     k: u32,
     ctx: RunContext,
-    exchange: Option<(Arc<dyn ClauseExchange>, SharingConfig)>,
+    exchange: Option<Arc<dyn ClauseExchange>>,
     assumptions: Vec<Lit>,
 }
 
@@ -318,15 +317,16 @@ run_context_setters!(SolveRequest<'_>);
 
 impl<'a> SolveRequest<'a> {
     /// Connects the underlying solver to a [`ClauseExchange`] for
-    /// learnt-clause sharing, with `sharing` as the export filter.
+    /// learnt-clause sharing (see
+    /// [`CdclSolver::set_exchange`](satroute_solver::CdclSolver::set_exchange)).
     ///
     /// The caller is responsible for the soundness contract: every clause
     /// the exchange delivers must be entailed by the CNF this request
     /// encodes — in practice, connect only runs of the *same* strategy on
     /// the same `(graph, k)` instance (see
     /// [`SharingBus`](crate::portfolio::SharingBus)).
-    pub fn share(mut self, exchange: Arc<dyn ClauseExchange>, sharing: SharingConfig) -> Self {
-        self.exchange = Some((exchange, sharing));
+    pub fn share(mut self, exchange: Arc<dyn ClauseExchange>) -> Self {
+        self.exchange = Some(exchange);
         self
     }
 
@@ -431,8 +431,8 @@ impl<'a> SolveRequest<'a> {
         cnf_translation: Duration,
     ) -> (ColoringReport, Option<DratProof>) {
         let ctx = &self.ctx;
-        if let Some((exchange, sharing)) = self.exchange {
-            probe.solver.set_exchange(exchange, sharing);
+        if let Some(exchange) = self.exchange {
+            probe.solver.set_exchange(exchange);
         }
         let probed = probe.solve(solve_span, &self.assumptions, cnf_translation);
         // UNSAT-under-assumptions refutes nothing, so there is no proof to

@@ -48,7 +48,6 @@ mod blame;
 mod netlist;
 mod problem;
 mod route;
-mod stats;
 mod subnet;
 
 pub mod benchmarks;
@@ -59,5 +58,4 @@ pub use blame::{BlameReport, ChannelBlame, NetBlame};
 pub use netlist::{Net, NetId, Netlist, NetlistError, Terminal};
 pub use problem::{DetailedRouting, RoutingProblem, VerifyError};
 pub use route::{GlobalRouter, GlobalRouting, RouteError, SubnetRoute};
-pub use stats::RoutingStats;
 pub use subnet::{decompose, DecompositionStyle, Subnet};

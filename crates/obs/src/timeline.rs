@@ -194,13 +194,13 @@ pub const POSTMORTEM_WINDOW: usize = 16;
 /// what the search looked like when the budget tripped.
 ///
 /// Built from the solver's last samples when a traced solve returns
-/// with a stop reason (deadline, conflict/decision/memory limit,
-/// cancellation); attached to coloring/member/cube reports and to a
-/// stopped pipeline's error, and printed by the CLI.
+/// with a stop reason (deadline, conflict limit, cancellation); attached
+/// to coloring/member/cube reports and to a stopped pipeline's error, and
+/// printed by the CLI.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Postmortem {
     /// The stop reason's stable name (`deadline`, `conflict-limit`,
-    /// `memory-limit`, `decision-limit`, `cancelled`).
+    /// `cancelled`).
     pub stop_reason: String,
     /// The portfolio member or conquer cube index of the run, when it
     /// was one.

@@ -21,7 +21,7 @@
 //!
 //! * `len` — number of literals.
 //! * `meta` — flag bits ([`ClauseArena::is_learnt`] / deleted / forwarded),
-//!   the two-bit retention [`Tier`], and the clause's saturated LBD in the
+//!   the two-bit LBD [`Tier`], and the clause's saturated LBD in the
 //!   high bits.
 //! * `act_lo`/`act_hi` — the clause activity as the two halves of an `f64`
 //!   bit pattern. Keeping full `f64` precision (rather than a quantized
@@ -53,20 +53,20 @@ const LBD_SHIFT: u32 = 8;
 /// LBD values saturate at this (24 bits are far more than any real LBD).
 const LBD_SAT: u32 = (1 << (32 - LBD_SHIFT)) - 1;
 
-/// Retention tier of a learnt clause, assigned from its LBD at learn time.
+/// Quality tier of a learnt clause, assigned from its LBD at learn time;
+/// the live count per tier feeds the `solver.tier.*` gauges.
 ///
-/// * [`Tier::Core`] (LBD ≤ 3): glue clauses, kept forever under the tiered
-///   reduction policy.
-/// * [`Tier::Mid`] (LBD ≤ 6): useful clauses, reduced by activity.
-/// * [`Tier::Local`]: everything else, reduced aggressively.
+/// * [`Tier::Core`] (LBD ≤ 3): glue clauses.
+/// * [`Tier::Mid`] (LBD ≤ 6): useful clauses.
+/// * [`Tier::Local`]: everything else.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Tier {
-    /// Kept forever (LBD ≤ [`Tier::CORE_MAX_LBD`]).
+    /// LBD ≤ [`Tier::CORE_MAX_LBD`].
     Core = 0,
-    /// Kept while active (LBD ≤ [`Tier::MID_MAX_LBD`]).
+    /// LBD ≤ [`Tier::MID_MAX_LBD`].
     Mid = 1,
-    /// First to go.
+    /// Higher LBD.
     Local = 2,
 }
 
@@ -118,11 +118,6 @@ impl ClauseArena {
     /// Bytes occupied by deleted clauses awaiting compaction.
     pub fn dead_bytes(&self) -> u64 {
         (self.dead_words * 4) as u64
-    }
-
-    /// Approximate bytes a clause of `len` literals occupies in the arena.
-    pub fn clause_bytes(len: usize) -> u64 {
-        ((HEADER_WORDS + len) * 4) as u64
     }
 
     /// `true` once the dead fraction of the buffer reaches `dead_frac`
@@ -406,7 +401,7 @@ mod tests {
         assert!(!a.wants_gc(0.25));
         a.delete(c0);
         assert!(a.is_deleted(c0));
-        assert_eq!(a.dead_bytes(), ClauseArena::clause_bytes(3));
+        assert_eq!(a.dead_bytes(), ((HEADER_WORDS + 3) * 4) as u64);
         assert!(a.wants_gc(0.25));
         assert!(!a.wants_gc(0.99));
     }

@@ -7,8 +7,7 @@
 //! * first-UIP conflict analysis with recursive clause minimization,
 //! * VSIDS variable activities with an indexed max-heap and phase saving,
 //! * Luby-sequence restarts,
-//! * activity-driven learnt-clause database reduction (with an optional
-//!   LBD-tiered policy, see [`ReducePolicy`]).
+//! * activity-driven learnt-clause database reduction.
 //!
 //! Two-literal problem clauses are implicit: each is a pair of watchers
 //! that carry the other literal, so propagating one never touches clause
@@ -35,8 +34,7 @@ use crate::luby::luby;
 use crate::outcome::SolveOutcome;
 use crate::proof::DratProof;
 use crate::run::{
-    Boundary, CancellationToken, ClauseExchange, RunBudget, SearchView, SharingConfig, StopReason,
-    Telemetry,
+    Boundary, CancellationToken, ClauseExchange, RunBudget, SearchView, StopReason, Telemetry,
 };
 use satroute_obs::{Postmortem, SpanId};
 
@@ -46,6 +44,13 @@ const CANCEL_POLL_INTERVAL: u64 = 256;
 const DEADLINE_POLL_INTERVAL: u64 = 64;
 /// Decisions between budget polls on conflict-free stretches.
 const DECISION_POLL_INTERVAL: u64 = 4096;
+/// Learnt clauses offered to a [`ClauseExchange`] must be glue: LBD at
+/// most this (the usual ManySAT-style filter, with [`EXPORT_MAX_LEN`]),
+/// or the import traffic drowns the receivers in junk.
+const EXPORT_MAX_LBD: u32 = 8;
+/// Learnt clauses offered to a [`ClauseExchange`] have at most this many
+/// literals.
+const EXPORT_MAX_LEN: usize = 30;
 
 /// Initial phase (branching polarity) assigned to fresh variables.
 ///
@@ -78,29 +83,6 @@ pub enum RestartScheme {
     Geometric(f64),
 }
 
-/// Learnt-clause database reduction policy.
-///
-/// [`ReducePolicy::Activity`] is the classic MiniSat scheme and the
-/// default: a single activity sort deletes the less-active half. It is the
-/// policy the paper-table baselines were recorded under, so it stays the
-/// default to keep those searches byte-identical.
-///
-/// [`ReducePolicy::Tiered`] retains by the LBD [`Tier`] assigned at learn
-/// time: core clauses (LBD ≤ 3) are never deleted, the mid tier drops its
-/// less-active half, and the local tier keeps only its most active
-/// quarter. Opting in changes which clauses survive, and therefore the
-/// search trajectory.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReducePolicy {
-    /// Classic MiniSat: one activity sort over all learnt clauses, delete
-    /// the less-active half (skipping binary and locked clauses).
-    #[default]
-    Activity,
-    /// Tier-aware retention: core kept forever, mid by activity, local
-    /// aggressively reduced.
-    Tiered,
-}
-
 /// Tunable parameters of the [`CdclSolver`].
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
@@ -126,8 +108,6 @@ pub struct SolverConfig {
     pub phase_init: PhaseInit,
     /// Restart schedule.
     pub restart_scheme: RestartScheme,
-    /// How `reduce_db` picks which learnt clauses survive.
-    pub reduce_policy: ReducePolicy,
     /// Hard floor of the learnt-clause limit (MiniSat's classic 1000);
     /// tests lower it to force database reductions on small formulas.
     pub learnt_floor: f64,
@@ -155,7 +135,6 @@ impl Default for SolverConfig {
             seed: 0,
             phase_init: PhaseInit::AllFalse,
             restart_scheme: RestartScheme::Luby,
-            reduce_policy: ReducePolicy::Activity,
             learnt_floor: 1000.0,
             gc_dead_frac: 0.25,
             debug_force_gc: None,
@@ -273,7 +252,7 @@ pub struct SolverStats {
     /// for the mean.
     pub sum_lbd: u64,
     /// Learnt clauses offered to a [`ClauseExchange`] (sharing enabled and
-    /// the clause passed the LBD/length filter).
+    /// the clause was glue: LBD ≤ 8 and at most 30 literals).
     pub exported_clauses: u64,
     /// Clauses accepted from a [`ClauseExchange`] at restart boundaries
     /// (after level-0 simplification; satisfied/tautological deliveries are
@@ -449,10 +428,9 @@ pub struct CdclSolver {
     /// unless built by [`RunContext::solver`](crate::RunContext::solver)
     /// (one branch per boundary).
     pub(crate) telemetry: Telemetry,
-    /// Mailbox to sharing peers plus the export filter, when this solver
-    /// participates in a sharing portfolio.
+    /// Mailbox to sharing peers, when this solver participates in a
+    /// sharing portfolio.
     exchange: ExchangeSlot,
-    sharing: SharingConfig,
     /// Effective absolute deadline of the current solve, resolved from the
     /// budget when the solve starts.
     deadline: Option<Instant>,
@@ -460,8 +438,6 @@ pub struct CdclSolver {
     solve_start: Option<Instant>,
     /// Exponential moving average of learnt-clause LBD.
     lbd_ema: f64,
-    /// Approximate bytes held by live learnt clauses (for the memory cap).
-    learnt_bytes: u64,
     /// DRAT proof log (learnt additions + deletions) when enabled.
     pub(crate) proof: Option<DratProof>,
     /// Set when the last `solve_with_assumptions` failed only because of
@@ -548,11 +524,9 @@ impl CdclSolver {
             budget: RunBudget::default(),
             telemetry: Telemetry::default(),
             exchange: ExchangeSlot::default(),
-            sharing: SharingConfig::default(),
             deadline: None,
             solve_start: None,
             lbd_ema: 0.0,
-            learnt_bytes: 0,
             proof: None,
             unsat_under_assumptions: false,
             failed_assumptions: Vec::new(),
@@ -651,8 +625,8 @@ impl CdclSolver {
     /// Connects this solver to a [`ClauseExchange`] for learnt-clause
     /// sharing.
     ///
-    /// Learnt clauses passing the `config` filter (LBD and length caps) are
-    /// exported at each conflict; peer clauses are imported at each restart
+    /// Glue learnt clauses (LBD ≤ 8, at most 30 literals) are exported at
+    /// each conflict; peer clauses are imported at each restart
     /// (and at solve start), where the trail is at decision level 0 so
     /// watched literals can be set up on unassigned literals.
     ///
@@ -662,14 +636,8 @@ impl CdclSolver {
     /// enabled — a peer's clause need not be RUP-derivable step-by-step
     /// from *this* solver's database, so accepting it would break the
     /// proof.
-    pub fn set_exchange(&mut self, exchange: Arc<dyn ClauseExchange>, config: SharingConfig) {
+    pub fn set_exchange(&mut self, exchange: Arc<dyn ClauseExchange>) {
         self.exchange = ExchangeSlot(Some(exchange));
-        self.sharing = config;
-    }
-
-    /// Disconnects the clause exchange, if any.
-    pub fn clear_exchange(&mut self) {
-        self.exchange = ExchangeSlot(None);
     }
 
     /// Exponential moving average of learnt-clause LBD (0.95/0.05 mix,
@@ -1066,10 +1034,9 @@ impl CdclSolver {
                 // consumed by `record_learnt`.
                 let exported = match &self.exchange.0 {
                     Some(exchange)
-                        if lbd <= self.sharing.max_lbd
-                            && self.learnt_buf.len() <= self.sharing.max_len =>
+                        if lbd <= EXPORT_MAX_LBD && self.learnt_buf.len() <= EXPORT_MAX_LEN =>
                     {
-                        exchange.export(&self.learnt_buf, lbd);
+                        exchange.export(&self.learnt_buf);
                         true
                     }
                     _ => false,
@@ -1130,19 +1097,13 @@ impl CdclSolver {
                     None => return SearchResult::Sat,
                     Some(var) => {
                         self.stats.decisions += 1;
-                        let mut stop = None;
-                        if let Some(max) = self.budget.max_decisions {
-                            if self.stats.decisions > max {
-                                stop = Some(StopReason::DecisionLimit);
-                            }
-                        }
                         // Long conflict-free stretches (easy SAT regions)
                         // would otherwise never poll the deadline or token.
-                        if stop.is_none()
-                            && self.stats.decisions.is_multiple_of(DECISION_POLL_INTERVAL)
-                        {
-                            stop = self.check_budget_now();
-                        }
+                        let stop = if self.stats.decisions.is_multiple_of(DECISION_POLL_INTERVAL) {
+                            self.check_budget_now()
+                        } else {
+                            None
+                        };
                         if let Some(reason) = stop {
                             // Give the popped variable back to the branching
                             // heap; it was never assigned, so backtracking
@@ -1161,7 +1122,7 @@ impl CdclSolver {
         }
     }
 
-    /// Budget checks run at every conflict. Cheap integer caps are exact;
+    /// Budget checks run at every conflict. The conflict cap is exact;
     /// the deadline and the cancellation token are polled on a stride so
     /// `Instant::now` and the atomic load stay off the hot path.
     fn check_budget_at_conflict(&self) -> Option<StopReason> {
@@ -1169,11 +1130,6 @@ impl CdclSolver {
         if let Some(max) = self.budget.max_conflicts {
             if conflicts >= max {
                 return Some(StopReason::ConflictLimit);
-            }
-        }
-        if let Some(max) = self.budget.max_learnt_bytes {
-            if self.learnt_bytes >= max {
-                return Some(StopReason::MemoryLimit);
             }
         }
         if conflicts.is_multiple_of(CANCEL_POLL_INTERVAL) {
@@ -1685,8 +1641,7 @@ impl CdclSolver {
     }
 
     /// Copies `lits` into the arena, hooks up both watchers, and (for
-    /// learnt clauses) records `lbd`, the retention [`Tier`] it implies,
-    /// and the learnt-byte accounting.
+    /// learnt clauses) records `lbd` and the [`Tier`] it implies.
     pub(crate) fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let cref = self.arena.alloc(lits, learnt);
@@ -1705,7 +1660,6 @@ impl CdclSolver {
             self.arena.set_tier(cref, tier);
             self.tier_counts[tier as usize] += 1;
             self.learnts.push(cref);
-            self.learnt_bytes += ClauseArena::clause_bytes(lits.len());
         } else {
             self.original_clauses += 1;
         }
@@ -1789,7 +1743,7 @@ impl CdclSolver {
         self.lit_value(first) == TRUE && self.reason[usize::from(first.var())] == cref
     }
 
-    /// Marks one learnt clause deleted: tier/byte accounting, the DRAT
+    /// Marks one learnt clause deleted: tier accounting, the DRAT
     /// deletion record, and the arena's dead-word bookkeeping. The watcher
     /// lists still reference the clause until the next GC drops them
     /// lazily.
@@ -1799,9 +1753,6 @@ impl CdclSolver {
             proof.push_delete_from(self.arena.lits(cref));
         }
         self.tier_counts[self.arena.tier(cref) as usize] -= 1;
-        self.learnt_bytes = self
-            .learnt_bytes
-            .saturating_sub(ClauseArena::clause_bytes(self.arena.len(cref)));
         self.arena.delete(cref);
         self.stats.deleted_clauses += 1;
     }
@@ -1815,9 +1766,6 @@ impl CdclSolver {
     pub(crate) fn promote_to_original(&mut self, cref: ClauseRef) {
         debug_assert!(self.arena.is_learnt(cref) && !self.arena.is_deleted(cref));
         self.tier_counts[self.arena.tier(cref) as usize] -= 1;
-        self.learnt_bytes = self
-            .learnt_bytes
-            .saturating_sub(ClauseArena::clause_bytes(self.arena.len(cref)));
         self.arena.clear_learnt(cref);
         self.learnts.retain(|&c| c != cref);
         self.original_clauses += 1;
@@ -1841,31 +1789,16 @@ impl CdclSolver {
         }
     }
 
-    /// Reduces the learnt-clause database per the configured
-    /// [`ReducePolicy`], compacts the `learnts` index, and runs the
-    /// arena GC if enough of the buffer is dead.
+    /// Reduces the learnt-clause database the classic MiniSat way:
+    /// removes roughly the less-active half of the learnt clauses,
+    /// keeping binary clauses and clauses that are reasons for current
+    /// assignments. Then compacts the `learnts` index and runs the arena
+    /// GC if enough of the buffer is dead.
     ///
     /// `learnts` holds no deleted references on entry — the only other
     /// deleter, an inprocessing round, ends with the same retain — so no
     /// pre-filtering pass is needed.
     fn reduce_db(&mut self) {
-        match self.config.reduce_policy {
-            ReducePolicy::Activity => self.reduce_by_activity(),
-            ReducePolicy::Tiered => self.reduce_tiered(),
-        }
-        self.learnts.retain(|&c| !self.arena.is_deleted(c));
-        self.report(Boundary::Reduce {
-            learnts: self.learnts.len(),
-        });
-        if self.arena.wants_gc(self.config.gc_dead_frac) {
-            self.collect_garbage();
-        }
-    }
-
-    /// Classic MiniSat reduction: remove roughly the less-active half of
-    /// the learnt clauses, keeping binary clauses and clauses that are
-    /// reasons for current assignments.
-    fn reduce_by_activity(&mut self) {
         let mut sorted: Vec<ClauseRef> = self.learnts.clone();
         sorted.sort_by(|&a, &b| {
             self.arena
@@ -1885,42 +1818,12 @@ impl CdclSolver {
             self.delete_learnt(cref);
             removed += 1;
         }
-    }
-
-    /// Tier-aware reduction: [`Tier::Core`] clauses are never deleted, the
-    /// mid tier drops its less-active half, and the local tier keeps only
-    /// its most active quarter. Binary and locked clauses always survive.
-    fn reduce_tiered(&mut self) {
-        let mut mid: Vec<ClauseRef> = Vec::new();
-        let mut local: Vec<ClauseRef> = Vec::new();
-        for &cref in &self.learnts {
-            match self.arena.tier(cref) {
-                Tier::Core => {}
-                Tier::Mid => mid.push(cref),
-                Tier::Local => local.push(cref),
-            }
-        }
-        let by_activity = |arena: &ClauseArena, a: &ClauseRef, b: &ClauseRef| {
-            arena
-                .activity(*a)
-                .partial_cmp(&arena.activity(*b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        };
-        mid.sort_by(|a, b| by_activity(&self.arena, a, b));
-        local.sort_by(|a, b| by_activity(&self.arena, a, b));
-        for (tier, keep_frac) in [(mid, 0.5f64), (local, 0.25f64)] {
-            let target = tier.len() - (tier.len() as f64 * keep_frac).ceil() as usize;
-            let mut removed = 0;
-            for &cref in &tier {
-                if removed >= target {
-                    break;
-                }
-                if self.arena.len(cref) <= 2 || self.is_locked(cref) {
-                    continue;
-                }
-                self.delete_learnt(cref);
-                removed += 1;
-            }
+        self.learnts.retain(|&c| !self.arena.is_deleted(c));
+        self.report(Boundary::Reduce {
+            learnts: self.learnts.len(),
+        });
+        if self.arena.wants_gc(self.config.gc_dead_frac) {
+            self.collect_garbage();
         }
     }
 
@@ -2262,23 +2165,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_decision_cap_yields_unknown() {
-        let mut s = CdclSolver::new();
-        s.set_budget(RunBudget::new().with_max_decisions(3));
-        s.add_formula(&pigeonhole(8, 7));
-        assert_eq!(s.solve(), SolveOutcome::Unknown(StopReason::DecisionLimit));
-    }
-
-    #[test]
-    fn budget_memory_cap_yields_unknown() {
-        let mut s = CdclSolver::new();
-        // One byte of learnt storage: trips at the first learnt clause.
-        s.set_budget(RunBudget::new().with_max_learnt_bytes(1));
-        s.add_formula(&pigeonhole(8, 7));
-        assert_eq!(s.solve(), SolveOutcome::Unknown(StopReason::MemoryLimit));
-    }
-
-    #[test]
     fn elapsed_deadline_yields_unknown_before_search() {
         use std::time::Duration;
         let mut s = CdclSolver::new();
@@ -2293,9 +2179,9 @@ mod tests {
         // Stop a solve early, lift the budget, and check the solver still
         // reaches the right verdict (no solver state was corrupted).
         let mut s = CdclSolver::new();
-        s.set_budget(RunBudget::new().with_max_decisions(1));
+        s.set_budget(RunBudget::new().with_max_conflicts(1));
         s.add_formula(&pigeonhole(5, 4));
-        assert_eq!(s.solve(), SolveOutcome::Unknown(StopReason::DecisionLimit));
+        assert_eq!(s.solve(), SolveOutcome::Unknown(StopReason::ConflictLimit));
         s.set_budget(RunBudget::new());
         assert!(s.solve().is_unsat());
     }
@@ -2637,7 +2523,7 @@ mod tests {
     }
 
     impl ClauseExchange for VecExchange {
-        fn export(&self, lits: &[Lit], _lbd: u32) {
+        fn export(&self, lits: &[Lit]) {
             self.exported.lock().unwrap().push(lits.into());
         }
         fn drain(&self) -> Vec<Arc<[Lit]>> {
@@ -2649,18 +2535,22 @@ mod tests {
     #[cfg_attr(miri, ignore = "minutes under the interpreter")]
     fn exports_honor_the_sharing_filter_and_counters() {
         let ex = Arc::new(VecExchange::default());
-        let sharing = SharingConfig::new().with_max_len(10);
         let mut s = CdclSolver::new();
-        s.set_exchange(ex.clone(), sharing);
-        s.add_formula(&pigeonhole(6, 5));
+        s.set_exchange(ex.clone());
+        s.add_formula(&pigeonhole(8, 7));
         assert!(s.solve().is_unsat());
         let exported = ex.exported.lock().unwrap();
-        assert!(s.stats().exported_clauses > 0, "glue clauses must flow");
-        assert_eq!(exported.len() as u64, s.stats().exported_clauses);
+        let stats = s.stats();
+        assert!(stats.exported_clauses > 0, "glue clauses must flow");
+        assert!(
+            stats.exported_clauses < stats.learnt_clauses,
+            "the filter must hold back some learnt clause: {stats:?}"
+        );
+        assert_eq!(exported.len() as u64, stats.exported_clauses);
         for c in exported.iter() {
-            assert!(c.len() <= sharing.max_len);
+            assert!(c.len() <= EXPORT_MAX_LEN);
         }
-        assert_eq!(s.stats().imported_clauses, 0, "nothing was ever queued");
+        assert_eq!(stats.imported_clauses, 0, "nothing was ever queued");
     }
 
     #[test]
@@ -2671,7 +2561,7 @@ mod tests {
         ex.queue(vec![lit(1)]);
         ex.queue(vec![lit(-1)]);
         let mut s = CdclSolver::new();
-        s.set_exchange(ex, SharingConfig::new());
+        s.set_exchange(ex);
         s.ensure_vars(1);
         assert!(s.solve().is_unsat());
         assert_eq!(s.stats().imported_clauses, 2);
@@ -2687,7 +2577,7 @@ mod tests {
         ex.queue(vec![Lit::positive(a)]); // satisfied at level 0
         ex.queue(vec![lit(2), lit(-2)]); // tautology
         let mut s = CdclSolver::new();
-        s.set_exchange(ex, SharingConfig::new());
+        s.set_exchange(ex);
         s.add_formula(&f);
         assert!(s.solve().is_sat());
         assert_eq!(s.stats().imported_clauses, 0);
@@ -2699,7 +2589,7 @@ mod tests {
         ex.queue(vec![lit(1)]);
         let mut s = CdclSolver::new();
         s.enable_proof_logging();
-        s.set_exchange(ex, SharingConfig::new());
+        s.set_exchange(ex);
         s.ensure_vars(1);
         assert!(s.solve().is_sat());
         assert_eq!(s.stats().imported_clauses, 0, "proofs stay self-contained");
@@ -2714,7 +2604,7 @@ mod tests {
         let f = pigeonhole(6, 5);
         let ex_a = Arc::new(VecExchange::default());
         let mut a = CdclSolver::new();
-        a.set_exchange(ex_a.clone(), SharingConfig::new());
+        a.set_exchange(ex_a.clone());
         a.add_formula(&f);
         assert!(a.solve().is_unsat());
         let shared = ex_a.exported.lock().unwrap().clone();
@@ -2723,7 +2613,7 @@ mod tests {
         let ex_b = Arc::new(VecExchange::default());
         *ex_b.inbox.lock().unwrap() = shared;
         let mut b = CdclSolver::new();
-        b.set_exchange(ex_b, SharingConfig::new());
+        b.set_exchange(ex_b);
         b.add_formula(&f);
         assert!(b.solve().is_unsat());
         assert!(b.stats().imported_clauses > 0);
@@ -2785,48 +2675,56 @@ mod tests {
     }
 
     #[test]
-    fn tiered_reduction_spares_core_and_keeps_tier_quotas() {
-        // White-box: attach learnt clauses with known LBDs and equal
-        // activities, then reduce. Core survives untouched; mid keeps its
-        // top half; local keeps its top quarter.
+    fn activity_reduction_keeps_tier_counts_of_live_learnts() {
+        // White-box: attach learnt clauses of every tier with distinct
+        // activities, then reduce. The less-active half goes whatever its
+        // tier, and the per-tier counts behind the `solver.tier.*` gauges
+        // follow the survivors.
         let mut s = CdclSolver::with_config(SolverConfig {
-            reduce_policy: ReducePolicy::Tiered,
             gc_dead_frac: 2.0, // keep ClauseRefs stable for the asserts
             ..SolverConfig::default()
         });
         s.ensure_vars(40);
         let clause = |base: i64| vec![lit(base), lit(base + 1), lit(base + 2)];
-        let core = s.attach_clause(&clause(1), true, 2);
-        let mids: Vec<ClauseRef> = (0..4)
-            .map(|i| s.attach_clause(&clause(4 + 3 * i), true, 5))
+        // (LBD, activity): the four least active span all three tiers.
+        let specs = [
+            (2, 3.0),
+            (2, 8.0),
+            (5, 1.0),
+            (5, 7.0),
+            (5, 6.0),
+            (9, 2.0),
+            (9, 4.0),
+            (9, 9.0),
+            (9, 5.0),
+        ];
+        let refs: Vec<ClauseRef> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(lbd, activity))| {
+                let cref = s.attach_clause(&clause(1 + 3 * i as i64), true, lbd);
+                s.arena.set_activity(cref, activity);
+                cref
+            })
             .collect();
-        let locals: Vec<ClauseRef> = (0..4)
-            .map(|i| s.attach_clause(&clause(16 + 3 * i), true, 9))
-            .collect();
-        assert_eq!(s.tier_counts, [1, 4, 4]);
+        assert_eq!(s.tier_counts, [2, 3, 4]);
 
         s.reduce_db();
 
-        let live = |refs: &[ClauseRef]| refs.iter().filter(|&&c| !s.arena.is_deleted(c)).count();
-        assert!(!s.arena.is_deleted(core), "core clauses are never deleted");
-        assert_eq!(live(&mids), 2, "mid tier keeps half");
-        assert_eq!(live(&locals), 1, "local tier keeps a quarter");
-        assert_eq!(s.tier_counts, [1, 2, 1]);
-        assert_eq!(s.learnts.len(), 4, "learnts index drops deleted refs");
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "minutes under the interpreter")]
-    fn tiered_policy_solves_correctly_under_pressure() {
-        let f = pigeonhole(6, 5);
-        let mut s = CdclSolver::with_config(SolverConfig {
-            reduce_policy: ReducePolicy::Tiered,
-            ..reducing_config(true)
-        });
-        s.add_formula(&f);
-        assert!(s.solve().is_unsat());
-        assert!(s.stats().deleted_clauses > 0, "reductions must fire");
-        assert!(s.stats().gc_runs > 0);
+        let deleted: Vec<f64> = specs
+            .iter()
+            .zip(&refs)
+            .filter(|&(_, &c)| s.arena.is_deleted(c))
+            .map(|(&(_, activity), _)| activity)
+            .collect();
+        assert_eq!(deleted, [3.0, 1.0, 2.0, 4.0], "the less-active half goes");
+        assert_eq!(s.learnts.len(), 5, "learnts index drops deleted refs");
+        let mut live = [0u64; 3];
+        for &cref in &s.learnts {
+            live[s.arena.tier(cref) as usize] += 1;
+        }
+        assert_eq!(s.tier_counts, live);
+        assert_eq!(s.tier_counts, [1, 2, 2]);
     }
 
     #[test]

@@ -44,7 +44,22 @@ use crate::arena::ClauseRef;
 use crate::cdcl::{CdclSolver, BINARY, FALSE, NO_REASON, TRUE, UNDEF};
 use crate::run::Boundary;
 
+/// Clauses longer than this are not vivified.
+const VIVIFY_MAX_LEN: usize = 32;
+/// Clauses longer than this neither subsume nor get subsumed.
+const SUBSUME_MAX_LEN: usize = 32;
+/// Variables with more total occurrences than this are not candidates
+/// for elimination.
+const BVE_MAX_OCC: usize = 16;
+/// Deterministic work budget per round (literal visits); bounds the wall
+/// time of a round independently of formula size.
+const ROUND_TICKS: u64 = 2_000_000;
+
 /// Schedule and pass selection for inprocessing (see the module docs).
+///
+/// The first round runs at solve start, before any search — where the
+/// encoder's symmetry units have landed but nothing has propagated them
+/// into the clauses.
 ///
 /// The default is **disabled**: the classic search stays byte-identical
 /// to the recorded baselines. [`InprocessConfig::on`] enables all three
@@ -53,10 +68,6 @@ use crate::run::Boundary;
 pub struct InprocessConfig {
     /// Master switch; when false no round ever runs.
     pub enabled: bool,
-    /// Conflicts before the first round. `0` runs a round at solve
-    /// start, before any search — where the encoder's symmetry units
-    /// have landed but nothing has propagated them into the clauses.
-    pub first_conflicts: u64,
     /// Conflicts between rounds (before back-off).
     pub interval: u64,
     /// Geometric growth of the interval after every round, so a long
@@ -68,36 +79,17 @@ pub struct InprocessConfig {
     pub subsume: bool,
     /// Run the bounded-variable-elimination pass.
     pub bve: bool,
-    /// Clauses longer than this are not vivified.
-    pub vivify_max_len: usize,
-    /// Clauses longer than this neither subsume nor get subsumed.
-    pub subsume_max_len: usize,
-    /// Variables with more total occurrences than this are not
-    /// candidates for elimination.
-    pub bve_max_occ: usize,
-    /// A variable is eliminated only if it produces at most
-    /// `occurrences + bve_growth` non-tautological resolvents.
-    pub bve_growth: usize,
-    /// Deterministic work budget per round (literal visits); bounds the
-    /// wall time of a round independently of formula size.
-    pub ticks: u64,
 }
 
 impl Default for InprocessConfig {
     fn default() -> Self {
         InprocessConfig {
             enabled: false,
-            first_conflicts: 0,
             interval: 4000,
             backoff: 2.0,
             vivify: true,
             subsume: true,
             bve: true,
-            vivify_max_len: 32,
-            subsume_max_len: 32,
-            bve_max_occ: 16,
-            bve_growth: 0,
-            ticks: 2_000_000,
         }
     }
 }
@@ -185,12 +177,8 @@ impl CdclSolver {
         if !self.config.inprocess.enabled || !self.ok {
             return self.ok;
         }
-        let due = if self.inprocess_interval == 0 {
-            self.config.inprocess.first_conflicts
-        } else {
-            self.next_inprocess_at
-        };
-        if self.stats.conflicts < due {
+        // The first round (no interval yet) is due at once.
+        if self.inprocess_interval != 0 && self.stats.conflicts < self.next_inprocess_at {
             return true;
         }
         self.run_inprocess_round();
@@ -207,8 +195,9 @@ impl CdclSolver {
 
     fn run_inprocess_round(&mut self) {
         debug_assert_eq!(self.decision_level(), 0, "inprocessing runs at level 0");
-        let cfg = self.config.inprocess.clone();
-        let mut ticks = cfg.ticks;
+        let cfg = &self.config.inprocess;
+        let (vivify, subsume, bve) = (cfg.vivify, cfg.subsume, cfg.bve);
+        let mut ticks = ROUND_TICKS;
 
         // Re-log the root-level trail as DRAT units before anything is
         // deleted: the checker re-derives root units through clauses,
@@ -225,14 +214,14 @@ impl CdclSolver {
         }
 
         let mut bins = self.collect_binaries();
-        if cfg.vivify && self.ok {
-            self.vivify_pass(&mut bins, &cfg, &mut ticks);
+        if vivify && self.ok {
+            self.vivify_pass(&mut bins, &mut ticks);
         }
-        if cfg.subsume && self.ok {
-            self.subsume_pass(&mut bins, &cfg, &mut ticks);
+        if subsume && self.ok {
+            self.subsume_pass(&mut bins, &mut ticks);
         }
-        if cfg.bve && self.ok {
-            self.bve_pass(&mut bins, &cfg, &mut ticks);
+        if bve && self.ok {
+            self.bve_pass(&mut bins, &mut ticks);
         }
 
         // Restore the `learnts` invariant (no deleted references) that
@@ -413,7 +402,7 @@ impl CdclSolver {
     /// Vivification: distills each clause by propagating the negations
     /// of its literals one decision level at a time. Also deletes
     /// clauses satisfied at the root.
-    fn vivify_pass(&mut self, bins: &mut Binaries, cfg: &InprocessConfig, ticks: &mut u64) {
+    fn vivify_pass(&mut self, bins: &mut Binaries, ticks: &mut u64) {
         // Probing assigns and retracts literals through the ordinary
         // trail machinery, and `backtrack` records every retracted
         // polarity for phase saving. Those assignments are probes, not
@@ -430,7 +419,7 @@ impl CdclSolver {
                 continue;
             }
             let len = self.clause_len(h);
-            if len > cfg.vivify_max_len || self.is_reason(bins, h) {
+            if len > VIVIFY_MAX_LEN || self.is_reason(bins, h) {
                 continue;
             }
             *ticks = ticks.saturating_sub(len as u64);
@@ -504,9 +493,9 @@ impl CdclSolver {
 
     /// Subsumption and self-subsuming resolution over occurrence lists
     /// with 64-bit literal signatures.
-    fn subsume_pass(&mut self, bins: &mut Binaries, cfg: &InprocessConfig, ticks: &mut u64) {
+    fn subsume_pass(&mut self, bins: &mut Binaries, ticks: &mut u64) {
         let mut clauses: Vec<Handle> = self.round_clauses(bins);
-        clauses.retain(|&c| self.clause_len(c) <= cfg.subsume_max_len);
+        clauses.retain(|&c| self.clause_len(c) <= SUBSUME_MAX_LEN);
         // Smallest first: a clause can only be subsumed by one no
         // longer than itself, and processing short subsumers first
         // removes the most clauses per check.
@@ -630,9 +619,9 @@ impl CdclSolver {
 
     /// Bounded variable elimination (NiVER/SatELite style): a variable
     /// is resolved away when its non-tautological resolvents do not
-    /// outnumber the clauses it appears in (plus the configured
-    /// growth), with the positive side stored for model reconstruction.
-    fn bve_pass(&mut self, bins: &mut Binaries, cfg: &InprocessConfig, ticks: &mut u64) {
+    /// outnumber the clauses it appears in, with the positive side
+    /// stored for model reconstruction.
+    fn bve_pass(&mut self, bins: &mut Binaries, ticks: &mut u64) {
         let mut occ: Vec<Vec<Handle>> = vec![Vec::new(); 2 * self.num_vars() as usize];
         for c in self.round_clauses(bins) {
             for l in self.clause_lits(bins, c) {
@@ -659,7 +648,7 @@ impl CdclSolver {
             let pos = live(Lit::positive(var));
             let neg = live(Lit::negative(var));
             let occurrences = pos.len() + neg.len();
-            if occurrences == 0 || occurrences > cfg.bve_max_occ {
+            if occurrences == 0 || occurrences > BVE_MAX_OCC {
                 continue;
             }
             if pos.iter().chain(&neg).any(|&c| self.is_reason(bins, c)) {
@@ -671,14 +660,13 @@ impl CdclSolver {
 
             // Count (and collect) the non-tautological resolvents.
             let mut resolvents: Vec<Vec<Lit>> = Vec::new();
-            let limit = occurrences + cfg.bve_growth;
             let mut too_many = false;
             'outer: for pc in &pos_lits {
                 for nc in &neg_lits {
                     *ticks = ticks.saturating_sub((pc.len() + nc.len()) as u64);
                     if let Some(r) = resolve_on(pc, nc, var) {
                         resolvents.push(r);
-                        if resolvents.len() > limit {
+                        if resolvents.len() > occurrences {
                             too_many = true;
                             break 'outer;
                         }

@@ -20,7 +20,7 @@
 //! Both solvers consume [`satroute_cnf::CnfFormula`] and report a
 //! [`SolveOutcome`]. The CDCL solver additionally supports run control and
 //! observability (see [`run`]): declarative [`RunBudget`]s (wall-clock
-//! deadline, conflict/decision/memory caps), cooperative cancellation via
+//! deadline, conflict cap), cooperative cancellation via
 //! [`CancellationToken`], and one telemetry sink per solver (filled by
 //! [`RunContext::solver`]) that writes the solve's counters, samples and
 //! outcome onto its trace span and feeds a metrics registry. An early
@@ -61,21 +61,15 @@ mod outcome;
 mod proof;
 
 pub mod cubes;
-pub mod preprocess;
 pub mod run;
 
 pub use arena::{ClauseArena, ClauseRef, Forwarding, Tier};
-pub use cdcl::{
-    CdclSolver, LoadPass, PhaseInit, ReducePolicy, RestartScheme, SolverConfig, SolverStats,
-};
+pub use cdcl::{CdclSolver, LoadPass, PhaseInit, RestartScheme, SolverConfig, SolverStats};
 pub use cubes::{split_cubes, CubeOptions, CubePlan};
 pub use dpll::DpllSolver;
 pub use inprocess::InprocessConfig;
 pub use luby::luby;
 pub use outcome::SolveOutcome;
 pub use proof::{rup_implied, CheckProofError, DratProof, ProofStep};
-pub use run::{
-    CancellationToken, ClauseExchange, RunBudget, RunContext, SharingConfig, SolveVerdict,
-    StopReason,
-};
+pub use run::{CancellationToken, ClauseExchange, RunBudget, RunContext, SolveVerdict, StopReason};
 pub use satroute_obs::{Postmortem, SampleCause, TimelineSample};

@@ -4,7 +4,7 @@
 //! that supervises them (portfolio runners, benchmark harnesses, the CLI):
 //!
 //! * [`RunBudget`] — declarative resource limits (wall-clock deadline,
-//!   conflict/decision caps, learnt-clause memory cap). Budgets are
+//!   conflict cap). Budgets are
 //!   *cooperative*: the solver polls them at conflict boundaries, so
 //!   overshoot is bounded by the cost of one conflict plus the polling
 //!   interval (64 conflicts for the deadline), not by the whole solve.
@@ -68,7 +68,6 @@ use satroute_obs::{
 };
 
 use crate::cdcl::{CdclSolver, SolverConfig, SolverStats};
-use crate::preprocess::PREPROCESS_COUNTERS;
 
 /// Conflicts between the heartbeat counters and `lbd_ema` gauge written
 /// onto a traced solve's span.
@@ -86,10 +85,10 @@ pub enum StopReason {
     Deadline,
     /// The conflict cap of the [`RunBudget`] was reached.
     ConflictLimit,
-    /// The decision cap of the [`RunBudget`] was reached.
+    /// The decision budget of the
+    /// [`DpllSolver`](crate::DpllSolver::with_decision_budget) oracle was
+    /// reached.
     DecisionLimit,
-    /// The learnt-clause memory cap of the [`RunBudget`] was reached.
-    MemoryLimit,
 }
 
 impl fmt::Display for StopReason {
@@ -99,7 +98,6 @@ impl fmt::Display for StopReason {
             StopReason::Deadline => "deadline",
             StopReason::ConflictLimit => "conflict-limit",
             StopReason::DecisionLimit => "decision-limit",
-            StopReason::MemoryLimit => "memory-limit",
         };
         f.write_str(s)
     }
@@ -172,51 +170,10 @@ impl CancellationToken {
     }
 }
 
-/// Filter for learnt-clause sharing: which clauses are worth exporting.
-///
-/// Shared clauses must be *glue* (low LBD) and short, otherwise the import
-/// traffic drowns the receivers in junk. The defaults follow the usual
-/// parallel-SAT practice (ManySAT-style): LBD ≤ 8, length ≤ 30.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SharingConfig {
-    /// Export only clauses whose literal block distance is at most this.
-    pub max_lbd: u32,
-    /// Export only clauses with at most this many literals.
-    pub max_len: usize,
-}
-
-impl Default for SharingConfig {
-    fn default() -> Self {
-        SharingConfig {
-            max_lbd: 8,
-            max_len: 30,
-        }
-    }
-}
-
-impl SharingConfig {
-    /// The default filter (LBD ≤ 8, length ≤ 30).
-    pub fn new() -> Self {
-        SharingConfig::default()
-    }
-
-    /// Sets the LBD threshold.
-    pub fn with_max_lbd(mut self, max_lbd: u32) -> Self {
-        self.max_lbd = max_lbd;
-        self
-    }
-
-    /// Sets the length cap.
-    pub fn with_max_len(mut self, max_len: usize) -> Self {
-        self.max_len = max_len;
-        self
-    }
-}
-
 /// A two-way mailbox connecting one solver to its sharing peers.
 ///
 /// The solver calls [`ClauseExchange::export`] at conflict boundaries with
-/// each learnt clause that passes its [`SharingConfig`] filter, and
+/// each glue learnt clause (LBD ≤ 8, at most 30 literals), and
 /// [`ClauseExchange::drain`] at restart boundaries (decision level 0) to
 /// collect clauses its peers exported since the last restart.
 ///
@@ -235,7 +192,7 @@ impl SharingConfig {
 /// payload per peer.
 pub trait ClauseExchange: Send + Sync {
     /// Offers a learnt clause (already filtered by the exporter) to peers.
-    fn export(&self, lits: &[Lit], lbd: u32);
+    fn export(&self, lits: &[Lit]);
 
     /// Takes every clause peers have offered since the last call.
     fn drain(&self) -> Vec<Arc<[Lit]>>;
@@ -264,11 +221,6 @@ pub trait ClauseExchange: Send + Sync {
 pub struct RunBudget {
     /// Stop with [`StopReason::ConflictLimit`] after this many conflicts.
     pub max_conflicts: Option<u64>,
-    /// Stop with [`StopReason::DecisionLimit`] after this many decisions.
-    pub max_decisions: Option<u64>,
-    /// Stop with [`StopReason::MemoryLimit`] once the learnt-clause
-    /// database holds roughly this many bytes.
-    pub max_learnt_bytes: Option<u64>,
     /// Stop with [`StopReason::Deadline`] this long after the solve starts.
     pub wall: Option<Duration>,
     /// Stop with [`StopReason::Deadline`] at this absolute instant
@@ -301,25 +253,9 @@ impl RunBudget {
         self
     }
 
-    /// Sets a decision cap.
-    pub fn with_max_decisions(mut self, n: u64) -> Self {
-        self.max_decisions = Some(n);
-        self
-    }
-
-    /// Sets an approximate learnt-clause memory cap in bytes.
-    pub fn with_max_learnt_bytes(mut self, bytes: u64) -> Self {
-        self.max_learnt_bytes = Some(bytes);
-        self
-    }
-
     /// `true` if no limit is set.
     pub fn is_unlimited(&self) -> bool {
-        self.max_conflicts.is_none()
-            && self.max_decisions.is_none()
-            && self.max_learnt_bytes.is_none()
-            && self.wall.is_none()
-            && self.deadline_at.is_none()
+        self.max_conflicts.is_none() && self.wall.is_none() && self.deadline_at.is_none()
     }
 
     /// Resolves the effective absolute deadline for a solve starting at
@@ -781,11 +717,6 @@ struct SolverInstruments {
 
 impl SolverInstruments {
     fn new(registry: &MetricsRegistry) -> Self {
-        // Listed at zero until a pass records into them, so a metered
-        // run always reports the `preprocess.*` family.
-        for name in PREPROCESS_COUNTERS {
-            let _ = registry.counter(name);
-        }
         SolverInstruments {
             work: WORK_COUNTERS.map(|name| registry.counter(name)),
             inprocess: INPROCESS_COUNTERS.map(|name| registry.counter(name)),
@@ -875,7 +806,7 @@ mod tests {
 
         assert!(RunBudget::new().deadline(start).is_none());
         assert!(RunBudget::new().is_unlimited());
-        assert!(!RunBudget::new().with_max_decisions(5).is_unlimited());
+        assert!(!RunBudget::new().with_max_conflicts(5).is_unlimited());
     }
 
     /// `n` pigeons into `n - 1` holes: UNSAT, and hard enough to run

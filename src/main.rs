@@ -26,7 +26,9 @@
 //! Portfolio options: `--diversify <N>` (N diversified copies of the
 //! selected strategy instead of the heterogeneous paper portfolio),
 //! `--portfolio-share` (learnt-clause sharing between same-strategy
-//! members), `--threads <T>` (concurrent member cap, default: available
+//! members; needs `--diversify <N>` with N ≥ 2, since the paper
+//! portfolio's members all differ and a lone member has no peer),
+//! `--threads <T>` (concurrent member cap, default: available
 //! parallelism).
 //!
 //! Conquer options: `--cube-vars <k>` splits the instance into up to
@@ -143,7 +145,6 @@ struct Options {
     chrome: Option<String>,
     collapsed: Option<String>,
     inprocess: bool,
-    preprocess: bool,
 }
 
 impl Options {
@@ -227,7 +228,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         chrome: None,
         collapsed: None,
         inprocess: false,
-        preprocess: false,
     };
     let mut i = 0;
     let take_value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
@@ -277,7 +277,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--trace" => opts.trace = Some(take_value(args, &mut i, "--trace")?),
             "--metrics" => opts.metrics = Some(take_value(args, &mut i, "--metrics")?),
             "--inprocess" => opts.inprocess = true,
-            "--preprocess" => opts.preprocess = true,
             "--chrome" => opts.chrome = Some(take_value(args, &mut i, "--chrome")?),
             "--collapsed" => opts.collapsed = Some(take_value(args, &mut i, "--collapsed")?),
             "--progress" => opts.progress = true,
@@ -619,36 +618,11 @@ fn dispatch(
                 "solve",
                 [("strategy", FieldValue::from(format!("cnf:{path}")))],
             );
-            // Pre-solve simplification (--preprocess) is skipped under
-            // proof logging: the preprocessor emits no DRAT steps, so
-            // the proof would not cover its rewrites.
-            let pre = if opts.preprocess && opts.proof.is_none() {
-                let (simp, pstats) = satroute::solver::preprocess::preprocess(&formula);
-                pstats.record(registry);
-                if !opts.json {
-                    println!(
-                        "c preprocess: {} units, {} pure literals, {} clauses removed, {} literals stripped",
-                        pstats.units,
-                        pstats.pure_literals,
-                        pstats.removed_clauses,
-                        pstats.removed_literals
-                    );
-                }
-                Some(simp)
-            } else {
-                None
-            };
             let mut solver = ctx.solver(span.id());
             if opts.proof.is_some() {
                 solver.enable_proof_logging();
             }
-            match &pre {
-                // A preprocessor refutation came from unit propagation
-                // alone, so the solver re-derives it instantly from the
-                // original clauses.
-                Some(simp) if !simp.unsat => solver.add_formula(&simp.formula),
-                _ => solver.add_formula(&formula),
-            }
+            solver.add_formula(&formula);
             let outcome = solver.solve();
             drop(span);
             if opts.json {
@@ -669,12 +643,6 @@ fn dispatch(
             }
             match outcome {
                 SolveOutcome::Sat(model) => {
-                    // Extend a model of the residual formula back over
-                    // the literals the preprocessor fixed.
-                    let model = match &pre {
-                        Some(simp) if !simp.unsat => simp.restore_model(&model, formula.num_vars()),
-                        _ => model,
-                    };
                     debug_assert!(formula.is_satisfied_by(&model));
                     if !opts.json {
                         println!("s SATISFIABLE");
@@ -725,11 +693,19 @@ fn dispatch(
                 .first()
                 .ok_or("portfolio needs a problem file")?;
             let width = opts.width.ok_or("portfolio needs --width <W>")?;
+            // Only equal strategies share, and the paper portfolio's
+            // members all differ: sharing needs two diversified copies.
+            if opts.portfolio_share && opts.diversify.is_none_or(|n| n < 2) {
+                return Err(
+                    "--portfolio-share needs --diversify <N> with N >= 2: only copies of one \
+                     strategy can share clauses"
+                        .to_string(),
+                );
+            }
             let problem = load_problem(path)?;
             let graph = problem.conflict_graph();
 
             use satroute::core::{run_portfolio, PortfolioOptions};
-            use satroute::solver::SharingConfig;
             // --diversify N races N copies of the selected strategy with
             // diversified solver configurations (a sound setting for clause
             // sharing: identical CNF per member); the default races the
@@ -738,13 +714,11 @@ fn dispatch(
                 Some(n) => Strategy::diversified(Strategy::new(opts.encoding, opts.symmetry), n),
                 None => Strategy::paper_portfolio_3(),
             };
-            let mut portfolio_opts =
-                PortfolioOptions::new().with_diversified_configs(opts.diversify.is_some());
+            let mut portfolio_opts = PortfolioOptions::new()
+                .with_diversified_configs(opts.diversify.is_some())
+                .with_sharing(opts.portfolio_share);
             if let Some(n) = opts.threads {
                 portfolio_opts = portfolio_opts.with_max_threads(n);
-            }
-            if opts.portfolio_share {
-                portfolio_opts = portfolio_opts.with_sharing(SharingConfig::default());
             }
             let result = run_portfolio(&graph, width, &strategies, &ctx, &portfolio_opts);
 
@@ -823,7 +797,6 @@ fn dispatch(
             let problem = load_problem(path)?;
             let graph = problem.conflict_graph();
 
-            use satroute::solver::SharingConfig;
             let cube_vars = opts.cube_vars.unwrap_or(3);
             let mut request = Strategy::new(opts.encoding, opts.symmetry)
                 .cube_and_conquer(&graph, width)
@@ -833,7 +806,7 @@ fn dispatch(
                 request = request.threads(n);
             }
             if opts.portfolio_share {
-                request = request.share(SharingConfig::default());
+                request = request.share();
             }
             let result = request.run();
 
@@ -1253,8 +1226,8 @@ fn print_usage() {
         "usage: satroute <command> [options]\n\
          commands: gen, route, prove, min-width, encode, solve, portfolio, conquer, explain, trace, bench, encodings\n\
          run control: --timeout <secs>, --max-conflicts <n>, --progress, --json\n\
-         simplification: --inprocess (in-search vivify/subsume/BVE rounds), --preprocess (pre-solve UP + pure literals; solve only)\n\
-         portfolio: --diversify <N>, --portfolio-share, --threads <T>\n\
+         simplification: --inprocess (in-search vivify/subsume/BVE rounds)\n\
+         portfolio: --diversify <N>, --portfolio-share (needs --diversify N >= 2), --threads <T>\n\
          conquer: --cube-vars <k> (2^k subcubes), --threads <T>, --portfolio-share\n\
          tracing: --trace <out.jsonl>; trace report|timeline <out.jsonl> [--json]\n\
          \u{20}        trace export <out.jsonl> --chrome <out.json> [--collapsed <out.txt>]\n\

@@ -161,65 +161,6 @@ fn encode_then_solve_pipeline() {
     assert!(proof.exists());
 }
 
-/// `solve --preprocess` simplifies DIMACS input itself: on an S1
-/// muldirect encode (whose symmetry restrictions are unit clauses) it
-/// answers as plain `solve` does and reports the units it consumed.
-#[test]
-fn solve_preprocess_reports_its_units_in_the_metrics() {
-    let dir = tempdir("preprocess");
-    let problem = dir.join("tiny.txt");
-    satroute()
-        .args(["gen", "--bench", "tiny_c", "--out"])
-        .arg(&problem)
-        .status()
-        .expect("binary runs");
-    let cnf = dir.join("s1.cnf");
-    let out = satroute()
-        .arg("encode")
-        .arg(&problem)
-        .args([
-            "--width",
-            "2",
-            "--encoding",
-            "muldirect",
-            "--symmetry",
-            "s1",
-            "--out",
-        ])
-        .arg(&cnf)
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let plain = satroute()
-        .arg("solve")
-        .arg(&cnf)
-        .output()
-        .expect("binary runs");
-    let metrics = dir.join("m.json");
-    let pre = satroute()
-        .arg("solve")
-        .arg(&cnf)
-        .arg("--preprocess")
-        .arg("--metrics")
-        .arg(&metrics)
-        .output()
-        .expect("binary runs");
-    assert_eq!(pre.status.code(), plain.status.code());
-    let text = std::fs::read_to_string(&metrics).expect("metrics written");
-    let snapshot = satroute::obs::json::parse(&text).expect("metrics are JSON");
-    let units = snapshot
-        .get("counters")
-        .and_then(|c| c.get("preprocess.units"))
-        .and_then(|v| v.as_f64())
-        .expect("preprocess.units is reported");
-    assert!(units > 0.0, "S1 units must feed the preprocessor");
-}
-
 #[test]
 fn bad_inputs_produce_errors_not_panics() {
     let out = satroute()
@@ -292,8 +233,15 @@ fn portfolio_command_reports_sharing_counters() {
     assert_eq!(out.status.code(), Some(20));
     assert!(String::from_utf8_lossy(&out.stdout).contains("UNROUTABLE"));
 
-    // Flag validation: zero members / zero threads are rejected.
-    for bad in [["--diversify", "0"], ["--threads", "0"]] {
+    // Flag validation: zero members / zero threads are rejected, and so
+    // is sharing without two copies of one strategy to share between.
+    let cases: [&[&str]; 4] = [
+        &["--diversify", "0"],
+        &["--threads", "0"],
+        &["--portfolio-share"],
+        &["--diversify", "1", "--portfolio-share"],
+    ];
+    for bad in cases {
         let out = satroute()
             .arg("portfolio")
             .arg(&problem)
@@ -301,7 +249,12 @@ fn portfolio_command_reports_sharing_counters() {
             .args(bad)
             .output()
             .expect("binary runs");
-        assert_eq!(out.status.code(), Some(2));
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("error:"), "{bad:?}: {stderr}");
+        if bad.contains(&"--portfolio-share") {
+            assert!(stderr.contains("--diversify"), "{bad:?}: {stderr}");
+        }
     }
 }
 

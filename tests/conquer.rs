@@ -6,7 +6,7 @@
 
 use satroute::coloring::{exact, random_graph, CspGraph};
 use satroute::core::{ColoringOutcome, Strategy};
-use satroute::solver::{SharingConfig, StopReason};
+use satroute::solver::StopReason;
 
 /// Oversubscribes the single-core CI container so cubes genuinely
 /// interleave.
@@ -157,7 +157,7 @@ fn sharing_conquer_agrees_with_the_oracle() {
                 .cube_and_conquer(&g, k)
                 .cube_vars(3)
                 .threads(THREADS)
-                .share(SharingConfig::default())
+                .share()
                 .run();
             match &result.outcome {
                 ColoringOutcome::Colorable(c) => {

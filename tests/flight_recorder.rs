@@ -4,7 +4,7 @@
 //! Three properties pin recording down as pure observability:
 //!
 //! 1. **Postmortems fire for every budget outcome.** Each
-//!    [`StopReason`] variant — conflict, decision and memory caps, a
+//!    [`StopReason`] a CDCL solve can stop with — the conflict cap, a
 //!    passed deadline, an external cancellation — must leave a
 //!    [`Postmortem`](satroute::Postmortem) on a traced report naming that
 //!    reason, and a decided run (or an untraced run) must leave none.
@@ -67,16 +67,6 @@ fn postmortem_names_every_stop_reason() {
         (
             StopReason::ConflictLimit,
             RunBudget::new().with_max_conflicts(5),
-            None,
-        ),
-        (
-            StopReason::DecisionLimit,
-            RunBudget::new().with_max_decisions(2),
-            None,
-        ),
-        (
-            StopReason::MemoryLimit,
-            RunBudget::new().with_max_learnt_bytes(1),
             None,
         ),
         (

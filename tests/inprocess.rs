@@ -23,7 +23,6 @@ fn aggressive() -> SolverConfig {
     SolverConfig {
         inprocess: InprocessConfig {
             enabled: true,
-            first_conflicts: 0,
             interval: 60,
             backoff: 1.0,
             ..InprocessConfig::on()

@@ -11,7 +11,7 @@ use satroute::core::{
     encode_coloring, run_portfolio, ColoringOutcome, EncodingId, PortfolioOptions, Strategy,
     SymmetryHeuristic,
 };
-use satroute::solver::{rup_implied, CdclSolver, ClauseExchange, SharingConfig, SolveOutcome};
+use satroute::solver::{rup_implied, CdclSolver, ClauseExchange, SolveOutcome};
 use satroute::{MetricsRegistry, RunBudget, RunContext};
 
 /// Oversubscribes the single-core CI container so members interleave and
@@ -19,14 +19,10 @@ use satroute::{MetricsRegistry, RunBudget, RunContext};
 const THREADS: usize = 4;
 
 fn sharing_opts(share: bool) -> PortfolioOptions {
-    let opts = PortfolioOptions::new()
+    PortfolioOptions::new()
         .with_max_threads(THREADS)
-        .with_diversified_configs(true);
-    if share {
-        opts.with_sharing(SharingConfig::default())
-    } else {
-        opts
-    }
+        .with_diversified_configs(true)
+        .with_sharing(share)
 }
 
 /// Property test: across random graphs and both phase transitions
@@ -79,7 +75,7 @@ struct RecordingExchange {
 }
 
 impl ClauseExchange for RecordingExchange {
-    fn export(&self, lits: &[Lit], _lbd: u32) {
+    fn export(&self, lits: &[Lit]) {
         self.exported.lock().unwrap().push(lits.to_vec());
     }
 
@@ -126,7 +122,7 @@ fn every_exported_clause_is_entailed_by_the_formula() {
 
     let exchange = Arc::new(RecordingExchange::default());
     let mut solver = CdclSolver::new();
-    solver.set_exchange(exchange.clone(), SharingConfig::default());
+    solver.set_exchange(exchange.clone());
     solver.add_formula(&enc.formula);
     assert_eq!(solver.solve(), SolveOutcome::Unsat);
 
@@ -158,7 +154,7 @@ fn preloaded_shared_clauses_do_not_increase_conflicts() {
 
     let recorder = Arc::new(RecordingExchange::default());
     let mut exporter = CdclSolver::new();
-    exporter.set_exchange(recorder.clone(), SharingConfig::default());
+    exporter.set_exchange(recorder.clone());
     exporter.add_formula(&enc.formula);
     assert_eq!(exporter.solve(), SolveOutcome::Unsat);
     let shared = recorder.exported.lock().unwrap().clone();
@@ -172,7 +168,7 @@ fn preloaded_shared_clauses_do_not_increase_conflicts() {
     let feed = Arc::new(RecordingExchange::default());
     *feed.deliveries.lock().unwrap() = shared.iter().map(|c| c.as_slice().into()).collect();
     let mut warm = CdclSolver::new();
-    warm.set_exchange(feed, SharingConfig::default());
+    warm.set_exchange(feed);
     warm.add_formula(&enc.formula);
     assert_eq!(warm.solve(), SolveOutcome::Unsat);
 

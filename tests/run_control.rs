@@ -288,7 +288,7 @@ fn conflict_cap_is_exact_and_reported() {
         report.outcome,
         ColoringOutcome::Unknown(StopReason::ConflictLimit)
     );
-    // Integer caps are polled every conflict, so the overshoot is zero.
+    // The conflict cap is polled every conflict, so the overshoot is zero.
     assert!(
         report.solver_stats.conflicts <= 500,
         "{} conflicts against a cap of 500",
