@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 
 use satroute_cnf::FormulaStats;
 use satroute_core::{
-    run_portfolio, simulate_portfolio, ColoringOutcome, EncodingId, ExplainOutcome,
-    PortfolioOptions, RoutingPipeline, Strategy, SymmetryHeuristic,
+    run_portfolio, simulate_portfolio, EncodingId, ExplainOutcome, PortfolioOptions,
+    RoutingPipeline, Strategy, SymmetryHeuristic,
 };
 use satroute_fpga::benchmarks::{self, BenchmarkInstance};
 use satroute_obs::{FieldValue, MetricsRegistry, MetricsSnapshot};
@@ -57,14 +57,6 @@ pub enum SuiteId {
     /// the gate catches both performance and answer regressions of the
     /// incremental path.
     Incremental,
-    /// Cube-and-conquer versus single-threaded solves on the hard
-    /// (unroutable) `tiny_*` cells. Conquer cells run with sharing off
-    /// and a fresh solver per cube, so the cube count and per-cube
-    /// conflict sequence — recorded in the outcome column — are
-    /// deterministic despite parallel execution, and gate everywhere;
-    /// the paired plain cells make the wall-time speedup visible in
-    /// timing-comparable environments.
-    Conquer,
     /// Core-minimizing explanation runs on the unroutable `tiny_*`
     /// cells: one warm solver per cell extracts and shrinks a net-level
     /// UNSAT core to 1-minimality. The outcome column records the core's
@@ -87,13 +79,12 @@ pub enum SuiteId {
 
 impl SuiteId {
     /// Every suite, in `--suite` listing order.
-    const ALL: [SuiteId; 8] = [
+    const ALL: [SuiteId; 7] = [
         SuiteId::Quick,
         SuiteId::Paper,
         SuiteId::Routable,
         SuiteId::Portfolio,
         SuiteId::Incremental,
-        SuiteId::Conquer,
         SuiteId::Explain,
         SuiteId::Inprocess,
     ];
@@ -107,7 +98,6 @@ impl SuiteId {
             SuiteId::Routable => "routable",
             SuiteId::Portfolio => "portfolio",
             SuiteId::Incremental => "incremental",
-            SuiteId::Conquer => "conquer",
             SuiteId::Explain => "explain",
             SuiteId::Inprocess => "inprocess",
         }
@@ -174,13 +164,6 @@ enum CellKind {
     /// A whole minimum-width ladder; `warm` selects the assumption-based
     /// incremental search over the re-encode-per-width baseline.
     Ladder { warm: bool },
-    /// One cube-and-conquer run at a fixed width: `2^cube_vars` subcubes
-    /// for `threads` workers, sharing off (determinism).
-    Conquer {
-        width: u32,
-        cube_vars: u32,
-        threads: usize,
-    },
     /// One explanation run at a fixed (unroutable) width: net-grouped
     /// selector encoding, initial core, deletion shrink to 1-minimality
     /// on one warm solver.
@@ -198,7 +181,6 @@ impl CellKind {
     fn width(self) -> Option<u32> {
         match self {
             CellKind::Solve { width, .. }
-            | CellKind::Conquer { width, .. }
             | CellKind::Explain { width }
             | CellKind::Portfolio { width, .. }
             | CellKind::Sharing { width, .. } => Some(width),
@@ -335,24 +317,6 @@ fn suite_cells(suite: SuiteId) -> Vec<SuiteCell> {
                 CellKind::Ladder { warm: false },
             ]
         }),
-        // Each unroutable cell twice: a plain single-threaded solve (the
-        // wall-time baseline) and cube-and-conquered at up to `2^4` cubes
-        // on a simulated 4-worker machine.
-        SuiteId::Conquer => cross(
-            named(benchmarks::suite_tiny(), &["tiny_b", "tiny_c"]),
-            &reference,
-            |i| {
-                let width = i.unroutable_width;
-                vec![
-                    solve(width),
-                    CellKind::Conquer {
-                        width,
-                        cube_vars: 4,
-                        threads: 4,
-                    },
-                ]
-            },
-        ),
         // The shrink loop runs unbudgeted on these sub-second instances,
         // so every core is 1-minimal and the outcome column is exact.
         SuiteId::Explain => cross(benchmarks::suite_tiny(), &reference, |i| {
@@ -482,7 +446,7 @@ fn run_cell(cell: &SuiteCell, runs: usize, opts: &SuiteOptions) -> BenchCell {
 
 impl SuiteCell {
     /// The artifact id: `benchmark/encoding/symmetry/wN`, plus a final
-    /// segment naming the cell kind (`inp-on`, `cube4x4`, `portfolio-2`,
+    /// segment naming the cell kind (`inp-on`, `portfolio-2`,
     /// `div4-share-on`, ...) so twins never collide. Ladder cells sweep
     /// widths, so `ladder-warm` / `ladder-cold` replaces `wN`; explain
     /// cells end in `explain-wN` under a `-` symmetry segment.
@@ -505,11 +469,6 @@ impl SuiteCell {
                 "{name}/{encoding}/{symmetry}/ladder-{}",
                 if warm { "warm" } else { "cold" }
             ),
-            CellKind::Conquer {
-                width,
-                cube_vars,
-                threads,
-            } => format!("{}/cube{cube_vars}x{threads}", plain(width)),
             CellKind::Explain { width } => format!("{name}/{encoding}/-/explain-w{width}"),
             CellKind::Portfolio { width, members } => {
                 format!("{}/portfolio-{members}", plain(width))
@@ -597,45 +556,6 @@ impl SuiteCell {
                         stats: SolverStats::default(),
                         cnf: FormulaStats::default(),
                     },
-                }
-            }
-            // Sharing off and a fresh solver per cube make the cube count,
-            // split-time refutations and per-cube conflicts independent of
-            // scheduling; the outcome records them verbatim. The cubes run
-            // on one thread for undistorted per-cube walls, and the wall is
-            // the split prefix plus the LPT makespan of an ideal
-            // `threads`-core machine (the substitution policy, DESIGN.md).
-            CellKind::Conquer {
-                width,
-                cube_vars,
-                threads,
-            } => {
-                let result = self
-                    .strategy
-                    .cube_and_conquer(graph, width)
-                    .cube_vars(cube_vars)
-                    .threads(1)
-                    .context(ctx)
-                    .run();
-                let outcome = match &result.outcome {
-                    ColoringOutcome::Unsat => {
-                        let per_cube: Vec<String> =
-                            result.cube_conflicts().iter().map(u64::to_string).collect();
-                        format!(
-                            "unsat cubes={} refuted={} cube_conflicts={}",
-                            result.cubes.len(),
-                            result.refuted_at_split,
-                            per_cube.join(","),
-                        )
-                    }
-                    other => other.verdict().to_string(),
-                };
-                Sample {
-                    wall: result.ideal_wall_time(threads),
-                    width,
-                    outcome,
-                    stats: summed(result.cubes.iter().map(|c| &c.report.solver_stats)),
-                    cnf: result.formula_stats,
                 }
             }
             // Single-threaded and seed-pinned: the outcome (core net ids,
@@ -803,62 +723,6 @@ mod tests {
             strictly_lower > 0,
             "warm ladders must beat cold on total conflicts somewhere"
         );
-    }
-
-    #[test]
-    fn conquer_suite_is_deterministic_and_pairs_with_baselines() {
-        let opts = SuiteOptions {
-            runs: 1,
-            ..SuiteOptions::default()
-        };
-        let a = run_suite(SuiteId::Conquer, &opts, |_| {});
-        let b = run_suite(SuiteId::Conquer, &opts, |_| {});
-        assert!(!a.cells.is_empty());
-        assert_eq!(a.cells.len(), b.cells.len());
-        for (ca, cb) in a.cells.iter().zip(&b.cells) {
-            assert_eq!(ca.id, cb.id);
-            // The conquer outcome column embeds the cube count and the
-            // per-cube conflict sequence; identical strings across
-            // repeat parallel runs is the determinism claim the CI gate
-            // relies on.
-            assert_eq!(ca.outcome, cb.outcome, "{}", ca.id);
-            assert_eq!(ca.conflicts, cb.conflicts, "{}", ca.id);
-        }
-        for cell in a.cells.iter().filter(|c| c.id.contains("/cube")) {
-            assert!(
-                cell.outcome.starts_with("unsat cubes="),
-                "{}: conquer cells pin unroutable widths, got `{}`",
-                cell.id,
-                cell.outcome
-            );
-            let baseline_id = cell.id.rsplit_once("/cube").expect("conquer id").0;
-            let baseline = a
-                .cells
-                .iter()
-                .find(|c| c.id == baseline_id)
-                .expect("every conquer cell has a single-threaded twin");
-            assert_eq!(baseline.outcome, "unsat", "{}", baseline.id);
-            // The conquer cell records one conflict figure per cube.
-            let cube_list = cell
-                .outcome
-                .rsplit_once("cube_conflicts=")
-                .expect("outcome carries the per-cube sequence")
-                .1;
-            let cubes: u64 = cell
-                .outcome
-                .split_once("cubes=")
-                .and_then(|(_, rest)| rest.split_whitespace().next())
-                .and_then(|n| n.parse().ok())
-                .expect("outcome carries the cube count");
-            // An instance the lookahead refutes outright emits no cubes
-            // and an empty conflict list; otherwise one figure per cube.
-            let listed = if cube_list.is_empty() {
-                0
-            } else {
-                cube_list.split(',').count() as u64
-            };
-            assert_eq!(listed, cubes, "{}", cell.id);
-        }
     }
 
     #[test]

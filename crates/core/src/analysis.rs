@@ -3,9 +3,9 @@
 //! For each encoding, the number of Boolean variables per CSP variable and
 //! the number of structural clauses per CSP variable are simple functions
 //! of the domain size `k`; the number of conflict clauses is always
-//! `|E| · k`. This module provides those functions — used by the size
-//! ablation (experiment A1) and cross-checked against the actual emitters
-//! in tests, so a regression in either is caught by the other.
+//! `|E| · k`. This module provides those functions as a closed-form
+//! cross-check: its own tests compare them against the actual emitters,
+//! so a regression in either is caught by the other.
 
 use crate::catalog::EncodingId;
 use crate::scheme::ceil_log2;

@@ -192,7 +192,7 @@ pub struct EncodedColoring {
 /// selector); with an empty graph, an empty (satisfiable) formula.
 ///
 /// The clauses go through a [`ClauseSink`]: here a [`CnfFormula`], which
-/// DIMACS output, the DRAT checker and the cube splitter read. A solve
+/// DIMACS output and the DRAT checker read. A solve
 /// that needs no formula ([`SolveRequest::run`](crate::SolveRequest::run),
 /// the warm ladder, explain) has the same clause writer fill its solver
 /// instead, through [`CdclSolver::load`].

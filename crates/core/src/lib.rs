@@ -31,12 +31,6 @@
 //!   strategies (§6), with per-member reports, a shared deadline, a
 //!   parallelism-aware thread cap, and optional learnt-clause sharing
 //!   between diversified same-strategy members.
-//! * [`conquer`] — cube-and-conquer parallelism *within* one instance: a
-//!   lookahead splitter ([`satroute_solver::cubes`]) partitions the CNF
-//!   into `2^k` assumption-prefix subcubes that the same worker pool as
-//!   the portfolio races with first-SAT-wins cancellation and all-UNSAT
-//!   aggregation ([`ConquerRequest`], built by
-//!   [`Strategy::cube_and_conquer`]).
 //! * [`pipeline`] — the full FPGA flow: global routing → conflict graph →
 //!   SAT → detailed routing / unroutability proof.
 //! * [`incremental`] — assumption-based incremental width search: encode
@@ -51,7 +45,7 @@
 //! Run control comes from [`satroute_solver::run`]: every request holds
 //! one [`RunContext`] (configuration, budget, cancellation, tracer,
 //! metrics) and forwards it to the solves it spawns. Every solve — a cold
-//! request, a conquer cube, a ladder probe, an explain probe — is a probe
+//! request, a portfolio member, a ladder probe, an explain probe — is a probe
 //! of one crate-private solver loaded with one encode, which times it,
 //! maps its failed assumptions back to track or group ids and writes the
 //! postmortem of a stopped probe. The commonly
@@ -142,7 +136,6 @@ macro_rules! run_context_setters {
 
 pub mod analysis;
 pub mod catalog;
-pub mod conquer;
 pub mod decode;
 pub mod encode;
 pub mod explain;
@@ -153,13 +146,11 @@ pub mod pattern;
 pub mod pipeline;
 pub mod portfolio;
 mod probe;
-mod race;
 pub mod scheme;
 pub mod strategy;
 pub mod symmetry;
 
 pub use catalog::{Encoding, EncodingId, ParseEncodingError};
-pub use conquer::{ConquerRequest, ConquerResult, CubeReport};
 pub use decode::{decode_coloring, DecodeError};
 pub use encode::{encode, encode_coloring, DecodeMap, EncodedColoring, Selectors};
 pub use explain::{ExplainOutcome, ExplainReport, ExplainRequest, NetCore, ShrinkStatus};

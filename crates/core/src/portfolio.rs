@@ -7,12 +7,12 @@
 //! one of them returns an answer."
 //!
 //! [`run_portfolio`] runs one solve per strategy, all on the same
-//! K-coloring instance, as one race of the crate's worker pool — the same
-//! pool that races cube-and-conquer's cubes ([`crate::conquer`]). The
-//! first *decided* (SAT or UNSAT) result wins and stops the losers at
-//! their next conflict boundary. Every member's report — including the
-//! losers' partial [`SolverStats`](satroute_solver::SolverStats) and
-//! [`StopReason`] — is retained in the returned [`PortfolioResult`].
+//! K-coloring instance, on a fixed set of scoped worker threads that each
+//! claim the next member from one shared counter. The first *decided*
+//! (SAT or UNSAT) result wins and stops the losers at their next conflict
+//! boundary. Every member's report — including the losers' partial
+//! [`SolverStats`](satroute_solver::SolverStats) and [`StopReason`] — is
+//! retained in the returned [`PortfolioResult`].
 //! [`simulate_portfolio`] runs the same members one after another and
 //! returns the same result type, with the wall time an ideal multicore
 //! would have taken.
@@ -36,16 +36,16 @@
 //! member lists.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use satroute_cnf::Lit;
 use satroute_coloring::CspGraph;
 use satroute_obs::{FieldValue, MetricsRegistry};
-use satroute_solver::{ClauseExchange, RunContext, SolveVerdict, StopReason};
+use satroute_solver::{CancellationToken, ClauseExchange, RunContext, SolveVerdict, StopReason};
 
-use crate::race::{self, Pool};
-use crate::strategy::{ColoringOutcome, ColoringReport, Strategy};
+use crate::strategy::{ColoringReport, Strategy};
 
 /// Maximum clauses a member's inbox holds; exports beyond this are dropped
 /// (a slow importer must not make peers buffer unboundedly).
@@ -330,8 +330,10 @@ impl SharingBus {
 ///
 /// At most `opts.max_threads` members run concurrently (default: the
 /// machine's parallelism); remaining members queue and are claimed by idle
-/// workers. When `opts.sharing` is set, a [`SharingBus`] connects members
-/// with equal strategies. When `opts.diversify` is set, member `i` runs
+/// workers. A member claimed after the race was won still runs, on the
+/// cancelled token, so every member reports. When `opts.sharing` is set,
+/// a [`SharingBus`] connects members with equal strategies. When
+/// `opts.diversify` is set, member `i` runs
 /// [`SolverConfig::diversified`](satroute_solver::SolverConfig::diversified)`(i)`
 /// of `ctx.config`.
 ///
@@ -379,54 +381,103 @@ pub fn run_portfolio(
         ],
     );
     let bus = opts.sharing.then(|| SharingBus::for_strategies(strategies));
-    let pool = Pool {
-        ctx,
-        start,
-        parent: root.id(),
-        workers: race::workers(opts.max_threads, n),
-    };
-    let race = pool.race(
-        n,
-        "member",
-        |idx, _| {
+    // One absolute deadline, so members claimed late still race the same
+    // instant; `RunBudget::deadline` takes the earlier of `wall` and
+    // `deadline_at`.
+    let mut budget = ctx.budget;
+    if let Some(deadline) = budget.deadline(start) {
+        budget.deadline_at = Some(deadline);
+        budget.wall = None;
+    }
+    let stop = ctx
+        .cancel
+        .as_ref()
+        .map_or_else(CancellationToken::new, CancellationToken::child);
+    let winner = OnceLock::new();
+    let run_member = |idx: usize| {
+        // An explicit parent: the worker thread's span stack is empty.
+        let span = ctx.tracer.span_under(
+            root.id(),
+            "member",
             vec![
                 ("index", FieldValue::from(idx as u64)),
                 ("strategy", FieldValue::from(strategies[idx].to_string())),
-            ]
-        },
-        ColoringOutcome::is_decided,
-        |idx, _, mut member_ctx| {
-            if opts.diversify {
-                member_ctx.config = ctx.config.diversified(idx as u64);
-            }
-            let mut request = strategies[idx].solve(graph, k).context(member_ctx);
-            if let Some(exchange) = bus.as_ref().and_then(|bus| bus.exchange(idx)) {
-                request = request.share(exchange);
-            }
-            let report = request.run();
-            if ctx.metrics.is_enabled() {
-                record_member(&ctx.metrics, idx, &report);
-            }
-            report
-        },
-    );
-    match race.winner {
-        Some(w) => root.counter("winner", w as u64),
+            ],
+        );
+        let mut member_ctx = RunContext {
+            budget,
+            cancel: Some(stop.clone()),
+            ..ctx.clone()
+        };
+        if opts.diversify {
+            member_ctx.config = ctx.config.diversified(idx as u64);
+        }
+        let mut request = strategies[idx].solve(graph, k).context(member_ctx);
+        if let Some(exchange) = bus.as_ref().and_then(|bus| bus.exchange(idx)) {
+            request = request.share(exchange);
+        }
+        let mut report = request.run();
+        if ctx.metrics.is_enabled() {
+            record_member(&ctx.metrics, idx, &report);
+        }
+        if let Some(pm) = &mut report.postmortem {
+            pm.member = Some(idx as u64);
+        }
+        // The member's final counters and outcome; the solver's own events
+        // land on the `solve` span beneath.
+        let stats = &report.solver_stats;
+        span.counter("conflicts", stats.conflicts);
+        span.counter("decisions", stats.decisions);
+        span.counter("propagations", stats.propagations);
+        span.mark("outcome", &report.outcome.verdict().to_string());
+        if report.outcome.is_decided() && winner.set((idx, start.elapsed())).is_ok() {
+            stop.cancel();
+        }
+        MemberReport {
+            strategy: strategies[idx],
+            report,
+            wall_time: span.close(),
+        }
+    };
+
+    // Each worker claims the next member index until none is left; a
+    // member is never split once claimed, so this balances load without
+    // per-worker queues.
+    let workers = opts
+        .max_threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+        .clamp(1, n.max(1));
+    let (next, run_member) = (&AtomicUsize::new(0), &run_member);
+    let mut members: Vec<(usize, MemberReport)> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        if idx >= n {
+                            return done;
+                        }
+                        done.push((idx, run_member(idx)));
+                    }
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    members.sort_unstable_by_key(|&(idx, _)| idx);
+    let winner = winner.get().copied();
+    match winner {
+        Some((w, _)) => root.counter("winner", w as u64),
         None => root.mark("winner", "none"),
     }
     PortfolioResult {
-        winner: race.winner,
-        members: race
-            .jobs
-            .into_iter()
-            .zip(strategies)
-            .map(|(job, &strategy)| MemberReport {
-                strategy,
-                report: job.report,
-                wall_time: job.wall_time,
-            })
-            .collect(),
-        wall_time: race.wall_time,
+        winner: winner.map(|(idx, _)| idx),
+        members: members.into_iter().map(|(_, member)| member).collect(),
+        wall_time: winner.map_or_else(|| start.elapsed(), |(_, at)| at),
     }
 }
 
@@ -784,10 +835,10 @@ mod tests {
     #[test]
     fn thread_cap_queues_members_without_losing_reports() {
         // Six members, one worker: members run strictly sequentially and
-        // every one still reports. The single worker runs member 0 first,
-        // so its (decided) report is received first and it wins; queued
-        // members either get cancelled or — if the worker reaches them
-        // before the cancel is processed — decide too. None may vanish.
+        // every one still reports. The single worker runs member 0 first
+        // and it wins; the winner cancels the race's token before the
+        // worker claims the next member, so every queued member starts on
+        // a cancelled token and reports `Cancelled`. None may vanish.
         let g = random_graph(10, 0.5, 3);
         let chi = exact::chromatic_number(&g);
         let members = Strategy::diversified(Strategy::paper_best(), 6);
@@ -796,10 +847,11 @@ mod tests {
         assert!(result.is_decided());
         assert_eq!(result.members.len(), 6);
         assert_eq!(result.winner, Some(0), "sequential run: member 0 decides");
-        for member in &result.members[1..] {
-            assert!(
-                member.is_decided() || member.stop_reason() == Some(StopReason::Cancelled),
-                "queued member must decide or observe the winner's cancel, got {:?}",
+        for (idx, member) in result.members.iter().enumerate().skip(1) {
+            assert_eq!(
+                member.stop_reason(),
+                Some(StopReason::Cancelled),
+                "queued member {idx} must observe the winner's cancel, got {:?}",
                 member.report.outcome
             );
         }

@@ -2,18 +2,16 @@
 //!
 //! Every solve in this crate is a probe of a [`Probe`]. A cold
 //! [`SolveRequest`](crate::SolveRequest) loads its plain encode and probes
-//! it once, under its assumptions if it has any; a conquer cube does the
-//! same with the splitter's encode and the cube as assumptions. The warm
-//! width ladder ([`IncrementalSession`](crate::IncrementalSession)) and
-//! explain's initial and shrink probes load one selector encode and probe
-//! it many times, keeping learnt clauses, activities and phases in
-//! between. [`Probe::load`] has the encoder write straight into the
-//! solver; only a certified run and conquer, which read the formula
-//! again, load a [`CnfFormula`](satroute_cnf::CnfFormula)
-//! ([`Probe::load_formula`]). The probe owns what those paths share:
-//! selector freezing, solve timing under the caller's probe span, the
-//! failed-assumption core mapped to track or group ids, and the
-//! postmortem of a stopped probe.
+//! it once, under its assumptions if it has any. The warm width ladder
+//! ([`IncrementalSession`](crate::IncrementalSession)) and explain's
+//! initial and shrink probes load one selector encode and probe it many
+//! times, keeping learnt clauses, activities and phases in between.
+//! [`Probe::load`] has the encoder write straight into the solver; only a
+//! certified run, whose proof is checked against the formula, loads a
+//! [`CnfFormula`](satroute_cnf::CnfFormula) ([`Probe::load_formula`]).
+//! The probe owns what those paths share: selector freezing, solve timing
+//! under the caller's probe span, the failed-assumption core mapped to
+//! track or group ids, and the postmortem of a stopped probe.
 
 use std::time::{Duration, Instant};
 
@@ -93,16 +91,13 @@ impl Probe {
         (Probe::new(solver, decode, formula_stats), cnf_translation)
     }
 
-    /// Loads a formula already encoded — a certified run's, which the
-    /// proof checker reads afterwards, or the splitter's, shared by every
-    /// conquer cube — into a fresh solver from `ctx`, with DRAT logging
-    /// from the first clause when `proof` is set.
-    pub(crate) fn load_formula(ctx: &RunContext, encoded: &EncodedColoring, proof: bool) -> Probe {
+    /// Loads a certified run's formula, which the proof checker reads
+    /// afterwards, into a fresh solver from `ctx` that logs DRAT from the
+    /// first clause.
+    pub(crate) fn load_formula(ctx: &RunContext, encoded: &EncodedColoring) -> Probe {
         let decode = encoded.decode.clone();
         let mut solver = ctx.solver(0);
-        if proof {
-            solver.enable_proof_logging();
-        }
+        solver.enable_proof_logging();
         solver.add_formula(&encoded.formula);
         Probe::new(solver, decode, encoded.stats)
     }

@@ -24,7 +24,7 @@ use satroute_solver::{
 };
 
 use crate::catalog::EncodingId;
-use crate::encode::{encode, EncodedColoring, Selectors};
+use crate::encode::{encode, Selectors};
 use crate::probe::Probe;
 use crate::symmetry::SymmetryHeuristic;
 
@@ -91,9 +91,9 @@ pub struct TimingBreakdown {
     /// pipeline), the warm width ladder and explain — this also includes
     /// loading the solver.
     pub cnf_translation: Duration,
-    /// SAT solving (the `solve` span). Where a [`CnfFormula`] is kept —
-    /// [`SolveRequest::run_certified`] and conquer's cubes — this also
-    /// includes loading the solver from it.
+    /// SAT solving (the `solve` span). For
+    /// [`SolveRequest::run_certified`], which keeps a [`CnfFormula`], this
+    /// also includes loading the solver from it.
     pub sat_solving: Duration,
 }
 
@@ -129,20 +129,6 @@ pub struct ColoringReport {
     /// enabled (see [`SolveRequest::trace`]); it lists the run's
     /// assumptions. `None` for decided runs and for untraced runs.
     pub postmortem: Option<Postmortem>,
-}
-
-impl ColoringReport {
-    /// Writes the final work counters and the `outcome` mark onto the
-    /// `member` or `cube` span a portfolio or conquer run opened around
-    /// this solve; the solver's own events land on the `solve` span
-    /// beneath it.
-    pub(crate) fn trace_onto(&self, span: &SpanGuard) {
-        let stats = &self.solver_stats;
-        span.counter("conflicts", stats.conflicts);
-        span.counter("decisions", stats.decisions);
-        span.counter("propagations", stats.propagations);
-        span.mark("outcome", &self.outcome.verdict().to_string());
-    }
 }
 
 /// A single parallel-portfolio constituent: an encoding plus a
@@ -378,6 +364,9 @@ impl<'a> SolveRequest<'a> {
     /// contains implied clauses but no empty clause, so no proof is
     /// returned — the report's `failed_assumptions` is the certificate
     /// for that case.
+    ///
+    /// The `solve` span covers loading the formula and the solve (the
+    /// report's `sat_solving`).
     pub fn run_certified(self) -> (ColoringReport, CnfFormula, Option<DratProof>) {
         let ctx = &self.ctx;
         let encoded = encode(
@@ -389,27 +378,10 @@ impl<'a> SolveRequest<'a> {
             &ctx.tracer,
             &ctx.metrics,
         );
-        let (report, proof) = self.run_encoded(&encoded, encoded.cnf_translation, true);
-        (report, encoded.formula, proof)
-    }
-
-    /// Solves `encoded` — this request's plain encode, or one equal to it
-    /// such as the splitter's shared by every conquer cube — on a cold
-    /// probe under the request's assumptions, and decodes the answer.
-    ///
-    /// The `solve` span covers the formula's load and the solve (the
-    /// report's `sat_solving`); `cnf_translation` is the encode time
-    /// charged to this run. With `with_proof`, a refutation of the
-    /// formula itself also returns its DRAT proof.
-    pub(crate) fn run_encoded(
-        self,
-        encoded: &EncodedColoring,
-        cnf_translation: Duration,
-        with_proof: bool,
-    ) -> (ColoringReport, Option<DratProof>) {
         let solve_span = self.solve_span();
-        let probe = Probe::load_formula(&self.ctx, encoded, with_proof);
-        self.solve(solve_span, probe, cnf_translation)
+        let probe = Probe::load_formula(ctx, &encoded);
+        let (report, proof) = self.solve(solve_span, probe, encoded.cnf_translation);
+        (report, encoded.formula, proof)
     }
 
     /// Opens the `solve` span of this request's one probe.

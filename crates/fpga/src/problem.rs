@@ -181,21 +181,10 @@ impl RoutingProblem {
     pub fn conflict_graph(&self) -> CspGraph {
         let routes = self.routing.routes();
         let mut graph = CspGraph::new(routes.len());
-
-        // Invert: segment -> subnets through it.
-        let mut through: Vec<Vec<u32>> = vec![Vec::new(); self.arch.num_segments()];
-        for (i, route) in routes.iter().enumerate() {
-            let mut seen_segments = std::collections::HashSet::new();
-            for &seg in &route.path {
-                if seen_segments.insert(seg) {
-                    through[self.arch.segment_index(seg)].push(i as u32);
-                }
-            }
-        }
-
-        for subnets in &through {
-            for (a_pos, &a) in subnets.iter().enumerate() {
-                for &b in &subnets[a_pos + 1..] {
+        let occupancy = self.routing.segment_occupancy(&self.arch, |i, _| i as u32);
+        for through in occupancy.chunk_by(|a, b| a.0 == b.0) {
+            for (a_pos, &(_, a)) in through.iter().enumerate() {
+                for &(_, b) in &through[a_pos + 1..] {
                     if routes[a as usize].subnet.net != routes[b as usize].subnet.net {
                         graph.add_edge(a, b);
                     }
@@ -250,20 +239,13 @@ impl RoutingProblem {
                 });
             }
         }
-        // Check conflicts segment by segment (independently of the conflict
-        // graph, so this doubles as a test oracle for `conflict_graph`).
-        let mut through: Vec<Vec<u32>> = vec![Vec::new(); self.arch.num_segments()];
-        for (i, route) in routes.iter().enumerate() {
-            for &seg in &route.path {
-                let idx = self.arch.segment_index(seg);
-                if !through[idx].contains(&(i as u32)) {
-                    through[idx].push(i as u32);
-                }
-            }
-        }
-        for subnets in &through {
-            for (a_pos, &a) in subnets.iter().enumerate() {
-                for &b in &subnets[a_pos + 1..] {
+        // Check conflicts segment by segment, segments and then subnets
+        // ascending (independently of the conflict graph, so this doubles
+        // as a test oracle for `conflict_graph`).
+        let occupancy = self.routing.segment_occupancy(&self.arch, |i, _| i as u32);
+        for through in occupancy.chunk_by(|a, b| a.0 == b.0) {
+            for (a_pos, &(_, a)) in through.iter().enumerate() {
+                for &(_, b) in &through[a_pos + 1..] {
                     let (a, b) = (a as usize, b as usize);
                     if routes[a].subnet.net != routes[b].subnet.net
                         && routing.track(a) == routing.track(b)

@@ -86,14 +86,38 @@ impl GlobalRouting {
     /// Maximum number of *distinct nets* passing through any one segment —
     /// a lower bound on the channel width required by this global routing.
     pub fn max_segment_congestion(&self, arch: &Architecture) -> usize {
-        let mut nets_per_segment: Vec<std::collections::BTreeSet<u32>> =
-            vec![std::collections::BTreeSet::new(); arch.num_segments()];
-        for route in &self.routes {
-            for &seg in &route.path {
-                nets_per_segment[arch.segment_index(seg)].insert(route.subnet.net.0);
-            }
-        }
-        nets_per_segment.iter().map(|s| s.len()).max().unwrap_or(0)
+        self.segment_occupancy(arch, |_, route| route.subnet.net.0)
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(<[_]>::len)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// `(segment index, key(route index, route))` for every segment on
+    /// every route, sorted and deduplicated, so the pairs come grouped by
+    /// segment in ascending order. Only the segments the routes pass
+    /// through appear: nothing here is sized by the fabric, which may be
+    /// far larger than the routes it carries.
+    pub(crate) fn segment_occupancy(
+        &self,
+        arch: &Architecture,
+        key: impl Fn(usize, &SubnetRoute) -> u32,
+    ) -> Vec<(usize, u32)> {
+        let mut pairs: Vec<(usize, u32)> = self
+            .routes
+            .iter()
+            .enumerate()
+            .flat_map(|(i, route)| {
+                let key = key(i, route);
+                route
+                    .path
+                    .iter()
+                    .map(move |&seg| (arch.segment_index(seg), key))
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
     }
 }
 

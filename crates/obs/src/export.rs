@@ -5,7 +5,7 @@
 //! The converters work from the same validated [`SpanForest`] the
 //! reports use, so a JSONL artifact that passes `trace report` exports
 //! cleanly: spans become `ph:"X"` duration events, portfolio members
-//! and conquer cubes get their own named track rows, and
+//! get their own named track rows, and
 //! counters/gauges/search-state samples become `ph:"C"` counter
 //! tracks (suffixed per member so concurrent solvers stay separable).
 
@@ -20,7 +20,7 @@ use crate::tree::{SpanForest, SpanNode};
 /// logical process).
 const PID: u64 = 1;
 
-/// First tid handed to a member/cube track row; ordinary spans keep
+/// First tid handed to a member track row; ordinary spans keep
 /// their recording thread as tid, which stays far below this.
 const TRACK_TID_BASE: u64 = 1000;
 
@@ -34,27 +34,23 @@ fn field_json(value: &FieldValue) -> Value {
     }
 }
 
-/// The display label for a span that earns its own track row.
+/// The display label of a portfolio `member` span, the one kind of span
+/// that earns its own track row.
 fn track_label(node: &SpanNode) -> Option<String> {
-    let index = node.field("index").map(|f| f.to_string());
-    match node.name.as_str() {
-        "member" => {
-            let index = index.unwrap_or_else(|| "?".into());
-            let strategy = node
-                .field("strategy")
-                .map(|f| format!(" ({f})"))
-                .unwrap_or_default();
-            Some(format!("member {index}{strategy}"))
-        }
-        "cube" => {
-            let index = index.unwrap_or_else(|| "?".into());
-            Some(format!("cube {index}"))
-        }
-        _ => None,
+    if node.name != "member" {
+        return None;
     }
+    let index = node
+        .field("index")
+        .map_or_else(|| "?".into(), |f| f.to_string());
+    let strategy = node
+        .field("strategy")
+        .map(|f| format!(" ({f})"))
+        .unwrap_or_default();
+    Some(format!("member {index}{strategy}"))
 }
 
-/// Per-span track assignment: members and cubes open fresh rows that
+/// Per-span track assignment: members open fresh rows that
 /// their whole subtree inherits; everything else rides its thread.
 struct Tracks {
     tids: HashMap<SpanId, u64>,
@@ -116,10 +112,10 @@ impl Tracks {
 ///
 /// Spans become complete (`ph:"X"`) duration events — unclosed spans
 /// degrade to begin (`ph:"B"`) events so truncated artifacts still
-/// render. Portfolio members and conquer cubes are lifted onto their
-/// own named track rows (thread-name metadata events), and counters,
-/// gauges and search-state samples become `ph:"C"` counter tracks,
-/// suffixed with the owning member/cube label.
+/// render. Portfolio members are lifted onto their own named track rows
+/// (thread-name metadata events), and counters, gauges and search-state
+/// samples become `ph:"C"` counter tracks, suffixed with the owning
+/// member's label.
 ///
 /// # Errors
 ///

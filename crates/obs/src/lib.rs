@@ -42,7 +42,7 @@ pub mod writer;
 pub use event::{parse_jsonl, FieldValue, SpanId, TraceEvent};
 pub use export::{chrome_trace, collapsed_stacks};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use report::{CubeStats, EncodingStats, MemberStats, PhaseStats, TimelineReport, TraceReport};
+pub use report::{EncodingStats, MemberStats, PhaseStats, TimelineReport, TraceReport};
 pub use table::{Align, TextTable};
 pub use timeline::{Postmortem, SampleCause, TimelineSample};
 pub use tracer::{BufferSink, SpanGuard, TraceSink, Tracer};

@@ -1,6 +1,5 @@
 //! Trace report analysis: aggregate a [`SpanForest`] into per-phase,
-//! per-encoding, per-member and per-cube tables, rendered as text or
-//! JSON — plus the [`TimelineReport`] time-series view built from
+//! per-encoding and per-member tables, rendered as text or JSON — plus the [`TimelineReport`] time-series view built from
 //! search-state samples.
 
 use std::collections::BTreeMap;
@@ -58,23 +57,6 @@ pub struct MemberStats {
     pub outcome: Option<String>,
 }
 
-/// Statistics recorded by one cube-and-conquer `cube` span.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CubeStats {
-    /// Cube index within the split plan.
-    pub index: u64,
-    /// Worker thread that solved the cube.
-    pub worker: u64,
-    /// The cube's assumption prefix, when recorded.
-    pub assumptions: Option<String>,
-    /// Conflicts reached solving the cube.
-    pub conflicts: u64,
-    /// Wall time of the cube span, in microseconds.
-    pub total_us: u64,
-    /// Final outcome mark (`sat`/`unsat`/stop reason), when recorded.
-    pub outcome: Option<String>,
-}
-
 /// The analyzed view of one trace artifact.
 #[derive(Clone, Debug, Default)]
 pub struct TraceReport {
@@ -86,11 +68,6 @@ pub struct TraceReport {
     pub encodings: Vec<EncodingStats>,
     /// One entry per solver member span.
     pub members: Vec<MemberStats>,
-    /// One entry per conquered `cube` span.
-    pub cubes: Vec<CubeStats>,
-    /// Sign patterns the conquer splitter refuted by unit propagation
-    /// before any cube was solved (from the `split` span), when traced.
-    pub refuted_at_split: Option<u64>,
     /// Warnings carried over from forest reconstruction.
     pub warnings: Vec<String>,
 }
@@ -162,26 +139,8 @@ impl TraceReport {
                         .cloned(),
                 });
             }
-            if node.name == "cube" {
-                report.cubes.push(CubeStats {
-                    index: field_u64(node, "index").unwrap_or(0),
-                    worker: field_u64(node, "worker").unwrap_or(0),
-                    assumptions: field_str(node, "assumptions"),
-                    conflicts: node.counters.get("conflicts").copied().unwrap_or(0),
-                    total_us: node.total_us(),
-                    outcome: node
-                        .marks
-                        .get("outcome")
-                        .or_else(|| node.marks.get("stop_reason"))
-                        .cloned(),
-                });
-            }
-            if node.name == "split" {
-                report.refuted_at_split = node.counters.get("refuted").copied();
-            }
         }
         report.members.sort_by_key(|m| m.index);
-        report.cubes.sort_by_key(|c| c.index);
         report
     }
 
@@ -265,29 +224,6 @@ impl TraceReport {
             }
         }
 
-        if !self.cubes.is_empty() {
-            out.push_str("\nper-cube conquest");
-            if let Some(refuted) = self.refuted_at_split {
-                out.push_str(&format!(" ({refuted} cubes refuted at split)"));
-            }
-            out.push('\n');
-            out.push_str(&format!(
-                "  {:<4} {:<3} {:>10} {:>10} {:<10} {}\n",
-                "cube", "w", "conflicts", "time", "outcome", "assumptions"
-            ));
-            for c in &self.cubes {
-                out.push_str(&format!(
-                    "  {:<4} {:<3} {:>10} {:>10} {:<10} {}\n",
-                    c.index,
-                    c.worker,
-                    c.conflicts,
-                    fmt_us(c.total_us),
-                    c.outcome.as_deref().unwrap_or("-"),
-                    c.assumptions.as_deref().unwrap_or("-"),
-                ));
-            }
-        }
-
         for warning in &self.warnings {
             out.push_str(&format!("\nwarning: {warning}"));
         }
@@ -347,40 +283,11 @@ impl TraceReport {
                 ),
             ])
         }));
-        let cubes = Value::array(self.cubes.iter().map(|c| {
-            Value::object([
-                ("index", Value::from(c.index)),
-                ("worker", Value::from(c.worker)),
-                (
-                    "assumptions",
-                    c.assumptions
-                        .as_ref()
-                        .map(|s| Value::string(s.clone()))
-                        .unwrap_or(Value::Null),
-                ),
-                ("conflicts", Value::from(c.conflicts)),
-                ("total_us", Value::from(c.total_us)),
-                (
-                    "outcome",
-                    c.outcome
-                        .as_ref()
-                        .map(|s| Value::string(s.clone()))
-                        .unwrap_or(Value::Null),
-                ),
-            ])
-        }));
         Value::object([
             ("wall_us", Value::from(self.wall_us)),
             ("phases", phases),
             ("encodings", encodings),
             ("members", members),
-            ("cubes", cubes),
-            (
-                "refuted_at_split",
-                self.refuted_at_split
-                    .map(Value::from)
-                    .unwrap_or(Value::Null),
-            ),
             (
                 "warnings",
                 Value::array(self.warnings.iter().map(|w| Value::string(w.clone()))),
@@ -405,8 +312,8 @@ fn rate(first: Option<&TimelineSample>, last: Option<&TimelineSample>) -> f64 {
 pub struct TimelineSeries {
     /// The span the samples were attached to.
     pub span: SpanId,
-    /// Display label: the nearest `member` or `cube` ancestor
-    /// (`member 0 (log/s1)`, `cube 3`), else the span name.
+    /// Display label: the nearest `member` ancestor
+    /// (`member 0 (log/s1)`), else the span name.
     pub label: String,
     /// The samples, in time order.
     pub samples: Vec<TimelineSample>,
@@ -433,20 +340,19 @@ impl TimelineSeries {
         let last = samples.last();
         let restarts = last.map_or(0, |s| s.restarts);
         let conflicts = last.map_or(0, |s| s.conflicts);
-        // A portfolio member's or cube's samples sit on the `solve` span
-        // beneath it; label the series by that nearest ancestor.
-        let owner = std::iter::successors(Some(node), |n| n.parent.and_then(|p| forest.node(p)))
-            .find(|n| matches!(n.name.as_str(), "member" | "cube"))
-            .unwrap_or(node);
-        let label = match owner.name.as_str() {
-            "member" => format!(
-                "member {} ({})",
-                field_u64(owner, "index").unwrap_or(0),
-                field_str(owner, "strategy").unwrap_or_else(|| "?".into()),
-            ),
-            "cube" => format!("cube {}", field_u64(owner, "index").unwrap_or(0)),
-            other => other.to_string(),
-        };
+        // A portfolio member's samples sit on the `solve` span beneath
+        // it; label the series by that nearest ancestor.
+        let label =
+            match std::iter::successors(Some(node), |n| n.parent.and_then(|p| forest.node(p)))
+                .find(|n| n.name == "member")
+            {
+                Some(member) => format!(
+                    "member {} ({})",
+                    field_u64(member, "index").unwrap_or(0),
+                    field_str(member, "strategy").unwrap_or_else(|| "?".into()),
+                ),
+                None => node.name.clone(),
+            };
         TimelineSeries {
             span: node.id,
             label,
@@ -699,71 +605,6 @@ mod tests {
             Some(1.0)
         );
         // JSON must round-trip through the parser.
-        crate::json::parse(&json.to_json()).unwrap();
-    }
-
-    #[test]
-    fn report_includes_a_per_cube_section() {
-        let events = vec![
-            start(1, None, "conquer", 0),
-            start(2, Some(1), "split", 0),
-            TraceEvent::Counter {
-                span: Some(2),
-                name: "cubes".into(),
-                value: 2,
-                at_us: 5,
-            },
-            TraceEvent::Counter {
-                span: Some(2),
-                name: "refuted".into(),
-                value: 6,
-                at_us: 5,
-            },
-            TraceEvent::SpanEnd { id: 2, at_us: 10 },
-            TraceEvent::SpanStart {
-                id: 3,
-                parent: Some(1),
-                name: "cube".into(),
-                at_us: 10,
-                thread: 1,
-                fields: vec![
-                    ("assumptions".into(), FieldValue::Str("1 -4".into())),
-                    ("index".into(), FieldValue::U64(1)),
-                    ("worker".into(), FieldValue::U64(0)),
-                ],
-            },
-            TraceEvent::Counter {
-                span: Some(3),
-                name: "conflicts".into(),
-                value: 42,
-                at_us: 90,
-            },
-            TraceEvent::Mark {
-                span: Some(3),
-                name: "outcome".into(),
-                value: "unsat".into(),
-                at_us: 95,
-            },
-            TraceEvent::SpanEnd { id: 3, at_us: 100 },
-            TraceEvent::SpanEnd { id: 1, at_us: 110 },
-        ];
-        let forest = SpanForest::from_events(&events).unwrap();
-        let report = TraceReport::from_forest(&forest);
-        assert_eq!(report.refuted_at_split, Some(6));
-        assert_eq!(report.cubes.len(), 1);
-        let c = &report.cubes[0];
-        assert_eq!(c.index, 1);
-        assert_eq!(c.assumptions.as_deref(), Some("1 -4"));
-        assert_eq!(c.conflicts, 42);
-        assert_eq!(c.outcome.as_deref(), Some("unsat"));
-        let text = report.render_text(&forest);
-        assert!(text.contains("per-cube conquest"), "{text}");
-        assert!(text.contains("6 cubes refuted at split"), "{text}");
-        let json = report.to_json();
-        assert_eq!(
-            json.get("refuted_at_split").and_then(Value::as_f64),
-            Some(6.0)
-        );
         crate::json::parse(&json.to_json()).unwrap();
     }
 

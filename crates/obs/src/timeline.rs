@@ -195,15 +195,14 @@ pub const POSTMORTEM_WINDOW: usize = 16;
 ///
 /// Built from the solver's last samples when a traced solve returns
 /// with a stop reason (deadline, conflict limit, cancellation); attached
-/// to coloring/member/cube reports and to a stopped pipeline's error, and
+/// to coloring and member reports and to a stopped pipeline's error, and
 /// printed by the CLI.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Postmortem {
     /// The stop reason's stable name (`deadline`, `conflict-limit`,
     /// `cancelled`).
     pub stop_reason: String,
-    /// The portfolio member or conquer cube index of the run, when it
-    /// was one.
+    /// The portfolio member index of the run, when it was one.
     pub member: Option<u64>,
     /// The last [`POSTMORTEM_WINDOW`] samples, oldest first.
     pub samples: Vec<TimelineSample>,

@@ -449,8 +449,8 @@ pub struct CdclSolver {
     failed_assumptions: Vec<Lit>,
 
     /// Variables inprocessing must never eliminate: assumption
-    /// selectors, cube prefixes, and anything assumed in the current
-    /// solve (assumptions are frozen automatically at solve start).
+    /// selectors and anything assumed in the current solve (assumptions
+    /// are frozen automatically at solve start).
     pub(crate) frozen: Vec<bool>,
     /// Variables removed by bounded variable elimination. They carry no
     /// clauses, are never branched on, and block clause import; their

@@ -32,8 +32,8 @@
 //! * Every derived clause is RUP, so each round first re-logs the
 //!   root-level trail as DRAT unit additions and then emits
 //!   add-before-delete pairs; `prove` stays certified.
-//! * Frozen variables (assumption selectors, cube prefixes, anything
-//!   assumed in the current solve) are never eliminated, and imported
+//! * Frozen variables (assumption selectors, anything assumed in the
+//!   current solve) are never eliminated, and imported
 //!   clauses mentioning a locally eliminated variable are dropped at
 //!   the `ClauseExchange` boundary — eliminated variables never cross
 //!   the sharing bus.

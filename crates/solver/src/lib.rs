@@ -13,9 +13,6 @@
 //! * [`DpllSolver`] — a deliberately simple chronological-backtracking DPLL
 //!   solver used as a cross-checking oracle in tests and as a "pre-CDCL"
 //!   baseline in ablations.
-//! * [`cubes`] — a lookahead cube splitter that partitions one instance
-//!   into `2^k` assumption-prefix subcubes for cube-and-conquer parallel
-//!   search (the conquering executor lives in `satroute_core::conquer`).
 //!
 //! Both solvers consume [`satroute_cnf::CnfFormula`] and report a
 //! [`SolveOutcome`]. The CDCL solver additionally supports run control and
@@ -60,12 +57,10 @@ mod luby;
 mod outcome;
 mod proof;
 
-pub mod cubes;
 pub mod run;
 
 pub use arena::{ClauseArena, ClauseRef, Forwarding, Tier};
 pub use cdcl::{CdclSolver, LoadPass, PhaseInit, RestartScheme, SolverConfig, SolverStats};
-pub use cubes::{split_cubes, CubeOptions, CubePlan};
 pub use dpll::DpllSolver;
 pub use inprocess::InprocessConfig;
 pub use luby::luby;

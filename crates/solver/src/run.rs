@@ -273,7 +273,7 @@ impl RunBudget {
 /// destinations.
 ///
 /// Every request in `satroute_core` (solve, incremental ladder, explain,
-/// conquer, portfolio, routing pipeline) holds one context and forwards it
+/// portfolio, routing pipeline) holds one context and forwards it
 /// unchanged to the requests it spawns, so a caller configures a run the
 /// same way whatever the entry point. The default is the classic
 /// unlimited, untraced search.

@@ -9,7 +9,6 @@
 //! satroute encode <problem.txt|.col> --width <W> [...] emit DIMACS CNF
 //! satroute solve <file.cnf> [--proof <out.drat>]       run the CDCL solver
 //! satroute portfolio <problem.txt> --width <W> [...]   race a solver portfolio
-//! satroute conquer <problem.txt> --width <W> [...]     cube-and-conquer one instance
 //! satroute explain <problem.txt> --width <W> [...]     blame a minimal net core for unroutability
 //! satroute trace report <trace.jsonl> [--json]         analyze a trace artifact
 //! satroute trace timeline <trace.jsonl> [--json]       search-state time series
@@ -30,12 +29,6 @@
 //! portfolio's members all differ and a lone member has no peer),
 //! `--threads <T>` (concurrent member cap, default: available
 //! parallelism).
-//!
-//! Conquer options: `--cube-vars <k>` splits the instance into up to
-//! `2^k` assumption-prefix subcubes (default 3) raced by the portfolio's
-//! worker pool with `--threads <T>` workers; `--portfolio-share`
-//! additionally exchanges learnt clauses between the workers (sound: every
-//! worker solves the identical CNF).
 //!
 //! Explain options: `satroute explain` re-encodes the instance with one
 //! activation selector per net, extracts a failed-assumption core and
@@ -64,7 +57,7 @@
 //! the samples for `trace timeline` and `trace export`.
 //!
 //! Tracing: `--trace <out.jsonl>` on `route`, `prove`, `min-width`,
-//! `solve`, `portfolio`, `conquer` and `explain` records hierarchical
+//! `solve`, `portfolio` and `explain` records hierarchical
 //! spans (graph generation, encoding, solving, decode) to a JSONL
 //! artifact; `satroute trace report <out.jsonl>` reconstructs the span
 //! tree and prints per-phase, per-encoding and per-member tables
@@ -80,7 +73,7 @@
 //! Benchmarking: `satroute bench run --suite quick --out BENCH_quick.json`
 //! executes a pinned deterministic suite, records a baseline artifact and
 //! prints its cells as a Table 2-style grid (suites: `quick`, `paper` =
-//! Table 2, `routable`, `portfolio`, `incremental`, `conquer`, `explain`,
+//! Table 2, `routable`, `portfolio`, `incremental`, `explain`,
 //! `inprocess`);
 //! `satroute bench compare <baseline> <candidate> --gate [--threshold 25]`
 //! diffs two artifacts and exits with status 3 when a gated metric
@@ -139,7 +132,6 @@ struct Options {
     portfolio_share: bool,
     diversify: Option<usize>,
     threads: Option<usize>,
-    cube_vars: Option<u32>,
     trace: Option<String>,
     metrics: Option<String>,
     chrome: Option<String>,
@@ -222,7 +214,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         portfolio_share: false,
         diversify: None,
         threads: None,
-        cube_vars: None,
         trace: None,
         metrics: None,
         chrome: None,
@@ -297,17 +288,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     return Err("--threads needs at least 1".to_string());
                 }
                 opts.threads = Some(n);
-            }
-            "--cube-vars" => {
-                let v = take_value(args, &mut i, "--cube-vars")?;
-                let k: u32 = v.parse().map_err(|_| format!("bad cube var count `{v}`"))?;
-                if k > satroute::solver::cubes::MAX_CUBE_VARS {
-                    return Err(format!(
-                        "--cube-vars {k} exceeds the maximum of {}",
-                        satroute::solver::cubes::MAX_CUBE_VARS
-                    ));
-                }
-                opts.cube_vars = Some(k);
             }
             flag if flag.starts_with('-') && flag.len() > 1 => {
                 return Err(format!("unknown flag `{flag}`"))
@@ -788,95 +768,6 @@ fn dispatch(
                 None => Ok(ExitCode::SUCCESS),
             }
         }
-        "conquer" => {
-            let path = opts
-                .positional
-                .first()
-                .ok_or("conquer needs a problem file")?;
-            let width = opts.width.ok_or("conquer needs --width <W>")?;
-            let problem = load_problem(path)?;
-            let graph = problem.conflict_graph();
-
-            let cube_vars = opts.cube_vars.unwrap_or(3);
-            let mut request = Strategy::new(opts.encoding, opts.symmetry)
-                .cube_and_conquer(&graph, width)
-                .cube_vars(cube_vars)
-                .context(ctx.clone());
-            if let Some(n) = opts.threads {
-                request = request.threads(n);
-            }
-            if opts.portfolio_share {
-                request = request.share();
-            }
-            let result = request.run();
-
-            if opts.json {
-                let cubes = result.cubes.iter().map(|c| {
-                    Value::object([
-                        ("index", Value::from(c.index)),
-                        ("worker", Value::from(c.worker)),
-                        ("conflicts", Value::from(c.report.solver_stats.conflicts)),
-                        (
-                            "outcome",
-                            Value::string(c.report.outcome.verdict().to_string()),
-                        ),
-                    ])
-                });
-                let routable = result.is_decided().then(|| result.outcome.is_colorable());
-                let doc = Value::object([
-                    ("width", Value::from(u64::from(width))),
-                    ("routable", routable.map_or(Value::Null, Value::from)),
-                    ("cube_vars", Value::from(u64::from(cube_vars))),
-                    ("cubes", Value::from(result.cubes.len())),
-                    ("refuted_at_split", Value::from(result.refuted_at_split)),
-                    ("workers", Value::from(result.workers)),
-                    ("winner", result.winner.map_or(Value::Null, Value::from)),
-                    ("total_conflicts", Value::from(result.total_conflicts())),
-                    ("wall_time_s", Value::from(result.wall_time.as_secs_f64())),
-                    ("cube_reports", Value::array(cubes)),
-                ]);
-                println!("{}", doc.to_json());
-            } else {
-                match &result.outcome {
-                    satroute::core::ColoringOutcome::Colorable(_) => {
-                        let winner = result.winner.expect("SAT outcome has a winning cube");
-                        println!("ROUTABLE with {width} tracks (cube {winner} won)");
-                    }
-                    satroute::core::ColoringOutcome::Unsat => {
-                        println!("UNROUTABLE with {width} tracks (all cubes refuted)");
-                    }
-                    satroute::core::ColoringOutcome::Unknown(reason) => {
-                        println!("UNDECIDED with {width} tracks ({reason})");
-                    }
-                }
-                println!(
-                    "  split on {} vars: {} cubes, {} refuted by lookahead, {} workers",
-                    result.split_vars.len(),
-                    result.cubes.len(),
-                    result.refuted_at_split,
-                    result.workers,
-                );
-                for cube in &result.cubes {
-                    println!(
-                        "  cube {:<3} worker {:<2} {:>8} conflicts  {}",
-                        cube.index,
-                        cube.worker,
-                        cube.report.solver_stats.conflicts,
-                        cube.report.outcome.verdict(),
-                    );
-                }
-            }
-            for cube in &result.cubes {
-                if let Some(pm) = &cube.report.postmortem {
-                    eprint!("{}", pm.render_text());
-                }
-            }
-            match &result.outcome {
-                satroute::core::ColoringOutcome::Colorable(_) => Ok(ExitCode::SUCCESS),
-                satroute::core::ColoringOutcome::Unsat => Ok(ExitCode::from(20)),
-                satroute::core::ColoringOutcome::Unknown(_) => Ok(ExitCode::SUCCESS),
-            }
-        }
         "trace" => {
             let sub = opts.positional.first().ok_or(
                 "trace needs a subcommand (try: trace report|timeline|export <file.jsonl>)",
@@ -1224,17 +1115,16 @@ fn finish_route(
 fn print_usage() {
     eprintln!(
         "usage: satroute <command> [options]\n\
-         commands: gen, route, prove, min-width, encode, solve, portfolio, conquer, explain, trace, bench, encodings\n\
+         commands: gen, route, prove, min-width, encode, solve, portfolio, explain, trace, bench, encodings\n\
          run control: --timeout <secs>, --max-conflicts <n>, --progress, --json\n\
          simplification: --inprocess (in-search vivify/subsume/BVE rounds)\n\
          portfolio: --diversify <N>, --portfolio-share (needs --diversify N >= 2), --threads <T>\n\
-         conquer: --cube-vars <k> (2^k subcubes), --threads <T>, --portfolio-share\n\
          tracing: --trace <out.jsonl>; trace report|timeline <out.jsonl> [--json]\n\
          \u{20}        trace export <out.jsonl> --chrome <out.json> [--collapsed <out.txt>]\n\
          metrics: --metrics <out.json|out.prom>\n\
          min-width: --incremental (one warm solver, selector assumptions), --explain (blame the width below the minimum)\n\
          explain: --width <W>, --shrink-budget <n> (cap deletion probes), --json (core + blame document)\n\
-         bench: bench run [--suite quick|paper|routable|portfolio|incremental|conquer|explain|inprocess] [--out F] [--runs N] [--trace F] [--filter S];\n\
+         bench: bench run [--suite quick|paper|routable|portfolio|incremental|explain|inprocess] [--out F] [--runs N] [--trace F] [--filter S];\n\
          \u{20}       bench compare <base> <cand> [--gate] [--threshold PCT] [--json]\n\
          see the crate README for details"
     );

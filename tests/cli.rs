@@ -259,7 +259,7 @@ fn portfolio_command_reports_sharing_counters() {
 }
 
 #[test]
-fn progress_flag_reaches_portfolio_and_conquer() {
+fn progress_flag_reaches_portfolio() {
     let dir = tempdir("progress");
     let problem = dir.join("tiny.txt");
     satroute()
@@ -268,18 +268,16 @@ fn progress_flag_reaches_portfolio_and_conquer() {
         .status()
         .expect("binary runs");
 
-    for command in ["portfolio", "conquer"] {
-        let out = satroute()
-            .arg(command)
-            .arg(&problem)
-            .args(["--width", "3", "--progress"])
-            .output()
-            .expect("binary runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "{command}: {stderr}");
-        assert!(
-            stderr.contains(&format!("[{command} +")) && stderr.contains("start:"),
-            "{command} --progress printed no progress: {stderr}"
-        );
-    }
+    let out = satroute()
+        .arg("portfolio")
+        .arg(&problem)
+        .args(["--width", "3", "--progress"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("[portfolio +") && stderr.contains("start:"),
+        "portfolio --progress printed no progress: {stderr}"
+    );
 }

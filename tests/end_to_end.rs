@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 
 use satroute::coloring::{dsatur_coloring, exact};
 use satroute::core::{ColoringOutcome, EncodingId, RoutingPipeline, Strategy, SymmetryHeuristic};
-use satroute::fpga::{benchmarks, Architecture, GlobalRouter, Netlist, RoutingProblem};
+use satroute::fpga::{benchmarks, io, Architecture, GlobalRouter, Netlist, RoutingProblem};
 
 fn small_problem(seed: u64) -> RoutingProblem {
     let arch = Architecture::new(4, 4).expect("valid grid");
@@ -178,8 +178,6 @@ fn certified_unroutability_proofs_verify_end_to_end() {
 
 #[test]
 fn problem_files_round_trip_through_the_pipeline() {
-    use satroute::fpga::io;
-
     let instance = &benchmarks::suite_tiny()[0];
     let text = io::to_problem_string(&instance.problem);
     let reloaded = io::parse_problem_str(&text).expect("own output parses");
@@ -193,6 +191,45 @@ fn problem_files_round_trip_through_the_pipeline() {
         .find_min_width(&reloaded)
         .expect("no budget");
     assert_eq!(a.min_width, b.min_width);
+}
+
+/// A fabric far larger than the routes it carries is valid input. The
+/// conflict graph, the congestion bound and the verifier index only the
+/// segments the routes pass through, so tiny_a on a 65535 x 65535 fabric
+/// keeps its conflict graph, and its width-3 routing verifies.
+#[test]
+fn an_enlarged_fabric_keeps_the_conflict_graph_and_routes() {
+    let instance = benchmarks::suite_tiny().remove(0);
+    assert_eq!(instance.name, "tiny_a");
+    let text = io::to_problem_string(&instance.problem);
+    let enlarged: Vec<&str> = text
+        .lines()
+        .map(|line| {
+            if line.starts_with("fabric ") {
+                "fabric 65535 65535"
+            } else {
+                line
+            }
+        })
+        .collect();
+    let problem = io::parse_problem_str(&enlarged.join("\n")).expect("enlarged tiny_a parses");
+    assert_ne!(problem.arch(), instance.problem.arch(), "the fabric grew");
+
+    assert_eq!(problem.conflict_graph(), instance.problem.conflict_graph());
+    assert_eq!(
+        problem
+            .global_routing()
+            .max_segment_congestion(problem.arch()),
+        instance
+            .problem
+            .global_routing()
+            .max_segment_congestion(instance.problem.arch())
+    );
+    let routed = RoutingPipeline::new(Strategy::paper_best())
+        .route(&problem, 3)
+        .expect("no budget");
+    let routing = routed.routing.expect("tiny_a routes at width 3");
+    assert!(problem.verify_detailed_routing(&routing, 3).is_ok());
 }
 
 #[test]

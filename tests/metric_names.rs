@@ -2,8 +2,8 @@
 //!
 //! `DESIGN.md` carries an appendix table of every metric name family the
 //! workspace may emit (between the `metric-families:begin/end` markers).
-//! This test runs the full pipeline, a portfolio, a cube-and-conquer
-//! search, an incremental session and an explanation run against one shared
+//! This test runs the full pipeline, a portfolio, an incremental session
+//! and an explanation run against one shared
 //! [`MetricsRegistry`], then asserts the snapshot contains *only* names
 //! matching a documented family. Adding an instrument without its table
 //! row (or renaming one and leaving the doc stale) fails here, so the
@@ -83,8 +83,8 @@ fn matches_pattern(pattern: &str, name: &str) -> bool {
 }
 
 /// Populates `registry` from every metric-emitting surface: the full
-/// routing pipeline, a two-member portfolio, a cube-and-conquer run, an
-/// incremental session and an explanation run.
+/// routing pipeline, a two-member portfolio, an incremental session and
+/// an explanation run.
 fn run_everything(registry: &MetricsRegistry) {
     let instance = benchmarks::suite_tiny()
         .into_iter()
@@ -109,13 +109,6 @@ fn run_everything(registry: &MetricsRegistry) {
         &PortfolioOptions::new(),
     );
     assert!(result.is_decided(), "portfolio decides the tiny instance");
-
-    let conquered = Strategy::paper_best()
-        .cube_and_conquer(&g, chi - 1)
-        .cube_vars(2)
-        .metrics(registry.clone())
-        .run();
-    assert!(conquered.is_decided(), "conquer decides the tiny instance");
 
     let mut session = Strategy::paper_best()
         .incremental(&g, chi + 1)
@@ -166,7 +159,6 @@ fn snapshot_emits_only_documented_metric_names() {
     for expected in [
         "solver.conflicts",
         "portfolio.member_0.conflicts",
-        "conquer.cubes",
         "incremental.probes",
         "explain.probes",
         "phase.sat_solving_us",

@@ -152,9 +152,9 @@ fn cancellation_mid_solve_stops_every_portfolio_member() {
 fn a_winner_leaves_the_callers_token_uncancelled() {
     let g = random_graph(12, 0.4, 11);
     let chi = exact::chromatic_number(&g);
-    let portfolio_token = CancellationToken::new();
+    let token = CancellationToken::new();
     let ctx = RunContext {
-        cancel: Some(portfolio_token.clone()),
+        cancel: Some(token.clone()),
         ..RunContext::default()
     };
     for run in 0..2 {
@@ -167,22 +167,10 @@ fn a_winner_leaves_the_callers_token_uncancelled() {
         );
         assert!(result.is_decided(), "portfolio run {run} undecided");
         assert!(
-            !portfolio_token.is_cancelled(),
+            !token.is_cancelled(),
             "portfolio run {run} cancelled the caller's token"
         );
     }
-
-    let conquer_token = CancellationToken::new();
-    let result = Strategy::paper_best()
-        .cube_and_conquer(&g, chi + 1)
-        .cube_vars(2)
-        .cancel(conquer_token.clone())
-        .run();
-    assert!(matches!(result.outcome, ColoringOutcome::Colorable(_)));
-    assert!(
-        !conquer_token.is_cancelled(),
-        "a SAT conquer cancelled the caller's token"
-    );
 }
 
 /// The events written onto span `id`, in order.
@@ -346,17 +334,6 @@ fn every_entry_point_forwards_its_run_context() {
                     ExplainOutcome::Unknown(reason) => Some(reason),
                     _ => None,
                 }
-            }),
-        ),
-        (
-            "ConquerRequest",
-            Box::new(|ctx| {
-                let result = strategy
-                    .cube_and_conquer(graph, width)
-                    .cube_vars(2)
-                    .context(ctx.clone())
-                    .run();
-                result.outcome.stop_reason()
             }),
         ),
         (

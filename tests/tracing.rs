@@ -331,15 +331,14 @@ fn solve_span_and_registry_carry_the_solver_counters() {
     assert_eq!(count("solver.restart_interval"), Some(stats.restarts));
 }
 
-/// A traced portfolio and cube-and-conquer run write
-/// each solve's events and samples once, on that solve's own span: the
-/// timeline has exactly one series per member or cube, labelled by it
-/// and never `solve`, while the report's member and cube rows keep their
-/// final conflicts and outcome.
+/// A traced portfolio writes each member's events and samples once, on
+/// that member's own solve span: the timeline has exactly one series per
+/// member, labelled by it and never `solve`, while the report's member
+/// rows keep their final conflicts and outcome.
 #[test]
-fn portfolio_and_conquer_samples_reach_the_trace_once() {
-    // tiny_c at width 8 is unroutable but not refuted by loading alone:
-    // members search, and the splitter leaves cubes to conquer.
+fn portfolio_samples_reach_the_trace_once() {
+    // tiny_c at width 8 is unroutable but not refuted by loading alone,
+    // so members search.
     let instance = benchmarks::suite_tiny().remove(2);
     assert_eq!(instance.name, "tiny_c");
     let (graph, width) = (&instance.conflict_graph, 8);
@@ -375,42 +374,6 @@ fn portfolio_and_conquer_samples_reach_the_trace_once() {
         assert_eq!(
             row.outcome.as_deref(),
             Some(member.outcome.verdict().to_string().as_str())
-        );
-    }
-
-    let buffer = BufferSink::new();
-    let conquered = Strategy::paper_best()
-        .cube_and_conquer(graph, width)
-        .cube_vars(3)
-        .threads(2)
-        .trace(Tracer::to_sink(buffer.clone()))
-        .run();
-    assert!(
-        !conquered.cubes.is_empty(),
-        "the splitter left cubes to solve"
-    );
-    let forest = SpanForest::from_events(&buffer.events()).expect("trace reconstructs");
-    let mut labels: Vec<String> = TimelineReport::from_forest(&forest)
-        .series
-        .into_iter()
-        .map(|series| series.label)
-        .collect();
-    let mut expected: Vec<String> = conquered
-        .cubes
-        .iter()
-        .map(|cube| format!("cube {}", cube.index))
-        .collect();
-    labels.sort();
-    expected.sort();
-    assert_eq!(labels, expected, "one series per cube");
-    let report = TraceReport::from_forest(&forest);
-    assert_eq!(report.cubes.len(), conquered.cubes.len());
-    for row in &report.cubes {
-        let cube = &conquered.cubes[row.index as usize].report;
-        assert_eq!(row.conflicts, cube.solver_stats.conflicts);
-        assert_eq!(
-            row.outcome.as_deref(),
-            Some(cube.outcome.verdict().to_string().as_str())
         );
     }
 }
