@@ -1,15 +1,15 @@
 //! Benchmark harness: the `satroute bench` suites and the programs that
-//! print the paper's structural artifacts.
+//! print the ablations the suites do not model yet.
 //!
 //! The paper's measured results are suites of `satroute bench run` (see
-//! `DESIGN.md`, experiment index); the binaries in `src/bin/` print what
-//! the suites do not model. The crate has no `cargo bench` targets:
-//! every timing comes from a suite.
+//! `DESIGN.md`, experiment index); the binaries in `src/bin/` print three
+//! ablations. The crate has no `cargo bench` targets: every timing comes
+//! from a suite.
 //!
 //! | artifact                     | how to regenerate |
 //! |------------------------------|-------------------|
-//! | Table 1 — clause sets of log/direct/muldirect | `table1` |
-//! | Figure 1 — the four ITE trees for a 13-value domain | `figure1` |
+//! | Table 1 — clause sets of log/direct/muldirect | pinned by `satroute_core` unit tests; printed by `satroute encode` on a 2-vertex `.col` |
+//! | Figure 1 — the four ITE trees for a 13-value domain | pinned by `satroute_core` unit tests (`ite`, `hier`) |
 //! | Table 2 — encodings × symmetry on unroutable configs | `satroute bench run --suite paper` |
 //! | §6 prose — all encodings on routable configs | `satroute bench run --suite routable` |
 //! | §6 prose — 2- and 3-strategy portfolios, clause sharing | `satroute bench run --suite portfolio` |

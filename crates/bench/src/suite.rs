@@ -614,7 +614,6 @@ impl SuiteCell {
                 let members = Strategy::diversified(self.strategy, SHARING_MEMBERS);
                 let options = PortfolioOptions::new()
                     .with_max_threads(SHARING_MEMBERS)
-                    .with_diversified_configs(true)
                     .with_sharing(share);
                 let result = run_portfolio(graph, width, &members, &ctx, &options);
                 let outcome = match result.winner {

@@ -22,13 +22,15 @@
 //! members that start a few microseconds apart still race the same
 //! instant.
 //!
-//! Beyond racing, members can *cooperate*: [`PortfolioOptions`] (a) cap
-//! the number of concurrently running members at the machine's
-//! parallelism (excess members are queued, so an N-member portfolio does
-//! not degrade to a thread pile-up on a small box), (b) derive
-//! diversified solver configurations per member (seed/phase/restart-scheme
-//! variants of one base config), and (c) wire a [`SharingBus`] between
-//! members so learnt clauses flow between them. Sharing is restricted to
+//! A member whose strategy repeats an earlier member's runs a diversified
+//! solver configuration (a seed/phase/restart-scheme variant of the base
+//! config), so copies of one strategy explore differently while distinct
+//! strategies keep the base. Beyond racing, members can *cooperate*:
+//! [`PortfolioOptions`] (a) cap the number of concurrently running
+//! members at the machine's parallelism (excess members are queued, so an
+//! N-member portfolio does not degrade to a thread pile-up on a small
+//! box), and (b) wire a [`SharingBus`] between members so learnt clauses
+//! flow between them. Sharing is restricted to
 //! members with the *same* strategy — same encoding, same symmetry
 //! breaking, and (implicitly, per call) the same `k` — because only then
 //! do two members solve the identical CNF, making a peer's learnt clause a
@@ -147,18 +149,15 @@ impl PortfolioResult {
     }
 }
 
-/// Execution options for [`run_portfolio`]: thread cap, clause sharing,
-/// and per-member configuration diversification.
+/// Execution options for [`run_portfolio`]: thread cap and clause
+/// sharing.
 ///
 /// # Examples
 ///
 /// ```
 /// use satroute_core::PortfolioOptions;
 ///
-/// let opts = PortfolioOptions::new()
-///     .with_max_threads(4)
-///     .with_sharing(true)
-///     .with_diversified_configs(true);
+/// let opts = PortfolioOptions::new().with_max_threads(4).with_sharing(true);
 /// assert_eq!(opts.max_threads, Some(4));
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -173,16 +172,11 @@ pub struct PortfolioOptions {
     /// When `true`, members sharing a strategy exchange glue learnt
     /// clauses (see [`SharingBus`]).
     pub sharing: bool,
-    /// When `true`, member `i` runs
-    /// [`SolverConfig::diversified`](satroute_solver::SolverConfig::diversified)`(i)`
-    /// of the base configuration instead of the base itself (member 0
-    /// keeps the base).
-    pub diversify: bool,
 }
 
 impl PortfolioOptions {
-    /// Default options: parallelism-capped threads, no sharing, no
-    /// diversification — the classic heterogeneous race.
+    /// Default options: parallelism-capped threads and no sharing — the
+    /// classic race.
     pub fn new() -> Self {
         PortfolioOptions::default()
     }
@@ -196,12 +190,6 @@ impl PortfolioOptions {
     /// Enables learnt-clause sharing among same-strategy members.
     pub fn with_sharing(mut self, sharing: bool) -> Self {
         self.sharing = sharing;
-        self
-    }
-
-    /// Enables per-member configuration diversification.
-    pub fn with_diversified_configs(mut self, diversify: bool) -> Self {
-        self.diversify = diversify;
         self
     }
 }
@@ -332,10 +320,10 @@ impl SharingBus {
 /// machine's parallelism); remaining members queue and are claimed by idle
 /// workers. A member claimed after the race was won still runs, on the
 /// cancelled token, so every member reports. When `opts.sharing` is set,
-/// a [`SharingBus`] connects members with equal strategies. When
-/// `opts.diversify` is set, member `i` runs
-/// [`SolverConfig::diversified`](satroute_solver::SolverConfig::diversified)`(i)`
-/// of `ctx.config`.
+/// a [`SharingBus`] connects members with equal strategies. A member
+/// whose strategy already appeared `r` times before it runs
+/// [`SolverConfig::diversified`](satroute_solver::SolverConfig::diversified)`(r)`
+/// of `ctx.config`, which for `r = 0` is `ctx.config` itself.
 ///
 /// An enabled tracer gets a `portfolio` root span with one `member` child
 /// span per member (fields: `index`, `strategy`; the member's final
@@ -358,9 +346,7 @@ impl SharingBus {
 ///
 /// let g = random_graph(12, 0.5, 7);
 /// let members = Strategy::diversified(Strategy::paper_best(), 4);
-/// let opts = PortfolioOptions::new()
-///     .with_sharing(true)
-///     .with_diversified_configs(true);
+/// let opts = PortfolioOptions::new().with_sharing(true);
 /// let result = run_portfolio(&g, 4, &members, &RunContext::default(), &opts);
 /// assert!(result.is_decided());
 /// ```
@@ -404,14 +390,13 @@ pub fn run_portfolio(
                 ("strategy", FieldValue::from(strategies[idx].to_string())),
             ],
         );
-        let mut member_ctx = RunContext {
+        let repeats = strategies[..idx].iter().filter(|&&s| s == strategies[idx]);
+        let member_ctx = RunContext {
+            config: ctx.config.diversified(repeats.count() as u64),
             budget,
             cancel: Some(stop.clone()),
             ..ctx.clone()
         };
-        if opts.diversify {
-            member_ctx.config = ctx.config.diversified(idx as u64);
-        }
         let mut request = strategies[idx].solve(graph, k).context(member_ctx);
         if let Some(exchange) = bus.as_ref().and_then(|bus| bus.exchange(idx)) {
             request = request.share(exchange);
@@ -595,8 +580,8 @@ impl Strategy {
     /// diversified clause-sharing runs.
     ///
     /// Every copy encodes the identical CNF, so a [`SharingBus`] connects
-    /// all members, and [`PortfolioOptions::with_diversified_configs`]
-    /// makes them explore differently (seeds, phases, restarts).
+    /// all members, and [`run_portfolio`] gives each copy its own
+    /// diversified solver configuration (seeds, phases, restarts).
     ///
     /// # Examples
     ///
@@ -994,8 +979,7 @@ mod tests {
         let members = Strategy::diversified(Strategy::paper_best(), 4);
         let opts = PortfolioOptions::new()
             .with_max_threads(4)
-            .with_sharing(true)
-            .with_diversified_configs(true);
+            .with_sharing(true);
         for k in [chi - 1, chi] {
             let result = run_portfolio(&g, k, &members, &RunContext::default(), &opts);
             match &result.report().expect("decides").outcome {

@@ -58,4 +58,4 @@ pub use blame::{BlameReport, ChannelBlame, NetBlame};
 pub use netlist::{Net, NetId, Netlist, NetlistError, Terminal};
 pub use problem::{DetailedRouting, RoutingProblem, VerifyError};
 pub use route::{GlobalRouter, GlobalRouting, RouteError, SubnetRoute};
-pub use subnet::{decompose, DecompositionStyle, Subnet};
+pub use subnet::{decompose, Subnet};

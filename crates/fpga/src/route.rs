@@ -11,7 +11,7 @@ use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
-use crate::{decompose, Architecture, DecompositionStyle, Netlist, Segment, Subnet, Terminal};
+use crate::{decompose, Architecture, Netlist, Segment, Subnet, Terminal};
 
 /// The global route of one 2-pin subnet: the ordered channel segments it
 /// passes through, from the source pin's connection block to the sink's.
@@ -172,7 +172,6 @@ impl Error for RouteError {}
 /// ```
 #[derive(Clone, Debug)]
 pub struct GlobalRouter {
-    style: DecompositionStyle,
     ripup_passes: usize,
     congestion_weight: u64,
 }
@@ -180,7 +179,6 @@ pub struct GlobalRouter {
 impl Default for GlobalRouter {
     fn default() -> Self {
         GlobalRouter {
-            style: DecompositionStyle::Star,
             ripup_passes: 2,
             congestion_weight: 3,
         }
@@ -188,16 +186,10 @@ impl Default for GlobalRouter {
 }
 
 impl GlobalRouter {
-    /// Creates a router with default parameters (star decomposition, two
-    /// rip-up passes, congestion weight 3).
+    /// Creates a router with default parameters (two rip-up passes,
+    /// congestion weight 3). It routes the star subnets of [`decompose`].
     pub fn new() -> Self {
         GlobalRouter::default()
-    }
-
-    /// Sets the multi-pin decomposition style.
-    pub fn with_decomposition(mut self, style: DecompositionStyle) -> Self {
-        self.style = style;
-        self
     }
 
     /// Sets the number of rip-up-and-reroute refinement passes.
@@ -223,7 +215,7 @@ impl GlobalRouter {
         arch: &Architecture,
         netlist: &Netlist,
     ) -> Result<GlobalRouting, RouteError> {
-        let subnets = decompose(netlist, self.style);
+        let subnets = decompose(netlist);
         let graph = SegmentGraph::new(arch);
         let mut search = MazeSearch::new(arch.num_segments());
         // usage[s] = number of subnets currently routed through segment s.
@@ -488,7 +480,7 @@ mod tests {
         arch: &Architecture,
         netlist: &Netlist,
     ) -> GlobalRouting {
-        let subnets = decompose(netlist, router.style);
+        let subnets = decompose(netlist);
         let mut usage: Vec<u64> = vec![0; arch.num_segments()];
         let mut paths: Vec<Option<Vec<Segment>>> = vec![None; subnets.len()];
         let mut order: Vec<usize> = (0..subnets.len()).collect();
@@ -577,33 +569,19 @@ mod tests {
             let nets = (arch.num_blocks() / 2).max(1);
             for seed in 0..2u64 {
                 let nl = Netlist::random(&arch, nets, 2..=4, seed).unwrap();
-                for style in [DecompositionStyle::Star, DecompositionStyle::Chain] {
-                    for passes in [0, 1, 3] {
-                        for weight in [0, 1, 4] {
-                            let router = GlobalRouter::new()
-                                .with_decomposition(style)
-                                .with_ripup_passes(passes)
-                                .with_congestion_weight(weight);
-                            assert_eq!(
-                                router.route(&arch, &nl).unwrap(),
-                                reference_route(&router, &arch, &nl),
-                                "{width}x{height} seed {seed} {style:?} passes {passes} weight {weight}"
-                            );
-                        }
+                for passes in [0, 1, 3] {
+                    for weight in [0, 1, 4] {
+                        let router = GlobalRouter::new()
+                            .with_ripup_passes(passes)
+                            .with_congestion_weight(weight);
+                        assert_eq!(
+                            router.route(&arch, &nl).unwrap(),
+                            reference_route(&router, &arch, &nl),
+                            "{width}x{height} seed {seed} passes {passes} weight {weight}"
+                        );
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn chain_decomposition_also_routes() {
-        let arch = Architecture::new(5, 5).unwrap();
-        let nl = Netlist::random(&arch, 8, 3..=5, 21).unwrap();
-        let routing = GlobalRouter::new()
-            .with_decomposition(DecompositionStyle::Chain)
-            .route(&arch, &nl)
-            .unwrap();
-        routing.validate(&arch).unwrap();
     }
 }

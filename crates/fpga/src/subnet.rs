@@ -1,13 +1,9 @@
 //! Decomposition of multi-pin nets into 2-pin subnets (paper §2).
 //!
 //! "Each multi-pin net is decomposed into a collection of 2-pin nets" —
-//! the CSP variables of the coloring problem. Two decomposition styles are
-//! provided:
-//!
-//! * [`DecompositionStyle::Star`] — source to each sink (what SEGA-style
-//!   flows use for timing-driven routing),
-//! * [`DecompositionStyle::Chain`] — a minimum-spanning-tree chain under
-//!   Manhattan distance, producing shorter total wirelength.
+//! the CSP variables of the coloring problem. Every net becomes a star:
+//! one subnet from its source to each sink (what SEGA-style flows use for
+//! timing-driven routing).
 
 use std::fmt;
 
@@ -33,86 +29,35 @@ impl fmt::Display for Subnet {
     }
 }
 
-/// How multi-pin nets are split into 2-pin subnets.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DecompositionStyle {
-    /// One subnet from the driver to every sink.
-    #[default]
-    Star,
-    /// A Prim-style minimum spanning tree over Manhattan distance; each
-    /// tree edge becomes a subnet.
-    Chain,
-}
-
-fn manhattan(a: Terminal, b: Terminal) -> u32 {
-    let dx = (i32::from(a.x) - i32::from(b.x)).unsigned_abs();
-    let dy = (i32::from(a.y) - i32::from(b.y)).unsigned_abs();
-    dx + dy
-}
-
-/// Decomposes every net of `netlist` into 2-pin subnets.
+/// Decomposes every net of `netlist` into 2-pin subnets, one from the
+/// net's source to each of its sinks.
 ///
 /// The returned order is deterministic: nets in id order, and within a net,
-/// sinks in their declared order (star) or in MST-attachment order (chain).
+/// sinks in their declared order.
 ///
 /// # Examples
 ///
 /// ```
-/// use satroute_fpga::{decompose, Architecture, DecompositionStyle, Netlist};
+/// use satroute_fpga::{decompose, Architecture, Netlist};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let arch = Architecture::new(4, 4)?;
 /// let netlist = Netlist::random(&arch, 5, 3..=3, 1)?;
-/// let subnets = decompose(&netlist, DecompositionStyle::Star);
+/// let subnets = decompose(&netlist);
 /// // A 3-terminal net yields 2 subnets.
 /// assert_eq!(subnets.len(), 10);
 /// # Ok(())
 /// # }
 /// ```
-pub fn decompose(netlist: &Netlist, style: DecompositionStyle) -> Vec<Subnet> {
+pub fn decompose(netlist: &Netlist) -> Vec<Subnet> {
     let mut subnets = Vec::with_capacity(netlist.num_terminals());
     for (id, net) in netlist.iter() {
-        match style {
-            DecompositionStyle::Star => {
-                for &sink in net.sinks() {
-                    subnets.push(Subnet {
-                        net: id,
-                        from: net.source(),
-                        to: sink,
-                    });
-                }
-            }
-            DecompositionStyle::Chain => {
-                // Prim's algorithm from the driver.
-                let terminals = net.terminals();
-                let n = terminals.len();
-                let mut in_tree = vec![false; n];
-                in_tree[0] = true;
-                for _ in 1..n {
-                    let mut best: Option<(u32, usize, usize)> = None;
-                    for (i, &t_in) in terminals.iter().enumerate() {
-                        if !in_tree[i] {
-                            continue;
-                        }
-                        for (j, &t_out) in terminals.iter().enumerate() {
-                            if in_tree[j] {
-                                continue;
-                            }
-                            let d = manhattan(t_in, t_out);
-                            if best.is_none_or(|(bd, bi, bj)| (d, i, j) < (bd, bi, bj)) {
-                                best = Some((d, i, j));
-                            }
-                        }
-                    }
-                    let (_, i, j) = best.expect("some vertex remains outside the tree");
-                    in_tree[j] = true;
-                    subnets.push(Subnet {
-                        net: id,
-                        from: terminals[i],
-                        to: terminals[j],
-                    });
-                }
-            }
+        for &sink in net.sinks() {
+            subnets.push(Subnet {
+                net: id,
+                from: net.source(),
+                to: sink,
+            });
         }
     }
     subnets
@@ -141,7 +86,7 @@ mod tests {
     #[test]
     fn star_uses_driver_as_source_everywhere() {
         let nl = three_pin_netlist();
-        let subnets = decompose(&nl, DecompositionStyle::Star);
+        let subnets = decompose(&nl);
         assert_eq!(subnets.len(), 2);
         for s in &subnets {
             assert_eq!(s.from, t(0, 0, Side::East));
@@ -150,40 +95,11 @@ mod tests {
     }
 
     #[test]
-    fn chain_builds_a_spanning_tree() {
-        let nl = three_pin_netlist();
-        let subnets = decompose(&nl, DecompositionStyle::Chain);
-        assert_eq!(subnets.len(), 2);
-        // Every terminal must appear in the tree.
-        let mut covered: Vec<Terminal> = vec![];
-        for s in &subnets {
-            covered.push(s.from);
-            covered.push(s.to);
-        }
-        for term in nl.net(NetId(0)).terminals() {
-            assert!(covered.contains(term));
-        }
-    }
-
-    #[test]
-    fn two_pin_nets_are_identical_under_both_styles() {
-        let arch = Architecture::new(3, 3).unwrap();
-        let net = Net::new(vec![t(0, 0, Side::East), t(2, 2, Side::West)]).unwrap();
-        let nl = Netlist::new(&arch, vec![net]).unwrap();
-        assert_eq!(
-            decompose(&nl, DecompositionStyle::Star),
-            decompose(&nl, DecompositionStyle::Chain)
-        );
-    }
-
-    #[test]
     fn subnet_count_is_terminals_minus_one_per_net() {
         let arch = Architecture::new(6, 6).unwrap();
         let nl = Netlist::random(&arch, 8, 2..=5, 5).unwrap();
-        for style in [DecompositionStyle::Star, DecompositionStyle::Chain] {
-            let subnets = decompose(&nl, style);
-            let expected: usize = nl.iter().map(|(_, n)| n.num_terminals() - 1).sum();
-            assert_eq!(subnets.len(), expected);
-        }
+        let subnets = decompose(&nl);
+        let expected: usize = nl.iter().map(|(_, n)| n.num_terminals() - 1).sum();
+        assert_eq!(subnets.len(), expected);
     }
 }

@@ -20,9 +20,9 @@
 //!
 //! Alongside the trace, a [`MetricsRegistry`] aggregates named atomic
 //! counters, gauges and log-bucketed histograms (p50/p90/p99/max) fed
-//! from the solver and pipeline hot paths; snapshots subtract via
-//! [`MetricsSnapshot::delta`] and render to JSON or Prometheus-style
-//! text. The `satroute bench` regression harness is built on top of it.
+//! from the solver and pipeline hot paths; its snapshots render to JSON
+//! or Prometheus-style text. The `satroute bench` regression harness is
+//! built on top of it.
 //!
 //! The default [`Tracer`] and [`MetricsRegistry`] are disabled and
 //! free: call sites thread them unconditionally and pay one branch

@@ -19,8 +19,7 @@
 //!   bucket array plus count/sum/max updates.
 //!
 //! [`MetricsRegistry::snapshot`] produces an immutable
-//! [`MetricsSnapshot`]; two snapshots subtract via
-//! [`MetricsSnapshot::delta`] to isolate one run's contribution.
+//! [`MetricsSnapshot`]. To isolate one run, give it a registry of its own.
 //! Snapshots render to the hand-rolled JSON document model
 //! ([`MetricsSnapshot::to_json`]) and to Prometheus-style text
 //! exposition ([`MetricsSnapshot::to_prometheus`]).
@@ -433,29 +432,6 @@ impl HistogramSnapshot {
         self.quantile(0.99)
     }
 
-    /// Bucketwise difference `self - earlier`, for isolating the
-    /// samples recorded between two snapshots of a growing histogram.
-    /// `max` keeps the later snapshot's value (a maximum cannot be
-    /// un-observed).
-    #[must_use]
-    pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let before: BTreeMap<usize, u64> = earlier.buckets.iter().copied().collect();
-        let buckets: Vec<(usize, u64)> = self
-            .buckets
-            .iter()
-            .filter_map(|&(idx, n)| {
-                let d = n.saturating_sub(before.get(&idx).copied().unwrap_or(0));
-                (d > 0).then_some((idx, d))
-            })
-            .collect();
-        HistogramSnapshot {
-            buckets,
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            max: self.max,
-        }
-    }
-
     /// Compact JSON summary: count, sum, mean, p50/p90/p99, max.
     #[must_use]
     pub fn summary_json(&self) -> Value {
@@ -517,37 +493,6 @@ impl MetricsSnapshot {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Pointwise difference `self - earlier`: counters and histograms
-    /// subtract (saturating), gauges keep the later value. Instruments
-    /// only present in `self` pass through unchanged.
-    #[must_use]
-    pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(name, &v)| {
-                let before = earlier.counters.get(name).copied().unwrap_or(0);
-                (name.clone(), v.saturating_sub(before))
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(name, h)| {
-                let d = earlier
-                    .histograms
-                    .get(name)
-                    .map_or_else(|| h.clone(), |before| h.delta(before));
-                (name.clone(), d)
-            })
-            .collect();
-        MetricsSnapshot {
-            counters,
-            gauges: self.gauges.clone(),
-            histograms,
-        }
     }
 
     /// Full JSON document: `{"counters": {..}, "gauges": {..},
@@ -681,24 +626,6 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("solver.conflicts"), Some(42));
         assert_eq!(snap.gauge("solver.props_per_sec"), Some(1.5e6));
-    }
-
-    #[test]
-    fn snapshot_delta_isolates_an_interval() {
-        let registry = MetricsRegistry::new();
-        let c = registry.counter("c");
-        let h = registry.histogram("h");
-        c.add(10);
-        h.record(100);
-        let before = registry.snapshot();
-        c.add(5);
-        h.record(200);
-        h.record(300);
-        let delta = registry.snapshot().delta(&before);
-        assert_eq!(delta.counter("c"), Some(5));
-        let hd = delta.histogram("h").unwrap();
-        assert_eq!(hd.count(), 2);
-        assert_eq!(hd.sum(), 500);
     }
 
     /// Satellite: for 10k sampled values the reported p50/p90/p99 fall

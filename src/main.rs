@@ -1,109 +1,146 @@
 //! `satroute` — command-line front end for the SAT-based FPGA
 //! detailed-routing flow.
 //!
-//! ```text
-//! satroute gen --bench <name> --out <problem.txt>      export a suite benchmark
-//! satroute route <problem.txt> --width <W> [...]       find a detailed routing
-//! satroute prove <problem.txt> --width <W> [...]       prove unroutability (+DRAT)
-//! satroute min-width <problem.txt> [...]               certified minimum width
-//! satroute encode <problem.txt|.col> --width <W> [...] emit DIMACS CNF
-//! satroute solve <file.cnf> [--proof <out.drat>]       run the CDCL solver
-//! satroute portfolio <problem.txt> --width <W> [...]   race a solver portfolio
-//! satroute explain <problem.txt> --width <W> [...]     blame a minimal net core for unroutability
-//! satroute trace report <trace.jsonl> [--json]         analyze a trace artifact
-//! satroute trace timeline <trace.jsonl> [--json]       search-state time series
-//! satroute trace export <trace.jsonl> --chrome <f>     Perfetto / flamegraph export
-//! satroute bench run [--suite <name>] [--filter S]     record a BENCH_*.json baseline + grid
-//! satroute bench compare <base> <cand> [--gate]        diff/gate two baselines
-//! satroute encodings                                   list the 15 encodings
-//! ```
+//! Run `satroute` without arguments for the usage: one line per command,
+//! printed from [`USAGE`], the same table every command line is parsed
+//! against. A flag the command does not read, or a positional argument
+//! beyond those its line names, is an error (exit 2). The commands:
+//! `gen` exports a suite benchmark; `route` finds a detailed routing and
+//! `prove` proves unroutability (with a verified DRAT certificate under
+//! `--certificate`); `min-width` searches the minimum width; `encode`
+//! emits DIMACS CNF and `solve` runs the CDCL solver on it; `portfolio`
+//! races a solver portfolio; `explain` blames a minimal net core for
+//! unroutability; `trace report|timeline|export` analyze a `--trace`
+//! artifact; `bench run|compare` record and gate `BENCH_*.json`
+//! baselines; `encodings` lists the 15 encodings.
 //!
-//! Options: `--encoding <name>` (paper spelling, default
-//! ITE-linear-2+muldirect), `--symmetry -|b1|s1` (default s1),
-//! `--certificate <out.drat>`, `--out <path>`.
+//! `--encoding` takes the paper's spelling (default
+//! ITE-linear-2+muldirect) and `--symmetry` defaults to s1.
+//! `portfolio --diversify N` races N copies of the selected strategy,
+//! each on its own diversified solver configuration, instead of the
+//! paper's heterogeneous 3-strategy portfolio; `--portfolio-share` needs
+//! N ≥ 2, since only copies of one strategy can share learnt clauses, and
+//! `--threads` caps concurrent members (default: available parallelism).
 //!
-//! Portfolio options: `--diversify <N>` (N diversified copies of the
-//! selected strategy instead of the heterogeneous paper portfolio),
-//! `--portfolio-share` (learnt-clause sharing between same-strategy
-//! members; needs `--diversify <N>` with N ≥ 2, since the paper
-//! portfolio's members all differ and a lone member has no peer),
-//! `--threads <T>` (concurrent member cap, default: available
-//! parallelism).
-//!
-//! Explain options: `satroute explain` re-encodes the instance with one
-//! activation selector per net, extracts a failed-assumption core and
-//! shrinks it to a 1-minimal set of jointly unroutable nets, rendered as
-//! per-net and per-channel blame tables with the lower bounds the core
-//! witnesses (exit 20 when a core exists). `--shrink-budget <n>` caps the
-//! deletion probes (a capped core stays sound but may not be minimal).
-//! `min-width --explain` additionally blames the width below the found
-//! minimum. Explanation ignores `--symmetry`: deleting nets from a
+//! `explain` re-encodes the instance with one activation selector per
+//! net, extracts a failed-assumption core and shrinks it to a 1-minimal
+//! set of jointly unroutable nets, rendered as per-net and per-channel
+//! blame tables (exit 20 when a core exists). `--shrink-budget` caps the
+//! deletion probes (a capped core stays sound but may not be minimal);
+//! `min-width --explain` blames the width below the found minimum.
+//! Explanation runs without symmetry breaking: deleting nets from a
 //! symmetry-broken formula would be unsound.
 //!
-//! Run control (every solving command): `--timeout <secs>` (wall-clock
-//! budget), `--max-conflicts <n>` (conflict budget), `--progress`
-//! (solver progress on stderr), `--json` (machine-readable result on
-//! stdout). Budgets are cooperative — checked at conflict boundaries — so
-//! overshoot is bounded but nonzero; an exhausted budget reports UNKNOWN
-//! with its stop reason.
+//! Run control (`RUN` in the usage): `--timeout` and `--max-conflicts`
+//! budget every solve. Budgets are cooperative — checked at conflict
+//! boundaries — so overshoot is bounded but nonzero; an exhausted budget
+//! reports UNKNOWN with its stop reason. `--progress` adds a progress
+//! logger to the command's tracer, printing each solve's start, its
+//! search-state samples and its outcome on stderr; a traced run (with
+//! `--progress` or `--trace`) that stops on a budget prints a postmortem.
+//! `--trace` records hierarchical spans and samples to a JSONL artifact
+//! for `trace report|timeline|export`; the writer is finished before
+//! exit, so a full disk fails the command instead of truncating the
+//! artifact. `--metrics` writes a final registry snapshot, Prometheus
+//! text for `.prom` and JSON otherwise. `bench run` takes `--timeout` and
+//! `--trace` through the same path.
 //!
-//! Progress and postmortems: `--progress` adds a progress logger to the
-//! command's tracer, which prints each solve's start, its search-state
-//! samples (one every 256 conflicts and at restart/reduce/GC boundaries,
-//! at most one line per 100 ms) and its outcome. A traced run — with
-//! `--progress` or `--trace` — that stops on a budget or cancellation
-//! prints a postmortem on stderr: stop reason, hottest phase, last-window
-//! conflict rate, learnt-DB and arena state. A `--trace` artifact carries
-//! the samples for `trace timeline` and `trace export`.
-//!
-//! Tracing: `--trace <out.jsonl>` on `route`, `prove`, `min-width`,
-//! `solve`, `portfolio` and `explain` records hierarchical
-//! spans (graph generation, encoding, solving, decode) to a JSONL
-//! artifact; `satroute trace report <out.jsonl>` reconstructs the span
-//! tree and prints per-phase, per-encoding and per-member tables
-//! (`--json` for machine-readable output). The writer is explicitly
-//! finished before exit so a full buffer or disk error fails the command
-//! instead of truncating the artifact silently.
-//!
-//! Metrics: `--metrics <out.json|out.prom>` on the same commands enables
-//! the metrics registry (solver conflict/propagation counters, LBD and
-//! restart-interval histograms, per-phase wall times) and writes a final
-//! snapshot in JSON or Prometheus text exposition, chosen by extension.
-//!
-//! Benchmarking: `satroute bench run --suite quick --out BENCH_quick.json`
-//! executes a pinned deterministic suite, records a baseline artifact and
-//! prints its cells as a Table 2-style grid (suites: `quick`, `paper` =
-//! Table 2, `routable`, `portfolio`, `incremental`, `explain`,
-//! `inprocess`);
-//! `satroute bench compare <baseline> <candidate> --gate [--threshold 25]`
-//! diffs two artifacts and exits with status 3 when a gated metric
+//! `bench compare --gate` exits with status 3 when a gated metric
 //! regressed (wall time gates only between timing-comparable
-//! environments; conflicts/CNF shape/outcomes gate everywhere).
+//! environments; conflicts, CNF shape and outcomes gate everywhere).
 
+use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::fs;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
-use satroute::bench::{compare, BenchArtifact, GateOptions, SuiteId, SuiteOptions};
+use satroute::bench::{compare, run_suite, BenchArtifact, GateOptions, SuiteId, SuiteOptions};
 use satroute::cnf::dimacs as cnf_dimacs;
 use satroute::coloring::dimacs as col_dimacs;
 use satroute::coloring::CspGraph;
 use satroute::core::{
-    encode_coloring, EncodingId, ExplainOutcome, ExplainReport, PipelineError, RoutingPipeline,
-    Strategy, SymmetryHeuristic,
+    encode_coloring, run_portfolio, ColoringOutcome, EncodingId, ExplainOutcome, ExplainReport,
+    PipelineError, PortfolioOptions, RoutingPipeline, Strategy,
 };
 use satroute::fpga::{benchmarks, io as fpga_io, BlameReport, NetId, RoutingProblem};
 use satroute::obs::json::Value;
 use satroute::obs::{FieldValue, TraceSink};
-use satroute::solver::SolveOutcome;
+use satroute::solver::{InprocessConfig, SolveOutcome};
 use satroute::{
-    chrome_trace, collapsed_stacks, parse_jsonl, MetricsRegistry, ProgressLogger, RunBudget,
-    RunContext, SpanForest, TimelineReport, TraceReport, TraceWriter, Tracer,
+    chrome_trace, collapsed_stacks, parse_jsonl, MetricsRegistry, ProgressLogger, RunContext,
+    SpanForest, TimelineReport, TraceReport, TraceWriter, Tracer,
 };
 
+/// The run-control flags of every solving command; `RUN` in a [`USAGE`]
+/// line stands for them.
+const RUN: &str = "[--timeout <secs>] [--max-conflicts <n>] [--progress] [--json] \
+                   [--trace <out.jsonl>] [--metrics <out.json|out.prom>] [--inprocess]";
+
+/// Every command with its usage line. A flag followed by `<value>` takes
+/// a value, a bracketed item is optional, and `RUN` stands for [`RUN`].
+/// [`parse_args`] parses each command line against its row and
+/// [`print_usage`] prints the rows, so the usage shows exactly what the
+/// parser accepts.
+const USAGE: &[(&str, &str)] = &[
+    ("gen", "--bench <name> [--out <problem.txt>]"),
+    (
+        "route",
+        "<problem.txt> --width <W> [--encoding <name>] [--symmetry <-|b1|s1>] \
+         [--certificate <out.drat>] RUN",
+    ),
+    (
+        "prove",
+        "<problem.txt> --width <W> [--encoding <name>] [--symmetry <-|b1|s1>] \
+         [--certificate <out.drat>] RUN",
+    ),
+    (
+        "min-width",
+        "<problem.txt> [--encoding <name>] [--symmetry <-|b1|s1>] [--incremental] [--explain] \
+         [--shrink-budget <n>] RUN",
+    ),
+    (
+        "encode",
+        "<problem.txt|graph.col> --width <W> [--encoding <name>] [--symmetry <-|b1|s1>] \
+         [--out <out.cnf>]",
+    ),
+    ("solve", "<file.cnf> [--proof <out.drat>] RUN"),
+    (
+        "portfolio",
+        "<problem.txt> --width <W> [--encoding <name>] [--symmetry <-|b1|s1>] \
+         [--diversify <N>] [--portfolio-share] [--threads <T>] RUN",
+    ),
+    (
+        "explain",
+        "<problem.txt> --width <W> [--encoding <name>] [--shrink-budget <n>] RUN",
+    ),
+    ("trace report", "<trace.jsonl> [--json]"),
+    ("trace timeline", "<trace.jsonl> [--json]"),
+    (
+        "trace export",
+        "<trace.jsonl> [--chrome <out.json>] [--collapsed <out.txt>]",
+    ),
+    (
+        "bench run",
+        "[--suite <name>] [--out <BENCH.json>] [--runs <N>] [--timeout <secs>] \
+         [--trace <out.jsonl>] [--filter <S>]",
+    ),
+    (
+        "bench compare",
+        "<baseline.json> <candidate.json> [--gate] [--threshold <pct>] [--json]",
+    ),
+    ("encodings", ""),
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.is_empty() {
+        print_usage();
+        return ExitCode::from(2);
+    }
+    match run(&argv) {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -112,237 +149,210 @@ fn main() -> ExitCode {
     }
 }
 
-#[derive(Clone)]
-struct Options {
-    positional: Vec<String>,
-    encoding: EncodingId,
-    symmetry: SymmetryHeuristic,
-    width: Option<u32>,
-    out: Option<String>,
-    bench: Option<String>,
-    proof: Option<String>,
-    certificate: Option<String>,
-    incremental: bool,
-    explain: bool,
-    shrink_budget: Option<u64>,
-    timeout: Option<f64>,
-    max_conflicts: Option<u64>,
-    progress: bool,
-    json: bool,
-    portfolio_share: bool,
-    diversify: Option<usize>,
-    threads: Option<usize>,
-    trace: Option<String>,
-    metrics: Option<String>,
-    chrome: Option<String>,
-    collapsed: Option<String>,
-    inprocess: bool,
+fn print_usage() {
+    eprintln!("usage:");
+    for (command, usage) in USAGE {
+        eprintln!("  {}", format!("satroute {command} {usage}").trim_end());
+    }
+    eprintln!("RUN = {RUN}\nsee the crate README for details");
 }
 
-impl Options {
-    /// The run control of a solving command: the default CDCL settings
-    /// with inprocessing switched on by `--inprocess` (off keeps the
-    /// classic search byte-identical), the `--timeout` / `--max-conflicts`
-    /// budget, and the command's tracer and registry.
-    fn run_context(&self, tracer: &Tracer, registry: &MetricsRegistry) -> RunContext {
-        let mut ctx = RunContext {
-            tracer: tracer.clone(),
-            metrics: registry.clone(),
-            ..RunContext::default()
+/// A command line parsed against its command's row of [`USAGE`].
+struct Args {
+    command: &'static str,
+    positional: Vec<String>,
+    /// The flags given, each with its value (empty for a switch); a
+    /// repeated flag keeps its last value.
+    flags: BTreeMap<&'static str, String>,
+}
+
+/// Parses `argv` against the row of [`USAGE`] that its first words name:
+/// every flag must be on that row, and the positional arguments and the
+/// flags outside brackets must all be there.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let row = USAGE.iter().find(|(name, _)| {
+        let mut words = name.split(' ').enumerate();
+        words.all(|(i, word)| argv.get(i).is_some_and(|arg| arg == word))
+    });
+    let Some(&(command, usage)) = row else {
+        let subcommands: Vec<&str> = USAGE
+            .iter()
+            .filter_map(|(name, _)| name.strip_prefix(argv[0].as_str())?.strip_prefix(' '))
+            .collect();
+        if subcommands.is_empty() {
+            print_usage();
+            return Err(format!("unknown command `{}`", argv[0]));
+        }
+        return Err(format!(
+            "`{}` takes a subcommand: {}",
+            argv[0],
+            subcommands.join(", ")
+        ));
+    };
+    // The row's flags as (flag, takes a value, required), and its
+    // positional arguments.
+    let mut flags = Vec::new();
+    let mut positionals = Vec::new();
+    let mut words = usage
+        .split_whitespace()
+        .flat_map(|word| if word == "RUN" { RUN } else { word }.split_whitespace())
+        .peekable();
+    while let Some(word) = words.next() {
+        let name = word.trim_matches(['[', ']']);
+        if name.starts_with("--") {
+            let takes_value = words.next_if(|next| next.starts_with('<')).is_some();
+            flags.push((name, takes_value, !word.starts_with('[')));
+        } else {
+            positionals.push(name);
+        }
+    }
+
+    let mut args = Args {
+        command,
+        positional: Vec::new(),
+        flags: BTreeMap::new(),
+    };
+    let mut rest = argv[command.split(' ').count()..].iter();
+    while let Some(arg) = rest.next() {
+        if arg.starts_with('-') && arg.len() > 1 {
+            let &(flag, takes_value, _) = flags
+                .iter()
+                .find(|(flag, ..)| flag == arg)
+                .ok_or_else(|| format!("`{command}` does not take {arg}"))?;
+            let value = if takes_value {
+                let value = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                value.clone()
+            } else {
+                String::new()
+            };
+            args.flags.insert(flag, value);
+        } else if args.positional.len() < positionals.len() {
+            args.positional.push(arg.clone());
+        } else {
+            return Err(format!(
+                "`{command}` does not take the extra argument `{arg}`"
+            ));
+        }
+    }
+    let missing_flag = flags
+        .iter()
+        .find(|&&(flag, _, required)| required && !args.has(flag));
+    match (positionals.get(args.positional.len()), missing_flag) {
+        (Some(&missing), _) | (None, Some(&(missing, ..))) => {
+            Err(format!("`{command}` needs {missing}"))
+        }
+        (None, None) => Ok(args),
+    }
+}
+
+impl Args {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.contains_key(flag)
+    }
+
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.flags.get(flag).map(String::as_str)
+    }
+
+    /// The value of `flag` parsed as a `T`, if the flag was given.
+    fn parse<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|e| format!("bad {flag} value `{v}`: {e}"))
         };
-        if self.inprocess {
-            ctx.config.inprocess = satroute::solver::InprocessConfig::on();
+        self.get(flag).map(parse).transpose()
+    }
+
+    /// The value of a flag that the command's usage line requires.
+    fn required<T: FromStr>(&self, flag: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        self.parse(flag)?
+            .ok_or_else(|| format!("`{}` needs {flag}", self.command))
+    }
+
+    /// The `--encoding` / `--symmetry` strategy, by default the paper's
+    /// best (ITE-linear-2+muldirect with s1).
+    fn strategy(&self) -> Result<Strategy, String> {
+        let best = Strategy::paper_best();
+        Ok(Strategy::new(
+            self.parse("--encoding")?.unwrap_or(best.encoding),
+            self.parse("--symmetry")?.unwrap_or(best.symmetry),
+        ))
+    }
+
+    /// The command's run control, for the solving commands and `bench
+    /// run` alike: `--timeout` and `--max-conflicts` as the budget,
+    /// `--inprocess` in the solver configuration, a live registry under
+    /// `--metrics`, and the `--trace` writer plus a `--progress` logger on
+    /// stderr as the tracer. `bench run` starts from its suites' default
+    /// budget, every other command from no budget. The caller keeps the
+    /// returned writer and finishes it once the command completes, so a
+    /// write failure surfaces as an error instead of a truncated artifact.
+    fn run_context(&self) -> Result<(RunContext, Option<TraceWriter<fs::File>>), String> {
+        let mut ctx = match self.command {
+            "bench run" => SuiteOptions::default().ctx,
+            _ => RunContext::default(),
+        };
+        if let Some(v) = self.get("--timeout") {
+            let wall = v
+                .parse()
+                .ok()
+                .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                .ok_or_else(|| format!("bad --timeout value `{v}`"))?;
+            ctx.budget = ctx.budget.with_wall(wall);
         }
-        if let Some(secs) = self.timeout {
-            ctx.budget = ctx.budget.with_wall(Duration::from_secs_f64(secs));
-        }
-        if let Some(n) = self.max_conflicts {
+        if let Some(n) = self.parse("--max-conflicts")? {
             ctx.budget = ctx.budget.with_max_conflicts(n);
         }
-        ctx
-    }
-
-    /// The command's tracer: the `--trace` writer and a `--progress`
-    /// logger on stderr labelled `label`, or the disabled tracer when
-    /// neither is asked for.
-    fn tracer(&self, label: &str, writer: Option<&TraceWriter<fs::File>>) -> Tracer {
+        if self.has("--inprocess") {
+            ctx.config.inprocess = InprocessConfig::on();
+        }
+        if self.has("--metrics") {
+            ctx.metrics = MetricsRegistry::new();
+        }
+        let writer = self
+            .get("--trace")
+            .map(|path| {
+                TraceWriter::to_path(path).map_err(|e| format!("cannot create {path}: {e}"))
+            })
+            .transpose()?;
         let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
-        if let Some(writer) = writer {
+        if let Some(writer) = &writer {
             sinks.push(Box::new(writer.clone()));
         }
-        if self.progress {
-            sinks.push(Box::new(ProgressLogger::stderr(label)));
+        if self.has("--progress") {
+            sinks.push(Box::new(ProgressLogger::stderr(self.command)));
         }
-        if sinks.is_empty() {
-            Tracer::disabled()
-        } else {
-            Tracer::with_sinks(sinks)
+        if !sinks.is_empty() {
+            ctx.tracer = Tracer::with_sinks(sinks);
         }
-    }
-
-    /// The trace writer implied by `--trace`. The caller keeps the
-    /// returned writer (the tracer holds a clone of its shared buffer)
-    /// and calls [`TraceWriter::finish`] once the command completes, so
-    /// write failures surface as errors instead of a truncated artifact.
-    fn trace_writer(&self) -> Result<Option<TraceWriter<fs::File>>, String> {
-        match &self.trace {
-            Some(path) => Ok(Some(
-                TraceWriter::to_path(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-            )),
-            None => Ok(None),
-        }
+        Ok((ctx, writer))
     }
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        positional: Vec::new(),
-        encoding: EncodingId::IteLinear2Muldirect,
-        symmetry: SymmetryHeuristic::S1,
-        width: None,
-        out: None,
-        bench: None,
-        proof: None,
-        certificate: None,
-        incremental: false,
-        explain: false,
-        shrink_budget: None,
-        timeout: None,
-        max_conflicts: None,
-        progress: false,
-        json: false,
-        portfolio_share: false,
-        diversify: None,
-        threads: None,
-        trace: None,
-        metrics: None,
-        chrome: None,
-        collapsed: None,
-        inprocess: false,
-    };
-    let mut i = 0;
-    let take_value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--encoding" => {
-                let v = take_value(args, &mut i, "--encoding")?;
-                opts.encoding = v.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--symmetry" => {
-                let v = take_value(args, &mut i, "--symmetry")?;
-                opts.symmetry = v.parse().map_err(|_| format!("unknown symmetry `{v}`"))?;
-            }
-            "--width" => {
-                let v = take_value(args, &mut i, "--width")?;
-                opts.width = Some(v.parse().map_err(|_| format!("bad width `{v}`"))?);
-            }
-            "--out" => opts.out = Some(take_value(args, &mut i, "--out")?),
-            "--bench" => opts.bench = Some(take_value(args, &mut i, "--bench")?),
-            "--proof" => opts.proof = Some(take_value(args, &mut i, "--proof")?),
-            "--certificate" => opts.certificate = Some(take_value(args, &mut i, "--certificate")?),
-            "--incremental" => opts.incremental = true,
-            "--explain" => opts.explain = true,
-            "--shrink-budget" => {
-                let v = take_value(args, &mut i, "--shrink-budget")?;
-                opts.shrink_budget =
-                    Some(v.parse().map_err(|_| format!("bad shrink budget `{v}`"))?);
-            }
-            "--timeout" => {
-                let v = take_value(args, &mut i, "--timeout")?;
-                let secs: f64 = v.parse().map_err(|_| format!("bad timeout `{v}`"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err(format!("bad timeout `{v}`"));
-                }
-                opts.timeout = Some(secs);
-            }
-            "--max-conflicts" => {
-                let v = take_value(args, &mut i, "--max-conflicts")?;
-                opts.max_conflicts =
-                    Some(v.parse().map_err(|_| format!("bad conflict limit `{v}`"))?);
-            }
-            "--trace" => opts.trace = Some(take_value(args, &mut i, "--trace")?),
-            "--metrics" => opts.metrics = Some(take_value(args, &mut i, "--metrics")?),
-            "--inprocess" => opts.inprocess = true,
-            "--chrome" => opts.chrome = Some(take_value(args, &mut i, "--chrome")?),
-            "--collapsed" => opts.collapsed = Some(take_value(args, &mut i, "--collapsed")?),
-            "--progress" => opts.progress = true,
-            "--json" => opts.json = true,
-            "--portfolio-share" => opts.portfolio_share = true,
-            "--diversify" => {
-                let v = take_value(args, &mut i, "--diversify")?;
-                let n: usize = v.parse().map_err(|_| format!("bad member count `{v}`"))?;
-                if n == 0 {
-                    return Err("--diversify needs at least 1 member".to_string());
-                }
-                opts.diversify = Some(n);
-            }
-            "--threads" => {
-                let v = take_value(args, &mut i, "--threads")?;
-                let n: usize = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
-                if n == 0 {
-                    return Err("--threads needs at least 1".to_string());
-                }
-                opts.threads = Some(n);
-            }
-            flag if flag.starts_with('-') && flag.len() > 1 => {
-                return Err(format!("unknown flag `{flag}`"))
-            }
-            positional => opts.positional.push(positional.to_string()),
-        }
-        i += 1;
+fn run(argv: &[String]) -> Result<ExitCode, String> {
+    let args = parse_args(argv)?;
+    let (ctx, trace_writer) = args.run_context()?;
+    let code = dispatch(&args, &ctx)?;
+    if let (Some(writer), Some(path)) = (trace_writer, args.get("--trace")) {
+        writer
+            .finish()
+            .map_err(|e| format!("trace artifact {path} incomplete: {e}"))?;
     }
-    Ok(opts)
+    if let Some(path) = args.get("--metrics") {
+        write_metrics_snapshot(path, &ctx.metrics)?;
+    }
+    Ok(code)
 }
 
 fn load_problem(path: &str) -> Result<RoutingProblem, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     fpga_io::parse_problem_str(&text).map_err(|e| format!("{e}"))
-}
-
-fn find_benchmark(name: &str) -> Result<benchmarks::BenchmarkInstance, String> {
-    benchmarks::suite_tiny()
-        .into_iter()
-        .chain(benchmarks::suite_paper())
-        .find(|b| b.name == name)
-        .ok_or_else(|| format!("unknown benchmark `{name}` (try tiny_a..tiny_c, alu2..k2)"))
-}
-
-fn run(args: &[String]) -> Result<ExitCode, String> {
-    let Some(command) = args.first() else {
-        print_usage();
-        return Ok(ExitCode::from(2));
-    };
-    if command == "bench" {
-        // The bench family has its own flag vocabulary (--suite, --gate,
-        // --threshold, ...); parse it separately.
-        return run_bench(&args[1..]);
-    }
-    let opts = parse_options(&args[1..])?;
-    let trace_writer = opts.trace_writer()?;
-    let tracer = opts.tracer(command, trace_writer.as_ref());
-    let registry = if opts.metrics.is_some() {
-        MetricsRegistry::new()
-    } else {
-        MetricsRegistry::disabled()
-    };
-
-    let code = dispatch(command, opts.clone(), &tracer, &registry)?;
-
-    if let Some(writer) = trace_writer {
-        let path = opts.trace.as_deref().unwrap_or_default();
-        writer
-            .finish()
-            .map_err(|e| format!("trace artifact {path} incomplete: {e}"))?;
-    }
-    if let Some(path) = &opts.metrics {
-        write_metrics_snapshot(path, &registry)?;
-    }
-    Ok(code)
 }
 
 /// Writes a final registry snapshot to `path`: Prometheus text exposition
@@ -359,19 +369,20 @@ fn write_metrics_snapshot(path: &str, registry: &MetricsRegistry) -> Result<(), 
     fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
-fn dispatch(
-    command: &str,
-    opts: Options,
-    tracer: &Tracer,
-    registry: &MetricsRegistry,
-) -> Result<ExitCode, String> {
-    let ctx = opts.run_context(tracer, registry);
-    match command {
+fn dispatch(args: &Args, ctx: &RunContext) -> Result<ExitCode, String> {
+    let json = args.has("--json");
+    match args.command {
         "gen" => {
-            let name = opts.bench.ok_or("gen needs --bench <name>")?;
-            let instance = find_benchmark(&name)?;
+            let name: String = args.required("--bench")?;
+            let instance = benchmarks::suite_tiny()
+                .into_iter()
+                .chain(benchmarks::suite_paper())
+                .find(|b| b.name == name)
+                .ok_or_else(|| {
+                    format!("unknown benchmark `{name}` (try tiny_a..tiny_c, alu2..k2)")
+                })?;
             let text = fpga_io::to_problem_string(&instance.problem);
-            match &opts.out {
+            match args.get("--out") {
                 Some(path) => {
                     fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
                     println!(
@@ -386,33 +397,25 @@ fn dispatch(
             Ok(ExitCode::SUCCESS)
         }
         "route" | "prove" => {
-            let path = opts
-                .positional
-                .first()
-                .ok_or("route/prove need a problem file")?;
-            let width = opts.width.ok_or("route/prove need --width <W>")?;
-            let problem = load_problem(path)?;
-            let pipeline = RoutingPipeline::new(Strategy::new(opts.encoding, opts.symmetry))
-                .context(ctx.clone());
-
-            if let Some(cert_path) = &opts.certificate {
+            let width = args.required("--width")?;
+            let problem = load_problem(&args.positional[0])?;
+            let pipeline = RoutingPipeline::new(args.strategy()?).context(ctx.clone());
+            if let Some(cert_path) = args.get("--certificate") {
                 let (result, certificate) = pipeline
                     .prove_unroutable_certified(&problem, width)
                     .map_err(pipeline_stop)?;
-                return finish_route(result, Some((cert_path, certificate)), opts.json);
+                return finish_route(result, Some((cert_path, certificate)), json);
             }
             let result = pipeline.route(&problem, width).map_err(pipeline_stop)?;
-            finish_route(result, None, opts.json)
+            finish_route(result, None, json)
         }
         "min-width" => {
-            let path = opts
-                .positional
-                .first()
-                .ok_or("min-width needs a problem file")?;
-            let problem = load_problem(path)?;
-            let pipeline = RoutingPipeline::new(Strategy::new(opts.encoding, opts.symmetry))
-                .context(ctx.clone());
-            let search = if opts.incremental {
+            let problem = load_problem(&args.positional[0])?;
+            let strategy = args.strategy()?;
+            let shrink_budget = args.parse("--shrink-budget")?;
+            let incremental = args.has("--incremental");
+            let pipeline = RoutingPipeline::new(strategy).context(ctx.clone());
+            let search = if incremental {
                 // One warm solver for the whole ladder: encode once at the
                 // DSATUR bound, sweep widths via selector assumptions.
                 pipeline.find_min_width_incremental(&problem)
@@ -428,10 +431,11 @@ fn dispatch(
                 .map_or(0, |p| p.report.solver_stats.conflicts);
             // --explain blames the width just below the minimum — by
             // construction the tightest unroutable probe.
-            let explanation = if opts.explain && search.min_width > 0 {
-                Some(explain_at(&problem, search.min_width - 1, &opts, &ctx))
+            let explanation = if args.has("--explain") && search.min_width > 0 {
+                let width = search.min_width - 1;
+                Some(explain_at(&problem, width, strategy, shrink_budget, ctx))
             } else {
-                if opts.explain {
+                if args.has("--explain") {
                     eprintln!("note: minimum width is 0 — nothing to blame");
                 }
                 None
@@ -441,7 +445,7 @@ fn dispatch(
                     eprint!("{}", pm.render_text());
                 }
             }
-            if opts.json {
+            if json {
                 let probes = search.probes.iter().map(|p| {
                     Value::object([
                         ("width", Value::from(u64::from(p.width))),
@@ -450,10 +454,10 @@ fn dispatch(
                 });
                 let mut doc = vec![
                     ("min_width", Value::from(u64::from(search.min_width))),
-                    ("incremental", Value::from(opts.incremental)),
+                    ("incremental", Value::from(incremental)),
                     ("probes", Value::array(probes)),
                 ];
-                if opts.incremental {
+                if incremental {
                     let bound = search.core_lower_bound().map(u64::from);
                     let tracks = search.failed_tracks.iter().map(|&t| u64::from(t).into());
                     doc.push(("conflicts", Value::from(conflicts)));
@@ -465,7 +469,7 @@ fn dispatch(
                 }
                 println!("{}", Value::object(doc).to_json());
             } else {
-                if opts.incremental {
+                if incremental {
                     println!(
                         "minimum channel width: {} (incremental, {conflicts} conflicts)",
                         search.min_width
@@ -508,17 +512,14 @@ fn dispatch(
             Ok(ExitCode::SUCCESS)
         }
         "explain" => {
-            let path = opts
-                .positional
-                .first()
-                .ok_or("explain needs a problem file")?;
-            let width = opts.width.ok_or("explain needs --width <W>")?;
-            let problem = load_problem(path)?;
-            let (report, blame) = explain_at(&problem, width, &opts, &ctx);
+            let width = args.required("--width")?;
+            let problem = load_problem(&args.positional[0])?;
+            let (strategy, shrink_budget) = (args.strategy()?, args.parse("--shrink-budget")?);
+            let (report, blame) = explain_at(&problem, width, strategy, shrink_budget, ctx);
             if let Some(pm) = &report.postmortem {
                 eprint!("{}", pm.render_text());
             }
-            if opts.json {
+            if json {
                 println!("{}", explain_json(&report, blame.as_ref()).to_json());
             } else {
                 match &report.outcome {
@@ -561,11 +562,8 @@ fn dispatch(
             }
         }
         "encode" => {
-            let path = opts
-                .positional
-                .first()
-                .ok_or("encode needs an input file")?;
-            let width = opts.width.ok_or("encode needs --width <W>")?;
+            let width = args.required("--width")?;
+            let path = &args.positional[0];
             let graph: CspGraph = if path.ends_with(".col") {
                 let text =
                     fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -573,17 +571,17 @@ fn dispatch(
             } else {
                 load_problem(path)?.conflict_graph()
             };
-            let enc = encode_coloring(&graph, width, &opts.encoding.encoding(), opts.symmetry);
+            let strategy = args.strategy()?;
+            let encoding = strategy.encoding.encoding();
+            let enc = encode_coloring(&graph, width, &encoding, strategy.symmetry);
             let text = cnf_dimacs::to_cnf_string(&enc.formula);
-            match &opts.out {
+            match args.get("--out") {
                 Some(out) => {
                     fs::write(out, text).map_err(|e| format!("cannot write {out}: {e}"))?;
                     println!(
-                        "wrote {out} ({} vars, {} clauses, {}/{})",
+                        "wrote {out} ({} vars, {} clauses, {strategy})",
                         enc.formula.num_vars(),
                         enc.formula.num_clauses(),
-                        opts.encoding,
-                        opts.symmetry
                     );
                 }
                 None => print!("{text}"),
@@ -591,21 +589,22 @@ fn dispatch(
             Ok(ExitCode::SUCCESS)
         }
         "solve" => {
-            let path = opts.positional.first().ok_or("solve needs a .cnf file")?;
+            let path = &args.positional[0];
             let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let formula = cnf_dimacs::parse_cnf_str(&text).map_err(|e| format!("{e}"))?;
-            let span = tracer.span_with(
+            let span = ctx.tracer.span_with(
                 "solve",
                 [("strategy", FieldValue::from(format!("cnf:{path}")))],
             );
             let mut solver = ctx.solver(span.id());
-            if opts.proof.is_some() {
+            let proof_path = args.get("--proof");
+            if proof_path.is_some() {
                 solver.enable_proof_logging();
             }
             solver.add_formula(&formula);
             let outcome = solver.solve();
             drop(span);
-            if opts.json {
+            if json {
                 let stats = solver.stats();
                 let (result, reason) = match &outcome {
                     SolveOutcome::Sat(_) => ("sat", None),
@@ -624,7 +623,7 @@ fn dispatch(
             match outcome {
                 SolveOutcome::Sat(model) => {
                     debug_assert!(formula.is_satisfied_by(&model));
-                    if !opts.json {
+                    if !json {
                         println!("s SATISFIABLE");
                         print!("v");
                         for (var, value) in model.iter() {
@@ -642,14 +641,14 @@ fn dispatch(
                     Ok(ExitCode::from(10))
                 }
                 SolveOutcome::Unsat => {
-                    if !opts.json {
+                    if !json {
                         println!("s UNSATISFIABLE");
                     }
-                    if let Some(out) = &opts.proof {
+                    if let Some(out) = proof_path {
                         let proof = solver.take_proof().expect("logging enabled");
                         fs::write(out, proof.to_drat_string())
                             .map_err(|e| format!("cannot write {out}: {e}"))?;
-                        if !opts.json {
+                        if !json {
                             println!("c DRAT proof written to {out}");
                         }
                     }
@@ -659,7 +658,7 @@ fn dispatch(
                     if let Some(pm) = solver.postmortem() {
                         eprint!("{}", pm.render_text());
                     }
-                    if !opts.json {
+                    if !json {
                         println!("c stopped: {reason}");
                         println!("s UNKNOWN");
                     }
@@ -668,41 +667,34 @@ fn dispatch(
             }
         }
         "portfolio" => {
-            let path = opts
-                .positional
-                .first()
-                .ok_or("portfolio needs a problem file")?;
-            let width = opts.width.ok_or("portfolio needs --width <W>")?;
+            let width = args.required("--width")?;
+            let diversify = args.parse::<NonZeroUsize>("--diversify")?;
+            let share = args.has("--portfolio-share");
             // Only equal strategies share, and the paper portfolio's
             // members all differ: sharing needs two diversified copies.
-            if opts.portfolio_share && opts.diversify.is_none_or(|n| n < 2) {
+            if share && diversify.is_none_or(|n| n.get() < 2) {
                 return Err(
                     "--portfolio-share needs --diversify <N> with N >= 2: only copies of one \
                      strategy can share clauses"
                         .to_string(),
                 );
             }
-            let problem = load_problem(path)?;
-            let graph = problem.conflict_graph();
-
-            use satroute::core::{run_portfolio, PortfolioOptions};
-            // --diversify N races N copies of the selected strategy with
-            // diversified solver configurations (a sound setting for clause
+            let graph = load_problem(&args.positional[0])?.conflict_graph();
+            // --diversify N races N copies of the selected strategy, which
+            // `run_portfolio` diversifies (a sound setting for clause
             // sharing: identical CNF per member); the default races the
             // paper's heterogeneous 3-strategy portfolio.
-            let strategies = match opts.diversify {
-                Some(n) => Strategy::diversified(Strategy::new(opts.encoding, opts.symmetry), n),
+            let strategies = match diversify {
+                Some(n) => Strategy::diversified(args.strategy()?, n.get()),
                 None => Strategy::paper_portfolio_3(),
             };
-            let mut portfolio_opts = PortfolioOptions::new()
-                .with_diversified_configs(opts.diversify.is_some())
-                .with_sharing(opts.portfolio_share);
-            if let Some(n) = opts.threads {
-                portfolio_opts = portfolio_opts.with_max_threads(n);
+            let mut portfolio_opts = PortfolioOptions::new().with_sharing(share);
+            if let Some(n) = args.parse::<NonZeroUsize>("--threads")? {
+                portfolio_opts = portfolio_opts.with_max_threads(n.get());
             }
-            let result = run_portfolio(&graph, width, &strategies, &ctx, &portfolio_opts);
+            let result = run_portfolio(&graph, width, &strategies, ctx, &portfolio_opts);
 
-            if opts.json {
+            if json {
                 let members = result.members.iter().map(|m| {
                     Value::object([
                         ("strategy", Value::string(m.strategy.to_string())),
@@ -718,7 +710,7 @@ fn dispatch(
                     ("width", Value::from(u64::from(width))),
                     ("routable", routable.map_or(Value::Null, Value::from)),
                     ("winner", winner.map_or(Value::Null, Value::from)),
-                    ("sharing", Value::from(opts.portfolio_share)),
+                    ("sharing", Value::from(share)),
                     ("total_conflicts", Value::from(result.total_conflicts())),
                     ("total_exported", Value::from(result.total_exported())),
                     ("total_imported", Value::from(result.total_imported())),
@@ -728,13 +720,13 @@ fn dispatch(
                 println!("{}", doc.to_json());
             } else {
                 match result.report().map(|r| &r.outcome) {
-                    Some(satroute::core::ColoringOutcome::Colorable(_)) => {
+                    Some(ColoringOutcome::Colorable(_)) => {
                         println!(
                             "ROUTABLE with {width} tracks (winner: {})",
                             result.strategy().expect("decided")
                         );
                     }
-                    Some(satroute::core::ColoringOutcome::Unsat) => {
+                    Some(ColoringOutcome::Unsat) => {
                         println!(
                             "UNROUTABLE with {width} tracks (winner: {})",
                             result.strategy().expect("decided")
@@ -763,70 +755,125 @@ fn dispatch(
                 }
             }
             match result.report().map(|r| r.outcome.is_colorable()) {
-                Some(true) => Ok(ExitCode::SUCCESS),
                 Some(false) => Ok(ExitCode::from(20)),
-                None => Ok(ExitCode::SUCCESS),
+                _ => Ok(ExitCode::SUCCESS),
             }
         }
-        "trace" => {
-            let sub = opts.positional.first().ok_or(
-                "trace needs a subcommand (try: trace report|timeline|export <file.jsonl>)",
-            )?;
-            if !matches!(sub.as_str(), "report" | "timeline" | "export") {
-                return Err(format!(
-                    "unknown trace subcommand `{sub}` (try: trace report|timeline|export <file.jsonl>)"
-                ));
-            }
-            let path = opts
-                .positional
-                .get(1)
-                .ok_or_else(|| format!("trace {sub} needs a .jsonl trace file"))?;
+        command @ ("trace report" | "trace timeline" | "trace export") => {
+            let path = &args.positional[0];
             let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let events = parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
             if events.is_empty() {
                 return Err(format!("{path}: trace contains no events"));
             }
             let forest = SpanForest::from_events(&events).map_err(|e| format!("{path}: {e}"))?;
-            match sub.as_str() {
-                "report" => {
+            match command {
+                "trace report" => {
                     let report = TraceReport::from_forest(&forest);
-                    if opts.json {
+                    if json {
                         println!("{}", report.to_json().to_json());
                     } else {
                         print!("{}", report.render_text(&forest));
                     }
                 }
-                "timeline" => {
+                "trace timeline" => {
                     let report = TimelineReport::from_forest(&forest);
-                    if opts.json {
+                    if json {
                         println!("{}", report.to_json().to_json());
                     } else {
                         print!("{}", report.render_text());
                     }
                 }
-                "export" => {
-                    if opts.chrome.is_none() && opts.collapsed.is_none() {
+                _ => {
+                    let (chrome, collapsed) = (args.get("--chrome"), args.get("--collapsed"));
+                    if chrome.is_none() && collapsed.is_none() {
                         return Err(
                             "trace export needs --chrome <out.json> and/or --collapsed <out.txt>"
                                 .to_string(),
                         );
                     }
-                    if let Some(out) = &opts.chrome {
+                    if let Some(out) = chrome {
                         let doc = chrome_trace(&events).map_err(|e| format!("{path}: {e}"))?;
                         let mut text = doc.to_json();
                         text.push('\n');
                         fs::write(out, text).map_err(|e| format!("cannot write {out}: {e}"))?;
                         println!("wrote {out} (Chrome trace-event JSON; open in ui.perfetto.dev)");
                     }
-                    if let Some(out) = &opts.collapsed {
+                    if let Some(out) = collapsed {
                         let stacks = collapsed_stacks(&forest);
                         fs::write(out, stacks).map_err(|e| format!("cannot write {out}: {e}"))?;
                         println!("wrote {out} (folded stacks for inferno/flamegraph)");
                     }
                 }
-                _ => unreachable!("subcommand validated above"),
             }
             Ok(ExitCode::SUCCESS)
+        }
+        "bench run" => {
+            let suite = args.parse("--suite")?.unwrap_or(SuiteId::Quick);
+            let mut suite_opts = SuiteOptions {
+                ctx: ctx.clone(),
+                filter: args.get("--filter").map(String::from),
+                ..SuiteOptions::default()
+            };
+            if let Some(runs) = args.parse::<NonZeroUsize>("--runs")? {
+                suite_opts.runs = runs.get();
+            }
+            let out = args
+                .get("--out")
+                .map_or_else(|| format!("BENCH_{}.json", suite.name()), String::from);
+            let artifact = run_suite(suite, &suite_opts, |line| eprintln!("{line}"));
+            if let (true, Some(needle)) = (artifact.cells.is_empty(), &suite_opts.filter) {
+                return Err(format!(
+                    "--filter `{needle}` matches no cell of suite {}",
+                    suite.name()
+                ));
+            }
+            fs::write(&out, artifact.to_json_string())
+                .map_err(|e| format!("cannot write {out}: {e}"))?;
+            println!(
+                "suite {}: median wall time [s] per cell; speedup vs the first column",
+                artifact.suite
+            );
+            print!("{}", artifact.render_grid());
+            println!(
+                "wrote {out} (suite {}, {} cells, {} runs/cell, {} {})",
+                artifact.suite,
+                artifact.cells.len(),
+                suite_opts.runs,
+                artifact.env.opt_level,
+                artifact.env.rustc,
+            );
+            Ok(ExitCode::SUCCESS)
+        }
+        "bench compare" => {
+            let mut gate_opts = GateOptions {
+                gate: args.has("--gate"),
+                ..GateOptions::default()
+            };
+            if let Some(pct) = args.parse::<f64>("--threshold")? {
+                if !pct.is_finite() || pct < 0.0 {
+                    return Err(format!("bad --threshold value `{pct}`"));
+                }
+                gate_opts.threshold_pct = pct;
+            }
+            let load = |path: &str| -> Result<BenchArtifact, String> {
+                let text =
+                    fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+                BenchArtifact::parse_str(&text).map_err(|e| format!("{path}: {e}"))
+            };
+            let baseline = load(&args.positional[0])?;
+            let candidate = load(&args.positional[1])?;
+            let comparison = compare(&baseline, &candidate, &gate_opts);
+            if json {
+                println!("{}", comparison.to_json().to_json());
+            } else {
+                print!("{}", comparison.render_text());
+            }
+            if comparison.gate_failed() {
+                Ok(ExitCode::from(3))
+            } else {
+                Ok(ExitCode::SUCCESS)
+            }
         }
         "encodings" => {
             println!("previously used for FPGA routing:");
@@ -840,156 +887,7 @@ fn dispatch(
             println!("also available: direct");
             Ok(ExitCode::SUCCESS)
         }
-        other => {
-            print_usage();
-            Err(format!("unknown command `{other}`"))
-        }
-    }
-}
-
-/// `satroute bench run|compare` — the regression harness front end.
-fn run_bench(args: &[String]) -> Result<ExitCode, String> {
-    let Some(sub) = args.first() else {
-        return Err("bench needs a subcommand (try: bench run, bench compare)".to_string());
-    };
-    let args = &args[1..];
-    let take_value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    match sub.as_str() {
-        "run" => {
-            let mut suite = SuiteId::Quick;
-            let mut out: Option<String> = None;
-            let mut suite_opts = SuiteOptions::default();
-            let mut trace: Option<String> = None;
-            let mut i = 0;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--suite" => {
-                        suite = take_value(args, &mut i, "--suite")?.parse()?;
-                    }
-                    "--out" => out = Some(take_value(args, &mut i, "--out")?),
-                    "--runs" => {
-                        let v = take_value(args, &mut i, "--runs")?;
-                        let n: usize = v.parse().map_err(|_| format!("bad run count `{v}`"))?;
-                        if n == 0 {
-                            return Err("--runs needs at least 1".to_string());
-                        }
-                        suite_opts.runs = n;
-                    }
-                    "--timeout" => {
-                        let v = take_value(args, &mut i, "--timeout")?;
-                        let secs: f64 = v.parse().map_err(|_| format!("bad timeout `{v}`"))?;
-                        if !secs.is_finite() || secs < 0.0 {
-                            return Err(format!("bad timeout `{v}`"));
-                        }
-                        suite_opts.ctx.budget =
-                            RunBudget::new().with_wall(Duration::from_secs_f64(secs));
-                    }
-                    "--trace" => trace = Some(take_value(args, &mut i, "--trace")?),
-                    "--filter" => {
-                        suite_opts.filter = Some(take_value(args, &mut i, "--filter")?);
-                    }
-                    other => return Err(format!("unknown bench run argument `{other}`")),
-                }
-                i += 1;
-            }
-            let out = out.unwrap_or_else(|| format!("BENCH_{}.json", suite.name()));
-            let trace_writer = match &trace {
-                Some(path) => Some(
-                    TraceWriter::to_path(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-                ),
-                None => None,
-            };
-            suite_opts.ctx.tracer = trace_writer
-                .as_ref()
-                .map_or_else(Tracer::disabled, |w| Tracer::to_sink(w.clone()));
-
-            let artifact =
-                satroute::bench::run_suite(suite, &suite_opts, |line| eprintln!("{line}"));
-            if artifact.cells.is_empty() {
-                if let Some(needle) = &suite_opts.filter {
-                    return Err(format!(
-                        "--filter `{needle}` matches no cell of suite {}",
-                        suite.name()
-                    ));
-                }
-            }
-            fs::write(&out, artifact.to_json_string())
-                .map_err(|e| format!("cannot write {out}: {e}"))?;
-            println!(
-                "suite {}: median wall time [s] per cell; speedup vs the first column",
-                artifact.suite
-            );
-            print!("{}", artifact.render_grid());
-            if let Some(writer) = trace_writer {
-                let path = trace.as_deref().unwrap_or_default();
-                writer
-                    .finish()
-                    .map_err(|e| format!("trace artifact {path} incomplete: {e}"))?;
-            }
-            println!(
-                "wrote {out} (suite {}, {} cells, {} runs/cell, {} {})",
-                artifact.suite,
-                artifact.cells.len(),
-                suite_opts.runs,
-                artifact.env.opt_level,
-                artifact.env.rustc,
-            );
-            Ok(ExitCode::SUCCESS)
-        }
-        "compare" => {
-            let mut gate_opts = GateOptions::default();
-            let mut json = false;
-            let mut paths: Vec<String> = Vec::new();
-            let mut i = 0;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--gate" => gate_opts.gate = true,
-                    "--threshold" => {
-                        let v = take_value(args, &mut i, "--threshold")?;
-                        let pct: f64 = v.parse().map_err(|_| format!("bad threshold `{v}`"))?;
-                        if !pct.is_finite() || pct < 0.0 {
-                            return Err(format!("bad threshold `{v}`"));
-                        }
-                        gate_opts.threshold_pct = pct;
-                    }
-                    "--json" => json = true,
-                    flag if flag.starts_with("--") => {
-                        return Err(format!("unknown bench compare argument `{flag}`"))
-                    }
-                    positional => paths.push(positional.to_string()),
-                }
-                i += 1;
-            }
-            let [baseline_path, candidate_path] = paths.as_slice() else {
-                return Err("bench compare needs <baseline.json> <candidate.json>".to_string());
-            };
-            let load = |path: &str| -> Result<BenchArtifact, String> {
-                let text =
-                    fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-                BenchArtifact::parse_str(&text).map_err(|e| format!("{path}: {e}"))
-            };
-            let baseline = load(baseline_path)?;
-            let candidate = load(candidate_path)?;
-            let comparison = compare(&baseline, &candidate, &gate_opts);
-            if json {
-                println!("{}", comparison.to_json().to_json());
-            } else {
-                print!("{}", comparison.render_text());
-            }
-            if comparison.gate_failed() {
-                Ok(ExitCode::from(3))
-            } else {
-                Ok(ExitCode::SUCCESS)
-            }
-        }
-        other => Err(format!(
-            "unknown bench subcommand `{other}` (try: bench run, bench compare)"
-        )),
+        command => unreachable!("`{command}` has a row in USAGE but no arm here"),
     }
 }
 
@@ -998,15 +896,16 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
 fn explain_at(
     problem: &RoutingProblem,
     width: u32,
-    opts: &Options,
+    strategy: Strategy,
+    shrink_budget: Option<u64>,
     ctx: &RunContext,
 ) -> (ExplainReport, Option<BlameReport>) {
     let graph = problem.conflict_graph();
     let groups: Vec<u32> = problem.subnets().map(|s| s.net.0).collect();
-    let report = Strategy::new(opts.encoding, opts.symmetry)
+    let report = strategy
         .explain(&graph, &groups, width)
         .context(ctx.clone())
-        .shrink_budget(opts.shrink_budget)
+        .shrink_budget(shrink_budget)
         .run();
     let blame = report.core().map(|core| {
         let nets: Vec<NetId> = core.groups.iter().copied().map(NetId).collect();
@@ -1066,7 +965,7 @@ fn pipeline_stop(err: PipelineError) -> String {
 
 fn finish_route(
     result: satroute::core::RouteResult,
-    certificate: Option<(&String, Option<satroute::core::UnroutabilityCertificate>)>,
+    certificate: Option<(&str, Option<satroute::core::UnroutabilityCertificate>)>,
     json: bool,
 ) -> Result<ExitCode, String> {
     if json {
@@ -1110,22 +1009,4 @@ fn finish_route(
             Ok(ExitCode::from(20))
         }
     }
-}
-
-fn print_usage() {
-    eprintln!(
-        "usage: satroute <command> [options]\n\
-         commands: gen, route, prove, min-width, encode, solve, portfolio, explain, trace, bench, encodings\n\
-         run control: --timeout <secs>, --max-conflicts <n>, --progress, --json\n\
-         simplification: --inprocess (in-search vivify/subsume/BVE rounds)\n\
-         portfolio: --diversify <N>, --portfolio-share (needs --diversify N >= 2), --threads <T>\n\
-         tracing: --trace <out.jsonl>; trace report|timeline <out.jsonl> [--json]\n\
-         \u{20}        trace export <out.jsonl> --chrome <out.json> [--collapsed <out.txt>]\n\
-         metrics: --metrics <out.json|out.prom>\n\
-         min-width: --incremental (one warm solver, selector assumptions), --explain (blame the width below the minimum)\n\
-         explain: --width <W>, --shrink-budget <n> (cap deletion probes), --json (core + blame document)\n\
-         bench: bench run [--suite quick|paper|routable|portfolio|incremental|explain|inprocess] [--out F] [--runs N] [--trace F] [--filter S];\n\
-         \u{20}       bench compare <base> <cand> [--gate] [--threshold PCT] [--json]\n\
-         see the crate README for details"
-    );
 }

@@ -16,7 +16,103 @@ fn tempdir(name: &str) -> std::path::PathBuf {
 fn no_args_prints_usage() {
     let out = satroute().output().expect("binary runs");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage"));
+    // One usage line per command row, subcommands included.
+    let rows = [
+        "gen",
+        "route",
+        "prove",
+        "min-width",
+        "encode",
+        "solve",
+        "portfolio",
+        "explain",
+        "trace report",
+        "trace timeline",
+        "trace export",
+        "bench run",
+        "bench compare",
+        "encodings",
+    ];
+    let lines: Vec<&str> = stderr
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix("satroute "))
+        .collect();
+    assert_eq!(lines.len(), rows.len(), "{stderr}");
+    for row in rows {
+        let matching = lines
+            .iter()
+            .filter(|line| **line == row || line.starts_with(&format!("{row} ")))
+            .count();
+        assert_eq!(matching, 1, "usage lines for `{row}`: {stderr}");
+    }
+}
+
+/// Every command parses against its own usage line: a flag the command
+/// does not read, or a positional argument beyond those it names, is an
+/// error that names it, never silently dropped.
+#[test]
+fn flags_a_command_does_not_read_are_errors() {
+    let dir = tempdir("misapplied");
+    let problem = dir.join("tiny.txt");
+    let trace = dir.join("gen.jsonl");
+    let status = satroute()
+        .args(["gen", "--bench", "tiny_a", "--out"])
+        .arg(&problem)
+        .status()
+        .expect("binary runs");
+    assert!(status.success());
+    let p = problem.to_str().expect("utf-8 temp path");
+    let t = trace.to_str().expect("utf-8 temp path");
+
+    let cases: [(&[&str], &str); 9] = [
+        (
+            &[
+                "route",
+                p,
+                "--width",
+                "3",
+                "--threads",
+                "4",
+                "--diversify",
+                "3",
+            ],
+            "--threads",
+        ),
+        (
+            &["explain", p, "--width", "2", "--certificate", "x.drat"],
+            "--certificate",
+        ),
+        (
+            &["explain", p, "--width", "2", "--symmetry", "b1"],
+            "--symmetry",
+        ),
+        (&["min-width", p, "--width", "3"], "--width"),
+        (
+            &["encode", p, "--width", "2", "--timeout", "1"],
+            "--timeout",
+        ),
+        (&["gen", "--bench", "tiny_a", "--trace", t], "--trace"),
+        (&["trace", "report", t, "--chrome", "x"], "--chrome"),
+        (
+            &["bench", "compare", "a.json", "b.json", "--runs", "2"],
+            "--runs",
+        ),
+        (&["bench", "run", "extra"], "extra"),
+    ];
+    for (args, named) in cases {
+        let out = satroute().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with("error:") && l.contains(named)),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert!(!trace.exists(), "a rejected `gen --trace` wrote a trace");
 }
 
 #[test]
@@ -181,6 +277,36 @@ fn bad_inputs_produce_errors_not_panics() {
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
+
+    // A timeout beyond `Duration`'s range is a bad value, not a panic.
+    let dir = tempdir("timeout");
+    let problem = dir.join("tiny.txt");
+    let status = satroute()
+        .args(["gen", "--bench", "tiny_a", "--out"])
+        .arg(&problem)
+        .status()
+        .expect("binary runs");
+    assert!(status.success());
+    let cases: [&[&str]; 2] = [
+        &[
+            "route",
+            problem.to_str().unwrap(),
+            "--width",
+            "3",
+            "--timeout",
+            "1e300",
+        ],
+        &["bench", "run", "--suite", "quick", "--timeout", "1e20"],
+    ];
+    for args in cases {
+        let out = satroute().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("error: bad --timeout value"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -10,8 +10,7 @@ use rand::{Rng, SeedableRng};
 
 use satroute::coloring::{dsatur_coloring, greedy_coloring};
 use satroute::fpga::{
-    decompose, Architecture, DecompositionStyle, DetailedRouting, GlobalRouter, Netlist,
-    RoutingProblem,
+    decompose, Architecture, DetailedRouting, GlobalRouter, Netlist, RoutingProblem,
 };
 
 fn random_problem(seed: u64) -> RoutingProblem {
@@ -115,14 +114,12 @@ fn congestion_lower_bounds_the_clique() {
 fn decomposition_styles_cover_all_terminals() {
     for seed in 0..CASES {
         let p = random_problem(seed);
-        for style in [DecompositionStyle::Star, DecompositionStyle::Chain] {
-            let subnets = decompose(p.netlist(), style);
-            let expected: usize = p.netlist().iter().map(|(_, n)| n.num_terminals() - 1).sum();
-            assert_eq!(subnets.len(), expected, "seed {seed}");
-            for s in &subnets {
-                assert!(p.arch().contains_block(s.from.x, s.from.y), "seed {seed}");
-                assert!(p.arch().contains_block(s.to.x, s.to.y), "seed {seed}");
-            }
+        let subnets = decompose(p.netlist());
+        let expected: usize = p.netlist().iter().map(|(_, n)| n.num_terminals() - 1).sum();
+        assert_eq!(subnets.len(), expected, "seed {seed}");
+        for s in &subnets {
+            assert!(p.arch().contains_block(s.from.x, s.from.y), "seed {seed}");
+            assert!(p.arch().contains_block(s.to.x, s.to.y), "seed {seed}");
         }
     }
 }

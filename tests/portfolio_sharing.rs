@@ -21,7 +21,6 @@ const THREADS: usize = 4;
 fn sharing_opts(share: bool) -> PortfolioOptions {
     PortfolioOptions::new()
         .with_max_threads(THREADS)
-        .with_diversified_configs(true)
         .with_sharing(share)
 }
 
