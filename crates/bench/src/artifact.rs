@@ -218,7 +218,10 @@ pub struct BenchCell {
     pub cnf_vars: u64,
     /// CNF clause count.
     pub cnf_clauses: u64,
-    /// `"sat"`, `"unsat"` or `"unknown:<reason>"`.
+    /// `"sat"`, `"unsat"` or `"unknown:<reason>"`, followed in some
+    /// suites by the cell kind's deterministic answer (`min_width=9`,
+    /// `depth=4`, ...); a ladder or explain cell's outcome is that answer
+    /// alone. Only `unknown` outcomes count as undecided.
     pub outcome: String,
     /// Named histogram summaries (e.g. `solver.lbd`,
     /// `phase.sat_solving_us`) from the median run's metrics registry.

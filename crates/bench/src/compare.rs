@@ -239,10 +239,11 @@ fn check_cell(
     opts: &GateOptions,
     push: &mut impl FnMut(&str, &str, String),
 ) {
-    // A decided baseline cell going undecided is always a regression —
-    // a wall/conflict budget kicked in where none used to.
+    // A decided baseline outcome that changes is always a regression: a
+    // budget kicked in where none used to, or a deterministic answer
+    // (verdict, minimum width, core, pass counters) moved.
     if base.outcome != cand.outcome {
-        let decided = |o: &str| o == "sat" || o == "unsat";
+        let decided = |o: &str| !o.starts_with("unknown");
         if decided(&base.outcome) {
             push(
                 &base.id,
@@ -426,6 +427,27 @@ mod tests {
         let metrics: Vec<&str> = cmp.regressions.iter().map(|r| r.metric.as_str()).collect();
         assert!(metrics.contains(&"outcome"), "{metrics:?}");
         assert!(metrics.contains(&"missing"), "{metrics:?}");
+    }
+
+    #[test]
+    fn a_changed_decided_outcome_is_a_regression_and_an_undecided_one_is_not() {
+        let gate = GateOptions {
+            gate: true,
+            threshold_pct: 25.0,
+        };
+        let with_outcome = |outcome: &str| {
+            let mut c = cell("c1", 0.1, 50);
+            c.outcome = outcome.into();
+            artifact(vec![c])
+        };
+        let base = with_outcome("min_width=9 greedy=10,9,11");
+        let cmp = compare(&base, &with_outcome("min_width=9 greedy=10,9,12"), &gate);
+        assert_eq!(cmp.regressions.len(), 1, "{:?}", cmp.regressions);
+        assert_eq!(cmp.regressions[0].metric, "outcome");
+        assert!(compare(&base, &base, &gate).regressions.is_empty());
+        let stopped = with_outcome("unknown:wall");
+        let cmp = compare(&stopped, &with_outcome("unknown:deadline"), &gate);
+        assert!(cmp.regressions.is_empty(), "{:?}", cmp.regressions);
     }
 
     #[test]

@@ -15,9 +15,10 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use satroute_cnf::FormulaStats;
+use satroute_coloring::greedy_coloring_with_order;
 use satroute_core::{
-    run_portfolio, simulate_portfolio, EncodingId, ExplainOutcome, PortfolioOptions,
-    RoutingPipeline, Strategy, SymmetryHeuristic,
+    encode, run_portfolio, simulate_portfolio, Encoding, EncodingId, ExplainOutcome, IteTree,
+    PortfolioOptions, RoutingPipeline, Selectors, SimpleScheme, Strategy, SymmetryHeuristic,
 };
 use satroute_fpga::benchmarks::{self, BenchmarkInstance};
 use satroute_obs::{FieldValue, MetricsRegistry, MetricsSnapshot};
@@ -75,11 +76,22 @@ pub enum SuiteId {
     /// slowdown; the paired `inp-off` cells make the wall-time effect
     /// visible in timing-comparable environments.
     Inprocess,
+    /// The ablations of the paper's premises, one cell per measured row.
+    /// A1 (formula sizes): every encoding with s1 on `alu2` at the
+    /// unroutable width, whose literal counts are the
+    /// `encode.literals.<encoding>` histograms. A3 (greedy router vs SAT):
+    /// the cold paper-best ladder per paper circuit, whose outcome adds
+    /// the widths a one-net-at-a-time greedy router needs in three net
+    /// orders. A6 (ITE tree shapes, §3): `k2` at the unroutable width
+    /// with s1, the linear chain and the balanced tree as the catalog's
+    /// ITE-linear and ITE-log cells, and five seeded random shapes whose
+    /// outcome adds the tree depth.
+    Ablation,
 }
 
 impl SuiteId {
     /// Every suite, in `--suite` listing order.
-    const ALL: [SuiteId; 7] = [
+    const ALL: [SuiteId; 8] = [
         SuiteId::Quick,
         SuiteId::Paper,
         SuiteId::Routable,
@@ -87,6 +99,7 @@ impl SuiteId {
         SuiteId::Incremental,
         SuiteId::Explain,
         SuiteId::Inprocess,
+        SuiteId::Ablation,
     ];
 
     /// The suite's artifact name, which is also its `--suite` value.
@@ -100,6 +113,7 @@ impl SuiteId {
             SuiteId::Incremental => "incremental",
             SuiteId::Explain => "explain",
             SuiteId::Inprocess => "inprocess",
+            SuiteId::Ablation => "ablation",
         }
     }
 }
@@ -162,8 +176,9 @@ enum CellKind {
     /// `on` outcome appends the pass counters.
     Solve { width: u32, inprocess: Option<bool> },
     /// A whole minimum-width ladder; `warm` selects the assumption-based
-    /// incremental search over the re-encode-per-width baseline.
-    Ladder { warm: bool },
+    /// incremental search over the re-encode-per-width baseline, and
+    /// `greedy` adds the greedy router's widths to the outcome.
+    Ladder { warm: bool, greedy: bool },
     /// One explanation run at a fixed (unroutable) width: net-grouped
     /// selector encoding, initial core, deletion shrink to 1-minimality
     /// on one warm solver.
@@ -174,6 +189,10 @@ enum CellKind {
     /// [`SHARING_MEMBERS`] diversified copies of the cell strategy racing
     /// on as many threads, with learnt-clause sharing on or off.
     Sharing { width: u32, share: bool },
+    /// One solve at a fixed width encoded with the random ITE tree shape
+    /// of `seed` ([`SimpleScheme::IteRandom`]) under the cell strategy's
+    /// symmetry heuristic; the strategy's encoding is not used.
+    Shape { width: u32, seed: u64 },
 }
 
 impl CellKind {
@@ -183,7 +202,8 @@ impl CellKind {
             CellKind::Solve { width, .. }
             | CellKind::Explain { width }
             | CellKind::Portfolio { width, .. }
-            | CellKind::Sharing { width, .. } => Some(width),
+            | CellKind::Sharing { width, .. }
+            | CellKind::Shape { width, .. } => Some(width),
             CellKind::Ladder { .. } => None,
         }
     }
@@ -312,10 +332,12 @@ fn suite_cells(suite: SuiteId) -> Vec<SuiteCell> {
             cells
         }
         SuiteId::Incremental => cross(benchmarks::suite_tiny(), &reference, |_| {
-            vec![
-                CellKind::Ladder { warm: true },
-                CellKind::Ladder { warm: false },
-            ]
+            [true, false]
+                .map(|warm| CellKind::Ladder {
+                    warm,
+                    greedy: false,
+                })
+                .to_vec()
         }),
         // The shrink loop runs unbudgeted on these sub-second instances,
         // so every core is 1-minimal and the outcome column is exact.
@@ -348,6 +370,32 @@ fn suite_cells(suite: SuiteId) -> Vec<SuiteCell> {
                 &reference,
                 |i| twins(&[i.unroutable_width]),
             ));
+            cells
+        }
+        SuiteId::Ablation => {
+            let paper = benchmarks::suite_paper();
+            let s1 = |encoding| Strategy::new(encoding, SymmetryHeuristic::S1);
+            let unroutable = |i: &BenchmarkInstance| vec![solve(i.unroutable_width)];
+            let sizes: Vec<Strategy> = EncodingId::ALL.into_iter().map(s1).collect();
+            let mut cells = cross(named(paper.clone(), &["alu2"]), &sizes, unroutable);
+            let cold = CellKind::Ladder {
+                warm: false,
+                greedy: true,
+            };
+            cells.extend(cross(paper.clone(), &[Strategy::paper_best()], |_| {
+                vec![cold]
+            }));
+            let k2 = named(paper, &["k2"]);
+            let trees = [s1(EncodingId::IteLinear), s1(EncodingId::IteLog)];
+            cells.extend(cross(k2.clone(), &trees, unroutable));
+            cells.extend(cross(k2, &trees[..1], |i| {
+                (0..5)
+                    .map(|seed| CellKind::Shape {
+                        width: i.unroutable_width,
+                        seed,
+                    })
+                    .collect()
+            }));
             cells
         }
     }
@@ -392,7 +440,10 @@ fn run_cell(cell: &SuiteCell, runs: usize, opts: &SuiteOptions) -> BenchCell {
         [
             ("id", FieldValue::from(id.as_str())),
             ("benchmark", FieldValue::from(cell.instance.name.as_str())),
-            ("strategy", FieldValue::from(cell.strategy.to_string())),
+            (
+                "strategy",
+                FieldValue::from(format!("{}/{}", cell.encoding(), cell.strategy.symmetry)),
+            ),
         ],
     );
     let samples: Vec<(Sample, MetricsSnapshot)> = (0..runs)
@@ -417,7 +468,7 @@ fn run_cell(cell: &SuiteCell, runs: usize, opts: &SuiteOptions) -> BenchCell {
     BenchCell {
         id,
         benchmark: cell.instance.name.clone(),
-        encoding: cell.strategy.encoding.name().to_string(),
+        encoding: cell.encoding().name(),
         symmetry: cell.symmetry().to_string(),
         width: median.width,
         runs: runs as u64,
@@ -447,14 +498,16 @@ fn run_cell(cell: &SuiteCell, runs: usize, opts: &SuiteOptions) -> BenchCell {
 impl SuiteCell {
     /// The artifact id: `benchmark/encoding/symmetry/wN`, plus a final
     /// segment naming the cell kind (`inp-on`, `portfolio-2`,
-    /// `div4-share-on`, ...) so twins never collide. Ladder cells sweep
-    /// widths, so `ladder-warm` / `ladder-cold` replaces `wN`; explain
-    /// cells end in `explain-wN` under a `-` symmetry segment.
+    /// `div4-share-on`, `seed-N`, ...) so twins never collide. Ladder
+    /// cells sweep widths, so `ladder-warm` / `ladder-cold` (with
+    /// `-vs-greedy` when the outcome adds the greedy widths) replaces
+    /// `wN`; explain cells end in `explain-wN` under a `-` symmetry
+    /// segment.
     fn id(&self) -> String {
         let name = &self.instance.name;
-        let encoding = self.strategy.encoding.name();
+        let encoding = self.encoding().name();
         let symmetry = self.symmetry();
-        let plain = |width| BenchCell::make_id(name, encoding, symmetry, width);
+        let plain = |width| BenchCell::make_id(name, &encoding, symmetry, width);
         let on_off = |on: bool| if on { "on" } else { "off" };
         match self.kind {
             CellKind::Solve {
@@ -465,9 +518,10 @@ impl SuiteCell {
                 width,
                 inprocess: Some(on),
             } => format!("{}/inp-{}", plain(width), on_off(on)),
-            CellKind::Ladder { warm } => format!(
-                "{name}/{encoding}/{symmetry}/ladder-{}",
-                if warm { "warm" } else { "cold" }
+            CellKind::Ladder { warm, greedy } => format!(
+                "{name}/{encoding}/{symmetry}/ladder-{}{}",
+                if warm { "warm" } else { "cold" },
+                if greedy { "-vs-greedy" } else { "" }
             ),
             CellKind::Explain { width } => format!("{name}/{encoding}/-/explain-w{width}"),
             CellKind::Portfolio { width, members } => {
@@ -478,6 +532,16 @@ impl SuiteCell {
                 plain(width),
                 on_off(share)
             ),
+            CellKind::Shape { width, seed } => format!("{}/seed-{seed}", plain(width)),
+        }
+    }
+
+    /// The encoding the cell encodes with: the strategy's, or a shape
+    /// cell's random ITE tree.
+    fn encoding(&self) -> Encoding {
+        match self.kind {
+            CellKind::Shape { seed, .. } => Encoding::Simple(SimpleScheme::IteRandom(seed)),
+            _ => self.strategy.encoding.encoding(),
         }
     }
 
@@ -524,7 +588,7 @@ impl SuiteCell {
             // Global routing, encoding and every probe. Warm ladders read
             // their one solver's cumulative counters, cold ladders sum
             // their per-width solvers; the outcome pins the answer.
-            CellKind::Ladder { warm } => {
+            CellKind::Ladder { warm, greedy } => {
                 let pipeline = RoutingPipeline::new(self.strategy).context(ctx);
                 let start = Instant::now();
                 let result = if warm {
@@ -537,10 +601,15 @@ impl SuiteCell {
                     Ok(search) => {
                         let reports = search.probes.iter().map(|p| &p.report);
                         let last = search.probes.last().map(|p| &p.report);
+                        let mut outcome = format!("min_width={}", search.min_width);
+                        if greedy {
+                            let [id, degree, reverse] = greedy_widths(&self.instance);
+                            outcome = format!("{outcome} greedy={id},{degree},{reverse}");
+                        }
                         Sample {
                             wall,
                             width: search.min_width,
-                            outcome: format!("min_width={}", search.min_width),
+                            outcome,
                             stats: if warm {
                                 last.map(|r| r.solver_stats).unwrap_or_default()
                             } else {
@@ -633,8 +702,49 @@ impl SuiteCell {
                     cnf: result.members[0].report.formula_stats,
                 }
             }
+            // The `satroute solve` path: the encoded CNF into a solver from
+            // the run context; the wall is the solve alone.
+            CellKind::Shape { width, seed } => {
+                let (encoding, symmetry) = (self.encoding(), self.strategy.symmetry);
+                let encoded = encode(
+                    graph,
+                    width,
+                    &encoding,
+                    symmetry,
+                    Selectors::None,
+                    &ctx.tracer,
+                    &ctx.metrics,
+                );
+                let strategy = FieldValue::from(format!("{encoding}/{symmetry}"));
+                let span = ctx.tracer.span_with("solve", [("strategy", strategy)]);
+                let mut solver = ctx.solver(span.id());
+                solver.add_formula(&encoded.formula);
+                let start = Instant::now();
+                let verdict = solver.solve().verdict();
+                let wall = start.elapsed();
+                let depth = IteTree::random_shape(width, seed).depth();
+                Sample {
+                    wall,
+                    width,
+                    outcome: format!("{verdict} depth={depth}"),
+                    stats: *solver.stats(),
+                    cnf: encoded.stats,
+                }
+            }
         }
     }
+}
+
+/// The smallest widths at which a one-net-at-a-time greedy router (first
+/// fit, never revisiting a net) routes `instance`, with the nets in id,
+/// descending-degree and reverse-id order.
+fn greedy_widths(instance: &BenchmarkInstance) -> [usize; 3] {
+    let g = &instance.conflict_graph;
+    let id: Vec<u32> = (0..g.num_vertices() as u32).collect();
+    let mut degree = id.clone();
+    degree.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
+    let reverse: Vec<u32> = id.iter().rev().copied().collect();
+    [id, degree, reverse].map(|order| greedy_coloring_with_order(g, &order).num_colors())
 }
 
 /// The conflict, decision and propagation totals of several solvers.
@@ -896,6 +1006,59 @@ mod tests {
         for cell in &routable {
             assert_eq!(cell.kind.width(), Some(cell.instance.routable_width));
         }
+    }
+
+    #[test]
+    fn ablation_suite_pins_its_cells_and_is_deterministic() {
+        // A1: every encoding on alu2; A3: one cold ladder per paper
+        // circuit; A6: the catalog's two trees and five random shapes.
+        let ids: Vec<String> = suite_cells(SuiteId::Ablation)
+            .iter()
+            .map(SuiteCell::id)
+            .collect();
+        let mut expected: Vec<String> = EncodingId::ALL
+            .iter()
+            .map(|e| format!("alu2/{e}/s1/w4"))
+            .collect();
+        let best = Strategy::paper_best();
+        for instance in benchmarks::suite_paper() {
+            expected.push(format!("{}/{best}/ladder-cold-vs-greedy", instance.name));
+        }
+        expected.extend(["k2/ITE-linear/s1/w6".into(), "k2/ITE-log/s1/w6".into()]);
+        expected.extend((0..5).map(|seed| format!("k2/ITE-random/s1/w6/seed-{seed}")));
+        assert_eq!(ids.len(), 30);
+        assert_eq!(ids, expected);
+
+        let opts = SuiteOptions {
+            runs: 1,
+            filter: Some("alu2/".to_string()),
+            ..SuiteOptions::default()
+        };
+        let a = run_suite(SuiteId::Ablation, &opts, |_| {});
+        let b = run_suite(SuiteId::Ablation, &opts, |_| {});
+        assert_eq!(a.cells.len(), 16);
+        assert_eq!(a.cells.len(), b.cells.len());
+        for (ca, cb) in a.cells.iter().zip(&b.cells) {
+            assert_eq!(ca.id, cb.id);
+            assert_eq!(ca.conflicts, cb.conflicts, "{}", ca.id);
+            assert_eq!(ca.decisions, cb.decisions, "{}", ca.id);
+            assert_eq!(ca.propagations, cb.propagations, "{}", ca.id);
+            assert_eq!(ca.cnf_vars, cb.cnf_vars, "{}", ca.id);
+            assert_eq!(ca.cnf_clauses, cb.cnf_clauses, "{}", ca.id);
+            assert_eq!(ca.outcome, cb.outcome, "{}", ca.id);
+        }
+        // `min_width=N greedy=I,D,R`: the greedy router's widths in id,
+        // degree and reverse order never beat the certified optimum.
+        let ladder = &a.cells[15];
+        let (min, greedy) = ladder
+            .outcome
+            .strip_prefix("min_width=")
+            .and_then(|rest| rest.split_once(" greedy="))
+            .unwrap_or_else(|| panic!("{}: `{}`", ladder.id, ladder.outcome));
+        let min: usize = min.parse().unwrap();
+        let greedy: Vec<usize> = greedy.split(',').map(|w| w.parse().unwrap()).collect();
+        assert_eq!(greedy.len(), 3, "{}", ladder.outcome);
+        assert!(greedy.iter().all(|&w| w >= min), "{}", ladder.outcome);
     }
 
     #[test]

@@ -226,8 +226,8 @@ mod tests {
         let f = parse_cnf_str(text).unwrap();
         assert_eq!(f.num_vars(), 3);
         assert_eq!(f.num_clauses(), 2);
-        assert_eq!(f.clause(0).len(), 3);
-        assert_eq!(f.clause(1).len(), 2);
+        let lens: Vec<usize> = f.clauses().map(<[Lit]>::len).collect();
+        assert_eq!(lens, [3, 2]);
     }
 
     #[test]
@@ -265,7 +265,7 @@ mod tests {
         let text = to_cnf_string(&f);
         let parsed = parse_cnf_str(&text).unwrap();
         assert_eq!(parsed.num_clauses(), 1);
-        assert!(parsed.clause(0).is_empty());
+        assert_eq!(parsed.clauses().next(), Some(&[][..]));
     }
 
     fn syntax_line(text: &str) -> usize {
@@ -295,6 +295,7 @@ mod tests {
         let top = i64::from(Var::LIMIT);
         let f = parse_cnf_str(&format!("p cnf {} 1\n{top} -{top} 0\n", Var::LIMIT)).unwrap();
         assert_eq!(f.num_vars(), Var::LIMIT);
-        assert_eq!(f.clause(0)[0].var().index(), Var::LIMIT - 1);
+        let first = f.clauses().next().expect("one clause");
+        assert_eq!(first[0].var().index(), Var::LIMIT - 1);
     }
 }

@@ -26,7 +26,7 @@ use crate::{clause, Assignment, Lit, Var};
 /// f.add_clause([Lit::positive(a), Lit::positive(b)]);
 /// assert_eq!(f.num_vars(), 2);
 /// assert_eq!(f.num_clauses(), 1);
-/// assert_eq!(f.clause(0), [Lit::positive(a), Lit::positive(b)]);
+/// assert_eq!(f.clauses().next(), Some(&[Lit::positive(a), Lit::positive(b)][..]));
 /// ```
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct CnfFormula {
@@ -135,19 +135,6 @@ impl CnfFormula {
             ends: self.ends.iter(),
             start: 0,
         }
-    }
-
-    /// The literals of clause `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.num_clauses()`.
-    pub fn clause(&self, index: usize) -> &[Lit] {
-        let start = match index {
-            0 => 0,
-            _ => self.ends[index - 1] as usize,
-        };
-        &self.lits[start..self.ends[index] as usize]
     }
 
     /// Adds a clause built from the given literals.
@@ -343,15 +330,10 @@ mod tests {
         f.add_clause([lit(-1), lit(2)]);
 
         assert_eq!(f.num_clauses(), 5);
-        assert_eq!(f.clause(0), []);
-        assert_eq!(f.clause(1), [lit(3)]);
-        assert_eq!(f.clause(2), long.as_slice());
-        assert_eq!(f.clause(3), []);
-        assert_eq!(f.clause(4), [lit(-1), lit(2)]);
         assert_eq!(f.clauses().len(), 5);
         let listed: Vec<&[Lit]> = f.clauses().collect();
-        let indexed: Vec<&[Lit]> = (0..5).map(|i| f.clause(i)).collect();
-        assert_eq!(listed, indexed);
+        let expected: [&[Lit]; 5] = [&[], &[lit(3)], &long, &[], &[lit(-1), lit(2)]];
+        assert_eq!(listed, expected);
 
         let s = f.stats();
         assert_eq!((s.num_vars, s.num_clauses, s.num_literals), (40, 5, 43));
@@ -360,13 +342,5 @@ mod tests {
 
         let text = crate::dimacs::to_cnf_string(&f);
         assert_eq!(crate::dimacs::parse_cnf_str(&text).unwrap(), f);
-    }
-
-    #[test]
-    #[should_panic]
-    fn clause_index_past_the_end_panics() {
-        let mut f = CnfFormula::new();
-        f.add_clause([lit(1)]);
-        let _ = f.clause(1);
     }
 }

@@ -239,6 +239,10 @@ impl Encoding {
             Encoding::Simple(SimpleScheme::IteLog) => {
                 fields.push(("ite_depth", FieldValue::from(IteTree::balanced(k).depth())));
             }
+            Encoding::Simple(SimpleScheme::IteRandom(seed)) => {
+                let depth = IteTree::random_shape(k, *seed).depth();
+                fields.push(("ite_depth", FieldValue::from(depth)));
+            }
             Encoding::Simple(_) => {}
             Encoding::Hierarchical { top, bottom } => {
                 fields.push(("top", FieldValue::from(top.name())));

@@ -560,7 +560,7 @@ mod tests {
             SymmetryHeuristic::None,
         );
         assert_eq!(enc.formula.num_clauses(), 1);
-        assert!(enc.formula.clause(0).is_empty());
+        assert_eq!(enc.formula.clauses().next(), Some(&[][..]));
     }
 
     #[test]

@@ -195,103 +195,70 @@ fn chunked_sizes(k: u32, m: u32) -> Vec<u32> {
 }
 
 /// Emits the full 2-level hierarchical encoding `top+bottom` for a domain
-/// of `k` values.
+/// of `k` values: each value's pattern is its subdomain's top pattern
+/// followed by its in-subdomain bottom pattern, the bottom variables
+/// shifted past the top's and shared by every subdomain (paper §4).
+///
+/// Ragged subdomains get smaller trees over a prefix of the shared
+/// variables when the bottom is an ITE scheme, and conditional exclusion
+/// clauses otherwise.
 ///
 /// # Panics
 ///
 /// Panics if `k == 0`.
 pub fn emit_hierarchical(top: TopScheme, bottom: SimpleScheme, k: u32) -> SchemeCnf {
-    emit_multilevel(&[top], bottom, k)
-}
-
-/// Emits an N-level hierarchical encoding: each level of `levels`
-/// partitions the (sub)domains of the previous one; `bottom` selects the
-/// values inside the finest subdomains. All subdomains at one level share
-/// that level's variable set (paper §4), and the construction matches the
-/// paper's note that the hierarchy "could include more than two levels" —
-/// e.g. `emit_multilevel(&[Muldirect{2}, Muldirect{2}], Muldirect, k)` is
-/// a 3-level muldirect stack in the style Kwon & Klieber's encoding
-/// generalizes to.
-///
-/// Ragged subdomains follow the 2-level rules recursively: all-ITE
-/// sub-stacks use smaller trees over a prefix of the shared variables;
-/// anything else gets conditional exclusion clauses.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn emit_multilevel(levels: &[TopScheme], bottom: SimpleScheme, k: u32) -> SchemeCnf {
-    assert!(k >= 1, "domain must have at least one value");
-    let Some((&top, rest)) = levels.split_first() else {
-        return bottom.emit(k);
-    };
-
     let (top_cnf, sizes) = top.emit(k);
     let capacity = *sizes.iter().max().expect("at least one subdomain");
     let shift = top_cnf.num_vars;
 
-    // A sub-stack is "structure-free" when it never emits structural
-    // clauses (every remaining level and the bottom are ITE schemes); then
-    // smaller per-size instances can share the variable prefix directly.
-    let stack_is_pure_ite = matches!(bottom, SimpleScheme::IteLinear | SimpleScheme::IteLog)
-        && rest
-            .iter()
-            .all(|l| matches!(l, TopScheme::IteLog { .. } | TopScheme::IteLinear { .. }));
-
-    let child_full = emit_multilevel(rest, bottom, capacity);
-    debug_assert!(
-        !stack_is_pure_ite || child_full.structural.is_empty(),
-        "pure-ITE stacks emit no structural clauses"
-    );
-    let num_vars = shift + child_full.num_vars;
+    // ITE bottoms emit no structural clauses, so a smaller subdomain can
+    // use its own smaller tree over the shared variable prefix.
+    let ite_bottom = matches!(bottom, SimpleScheme::IteLinear | SimpleScheme::IteLog);
+    let bottom_full = bottom.emit(capacity);
+    let num_vars = shift + bottom_full.num_vars;
 
     let mut per_size: std::collections::BTreeMap<u32, SchemeCnf> = Default::default();
-    if stack_is_pure_ite {
+    if ite_bottom {
         for &s in &sizes {
-            per_size
-                .entry(s)
-                .or_insert_with(|| emit_multilevel(rest, bottom, s));
+            per_size.entry(s).or_insert_with(|| bottom.emit(s));
         }
-        debug_assert!(per_size.values().all(|c| c.num_vars <= child_full.num_vars));
     }
 
-    let shift_lits = |lits: &[Lit], by: u32| -> Vec<Lit> {
+    let shift_lits = |lits: &[Lit]| -> Vec<Lit> {
         lits.iter()
-            .map(|&l| Lit::from_code(l.code() + 2 * by))
+            .map(|&l| Lit::from_code(l.code() + 2 * shift))
             .collect()
     };
 
-    // Patterns: subdomain pattern ++ in-subdomain pattern (child variables
-    // shifted past this level's variables).
+    // Patterns: subdomain pattern ++ in-subdomain pattern.
     let mut patterns = Vec::with_capacity(k as usize);
     for (s, &size) in sizes.iter().enumerate() {
         let top_pat = &top_cnf.patterns[s];
-        let child_patterns: &[Pattern] = if stack_is_pure_ite {
+        let bottom_patterns: &[Pattern] = if ite_bottom {
             &per_size[&size].patterns
         } else {
-            &child_full.patterns[..size as usize]
+            &bottom_full.patterns[..size as usize]
         };
         for j in 0..size {
             let mut lits = top_pat.lits().to_vec();
-            lits.extend(shift_lits(child_patterns[j as usize].lits(), shift));
+            lits.extend(shift_lits(bottom_patterns[j as usize].lits()));
             patterns.push(Pattern::new(lits));
         }
     }
 
-    // Structural clauses: this level's, the capacity child's (shifted),
-    // and — for stacks that are not pure ITE — conditional exclusions for
-    // ragged subdomains.
+    // Structural clauses: the top's, the capacity bottom's (shifted), and
+    // — for non-ITE bottoms — conditional exclusions for ragged
+    // subdomains.
     let mut structural = top_cnf.structural.clone();
-    for clause in &child_full.structural {
-        structural.push(shift_lits(clause, shift));
+    for clause in &bottom_full.structural {
+        structural.push(shift_lits(clause));
     }
-    if !stack_is_pure_ite {
+    if !ite_bottom {
         for (s, &size) in sizes.iter().enumerate() {
             for j in size..capacity {
                 let mut clause = top_cnf.patterns[s].negation_clause();
                 clause.extend(shift_lits(
-                    &child_full.patterns[j as usize].negation_clause(),
-                    shift,
+                    &bottom_full.patterns[j as usize].negation_clause(),
                 ));
                 structural.push(clause);
             }
@@ -433,88 +400,6 @@ mod tests {
         ] {
             let scheme = emit_hierarchical(top, SimpleScheme::Muldirect, 1);
             scheme.check_correctness().unwrap();
-        }
-    }
-
-    #[test]
-    fn three_level_stacks_are_correct() {
-        // The paper: the hierarchy "could include more than two levels".
-        let stacks: Vec<(Vec<TopScheme>, SimpleScheme)> = vec![
-            // Kwon & Klieber-style multi-level direct/muldirect stacks.
-            (
-                vec![
-                    TopScheme::Muldirect { vars: 2 },
-                    TopScheme::Muldirect { vars: 2 },
-                ],
-                SimpleScheme::Muldirect,
-            ),
-            (
-                vec![TopScheme::Direct { vars: 2 }, TopScheme::Direct { vars: 2 }],
-                SimpleScheme::Direct,
-            ),
-            // Pure-ITE 3-level stack (smaller trees, no exclusions).
-            (
-                vec![
-                    TopScheme::IteLog { levels: 1 },
-                    TopScheme::IteLog { levels: 1 },
-                ],
-                SimpleScheme::IteLinear,
-            ),
-            // Mixed stack.
-            (
-                vec![
-                    TopScheme::IteLinear { vars: 1 },
-                    TopScheme::Muldirect { vars: 2 },
-                ],
-                SimpleScheme::Direct,
-            ),
-        ];
-        for (levels, bottom) in stacks {
-            for k in 1..=13 {
-                let scheme = emit_multilevel(&levels, bottom, k);
-                assert_eq!(scheme.domain_size(), k);
-                scheme.check_correctness().unwrap_or_else(|e| {
-                    let names: Vec<String> = levels.iter().map(|l| l.name()).collect();
-                    panic!("{}+{bottom} k={k}: {e}", names.join("+"))
-                });
-            }
-        }
-    }
-
-    #[test]
-    fn pure_ite_three_level_stack_has_no_structural_clauses() {
-        let scheme = emit_multilevel(
-            &[
-                TopScheme::IteLog { levels: 1 },
-                TopScheme::IteLog { levels: 1 },
-            ],
-            SimpleScheme::IteLinear,
-            13,
-        );
-        assert!(scheme.structural.is_empty());
-    }
-
-    #[test]
-    fn empty_level_list_is_just_the_bottom() {
-        for k in 1..=8 {
-            assert_eq!(
-                emit_multilevel(&[], SimpleScheme::Muldirect, k),
-                SimpleScheme::Muldirect.emit(k)
-            );
-        }
-    }
-
-    #[test]
-    fn two_level_multilevel_equals_emit_hierarchical() {
-        for k in 1..=13 {
-            assert_eq!(
-                emit_multilevel(
-                    &[TopScheme::IteLinear { vars: 2 }],
-                    SimpleScheme::Muldirect,
-                    k
-                ),
-                emit_hierarchical(TopScheme::IteLinear { vars: 2 }, SimpleScheme::Muldirect, k),
-            );
         }
     }
 

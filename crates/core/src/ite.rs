@@ -119,8 +119,9 @@ impl IteTree {
     /// The paper notes that "there can be many structurally different ITE
     /// trees that have the same number of leaves" and that the structure
     /// changes the selection probability of each value; this constructor
-    /// (deterministic per seed) supports exploring that space — see the
-    /// `tree_shapes` ablation bench.
+    /// (deterministic per seed) supports exploring that space. The encoder
+    /// reaches it as [`SimpleScheme::IteRandom`](crate::SimpleScheme::IteRandom),
+    /// which the shape cells of the `ablation` bench suite solve.
     ///
     /// # Panics
     ///

@@ -2,6 +2,7 @@
 
 use satroute_cnf::{Lit, Var};
 
+use crate::ite::IteTree;
 use crate::pattern::{Pattern, SchemeCnf};
 
 /// One of the three "simple" CSP→SAT encodings (paper §2, Table 1). These
@@ -28,6 +29,11 @@ pub enum SimpleScheme {
     /// A balanced ITE tree whose levels share indexing variables — a log
     /// encoding needing no illegal-value exclusions (paper §3, Fig. 1b).
     IteLog,
+    /// The random ITE tree shape [`IteTree::random_shape`] of the seed: one
+    /// of the shapes between the linear chain and the balanced tree that
+    /// the tree-shape ablation compares (paper §3). Not a catalog
+    /// encoding: no [`EncodingId`](crate::EncodingId) names it.
+    IteRandom(u64),
 }
 
 impl SimpleScheme {
@@ -48,6 +54,7 @@ impl SimpleScheme {
             SimpleScheme::Muldirect => "muldirect",
             SimpleScheme::IteLinear => "ITE-linear",
             SimpleScheme::IteLog => "ITE-log",
+            SimpleScheme::IteRandom(_) => "ITE-random",
         }
     }
 
@@ -63,8 +70,9 @@ impl SimpleScheme {
             SimpleScheme::Log => emit_log(k),
             SimpleScheme::Direct => emit_direct(k, true),
             SimpleScheme::Muldirect => emit_direct(k, false),
-            SimpleScheme::IteLinear => crate::ite::IteTree::linear(k).to_scheme(),
-            SimpleScheme::IteLog => crate::ite::IteTree::balanced(k).to_scheme(),
+            SimpleScheme::IteLinear => IteTree::linear(k).to_scheme(),
+            SimpleScheme::IteLog => IteTree::balanced(k).to_scheme(),
+            SimpleScheme::IteRandom(seed) => IteTree::random_shape(k, seed).to_scheme(),
         }
     }
 
@@ -74,7 +82,7 @@ impl SimpleScheme {
         match self {
             SimpleScheme::Log | SimpleScheme::IteLog => ceil_log2(k),
             SimpleScheme::Direct | SimpleScheme::Muldirect => k,
-            SimpleScheme::IteLinear => k.saturating_sub(1),
+            SimpleScheme::IteLinear | SimpleScheme::IteRandom(_) => k.saturating_sub(1),
         }
     }
 }
@@ -161,6 +169,23 @@ mod tests {
                 assert_eq!(s.num_vars, scheme.num_vars(k), "{scheme} k={k}");
                 s.check_correctness()
                     .unwrap_or_else(|e| panic!("{scheme} k={k}: {e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn random_shape_variant_emits_the_seeded_tree() {
+        for k in 1..=13 {
+            for seed in 0..5 {
+                let s = SimpleScheme::IteRandom(seed).emit(k);
+                assert_eq!(
+                    s,
+                    IteTree::random_shape(k, seed).to_scheme(),
+                    "k={k} seed={seed}"
+                );
+                assert_eq!(s.num_vars, SimpleScheme::IteRandom(seed).num_vars(k));
+                s.check_correctness()
+                    .unwrap_or_else(|e| panic!("seed {seed} k={k}: {e}"));
             }
         }
     }

@@ -119,10 +119,9 @@ pub struct ColoringReport {
     /// encode or decode.
     pub solve_time: Duration,
     /// When the outcome is [`ColoringOutcome::Unsat`] *under assumptions*
-    /// (a run built with [`SolveRequest::assume`], or an incremental
-    /// width probe), the subset of the assumptions the solver's
-    /// final-conflict analysis found contradictory with the formula.
-    /// `None` for unconditional answers.
+    /// (an incremental width probe), the subset of the assumptions the
+    /// solver's final-conflict analysis found contradictory with the
+    /// formula. `None` for unconditional answers.
     pub failed_assumptions: Option<Vec<Lit>>,
     /// Postmortem of a budget-stopped or cancelled run
     /// ([`ColoringOutcome::Unknown`]) when the request's tracer is
@@ -193,7 +192,6 @@ impl Strategy {
             k,
             ctx: RunContext::default(),
             exchange: None,
-            assumptions: Vec::new(),
         }
     }
 
@@ -285,7 +283,6 @@ pub struct SolveRequest<'a> {
     k: u32,
     ctx: RunContext,
     exchange: Option<Arc<dyn ClauseExchange>>,
-    assumptions: Vec<Lit>,
 }
 
 impl fmt::Debug for SolveRequest<'_> {
@@ -313,20 +310,6 @@ impl<'a> SolveRequest<'a> {
     /// [`SharingBus`](crate::portfolio::SharingBus)).
     pub fn share(mut self, exchange: Arc<dyn ClauseExchange>) -> Self {
         self.exchange = Some(exchange);
-        self
-    }
-
-    /// Solves under `assumptions` — literals of the *encoded CNF* (use the
-    /// [`DecodeMap`](crate::DecodeMap) variable layout: vertex `v`'s block
-    /// starts at `offsets[v]`) forced true for this run only, without
-    /// dropping down to [`CdclSolver`](satroute_solver::CdclSolver).
-    ///
-    /// When the run comes back UNSAT only because of the assumptions, the
-    /// report's [`failed_assumptions`](ColoringReport::failed_assumptions)
-    /// carries the contradictory subset from the solver's final-conflict
-    /// analysis; the graph itself has *not* been proven uncolorable.
-    pub fn assume(mut self, assumptions: &[Lit]) -> Self {
-        self.assumptions = assumptions.to_vec();
         self
     }
 
@@ -359,12 +342,6 @@ impl<'a> SolveRequest<'a> {
     /// of it. Clause imports are disabled under proof logging, so a
     /// certified run never records `imported_clauses`.
     ///
-    /// An UNSAT answer that holds only *under assumptions* (a request
-    /// built with [`SolveRequest::assume`]) refutes nothing: the DRAT log
-    /// contains implied clauses but no empty clause, so no proof is
-    /// returned — the report's `failed_assumptions` is the certificate
-    /// for that case.
-    ///
     /// The `solve` span covers loading the formula and the solve (the
     /// report's `sat_solving`).
     pub fn run_certified(self) -> (ColoringReport, CnfFormula, Option<DratProof>) {
@@ -392,10 +369,9 @@ impl<'a> SolveRequest<'a> {
         )
     }
 
-    /// Solves the loaded `probe` under the request's assumptions as one
-    /// probe traced on `solve_span`, then decodes the answer under a
-    /// `decode` span. A refutation of the formula itself by a solver that
-    /// logs a proof also returns the proof.
+    /// Solves the loaded `probe` as one probe traced on `solve_span`, then
+    /// decodes the answer under a `decode` span. A refutation by a solver
+    /// that logs a proof also returns the proof.
     fn solve(
         self,
         solve_span: SpanGuard,
@@ -406,13 +382,10 @@ impl<'a> SolveRequest<'a> {
         if let Some(exchange) = self.exchange {
             probe.solver.set_exchange(exchange);
         }
-        let probed = probe.solve(solve_span, &self.assumptions, cnf_translation);
-        // UNSAT-under-assumptions refutes nothing, so there is no proof to
-        // take: the DRAT log never derived the empty clause.
-        let proof = (matches!(probed.outcome, SolveOutcome::Unsat)
-            && !probe.solver.unsat_under_assumptions())
-        .then(|| probe.solver.take_proof())
-        .flatten();
+        let probed = probe.solve(solve_span, &[], cnf_translation);
+        let proof = matches!(probed.outcome, SolveOutcome::Unsat)
+            .then(|| probe.solver.take_proof())
+            .flatten();
 
         let decode_span = ctx.tracer.span("decode");
         let report = probe.report(probed);
@@ -537,57 +510,6 @@ mod tests {
             report.outcome,
             ColoringOutcome::Unknown(StopReason::Cancelled)
         );
-    }
-
-    #[test]
-    fn assumed_run_steers_the_model() {
-        use satroute_cnf::Var;
-        // Muldirect layout: vertex v's block starts at v*k, pattern d is
-        // the single positive literal of local var d. Pin vertex 0 to
-        // color 1.
-        let g = CspGraph::from_edges(2, [(0, 1)]);
-        let pin = [Lit::positive(Var::new(1)), Lit::negative(Var::new(0))];
-        let report = Strategy::paper_baseline().solve(&g, 2).assume(&pin).run();
-        let coloring = report.outcome.coloring().expect("still satisfiable");
-        assert_eq!(coloring.colors(), &[1, 0]);
-        assert!(report.failed_assumptions.is_none());
-    }
-
-    #[test]
-    fn assumed_run_reports_failed_assumptions() {
-        use satroute_cnf::Var;
-        // Forbid both colors of vertex 0: UNSAT under assumptions only.
-        let g = CspGraph::from_edges(2, [(0, 1)]);
-        let forbid = [Lit::negative(Var::new(0)), Lit::negative(Var::new(1))];
-        let report = Strategy::paper_baseline()
-            .solve(&g, 2)
-            .assume(&forbid)
-            .run();
-        assert_eq!(report.outcome, ColoringOutcome::Unsat);
-        let core = report.failed_assumptions.expect("unsat under assumptions");
-        assert!(!core.is_empty());
-        assert!(core.iter().all(|l| forbid.contains(l)));
-        // The same graph without assumptions is colorable and carries no
-        // core.
-        let report = Strategy::paper_baseline().solve_coloring(&g, 2);
-        assert!(report.outcome.is_colorable());
-        assert!(report.failed_assumptions.is_none());
-    }
-
-    #[test]
-    fn certified_run_under_assumptions_refuses_the_proof() {
-        use satroute_cnf::Var;
-        let g = CspGraph::from_edges(2, [(0, 1)]);
-        let forbid = [Lit::negative(Var::new(0)), Lit::negative(Var::new(1))];
-        let (report, _formula, proof) = Strategy::paper_baseline()
-            .solve(&g, 2)
-            .assume(&forbid)
-            .run_certified();
-        // UNSAT under assumptions refutes nothing: no DRAT proof, but the
-        // failed-assumption core is the certificate instead.
-        assert_eq!(report.outcome, ColoringOutcome::Unsat);
-        assert!(proof.is_none());
-        assert!(report.failed_assumptions.is_some());
     }
 
     #[test]

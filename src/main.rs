@@ -18,9 +18,11 @@
 //! ITE-linear-2+muldirect) and `--symmetry` defaults to s1.
 //! `portfolio --diversify N` races N copies of the selected strategy,
 //! each on its own diversified solver configuration, instead of the
-//! paper's heterogeneous 3-strategy portfolio; `--portfolio-share` needs
-//! N ≥ 2, since only copies of one strategy can share learnt clauses, and
-//! `--threads` caps concurrent members (default: available parallelism).
+//! paper's heterogeneous 3-strategy portfolio, so `portfolio` reads
+//! `--encoding` and `--symmetry` only next to `--diversify`;
+//! `--portfolio-share` needs N ≥ 2, since only copies of one strategy can
+//! share learnt clauses, and `--threads` caps concurrent members
+//! (default: available parallelism).
 //!
 //! `explain` re-encodes the instance with one activation selector per
 //! net, extracts a failed-assumption core and shrinks it to a 1-minimal
@@ -41,7 +43,8 @@
 //! `--trace` records hierarchical spans and samples to a JSONL artifact
 //! for `trace report|timeline|export`; the writer is finished before
 //! exit, so a full disk fails the command instead of truncating the
-//! artifact. `--metrics` writes a final registry snapshot, Prometheus
+//! artifact, and a command that fails before its first event leaves no
+//! file. `--metrics` writes a final registry snapshot, Prometheus
 //! text for `.prom` and JSON otherwise. `bench run` takes `--timeout` and
 //! `--trace` through the same path.
 //!
@@ -338,12 +341,20 @@ impl Args {
 fn run(argv: &[String]) -> Result<ExitCode, String> {
     let args = parse_args(argv)?;
     let (ctx, trace_writer) = args.run_context()?;
-    let code = dispatch(&args, &ctx)?;
+    let code = dispatch(&args, &ctx);
     if let (Some(writer), Some(path)) = (trace_writer, args.get("--trace")) {
-        writer
-            .finish()
-            .map_err(|e| format!("trace artifact {path} incomplete: {e}"))?;
+        let finished = writer.finish();
+        // A command that fails before its first trace event leaves no
+        // empty artifact behind; one that fails later, as a budget-stopped
+        // `route` does, keeps its trace.
+        if code.is_err() && fs::metadata(path).is_ok_and(|m| m.len() == 0) {
+            let _ = fs::remove_file(path);
+        }
+        if code.is_ok() {
+            finished.map_err(|e| format!("trace artifact {path} incomplete: {e}"))?;
+        }
     }
+    let code = code?;
     if let Some(path) = args.get("--metrics") {
         write_metrics_snapshot(path, &ctx.metrics)?;
     }
@@ -678,6 +689,16 @@ fn dispatch(args: &Args, ctx: &RunContext) -> Result<ExitCode, String> {
                      strategy can share clauses"
                         .to_string(),
                 );
+            }
+            // The paper's portfolio fixes its members' strategies.
+            let strategy_flag = ["--encoding", "--symmetry"]
+                .into_iter()
+                .find(|f| args.has(f));
+            if let (None, Some(flag)) = (diversify, strategy_flag) {
+                return Err(format!(
+                    "{flag} needs --diversify <N>: without it `portfolio` races the paper's \
+                     3-strategy portfolio"
+                ));
             }
             let graph = load_problem(&args.positional[0])?.conflict_graph();
             // --diversify N races N copies of the selected strategy, which

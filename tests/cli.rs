@@ -307,6 +307,52 @@ fn bad_inputs_produce_errors_not_panics() {
             "{args:?}: {stderr}"
         );
     }
+
+    // A command that fails before its first trace event leaves no trace
+    // file behind; one that a budget stops keeps a trace the analyzers
+    // read.
+    let p = problem.to_str().unwrap();
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["route", "/nonexistent/problem.txt", "--width", "3"],
+            "missing",
+        ),
+        (&["route", p, "--width", "abc"], "bad_width"),
+    ];
+    for (args, name) in cases {
+        let trace = dir.join(format!("{name}.jsonl"));
+        let out = satroute()
+            .args(args)
+            .arg("--trace")
+            .arg(&trace)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(!trace.exists(), "{args:?} left a trace file");
+    }
+    let hard = dir.join("tiny_c.txt");
+    let status = satroute()
+        .args(["gen", "--bench", "tiny_c", "--out"])
+        .arg(&hard)
+        .status()
+        .expect("binary runs");
+    assert!(status.success());
+    let trace = dir.join("stopped.jsonl");
+    let out = satroute()
+        .arg("route")
+        .arg(&hard)
+        .args(["--width", "8", "--max-conflicts", "5", "--trace"])
+        .arg(&trace)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(std::fs::metadata(&trace).is_ok_and(|m| m.len() > 0));
+    let out = satroute()
+        .args(["trace", "timeline"])
+        .arg(&trace)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
 }
 
 #[test]
@@ -360,12 +406,15 @@ fn portfolio_command_reports_sharing_counters() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("UNROUTABLE"));
 
     // Flag validation: zero members / zero threads are rejected, and so
-    // is sharing without two copies of one strategy to share between.
-    let cases: [&[&str]; 4] = [
+    // is sharing without two copies of one strategy to share between, and
+    // a strategy the paper's fixed portfolio would not race.
+    let cases: [&[&str]; 6] = [
         &["--diversify", "0"],
         &["--threads", "0"],
         &["--portfolio-share"],
         &["--diversify", "1", "--portfolio-share"],
+        &["--encoding", "log"],
+        &["--symmetry", "b1"],
     ];
     for bad in cases {
         let out = satroute()
@@ -378,7 +427,10 @@ fn portfolio_command_reports_sharing_counters() {
         assert_eq!(out.status.code(), Some(2), "{bad:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("error:"), "{bad:?}: {stderr}");
-        if bad.contains(&"--portfolio-share") {
+        if ["--portfolio-share", "--encoding", "--symmetry"]
+            .iter()
+            .any(|flag| bad.contains(flag))
+        {
             assert!(stderr.contains("--diversify"), "{bad:?}: {stderr}");
         }
     }
