@@ -26,6 +26,14 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 
 use crate::CspGraph;
 
+/// The most vertices a `p edge` header may declare: 2^30 − 1.
+///
+/// Every encoding of width two or more gives each vertex at least one
+/// variable, and a CNF names at most 2^30 − 1 variables (the `Var::LIMIT`
+/// of `satroute-cnf`), so no graph with more vertices can be encoded.
+/// The parser rejects larger counts before it allocates the graph.
+pub const MAX_VERTICES: u32 = (1 << 30) - 1;
+
 /// Error produced when parsing a DIMACS `.col` file fails.
 #[derive(Debug)]
 pub enum ParseColError {
@@ -104,11 +112,16 @@ pub fn parse_col<R: Read>(reader: R) -> Result<CspGraph, ParseColError> {
                 if format != Some("edge") && format != Some("edges") {
                     return Err(syntax(line_no, "expected `p edge <n> <m>`"));
                 }
-                // Vertex ids are `u32`, so no graph has more vertices.
                 let n: u32 = parts
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| syntax(line_no, "bad vertex count (at most 4294967295)"))?;
+                    .filter(|&n| n <= MAX_VERTICES)
+                    .ok_or_else(|| {
+                        syntax(
+                            line_no,
+                            format!("bad vertex count (at most {MAX_VERTICES})"),
+                        )
+                    })?;
                 let _m: usize = parts
                     .next()
                     .and_then(|s| s.parse().ok())
@@ -231,6 +244,18 @@ mod tests {
             "{err}"
         );
         assert!(parse_col_str("p edge 4294967296 0\n").is_err());
+    }
+
+    #[test]
+    fn vertex_count_above_the_bound_is_rejected_before_allocating() {
+        for count in [MAX_VERTICES + 1, 3_000_000_000, u32::MAX] {
+            let err = parse_col_str(&format!("p edge {count} 1\ne 1 2\n")).unwrap_err();
+            assert!(
+                matches!(err, ParseColError::Syntax { line: 1, .. }),
+                "{err}"
+            );
+            assert!(err.to_string().contains("at most 1073741823"), "{err}");
+        }
     }
 
     #[test]

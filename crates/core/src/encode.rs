@@ -552,6 +552,13 @@ mod tests {
     }
 
     #[test]
+    fn col_vertex_bound_is_the_variable_limit() {
+        // One variable per vertex at the least, so a `.col` header may
+        // declare no more vertices than a CNF has variables.
+        assert_eq!(satroute_coloring::dimacs::MAX_VERTICES, Var::LIMIT);
+    }
+
+    #[test]
     fn zero_colors_nonempty_graph_is_trivially_unsat() {
         let enc = encode_coloring(
             &triangle(),

@@ -11,6 +11,10 @@
 //! found for W, such that the configuration with W − 1 tracks is proven
 //! unroutable"*.
 
+use std::borrow::Cow;
+use std::time::Duration;
+
+use satroute_coloring::CspGraph;
 use satroute_fpga::{DetailedRouting, RoutingProblem};
 use satroute_obs::{FieldValue, Postmortem};
 use satroute_solver::{RunBudget, RunContext, StopReason};
@@ -152,7 +156,8 @@ impl std::error::Error for PipelineError {}
 /// individually; a shared absolute `deadline_at` bounds the whole search.
 /// A tracer records a `route` span per width (field `certified`) with
 /// `graph_generation`, `encode`, `solve`, `decode` and `verify`
-/// children. A metrics registry additionally
+/// children; a width search builds its conflict graph once, in one
+/// `graph_generation` span ahead of its probes. A metrics registry additionally
 /// receives `phase.graph_generation_us` and `phase.verify_us` wall-time
 /// histograms, on top of the per-solve instruments the
 /// [`SolveRequest`](crate::SolveRequest) feeds.
@@ -205,17 +210,21 @@ impl RoutingPipeline {
         problem: &RoutingProblem,
         width: u32,
     ) -> Result<RouteResult, PipelineError> {
-        self.route_at(problem, width, false)
+        self.route_at(problem, None, width, false)
             .map(|(result, _)| result)
     }
 
-    /// The one body of [`RoutingPipeline::route`] and
-    /// [`RoutingPipeline::prove_unroutable_certified`]: a `route` span over
-    /// graph generation, the solve and the verify, with a DRAT certificate
-    /// of an UNSAT answer when `certified`.
+    /// The one body of [`RoutingPipeline::route`],
+    /// [`RoutingPipeline::prove_unroutable_certified`] and each probe of
+    /// [`RoutingPipeline::find_min_width`]: a `route` span over graph
+    /// generation, the solve and the verify, with a DRAT certificate of an
+    /// UNSAT answer when `certified`. A caller that already built the
+    /// conflict graph hands it in as `graph`; the report then charges no
+    /// graph generation.
     fn route_at(
         &self,
         problem: &RoutingProblem,
+        graph: Option<&CspGraph>,
         width: u32,
         certified: bool,
     ) -> Result<(RouteResult, Option<UnroutabilityCertificate>), PipelineError> {
@@ -227,8 +236,14 @@ impl RoutingPipeline {
                 ("certified", FieldValue::from(certified)),
             ],
         );
-        let (graph, graph_generation) = problem.conflict_graph_traced(&self.ctx.tracer);
-        self.record_phase("phase.graph_generation_us", graph_generation);
+        let (graph, graph_generation) = match graph {
+            Some(graph) => (Cow::Borrowed(graph), Duration::ZERO),
+            None => {
+                let (graph, generation) = problem.conflict_graph_traced(&self.ctx.tracer);
+                self.record_phase("phase.graph_generation_us", generation);
+                (Cow::Owned(graph), generation)
+            }
+        };
 
         let request = self.strategy.solve(&graph, width).context(self.ctx.clone());
         let (mut report, certificate) = if certified {
@@ -332,7 +347,7 @@ impl RoutingPipeline {
         problem: &RoutingProblem,
         width: u32,
     ) -> Result<(RouteResult, Option<UnroutabilityCertificate>), PipelineError> {
-        self.route_at(problem, width, true)
+        self.route_at(problem, None, width, true)
     }
 
     /// Finds the minimum channel width for which `problem` has a detailed
@@ -340,7 +355,8 @@ impl RoutingPipeline {
     /// optimality with the final UNSAT answer (see the [`WidthSearch`]
     /// certificate invariant).
     ///
-    /// Each probe re-encodes and solves from scratch;
+    /// The conflict graph is built once, and its generation is charged
+    /// to the first probe; each probe re-encodes and solves from scratch.
     /// [`RoutingPipeline::find_min_width_incremental`] answers the same
     /// question on one warm solver.
     ///
@@ -348,7 +364,8 @@ impl RoutingPipeline {
     ///
     /// [`PipelineError::Undecided`] if any probe gives up.
     pub fn find_min_width(&self, problem: &RoutingProblem) -> Result<WidthSearch, PipelineError> {
-        let graph = problem.conflict_graph();
+        let (graph, graph_generation) = problem.conflict_graph_traced(&self.ctx.tracer);
+        self.record_phase("phase.graph_generation_us", graph_generation);
         let upper = satroute_coloring::dsatur_coloring(&graph)
             .max_color()
             .map_or(1, |m| m + 1);
@@ -357,7 +374,10 @@ impl RoutingPipeline {
         let mut best: Option<(u32, DetailedRouting)> = None;
         let mut width = upper;
         loop {
-            let result = self.route(problem, width)?;
+            let (mut result, _) = self.route_at(problem, Some(&graph), width, false)?;
+            if probes.is_empty() {
+                result.report.timing.graph_generation = graph_generation;
+            }
             let routable = result.routing.is_some();
             if let Some(r) = &result.routing {
                 best = Some((width, r.clone()));
@@ -717,5 +737,43 @@ mod tests {
             let verdict = probe.report.outcome.verdict().to_string();
             assert_eq!(solve.marks["outcome"], verdict);
         }
+    }
+
+    #[test]
+    fn cold_ladder_builds_its_conflict_graph_once() {
+        use satroute_obs::{BufferSink, SpanForest};
+        let inst = &benchmarks::suite_tiny()[0];
+        let buffer = BufferSink::new();
+        let registry = satroute_obs::MetricsRegistry::new();
+        let traced = RoutingPipeline::new(Strategy::paper_best())
+            .trace(satroute_obs::Tracer::to_sink(buffer.clone()))
+            .metrics(registry.clone());
+        let search = traced.find_min_width(&inst.problem).unwrap();
+        assert!(search.probes.len() >= 2);
+        let forest = SpanForest::from_events(&buffer.events()).unwrap();
+        assert_eq!(forest.spans_named("graph_generation").len(), 1);
+        assert_eq!(forest.spans_named("route").len(), search.probes.len());
+        let generation = registry
+            .snapshot()
+            .histogram("phase.graph_generation_us")
+            .map(|h| h.count());
+        assert_eq!(generation, Some(1));
+        // The first probe carries the graph's cost, the others none.
+        assert!(search.probes[1..]
+            .iter()
+            .all(|p| p.report.timing.graph_generation == Duration::ZERO));
+
+        // The answer, the probes and their counters match an untraced run.
+        let plain = RoutingPipeline::new(Strategy::paper_best())
+            .find_min_width(&inst.problem)
+            .unwrap();
+        assert_eq!(plain.min_width, search.min_width);
+        let probes = |s: &WidthSearch| -> Vec<_> {
+            s.probes
+                .iter()
+                .map(|p| (p.width, p.report.solver_stats, p.report.formula_stats))
+                .collect()
+        };
+        assert_eq!(probes(&plain), probes(&search));
     }
 }

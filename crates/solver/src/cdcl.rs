@@ -9,10 +9,11 @@
 //! * Luby-sequence restarts,
 //! * activity-driven learnt-clause database reduction.
 //!
-//! Two-literal problem clauses are implicit: each is a pair of watchers
-//! that carry the other literal, so propagating one never touches clause
-//! memory. Every other clause — learnt clauses of any length and problem
-//! clauses of three or more literals — lives in a flat
+//! Two-literal problem clauses are implicit: each is a pair of one-word
+//! watchers that carry the other literal (see [`crate::watch`]), so
+//! propagating one never touches clause memory. Every other clause —
+//! learnt clauses of any length and problem clauses of three or more
+//! literals — lives in a flat
 //! [`ClauseArena`](crate::ClauseArena) — one contiguous `u32` buffer
 //! addressed by word offsets — with compacting garbage collection
 //! reclaiming deleted clauses once their share of the buffer crosses
@@ -27,7 +28,7 @@ use std::time::Instant;
 
 use satroute_cnf::{Assignment, ClauseSink, CnfFormula, Lit, Var};
 
-use crate::arena::{ClauseArena, ClauseRef, Tier, MAX_WORDS};
+use crate::arena::{ClauseArena, ClauseRef, Tier};
 use crate::heap::VarHeap;
 use crate::inprocess::InprocessConfig;
 use crate::luby::luby;
@@ -36,6 +37,7 @@ use crate::proof::DratProof;
 use crate::run::{
     Boundary, CancellationToken, ClauseExchange, RunBudget, SearchView, StopReason, Telemetry,
 };
+use crate::watch::{watcher_words, Visit, Watch, WatchList, BINARY};
 use satroute_obs::{Postmortem, SpanId};
 
 /// Conflicts between cancellation-token polls.
@@ -211,22 +213,26 @@ fn two_smallest(lits: &[Lit]) -> Option<[Lit; 2]> {
 /// The two passes of [`CdclSolver::load`], in the order they run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LoadPass {
-    /// The sink only counts how many watchers each literal's list will
-    /// hold; nothing is loaded.
+    /// The sink only counts how many words each literal's watch list
+    /// will hold; nothing is loaded.
     Count,
     /// The sink is the solver: every clause is added.
     Fill,
 }
 
 /// The sink of [`CdclSolver::load`]'s counting pass: entry `code` is the
-/// number of clauses that will watch the literal with that code.
+/// number of words the watch list of the literal with that code will
+/// hold. A clause with no third distinct literal becomes an implicit
+/// binary.
 struct WatchCounts(Vec<u32>);
 
 impl ClauseSink for WatchCounts {
     fn add_clause(&mut self, lits: &[Lit]) {
         if let Some([a, b]) = two_smallest(lits) {
-            self.0[a.code() as usize] += 1;
-            self.0[b.code() as usize] += 1;
+            let binary = lits.iter().all(|&l| l == a || l == b);
+            let words = watcher_words(binary);
+            self.0[a.code() as usize] += words;
+            self.0[b.code() as usize] += words;
         }
     }
 }
@@ -283,47 +289,14 @@ pub struct SolverStats {
 /// Reason word of a decision, an assumption or a root unit.
 pub(crate) const NO_REASON: u32 = u32::MAX;
 
-/// Tag bit of a reason word (and the `cref` of a watcher) that names an
-/// implicit problem binary rather than an arena clause. A tagged reason
-/// holds in its low 31 bits the code of the binary's literal other than
-/// the one it implied.
-pub(crate) const BINARY: u32 = 1 << 31;
+// A reason is an arena offset or a [`BINARY`]-tagged literal code, never
+// `NO_REASON`.
+const _: () = assert!((BINARY | (2 * Var::LIMIT - 1)) < NO_REASON);
 
-// Arena offsets stay below the tag, and a tagged literal code never
-// collides with `NO_REASON`.
-const _: () = assert!(MAX_WORDS <= BINARY as usize);
-const _: () = assert!(2 * Var::LIMIT - 1 < BINARY && (BINARY | (2 * Var::LIMIT - 1)) < NO_REASON);
-
-/// Truth-value codes for the internal assignment array.
+/// Truth-value codes of the per-literal value table.
 pub(crate) const UNDEF: u8 = 0;
 pub(crate) const FALSE: u8 = 1;
 pub(crate) const TRUE: u8 = 2;
-
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Watcher {
-    /// The watched arena clause, or [`BINARY`] for an implicit problem
-    /// binary.
-    pub(crate) cref: ClauseRef,
-    /// A literal of the clause other than the watched one; for a binary,
-    /// the other literal, which is all the watcher needs.
-    pub(crate) blocker: Lit,
-}
-
-impl Watcher {
-    /// One half of an implicit problem binary: the watcher that sits in
-    /// the list of one literal and carries the `other`.
-    pub(crate) fn binary(other: Lit) -> Watcher {
-        Watcher {
-            cref: BINARY,
-            blocker: other,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn is_binary(self) -> bool {
-        self.cref == BINARY
-    }
-}
 
 /// A clause as conflict analysis reads it: a conflict returned by
 /// `propagate`, or the reason of a trail literal.
@@ -383,7 +356,8 @@ pub struct CdclSolver {
     /// References of learnt clauses (may include deleted ones until the
     /// next compaction of this list at the end of `reduce_db`).
     pub(crate) learnts: Vec<ClauseRef>,
-    pub(crate) watches: Vec<Vec<Watcher>>,
+    /// Watch list of each literal, indexed by its code.
+    pub(crate) watches: Vec<WatchList>,
     /// Clauses ever attached (learnt included, deletions not subtracted);
     /// feeds the initial learnt-clause limit exactly as the length of the
     /// old grow-only clause vector did.
@@ -393,7 +367,10 @@ pub struct CdclSolver {
     /// Live learnt clauses per [`Tier`], indexed by `Tier as usize`.
     tier_counts: [u64; 3],
 
-    pub(crate) assigns: Vec<u8>,
+    /// Value of each literal, indexed by its code: both polarities of a
+    /// variable are written together, so reading a literal's value is
+    /// one load.
+    values: Vec<u8>,
     pub(crate) level: Vec<u32>,
     pub(crate) reason: Vec<u32>,
     pub(crate) trail: Vec<Lit>,
@@ -501,7 +478,7 @@ impl CdclSolver {
             allocated_clauses: 0,
             original_clauses: 0,
             tier_counts: [0; 3],
-            assigns: Vec::new(),
+            values: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -658,6 +635,11 @@ impl CdclSolver {
                 tiers: self.tier_counts,
                 arena_live_bytes: self.arena.live_bytes(),
                 arena_dead_bytes: self.arena.dead_bytes(),
+                watch_bytes: if self.telemetry.sets_store_gauges(&at) {
+                    self.watches.iter().map(WatchList::allocated_bytes).sum()
+                } else {
+                    0
+                },
                 lbd_ema: self.lbd_ema,
                 solve_start: self.solve_start,
             };
@@ -672,7 +654,7 @@ impl CdclSolver {
 
     /// Number of variables known to the solver.
     pub fn num_vars(&self) -> u32 {
-        self.assigns.len() as u32
+        self.level.len() as u32
     }
 
     /// Ensures the solver knows about variables `0..n`.
@@ -688,11 +670,11 @@ impl CdclSolver {
             Var::LIMIT
         );
         let n = n as usize;
-        if self.assigns.len() >= n {
+        if self.level.len() >= n {
             return;
         }
-        let old_len = self.assigns.len();
-        self.assigns.resize(n, UNDEF);
+        let old_len = self.level.len();
+        self.values.resize(n * 2, UNDEF);
         self.level.resize(n, 0);
         self.reason.resize(n, NO_REASON);
         self.activity.resize(n, 0.0);
@@ -702,7 +684,7 @@ impl CdclSolver {
         self.eliminated.resize(n, false);
         // Decision levels never exceed the variable count.
         self.lbd_stamp.resize(n + 1, 0);
-        self.watches.resize(n * 2, Vec::new());
+        self.watches.resize(n * 2, WatchList::default());
         // Diversification: initial phase polarity, plus (for nonzero seeds)
         // a tiny deterministic activity jitter that breaks VSIDS ties
         // differently per seed. Both are keyed on the variable index, not
@@ -721,7 +703,7 @@ impl CdclSolver {
         }
         self.order.grow(n);
         for v in 0..n as u32 {
-            if self.assigns[v as usize] == UNDEF && !self.order.contains(v) {
+            if self.var_value(Var::new(v)) == UNDEF && !self.order.contains(v) {
                 self.order.insert(v, &self.activity);
             }
         }
@@ -732,12 +714,14 @@ impl CdclSolver {
     /// the fly (the encoder) needs no stored copy of them.
     ///
     /// `emit` writes every clause into the sink it is handed, and runs
-    /// twice. The [`LoadPass::Count`] pass counts the watchers each
-    /// literal's list will hold: a clause is watched on its two smallest
-    /// distinct literals, which normalization puts first (only level-0
-    /// units met on the way can shift a watch). Every watch list is then
-    /// reserved at exactly that length, and the [`LoadPass::Fill`] pass
-    /// adds the clauses to the solver through [`CdclSolver::add_clause`].
+    /// twice. The [`LoadPass::Count`] pass counts the words each
+    /// literal's watch list will hold: a clause is watched on its two
+    /// smallest distinct literals, which normalization puts first (only
+    /// level-0 units met on the way can shift a watch), with one word for
+    /// an implicit binary and two for an arena clause. Every watch list
+    /// is then reserved at exactly that length, and the
+    /// [`LoadPass::Fill`] pass adds the clauses to the solver through
+    /// [`CdclSolver::add_clause`].
     /// Both passes must write the same clauses in the same order. The
     /// solver knows at least `num_vars` variables afterwards, mentioned by
     /// a clause or not.
@@ -750,8 +734,8 @@ impl CdclSolver {
         self.ensure_vars(num_vars);
         let mut counts = WatchCounts(vec![0; self.watches.len()]);
         emit(&mut counts, LoadPass::Count);
-        for (watchers, &n) in self.watches.iter_mut().zip(&counts.0) {
-            watchers.reserve_exact(n as usize);
+        for (watchers, &words) in self.watches.iter_mut().zip(&counts.0) {
+            watchers.reserve_exact(words as usize);
         }
         drop(counts);
         emit(self, LoadPass::Fill);
@@ -823,9 +807,9 @@ impl CdclSolver {
     /// repeats), and each is known, unassigned and not eliminated.
     fn is_normalized(&self, lits: &[Lit]) -> bool {
         lits.windows(2).all(|pair| pair[0].var() < pair[1].var())
-            && lits.iter().all(|lit| {
+            && lits.iter().all(|&lit| {
                 let var = lit.var().index() as usize;
-                var < self.assigns.len() && self.assigns[var] == UNDEF && !self.eliminated[var]
+                var < self.level.len() && self.lit_value(lit) == UNDEF && !self.eliminated[var]
             })
     }
 
@@ -1268,20 +1252,20 @@ impl CdclSolver {
 
     #[inline]
     pub(crate) fn lit_value(&self, lit: Lit) -> u8 {
-        let v = self.assigns[usize::from(lit.var())];
-        if v == UNDEF {
-            UNDEF
-        } else if (v == TRUE) == lit.is_positive() {
-            TRUE
-        } else {
-            FALSE
-        }
+        self.values[lit.code() as usize]
+    }
+
+    /// The value of `var`'s positive literal.
+    #[inline]
+    pub(crate) fn var_value(&self, var: Var) -> u8 {
+        self.lit_value(Lit::positive(var))
     }
 
     pub(crate) fn enqueue(&mut self, lit: Lit, reason: u32) {
         debug_assert_eq!(self.lit_value(lit), UNDEF);
+        self.values[lit.code() as usize] = TRUE;
+        self.values[(!lit).code() as usize] = FALSE;
         let var = usize::from(lit.var());
-        self.assigns[var] = if lit.is_positive() { TRUE } else { FALSE };
         self.level[var] = self.decision_level();
         self.reason[var] = reason;
         self.trail.push(lit);
@@ -1299,94 +1283,83 @@ impl CdclSolver {
             let false_lit = !p;
             let watch_idx = false_lit.code() as usize;
             let mut watchers = std::mem::take(&mut self.watches[watch_idx]);
-            let mut kept = 0;
             let mut conflict: Option<Antecedent> = None;
-
-            let mut i = 0;
-            'watchers: while i < watchers.len() {
-                let w = watchers[i];
-                i += 1;
-
-                // Fast path: blocker already satisfied.
-                if self.lit_value(w.blocker) == TRUE {
-                    watchers[kept] = w;
-                    kept += 1;
-                    continue;
-                }
-
+            let stopped = watchers.scan(|watch| match watch {
                 // An implicit binary stays in place: its other literal is
-                // implied, or falsified too.
-                if w.is_binary() {
-                    watchers[kept] = w;
-                    kept += 1;
-                    if self.lit_value(w.blocker) == FALSE {
-                        conflict = Some(Antecedent::Binary([w.blocker, false_lit]));
-                        break;
+                // satisfied, implied, or falsified too.
+                Watch::Binary(other) => match self.lit_value(other) {
+                    TRUE => Visit::Keep(watch),
+                    FALSE => {
+                        conflict = Some(Antecedent::Binary([other, false_lit]));
+                        Visit::Stop(watch)
                     }
-                    self.enqueue(w.blocker, BINARY | false_lit.code());
-                    continue;
-                }
-
-                let cref = w.cref;
-                if self.arena.is_deleted(cref) {
-                    continue; // lazily drop watcher of deleted clause
-                }
-
-                // Ensure the falsified literal is in slot 1.
-                if self.arena.lit(cref, 0) == false_lit {
-                    self.arena.swap_lits(cref, 0, 1);
-                }
-                debug_assert_eq!(self.arena.lit(cref, 1), false_lit);
-                let first = self.arena.lit(cref, 0);
-                if first != w.blocker && self.lit_value(first) == TRUE {
-                    watchers[kept] = Watcher {
-                        cref: w.cref,
-                        blocker: first,
-                    };
-                    kept += 1;
-                    continue;
-                }
-
-                // Look for a new literal to watch.
-                let clause_len = self.arena.len(cref);
-                for k in 2..clause_len {
-                    let lk = self.arena.lit(cref, k);
-                    if self.lit_value(lk) != FALSE {
-                        self.arena.swap_lits(cref, 1, k);
-                        self.watches[lk.code() as usize].push(Watcher {
-                            cref: w.cref,
-                            blocker: first,
-                        });
-                        continue 'watchers;
+                    _ => {
+                        self.enqueue(other, BINARY | false_lit.code());
+                        Visit::Keep(watch)
                     }
+                },
+                Watch::Clause(cref, blocker) => {
+                    self.visit_clause(cref, blocker, false_lit, &mut conflict)
                 }
-
-                // No new watch: the clause is unit or conflicting.
-                watchers[kept] = Watcher {
-                    cref: w.cref,
-                    blocker: first,
-                };
-                kept += 1;
-                if self.lit_value(first) == FALSE {
-                    conflict = Some(Antecedent::Clause(w.cref));
-                    break;
-                }
-                self.enqueue(first, w.cref);
-            }
-
-            if conflict.is_some() {
-                // Conflict: keep the unvisited watchers and stop.
-                watchers.copy_within(i.., kept);
-                kept += watchers.len() - i;
-                self.qhead = self.trail.len();
-            }
-            watchers.truncate(kept);
+            });
             self.watches[watch_idx] = watchers;
-            if conflict.is_some() {
+            if stopped {
+                self.qhead = self.trail.len();
                 return conflict;
             }
         }
         None
+    }
+
+    /// One arena-clause watcher of the falsified literal `false_lit`:
+    /// kept while its clause is satisfied, moved to a new non-false
+    /// literal when there is one, and otherwise kept with its clause unit
+    /// (the first literal is enqueued) or conflicting (stored in
+    /// `conflict`, and the scan stops).
+    #[inline]
+    fn visit_clause(
+        &mut self,
+        cref: ClauseRef,
+        blocker: Lit,
+        false_lit: Lit,
+        conflict: &mut Option<Antecedent>,
+    ) -> Visit {
+        // Fast path: blocker already satisfied.
+        if self.lit_value(blocker) == TRUE {
+            return Visit::Keep(Watch::Clause(cref, blocker));
+        }
+        if self.arena.is_deleted(cref) {
+            return Visit::Drop; // lazily drop watcher of deleted clause
+        }
+
+        // Ensure the falsified literal is in slot 1.
+        if self.arena.lit(cref, 0) == false_lit {
+            self.arena.swap_lits(cref, 0, 1);
+        }
+        debug_assert_eq!(self.arena.lit(cref, 1), false_lit);
+        let first = self.arena.lit(cref, 0);
+        let kept = Watch::Clause(cref, first);
+        if first != blocker && self.lit_value(first) == TRUE {
+            return Visit::Keep(kept);
+        }
+
+        // Look for a new literal to watch.
+        for k in 2..self.arena.len(cref) {
+            let lk = self.arena.lit(cref, k);
+            if self.lit_value(lk) != FALSE {
+                self.arena.swap_lits(cref, 1, k);
+                self.watches[lk.code() as usize].push_clause(cref, first);
+                return Visit::Drop;
+            }
+        }
+
+        // No new watch: the clause is unit or conflicting.
+        if self.lit_value(first) == FALSE {
+            *conflict = Some(Antecedent::Clause(cref));
+            return Visit::Stop(kept);
+        }
+        self.enqueue(first, cref);
+        Visit::Keep(kept)
     }
 
     /// First-UIP conflict analysis with recursive minimization.
@@ -1646,14 +1619,8 @@ impl CdclSolver {
         debug_assert!(lits.len() >= 2);
         let cref = self.arena.alloc(lits, learnt);
         self.allocated_clauses += 1;
-        self.watches[lits[0].code() as usize].push(Watcher {
-            cref,
-            blocker: lits[1],
-        });
-        self.watches[lits[1].code() as usize].push(Watcher {
-            cref,
-            blocker: lits[0],
-        });
+        self.watches[lits[0].code() as usize].push_clause(cref, lits[1]);
+        self.watches[lits[1].code() as usize].push_clause(cref, lits[0]);
         if learnt {
             let tier = Tier::for_lbd(lbd);
             self.arena.set_lbd(cref, lbd);
@@ -1669,8 +1636,8 @@ impl CdclSolver {
     /// Attaches the problem binary `a ∨ b` as two implicit watchers,
     /// pushed in the order `attach_clause` pushes an arena clause's.
     pub(crate) fn attach_binary(&mut self, a: Lit, b: Lit) {
-        self.watches[a.code() as usize].push(Watcher::binary(b));
-        self.watches[b.code() as usize].push(Watcher::binary(a));
+        self.watches[a.code() as usize].push_binary(b);
+        self.watches[b.code() as usize].push_binary(a);
         self.allocated_clauses += 1;
         self.original_clauses += 1;
     }
@@ -1684,7 +1651,8 @@ impl CdclSolver {
             let lit = self.trail[idx];
             let var = usize::from(lit.var());
             self.phase[var] = lit.is_positive();
-            self.assigns[var] = UNDEF;
+            self.values[lit.code() as usize] = UNDEF;
+            self.values[(!lit).code() as usize] = UNDEF;
             self.reason[var] = NO_REASON;
             if !self.order.contains(lit.var().index()) {
                 self.order.insert(lit.var().index(), &self.activity);
@@ -1697,7 +1665,7 @@ impl CdclSolver {
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.order.pop_max(&self.activity) {
-            if self.assigns[v as usize] == UNDEF && !self.eliminated[v as usize] {
+            if self.var_value(Var::new(v)) == UNDEF && !self.eliminated[v as usize] {
                 return Some(Var::new(v));
             }
         }
@@ -1838,18 +1806,7 @@ impl CdclSolver {
         let reclaimed = self.arena.dead_bytes();
         let fwd = self.arena.compact();
         for watchers in &mut self.watches {
-            watchers.retain_mut(|w| {
-                if w.is_binary() {
-                    return true;
-                }
-                match fwd.resolve(w.cref) {
-                    Some(new_cref) => {
-                        w.cref = new_cref;
-                        true
-                    }
-                    None => false,
-                }
-            });
+            watchers.retain_clauses(|cref| fwd.resolve(cref));
         }
         for &lit in &self.trail {
             let var = usize::from(lit.var());
@@ -1889,18 +1846,21 @@ impl CdclSolver {
         let mut twins: Vec<(u32, u32)> = Vec::new();
         for (code, watchers) in self.watches.iter().enumerate() {
             let watched = Lit::from_code(code as u32);
-            for w in watchers {
-                if w.is_binary() {
-                    halves.push((watched.code(), w.blocker.code()));
-                    twins.push((w.blocker.code(), watched.code()));
-                    continue;
-                }
+            for watch in watchers.iter() {
+                let cref = match watch {
+                    Watch::Binary(other) => {
+                        halves.push((watched.code(), other.code()));
+                        twins.push((other.code(), watched.code()));
+                        continue;
+                    }
+                    Watch::Clause(cref, _) => cref,
+                };
                 assert!(
-                    !self.arena.is_deleted(w.cref),
+                    !self.arena.is_deleted(cref),
                     "watcher references a deleted clause after GC"
                 );
                 assert!(
-                    self.arena.lit(w.cref, 0) == watched || self.arena.lit(w.cref, 1) == watched,
+                    self.arena.lit(cref, 0) == watched || self.arena.lit(cref, 1) == watched,
                     "watched literal must sit in one of the first two slots"
                 );
             }
@@ -1949,10 +1909,10 @@ impl CdclSolver {
 
     fn extract_model(&self) -> Assignment {
         let mut model = Assignment::new(self.num_vars());
-        for (i, &v) in self.assigns.iter().enumerate() {
+        for var in (0..self.num_vars()).map(Var::new) {
             // Any variable never touched by a clause gets an arbitrary but
             // defined value so callers receive a total model.
-            model.assign(Var::new(i as u32), v == TRUE);
+            model.assign(var, self.var_value(var) == TRUE);
         }
         // Eén–Biere reconstruction for eliminated variables, most recent
         // elimination first: a variable defaults to false and flips to
@@ -2751,7 +2711,12 @@ mod tests {
     /// Live problem binaries in the watch lists, each counted once;
     /// panics unless every binary watcher has its twin.
     fn implicit_binaries(s: &CdclSolver) -> usize {
-        let halves = s.watches.iter().flatten().filter(|w| w.is_binary()).count();
+        let halves = s
+            .watches
+            .iter()
+            .flat_map(WatchList::iter)
+            .filter(|w| matches!(w, Watch::Binary(_)))
+            .count();
         assert_eq!(halves % 2, 0, "binary watchers come in pairs");
         halves / 2
     }
@@ -2857,7 +2822,7 @@ mod tests {
     #[test]
     fn loading_reserves_every_watch_list_exactly() {
         // Without unit clauses no level-0 assignment can shift a watch, so
-        // the counting pass predicts every list's final length.
+        // the counting pass predicts every list's final length in words.
         for seed in 0..4u64 {
             let f = random_coloring(seed, 30, 4, 30);
             assert_eq!(f.stats().num_unit, 0);
@@ -2871,6 +2836,114 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn mixed_watch_lists_keep_attach_order_through_propagation_and_gc() {
+        let f = {
+            let mut f = CnfFormula::new();
+            for c in [
+                vec![1i64, 2],
+                vec![1, 3, 4],
+                vec![1, 5],
+                vec![1, 6, 7],
+                vec![1, 8, 9],
+            ] {
+                f.add_clause(c.iter().map(|&d| lit(d)));
+            }
+            f
+        };
+        let mut s = CdclSolver::with_config(SolverConfig {
+            gc_dead_frac: 2.0, // collect only when the test says so
+            ..SolverConfig::default()
+        });
+        s.add_formula(&f);
+        let list =
+            |s: &CdclSolver, d: i64| s.watches[lit(d).code() as usize].iter().collect::<Vec<_>>();
+        let [c0, c1, c2]: [ClauseRef; 3] = s.arena.refs().collect::<Vec<_>>().try_into().unwrap();
+        assert_eq!(
+            list(&s, 1),
+            [
+                Watch::Binary(lit(2)),
+                Watch::Clause(c0, lit(3)),
+                Watch::Binary(lit(5)),
+                Watch::Clause(c1, lit(6)),
+                Watch::Clause(c2, lit(8)),
+            ]
+        );
+        assert_eq!(
+            s.watches[lit(1).code() as usize].len(),
+            8,
+            "1 + 2 + 1 + 2 + 2 words"
+        );
+
+        // With 8 true, falsifying 1 implies 2 and 5 through the binaries,
+        // moves the watchers of (1 3 4) and (1 6 7) to 4 and 7, and keeps
+        // the one of (1 8 9) on its satisfied blocker.
+        for d in [8, -1] {
+            s.trail_lim.push(s.trail.len());
+            s.enqueue(lit(d), NO_REASON);
+            assert_eq!(s.propagate(), None);
+        }
+        assert_eq!(s.lit_value(lit(2)), TRUE);
+        assert_eq!(s.lit_value(lit(5)), TRUE);
+        assert_eq!(
+            list(&s, 1),
+            [
+                Watch::Binary(lit(2)),
+                Watch::Binary(lit(5)),
+                Watch::Clause(c2, lit(8)),
+            ]
+        );
+        assert_eq!(list(&s, 4), [Watch::Clause(c0, lit(3))]);
+        assert_eq!(list(&s, 7), [Watch::Clause(c1, lit(6))]);
+        s.backtrack(0);
+
+        // Deleting the first arena clause moves the others down: the GC
+        // drops its watchers and remaps the rest in place.
+        s.delete_any_clause(c0);
+        s.collect_garbage();
+        let [c1, c2]: [ClauseRef; 2] = s.arena.refs().collect::<Vec<_>>().try_into().unwrap();
+        assert_eq!(c1, c0, "compaction moved (1 6 7) down");
+        assert_eq!(
+            list(&s, 1),
+            [
+                Watch::Binary(lit(2)),
+                Watch::Binary(lit(5)),
+                Watch::Clause(c2, lit(8)),
+            ]
+        );
+        assert_eq!(list(&s, 3), []);
+        assert_eq!(list(&s, 4), []);
+        assert_eq!(list(&s, 7), [Watch::Clause(c1, lit(6))]);
+        assert_eq!(list(&s, 2), [Watch::Binary(lit(1))]);
+    }
+
+    #[test]
+    fn watch_bytes_gauge_counts_four_bytes_per_binary_watcher() {
+        // At most one of ten variables is true: 45 binaries, 90 one-word
+        // watchers. The all-false phase satisfies every clause without a
+        // conflict, so nothing is learnt and every list keeps its exact
+        // reserve.
+        let mut f = CnfFormula::with_vars(10);
+        for a in 1..=10i64 {
+            for b in a + 1..=10 {
+                f.add_clause([lit(-a), lit(-b)]);
+            }
+        }
+        let registry = satroute_obs::MetricsRegistry::new();
+        let ctx = crate::RunContext {
+            metrics: registry.clone(),
+            ..crate::RunContext::default()
+        };
+        let mut s = ctx.solver(0);
+        s.add_formula(&f);
+        assert!(s.solve().is_sat());
+        assert_eq!(s.stats().conflicts, 0);
+        assert_eq!(
+            registry.snapshot().gauge("solver.watch_bytes"),
+            Some(4.0 * 90.0)
+        );
     }
 
     #[test]

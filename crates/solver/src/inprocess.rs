@@ -41,8 +41,9 @@
 use satroute_cnf::{Lit, Var};
 
 use crate::arena::ClauseRef;
-use crate::cdcl::{CdclSolver, BINARY, FALSE, NO_REASON, TRUE, UNDEF};
+use crate::cdcl::{CdclSolver, FALSE, NO_REASON, TRUE, UNDEF};
 use crate::run::Boundary;
+use crate::watch::{Watch, BINARY};
 
 /// Clauses longer than this are not vivified.
 const VIVIFY_MAX_LEN: usize = 32;
@@ -230,7 +231,7 @@ impl CdclSolver {
         // stale entries now keeps them off the propagation hot path.
         self.learnts.retain(|&c| !self.arena.is_deleted(c));
         for watchers in &mut self.watches {
-            watchers.retain(|w| w.is_binary() || !self.arena.is_deleted(w.cref));
+            watchers.retain_clauses(|cref| (!self.arena.is_deleted(cref)).then_some(cref));
         }
 
         self.stats.inprocess_runs += 1;
@@ -245,9 +246,10 @@ impl CdclSolver {
         let mut lits = Vec::new();
         for (code, watchers) in self.watches.iter().enumerate() {
             let watched = Lit::from_code(code as u32);
-            for w in watchers {
-                if w.is_binary() && watched < w.blocker {
-                    lits.push([watched, w.blocker]);
+            for watch in watchers.iter() {
+                match watch {
+                    Watch::Binary(other) if watched < other => lits.push([watched, other]),
+                    _ => {}
                 }
             }
         }
@@ -331,12 +333,8 @@ impl CdclSolver {
         debug_assert!(!bins.deleted[i]);
         let [a, b] = bins.lits[i];
         for (watched, other) in [(a, b), (b, a)] {
-            let watchers = &mut self.watches[watched.code() as usize];
-            let at = watchers
-                .iter()
-                .position(|w| w.is_binary() && w.blocker == other)
-                .expect("a live binary keeps both watchers");
-            watchers.remove(at);
+            let removed = self.watches[watched.code() as usize].remove_binary(other);
+            assert!(removed, "a live binary keeps both watchers");
         }
         if let Some(proof) = &mut self.proof {
             proof.push_delete_from([a, b]);
@@ -634,10 +632,10 @@ impl CdclSolver {
                 break;
             }
             let vi = v as usize;
-            if self.frozen[vi] || self.eliminated[vi] || self.assigns[vi] != UNDEF {
+            let var = Var::new(v);
+            if self.frozen[vi] || self.eliminated[vi] || self.var_value(var) != UNDEF {
                 continue;
             }
-            let var = Var::new(v);
             let live = |lit: Lit| -> Vec<Handle> {
                 occ[lit.code() as usize]
                     .iter()
@@ -703,7 +701,8 @@ impl CdclSolver {
             // `v` or locked one of its clauses as a root reason; both
             // void the elimination (the resolvents stay — they are
             // entailed either way).
-            if self.assigns[vi] != UNDEF || pos.iter().chain(&neg).any(|&c| self.is_reason(bins, c))
+            if self.var_value(var) != UNDEF
+                || pos.iter().chain(&neg).any(|&c| self.is_reason(bins, c))
             {
                 continue;
             }
@@ -955,7 +954,12 @@ mod tests {
                 .check(f)
                 .expect("DRAT proof with inprocessing must verify"),
         }
-        let halves = s.watches.iter().flatten().filter(|w| w.is_binary()).count();
+        let halves = s
+            .watches
+            .iter()
+            .flat_map(crate::watch::WatchList::iter)
+            .filter(|w| matches!(w, Watch::Binary(_)))
+            .count();
         let arena_problem = s.arena.refs().filter(|&c| !s.arena.is_learnt(c)).count();
         assert_eq!(halves % 2, 0, "binary watchers come in pairs");
         assert_eq!(halves / 2 + arena_problem, s.original_clauses);

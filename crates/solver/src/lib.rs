@@ -56,6 +56,7 @@ mod inprocess;
 mod luby;
 mod outcome;
 mod proof;
+mod watch;
 
 pub mod run;
 

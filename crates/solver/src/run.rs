@@ -436,6 +436,18 @@ impl Boundary {
             Boundary::Finish { .. } => Some(SampleCause::Finish),
         }
     }
+
+    /// Whether the registry's clause-store gauges are set here: solve
+    /// start, reduce, GC and finish.
+    fn sets_store(&self) -> bool {
+        matches!(
+            self,
+            Boundary::Start { .. }
+                | Boundary::Reduce { .. }
+                | Boundary::Gc { .. }
+                | Boundary::Finish { .. }
+        )
+    }
 }
 
 /// What the solver shows its [`Telemetry`] at a boundary: the work
@@ -451,6 +463,10 @@ pub(crate) struct SearchView {
     pub(crate) tiers: [u64; 3],
     pub(crate) arena_live_bytes: u64,
     pub(crate) arena_dead_bytes: u64,
+    /// Bytes allocated to all watch lists; computed only where
+    /// [`Telemetry::sets_store_gauges`] holds, 0 elsewhere (summing them
+    /// visits every literal's list).
+    pub(crate) watch_bytes: u64,
     pub(crate) lbd_ema: f64,
     pub(crate) solve_start: Option<Instant>,
 }
@@ -500,6 +516,12 @@ impl Telemetry {
     #[inline]
     pub(crate) fn is_active(&self) -> bool {
         self.active
+    }
+
+    /// Whether `at` sets the registry's clause-store gauges: a registry
+    /// is attached and `at` is a solve start, reduce, GC or finish.
+    pub(crate) fn sets_store_gauges(&self, at: &Boundary) -> bool {
+        self.registry.is_some() && at.sets_store()
     }
 
     /// Writes later boundaries onto `span`; registry deltas and sample
@@ -676,20 +698,23 @@ fn inprocess_counts(s: &SolverStats) -> [u64; 5] {
     ]
 }
 
-/// Clause-store gauges set at reduce, GC and finish boundaries.
-const STORE_GAUGES: [&str; 5] = [
+/// Clause-store gauges set at solve start, reduce, GC and finish
+/// boundaries.
+const STORE_GAUGES: [&str; 6] = [
     "solver.arena.live_bytes",
     "solver.arena.dead_bytes",
+    "solver.watch_bytes",
     "solver.tier.core",
     "solver.tier.mid",
     "solver.tier.local",
 ];
 
-fn store_levels(view: &SearchView) -> [u64; 5] {
+fn store_levels(view: &SearchView) -> [u64; 6] {
     let [core, mid, local] = view.tiers;
     [
         view.arena_live_bytes,
         view.arena_dead_bytes,
+        view.watch_bytes,
         core,
         mid,
         local,
@@ -705,7 +730,7 @@ fn store_levels(view: &SearchView) -> [u64; 5] {
 struct SolverInstruments {
     work: [Counter; 5],
     inprocess: [Counter; 5],
-    store: [Gauge; 5],
+    store: [Gauge; 6],
     lbd: Histogram,
     restart_interval: Histogram,
     gc_runs: Counter,
@@ -755,14 +780,12 @@ impl SolverInstruments {
             Boundary::Gc { reclaimed_bytes } => {
                 self.gc_runs.inc();
                 self.reclaimed_bytes.add(reclaimed_bytes);
-                self.set_store(view);
             }
-            Boundary::Reduce { .. } => self.set_store(view),
-            Boundary::Finish { .. } => {
-                self.flush(stats);
-                self.set_store(view);
-            }
-            Boundary::Start { .. } | Boundary::Import => {}
+            Boundary::Finish { .. } => self.flush(stats),
+            Boundary::Start { .. } | Boundary::Reduce { .. } | Boundary::Import => {}
+        }
+        if at.sets_store() {
+            self.set_store(view);
         }
     }
 
