@@ -1,10 +1,10 @@
 //! The `BENCH_*.json` baseline artifact: a canonical, diffable record of
 //! one benchmark-suite run.
 //!
-//! An artifact captures an environment fingerprint (so comparisons know
-//! whether wall-clock numbers are commensurable) plus one [`BenchCell`]
-//! per (benchmark, strategy, width) triple with median-of-N wall time,
-//! the deterministic work counters, CNF shape and histogram summaries.
+//! An artifact captures an environment fingerprint (a record of where the
+//! wall times were measured) plus one [`BenchCell`] per (benchmark,
+//! strategy, width) triple with median-of-N wall time, the deterministic
+//! work counters, CNF shape and histogram summaries.
 //! `satroute bench run` writes artifacts; `satroute bench compare` diffs
 //! two of them and optionally gates on regressions (see
 //! [`crate::compare`](mod@crate::compare)).
@@ -17,12 +17,9 @@ use satroute_obs::{Align, HistogramSnapshot, TextTable};
 /// Artifact schema identifier; bump on breaking layout changes.
 pub const SCHEMA: &str = "satroute-bench/v1";
 
-/// The machine/toolchain fingerprint stamped into every artifact.
-///
-/// Wall-clock comparisons are only meaningful between runs whose
-/// fingerprints match (excluding `git_rev` — comparing two revisions on
-/// one machine is the whole point); deterministic counters compare
-/// across any pair.
+/// The machine/toolchain fingerprint stamped into every artifact, as a
+/// record of where its wall times were measured; the gate reads none of
+/// it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EnvFingerprint {
     /// `git rev-parse HEAD` of the working tree, or `"unknown"`.
@@ -63,18 +60,6 @@ impl EnvFingerprint {
         }
     }
 
-    /// Whether wall-clock numbers from `self` and `other` are
-    /// commensurable: same toolchain, CPU count, optimisation level and
-    /// OS. `git_rev` is deliberately excluded — comparing two revisions
-    /// of the code on one machine is the primary use.
-    #[must_use]
-    pub fn timing_comparable(&self, other: &EnvFingerprint) -> bool {
-        self.rustc == other.rustc
-            && self.cpus == other.cpus
-            && self.opt_level == other.opt_level
-            && self.os == other.os
-    }
-
     /// Serializes as a JSON object.
     #[must_use]
     pub fn to_json(&self) -> Value {
@@ -102,7 +87,7 @@ impl EnvFingerprint {
 /// Wall-time spread of a cell's N runs, in seconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WallTime {
-    /// Median of the runs — the number comparisons gate on.
+    /// Median of the runs — the number comparisons report.
     pub median: f64,
     /// Fastest run.
     pub min: f64,
@@ -540,16 +525,6 @@ mod tests {
         artifact.schema = "satroute-bench/v999".into();
         let err = BenchArtifact::parse_str(&artifact.to_json_string()).unwrap_err();
         assert!(err.contains("unsupported artifact schema"), "{err}");
-    }
-
-    #[test]
-    fn timing_comparability_ignores_git_rev() {
-        let a = sample().env;
-        let mut b = a.clone();
-        b.git_rev = "def456".into();
-        assert!(a.timing_comparable(&b));
-        b.cpus = 4;
-        assert!(!a.timing_comparable(&b));
     }
 
     #[test]

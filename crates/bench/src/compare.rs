@@ -1,51 +1,32 @@
 //! Comparing two `BENCH_*.json` artifacts and gating on regressions
 //! (`satroute bench compare`).
 //!
-//! Deterministic columns — outcome, conflicts, CNF shape, missing cells —
-//! gate whenever `--gate` is on: for a pinned suite they are properties
-//! of the code, not the machine. Wall time additionally requires the two
-//! environment fingerprints to be timing-comparable
-//! ([`EnvFingerprint::timing_comparable`]); comparing a laptop artifact
-//! against a CI artifact still gates the deterministic columns while
-//! reporting (not gating) the timing delta.
+//! The gate checks exactly the columns that are properties of the code
+//! rather than of the machine: a matched cell fails on any difference in
+//! conflicts, decisions, propagations, CNF variables or CNF clauses, in
+//! either direction, and on a changed decided outcome; a baseline cell
+//! missing from the candidate fails too. A change that alters the search
+//! therefore re-records the baselines it moves. Wall time is reported
+//! per cell and never gated: on a shared host it moves by tens of percent
+//! between runs of the same binary, so only paired A/B runs can judge it.
+//! For the same reason no suite may pin a wall-clock stop: an
+//! `unknown:deadline` cell's counters depend on the host, not the code.
+//! The `env` fingerprint stays in every artifact as a record.
 
 use satroute_obs::json::Value;
 use satroute_obs::{Align, TextTable};
 
-use crate::artifact::{BenchArtifact, BenchCell, EnvFingerprint};
+use crate::artifact::{BenchArtifact, BenchCell};
 
-/// Gating knobs of a comparison.
-#[derive(Clone, Copy, Debug)]
-pub struct GateOptions {
-    /// When set, regressions make [`Comparison::gate_failed`] true.
-    pub gate: bool,
-    /// Relative worsening (percent) beyond which a gated metric is a
-    /// regression. The CLI default is 25.
-    pub threshold_pct: f64,
-}
-
-impl Default for GateOptions {
-    fn default() -> GateOptions {
-        GateOptions {
-            gate: false,
-            threshold_pct: 25.0,
-        }
-    }
-}
-
-/// Wall-time medians below this are pure overhead/noise; their relative
-/// deltas are reported but never gated.
-const WALL_GATE_FLOOR_S: f64 = 0.005;
-
-/// One metric of one cell that worsened beyond the threshold.
+/// One gated column of one cell that differs from the baseline.
 #[derive(Clone, Debug)]
 pub struct Regression {
     /// The cell id.
     pub cell: String,
-    /// Which metric regressed (`wall_time`, `conflicts`, `cnf_clauses`,
-    /// `cnf_vars`, `outcome`, `missing`).
+    /// Which column differs (`conflicts`, `decisions`, `propagations`,
+    /// `cnf_vars`, `cnf_clauses`, `outcome`, `missing`).
     pub metric: String,
-    /// Human-readable detail (`0.10s -> 0.25s (+150.0%)`).
+    /// Human-readable detail (`50 -> 51 (+1)`).
     pub detail: String,
 }
 
@@ -68,7 +49,14 @@ impl CellComparison {
     /// Relative wall-time change in percent (positive = slower).
     #[must_use]
     pub fn wall_delta_pct(&self) -> f64 {
-        rel_pct(self.wall.0, self.wall.1)
+        let (base, cand) = self.wall;
+        if base > 0.0 {
+            (cand - base) / base * 100.0
+        } else if cand > 0.0 {
+            f64::INFINITY
+        } else {
+            0.0
+        }
     }
 }
 
@@ -78,10 +66,7 @@ pub struct Comparison {
     /// Per-cell deltas for cells present in both artifacts, baseline
     /// order.
     pub cells: Vec<CellComparison>,
-    /// Whether wall time participated in gating (environments were
-    /// timing-comparable).
-    pub timing_gated: bool,
-    /// Every gated metric that worsened beyond the threshold.
+    /// Every gated column that differs; empty unless gating was asked for.
     pub regressions: Vec<Regression>,
 }
 
@@ -121,11 +106,6 @@ impl Comparison {
             ]);
         }
         let mut out = table.render();
-        if !self.timing_gated {
-            out.push_str(
-                "note: environments differ (rustc/cpus/opt-level/os); wall time reported but not gated\n",
-            );
-        }
         if self.regressions.is_empty() {
             out.push_str("OK: no gated regressions\n");
         } else {
@@ -143,7 +123,6 @@ impl Comparison {
     #[must_use]
     pub fn to_json(&self) -> Value {
         Value::object([
-            ("timing_gated", Value::Bool(self.timing_gated)),
             ("gate_failed", Value::Bool(self.gate_failed())),
             (
                 "cells",
@@ -176,28 +155,14 @@ impl Comparison {
     }
 }
 
-fn rel_pct(base: f64, cand: f64) -> f64 {
-    if base > 0.0 {
-        (cand - base) / base * 100.0
-    } else if cand > 0.0 {
-        f64::INFINITY
-    } else {
-        0.0
-    }
-}
-
-/// Compares `candidate` against `baseline` cell by cell.
+/// Compares `candidate` against `baseline` cell by cell; with `gate`,
+/// every gated difference becomes a [`Regression`].
 #[must_use]
-pub fn compare(
-    baseline: &BenchArtifact,
-    candidate: &BenchArtifact,
-    opts: &GateOptions,
-) -> Comparison {
-    let timing_gated = baseline.env.timing_comparable(&candidate.env);
+pub fn compare(baseline: &BenchArtifact, candidate: &BenchArtifact, gate: bool) -> Comparison {
     let mut cells = Vec::new();
     let mut regressions = Vec::new();
     let mut push = |cell: &str, metric: &str, detail: String| {
-        if opts.gate {
+        if gate {
             regressions.push(Regression {
                 cell: cell.to_string(),
                 metric: metric.to_string(),
@@ -215,7 +180,7 @@ pub fn compare(
             );
             continue;
         };
-        check_cell(base, cand, timing_gated, opts, &mut push);
+        check_cell(base, cand, &mut push);
         cells.push(CellComparison {
             id: base.id.clone(),
             wall: (base.wall_time_s.median, cand.wall_time_s.median),
@@ -225,62 +190,33 @@ pub fn compare(
         });
     }
 
-    Comparison {
-        cells,
-        timing_gated,
-        regressions,
-    }
+    Comparison { cells, regressions }
 }
 
-fn check_cell(
-    base: &BenchCell,
-    cand: &BenchCell,
-    timing_gated: bool,
-    opts: &GateOptions,
-    push: &mut impl FnMut(&str, &str, String),
-) {
+fn check_cell(base: &BenchCell, cand: &BenchCell, push: &mut impl FnMut(&str, &str, String)) {
     // A decided baseline outcome that changes is always a regression: a
     // budget kicked in where none used to, or a deterministic answer
     // (verdict, minimum width, core, pass counters) moved.
-    if base.outcome != cand.outcome {
-        let decided = |o: &str| !o.starts_with("unknown");
-        if decided(&base.outcome) {
-            push(
-                &base.id,
-                "outcome",
-                format!("{} -> {}", base.outcome, cand.outcome),
-            );
-        }
+    if base.outcome != cand.outcome && !base.outcome.starts_with("unknown") {
+        push(
+            &base.id,
+            "outcome",
+            format!("{} -> {}", base.outcome, cand.outcome),
+        );
     }
     let counters = [
         ("conflicts", base.conflicts, cand.conflicts),
+        ("decisions", base.decisions, cand.decisions),
+        ("propagations", base.propagations, cand.propagations),
         ("cnf_vars", base.cnf_vars, cand.cnf_vars),
         ("cnf_clauses", base.cnf_clauses, cand.cnf_clauses),
     ];
     for (name, b, c) in counters {
-        let delta = rel_pct(b as f64, c as f64);
-        if delta > opts.threshold_pct {
-            push(&base.id, name, format!("{b} -> {c} ({delta:+.1}%)"));
+        if b != c {
+            let delta = i128::from(c) - i128::from(b);
+            push(&base.id, name, format!("{b} -> {c} ({delta:+})"));
         }
     }
-    if timing_gated && base.wall_time_s.median >= WALL_GATE_FLOOR_S {
-        let (b, c) = (base.wall_time_s.median, cand.wall_time_s.median);
-        let delta = rel_pct(b, c);
-        if delta > opts.threshold_pct {
-            push(
-                &base.id,
-                "wall_time",
-                format!("{b:.3}s -> {c:.3}s ({delta:+.1}%)"),
-            );
-        }
-    }
-}
-
-/// Convenience used by the CLI and the environment-independence of the
-/// fingerprint check: exposes whether two artifacts would gate timing.
-#[must_use]
-pub fn timing_comparable(a: &EnvFingerprint, b: &EnvFingerprint) -> bool {
-    a.timing_comparable(b)
 }
 
 #[cfg(test)]
@@ -288,7 +224,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use crate::artifact::{HistogramSummary, WallTime, SCHEMA};
+    use crate::artifact::{EnvFingerprint, HistogramSummary, WallTime, SCHEMA};
 
     fn env() -> EnvFingerprint {
         EnvFingerprint {
@@ -347,50 +283,47 @@ mod tests {
     #[test]
     fn identical_artifacts_pass_the_gate() {
         let a = artifact(vec![cell("c1", 0.1, 50)]);
-        let cmp = compare(
-            &a,
-            &a,
-            &GateOptions {
-                gate: true,
-                threshold_pct: 25.0,
-            },
-        );
-        assert!(cmp.timing_gated);
+        let cmp = compare(&a, &a, true);
         assert!(!cmp.gate_failed(), "{:?}", cmp.regressions);
     }
 
     #[test]
-    fn wall_time_regression_fails_the_gate() {
-        let base = artifact(vec![cell("c1", 0.1, 50)]);
-        let cand = artifact(vec![cell("c1", 0.25, 50)]);
-        let cmp = compare(
-            &base,
-            &cand,
-            &GateOptions {
-                gate: true,
-                threshold_pct: 25.0,
-            },
-        );
-        assert!(cmp.gate_failed());
-        assert_eq!(cmp.regressions.len(), 1);
-        assert_eq!(cmp.regressions[0].metric, "wall_time");
+    fn every_counter_gates_a_difference_of_one_either_way() {
+        let base = cell("c1", 0.1, 50);
+        for name in [
+            "conflicts",
+            "decisions",
+            "propagations",
+            "cnf_vars",
+            "cnf_clauses",
+        ] {
+            for up in [true, false] {
+                let mut moved = base.clone();
+                let value = match name {
+                    "conflicts" => &mut moved.conflicts,
+                    "decisions" => &mut moved.decisions,
+                    "propagations" => &mut moved.propagations,
+                    "cnf_vars" => &mut moved.cnf_vars,
+                    _ => &mut moved.cnf_clauses,
+                };
+                *value = if up { *value + 1 } else { *value - 1 };
+                let cmp = compare(&artifact(vec![base.clone()]), &artifact(vec![moved]), true);
+                assert_eq!(cmp.regressions.len(), 1, "{name}: {:?}", cmp.regressions);
+                assert_eq!(cmp.regressions[0].metric, name);
+                let sign = if up { "(+1)" } else { "(-1)" };
+                assert!(cmp.regressions[0].detail.ends_with(sign), "{name}");
+            }
+        }
     }
 
     #[test]
-    fn wall_time_is_not_gated_across_environments() {
+    fn wall_time_is_reported_and_never_gated() {
         let base = artifact(vec![cell("c1", 0.1, 50)]);
-        let mut cand = artifact(vec![cell("c1", 0.25, 50)]);
-        cand.env.cpus = 2;
-        let cmp = compare(
-            &base,
-            &cand,
-            &GateOptions {
-                gate: true,
-                threshold_pct: 25.0,
-            },
-        );
-        assert!(!cmp.timing_gated);
+        let cand = artifact(vec![cell("c1", 1.0, 50)]);
+        let cmp = compare(&base, &cand, true);
         assert!(!cmp.gate_failed(), "{:?}", cmp.regressions);
+        assert!((cmp.cells[0].wall_delta_pct() - 900.0).abs() < 1e-9);
+        assert!(cmp.render_text().contains("+900.0"));
     }
 
     #[test]
@@ -398,14 +331,7 @@ mod tests {
         let base = artifact(vec![cell("c1", 0.1, 50)]);
         let mut cand = artifact(vec![cell("c1", 0.1, 100)]);
         cand.env.rustc = "rustc 1.96.0".into();
-        let cmp = compare(
-            &base,
-            &cand,
-            &GateOptions {
-                gate: true,
-                threshold_pct: 25.0,
-            },
-        );
+        let cmp = compare(&base, &cand, true);
         assert!(cmp.gate_failed());
         assert_eq!(cmp.regressions[0].metric, "conflicts");
     }
@@ -416,14 +342,7 @@ mod tests {
         let mut flipped = cell("c1", 0.1, 50);
         flipped.outcome = "unknown:wall".into();
         let cand = artifact(vec![flipped]);
-        let cmp = compare(
-            &base,
-            &cand,
-            &GateOptions {
-                gate: true,
-                threshold_pct: 25.0,
-            },
-        );
+        let cmp = compare(&base, &cand, true);
         let metrics: Vec<&str> = cmp.regressions.iter().map(|r| r.metric.as_str()).collect();
         assert!(metrics.contains(&"outcome"), "{metrics:?}");
         assert!(metrics.contains(&"missing"), "{metrics:?}");
@@ -431,45 +350,26 @@ mod tests {
 
     #[test]
     fn a_changed_decided_outcome_is_a_regression_and_an_undecided_one_is_not() {
-        let gate = GateOptions {
-            gate: true,
-            threshold_pct: 25.0,
-        };
         let with_outcome = |outcome: &str| {
             let mut c = cell("c1", 0.1, 50);
             c.outcome = outcome.into();
             artifact(vec![c])
         };
         let base = with_outcome("min_width=9 greedy=10,9,11");
-        let cmp = compare(&base, &with_outcome("min_width=9 greedy=10,9,12"), &gate);
+        let cmp = compare(&base, &with_outcome("min_width=9 greedy=10,9,12"), true);
         assert_eq!(cmp.regressions.len(), 1, "{:?}", cmp.regressions);
         assert_eq!(cmp.regressions[0].metric, "outcome");
-        assert!(compare(&base, &base, &gate).regressions.is_empty());
+        assert!(compare(&base, &base, true).regressions.is_empty());
         let stopped = with_outcome("unknown:wall");
-        let cmp = compare(&stopped, &with_outcome("unknown:deadline"), &gate);
+        let cmp = compare(&stopped, &with_outcome("unknown:deadline"), true);
         assert!(cmp.regressions.is_empty(), "{:?}", cmp.regressions);
-    }
-
-    #[test]
-    fn sub_floor_wall_times_never_gate() {
-        let base = artifact(vec![cell("c1", 0.001, 50)]);
-        let cand = artifact(vec![cell("c1", 0.004, 50)]);
-        let cmp = compare(
-            &base,
-            &cand,
-            &GateOptions {
-                gate: true,
-                threshold_pct: 25.0,
-            },
-        );
-        assert!(!cmp.gate_failed(), "{:?}", cmp.regressions);
     }
 
     #[test]
     fn without_gate_regressions_are_not_collected() {
         let base = artifact(vec![cell("c1", 0.1, 50)]);
         let cand = artifact(vec![cell("c1", 0.5, 500)]);
-        let cmp = compare(&base, &cand, &GateOptions::default());
+        let cmp = compare(&base, &cand, false);
         assert!(!cmp.gate_failed());
         assert!(cmp.render_text().contains("OK"));
     }

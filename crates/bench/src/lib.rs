@@ -12,7 +12,8 @@
 //! | Figure 1 — the four ITE trees for a 13-value domain | pinned by `satroute_core` unit tests (`ite`, `hier`) |
 //! | Table 2 — encodings × symmetry on unroutable configs | `satroute bench run --suite paper` |
 //! | §6 prose — all encodings on routable configs | `satroute bench run --suite routable` |
-//! | §6 prose — 2- and 3-strategy portfolios, clause sharing | `satroute bench run --suite portfolio` |
+//! | §6 prose — 2- and 3-strategy portfolios | their members' cells of `satroute bench run --suite paper` |
+//! | §6 prose — clause sharing | `satroute bench run --suite portfolio` |
 //! | ablations A1 (formula sizes), A3 (greedy router vs SAT), A6 (ITE tree shapes) | `satroute bench run --suite ablation` |
 //!
 //! The [`suite`] / [`artifact`] / [`compare`](mod@compare) modules implement the
@@ -30,5 +31,5 @@ pub mod compare;
 pub mod suite;
 
 pub use artifact::{BenchArtifact, BenchCell, EnvFingerprint, HistogramSummary, WallTime, SCHEMA};
-pub use compare::{compare, Comparison, GateOptions, Regression};
+pub use compare::{compare, Comparison, Regression};
 pub use suite::{run_suite, SuiteId, SuiteOptions};

@@ -5,9 +5,9 @@
 //! generated from constant seeds, so the deterministic columns of the
 //! resulting [`BenchArtifact`] (conflicts, decisions, propagations, CNF
 //! shape, outcome) are bit-identical across machines for a given
-//! toolchain — those columns gate regressions anywhere, while wall time
-//! gates only between matching environments (see
-//! [`crate::compare`](mod@crate::compare)).
+//! toolchain: those columns gate exactly, and wall time is reported (see
+//! [`crate::compare`](mod@crate::compare)). Each fact comes from one
+//! cell: no cell re-measures what another cell of any suite holds.
 //! One driver measures every cell: each kind only says how one run
 //! yields a `Sample`.
 
@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use satroute_cnf::FormulaStats;
 use satroute_coloring::greedy_coloring_with_order;
 use satroute_core::{
-    encode, run_portfolio, simulate_portfolio, Encoding, EncodingId, ExplainOutcome, IteTree,
-    PortfolioOptions, RoutingPipeline, Selectors, SimpleScheme, Strategy, SymmetryHeuristic,
+    encode, run_portfolio, Encoding, EncodingId, ExplainOutcome, IteTree, PortfolioOptions,
+    RoutingPipeline, Selectors, SimpleScheme, Strategy, SymmetryHeuristic,
 };
 use satroute_fpga::benchmarks::{self, BenchmarkInstance};
 use satroute_obs::{FieldValue, MetricsRegistry, MetricsSnapshot};
@@ -41,15 +41,14 @@ pub enum SuiteId {
     /// encodings × {-, b1, s1}, muldirect/- first) × the 8 circuits at
     /// the routable width.
     Routable,
-    /// The paper's §6 portfolios on the 8 circuits. At the unroutable
-    /// width, `portfolio-N` cells simulate the first 1, 2 and 3 members
-    /// of the paper's portfolio (each member runs sequentially; the wall
-    /// is the fastest decided member's, so all three columns are timed
-    /// the same way); the outcome names the winner. At the routable
-    /// width, four diversified muldirect/s1 members race on four threads
-    /// with learnt-clause sharing off and on; the outcome adds the
-    /// exported/imported clause counts. The threaded twins depend on
-    /// scheduling, so this suite is a smoke test, not a gate.
+    /// Clause sharing (§6) on the 8 circuits at the routable width: four
+    /// diversified muldirect/s1 members race on four threads with
+    /// learnt-clause sharing off and on; the outcome adds the
+    /// exported/imported clause counts. The twins depend on thread
+    /// scheduling, so this suite is a smoke test, not a gate. The paper's
+    /// 2- and 3-strategy portfolios need no cells of their own: on an idle
+    /// multicore a portfolio answers at its fastest member's time, and
+    /// [`SuiteId::Paper`] solves every member alone.
     Portfolio,
     /// Full minimum-width ladders on the `tiny_*` instances, warm
     /// (assumption-based, one solver) versus cold (re-encode per width),
@@ -65,16 +64,15 @@ pub enum SuiteId {
     /// the gate catches a changed core or a degenerated shrink loop as
     /// loudly as a slowdown.
     Explain,
-    /// The quick-suite cells — plus the hard `k2` paper cell — twice
-    /// each: once with in-search inprocessing (vivification,
-    /// subsumption, bounded variable elimination) enabled and once with
-    /// the stock configuration. The
-    /// `inp-on` cells embed the simplification counters in the outcome
-    /// column (`... viv=L sub=C bve=V`) — all deterministic, since pass
-    /// budgets tick on clause lengths rather than time — so the gate
-    /// catches a pass that silently stops firing as loudly as a
-    /// slowdown; the paired `inp-off` cells make the wall-time effect
-    /// visible in timing-comparable environments.
+    /// The quick-suite cells — plus the hard `k2` paper cell — with
+    /// in-search inprocessing (vivification, subsumption, bounded
+    /// variable elimination) enabled, as `inp-on` cells. Each embeds the
+    /// simplification counters in the outcome column (`... viv=L sub=C
+    /// bve=V`) — all deterministic, since pass budgets tick on clause
+    /// lengths rather than time — so the gate catches a pass that
+    /// silently stops firing as loudly as a changed search. The stock
+    /// configuration's cell with the same id prefix is in
+    /// [`SuiteId::Quick`] or [`SuiteId::Paper`].
     Inprocess,
     /// The ablations of the paper's premises, one cell per measured row.
     /// A1 (formula sizes): every encoding with s1 on `alu2` at the
@@ -171,10 +169,9 @@ const SHARING_MEMBERS: usize = 4;
 /// What one run of a suite cell does.
 #[derive(Clone, Copy)]
 enum CellKind {
-    /// One solve at a fixed channel width. `inprocess: Some(on)` marks an
-    /// inprocessing twin: `on` enables in-search inprocessing, and the
-    /// `on` outcome appends the pass counters.
-    Solve { width: u32, inprocess: Option<bool> },
+    /// One solve at a fixed channel width. `inprocess` enables in-search
+    /// inprocessing and appends the pass counters to the outcome.
+    Solve { width: u32, inprocess: bool },
     /// A whole minimum-width ladder; `warm` selects the assumption-based
     /// incremental search over the re-encode-per-width baseline, and
     /// `greedy` adds the greedy router's widths to the outcome.
@@ -183,9 +180,6 @@ enum CellKind {
     /// selector encoding, initial core, deletion shrink to 1-minimality
     /// on one warm solver.
     Explain { width: u32 },
-    /// A simulated portfolio of the first `members` strategies of
-    /// [`Strategy::paper_portfolio_3`], whose lead is the cell strategy.
-    Portfolio { width: u32, members: usize },
     /// [`SHARING_MEMBERS`] diversified copies of the cell strategy racing
     /// on as many threads, with learnt-clause sharing on or off.
     Sharing { width: u32, share: bool },
@@ -201,7 +195,6 @@ impl CellKind {
         match self {
             CellKind::Solve { width, .. }
             | CellKind::Explain { width }
-            | CellKind::Portfolio { width, .. }
             | CellKind::Sharing { width, .. }
             | CellKind::Shape { width, .. } => Some(width),
             CellKind::Ladder { .. } => None,
@@ -297,7 +290,7 @@ fn suite_cells(suite: SuiteId) -> Vec<SuiteCell> {
     let reference = [Strategy::paper_best(), Strategy::paper_baseline()];
     let solve = |width| CellKind::Solve {
         width,
-        inprocess: None,
+        inprocess: false,
     };
     let both_widths = |i: &BenchmarkInstance| [i.routable_width, i.unroutable_width];
     match suite {
@@ -311,25 +304,15 @@ fn suite_cells(suite: SuiteId) -> Vec<SuiteCell> {
             vec![solve(i.routable_width)]
         }),
         SuiteId::Portfolio => {
-            let instances = benchmarks::suite_paper();
-            let mut cells = cross(instances.clone(), &[Strategy::paper_best()], |i| {
-                (1..=3)
-                    .map(|members| CellKind::Portfolio {
-                        width: i.unroutable_width,
-                        members,
-                    })
-                    .collect()
-            });
             let muldirect = Strategy::new(EncodingId::Muldirect, SymmetryHeuristic::S1);
-            cells.extend(cross(instances, &[muldirect], |i| {
+            cross(benchmarks::suite_paper(), &[muldirect], |i| {
                 [false, true]
                     .map(|share| CellKind::Sharing {
                         width: i.routable_width,
                         share,
                     })
                     .to_vec()
-            }));
-            cells
+            })
         }
         SuiteId::Incremental => cross(benchmarks::suite_tiny(), &reference, |_| {
             [true, false]
@@ -346,29 +329,22 @@ fn suite_cells(suite: SuiteId) -> Vec<SuiteCell> {
                 width: i.unroutable_width,
             }]
         }),
-        // The quick grid as on/off twins plus the hard `k2` cell at its
-        // unroutable width. Twins solve the same CNF with the same
-        // configuration apart from the inprocessing toggle, so a verdict
-        // divergence is a soundness bug, not noise.
+        // The quick grid plus the hard `k2` cell at its unroutable width.
+        // Each solves the same CNF as its stock twin in `quick` or `paper`
+        // with inprocessing on, so a verdict divergence is a soundness
+        // bug, not noise.
         SuiteId::Inprocess => {
-            let twins = |widths: &[u32]| {
-                widths
-                    .iter()
-                    .flat_map(|&width| {
-                        [true, false].map(|on| CellKind::Solve {
-                            width,
-                            inprocess: Some(on),
-                        })
-                    })
-                    .collect()
+            let inprocess = |width| CellKind::Solve {
+                width,
+                inprocess: true,
             };
             let mut cells = cross(benchmarks::suite_tiny(), &reference, |i| {
-                twins(&both_widths(i))
+                both_widths(i).map(inprocess).to_vec()
             });
             cells.extend(cross(
                 named(benchmarks::suite_paper(), &["k2"]),
                 &reference,
-                |i| twins(&[i.unroutable_width]),
+                |i| vec![inprocess(i.unroutable_width)],
             ));
             cells
         }
@@ -497,8 +473,8 @@ fn run_cell(cell: &SuiteCell, runs: usize, opts: &SuiteOptions) -> BenchCell {
 
 impl SuiteCell {
     /// The artifact id: `benchmark/encoding/symmetry/wN`, plus a final
-    /// segment naming the cell kind (`inp-on`, `portfolio-2`,
-    /// `div4-share-on`, `seed-N`, ...) so twins never collide. Ladder
+    /// segment naming the cell kind (`inp-on`, `div4-share-on`,
+    /// `seed-N`, ...) so twins never collide. Ladder
     /// cells sweep widths, so `ladder-warm` / `ladder-cold` (with
     /// `-vs-greedy` when the outcome adds the greedy widths) replaces
     /// `wN`; explain cells end in `explain-wN` under a `-` symmetry
@@ -508,29 +484,25 @@ impl SuiteCell {
         let encoding = self.encoding().name();
         let symmetry = self.symmetry();
         let plain = |width| BenchCell::make_id(name, &encoding, symmetry, width);
-        let on_off = |on: bool| if on { "on" } else { "off" };
         match self.kind {
             CellKind::Solve {
                 width,
-                inprocess: None,
+                inprocess: false,
             } => plain(width),
             CellKind::Solve {
                 width,
-                inprocess: Some(on),
-            } => format!("{}/inp-{}", plain(width), on_off(on)),
+                inprocess: true,
+            } => format!("{}/inp-on", plain(width)),
             CellKind::Ladder { warm, greedy } => format!(
                 "{name}/{encoding}/{symmetry}/ladder-{}{}",
                 if warm { "warm" } else { "cold" },
                 if greedy { "-vs-greedy" } else { "" }
             ),
             CellKind::Explain { width } => format!("{name}/{encoding}/-/explain-w{width}"),
-            CellKind::Portfolio { width, members } => {
-                format!("{}/portfolio-{members}", plain(width))
-            }
             CellKind::Sharing { width, share } => format!(
                 "{}/div{SHARING_MEMBERS}-share-{}",
                 plain(width),
-                on_off(share)
+                if share { "on" } else { "off" }
             ),
             CellKind::Shape { width, seed } => format!("{}/seed-{seed}", plain(width)),
         }
@@ -561,8 +533,7 @@ impl SuiteCell {
         match self.kind {
             // The solver's own wall time, without encode and decode.
             CellKind::Solve { width, inprocess } => {
-                let inprocess_on = inprocess == Some(true);
-                if inprocess_on {
+                if inprocess {
                     ctx.config.inprocess = InprocessConfig::on();
                 }
                 let report = self.strategy.solve(graph, width).context(ctx).run();
@@ -570,7 +541,7 @@ impl SuiteCell {
                 // Pass budgets tick on clause lengths, never on time, and
                 // candidate orders are fixed, so the counters are
                 // deterministic and the gate checks them verbatim.
-                if inprocess_on {
+                if inprocess {
                     let s = &report.solver_stats;
                     outcome = format!(
                         "{outcome} viv={} sub={} bve={}",
@@ -660,23 +631,6 @@ impl SuiteCell {
                     outcome,
                     stats: report.solver_stats,
                     cnf: report.formula_stats,
-                }
-            }
-            // Counters sum over the members and the CNF shape is the lead
-            // member's, both deterministic; the winner is timing-dependent.
-            CellKind::Portfolio { width, members } => {
-                let strategies = &Strategy::paper_portfolio_3()[..members];
-                let sim = simulate_portfolio(graph, width, strategies, &ctx);
-                let outcome = match sim.winning_member() {
-                    Some(m) => format!("{} winner={}", m.report.outcome.verdict(), m.strategy),
-                    None => sim.members[0].report.outcome.verdict().to_string(),
-                };
-                Sample {
-                    wall: sim.wall_time,
-                    width,
-                    outcome,
-                    stats: summed(sim.members.iter().map(|m| &m.report.solver_stats)),
-                    cnf: sim.members[0].report.formula_stats,
                 }
             }
             CellKind::Sharing { width, share } => {
@@ -876,7 +830,9 @@ mod tests {
         };
         let a = run_suite(SuiteId::Inprocess, &opts, |_| {});
         let b = run_suite(SuiteId::Inprocess, &opts, |_| {});
+        let cells = suite_cells(SuiteId::Inprocess);
         assert!(!a.cells.is_empty());
+        assert_eq!(a.cells.len(), cells.len());
         assert_eq!(a.cells.len(), b.cells.len());
         for (ca, cb) in a.cells.iter().zip(&b.cells) {
             assert_eq!(ca.id, cb.id);
@@ -887,23 +843,26 @@ mod tests {
             assert_eq!(ca.conflicts, cb.conflicts, "{}", ca.id);
         }
         let mut simplified_somewhere = false;
-        for on in a.cells.iter().filter(|c| c.id.ends_with("/inp-on")) {
+        for (cell, on) in cells.iter().zip(&a.cells) {
+            assert_eq!(cell.id(), on.id);
             assert!(
-                on.outcome.contains(" viv=") && on.outcome.contains(" bve="),
+                on.id.ends_with("/inp-on")
+                    && on.outcome.contains(" viv=")
+                    && on.outcome.contains(" bve="),
                 "{}: expected embedded counters, got `{}`",
                 on.id,
                 on.outcome
             );
-            let off_id = on.id.replace("/inp-on", "/inp-off");
-            let off = a
-                .cells
-                .iter()
-                .find(|c| c.id == off_id)
-                .expect("every inp-on cell has an inp-off twin");
-            // Same verdict token: inprocessing must never flip an
+            // The stock solve of the same instance, strategy and width
+            // must reach the same verdict: inprocessing never flips an
             // answer.
+            let width = cell.kind.width().expect("a fixed-width solve");
+            let plain = cell
+                .strategy
+                .solve(&cell.instance.conflict_graph, width)
+                .run();
             let verdict = on.outcome.split_whitespace().next().unwrap();
-            assert_eq!(verdict, off.outcome, "{}", on.id);
+            assert_eq!(verdict, plain.outcome.verdict().to_string(), "{}", on.id);
             if !on.outcome.contains("viv=0 sub=0 bve=0") {
                 simplified_somewhere = true;
             }
@@ -1059,46 +1018,5 @@ mod tests {
         let greedy: Vec<usize> = greedy.split(',').map(|w| w.parse().unwrap()).collect();
         assert_eq!(greedy.len(), 3, "{}", ladder.outcome);
         assert!(greedy.iter().all(|&w| w >= min), "{}", ladder.outcome);
-    }
-
-    #[test]
-    fn portfolio_cells_run_every_member_and_report_the_winner() {
-        let opts = SuiteOptions {
-            runs: 1,
-            filter: Some("alu2/".to_string()),
-            ..SuiteOptions::default()
-        };
-        let artifact = run_suite(SuiteId::Portfolio, &opts, |_| {});
-        let ids: Vec<&str> = artifact.cells.iter().map(|c| c.id.as_str()).collect();
-        assert_eq!(ids.len(), 5, "{ids:?}");
-        let mut member_conflicts = Vec::new();
-        for members in 1..=3 {
-            let cell = artifact
-                .cells
-                .iter()
-                .find(|c| c.id.ends_with(&format!("/portfolio-{members}")))
-                .expect("one cell per portfolio size");
-            assert!(
-                cell.outcome.starts_with("unsat winner="),
-                "{}",
-                cell.outcome
-            );
-            member_conflicts.push(cell.conflicts);
-        }
-        // Counters sum over the members, so a larger portfolio never
-        // reports less work.
-        assert!(member_conflicts.windows(2).all(|w| w[0] <= w[1]));
-        for share in ["off", "on"] {
-            let cell = artifact
-                .cells
-                .iter()
-                .find(|c| c.id.ends_with(&format!("/div4-share-{share}")))
-                .expect("sharing twins");
-            assert!(
-                cell.outcome.starts_with("sat winner=") && cell.outcome.contains(" imported="),
-                "{}",
-                cell.outcome
-            );
-        }
     }
 }

@@ -27,16 +27,20 @@ use std::fmt;
 /// ```
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct CspGraph {
-    /// Sorted adjacency sets, one per vertex.
+    /// Sorted adjacency sets of the vertices up to the largest endpoint of
+    /// an edge; every vertex above it has no neighbors and costs nothing,
+    /// so a declared vertex count allocates nothing on its own.
     adjacency: Vec<BTreeSet<u32>>,
+    num_vertices: usize,
     num_edges: usize,
 }
 
 impl CspGraph {
-    /// Creates a graph with `n` vertices and no edges.
+    /// Creates a graph with `n` vertices and no edges, without allocating.
     pub fn new(n: usize) -> Self {
         CspGraph {
-            adjacency: vec![BTreeSet::new(); n],
+            adjacency: Vec::new(),
+            num_vertices: n,
             num_edges: 0,
         }
     }
@@ -56,7 +60,7 @@ impl CspGraph {
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.adjacency.len()
+        self.num_vertices
     }
 
     /// Number of (undirected) edges.
@@ -73,11 +77,15 @@ impl CspGraph {
     /// Panics on a self-loop or an out-of-range vertex.
     pub fn add_edge(&mut self, u: u32, v: u32) -> bool {
         assert_ne!(u, v, "self-loops are not allowed (vertex {u})");
-        let n = self.adjacency.len();
+        let n = self.num_vertices;
         assert!(
             (u as usize) < n && (v as usize) < n,
             "edge ({u}, {v}) references a vertex >= {n}"
         );
+        let top = u.max(v) as usize;
+        if top >= self.adjacency.len() {
+            self.adjacency.resize_with(top + 1, BTreeSet::new);
+        }
         let inserted = self.adjacency[u as usize].insert(v);
         if inserted {
             self.adjacency[v as usize].insert(u);
@@ -99,7 +107,7 @@ impl CspGraph {
     ///
     /// Panics if `v` is out of range.
     pub fn degree(&self, v: u32) -> usize {
-        self.adjacency[v as usize].len()
+        self.adjacent(v).len()
     }
 
     /// Iterates over the neighbors of `v` in ascending order.
@@ -108,7 +116,19 @@ impl CspGraph {
     ///
     /// Panics if `v` is out of range.
     pub fn neighbors(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
-        self.adjacency[v as usize].iter().copied()
+        self.adjacent(v).iter().copied()
+    }
+
+    /// `v`'s adjacency set, empty above the largest edge endpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    fn adjacent(&self, v: u32) -> &BTreeSet<u32> {
+        static ISOLATED: BTreeSet<u32> = BTreeSet::new();
+        let n = self.num_vertices;
+        assert!((v as usize) < n, "vertex {v} out of range ({n} vertices)");
+        self.adjacency.get(v as usize).unwrap_or(&ISOLATED)
     }
 
     /// Iterates over all edges as `(u, v)` pairs with `u < v`.
@@ -133,10 +153,7 @@ impl CspGraph {
     ///
     /// Panics if `v` is out of range.
     pub fn neighbor_degree_sum(&self, v: u32) -> usize {
-        self.adjacency[v as usize]
-            .iter()
-            .map(|&w| self.degree(w))
-            .sum()
+        self.neighbors(v).map(|w| self.degree(w)).sum()
     }
 
     /// A greedily grown clique around the highest-degree vertex — a quick
@@ -231,6 +248,33 @@ mod tests {
                 assert!(g.has_edge(clique[i], clique[j]));
             }
         }
+    }
+
+    #[test]
+    fn untouched_vertices_cost_nothing_and_answer_as_isolated() {
+        // Sized per declared vertex, this graph would take 25.8 GB.
+        let n = (1 << 30) - 1;
+        let g = CspGraph::from_edges(n, [(0, 1)]);
+        assert_eq!(g.num_vertices(), n);
+        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.adjacency.len(), 2);
+        for v in [2, 1000, n as u32 - 1] {
+            assert_eq!(g.degree(v), 0);
+            assert_eq!(g.neighbors(v).count(), 0);
+            assert_eq!(g.neighbor_degree_sum(v), 0);
+            assert!(!g.has_edge(v, 0));
+        }
+        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), [1]);
+        assert_eq!(g.edges().collect::<Vec<_>>(), [(0, 1)]);
+        assert_eq!(g.max_degree(), 1);
+        assert_eq!(g, CspGraph::from_edges(n, [(1, 0)]));
+        assert_ne!(g, CspGraph::from_edges(n - 1, [(0, 1)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn degree_of_an_undeclared_vertex_panics() {
+        CspGraph::new(3).degree(3);
     }
 
     #[test]

@@ -61,63 +61,6 @@ pub fn greedy_coloring(graph: &CspGraph) -> Coloring {
     greedy_coloring_with_order(graph, &order)
 }
 
-/// Greedy coloring with a hard color budget — the "one net at a time"
-/// detailed-routing baseline the paper contrasts with SAT (§1: non-SAT
-/// routers route nets sequentially and can fail on routable instances;
-/// SAT considers all nets simultaneously).
-///
-/// Colors vertices in `order`, always taking the smallest color `< k` not
-/// used by an already-colored neighbor. Returns `None` as soon as a vertex
-/// has no legal color — which can happen even when a proper k-coloring
-/// exists, since earlier choices are never revisited.
-///
-/// # Panics
-///
-/// Panics if `order` is not a permutation of the vertices.
-///
-/// # Examples
-///
-/// ```
-/// use satroute_coloring::{greedy_coloring_capped, CspGraph};
-///
-/// // The 3-crown: K(3,3) minus a perfect matching, chromatic number 2 —
-/// // but interleaved greedy ordering needs 3 colors, so it fails at k = 2.
-/// let g = CspGraph::from_edges(6, [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]);
-/// assert!(greedy_coloring_capped(&g, 2, &[0, 3, 1, 4, 2, 5]).is_none());
-/// // A SAT-based router (or a better order) finds the 2-coloring.
-/// assert!(greedy_coloring_capped(&g, 2, &[0, 1, 2, 3, 4, 5]).is_some());
-/// ```
-pub fn greedy_coloring_capped(graph: &CspGraph, k: u32, order: &[u32]) -> Option<Coloring> {
-    let n = graph.num_vertices();
-    assert_eq!(order.len(), n, "order must cover every vertex");
-    let mut colors: Vec<Option<u32>> = vec![None; n];
-    let mut used = vec![false; k as usize];
-    for &v in order {
-        for u in used.iter_mut() {
-            *u = false;
-        }
-        for w in graph.neighbors(v) {
-            if let Some(c) = colors[w as usize] {
-                if c < k {
-                    used[c as usize] = true;
-                }
-            }
-        }
-        let color = used.iter().position(|&u| !u)? as u32;
-        assert!(
-            colors[v as usize].is_none(),
-            "order visits vertex {v} twice"
-        );
-        colors[v as usize] = Some(color);
-    }
-    Some(Coloring::from_colors(
-        colors
-            .into_iter()
-            .map(|c| c.expect("order is a permutation"))
-            .collect(),
-    ))
-}
-
 /// DSATUR coloring (Brélaz): repeatedly colors the vertex with the highest
 /// saturation (number of distinct neighbor colors), breaking ties by degree.
 ///
@@ -216,6 +159,21 @@ mod tests {
         assert_eq!(c.color(1), 0);
         assert_eq!(c.color(0), 1);
         assert_eq!(c.color(2), 0);
+    }
+
+    #[test]
+    fn order_decides_the_colors_of_the_3_crown() {
+        // The 3-crown: K(3,3) minus a perfect matching, chromatic number
+        // 2, the case where routing one net at a time loses to SAT. The
+        // interleaved order needs 3 colors, the id order 2.
+        let g = CspGraph::from_edges(6, [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]);
+        let interleaved = greedy_coloring_with_order(&g, &[0, 3, 1, 4, 2, 5]);
+        assert!(interleaved.is_proper(&g));
+        assert_eq!(interleaved.num_colors(), 3);
+        assert_eq!(
+            greedy_coloring_with_order(&g, &[0, 1, 2, 3, 4, 5]).num_colors(),
+            2
+        );
     }
 
     #[test]

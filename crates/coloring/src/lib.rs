@@ -40,7 +40,5 @@ pub mod exact;
 
 pub use coloring::Coloring;
 pub use graph::CspGraph;
-pub use greedy::{
-    dsatur_coloring, greedy_coloring, greedy_coloring_capped, greedy_coloring_with_order,
-};
+pub use greedy::{dsatur_coloring, greedy_coloring, greedy_coloring_with_order};
 pub use random::random_graph;

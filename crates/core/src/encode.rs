@@ -210,7 +210,9 @@ pub struct EncodedColoring {
 /// # Panics
 ///
 /// Panics if a [`Selectors::PerGroup`] slice does not hold exactly one
-/// group id per vertex.
+/// group id per vertex, or if the encode needs more than [`Var::LIMIT`]
+/// variables ([`num_vars_needed`] tells beforehand); nothing is sized per
+/// vertex before that check.
 pub fn encode(
     graph: &CspGraph,
     k: u32,
@@ -230,6 +232,16 @@ pub fn encode(
         stats,
         cnf_translation,
     }
+}
+
+/// The variables [`encode`] gives the K-coloring problem of `graph` without
+/// selectors: one block of `encoding`'s variables per vertex. Counted in
+/// `u64`, so a graph too large to encode (above [`Var::LIMIT`], where
+/// [`encode`] panics) can be refused before it is encoded.
+#[must_use]
+pub fn num_vars_needed(graph: &CspGraph, k: u32, encoding: &Encoding) -> u64 {
+    let per_vertex = if k == 0 { 0 } else { encoding.emit(k).num_vars };
+    u64::from(per_vertex) * graph.num_vertices() as u64
 }
 
 /// One encode in progress: its open `encode` span, the scheme emitted for
@@ -259,7 +271,7 @@ impl<'a> Encoder<'a> {
     /// # Panics
     ///
     /// Panics if a [`Selectors::PerGroup`] slice does not hold exactly one
-    /// group id per vertex.
+    /// group id per vertex, or above [`Var::LIMIT`] variables.
     pub(crate) fn begin(
         graph: &'a CspGraph,
         k: u32,
@@ -302,6 +314,14 @@ impl<'a> Encoder<'a> {
         } else {
             encoding.emit_traced(k, tracer)
         };
+        // Counted in `u64` and checked before anything is sized per vertex:
+        // in `u32` the product would wrap silently in a release build.
+        let vars = u64::from(scheme.num_vars) * n as u64 + u64::from(num_selectors);
+        assert!(
+            vars <= u64::from(Var::LIMIT),
+            "encoding {n} vertices at k = {k} needs {vars} variables, above the CNF limit of {}",
+            Var::LIMIT
+        );
         let blocks = scheme.num_vars * n as u32;
         let offsets: Vec<u32> = (0..n as u32).map(|v| v * scheme.num_vars).collect();
         let negations = scheme
@@ -556,6 +576,21 @@ mod tests {
         // One variable per vertex at the least, so a `.col` header may
         // declare no more vertices than a CNF has variables.
         assert_eq!(satroute_coloring::dimacs::MAX_VERTICES, Var::LIMIT);
+    }
+
+    #[test]
+    #[should_panic(expected = "above the CNF limit")]
+    fn an_encode_above_the_variable_limit_panics_before_sizing_vertices() {
+        // 5 · (2^30 − 1) variables, which `u32` arithmetic wraps to below
+        // the limit. The graph holds two adjacency sets; the panic comes
+        // before the offsets or the symmetry order are sized per vertex.
+        let g = CspGraph::from_edges(Var::LIMIT as usize, [(0, 1)]);
+        let muldirect = EncodingId::Muldirect.encoding();
+        assert_eq!(
+            num_vars_needed(&g, 5, &muldirect),
+            5 * u64::from(Var::LIMIT)
+        );
+        encode_coloring(&g, 5, &muldirect, SymmetryHeuristic::S1);
     }
 
     #[test]

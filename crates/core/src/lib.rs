@@ -152,7 +152,7 @@ pub mod symmetry;
 
 pub use catalog::{Encoding, EncodingId, ParseEncodingError};
 pub use decode::{decode_coloring, DecodeError};
-pub use encode::{encode, encode_coloring, DecodeMap, EncodedColoring, Selectors};
+pub use encode::{encode, encode_coloring, num_vars_needed, DecodeMap, EncodedColoring, Selectors};
 pub use explain::{ExplainOutcome, ExplainReport, ExplainRequest, NetCore, ShrinkStatus};
 pub use hier::TopScheme;
 pub use incremental::{IncrementalSession, IncrementalSessionBuilder};
@@ -161,9 +161,7 @@ pub use pattern::{Pattern, SchemeCnf};
 pub use pipeline::{
     PipelineError, RouteResult, RoutingPipeline, UnroutabilityCertificate, WidthSearch,
 };
-pub use portfolio::{
-    run_portfolio, simulate_portfolio, MemberReport, PortfolioOptions, PortfolioResult, SharingBus,
-};
+pub use portfolio::{run_portfolio, MemberReport, PortfolioOptions, PortfolioResult, SharingBus};
 pub use scheme::SimpleScheme;
 pub use strategy::{ColoringOutcome, ColoringReport, SolveRequest, Strategy, TimingBreakdown};
 pub use symmetry::SymmetryHeuristic;

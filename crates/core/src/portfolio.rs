@@ -12,10 +12,10 @@
 //! (SAT or UNSAT) result wins and stops the losers at their next conflict
 //! boundary. Every member's report — including the losers' partial
 //! [`SolverStats`](satroute_solver::SolverStats) and [`StopReason`] — is
-//! retained in the returned [`PortfolioResult`].
-//! [`simulate_portfolio`] runs the same members one after another and
-//! returns the same result type, with the wall time an ideal multicore
-//! would have taken.
+//! retained in the returned [`PortfolioResult`]. It is the one way the
+//! crate races an instance. On an idle multicore the race answers at its
+//! fastest member's own time, so the paper's portfolio speedups are read
+//! off each member's solo Table-2 time rather than re-measured.
 //!
 //! Run control comes from one [`RunContext`] shared by every member: a
 //! relative wall limit is converted to one shared absolute deadline, so
@@ -88,23 +88,18 @@ impl MemberReport {
     }
 }
 
-/// The result of a portfolio run, real ([`run_portfolio`]) or simulated
-/// ([`simulate_portfolio`]): the winner (if any member decided) plus
-/// every member's report.
+/// The result of a [`run_portfolio`] race: the winner (if any member
+/// decided) plus every member's report.
 #[derive(Clone, Debug)]
 pub struct PortfolioResult {
     /// Index (into `members` and the input strategy slice) of the member
-    /// that answered first — in a simulation, the decided member with the
-    /// smallest own wall time — or `None` if every member returned
-    /// Unknown.
+    /// that answered first, or `None` if every member returned Unknown.
     pub winner: Option<usize>,
     /// All members, in input order, each with its (possibly partial)
     /// report.
     pub members: Vec<MemberReport>,
     /// Wall-clock time from launch to the first decided answer, or to the
-    /// last member stopping when nothing was decided. A simulation reports
-    /// the virtual parallel wall time: the fastest decided member's own
-    /// time, else the slowest member's.
+    /// last member stopping when nothing was decided.
     pub wall_time: Duration,
 }
 
@@ -295,11 +290,6 @@ impl SharingBus {
             .get(member)
             .and_then(|e| e.clone())
             .map(|e| e as Arc<dyn ClauseExchange>)
-    }
-
-    /// Number of members connected to at least one peer.
-    pub fn sharing_members(&self) -> usize {
-        self.endpoints.iter().filter(|e| e.is_some()).count()
     }
 }
 
@@ -499,60 +489,6 @@ fn record_member(registry: &MetricsRegistry, idx: usize, report: &ColoringReport
     }
 }
 
-/// Simulates the paper's multicore portfolio on a machine with too few
-/// cores: runs every member **sequentially** under `ctx`, measures each,
-/// and reports the minimum decided time as the virtual parallel wall time.
-///
-/// The result's `winner` is the decided member with the smallest own wall
-/// time, and its `wall_time` is that member's time, or the slowest
-/// member's time when nothing decided (all cores run to exhaustion). On a
-/// CPU with at least `strategies.len()` idle cores, [`run_portfolio`]'s
-/// real wall time converges to this value (plus scheduling noise); on a
-/// single core the real portfolio degrades to roughly the *sum* of member
-/// times, which is why this simulation exists (see DESIGN.md,
-/// substitution table).
-///
-/// Because members run sequentially here, nothing is cancelled and the
-/// budget (including a `wall` limit) applies to each member individually —
-/// that is what each member would get on an ideal parallel machine. An
-/// absolute `deadline_at` is almost certainly wrong for a simulation and
-/// is left untouched. No `portfolio` or `member` spans are recorded.
-pub fn simulate_portfolio(
-    graph: &CspGraph,
-    k: u32,
-    strategies: &[Strategy],
-    ctx: &RunContext,
-) -> PortfolioResult {
-    let mut members = Vec::with_capacity(strategies.len());
-    let mut winner: Option<(usize, Duration)> = None;
-    for (idx, strategy) in strategies.iter().enumerate() {
-        let start = Instant::now();
-        let report = strategy.solve(graph, k).context(ctx.clone()).run();
-        let elapsed = start.elapsed();
-        if report.outcome.is_decided() && winner.is_none_or(|(_, t)| elapsed < t) {
-            winner = Some((idx, elapsed));
-        }
-        members.push(MemberReport {
-            strategy: *strategy,
-            report,
-            wall_time: elapsed,
-        });
-    }
-    let wall_time = match winner {
-        Some((_, t)) => t,
-        None => members
-            .iter()
-            .map(|m| m.wall_time)
-            .max()
-            .unwrap_or_default(),
-    };
-    PortfolioResult {
-        winner: winner.map(|(i, _)| i),
-        members,
-        wall_time,
-    }
-}
-
 impl Strategy {
     /// The paper's 2-strategy portfolio (§6): ITE-linear-2+muldirect/s1 and
     /// muldirect-3+muldirect/s1 (additional 1.84× over the best single
@@ -730,32 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn simulated_portfolio_picks_the_fastest_member() {
-        let g = random_graph(12, 0.5, 11);
-        let chi = exact::chromatic_number(&g);
-        let strategies = Strategy::paper_portfolio_3();
-        let sim = simulate_portfolio(&g, chi - 1, &strategies, &RunContext::default());
-        assert!(matches!(
-            sim.report().expect("members decide").outcome,
-            ColoringOutcome::Unsat
-        ));
-        assert_eq!(sim.members.len(), 3);
-        let fastest = sim.members.iter().map(|m| m.wall_time).min();
-        assert_eq!(Some(sim.wall_time), fastest);
-        let winner = sim.winner.expect("decides");
-        assert_eq!(sim.members[winner].wall_time, sim.wall_time);
-        assert_eq!(sim.strategy(), Some(strategies[winner]));
-    }
-
-    #[test]
-    fn simulated_portfolio_empty_is_undecided() {
-        let g = CspGraph::new(2);
-        let sim = simulate_portfolio(&g, 1, &[], &RunContext::default());
-        assert!(!sim.is_decided());
-        assert_eq!(sim.wall_time, Duration::ZERO);
-    }
-
-    #[test]
     fn paper_portfolios_have_the_documented_members() {
         let p2 = Strategy::paper_portfolio_2();
         assert_eq!(p2.len(), 2);
@@ -849,7 +759,6 @@ mod tests {
         // paper_portfolio_3()[0] IS paper_best(), so the bus group for
         // paper_best has 3 members; the other two strategies are singletons.
         let bus = SharingBus::for_strategies(&strategies);
-        assert_eq!(bus.sharing_members(), 3);
         assert!(bus.exchange(0).is_some());
         assert!(bus.exchange(1).is_none());
         assert!(bus.exchange(2).is_none());

@@ -9,7 +9,6 @@
 use satroute_cnf::{Assignment, CnfFormula, Lit, Var};
 
 use crate::outcome::SolveOutcome;
-use crate::run::StopReason;
 
 /// A chronological-backtracking DPLL SAT solver.
 ///
@@ -28,24 +27,13 @@ use crate::run::StopReason;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DpllSolver {
-    /// Give up after this many decisions (`None` = unbounded).
-    max_decisions: Option<u64>,
     decisions: u64,
 }
 
 impl DpllSolver {
-    /// Creates a solver with no decision budget.
+    /// Creates a solver.
     pub fn new() -> Self {
         DpllSolver::default()
-    }
-
-    /// Creates a solver that answers [`SolveOutcome::Unknown`] after
-    /// `max_decisions` branching decisions.
-    pub fn with_decision_budget(max_decisions: u64) -> Self {
-        DpllSolver {
-            max_decisions: Some(max_decisions),
-            decisions: 0,
-        }
     }
 
     /// Number of branching decisions made by the last `solve` call.
@@ -53,7 +41,7 @@ impl DpllSolver {
         self.decisions
     }
 
-    /// Solves `formula`.
+    /// Solves `formula` to completion: the answer is always SAT or UNSAT.
     ///
     /// Returns a total model on SAT. Never panics on malformed input; an
     /// empty clause simply makes the formula unsatisfiable.
@@ -62,30 +50,21 @@ impl DpllSolver {
         let num_vars = formula.num_vars();
         let clauses: Vec<Vec<Lit>> = formula.clauses().map(<[Lit]>::to_vec).collect();
         let mut assignment = Assignment::new(num_vars);
-        match self.search(&clauses, &mut assignment, num_vars) {
-            Some(true) => {
-                // Complete the model: unassigned variables get `false`.
-                for i in 0..num_vars {
-                    let v = Var::new(i);
-                    if assignment.value(v).is_none() {
-                        assignment.assign(v, false);
-                    }
-                }
-                SolveOutcome::Sat(assignment)
-            }
-            Some(false) => SolveOutcome::Unsat,
-            None => SolveOutcome::Unknown(StopReason::DecisionLimit),
+        if !self.search(&clauses, &mut assignment, num_vars) {
+            return SolveOutcome::Unsat;
         }
+        // Complete the model: unassigned variables get `false`.
+        for i in 0..num_vars {
+            let v = Var::new(i);
+            if assignment.value(v).is_none() {
+                assignment.assign(v, false);
+            }
+        }
+        SolveOutcome::Sat(assignment)
     }
 
-    /// Returns `Some(true)` for SAT, `Some(false)` for UNSAT and `None` when
-    /// the decision budget ran out.
-    fn search(
-        &mut self,
-        clauses: &[Vec<Lit>],
-        assignment: &mut Assignment,
-        num_vars: u32,
-    ) -> Option<bool> {
+    /// Returns `true` for SAT and `false` for UNSAT.
+    fn search(&mut self, clauses: &[Vec<Lit>], assignment: &mut Assignment, num_vars: u32) -> bool {
         // Unit propagation to fixpoint, remembering what we assigned so we
         // can undo on backtrack.
         let mut propagated: Vec<Var> = Vec::new();
@@ -117,7 +96,7 @@ impl DpllSolver {
                         for v in propagated {
                             assignment.unassign(v);
                         }
-                        return Some(false);
+                        return false;
                     }
                     1 => {
                         let lit = unassigned.expect("exactly one unassigned literal");
@@ -160,31 +139,14 @@ impl DpllSolver {
 
         let Some(var) = branch_var else {
             // Every clause satisfied.
-            return Some(true);
+            return true;
         };
-
-        if let Some(max) = self.max_decisions {
-            if self.decisions >= max {
-                for v in propagated {
-                    assignment.unassign(v);
-                }
-                return None;
-            }
-        }
         self.decisions += 1;
 
         for value in [true, false] {
             assignment.assign(var, value);
-            match self.search(clauses, assignment, num_vars) {
-                Some(true) => return Some(true),
-                Some(false) => {}
-                None => {
-                    assignment.unassign(var);
-                    for v in propagated {
-                        assignment.unassign(v);
-                    }
-                    return None;
-                }
+            if self.search(clauses, assignment, num_vars) {
+                return true;
             }
             assignment.unassign(var);
         }
@@ -192,7 +154,7 @@ impl DpllSolver {
         for v in propagated {
             assignment.unassign(v);
         }
-        Some(false)
+        false
     }
 }
 
@@ -241,17 +203,6 @@ mod tests {
             }
         }
         assert!(DpllSolver::new().solve(&formula(&clauses)).is_unsat());
-    }
-
-    #[test]
-    fn decision_budget_gives_unknown() {
-        // Needs at least one decision.
-        let f = formula(&[vec![1, 2], vec![-1, -2]]);
-        let mut s = DpllSolver::with_decision_budget(0);
-        assert_eq!(
-            s.solve(&f),
-            SolveOutcome::Unknown(StopReason::DecisionLimit)
-        );
     }
 
     #[test]

@@ -56,14 +56,6 @@ impl SolveOutcome {
             _ => None,
         }
     }
-
-    /// Consumes the outcome, returning the model if satisfiable.
-    pub fn into_model(self) -> Option<Assignment> {
-        match self {
-            SolveOutcome::Sat(m) => Some(m),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -91,11 +91,6 @@ impl DratProof {
         DratProof::default()
     }
 
-    /// Creates a proof from raw steps.
-    pub fn from_steps(steps: Vec<ProofStep>) -> Self {
-        DratProof { steps }
-    }
-
     /// The steps of the proof.
     pub fn steps(&self) -> &[ProofStep] {
         &self.steps

@@ -85,10 +85,6 @@ pub enum StopReason {
     Deadline,
     /// The conflict cap of the [`RunBudget`] was reached.
     ConflictLimit,
-    /// The decision budget of the
-    /// [`DpllSolver`](crate::DpllSolver::with_decision_budget) oracle was
-    /// reached.
-    DecisionLimit,
 }
 
 impl fmt::Display for StopReason {
@@ -97,7 +93,6 @@ impl fmt::Display for StopReason {
             StopReason::Cancelled => "cancelled",
             StopReason::Deadline => "deadline",
             StopReason::ConflictLimit => "conflict-limit",
-            StopReason::DecisionLimit => "decision-limit",
         };
         f.write_str(s)
     }

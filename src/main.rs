@@ -48,9 +48,10 @@
 //! text for `.prom` and JSON otherwise. `bench run` takes `--timeout` and
 //! `--trace` through the same path.
 //!
-//! `bench compare --gate` exits with status 3 when a gated metric
-//! regressed (wall time gates only between timing-comparable
-//! environments; conflicts, CNF shape and outcomes gate everywhere).
+//! `bench compare --gate` exits with status 3 when a cell's conflicts,
+//! decisions, propagations or CNF shape differ from the baseline's, its
+//! decided outcome changed or it is missing; wall time is reported and
+//! never gated.
 
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -60,13 +61,14 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Duration;
 
-use satroute::bench::{compare, run_suite, BenchArtifact, GateOptions, SuiteId, SuiteOptions};
+use satroute::bench::{compare, run_suite, BenchArtifact, SuiteId, SuiteOptions};
 use satroute::cnf::dimacs as cnf_dimacs;
+use satroute::cnf::Var;
 use satroute::coloring::dimacs as col_dimacs;
 use satroute::coloring::CspGraph;
 use satroute::core::{
-    encode_coloring, run_portfolio, ColoringOutcome, EncodingId, ExplainOutcome, ExplainReport,
-    PipelineError, PortfolioOptions, RoutingPipeline, Strategy,
+    encode_coloring, num_vars_needed, run_portfolio, ColoringOutcome, EncodingId, ExplainOutcome,
+    ExplainReport, PipelineError, PortfolioOptions, RoutingPipeline, Strategy,
 };
 use satroute::fpga::{benchmarks, io as fpga_io, BlameReport, NetId, RoutingProblem};
 use satroute::obs::json::Value;
@@ -132,7 +134,7 @@ const USAGE: &[(&str, &str)] = &[
     ),
     (
         "bench compare",
-        "<baseline.json> <candidate.json> [--gate] [--threshold <pct>] [--json]",
+        "<baseline.json> <candidate.json> [--gate] [--json]",
     ),
     ("encodings", ""),
 ];
@@ -584,6 +586,15 @@ fn dispatch(args: &Args, ctx: &RunContext) -> Result<ExitCode, String> {
             };
             let strategy = args.strategy()?;
             let encoding = strategy.encoding.encoding();
+            let vars = num_vars_needed(&graph, width, &encoding);
+            if vars > u64::from(Var::LIMIT) {
+                return Err(format!(
+                    "encoding {} vertices at width {width} needs {vars} variables, above the \
+                     CNF limit of {} (2^30 - 1)",
+                    graph.num_vertices(),
+                    Var::LIMIT
+                ));
+            }
             let enc = encode_coloring(&graph, width, &encoding, strategy.symmetry);
             let text = cnf_dimacs::to_cnf_string(&enc.formula);
             match args.get("--out") {
@@ -867,16 +878,6 @@ fn dispatch(args: &Args, ctx: &RunContext) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "bench compare" => {
-            let mut gate_opts = GateOptions {
-                gate: args.has("--gate"),
-                ..GateOptions::default()
-            };
-            if let Some(pct) = args.parse::<f64>("--threshold")? {
-                if !pct.is_finite() || pct < 0.0 {
-                    return Err(format!("bad --threshold value `{pct}`"));
-                }
-                gate_opts.threshold_pct = pct;
-            }
             let load = |path: &str| -> Result<BenchArtifact, String> {
                 let text =
                     fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -884,7 +885,7 @@ fn dispatch(args: &Args, ctx: &RunContext) -> Result<ExitCode, String> {
             };
             let baseline = load(&args.positional[0])?;
             let candidate = load(&args.positional[1])?;
-            let comparison = compare(&baseline, &candidate, &gate_opts);
+            let comparison = compare(&baseline, &candidate, args.has("--gate"));
             if json {
                 println!("{}", comparison.to_json().to_json());
             } else {

@@ -356,6 +356,30 @@ fn bad_inputs_produce_errors_not_panics() {
 }
 
 #[test]
+fn a_col_graph_too_large_to_encode_is_an_error_not_an_abort() {
+    // One edge under a header of 10^9 vertices. Sized per declared vertex
+    // the graph alone takes 24 GB; at width 2 the default encoding needs
+    // 2·10^9 variables, above the CNF limit. Under a 4 GB address-space
+    // limit the command must refuse with an error naming the limit.
+    let dir = tempdir("big_col");
+    let col = dir.join("big.col");
+    std::fs::write(&col, "p edge 1000000000 1\ne 1 2\n").unwrap();
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -v 4000000; "$0" encode "$1" --width 2"#)
+        .arg(env!("CARGO_BIN_EXE_satroute"))
+        .arg(&col)
+        .output()
+        .expect("sh runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("error:") && stderr.contains("1073741823"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn portfolio_command_reports_sharing_counters() {
     let dir = tempdir("portfolio");
     let problem = dir.join("tiny.txt");

@@ -6,8 +6,8 @@ use std::time::{Duration, Instant};
 
 use satroute::coloring::{dsatur_coloring, exact, random_graph, CspGraph};
 use satroute::core::{
-    run_portfolio, simulate_portfolio, ColoringOutcome, ExplainOutcome, PipelineError,
-    PortfolioOptions, RoutingPipeline, Strategy,
+    run_portfolio, ColoringOutcome, ExplainOutcome, PipelineError, PortfolioOptions,
+    RoutingPipeline, Strategy,
 };
 use satroute::fpga::benchmarks;
 use satroute::obs::{BufferSink, SpanForest, TraceEvent};
@@ -347,20 +347,6 @@ fn every_entry_point_forwards_its_run_context() {
                 };
                 result
                     .members
-                    .iter()
-                    .all(stopped)
-                    .then_some(StopReason::Cancelled)
-            }),
-        ),
-        (
-            "simulate_portfolio",
-            Box::new(|ctx| {
-                let strategies = Strategy::paper_portfolio_2();
-                let sim = simulate_portfolio(graph, width, &strategies, ctx);
-                let stopped = |m: &satroute::core::MemberReport| {
-                    m.stop_reason() == Some(StopReason::Cancelled)
-                };
-                sim.members
                     .iter()
                     .all(stopped)
                     .then_some(StopReason::Cancelled)
