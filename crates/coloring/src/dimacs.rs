@@ -92,8 +92,22 @@ fn syntax(line: usize, message: impl Into<String>) -> ParseColError {
 ///
 /// Returns [`ParseColError`] on I/O failure or malformed content.
 pub fn parse_col<R: Read>(reader: R) -> Result<CspGraph, ParseColError> {
+    let (n, edges) = parse_col_edges(reader)?;
+    Ok(CspGraph::from_edges(n, edges))
+}
+
+/// Parses a DIMACS `.col` graph as [`parse_col`] does, but stops short of
+/// building it: returns the declared vertex count and the edges, 0-based,
+/// in file order. A caller that refuses graphs above some size can check
+/// the vertex count before anything is sized by the largest endpoint.
+///
+/// # Errors
+///
+/// See [`parse_col`].
+pub fn parse_col_edges<R: Read>(reader: R) -> Result<(usize, Vec<(u32, u32)>), ParseColError> {
     let reader = BufReader::new(reader);
-    let mut graph: Option<CspGraph> = None;
+    let mut header: Option<usize> = None;
+    let mut edges = Vec::new();
 
     for (idx, line) in reader.lines().enumerate() {
         let line_no = idx + 1;
@@ -105,7 +119,7 @@ pub fn parse_col<R: Read>(reader: R) -> Result<CspGraph, ParseColError> {
         let mut parts = trimmed.split_whitespace();
         match parts.next() {
             Some("p") => {
-                if graph.is_some() {
+                if header.is_some() {
                     return Err(syntax(line_no, "duplicate problem header"));
                 }
                 let format = parts.next();
@@ -126,12 +140,10 @@ pub fn parse_col<R: Read>(reader: R) -> Result<CspGraph, ParseColError> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| syntax(line_no, "bad edge count"))?;
-                graph = Some(CspGraph::new(n as usize));
+                header = Some(n as usize);
             }
             Some("e") => {
-                let g = graph
-                    .as_mut()
-                    .ok_or_else(|| syntax(line_no, "edge before `p edge` header"))?;
+                let n = header.ok_or_else(|| syntax(line_no, "edge before `p edge` header"))?;
                 let u: u32 = parts
                     .next()
                     .and_then(|s| s.parse().ok())
@@ -147,13 +159,13 @@ pub fn parse_col<R: Read>(reader: R) -> Result<CspGraph, ParseColError> {
                     return Err(syntax(line_no, format!("self-loop on vertex {u}")));
                 }
                 let (u0, v0) = (u - 1, v - 1);
-                if (u0 as usize) >= g.num_vertices() || (v0 as usize) >= g.num_vertices() {
+                if (u0 as usize) >= n || (v0 as usize) >= n {
                     return Err(syntax(
                         line_no,
                         format!("edge ({u}, {v}) exceeds declared vertex count"),
                     ));
                 }
-                g.add_edge(u0, v0);
+                edges.push((u0, v0));
             }
             Some(other) => {
                 return Err(syntax(line_no, format!("unknown line type `{other}`")));
@@ -162,7 +174,8 @@ pub fn parse_col<R: Read>(reader: R) -> Result<CspGraph, ParseColError> {
         }
     }
 
-    graph.ok_or_else(|| syntax(0, "missing `p edge` header"))
+    let n = header.ok_or_else(|| syntax(0, "missing `p edge` header"))?;
+    Ok((n, edges))
 }
 
 /// Parses a DIMACS `.col` document from a string.
@@ -256,6 +269,16 @@ mod tests {
             );
             assert!(err.to_string().contains("at most 1073741823"), "{err}");
         }
+    }
+
+    #[test]
+    fn edge_lists_come_back_as_written_without_building_the_graph() {
+        // One high endpoint: as a graph this would size rows up to it.
+        let text = "p edge 1000000000 2\ne 1 1000000000\ne 2 1\n";
+        let (n, edges) = parse_col_edges(text.as_bytes()).unwrap();
+        assert_eq!(n, 1_000_000_000);
+        assert_eq!(edges, [(0, 999_999_999), (1, 0)]);
+        assert!(parse_col_edges("e 1 2\n".as_bytes()).is_err());
     }
 
     #[test]

@@ -28,15 +28,15 @@ use crate::CspGraph;
 pub fn random_graph(n: usize, p: f64, seed: u64) -> CspGraph {
     assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = CspGraph::new(n);
+    let mut edges = Vec::new();
     for u in 0..n as u32 {
         for v in (u + 1)..n as u32 {
             if rng.gen_bool(p) {
-                g.add_edge(u, v);
+                edges.push((u, v));
             }
         }
     }
-    g
+    CspGraph::from_edges(n, edges)
 }
 
 #[cfg(test)]

@@ -18,6 +18,11 @@
 //!
 //! Each clause goes out once, through a [`ClauseSink`]: a [`CnfFormula`]
 //! ([`encode`]) or, for a solve that keeps no formula, the solver itself.
+//! Loading direct or muldirect into a solver, the encoder offers the
+//! conflict graph in place of the binaries ¬x_{u,c} ∨ ¬x_{v,c} (and
+//! direct's at-most-one binaries); a solver that takes it holds them as
+//! the graph ([`CdclSolver::add_conflict_binaries`]), and they are counted
+//! in the CNF shape but never written.
 //! The result carries a [`DecodeMap`] so that a SAT model can be converted
 //! back into a coloring by [`crate::decode::decode_coloring`], and a failed
 //! selector assumption back into its track or group id.
@@ -28,10 +33,11 @@ use std::time::Duration;
 use satroute_cnf::{ClauseSink, CnfFormula, FormulaStats, Lit, Var};
 use satroute_coloring::CspGraph;
 use satroute_obs::{FieldValue, MetricsRegistry, SpanGuard, Tracer};
-use satroute_solver::{CdclSolver, LoadPass};
+use satroute_solver::{CdclSolver, ConflictBinaries, LoadPass};
 
 use crate::catalog::Encoding;
 use crate::pattern::{Pattern, SchemeCnf};
+use crate::scheme::SimpleScheme;
 use crate::symmetry::SymmetryHeuristic;
 
 /// Which activation selectors [`encode`] appends after the vertex blocks.
@@ -234,14 +240,15 @@ pub fn encode(
     }
 }
 
-/// The variables [`encode`] gives the K-coloring problem of `graph` without
-/// selectors: one block of `encoding`'s variables per vertex. Counted in
-/// `u64`, so a graph too large to encode (above [`Var::LIMIT`], where
-/// [`encode`] panics) can be refused before it is encoded.
+/// The variables [`encode`] gives the K-coloring problem of a graph of
+/// `num_vertices` vertices without selectors: one block of `encoding`'s
+/// variables per vertex. Counted in `u64`, so a graph too large to encode
+/// (above [`Var::LIMIT`], where [`encode`] panics) can be refused before
+/// it is encoded, or built.
 #[must_use]
-pub fn num_vars_needed(graph: &CspGraph, k: u32, encoding: &Encoding) -> u64 {
+pub fn num_vars_needed(num_vertices: usize, k: u32, encoding: &Encoding) -> u64 {
     let per_vertex = if k == 0 { 0 } else { encoding.emit(k).num_vars };
-    u64::from(per_vertex) * graph.num_vertices() as u64
+    u64::from(per_vertex) * num_vertices as u64
 }
 
 /// One encode in progress: its open `encode` span, the scheme emitted for
@@ -262,6 +269,10 @@ pub(crate) struct Encoder<'a> {
     /// local variables.
     negations: Vec<Vec<Lit>>,
     decode: DecodeMap,
+    /// Whether the sink holds the conflict binaries (and, for direct, the
+    /// at-most-one binaries) as the graph, so they are counted, not
+    /// written.
+    graph_held: bool,
 }
 
 impl<'a> Encoder<'a> {
@@ -344,7 +355,34 @@ impl<'a> Encoder<'a> {
                 num_colors: k,
                 selectors: blocks..blocks + num_selectors,
             },
+            graph_held: false,
         }
+    }
+
+    /// The encode's binaries as a conflict graph, for a solver to hold:
+    /// direct and muldirect, whose conflict clauses are ¬x_{u,c} ∨ ¬x_{v,c}
+    /// over x_{v,c} = v·k + c (direct's at-most-one binaries join them),
+    /// unguarded — not [`Selectors::PerGroup`] — and from two colors up, so
+    /// no structural clause is a unit that would propagate before them.
+    fn conflict_binaries(&self) -> Option<ConflictBinaries<'a>> {
+        let at_most_one = match self.encoding {
+            Encoding::Simple(SimpleScheme::Direct) => true,
+            Encoding::Simple(SimpleScheme::Muldirect) => false,
+            _ => return None,
+        };
+        let k = self.decode.num_colors;
+        if k < 2 || matches!(self.selectors, Selectors::PerGroup(_)) {
+            return None;
+        }
+        let (offsets, neighbors) = self.graph.rows();
+        Some(ConflictBinaries {
+            base: 0,
+            colors: k,
+            vertices: self.graph.num_vertices() as u32,
+            at_most_one,
+            offsets,
+            neighbors,
+        })
     }
 
     /// Variables of the encode: every vertex block, then the selectors.
@@ -355,12 +393,17 @@ impl<'a> Encoder<'a> {
     /// Encodes into `solver` in one count, reserve and fill
     /// ([`CdclSolver::load`]), closes the span over both and returns the
     /// decode map, the CNF shape and the span's wall time — encode plus
-    /// load. No [`CnfFormula`] is built.
+    /// load. No [`CnfFormula`] is built. The conflict graph goes first,
+    /// where the solver takes it; the clauses it stands for are then not
+    /// written.
     pub(crate) fn load(
-        self,
+        mut self,
         solver: &mut CdclSolver,
         metrics: &MetricsRegistry,
     ) -> (DecodeMap, FormulaStats, Duration) {
+        self.graph_held = self
+            .conflict_binaries()
+            .is_some_and(|graph| solver.add_conflict_binaries(graph));
         let mut stats = FormulaStats::default();
         solver.load(self.num_vars(), |sink, pass| stats = self.emit(sink, pass));
         let (decode, cnf_translation) = self.finish(&stats, metrics);
@@ -396,13 +439,20 @@ impl<'a> Encoder<'a> {
         // The literal releasing vertex `v`'s clauses: its group's `¬s_g`.
         let guard = |v: u32| groups.map(|groups| !selector(groups[v as usize]));
 
-        // Structural clauses, one copy per vertex.
+        // Structural clauses, one copy per vertex. Direct's at-most-one
+        // binaries follow its at-least-one clause; a held graph has them.
         let structural = tracer.span("structural_clauses");
+        let scheme = &self.decode.scheme.structural;
+        let written = match self.encoding {
+            Encoding::Simple(SimpleScheme::Direct) if self.graph_held => 1,
+            _ => scheme.len(),
+        };
         for (v, &offset) in (0u32..).zip(offsets) {
-            for clause in &self.decode.scheme.structural {
+            for clause in &scheme[..written] {
                 out.add(guard(v).into_iter().chain(shifted(clause, offset)));
             }
         }
+        out.count_held_binaries(offsets.len() * (scheme.len() - written));
         structural.counter("clauses", out.stats.num_clauses as u64);
         drop(structural);
 
@@ -411,17 +461,21 @@ impl<'a> Encoder<'a> {
         // clause only bites while both are active.
         let conflicts = tracer.span("conflict_clauses");
         let before_conflicts = out.stats.num_clauses;
-        for (u, v) in self.graph.edges() {
-            let gu = guard(u);
-            let gv = guard(v).filter(|&g| Some(g) != gu);
-            let (ou, ov) = (offsets[u as usize], offsets[v as usize]);
-            for neg in negations {
-                out.add(
-                    gu.into_iter()
-                        .chain(gv)
-                        .chain(shifted(neg, ou))
-                        .chain(shifted(neg, ov)),
-                );
+        if self.graph_held {
+            out.count_held_binaries(self.graph.num_edges() * negations.len());
+        } else {
+            for (u, v) in self.graph.edges() {
+                let gu = guard(u);
+                let gv = guard(v).filter(|&g| Some(g) != gu);
+                let (ou, ov) = (offsets[u as usize], offsets[v as usize]);
+                for neg in negations {
+                    out.add(
+                        gu.into_iter()
+                            .chain(gv)
+                            .chain(shifted(neg, ou))
+                            .chain(shifted(neg, ov)),
+                    );
+                }
             }
         }
         conflicts.counter("clauses", (out.stats.num_clauses - before_conflicts) as u64);
@@ -517,6 +571,17 @@ impl Shaped<'_> {
         self.stats.add_clause(&self.buf);
         self.sink.add_clause(&self.buf);
     }
+
+    /// Counts `count` binaries that the sink holds as the conflict graph,
+    /// as if they were written.
+    fn count_held_binaries(&mut self, count: usize) {
+        if count > 0 {
+            self.stats.num_clauses += count;
+            self.stats.num_literals += 2 * count;
+            self.stats.num_binary += count;
+            self.stats.max_clause_len = self.stats.max_clause_len.max(2);
+        }
+    }
 }
 
 /// `lits` moved into the variable block starting at `offset`.
@@ -566,6 +631,7 @@ mod tests {
     use super::*;
     use crate::catalog::EncodingId;
     use satroute_coloring::random_graph;
+    use satroute_solver::{RunContext, SolveOutcome, SolverConfig, SolverStats};
 
     fn triangle() -> CspGraph {
         CspGraph::from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -587,7 +653,7 @@ mod tests {
         let g = CspGraph::from_edges(Var::LIMIT as usize, [(0, 1)]);
         let muldirect = EncodingId::Muldirect.encoding();
         assert_eq!(
-            num_vars_needed(&g, 5, &muldirect),
+            num_vars_needed(g.num_vertices(), 5, &muldirect),
             5 * u64::from(Var::LIMIT)
         );
         encode_coloring(&g, 5, &muldirect, SymmetryHeuristic::S1);
@@ -848,12 +914,58 @@ mod tests {
         }
     }
 
+    /// Loads `graph` at `k` into a fresh solver of `config` both ways — the
+    /// encoder writing into it, and `add_formula` of the encoded formula —
+    /// solves both under the same assumptions and checks that they
+    /// searched alike: the same answer and model, the same counters, the
+    /// same counted shape. Returns the counters.
+    fn assert_sink_searches_like_add_formula(
+        graph: &CspGraph,
+        k: u32,
+        id: EncodingId,
+        sym: SymmetryHeuristic,
+        selectors: Selectors<'_>,
+        at: &str,
+    ) -> SolverStats {
+        let encoding = id.encoding();
+        let tracer = Tracer::disabled();
+        let metrics = MetricsRegistry::disabled();
+        let encoded = encode(graph, k, &encoding, sym, selectors, &tracer, &metrics);
+        let mut copied = CdclSolver::new();
+        copied.add_formula(&encoded.formula);
+
+        let mut sunk = CdclSolver::new();
+        let (decode, stats, _) =
+            Encoder::begin(graph, k, &encoding, sym, selectors, &tracer).load(&mut sunk, &metrics);
+        assert_eq!(stats, encoded.stats, "{at}");
+        assert_eq!(decode.offsets, encoded.decode.offsets, "{at}");
+        assert_eq!(sunk.num_vars(), copied.num_vars(), "{at}");
+
+        // Per track, probe one width below the encoded one; per group,
+        // every group.
+        let assumptions = match selectors {
+            Selectors::None => Vec::new(),
+            Selectors::PerTrack => decode.assumptions_for_width(k - 1),
+            Selectors::PerGroup(groups) => decode.assumptions_for(groups.iter().copied()),
+        };
+        let outcome = sunk.solve_with_assumptions(&assumptions);
+        assert_eq!(outcome, copied.solve_with_assumptions(&assumptions), "{at}");
+        assert_eq!(sunk.stats(), copied.stats(), "{at}");
+        assert_eq!(
+            sunk.failed_assumptions(),
+            copied.failed_assumptions(),
+            "{at}"
+        );
+        *sunk.stats()
+    }
+
     #[test]
     fn loading_through_the_sink_searches_like_add_formula() {
         // A solver the encoder writes into and one loaded from the encoded
-        // formula must hold the same clauses in the same watch order, so
-        // they search alike: same verdict, conflicts, decisions and
-        // propagations, and the same counted shape.
+        // formula must search alike — whether the sink holds direct's and
+        // muldirect's binaries as the conflict graph or has them written:
+        // same verdict and model, the same counters, and the same counted
+        // shape.
         for seed in 0..4u64 {
             let n = 6 + seed as usize;
             let graph = random_graph(n, 0.3 + 0.06 * seed as f64, seed);
@@ -867,48 +979,100 @@ mod tests {
                     ] {
                         for k in 1..=3u32 {
                             let at = format!("{id}/{sym} {selectors:?} k={k} seed={seed}");
-                            let encoding = id.encoding();
-                            let tracer = Tracer::disabled();
-                            let metrics = MetricsRegistry::disabled();
-                            let encoded =
-                                encode(&graph, k, &encoding, sym, selectors, &tracer, &metrics);
-                            let mut copied = CdclSolver::new();
-                            copied.add_formula(&encoded.formula);
-
-                            let mut sunk = CdclSolver::new();
-                            let (decode, stats, _) =
-                                Encoder::begin(&graph, k, &encoding, sym, selectors, &tracer)
-                                    .load(&mut sunk, &metrics);
-                            assert_eq!(stats, encoded.stats, "{at}");
-                            assert_eq!(decode.offsets, encoded.decode.offsets, "{at}");
-                            assert_eq!(sunk.num_vars(), copied.num_vars(), "{at}");
-
-                            // Per track, probe one width below the
-                            // encoded one; per group, every group.
-                            let assumptions = match selectors {
-                                Selectors::None => Vec::new(),
-                                Selectors::PerTrack => decode.assumptions_for_width(k - 1),
-                                Selectors::PerGroup(groups) => {
-                                    decode.assumptions_for(groups.iter().copied())
-                                }
-                            };
-                            let outcome = sunk.solve_with_assumptions(&assumptions);
-                            assert_eq!(
-                                outcome,
-                                copied.solve_with_assumptions(&assumptions),
-                                "{at}"
-                            );
-                            let (a, b) = (sunk.stats(), copied.stats());
-                            assert_eq!(
-                                (a.conflicts, a.decisions, a.propagations),
-                                (b.conflicts, b.decisions, b.propagations),
-                                "{at}"
+                            assert_sink_searches_like_add_formula(
+                                &graph, k, id, sym, selectors, &at,
                             );
                         }
                     }
                 }
             }
         }
+
+        // Graphs large enough to restart and reduce, at a width between the
+        // greedy clique (6) and the DSATUR width (8), for the two encodings
+        // whose binaries the graph holds; per track, encoded one wider.
+        let (mut restarted, mut reduced) = (false, false);
+        for n in [32, 34] {
+            let graph = random_graph(n, 0.5, 101);
+            let clique = graph.greedy_clique().len();
+            let dsatur = satroute_coloring::dsatur_coloring(&graph).num_colors();
+            assert_eq!((clique, dsatur), (6, 8), "n={n}");
+            for id in [EncodingId::Muldirect, EncodingId::Direct] {
+                for sym in SymmetryHeuristic::ALL {
+                    for selectors in [Selectors::None, Selectors::PerTrack] {
+                        let k = 6 + u32::from(selectors == Selectors::PerTrack);
+                        let at = format!("{id}/{sym} {selectors:?} k={k} n={n}");
+                        let stats = assert_sink_searches_like_add_formula(
+                            &graph, k, id, sym, selectors, &at,
+                        );
+                        restarted |= stats.restarts > 0;
+                        reduced |= stats.deleted_clauses > 0;
+                    }
+                }
+            }
+        }
+        assert!(
+            restarted && reduced,
+            "the large graphs must restart and reduce"
+        );
+    }
+
+    #[test]
+    fn conflict_binaries_live_in_the_graph_or_in_the_lists() {
+        // Watch-list bytes right after a muldirect load of E edges at
+        // width 5, read from the `solver.watch_bytes` gauge of a solve
+        // cancelled before it searches. Each vertex's at-least-one clause
+        // is two 2-word watchers; each written conflict binary two 1-word
+        // watchers; a held graph 4 bytes per row offset and neighbor.
+        let graph = random_graph(30, 0.3, 7);
+        let (n, e, k) = (graph.num_vertices(), graph.num_edges(), 5u32);
+        let (offsets, neighbors) = graph.rows();
+        let alo = 16 * n;
+        let written = alo + 8 * e * k as usize;
+        let held = alo + 4 * (offsets.len() + neighbors.len());
+        let muldirect = EncodingId::Muldirect.encoding();
+        let tracer = Tracer::disabled();
+        let watch_bytes = |config: SolverConfig, logging: bool, sink: bool| {
+            let metrics = MetricsRegistry::new();
+            let cancel = satroute_solver::CancellationToken::new();
+            cancel.cancel();
+            let ctx = RunContext {
+                config,
+                cancel: Some(cancel),
+                metrics: metrics.clone(),
+                ..RunContext::default()
+            };
+            let mut solver = ctx.solver(0);
+            if logging {
+                solver.enable_proof_logging();
+            }
+            if sink {
+                Encoder::begin(
+                    &graph,
+                    k,
+                    &muldirect,
+                    SymmetryHeuristic::None,
+                    Selectors::None,
+                    &tracer,
+                )
+                .load(&mut solver, &metrics);
+            } else {
+                solver.add_formula(
+                    &encode_coloring(&graph, k, &muldirect, SymmetryHeuristic::None).formula,
+                );
+            }
+            assert!(matches!(solver.solve(), SolveOutcome::Unknown(_)));
+            assert_eq!(solver.stats().propagations, 0);
+            metrics.snapshot().gauge("solver.watch_bytes").unwrap() as usize
+        };
+        let inprocessing = SolverConfig {
+            inprocess: satroute_solver::InprocessConfig::on(),
+            ..SolverConfig::default()
+        };
+        assert_eq!(watch_bytes(SolverConfig::default(), false, true), held);
+        assert_eq!(watch_bytes(SolverConfig::default(), false, false), written);
+        assert_eq!(watch_bytes(SolverConfig::default(), true, true), written);
+        assert_eq!(watch_bytes(inprocessing, false, true), written);
     }
 
     #[test]

@@ -451,13 +451,13 @@ mod tests {
                 next += 1;
             }
         }
-        let mut sub = CspGraph::new(next as usize);
-        for (u, v) in graph.edges() {
-            if keep[u as usize] && keep[v as usize] {
-                sub.add_edge(remap[u as usize], remap[v as usize]);
-            }
-        }
-        sub
+        let edges = graph
+            .edges()
+            .filter(|&(u, v)| keep[u as usize] && keep[v as usize]);
+        CspGraph::from_edges(
+            next as usize,
+            edges.map(|(u, v)| (remap[u as usize], remap[v as usize])),
+        )
     }
 
     #[test]

@@ -251,13 +251,14 @@ mod tests {
             // Build the induced subgraph of the clique and show it is not
             // colorable with clique-1 colors.
             let k = clique.len();
-            let mut sub = CspGraph::new(k);
+            let mut edges = Vec::new();
             for i in 0..k {
                 for j in (i + 1)..k {
                     assert!(inst.conflict_graph.has_edge(clique[i], clique[j]));
-                    sub.add_edge(i as u32, j as u32);
+                    edges.push((i as u32, j as u32));
                 }
             }
+            let sub = CspGraph::from_edges(k, edges);
             assert!(exact::k_color(&sub, inst.unroutable_width).is_none());
         }
     }

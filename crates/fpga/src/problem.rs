@@ -180,18 +180,18 @@ impl RoutingProblem {
     /// emitted once per pair even when they share several segments.
     pub fn conflict_graph(&self) -> CspGraph {
         let routes = self.routing.routes();
-        let mut graph = CspGraph::new(routes.len());
         let occupancy = self.routing.segment_occupancy(&self.arch, |i, _| i as u32);
+        let mut edges = Vec::new();
         for through in occupancy.chunk_by(|a, b| a.0 == b.0) {
             for (a_pos, &(_, a)) in through.iter().enumerate() {
                 for &(_, b) in &through[a_pos + 1..] {
                     if routes[a as usize].subnet.net != routes[b as usize].subnet.net {
-                        graph.add_edge(a, b);
+                        edges.push((a, b));
                     }
                 }
             }
         }
-        graph
+        CspGraph::from_edges(routes.len(), edges)
     }
 
     /// [`RoutingProblem::conflict_graph`] wrapped in a `graph_generation`

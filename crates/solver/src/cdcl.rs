@@ -11,7 +11,10 @@
 //!
 //! Two-literal problem clauses are implicit: each is a pair of one-word
 //! watchers that carry the other literal (see [`crate::watch`]), so
-//! propagating one never touches clause memory. Every other clause —
+//! propagating one never touches clause memory. A graph coloring's
+//! conflict binaries can take no words at all: handed over as the
+//! conflict graph ([`CdclSolver::add_conflict_binaries`]), they are
+//! visited from the graph, ahead of each literal's list. Every other clause —
 //! learnt clauses of any length and problem clauses of three or more
 //! literals — lives in a flat
 //! [`ClauseArena`](crate::ClauseArena) — one contiguous `u32` buffer
@@ -37,7 +40,9 @@ use crate::proof::DratProof;
 use crate::run::{
     Boundary, CancellationToken, ClauseExchange, RunBudget, SearchView, StopReason, Telemetry,
 };
-use crate::watch::{watcher_words, Visit, Watch, WatchList, BINARY};
+use crate::watch::{
+    watcher_words, ConflictBinaries, VirtualBinaries, Visit, Watch, WatchList, BINARY,
+};
 use satroute_obs::{Postmortem, SpanId};
 
 /// Conflicts between cancellation-token polls.
@@ -358,6 +363,8 @@ pub struct CdclSolver {
     pub(crate) learnts: Vec<ClauseRef>,
     /// Watch list of each literal, indexed by its code.
     pub(crate) watches: Vec<WatchList>,
+    /// Binaries held as a conflict graph, visited ahead of the lists.
+    virtual_binaries: VirtualBinaries,
     /// Clauses ever attached (learnt included, deletions not subtracted);
     /// feeds the initial learnt-clause limit exactly as the length of the
     /// old grow-only clause vector did.
@@ -475,6 +482,7 @@ impl CdclSolver {
             arena: ClauseArena::new(),
             learnts: Vec::new(),
             watches: Vec::new(),
+            virtual_binaries: VirtualBinaries::default(),
             allocated_clauses: 0,
             original_clauses: 0,
             tier_counts: [0; 3],
@@ -636,7 +644,11 @@ impl CdclSolver {
                 arena_live_bytes: self.arena.live_bytes(),
                 arena_dead_bytes: self.arena.dead_bytes(),
                 watch_bytes: if self.telemetry.sets_store_gauges(&at) {
-                    self.watches.iter().map(WatchList::allocated_bytes).sum()
+                    self.watches
+                        .iter()
+                        .map(WatchList::allocated_bytes)
+                        .sum::<u64>()
+                        + self.virtual_binaries.allocated_bytes()
                 } else {
                     0
                 },
@@ -739,6 +751,38 @@ impl CdclSolver {
         }
         drop(counts);
         emit(self, LoadPass::Fill);
+    }
+
+    /// Takes the binaries `graph` stands for as the graph itself, if this
+    /// solver can hold them so, and returns whether it did; if not, the
+    /// caller adds them as clauses. Held binaries take no watch-list
+    /// words: when x_{u,c} becomes true, propagation visits them from the
+    /// graph, then ¬x_{u,c}'s list (see [`ConflictBinaries`]).
+    ///
+    /// The solver takes them only where that searches exactly as the
+    /// attached binaries would: before anything is loaded, so no list
+    /// holds a watcher that should come first and no literal is assigned;
+    /// without a proof log; and with inprocessing off, since its passes
+    /// read and delete problem binaries through the lists. A caller that
+    /// has the solver take them at the start of a load must add no unit
+    /// clause before the point where it would have written them.
+    ///
+    /// Held binaries count as problem clauses, as attached ones do, in
+    /// the learnt-clause limit and the clause count a solve reports.
+    pub fn add_conflict_binaries(&mut self, graph: ConflictBinaries<'_>) -> bool {
+        let fresh = self.ok
+            && self.trail.is_empty()
+            && self.allocated_clauses == 0
+            && self.virtual_binaries.is_empty();
+        if !fresh || self.proof.is_some() || self.config.inprocess.enabled {
+            return false;
+        }
+        self.virtual_binaries = VirtualBinaries::new(&graph);
+        self.ensure_vars(graph.base + graph.vertices * graph.colors);
+        let binaries = graph.num_binaries();
+        self.allocated_clauses += binaries;
+        self.original_clauses += binaries;
+        true
     }
 
     /// Adds every clause of `formula`: [`CdclSolver::load`] over its
@@ -1281,6 +1325,16 @@ impl CdclSolver {
             // Hoisted out of the watcher loop: the falsified literal and
             // the index of its watcher list are fixed for the whole scan.
             let false_lit = !p;
+            // Binaries held as a graph come before the list.
+            if let Some((vertex, color)) = self.virtual_binaries.locate(p) {
+                let graph = std::mem::take(&mut self.virtual_binaries);
+                let conflict = self.propagate_graph(&graph, vertex, color, false_lit);
+                self.virtual_binaries = graph;
+                if conflict.is_some() {
+                    self.qhead = self.trail.len();
+                    return conflict;
+                }
+            }
             let watch_idx = false_lit.code() as usize;
             let mut watchers = std::mem::take(&mut self.watches[watch_idx]);
             let mut conflict: Option<Antecedent> = None;
@@ -1306,6 +1360,29 @@ impl CdclSolver {
             if stopped {
                 self.qhead = self.trail.len();
                 return conflict;
+            }
+        }
+        None
+    }
+
+    /// Visits the binaries `graph` holds for x_{`vertex`,`color`}, whose
+    /// negation `false_lit` just became false, as implicit binary
+    /// watchers are visited: a satisfied other literal is passed, an
+    /// unassigned one is implied with the binary reason, and a falsified
+    /// one is the conflict.
+    #[inline]
+    fn propagate_graph(
+        &mut self,
+        graph: &VirtualBinaries,
+        vertex: u32,
+        color: u32,
+        false_lit: Lit,
+    ) -> Option<Antecedent> {
+        for other in graph.others(vertex, color) {
+            match self.lit_value(other) {
+                TRUE => {}
+                FALSE => return Some(Antecedent::Binary([other, false_lit])),
+                _ => self.enqueue(other, BINARY | false_lit.code()),
             }
         }
         None
@@ -2944,6 +3021,284 @@ mod tests {
             registry.snapshot().gauge("solver.watch_bytes"),
             Some(4.0 * 90.0)
         );
+    }
+
+    /// A `k`-coloring of `n` vertices in the direct (`at_most_one`) or
+    /// muldirect encoding, over x_{v,c} = v·k + c, with one selector
+    /// s_c = n·k + c per color: the clauses an encoder writes, split at
+    /// the binaries a solver can hold as the graph.
+    struct Colored {
+        n: u32,
+        k: u32,
+        at_most_one: bool,
+        /// Ascending, each `(u, v)` with `u < v`.
+        edges: Vec<(u32, u32)>,
+        offsets: Vec<u32>,
+        neighbors: Vec<u32>,
+    }
+
+    impl Colored {
+        fn new(n: u32, k: u32, at_most_one: bool, mut edges: Vec<(u32, u32)>) -> Colored {
+            edges.sort_unstable();
+            let mut rows = vec![Vec::new(); n as usize];
+            for &(u, v) in &edges {
+                rows[u as usize].push(v);
+                rows[v as usize].push(u);
+            }
+            let mut offsets = vec![0];
+            let mut neighbors = Vec::new();
+            for mut row in rows {
+                row.sort_unstable();
+                neighbors.extend(row);
+                offsets.push(neighbors.len() as u32);
+            }
+            Colored {
+                n,
+                k,
+                at_most_one,
+                edges,
+                offsets,
+                neighbors,
+            }
+        }
+
+        fn x(&self, v: u32, c: u32) -> Lit {
+            Lit::positive(Var::new(v * self.k + c))
+        }
+
+        fn selector(&self, c: u32) -> Lit {
+            Lit::positive(Var::new(self.n * self.k + c))
+        }
+
+        /// The clauses in the encoder's order: per vertex at-least-one
+        /// (and at-most-one), per edge and color a conflict binary, per
+        /// vertex and color an activation binary ¬s_c ∨ ¬x_{v,c}. Without
+        /// `held` the binaries the graph stands for are left out.
+        fn clauses(&self, held: bool) -> Vec<Vec<Lit>> {
+            let mut out = Vec::new();
+            for v in 0..self.n {
+                out.push((0..self.k).map(|c| self.x(v, c)).collect());
+                for c in 0..self.k {
+                    for d in c + 1..self.k {
+                        if self.at_most_one && held {
+                            out.push(vec![!self.x(v, c), !self.x(v, d)]);
+                        }
+                    }
+                }
+            }
+            for &(u, v) in self.edges.iter().filter(|_| held) {
+                for c in 0..self.k {
+                    out.push(vec![!self.x(u, c), !self.x(v, c)]);
+                }
+            }
+            for v in 0..self.n {
+                for c in 0..self.k {
+                    out.push(vec![!self.selector(c), !self.x(v, c)]);
+                }
+            }
+            out
+        }
+
+        /// Every clause attached to the watch lists.
+        fn attached(&self, config: &SolverConfig) -> CdclSolver {
+            let mut f = CnfFormula::with_vars(self.n * self.k + self.k);
+            for clause in self.clauses(true) {
+                f.add_clause(clause);
+            }
+            let mut s = CdclSolver::with_config(config.clone());
+            s.add_formula(&f);
+            s
+        }
+
+        fn graph(&self) -> ConflictBinaries<'_> {
+            ConflictBinaries {
+                base: 0,
+                colors: self.k,
+                vertices: self.n,
+                at_most_one: self.at_most_one,
+                offsets: &self.offsets,
+                neighbors: &self.neighbors,
+            }
+        }
+
+        /// The binaries held as the graph, the other clauses attached.
+        fn held(&self, config: &SolverConfig) -> CdclSolver {
+            let mut s = CdclSolver::with_config(config.clone());
+            assert!(s.add_conflict_binaries(self.graph()));
+            s.load(self.n * self.k + self.k, |sink, _| {
+                for clause in self.clauses(false) {
+                    sink.add_clause(&clause);
+                }
+            });
+            s
+        }
+    }
+
+    /// The two solvers hold the same trail with the same reasons and
+    /// the same counters.
+    fn assert_same_search(a: &CdclSolver, b: &CdclSolver, at: &str) {
+        assert_eq!(a.trail, b.trail, "{at}");
+        let reasons = |s: &CdclSolver| -> Vec<u32> {
+            s.trail
+                .iter()
+                .map(|&l| s.reason[usize::from(l.var())])
+                .collect()
+        };
+        assert_eq!(reasons(a), reasons(b), "{at}");
+        assert_eq!(a.stats, b.stats, "{at}");
+    }
+
+    /// Decides each still-unassigned literal of `decisions` on a level of
+    /// its own in both solvers, checking after every propagation that
+    /// they agree; a conflict is analyzed, learnt and propagated in both.
+    fn lockstep(a: &mut CdclSolver, b: &mut CdclSolver, decisions: &[Lit]) {
+        for (step, &decision) in decisions.iter().enumerate() {
+            if a.lit_value(decision) != UNDEF {
+                continue;
+            }
+            for s in [&mut *a, &mut *b] {
+                s.trail_lim.push(s.trail.len());
+                s.enqueue(decision, NO_REASON);
+            }
+            loop {
+                let conflict = a.propagate();
+                assert_eq!(conflict, b.propagate(), "step {step}");
+                assert_same_search(a, b, &format!("step {step}"));
+                let Some(conflict) = conflict else { break };
+                if a.decision_level() == 0 {
+                    return;
+                }
+                let level = a.analyze(conflict);
+                assert_eq!(level, b.analyze(conflict), "step {step}");
+                assert_eq!(a.learnt_buf, b.learnt_buf, "step {step}");
+                for s in [&mut *a, &mut *b] {
+                    let lbd = s.learnt_buf_lbd();
+                    s.backtrack(level);
+                    s.record_learnt(lbd);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn graph_binaries_come_before_the_list_and_search_like_attached_ones() {
+        // Vertex 0 has the neighbors 1, 2 and 3. After the graph's binaries
+        // of x_{0,0}, its list holds the activation binary ¬s_0 ∨ ¬x_{0,0}
+        // and then a learnt clause ¬x_{0,0} ∨ s_2: x_{0,0} implies ¬x_{v,0}
+        // for the neighbors first, then ¬s_0, then s_2.
+        let g = Colored::new(4, 3, false, vec![(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]);
+        let config = SolverConfig::default();
+        let (mut a, mut b) = (g.attached(&config), g.held(&config));
+        assert_eq!(implicit_binaries(&a), 5 * 3 + 4 * 3);
+        assert_eq!(implicit_binaries(&b), 4 * 3, "only the activations");
+        assert_eq!(
+            (a.original_clauses, a.allocated_clauses),
+            (b.original_clauses, b.allocated_clauses)
+        );
+        for s in [&mut a, &mut b] {
+            s.attach_clause(&[!g.x(0, 0), g.selector(2)], true, 2);
+            s.trail_lim.push(0);
+            s.enqueue(g.x(0, 0), NO_REASON);
+        }
+        let conflict = a.propagate();
+        assert_eq!(conflict, b.propagate());
+        assert_same_search(&a, &b, "x_{0,0}");
+        assert_eq!(
+            b.trail[..6],
+            [
+                g.x(0, 0),
+                !g.x(1, 0),
+                !g.x(2, 0),
+                !g.x(3, 0),
+                !g.selector(0),
+                g.selector(2),
+            ]
+        );
+        // s_2 disables color 2, and vertex 2 is left with no color.
+        assert!(conflict.is_some());
+
+        // Again from level 0, learning from each conflict, until every
+        // color of every vertex is decided or refuted.
+        a.backtrack(0);
+        b.backtrack(0);
+        let decisions: Vec<Lit> = (0..4)
+            .flat_map(|v| (0..3).map(move |c| (v, c)))
+            .map(|(v, c)| g.x(v, c))
+            .collect();
+        lockstep(&mut a, &mut b, &decisions);
+        assert!(a.stats.learnt_clauses > 0);
+        assert_eq!(a.ok, b.ok);
+    }
+
+    #[test]
+    fn graph_binaries_solve_like_attached_ones() {
+        // Random colorings between too few colors and enough, direct and
+        // muldirect, plain and probed one track down through the
+        // selectors, with a learnt floor low enough to reduce: the same
+        // answer, model and counters either way.
+        let config = SolverConfig {
+            learnt_floor: 20.0,
+            restart_base: 20,
+            ..SolverConfig::default()
+        };
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let (mut reduced, mut restarted) = (false, false);
+        for round in 0..8u32 {
+            let n = if cfg!(miri) { 10 } else { 18 + round };
+            let mut edges = Vec::new();
+            for u in 0..n {
+                for v in u + 1..n {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    if x % 100 < 45 {
+                        edges.push((u, v));
+                    }
+                }
+            }
+            let at_most_one = round % 2 == 1;
+            let g = Colored::new(n, 4 + round % 3, at_most_one, edges);
+            for assumptions in [vec![], vec![g.selector(g.k - 1)]] {
+                let at = format!("round {round} assuming {assumptions:?}");
+                let (mut a, mut b) = (g.attached(&config), g.held(&config));
+                let outcome = a.solve_with_assumptions(&assumptions);
+                assert_eq!(outcome, b.solve_with_assumptions(&assumptions), "{at}");
+                assert_eq!(a.stats, b.stats, "{at}");
+                assert_eq!(a.failed_assumptions, b.failed_assumptions, "{at}");
+                reduced |= a.stats.deleted_clauses > 0;
+                restarted |= a.stats.restarts > 0;
+            }
+        }
+        if !cfg!(miri) {
+            assert!(reduced && restarted, "the family must reduce and restart");
+        }
+    }
+
+    #[test]
+    fn only_a_fresh_plain_solver_holds_the_graph() {
+        let g = Colored::new(3, 2, true, vec![(0, 1), (1, 2)]);
+        let graph = g.graph();
+        // 2 edges × 2 colors, 3 vertices × 1 own pair.
+        assert_eq!(graph.num_binaries(), 4 + 3);
+        let mut plain = CdclSolver::new();
+        assert!(plain.add_conflict_binaries(graph));
+        assert_eq!(plain.original_clauses, 7);
+        assert!(!plain.add_conflict_binaries(graph), "one graph per solver");
+
+        let mut logging = CdclSolver::new();
+        logging.enable_proof_logging();
+        let inprocessing = CdclSolver::with_config(SolverConfig {
+            inprocess: InprocessConfig::on(),
+            ..SolverConfig::default()
+        });
+        let mut loaded = CdclSolver::new();
+        loaded.add_clause(&[g.x(0, 0), g.x(2, 1)]);
+        let mut assigned = CdclSolver::new();
+        assigned.add_clause(&[g.selector(0)]);
+        for mut s in [logging, inprocessing, loaded, assigned] {
+            assert!(!s.add_conflict_binaries(graph));
+            assert_eq!(s.virtual_binaries.allocated_bytes(), 0);
+        }
     }
 
     #[test]

@@ -69,3 +69,4 @@ pub use outcome::SolveOutcome;
 pub use proof::{rup_implied, CheckProofError, DratProof, ProofStep};
 pub use run::{CancellationToken, ClauseExchange, RunBudget, RunContext, SolveVerdict, StopReason};
 pub use satroute_obs::{Postmortem, SampleCause, TimelineSample};
+pub use watch::ConflictBinaries;

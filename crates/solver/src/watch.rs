@@ -15,6 +15,11 @@
 //! the debug checks — goes through this module, and every rewrite keeps
 //! the survivors in list order, so the search visits watchers exactly as
 //! a list of fixed-size watchers would.
+//!
+//! The binaries of a graph coloring's conflict graph need no words at
+//! all: [`VirtualBinaries`] holds the graph instead, and propagation
+//! visits the binaries it stands for before a literal's list (see
+//! [`ConflictBinaries`]).
 
 use satroute_cnf::{Lit, Var};
 
@@ -175,6 +180,128 @@ impl WatchList {
             }
             None => false,
         }
+    }
+}
+
+/// The binaries of a graph coloring, given by its conflict graph: vertex
+/// `v` takes color `c` when variable `base + v·colors + c` is true
+/// (x_{v,c}), and every edge `(u, v)` and color `c` stands for the binary
+/// ¬x_{u,c} ∨ ¬x_{v,c}. With `at_most_one`, each vertex's own colors
+/// exclude each other too: ¬x_{v,c} ∨ ¬x_{v,d} for `c < d` (the direct
+/// encoding's at-most-one clauses).
+///
+/// The rows are a graph's compressed sparse rows: vertex `v` below
+/// `offsets.len() - 1` has the neighbors
+/// `neighbors[offsets[v]..offsets[v + 1]]`, ascending; every other vertex
+/// has none.
+#[derive(Clone, Copy, Debug)]
+pub struct ConflictBinaries<'a> {
+    /// The variable of x_{0,0}.
+    pub base: u32,
+    /// Colors per vertex.
+    pub colors: u32,
+    /// Vertices of the layout; its variables end at
+    /// `base + vertices·colors`.
+    pub vertices: u32,
+    /// Whether each vertex's own colors exclude each other.
+    pub at_most_one: bool,
+    /// Row offsets of the conflict graph.
+    pub offsets: &'a [u32],
+    /// Neighbor ids of the conflict graph, ascending within each row.
+    pub neighbors: &'a [u32],
+}
+
+impl ConflictBinaries<'_> {
+    /// The binaries the graph stands for.
+    pub fn num_binaries(&self) -> usize {
+        let colors = self.colors as usize;
+        let own = if self.at_most_one {
+            self.vertices as usize * (colors * colors.saturating_sub(1) / 2)
+        } else {
+            0
+        };
+        self.neighbors.len() / 2 * colors + own
+    }
+}
+
+/// A solver's own copy of a [`ConflictBinaries`] graph: the binaries a
+/// coloring's conflict graph stands for, held as the graph, with no
+/// watcher in any list.
+///
+/// When x_{u,c} becomes true, [`VirtualBinaries::others`] names the
+/// literals its binaries imply: ¬x_{u,d} for the other colors `d`
+/// ascending (at-most-one only), then ¬x_{v,c} for the neighbors `v`
+/// ascending. An encoder that attaches these binaries itself — its own
+/// at-most-one clauses, then one clause per edge and color, edges in
+/// ascending `(min, max)` order — puts exactly these watchers in this
+/// order at the front of ¬x_{u,c}'s list, ahead of everything attached
+/// later. Visiting them first, then the list, visits the same watchers
+/// in the same order.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct VirtualBinaries {
+    base: u32,
+    colors: u32,
+    /// Variables of the layout, `vertices·colors`; 0 without a graph, so
+    /// no literal falls in it.
+    span: u32,
+    at_most_one: bool,
+    offsets: Vec<u32>,
+    neighbors: Vec<u32>,
+}
+
+impl VirtualBinaries {
+    /// Copies `graph`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout's variables pass [`Var::LIMIT`].
+    pub(crate) fn new(graph: &ConflictBinaries<'_>) -> Self {
+        let span = u64::from(graph.vertices) * u64::from(graph.colors);
+        assert!(
+            u64::from(graph.base) + span <= u64::from(Var::LIMIT),
+            "the conflict graph's variables pass the solver's limit"
+        );
+        VirtualBinaries {
+            base: graph.base,
+            colors: graph.colors,
+            span: span as u32,
+            at_most_one: graph.at_most_one,
+            offsets: graph.offsets.to_vec(),
+            neighbors: graph.neighbors.to_vec(),
+        }
+    }
+
+    /// Whether a graph is held.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.span == 0
+    }
+
+    /// The vertex and color of `lit` if it is some x_{u,c}.
+    #[inline]
+    pub(crate) fn locate(&self, lit: Lit) -> Option<(u32, u32)> {
+        let at = lit.var().index().wrapping_sub(self.base);
+        (lit.is_positive() && at < self.span).then(|| (at / self.colors, at % self.colors))
+    }
+
+    /// The literals that x_{`vertex`,`color`} implies through the held
+    /// binaries, in visiting order (see the type's docs).
+    #[inline]
+    pub(crate) fn others(&self, vertex: u32, color: u32) -> impl Iterator<Item = Lit> + '_ {
+        let not_x = move |v: u32, c: u32| Lit::negative(Var::new(self.base + v * self.colors + c));
+        let own_colors = if self.at_most_one { self.colors } else { 0 };
+        let row = match self.offsets.get(vertex as usize..vertex as usize + 2) {
+            Some(&[start, end]) => &self.neighbors[start as usize..end as usize],
+            _ => &[],
+        };
+        (0..own_colors)
+            .filter(move |&c| c != color)
+            .map(move |c| not_x(vertex, c))
+            .chain(row.iter().map(move |&v| not_x(v, color)))
+    }
+
+    /// Bytes allocated to the graph.
+    pub(crate) fn allocated_bytes(&self) -> u64 {
+        ((self.offsets.capacity() + self.neighbors.capacity()) * std::mem::size_of::<u32>()) as u64
     }
 }
 

@@ -577,24 +577,30 @@ fn dispatch(args: &Args, ctx: &RunContext) -> Result<ExitCode, String> {
         "encode" => {
             let width = args.required("--width")?;
             let path = &args.positional[0];
-            let graph: CspGraph = if path.ends_with(".col") {
+            // A `.col` graph is built only once its variables are known to
+            // fit: one edge naming a high vertex sizes the graph up to it.
+            let (num_vertices, col_edges, problem_graph) = if path.ends_with(".col") {
                 let text =
                     fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-                col_dimacs::parse_col_str(&text).map_err(|e| format!("{e}"))?
+                let (n, edges) =
+                    col_dimacs::parse_col_edges(text.as_bytes()).map_err(|e| format!("{e}"))?;
+                (n, edges, None)
             } else {
-                load_problem(path)?.conflict_graph()
+                let graph = load_problem(path)?.conflict_graph();
+                (graph.num_vertices(), Vec::new(), Some(graph))
             };
             let strategy = args.strategy()?;
             let encoding = strategy.encoding.encoding();
-            let vars = num_vars_needed(&graph, width, &encoding);
+            let vars = num_vars_needed(num_vertices, width, &encoding);
             if vars > u64::from(Var::LIMIT) {
                 return Err(format!(
-                    "encoding {} vertices at width {width} needs {vars} variables, above the \
-                     CNF limit of {} (2^30 - 1)",
-                    graph.num_vertices(),
+                    "encoding {num_vertices} vertices at width {width} needs {vars} variables, \
+                     above the CNF limit of {} (2^30 - 1)",
                     Var::LIMIT
                 ));
             }
+            let graph =
+                problem_graph.unwrap_or_else(|| CspGraph::from_edges(num_vertices, col_edges));
             let enc = encode_coloring(&graph, width, &encoding, strategy.symmetry);
             let text = cnf_dimacs::to_cnf_string(&enc.formula);
             match args.get("--out") {

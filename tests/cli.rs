@@ -380,6 +380,29 @@ fn a_col_graph_too_large_to_encode_is_an_error_not_an_abort() {
 }
 
 #[test]
+fn a_col_edge_naming_a_high_vertex_is_refused_before_the_graph_is_built() {
+    // The header's 10^9 vertices need 2·10^9 variables at width 2. Built
+    // first, the graph would size its rows up to the edge's endpoint
+    // 10^9 (4 GB of offsets) before the limit could refuse it.
+    let dir = tempdir("hi_col");
+    let col = dir.join("hi.col");
+    std::fs::write(&col, "p edge 1000000000 1\ne 1 1000000000\n").unwrap();
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -v 4000000; "$0" encode "$1" --width 2"#)
+        .arg(env!("CARGO_BIN_EXE_satroute"))
+        .arg(&col)
+        .output()
+        .expect("sh runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("error:") && stderr.contains("1073741823"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn portfolio_command_reports_sharing_counters() {
     let dir = tempdir("portfolio");
     let problem = dir.join("tiny.txt");
