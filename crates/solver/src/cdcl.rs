@@ -1369,8 +1369,9 @@ impl CdclSolver {
     /// negation `false_lit` just became false, as implicit binary
     /// watchers are visited: a satisfied other literal is passed, an
     /// unassigned one is implied with the binary reason, and a falsified
-    /// one is the conflict.
-    #[inline]
+    /// one is the conflict. Kept out of line: it walks a whole row, and
+    /// inlined it would grow the propagation loop every encoding runs.
+    #[inline(never)]
     fn propagate_graph(
         &mut self,
         graph: &VirtualBinaries,
