@@ -87,6 +87,20 @@ impl ClauseSink for FormulaStats {
     }
 }
 
+impl FormulaStats {
+    /// Counts `count` binary clauses as [`ClauseSink::add_clause`] would,
+    /// without their literals: for a consumer that takes some binaries in
+    /// another form, such as a solver holding them as a conflict graph.
+    pub fn add_binaries(&mut self, count: usize) {
+        if count > 0 {
+            self.num_clauses += count;
+            self.num_literals += 2 * count;
+            self.num_binary += count;
+            self.max_clause_len = self.max_clause_len.max(2);
+        }
+    }
+}
+
 impl CnfFormula {
     /// Creates an empty formula with no variables.
     pub fn new() -> Self {
@@ -309,6 +323,22 @@ mod tests {
         assert_eq!(s.num_unit, 1);
         assert_eq!(s.num_binary, 1);
         assert_eq!(s.max_clause_len, 3);
+    }
+
+    #[test]
+    fn counted_binaries_shape_like_added_ones() {
+        let mut added = FormulaStats::default();
+        let mut counted = FormulaStats::default();
+        for stats in [&mut added, &mut counted] {
+            stats.add_clause(&[lit(1)]);
+        }
+        for _ in 0..3 {
+            added.add_clause(&[lit(-1), lit(2)]);
+        }
+        counted.add_binaries(3);
+        counted.add_binaries(0);
+        assert_eq!(added, counted);
+        assert_eq!((counted.num_binary, counted.max_clause_len), (3, 2));
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //!
 //! Each clause goes out once, through a [`ClauseSink`]: a [`CnfFormula`]
 //! ([`encode`]) or, for a solve that keeps no formula, the solver itself.
-//! Loading direct or muldirect into a solver, the encoder offers the
-//! conflict graph in place of the binaries ¬x_{u,c} ∨ ¬x_{v,c} (and
-//! direct's at-most-one binaries); a solver that takes it holds them as
-//! the graph ([`CdclSolver::add_conflict_binaries`]), and they are counted
-//! in the CNF shape but never written.
+//! Loading muldirect into a solver, the encoder offers the conflict graph
+//! in place of the binaries ¬x_{u,c} ∨ ¬x_{v,c}; a solver that takes it
+//! holds them as the graph ([`CdclSolver::add_conflict_binaries`]), and
+//! they are counted in the CNF shape but never written.
 //! The result carries a [`DecodeMap`] so that a SAT model can be converted
 //! back into a coloring by [`crate::decode::decode_coloring`], and a failed
 //! selector assumption back into its track or group id.
@@ -269,9 +268,8 @@ pub(crate) struct Encoder<'a> {
     /// local variables.
     negations: Vec<Vec<Lit>>,
     decode: DecodeMap,
-    /// Whether the sink holds the conflict binaries (and, for direct, the
-    /// at-most-one binaries) as the graph, so they are counted, not
-    /// written.
+    /// Whether the sink holds the conflict binaries as the graph, so they
+    /// are counted, not written.
     graph_held: bool,
 }
 
@@ -359,27 +357,25 @@ impl<'a> Encoder<'a> {
         }
     }
 
-    /// The encode's binaries as a conflict graph, for a solver to hold:
-    /// direct and muldirect, whose conflict clauses are ¬x_{u,c} ∨ ¬x_{v,c}
-    /// over x_{v,c} = v·k + c (direct's at-most-one binaries join them),
-    /// unguarded — not [`Selectors::PerGroup`] — and from two colors up, so
-    /// no structural clause is a unit that would propagate before them.
+    /// The encode's conflict binaries as the conflict graph, for a solver
+    /// to hold: muldirect's, whose conflict clauses are ¬x_{u,c} ∨ ¬x_{v,c}
+    /// over x_{v,c} = v·k + c, unguarded — not [`Selectors::PerGroup`] —
+    /// and from two colors up, so no structural clause is a unit that
+    /// would propagate before them. Direct writes its own at-most-one
+    /// binaries ahead of them on the same literals, so its binaries stay
+    /// in the lists.
     fn conflict_binaries(&self) -> Option<ConflictBinaries<'a>> {
-        let at_most_one = match self.encoding {
-            Encoding::Simple(SimpleScheme::Direct) => true,
-            Encoding::Simple(SimpleScheme::Muldirect) => false,
-            _ => return None,
-        };
         let k = self.decode.num_colors;
-        if k < 2 || matches!(self.selectors, Selectors::PerGroup(_)) {
+        if !matches!(self.encoding, Encoding::Simple(SimpleScheme::Muldirect))
+            || k < 2
+            || matches!(self.selectors, Selectors::PerGroup(_))
+        {
             return None;
         }
         let (offsets, neighbors) = self.graph.rows();
         Some(ConflictBinaries {
-            base: 0,
             colors: k,
             vertices: self.graph.num_vertices() as u32,
-            at_most_one,
             offsets,
             neighbors,
         })
@@ -439,20 +435,13 @@ impl<'a> Encoder<'a> {
         // The literal releasing vertex `v`'s clauses: its group's `¬s_g`.
         let guard = |v: u32| groups.map(|groups| !selector(groups[v as usize]));
 
-        // Structural clauses, one copy per vertex. Direct's at-most-one
-        // binaries follow its at-least-one clause; a held graph has them.
+        // Structural clauses, one copy per vertex.
         let structural = tracer.span("structural_clauses");
-        let scheme = &self.decode.scheme.structural;
-        let written = match self.encoding {
-            Encoding::Simple(SimpleScheme::Direct) if self.graph_held => 1,
-            _ => scheme.len(),
-        };
         for (v, &offset) in (0u32..).zip(offsets) {
-            for clause in &scheme[..written] {
+            for clause in &self.decode.scheme.structural {
                 out.add(guard(v).into_iter().chain(shifted(clause, offset)));
             }
         }
-        out.count_held_binaries(offsets.len() * (scheme.len() - written));
         structural.counter("clauses", out.stats.num_clauses as u64);
         drop(structural);
 
@@ -462,7 +451,8 @@ impl<'a> Encoder<'a> {
         let conflicts = tracer.span("conflict_clauses");
         let before_conflicts = out.stats.num_clauses;
         if self.graph_held {
-            out.count_held_binaries(self.graph.num_edges() * negations.len());
+            out.stats
+                .add_binaries(self.graph.num_edges() * negations.len());
         } else {
             for (u, v) in self.graph.edges() {
                 let gu = guard(u);
@@ -570,17 +560,6 @@ impl Shaped<'_> {
         self.buf.extend(lits);
         self.stats.add_clause(&self.buf);
         self.sink.add_clause(&self.buf);
-    }
-
-    /// Counts `count` binaries that the sink holds as the conflict graph,
-    /// as if they were written.
-    fn count_held_binaries(&mut self, count: usize) {
-        if count > 0 {
-            self.stats.num_clauses += count;
-            self.stats.num_literals += 2 * count;
-            self.stats.num_binary += count;
-            self.stats.max_clause_len = self.stats.max_clause_len.max(2);
-        }
     }
 }
 
@@ -989,25 +968,28 @@ mod tests {
         }
 
         // Graphs large enough to restart and reduce, at a width between the
-        // greedy clique (6) and the DSATUR width (8), for the two encodings
-        // whose binaries the graph holds; per track, encoded one wider.
+        // greedy clique (6) and the DSATUR width (8), for muldirect, whose
+        // binaries the graph holds; per track, encoded one wider.
         let (mut restarted, mut reduced) = (false, false);
         for n in [32, 34] {
             let graph = random_graph(n, 0.5, 101);
             let clique = graph.greedy_clique().len();
             let dsatur = satroute_coloring::dsatur_coloring(&graph).num_colors();
             assert_eq!((clique, dsatur), (6, 8), "n={n}");
-            for id in [EncodingId::Muldirect, EncodingId::Direct] {
-                for sym in SymmetryHeuristic::ALL {
-                    for selectors in [Selectors::None, Selectors::PerTrack] {
-                        let k = 6 + u32::from(selectors == Selectors::PerTrack);
-                        let at = format!("{id}/{sym} {selectors:?} k={k} n={n}");
-                        let stats = assert_sink_searches_like_add_formula(
-                            &graph, k, id, sym, selectors, &at,
-                        );
-                        restarted |= stats.restarts > 0;
-                        reduced |= stats.deleted_clauses > 0;
-                    }
+            for sym in SymmetryHeuristic::ALL {
+                for selectors in [Selectors::None, Selectors::PerTrack] {
+                    let k = 6 + u32::from(selectors == Selectors::PerTrack);
+                    let at = format!("muldirect/{sym} {selectors:?} k={k} n={n}");
+                    let stats = assert_sink_searches_like_add_formula(
+                        &graph,
+                        k,
+                        EncodingId::Muldirect,
+                        sym,
+                        selectors,
+                        &at,
+                    );
+                    restarted |= stats.restarts > 0;
+                    reduced |= stats.deleted_clauses > 0;
                 }
             }
         }
@@ -1030,9 +1012,9 @@ mod tests {
         let alo = 16 * n;
         let written = alo + 8 * e * k as usize;
         let held = alo + 4 * (offsets.len() + neighbors.len());
-        let muldirect = EncodingId::Muldirect.encoding();
         let tracer = Tracer::disabled();
-        let watch_bytes = |config: SolverConfig, logging: bool, sink: bool| {
+        let watch_bytes = |id: EncodingId, config: SolverConfig, logging: bool, sink: bool| {
+            let encoding = id.encoding();
             let metrics = MetricsRegistry::new();
             let cancel = satroute_solver::CancellationToken::new();
             cancel.cancel();
@@ -1050,7 +1032,7 @@ mod tests {
                 Encoder::begin(
                     &graph,
                     k,
-                    &muldirect,
+                    &encoding,
                     SymmetryHeuristic::None,
                     Selectors::None,
                     &tracer,
@@ -1058,7 +1040,7 @@ mod tests {
                 .load(&mut solver, &metrics);
             } else {
                 solver.add_formula(
-                    &encode_coloring(&graph, k, &muldirect, SymmetryHeuristic::None).formula,
+                    &encode_coloring(&graph, k, &encoding, SymmetryHeuristic::None).formula,
                 );
             }
             assert!(matches!(solver.solve(), SolveOutcome::Unknown(_)));
@@ -1069,10 +1051,17 @@ mod tests {
             inprocess: satroute_solver::InprocessConfig::on(),
             ..SolverConfig::default()
         };
-        assert_eq!(watch_bytes(SolverConfig::default(), false, true), held);
-        assert_eq!(watch_bytes(SolverConfig::default(), false, false), written);
-        assert_eq!(watch_bytes(SolverConfig::default(), true, true), written);
-        assert_eq!(watch_bytes(inprocessing, false, true), written);
+        let plain = SolverConfig::default;
+        let muldirect = EncodingId::Muldirect;
+        assert_eq!(watch_bytes(muldirect, plain(), false, true), held);
+        assert_eq!(watch_bytes(muldirect, plain(), false, false), written);
+        assert_eq!(watch_bytes(muldirect, plain(), true, true), written);
+        assert_eq!(watch_bytes(muldirect, inprocessing, false, true), written);
+        // Direct writes its at-most-one binaries on the same literals
+        // ahead of its conflict binaries, so the graph holds none of them.
+        let at_most_one = 8 * n * (k * (k - 1) / 2) as usize;
+        let direct = watch_bytes(EncodingId::Direct, plain(), false, true);
+        assert_eq!(direct, written + at_most_one);
     }
 
     #[test]

@@ -764,11 +764,17 @@ impl CdclSolver {
     /// holds a watcher that should come first and no literal is assigned;
     /// without a proof log; and with inprocessing off, since its passes
     /// read and delete problem binaries through the lists. A caller that
-    /// has the solver take them at the start of a load must add no unit
-    /// clause before the point where it would have written them.
+    /// has the solver take them at the start of a load must add, before
+    /// the point where it would have written them, no unit clause and no
+    /// binary on an x_{u,c}: those would have come first.
     ///
     /// Held binaries count as problem clauses, as attached ones do, in
     /// the learnt-clause limit and the clause count a solve reports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` is not a graph on its layout's vertices, or its
+    /// variables pass [`Var::LIMIT`] (see [`ConflictBinaries`]).
     pub fn add_conflict_binaries(&mut self, graph: ConflictBinaries<'_>) -> bool {
         let fresh = self.ok
             && self.trail.is_empty()
@@ -778,7 +784,7 @@ impl CdclSolver {
             return false;
         }
         self.virtual_binaries = VirtualBinaries::new(&graph);
-        self.ensure_vars(graph.base + graph.vertices * graph.colors);
+        self.ensure_vars(graph.vertices * graph.colors);
         let binaries = graph.num_binaries();
         self.allocated_clauses += binaries;
         self.original_clauses += binaries;
@@ -1379,7 +1385,8 @@ impl CdclSolver {
         color: u32,
         false_lit: Lit,
     ) -> Option<Antecedent> {
-        for other in graph.others(vertex, color) {
+        for &v in graph.row(vertex) {
+            let other = graph.not_x(v, color);
             match self.lit_value(other) {
                 TRUE => {}
                 FALSE => return Some(Antecedent::Binary([other, false_lit])),
@@ -3024,14 +3031,13 @@ mod tests {
         );
     }
 
-    /// A `k`-coloring of `n` vertices in the direct (`at_most_one`) or
-    /// muldirect encoding, over x_{v,c} = v·k + c, with one selector
-    /// s_c = n·k + c per color: the clauses an encoder writes, split at
-    /// the binaries a solver can hold as the graph.
+    /// A `k`-coloring of `n` vertices in the muldirect encoding, over
+    /// x_{v,c} = v·k + c, with one selector s_c = n·k + c per color: the
+    /// clauses an encoder writes, split at the binaries a solver can hold
+    /// as the graph.
     struct Colored {
         n: u32,
         k: u32,
-        at_most_one: bool,
         /// Ascending, each `(u, v)` with `u < v`.
         edges: Vec<(u32, u32)>,
         offsets: Vec<u32>,
@@ -3039,7 +3045,7 @@ mod tests {
     }
 
     impl Colored {
-        fn new(n: u32, k: u32, at_most_one: bool, mut edges: Vec<(u32, u32)>) -> Colored {
+        fn new(n: u32, k: u32, mut edges: Vec<(u32, u32)>) -> Colored {
             edges.sort_unstable();
             let mut rows = vec![Vec::new(); n as usize];
             for &(u, v) in &edges {
@@ -3056,7 +3062,6 @@ mod tests {
             Colored {
                 n,
                 k,
-                at_most_one,
                 edges,
                 offsets,
                 neighbors,
@@ -3071,22 +3076,14 @@ mod tests {
             Lit::positive(Var::new(self.n * self.k + c))
         }
 
-        /// The clauses in the encoder's order: per vertex at-least-one
-        /// (and at-most-one), per edge and color a conflict binary, per
-        /// vertex and color an activation binary ¬s_c ∨ ¬x_{v,c}. Without
-        /// `held` the binaries the graph stands for are left out.
+        /// The clauses in the encoder's order: per vertex at-least-one,
+        /// per edge and color a conflict binary, per vertex and color an
+        /// activation binary ¬s_c ∨ ¬x_{v,c}. Without `held` the binaries
+        /// the graph stands for are left out.
         fn clauses(&self, held: bool) -> Vec<Vec<Lit>> {
-            let mut out = Vec::new();
-            for v in 0..self.n {
-                out.push((0..self.k).map(|c| self.x(v, c)).collect());
-                for c in 0..self.k {
-                    for d in c + 1..self.k {
-                        if self.at_most_one && held {
-                            out.push(vec![!self.x(v, c), !self.x(v, d)]);
-                        }
-                    }
-                }
-            }
+            let mut out: Vec<Vec<Lit>> = (0..self.n)
+                .map(|v| (0..self.k).map(|c| self.x(v, c)).collect())
+                .collect();
             for &(u, v) in self.edges.iter().filter(|_| held) {
                 for c in 0..self.k {
                     out.push(vec![!self.x(u, c), !self.x(v, c)]);
@@ -3113,10 +3110,8 @@ mod tests {
 
         fn graph(&self) -> ConflictBinaries<'_> {
             ConflictBinaries {
-                base: 0,
                 colors: self.k,
                 vertices: self.n,
-                at_most_one: self.at_most_one,
                 offsets: &self.offsets,
                 neighbors: &self.neighbors,
             }
@@ -3187,7 +3182,7 @@ mod tests {
         // of x_{0,0}, its list holds the activation binary ¬s_0 ∨ ¬x_{0,0}
         // and then a learnt clause ¬x_{0,0} ∨ s_2: x_{0,0} implies ¬x_{v,0}
         // for the neighbors first, then ¬s_0, then s_2.
-        let g = Colored::new(4, 3, false, vec![(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]);
+        let g = Colored::new(4, 3, vec![(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]);
         let config = SolverConfig::default();
         let (mut a, mut b) = (g.attached(&config), g.held(&config));
         assert_eq!(implicit_binaries(&a), 5 * 3 + 4 * 3);
@@ -3233,9 +3228,8 @@ mod tests {
 
     #[test]
     fn graph_binaries_solve_like_attached_ones() {
-        // Random colorings between too few colors and enough, direct and
-        // muldirect, plain and probed one track down through the
-        // selectors, with a learnt floor low enough to reduce: the same
+        // Random colorings between too few colors and enough, plain and
+        // probed one track down through the selectors, with a learnt floor low enough to reduce: the same
         // answer, model and counters either way.
         let config = SolverConfig {
             learnt_floor: 20.0,
@@ -3257,8 +3251,7 @@ mod tests {
                     }
                 }
             }
-            let at_most_one = round % 2 == 1;
-            let g = Colored::new(n, 4 + round % 3, at_most_one, edges);
+            let g = Colored::new(n, 4 + round % 3, edges);
             for assumptions in [vec![], vec![g.selector(g.k - 1)]] {
                 let at = format!("round {round} assuming {assumptions:?}");
                 let (mut a, mut b) = (g.attached(&config), g.held(&config));
@@ -3277,13 +3270,13 @@ mod tests {
 
     #[test]
     fn only_a_fresh_plain_solver_holds_the_graph() {
-        let g = Colored::new(3, 2, true, vec![(0, 1), (1, 2)]);
+        let g = Colored::new(3, 2, vec![(0, 1), (1, 2)]);
         let graph = g.graph();
-        // 2 edges × 2 colors, 3 vertices × 1 own pair.
-        assert_eq!(graph.num_binaries(), 4 + 3);
+        // 2 edges × 2 colors.
+        assert_eq!(graph.num_binaries(), 4);
         let mut plain = CdclSolver::new();
         assert!(plain.add_conflict_binaries(graph));
-        assert_eq!(plain.original_clauses, 7);
+        assert_eq!(plain.original_clauses, 4);
         assert!(!plain.add_conflict_binaries(graph), "one graph per solver");
 
         let mut logging = CdclSolver::new();
@@ -3300,6 +3293,30 @@ mod tests {
             assert!(!s.add_conflict_binaries(graph));
             assert_eq!(s.virtual_binaries.allocated_bytes(), 0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "row 0 must be strictly ascending and below 2")]
+    fn a_neighbor_outside_the_layout_is_refused() {
+        // Vertex 2 of a 2-vertex layout would be x_{2,c} = 2·k + c, a
+        // variable past the coloring.
+        CdclSolver::new().add_conflict_binaries(ConflictBinaries {
+            colors: 2,
+            vertices: 2,
+            offsets: &[0, 1, 2],
+            neighbors: &[2, 0],
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "row offsets must rise from 0 to its neighbor count")]
+    fn falling_row_offsets_are_refused() {
+        CdclSolver::new().add_conflict_binaries(ConflictBinaries {
+            colors: 2,
+            vertices: 3,
+            offsets: &[0, 2, 1, 2],
+            neighbors: &[1, 2, 0, 0],
+        });
     }
 
     #[test]

@@ -183,12 +183,10 @@ impl WatchList {
     }
 }
 
-/// The binaries of a graph coloring, given by its conflict graph: vertex
-/// `v` takes color `c` when variable `base + v·colors + c` is true
+/// The conflict binaries of a graph coloring, given by its conflict
+/// graph: vertex `v` takes color `c` when variable `v·colors + c` is true
 /// (x_{v,c}), and every edge `(u, v)` and color `c` stands for the binary
-/// ¬x_{u,c} ∨ ¬x_{v,c}. With `at_most_one`, each vertex's own colors
-/// exclude each other too: ¬x_{v,c} ∨ ¬x_{v,d} for `c < d` (the direct
-/// encoding's at-most-one clauses).
+/// ¬x_{u,c} ∨ ¬x_{v,c}.
 ///
 /// The rows are a graph's compressed sparse rows: vertex `v` below
 /// `offsets.len() - 1` has the neighbors
@@ -196,15 +194,10 @@ impl WatchList {
 /// has none.
 #[derive(Clone, Copy, Debug)]
 pub struct ConflictBinaries<'a> {
-    /// The variable of x_{0,0}.
-    pub base: u32,
     /// Colors per vertex.
     pub colors: u32,
-    /// Vertices of the layout; its variables end at
-    /// `base + vertices·colors`.
+    /// Vertices of the layout; its variables end at `vertices·colors`.
     pub vertices: u32,
-    /// Whether each vertex's own colors exclude each other.
-    pub at_most_one: bool,
     /// Row offsets of the conflict graph.
     pub offsets: &'a [u32],
     /// Neighbor ids of the conflict graph, ascending within each row.
@@ -214,13 +207,7 @@ pub struct ConflictBinaries<'a> {
 impl ConflictBinaries<'_> {
     /// The binaries the graph stands for.
     pub fn num_binaries(&self) -> usize {
-        let colors = self.colors as usize;
-        let own = if self.at_most_one {
-            self.vertices as usize * (colors * colors.saturating_sub(1) / 2)
-        } else {
-            0
-        };
-        self.neighbors.len() / 2 * colors + own
+        self.neighbors.len() / 2 * self.colors as usize
     }
 }
 
@@ -228,23 +215,19 @@ impl ConflictBinaries<'_> {
 /// coloring's conflict graph stands for, held as the graph, with no
 /// watcher in any list.
 ///
-/// When x_{u,c} becomes true, [`VirtualBinaries::others`] names the
-/// literals its binaries imply: ¬x_{u,d} for the other colors `d`
-/// ascending (at-most-one only), then ¬x_{v,c} for the neighbors `v`
-/// ascending. An encoder that attaches these binaries itself — its own
-/// at-most-one clauses, then one clause per edge and color, edges in
-/// ascending `(min, max)` order — puts exactly these watchers in this
-/// order at the front of ¬x_{u,c}'s list, ahead of everything attached
-/// later. Visiting them first, then the list, visits the same watchers
-/// in the same order.
+/// When x_{u,c} becomes true, [`VirtualBinaries::row`] names the
+/// neighbors `v`, ascending, whose ¬x_{v,c} its binaries imply. An
+/// encoder that attaches these binaries itself — one clause per edge and
+/// color, edges in ascending `(min, max)` order, before any other clause
+/// on an x_{u,c} — puts exactly these watchers in this order at the front
+/// of ¬x_{u,c}'s list, ahead of everything attached later. Visiting them
+/// first, then the list, visits the same watchers in the same order.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct VirtualBinaries {
-    base: u32,
     colors: u32,
     /// Variables of the layout, `vertices·colors`; 0 without a graph, so
     /// no literal falls in it.
     span: u32,
-    at_most_one: bool,
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
 }
@@ -254,21 +237,53 @@ impl VirtualBinaries {
     ///
     /// # Panics
     ///
-    /// Panics if the layout's variables pass [`Var::LIMIT`].
+    /// Panics if the layout's variables pass [`Var::LIMIT`], or if the
+    /// rows are not compressed sparse rows of a graph on the layout's
+    /// vertices: offsets that start at 0, never fall, end at the number
+    /// of neighbors and name no more rows than vertices, and rows whose
+    /// neighbors are strictly ascending and below `vertices`. Debug
+    /// builds also check that the graph has no self-loop and is
+    /// symmetric: `v` is in `u`'s row exactly when `u` is in `v`'s.
     pub(crate) fn new(graph: &ConflictBinaries<'_>) -> Self {
-        let span = u64::from(graph.vertices) * u64::from(graph.colors);
+        let ConflictBinaries {
+            colors,
+            vertices,
+            offsets,
+            neighbors,
+        } = *graph;
+        let span = u64::from(vertices) * u64::from(colors);
         assert!(
-            u64::from(graph.base) + span <= u64::from(Var::LIMIT),
+            span <= u64::from(Var::LIMIT),
             "the conflict graph's variables pass the solver's limit"
         );
-        VirtualBinaries {
-            base: graph.base,
-            colors: graph.colors,
+        assert!(
+            offsets.len() <= vertices as usize + 1
+                && offsets.first().map_or(0, |&first| first) == 0
+                && offsets.windows(2).all(|pair| pair[0] <= pair[1])
+                && offsets.last().map_or(0, |&last| last as usize) == neighbors.len(),
+            "the conflict graph's row offsets must rise from 0 to its neighbor count, \
+             one row per vertex at most"
+        );
+        let rows = VirtualBinaries {
+            colors,
             span: span as u32,
-            at_most_one: graph.at_most_one,
-            offsets: graph.offsets.to_vec(),
-            neighbors: graph.neighbors.to_vec(),
+            offsets: offsets.to_vec(),
+            neighbors: neighbors.to_vec(),
+        };
+        for u in 0..offsets.len().saturating_sub(1) as u32 {
+            let row = rows.row(u);
+            assert!(
+                row.windows(2).all(|pair| pair[0] < pair[1])
+                    && row.last().is_none_or(|&v| v < vertices),
+                "the conflict graph's row {u} must be strictly ascending and below {vertices}"
+            );
+            debug_assert!(
+                row.iter()
+                    .all(|&v| v != u && rows.row(v).binary_search(&u).is_ok()),
+                "the conflict graph's row {u} must name no self-loop and be mirrored"
+            );
         }
+        rows
     }
 
     /// Whether a graph is held.
@@ -279,24 +294,24 @@ impl VirtualBinaries {
     /// The vertex and color of `lit` if it is some x_{u,c}.
     #[inline]
     pub(crate) fn locate(&self, lit: Lit) -> Option<(u32, u32)> {
-        let at = lit.var().index().wrapping_sub(self.base);
+        let at = lit.var().index();
         (lit.is_positive() && at < self.span).then(|| (at / self.colors, at % self.colors))
     }
 
-    /// The literals that x_{`vertex`,`color`} implies through the held
-    /// binaries, in visiting order (see the type's docs).
+    /// The neighbors of `vertex`, ascending: x_{`vertex`,c} implies
+    /// ¬x_{v,c} for each of them (see the type's docs).
     #[inline]
-    pub(crate) fn others(&self, vertex: u32, color: u32) -> impl Iterator<Item = Lit> + '_ {
-        let not_x = move |v: u32, c: u32| Lit::negative(Var::new(self.base + v * self.colors + c));
-        let own_colors = if self.at_most_one { self.colors } else { 0 };
-        let row = match self.offsets.get(vertex as usize..vertex as usize + 2) {
+    pub(crate) fn row(&self, vertex: u32) -> &[u32] {
+        match self.offsets.get(vertex as usize..vertex as usize + 2) {
             Some(&[start, end]) => &self.neighbors[start as usize..end as usize],
             _ => &[],
-        };
-        (0..own_colors)
-            .filter(move |&c| c != color)
-            .map(move |c| not_x(vertex, c))
-            .chain(row.iter().map(move |&v| not_x(v, color)))
+        }
+    }
+
+    /// ¬x_{`vertex`,`color`}.
+    #[inline]
+    pub(crate) fn not_x(&self, vertex: u32, color: u32) -> Lit {
+        Lit::negative(Var::new(vertex * self.colors + color))
     }
 
     /// Bytes allocated to the graph.
