@@ -941,8 +941,8 @@ mod tests {
     #[test]
     fn loading_through_the_sink_searches_like_add_formula() {
         // A solver the encoder writes into and one loaded from the encoded
-        // formula must search alike — whether the sink holds direct's and
-        // muldirect's binaries as the conflict graph or has them written:
+        // formula must search alike — whether the sink holds muldirect's
+        // conflict binaries as the conflict graph or has them written:
         // same verdict and model, the same counters, and the same counted
         // shape.
         for seed in 0..4u64 {

@@ -1323,24 +1323,24 @@ impl CdclSolver {
 
     /// Unit propagation. Returns the falsified clause, if any.
     pub(crate) fn propagate(&mut self) -> Option<Antecedent> {
+        // Held in a register: every literal code below it names a
+        // variable of the held graph's layout (none without a graph).
+        let graph_codes = self.virtual_binaries.lit_codes();
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
 
-            // Hoisted out of the watcher loop: the falsified literal and
-            // the index of its watcher list are fixed for the whole scan.
-            let false_lit = !p;
             // Binaries held as a graph come before the list.
-            if let Some((vertex, color)) = self.virtual_binaries.locate(p) {
-                let graph = std::mem::take(&mut self.virtual_binaries);
-                let conflict = self.propagate_graph(&graph, vertex, color, false_lit);
-                self.virtual_binaries = graph;
-                if conflict.is_some() {
+            if p.code() < graph_codes && p.is_positive() {
+                if let conflict @ Some(_) = self.propagate_graph(p) {
                     self.qhead = self.trail.len();
                     return conflict;
                 }
             }
+            // Hoisted out of the watcher loop: the falsified literal and
+            // the index of its watcher list are fixed for the whole scan.
+            let false_lit = !p;
             let watch_idx = false_lit.code() as usize;
             let mut watchers = std::mem::take(&mut self.watches[watch_idx]);
             let mut conflict: Option<Antecedent> = None;
@@ -1371,29 +1371,31 @@ impl CdclSolver {
         None
     }
 
-    /// Visits the binaries `graph` holds for x_{`vertex`,`color`}, whose
-    /// negation `false_lit` just became false, as implicit binary
-    /// watchers are visited: a satisfied other literal is passed, an
-    /// unassigned one is implied with the binary reason, and a falsified
-    /// one is the conflict. Kept out of line: it walks a whole row, and
-    /// inlined it would grow the propagation loop every encoding runs.
+    /// Visits the binaries the held graph stands for on `p`, some
+    /// x_{u,c} that just became true, as implicit binary watchers of ¬p
+    /// are visited: a satisfied other literal is passed, an unassigned
+    /// one is implied with the binary reason, and a falsified one is the
+    /// conflict. Kept out of line: it walks a whole row, and inlined it
+    /// would grow the propagation loop every encoding runs.
     #[inline(never)]
-    fn propagate_graph(
-        &mut self,
-        graph: &VirtualBinaries,
-        vertex: u32,
-        color: u32,
-        false_lit: Lit,
-    ) -> Option<Antecedent> {
+    fn propagate_graph(&mut self, p: Lit) -> Option<Antecedent> {
+        let graph = std::mem::take(&mut self.virtual_binaries);
+        let (vertex, color) = graph.vertex_color(p);
+        let false_lit = !p;
+        let mut conflict = None;
         for &v in graph.row(vertex) {
             let other = graph.not_x(v, color);
             match self.lit_value(other) {
                 TRUE => {}
-                FALSE => return Some(Antecedent::Binary([other, false_lit])),
+                FALSE => {
+                    conflict = Some(Antecedent::Binary([other, false_lit]));
+                    break;
+                }
                 _ => self.enqueue(other, BINARY | false_lit.code()),
             }
         }
-        None
+        self.virtual_binaries = graph;
+        conflict
     }
 
     /// One arena-clause watcher of the falsified literal `false_lit`:

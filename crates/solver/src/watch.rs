@@ -291,11 +291,20 @@ impl VirtualBinaries {
         self.span == 0
     }
 
-    /// The vertex and color of `lit` if it is some x_{u,c}.
+    /// The literal codes of the layout's variables, both polarities: a
+    /// literal whose code is below it is some x_{u,c} or its negation. 0
+    /// without a graph.
     #[inline]
-    pub(crate) fn locate(&self, lit: Lit) -> Option<(u32, u32)> {
-        let at = lit.var().index();
-        (lit.is_positive() && at < self.span).then(|| (at / self.colors, at % self.colors))
+    pub(crate) fn lit_codes(&self) -> u32 {
+        2 * self.span
+    }
+
+    /// The vertex and color of x_{u,c}.
+    #[inline]
+    pub(crate) fn vertex_color(&self, x: Lit) -> (u32, u32) {
+        let at = x.var().index();
+        debug_assert!(x.is_positive() && at < self.span, "{x:?} is no x_{{u,c}}");
+        (at / self.colors, at % self.colors)
     }
 
     /// The neighbors of `vertex`, ascending: x_{`vertex`,c} implies
