@@ -766,7 +766,8 @@ impl CdclSolver {
     /// read and delete problem binaries through the lists. A caller that
     /// has the solver take them at the start of a load must add, before
     /// the point where it would have written them, no unit clause and no
-    /// binary on an x_{u,c}: those would have come first.
+    /// clause with a literal ¬x_{u,c} (such as direct's at-most-one
+    /// binaries): those would have come first.
     ///
     /// Held binaries count as problem clauses, as attached ones do, in
     /// the learnt-clause limit and the clause count a solve reports.

@@ -219,9 +219,10 @@ impl ConflictBinaries<'_> {
 /// neighbors `v`, ascending, whose ¬x_{v,c} its binaries imply. An
 /// encoder that attaches these binaries itself — one clause per edge and
 /// color, edges in ascending `(min, max)` order, before any other clause
-/// on an x_{u,c} — puts exactly these watchers in this order at the front
-/// of ¬x_{u,c}'s list, ahead of everything attached later. Visiting them
-/// first, then the list, visits the same watchers in the same order.
+/// with a literal ¬x_{u,c} — puts exactly these watchers in this order
+/// at the front of ¬x_{u,c}'s list, ahead of everything attached later.
+/// Visiting them first, then the list, visits the same watchers in the
+/// same order.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct VirtualBinaries {
     colors: u32,
